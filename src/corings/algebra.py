@@ -14,16 +14,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from corings.linalg import (
+    LinearSystem,
     Mat,
     QuotientSpace,
     balanced_quotient,
     coords_in_rowspace,
-    kernel,
+    hstack,
     rank,
     row_space,
     solve,
     tensor_k,
     tensor_vec,
+    unit_vec,
     vstack,
 )
 from corings.report import CheckReport
@@ -74,28 +76,24 @@ class Algebra:
 
     def left_mult(self, a) -> Mat:
         """Matrix of x -> a*x."""
-        cols = [self.multiply(a, _basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
+        cols = [self.multiply(a, unit_vec(self.field, self.dim, j)) for j in range(self.dim)]
         return Mat.from_cols(self.field, cols)
 
     def right_mult(self, a) -> Mat:
         """Matrix of x -> x*a."""
-        cols = [self.multiply(_basis_vec(self.field, self.dim, j), a) for j in range(self.dim)]
+        cols = [self.multiply(unit_vec(self.field, self.dim, j), a) for j in range(self.dim)]
         return Mat.from_cols(self.field, cols)
 
     @cached_property
     def left_mats(self) -> tuple:
-        return tuple(self.left_mult(_basis_vec(self.field, self.dim, i)) for i in range(self.dim))
+        return tuple(self.left_mult(unit_vec(self.field, self.dim, i)) for i in range(self.dim))
 
     @cached_property
     def right_mats(self) -> tuple:
-        return tuple(self.right_mult(_basis_vec(self.field, self.dim, i)) for i in range(self.dim))
+        return tuple(self.right_mult(unit_vec(self.field, self.dim, i)) for i in range(self.dim))
 
     def basis_vec(self, i: int) -> tuple:
-        return _basis_vec(self.field, self.dim, i)
-
-
-def _basis_vec(field: Field, dim: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(dim))
+        return unit_vec(self.field, self.dim, i)
 
 
 # -- algebra constructors -------------------------------------------------------
@@ -374,32 +372,12 @@ def left_dual(m: Bimodule) -> tuple[Bimodule, tuple]:
     """
     A = m.base
     F = A.field
-    n_unknowns = A.dim * m.dim  # f as a matrix, row-major
-    rows = []
+    sys = LinearSystem(F, {"f": (A.dim, m.dim)})
+    ida, idm = Mat.identity(F, A.dim), Mat.identity(F, m.dim)
     for t in range(A.dim):
-        # F @ L_t - left_mult(e_t) @ F = 0
-        Lt = m.left[t]
-        Gt = A.left_mats[t]
-        for r in range(A.dim):
-            for c in range(m.dim):
-                row = [F.zero] * n_unknowns
-                # (F @ Lt)[r][c] = sum_s F[r][s] Lt[s][c]
-                for s in range(m.dim):
-                    x = Lt.at(s, c)
-                    if x:
-                        row[r * m.dim + s] = F.add(row[r * m.dim + s], x)
-                # (Gt @ F)[r][c] = sum_u Gt[r][u] F[u][c]
-                for u in range(A.dim):
-                    x = Gt.at(r, u)
-                    if x:
-                        row[u * m.dim + c] = F.sub(row[u * m.dim + c], x)
-                if any(row):
-                    rows.append(row)
-    if rows:
-        sys = Mat(F, len(rows), n_unknowns, tuple(x for row in rows for x in row))
-    else:
-        sys = Mat(F, 0, n_unknowns, ())
-    basis = kernel(sys)
+        # f @ L_t - left_mult(e_t) @ f = 0
+        sys.add((1, "f", ida, m.left[t]), (-1, "f", A.left_mats[t], idm))
+    basis = sys.kernel()
     functionals = tuple(
         Mat(F, A.dim, m.dim, basis.row(i)) for i in range(basis.rows)
     )
@@ -441,26 +419,10 @@ def find_dual_basis(m: Bimodule) -> DualBasis | None:
     nd = len(functionals)
     if m.dim == 0 or nd == 0:
         return DualBasis(m, ()) if m.dim == 0 else None
-    # unknowns t[u][c]: coefficient of functionals[u] (x) e_c
-    n_unknowns = nd * m.dim
+    # unknowns t[u][c] at column u * m.dim + c: coefficient of functionals[u] (x) e_c;
     # constraint: for each basis vector e_j of M: sum t[u][c] L(f_u(e_j)) e_c = e_j
-    rows = []
-    rhs = []
-    for j in range(m.dim):
-        cols_for_j = []
-        for u in range(nd):
-            a = functionals[u].col(j)  # f_u(e_j) in A
-            Lmat = m.left_act(a)
-            cols_for_j.append(Lmat)
-        for r in range(m.dim):
-            row = [F.zero] * n_unknowns
-            for u in range(nd):
-                for c in range(m.dim):
-                    row[u * m.dim + c] = cols_for_j[u].at(r, c)
-            rows.append(row)
-            rhs.append(F.one if r == j else F.zero)
-    sys = Mat(F, len(rows), n_unknowns, tuple(x for row in rows for x in row))
-    sol = solve(sys, rhs)
+    sys = vstack([hstack([m.left_act(f.col(j)) for f in functionals]) for j in range(m.dim)])
+    sol = solve(sys, Mat.identity(F, m.dim).data)
     if sol is None:
         return None
     pairs = []
@@ -468,7 +430,7 @@ def find_dual_basis(m: Bimodule) -> DualBasis | None:
         for c in range(m.dim):
             t = sol[u * m.dim + c]
             if t:
-                pairs.append((functionals[u].scale(t), _basis_vec(F, m.dim, c)))
+                pairs.append((functionals[u].scale(t), unit_vec(F, m.dim, c)))
     return DualBasis(m, tuple(pairs))
 
 
@@ -476,7 +438,7 @@ def check_dual_basis(db: DualBasis) -> bool:
     m = db.module
     F = m.base.field
     for j in range(m.dim):
-        e = _basis_vec(F, m.dim, j)
+        e = unit_vec(F, m.dim, j)
         acc = [F.zero] * m.dim
         for f, vec in db.pairs:
             a = f.apply(e)

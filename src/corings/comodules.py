@@ -25,13 +25,11 @@ from corings.coring import (
     direct_sum_bimodule,
 )
 from corings.linalg import (
+    LinearSystem,
     Mat,
     QuotientSpace,
     hstack,
-    kernel,
-    sandwich_operator,
     tensor_k,
-    tensor_slice_operator,
     triple_balanced_quotient,
     vstack,
 )
@@ -225,82 +223,39 @@ def replicate_comodule(m: Comodule) -> GComodule:
 def comodule_homs(m: Comodule, n: Comodule) -> list:
     """Basis of the space of comodule morphisms m -> n as matrices."""
     c = m.coring
-    g = c.group
     F = c.base.field
     fn, fm = n.space.dim, m.space.dim
-    rows = []
+    sys = LinearSystem(F, {"f": (fn, fm)})
     idn = Mat.identity(F, fn)
     idm = Mat.identity(F, fm)
     for j in range(c.base.dim):
-        op = sandwich_operator(idn, m.space.right[j], fn, fm) \
-            - sandwich_operator(n.space.right[j], idm, fn, fm)
-        rows.append(op)
-    for a in g.elements():
-        cdim = c.comps[a].dim
-        lhs = tensor_slice_operator(n.tensor(a).space.proj,
-                                    m.tensor(a).space.sect @ m.rho[a], cdim, fn, fm)
-        rhs = sandwich_operator(n.rho[a], idm, fn, fm)
-        rows.append(lhs - rhs)
-    sys = vstack(rows)
-    basis = kernel(sys)
-    return [Mat(F, fn, fm, basis.row(i)) for i in range(basis.rows)]
+        sys.add((1, "f", idn, m.space.right[j]), (-1, "f", n.space.right[j], idm))
+    for a in c.group.elements():
+        sys.add((1, "f", n.tensor(a).space.proj, m.tensor(a).space.sect @ m.rho[a],
+                 c.comps[a].dim),
+                (-1, "f", n.rho[a], idm))
+    return [f for (f,) in sys.basis()]
 
 
 def gcomodule_homs(m: GComodule, n: GComodule) -> list:
     """Basis of the morphism space m -> n; each element is a per-degree
-    tuple of matrices, flattened over the block layout internally."""
+    tuple of matrices."""
     c = m.coring
     g = c.group
     F = c.base.field
-    sizes = [(n.comps[a].dim, m.comps[a].dim) for a in g.elements()]
-    offsets = []
-    off = 0
-    for fn, fm in sizes:
-        offsets.append(off)
-        off += fn * fm
-    total = off
-
-    def embed(op: Mat, a: int, out_rows: int) -> Mat:
-        # place op's columns (acting on vec(F_a)) into the global unknown vector
-        F_ = op.field
-        cols = [[F_.zero] * out_rows for _ in range(total)]
-        for local in range(op.cols):
-            col = op.col(local)
-            cols[offsets[a] + local][:] = list(col)
-        return Mat.from_cols(F_, cols)
-
-    rows = []
+    sys = LinearSystem(F, {a: (n.comps[a].dim, m.comps[a].dim) for a in g.elements()})
     for a in g.elements():
-        fn, fm = sizes[a]
-        idm = Mat.identity(F, fm)
-        idn = Mat.identity(F, fn)
+        idn = Mat.identity(F, n.comps[a].dim)
+        idm = Mat.identity(F, m.comps[a].dim)
         for j in range(c.base.dim):
-            op = sandwich_operator(idn, m.comps[a].right[j], fn, fm) \
-                - sandwich_operator(n.comps[a].right[j], idm, fn, fm)
-            rows.append(embed(op, a, op.rows))
+            sys.add((1, a, idn, m.comps[a].right[j]), (-1, a, n.comps[a].right[j], idm))
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            cdim = c.comps[b].dim
-            fn_a, fm_a = sizes[a]
-            fn_ab, fm_ab = sizes[ab]
-            lhs = tensor_slice_operator(n.tensor(a, b).space.proj,
-                                        m.tensor(a, b).space.sect @ m.rho[(a, b)],
-                                        cdim, fn_a, fm_a)
-            rhs = sandwich_operator(n.rho[(a, b)], Mat.identity(F, fm_ab), fn_ab, fm_ab)
-            out_rows = lhs.rows
-            rows.append(embed(lhs, a, out_rows) - embed(rhs, ab, out_rows))
-    sys = vstack(rows)
-    basis = kernel(sys)
-    out = []
-    for i in range(basis.rows):
-        v = basis.row(i)
-        fams = []
-        for a in g.elements():
-            fn, fm = sizes[a]
-            fams.append(Mat(F, fn, fm, v[offsets[a]: offsets[a] + fn * fm]))
-        out.append(tuple(fams))
-    return out
+            sys.add((1, a, n.tensor(a, b).space.proj,
+                     m.tensor(a, b).space.sect @ m.rho[(a, b)], c.comps[b].dim),
+                    (-1, ab, n.rho[(a, b)], Mat.identity(F, m.comps[ab].dim)))
+    return sys.basis()
 
 
 def is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:

@@ -31,16 +31,14 @@ from corings.coring import (
 )
 from corings.groups import FiniteGroup
 from corings.linalg import (
+    LinearSystem,
     Mat,
     coords_in_rowspace,
     inverse,
-    kernel,
     rank,
-    sandwich_operator,
     tensor_k,
     tensor_vec,
     triple_balanced_quotient,
-    vstack,
 )
 from corings.report import CheckReport
 
@@ -636,14 +634,12 @@ def check_component_bidual(c: GroupCoring, r: GradedRing,
         comp = c.comps[ainv]
         # solve right-linear maps R_a -> A
         n_r = r.dim(a)
-        rows = []
+        sys = LinearSystem(F, {"h": (c.base.dim, n_r)})
         idr = Mat.identity(F, n_r)
         ida = Mat.identity(F, c.base.dim)
         for j in range(c.base.dim):
-            op = sandwich_operator(ida, r.comps[a].right[j], c.base.dim, n_r) \
-                - sandwich_operator(c.base.right_mats[j], idr, c.base.dim, n_r)
-            rows.append(op)
-        basis = kernel(vstack(rows)) if rows else Mat.identity(F, c.base.dim * n_r)
+            sys.add((1, "h", ida, r.comps[a].right[j]), (-1, "h", c.base.right_mats[j], idr))
+        basis = sys.kernel()
         # evaluation of each comp basis vector
         coords = []
         for i in range(comp.dim):

@@ -34,6 +34,7 @@ from corings.coring import (
 )
 from corings.groups import TRIVIAL_GROUP
 from corings.linalg import (
+    LinearSystem,
     Mat,
     QuotientSpace,
     balanced_quotient,
@@ -45,6 +46,7 @@ from corings.linalg import (
     row_space,
     tensor_k,
     tensor_vec,
+    unit_vec,
     vstack,
 )
 from corings.report import CheckReport
@@ -165,27 +167,13 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
     c = m.coring
     g = c.group
     F = c.base.field
-    dims = [mm.dim for mm in m.comps]
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    total = sum(dims)
-
-    def block_proj(a: int) -> Mat:
-        rows = []
-        for i in range(dims[a]):
-            row = [F.zero] * total
-            row[offsets[a] + i] = F.one
-            rows.append(row)
-        return Mat.from_rows(F, rows)
-
-    rows = []
+    sys = LinearSystem(F, {a: (m.comps[a].dim, 1) for a in g.elements()})
+    one = Mat.identity(F, 1)
     for a in g.elements():
         for b in g.elements():
-            ab = g.mul(a, b)
-            t = m.tensor(a, b)
-            lhs = m.rho[(a, b)] @ block_proj(ab)
-            rhs = t.space.proj @ embed_right(F, dims[a], x.vec(b)) @ block_proj(a)
-            rows.append(lhs - rhs)
-    return kernel(vstack(rows))
+            coact = m.tensor(a, b).space.proj @ embed_right(F, m.comps[a].dim, x.vec(b))
+            sys.add((1, g.mul(a, b), m.rho[(a, b)], one), (-1, a, coact, one))
+    return sys.kernel()
 
 
 # -- ring morphisms and induction -----------------------------------------------------
@@ -250,7 +238,7 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
         t = m.tensor(a)
         cols = []
         for i in range(n.dim):
-            base_cls = q.project(tensor_vec(F, _unit_vec(F, n.dim, i), A.unit))
+            base_cls = q.project(tensor_vec(F, unit_vec(F, n.dim, i), A.unit))
             for j in range(A.dim):
                 xa = c.comps[a].right[j].apply(x.vec(a))
                 cols.append(t.space.project(tensor_vec(F, base_cls, xa)))
@@ -268,10 +256,6 @@ def free_right_module(b: Algebra, r: int) -> Bimodule:
     ident = Mat.identity(b.field, r)
     right = tuple(tensor_k(ident, R) for R in b.right_mats)
     return Bimodule(b, r * b.dim, None, right)
-
-
-def _unit_vec(F, n, i):
-    return tuple(F.one if k == i else F.zero for k in range(n))
 
 
 # -- the canonical morphism ------------------------------------------------------------
@@ -448,7 +432,7 @@ def induction_unit(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> tuple[Ma
     cols = []
     ok = True
     for i in range(n.dim):
-        cls = ind.space.project(tensor_vec(F, _unit_vec(F, n.dim, i), c.base.unit))
+        cls = ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit))
         vec = []
         for _ in g.elements():
             vec.extend(cls)

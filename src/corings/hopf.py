@@ -29,6 +29,7 @@ from corings.linalg import (
     row_space,
     tensor_k,
     tensor_vec,
+    unit_vec,
     vstack,
 )
 from corings.report import CheckReport
@@ -478,7 +479,7 @@ def relative_to_coring_comodule(m: RelativeHopfModule, cor: GroupCoring):
                         for k, unit_c in enumerate(ca.algebra.unit):
                             if unit_c:
                                 second[k * hp.dim + qi] = F.mul(unit_c, coeff)
-                        pure = tensor_vec(F, _unit(F, m.space.dim, mi), tuple(second))
+                        pure = tensor_vec(F, unit_vec(F, m.space.dim, mi), tuple(second))
                         vec = [F.add(xx, yy) for xx, yy in zip(vec, pure)]
             cols.append(t.space.project(vec))
         rho.append(Mat.from_cols(F, cols))
@@ -499,14 +500,10 @@ def coring_comodule_to_relative(m, ca: ComoduleAlgebra) -> RelativeHopfModule:
             for k in range(ca.algebra.dim):
                 for qi in range(hp.dim):
                     moved = m.space.right_act(ca.algebra.basis_vec(k)).col(i)
-                    cols.append(tensor_vec(F, moved, _unit(F, hp.dim, qi)))
+                    cols.append(tensor_vec(F, moved, unit_vec(F, hp.dim, qi)))
         collapse = Mat.from_cols(F, cols)
         rho.append(collapse @ t.space.sect @ m.rho[p])
     return RelativeHopfModule(ca, m.space, rho)
-
-
-def _unit(F, n, i):
-    return tuple(F.one if k == i else F.zero for k in range(n))
 
 
 def relative_hopf_module_check(ca: ComoduleAlgebra, modules,
@@ -633,11 +630,11 @@ def validate_smash_product(sp: SmashProduct, suite: str = "smash") -> CheckRepor
     for p in g.elements():
         ident = Mat.identity(F, sp.dims[p])
         left = Mat.from_cols(F, [
-            sp.mul[(e, p)].apply(tensor_vec(F, sp.unit_vec, _unit(F, sp.dims[p], u)))
+            sp.mul[(e, p)].apply(tensor_vec(F, sp.unit_vec, unit_vec(F, sp.dims[p], u)))
             for u in range(sp.dims[p])
         ])
         right = Mat.from_cols(F, [
-            sp.mul[(p, e)].apply(tensor_vec(F, _unit(F, sp.dims[p], u), sp.unit_vec))
+            sp.mul[(p, e)].apply(tensor_vec(F, unit_vec(F, sp.dims[p], u), sp.unit_vec))
             for u in range(sp.dims[p])
         ])
         if left != ident or right != ident:

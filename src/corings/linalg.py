@@ -551,6 +551,85 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     return Mat.from_cols(F, cols)
 
 
+class LinearSystem:
+    """Homogeneous linear equations in named matrix unknowns.
+
+    The columns are the entries of the unknowns in declaration order, each
+    flattened row-major.  An equation is a sum of signed terms
+    sign * P @ (X tensor I_c) @ S (c = 1 meaning P @ X @ S) and stands for
+    one row per entry of the result.  Terms on the same unknown accumulate,
+    terms on an empty unknown contribute nothing, and rows that come out
+    zero are dropped; none of this moves a kernel basis, since the rref
+    depends only on the row span and the column order.
+    """
+
+    def __init__(self, field: Field, shapes):
+        self.field = field
+        self.shapes = dict(shapes)
+        self.offsets = {}
+        width = 0
+        for name, (rows, cols) in self.shapes.items():
+            self.offsets[name] = width
+            width += rows * cols
+        self.width = width
+        self.rows = []  # sparse: {column: nonzero value}
+
+    def add(self, *terms) -> None:
+        """Add sum(sign * P @ (X_name tensor I_c) @ S) = 0; each term is
+        (sign, name, P, S) or (sign, name, P, S, c)."""
+        F = self.field
+        acc = None
+        for sign, name, P, S, *c in terms:
+            fn, fm = self.shapes[name]
+            if fn * fm == 0:
+                continue
+            c = c[0] if c else 1
+            if c == 1:
+                op = sandwich_operator(P, S, fn, fm)
+            else:
+                op = tensor_slice_operator(P, S, c, fn, fm)
+            if acc is None:
+                acc = [{} for _ in range(op.rows)]
+            elif len(acc) != op.rows:
+                raise DimensionMismatch("terms of one equation differ in shape")
+            if F.of(sign) != F.one:
+                op = op.scale(sign)
+            off, width, data = self.offsets[name], op.cols, op.data
+            for i, row in enumerate(acc):
+                for j, x in enumerate(data[i * width:(i + 1) * width], off):
+                    if x:
+                        row[j] = F.add(row[j], x) if j in row else x
+        for row in acc or ():
+            row = {j: x for j, x in row.items() if x}
+            if row:
+                self.rows.append(row)
+
+    def kernel(self) -> Mat:
+        """Basis of the solutions as rows over the whole column layout."""
+        F = self.field
+        data = []
+        for row in self.rows:
+            dense = [F.zero] * self.width
+            for j, x in row.items():
+                dense[j] = x
+            data.extend(dense)
+        return kernel(Mat(F, len(self.rows), self.width, tuple(data)))
+
+    def basis(self) -> list:
+        """Basis of the solutions, each a tuple of unknown values in
+        declaration order."""
+        k = self.kernel()
+        layout = [(self.offsets[name], rows, cols) for name, (rows, cols) in self.shapes.items()]
+        return [tuple(Mat(self.field, rows, cols, k.row(i)[off:off + rows * cols])
+                      for off, rows, cols in layout)
+                for i in range(k.rows)]
+
+
+def unit_vec(field: Field, n: int, i: int) -> tuple:
+    """The i-th standard basis vector of field^n."""
+    return tuple(field.one if k == i else field.zero for k in range(n))
+
+
 def random_invertible(field: Field, n: int, rng) -> Mat:
     """Deterministic (seeded) invertible matrix with small entries."""
     while True:

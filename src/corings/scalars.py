@@ -20,14 +20,32 @@ class DimensionMismatch(ValueError):
     """Raised when matrix/vector shapes are incompatible."""
 
 
+MODULUS_CAP = 2 ** 64
+
+# Miller-Rabin with these bases is exact for every n below 3.18 * 10^23
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below MODULUS_CAP."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -38,6 +56,8 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= MODULUS_CAP:
+            raise ValueError(f"modulus {self.p} is not below 2^64")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from corings.linalg import (
+    LinearSystem,
     Mat,
     QuotientSpace,
     balanced_quotient,
@@ -16,8 +17,10 @@ from corings.linalg import (
     rank,
     row_space,
     rref,
+    sandwich_operator,
     solve,
     tensor_k,
+    tensor_slice_operator,
     vstack,
 )
 from corings.scalars import GF, QQ, DimensionMismatch, FieldMismatch
@@ -209,3 +212,96 @@ def test_balanced_quotient_trivial_middle():
     z = [Mat.zeros(QQ, 2, 2)]
     q = balanced_quotient(QQ, 2, 2, z, z)
     assert q.dim == 4
+
+
+# -- the linear system builder -----------------------------------------------------
+
+def random_mat(field, rows, cols, rng):
+    return Mat(field, rows, cols, tuple(field.random(rng) for _ in range(rows * cols)))
+
+
+def system_matrix(sys: LinearSystem) -> Mat:
+    """The accumulated rows of a system as a dense matrix."""
+    F = sys.field
+    data = []
+    for row in sys.rows:
+        data.extend(row.get(j, F.zero) for j in range(sys.width))
+    return Mat(F, len(sys.rows), sys.width, tuple(data))
+
+
+def dense_rows(m: Mat) -> Mat:
+    """m without its zero rows, the form the builder stores."""
+    rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
+    return Mat(m.field, len(rows), m.cols, tuple(x for r in rows for x in r))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_one_term_system_is_the_reference_operator(field):
+    rng = random.Random(5)
+    for _ in range(12):
+        fn, fm, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        P = random_mat(field, rng.randint(1, 3), fn * c, rng)
+        S = random_mat(field, fm * c, rng.randint(1, 3), rng)
+        sys = LinearSystem(field, {"x": (fn, fm)})
+        sys.add((1, "x", P, S, c))
+        if c == 1:
+            ref = sandwich_operator(P, S, fn, fm)
+        else:
+            ref = tensor_slice_operator(P, S, c, fn, fm)
+        assert system_matrix(sys) == dense_rows(ref)
+        assert sys.kernel() == kernel(ref)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_unknowns_sit_at_their_offsets(field):
+    rng = random.Random(6)
+    P1, S1 = random_mat(field, 2, 2, rng), random_mat(field, 3, 2, rng)
+    P2, S2 = random_mat(field, 2, 1, rng), random_mat(field, 2, 2, rng)
+    sys = LinearSystem(field, {"a": (2, 3), "b": (1, 2)})
+    sys.add((1, "a", P1, S1), (-1, "b", P2, S2))
+    op1 = sandwich_operator(P1, S1, 2, 3)
+    op2 = sandwich_operator(P2, S2, 1, 2).scale(-1)
+    assert system_matrix(sys) == dense_rows(hstack([op1, op2]))
+    for a, b in sys.basis():
+        assert (a.rows, a.cols, b.rows, b.cols) == (2, 3, 1, 2)
+        assert P1 @ a @ S1 == P2 @ b @ S2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_terms_on_one_unknown_sum(field):
+    rng = random.Random(7)
+    P1, S1 = random_mat(field, 3, 2, rng), random_mat(field, 2, 2, rng)
+    P2, S2 = random_mat(field, 3, 2, rng), random_mat(field, 2, 2, rng)
+    sys = LinearSystem(field, {"x": (2, 2)})
+    sys.add((1, "x", P1, S1), (-1, "x", P2, S2))
+    ref = sandwich_operator(P1, S1, 2, 2) - sandwich_operator(P2, S2, 2, 2)
+    assert system_matrix(sys) == dense_rows(ref)
+    # terms that cancel leave no equation at all
+    sys = LinearSystem(field, {"x": (2, 2)})
+    sys.add((1, "x", P1, S1), (-1, "x", P1, S1))
+    assert sys.rows == []
+
+
+def test_dropped_zero_rows_leave_the_kernel():
+    P = M([[1, 0], [0, 0], [2, 0]])
+    S = M([[1, 1]])
+    sys = LinearSystem(QQ, {"x": (2, 1)})
+    sys.add((1, "x", P, S))
+    ref = sandwich_operator(P, S, 2, 1)
+    assert ref.rows == 6 and len(sys.rows) == 4
+    assert sys.kernel() == kernel(ref)
+
+
+def test_empty_system_gives_the_identity_basis():
+    sys = LinearSystem(QQ, {"a": (1, 2), "b": (2, 1)})
+    assert sys.kernel() == Mat.identity(QQ, 4)
+    basis = sys.basis()
+    assert len(basis) == 4
+    assert basis[0] == (M([[1, 0]]), M([[0], [0]]))
+    assert basis[3] == (M([[0, 0]]), M([[0], [1]]))
+
+
+def test_terms_on_an_empty_unknown_are_skipped():
+    sys = LinearSystem(QQ, {"a": (0, 2), "b": (1, 1)})
+    sys.add((1, "a", Mat.zeros(QQ, 1, 0), Mat.zeros(QQ, 2, 1)), (1, "b", M([[2]]), M([[1]])))
+    assert sys.basis() == []

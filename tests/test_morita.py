@@ -312,3 +312,15 @@ def test_battery_hypothesis_check():
     b = RingMorphism(kx, kx, Mat.identity(QQ, 2))
     with pytest.raises(HypothesisFailed):
         galois_equivalence_battery(x, b)
+
+
+def test_battery_lets_induction_errors_propagate(monkeypatch):
+    import corings.morita as morita_mod
+
+    def broken(*args):
+        raise RuntimeError("induction failed")
+
+    monkeypatch.setattr(morita_mod, "induction_unit", broken)
+    fx = fixture("trivial")
+    with pytest.raises(RuntimeError, match="induction failed"):
+        galois_equivalence_battery(fx.grouplike, fx.base)

@@ -1,10 +1,16 @@
 """Structure file parsing: happy paths, explicit blocks, and errors."""
 
+import contextlib
+import io
+import time
+
 import pytest
 
+from corings.cli import main
 from corings.coring import group_corings_equal, validate_group_coring
 from corings.fixtures import fixture, fixture_file_text
 from corings.galois import validate_grouplike
+from corings.scalars import Field
 from corings.structfile import StructureError, main_structure, parse
 
 
@@ -199,3 +205,24 @@ end
 def test_duplicate_key_rejected():
     with pytest.raises(StructureError, match="duplicate"):
         parse("field Q\nbegin algebra A\n  dim 1\n  dim 2\n  unit [1]\n  mul [[[1]]]\nend\n")
+
+
+def test_modulus_primality_is_decided_exactly():
+    with pytest.raises(ValueError, match="not prime"):
+        Field(561)  # a Carmichael number
+    assert Field(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def test_modulus_above_cap_rejected():
+    with pytest.raises(StructureError, match="below 2\\^64"):
+        parse(f"field Fp {2 ** 64 + 13}\n")
+
+
+def test_large_modulus_field_line_returns_quickly(tmp_path):
+    path = tmp_path / "big.coring"
+    path.write_text("field Fp 1000000000000000003\n")
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["check", str(path), "--suite", "validate"])
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
