@@ -17,9 +17,16 @@ Conventions fixed here and relied on everywhere downstream:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
+
+
+def _nonzeros(seq, start: int = 0) -> list:
+    """The (index, value) pairs of the nonzero entries of seq from start on."""
+    return [(j, seq[j]) for j in compress(range(start, len(seq)), seq[start:])]
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,15 @@ class Mat:
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        ncols = len(cols)
+        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols])
+
+    @classmethod
+    def _from_cols(cls, field: Field, cols) -> "Mat":
+        """from_cols for entries that are already field elements: no
+        coercion through `Field.of`."""
+        cols = list(cols)
         nrows = len(cols[0]) if cols else 0
-        data = tuple(field.of(cols[j][i]) for i in range(nrows) for j in range(ncols))
-        return cls(field, nrows, ncols, data)
+        return cls(field, nrows, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
@@ -82,7 +93,7 @@ class Mat:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return self.data[j::self.cols]
 
     def row_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -97,66 +108,64 @@ class Mat:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        add = self.field.add
         return Mat(self.field, self.rows, self.cols,
-                   tuple(add(a, b) for a, b in zip(self.data, other.data)))
+                   tuple(map(self.field.reduce, map(operator.add, self.data, other.data))))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in subtraction")
-        sub = self.field.sub
         return Mat(self.field, self.rows, self.cols,
-                   tuple(sub(a, b) for a, b in zip(self.data, other.data)))
+                   tuple(map(self.field.reduce, map(operator.sub, self.data, other.data))))
 
     def scale(self, c) -> "Mat":
         c = self.field.of(c)
-        mul = self.field.mul
-        return Mat(self.field, self.rows, self.cols, tuple(mul(c, a) for a in self.data))
+        return Mat(self.field, self.rows, self.cols,
+                   tuple(map(self.field.reduce, [c * a for a in self.data])))
+
+    # The products below accumulate with plain `+` and `*` and bring each
+    # output entry to canonical form once, through `Field.reduce`.
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        F = self.field
-        zero = F.zero
         n, m, k = self.rows, other.cols, self.cols
-        odata = other.data
-        out = []
+        sdata, odata, red = self.data, other.data, self.field.reduce
+        orows = [None] * k  # nonzero entries of the rows of other, as needed
+        out = [0] * (n * m)
         for i in range(n):
-            base = i * k
-            row_entries = [(t, self.data[base + t]) for t in range(k) if self.data[base + t]]
-            acc = [zero] * m
-            for t, a in row_entries:
-                obase = t * m
-                for j in range(m):
-                    b = odata[obase + j]
-                    if b:
-                        acc[j] = F.add(acc[j], F.mul(a, b))
-            out.extend(acc)
-        return Mat(F, n, m, tuple(out))
+            acc = {}
+            for t, a in _nonzeros(sdata[i * k:(i + 1) * k]):
+                orow = orows[t]
+                if orow is None:
+                    orow = orows[t] = _nonzeros(odata[t * m:(t + 1) * m])
+                for j, b in orow:
+                    acc[j] = acc.get(j, 0) + a * b
+            for j, x in acc.items():
+                out[i * m + j] = red(x)
+        return Mat(self.field, n, m, tuple(out))
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, given and returned as a tuple."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        F = self.field
+        data, cols = self.data, self.cols
+        entries = _nonzeros(vec)
         out = []
         for i in range(self.rows):
-            base = i * self.cols
-            s = F.zero
-            for j, v in enumerate(vec):
-                if v:
-                    a = self.data[base + j]
-                    if a:
-                        s = F.add(s, F.mul(a, v))
+            base, s = i * cols, 0
+            for j, v in entries:
+                a = data[base + j]
+                if a:
+                    s += a * v
             out.append(s)
-        return tuple(out)
+        return tuple(map(self.field.reduce, out))
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.cols, self.rows,
-                   tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+                   tuple(chain.from_iterable(self.data[j::self.cols] for j in range(self.cols))))
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -205,6 +214,7 @@ def vstack(mats) -> Mat:
 
 def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
     """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    red = field.reduce
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -220,20 +230,18 @@ def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
         prow = rows[r]
+        inv = field.inv(prow[c])
+        if inv != 1:
+            prow = rows[r] = [red(inv * x) if x else x for x in prow]
+        pentries = _nonzeros(prow, c)
         for i in range(nrows):
-            if i == r:
+            tgt = rows[i]
+            f = tgt[c]
+            if not f or i == r:
                 continue
-            f = rows[i][c]
-            if f:
-                tgt = rows[i]
-                for j in range(c, ncols):
-                    pv = prow[j]
-                    if pv:
-                        tgt[j] = field.sub(tgt[j], field.mul(f, pv))
+            for j, pv in pentries:
+                tgt[j] = red(tgt[j] - f * pv)
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -241,7 +249,7 @@ def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
 
 def rref_pivots(m: Mat) -> tuple[Mat, tuple]:
     rows, pivots = _rref_rows(m.field, m.row_lists())
-    data = tuple(x for row in rows for x in row)
+    data = tuple(chain.from_iterable(rows))
     return Mat(m.field, m.rows, m.cols, data), tuple(pivots)
 
 
@@ -339,29 +347,25 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
     if f.field != g.field:
         raise FieldMismatch("tensor over mismatched fields")
     F = f.field
-    mul = F.mul
+    red = F.reduce
     rows = f.rows * g.rows
     cols = f.cols * g.cols
-    data = [F.zero] * (rows * cols)
+    grows = [_nonzeros(g.row(j)) for j in range(g.rows)]
+    data = [0] * (rows * cols)
     for i in range(f.rows):
-        for k in range(f.cols):
-            a = f.at(i, k)
+        for k, a in enumerate(f.row(i)):
             if not a:
                 continue
-            for j in range(g.rows):
-                rbase = (i * g.rows + j) * cols
-                gbase = j * g.cols
-                for l in range(g.cols):
-                    b = g.data[gbase + l]
-                    if b:
-                        data[rbase + k * g.cols + l] = mul(a, b)
+            for j, grow in enumerate(grows):
+                base = (i * g.rows + j) * cols + k * g.cols
+                for l, b in grow:
+                    data[base + l] = red(a * b)
     return Mat(F, rows, cols, tuple(data))
 
 
 def tensor_vec(field: Field, u, v) -> tuple:
     """u (x) v as a coordinate tuple in the lexicographic basis."""
-    mul = field.mul
-    return tuple(mul(a, b) for a in u for b in v)
+    return tuple(map(field.reduce, [a * b for a in u for b in v]))
 
 
 # -- quotient spaces ----------------------------------------------------------
@@ -514,22 +518,7 @@ def sandwich_operator(P: Mat, S: Mat, fn: int, fm: int) -> Mat:
     where F is fn x fm.  Output rows index the flattened result."""
     if P.cols != fn or S.rows != fm:
         raise DimensionMismatch("sandwich operator shape mismatch")
-    F = P.field
-    out_rows = P.rows * S.cols
-    cols = []
-    for n in range(fn):
-        pcol = P.col(n)
-        for u in range(fm):
-            srow = S.row(u)
-            col = [F.zero] * out_rows
-            for r, pv in enumerate(pcol):
-                if pv:
-                    base = r * S.cols
-                    for c0, sv in enumerate(srow):
-                        if sv:
-                            col[base + c0] = F.mul(pv, sv)
-            cols.append(col)
-    return Mat.from_cols(F, cols)
+    return tensor_k(P, S.transpose())
 
 
 def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
@@ -544,11 +533,11 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     F = P.field
     cols = []
     for n in range(fn):
-        pslice = Mat.from_cols(F, [P.col(n * c + k) for k in range(c)])
+        pslice = Mat._from_cols(F, [P.col(n * c + k) for k in range(c)])
         for u in range(fm):
             sslice = Mat(F, c, S.cols, S.data[(u * c) * S.cols:(u * c + c) * S.cols])
             cols.append((pslice @ sslice).data)
-    return Mat.from_cols(F, cols)
+    return Mat._from_cols(F, cols)
 
 
 class LinearSystem:
@@ -592,15 +581,15 @@ class LinearSystem:
                 acc = [{} for _ in range(op.rows)]
             elif len(acc) != op.rows:
                 raise DimensionMismatch("terms of one equation differ in shape")
-            if F.of(sign) != F.one:
-                op = op.scale(sign)
+            sign = F.of(sign)
             off, width, data = self.offsets[name], op.cols, op.data
             for i, row in enumerate(acc):
                 for j, x in enumerate(data[i * width:(i + 1) * width], off):
                     if x:
-                        row[j] = F.add(row[j], x) if j in row else x
+                        row[j] = row.get(j, 0) + sign * x
+        red = F.reduce
         for row in acc or ():
-            row = {j: x for j, x in row.items() if x}
+            row = {j: x for j, x in zip(row, map(red, row.values())) if x}
             if row:
                 self.rows.append(row)
 

@@ -1,14 +1,25 @@
 """Exact scalar fields: the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction` values (always in lowest terms
-with positive denominator); prime-field scalars are plain ints normalized
-to the range [0, p).  All arithmetic goes through the `Field` object so
-prime-field values stay normalized and mixed-field operations are caught.
+Every field element is stored in one canonical form:
+
+* a rational is a plain `int` when it is integral and a
+  `fractions.Fraction` in lowest terms (positive denominator) otherwise,
+  so 0, 1 and the other small integers that fill most matrices cost
+  machine-int arithmetic;
+* a prime-field element is a plain `int` in the range [0, p).
+
+`Field.reduce` maps any int or Fraction that plain `+`, `-` and `*` give
+on canonical elements back to canonical form; every `Field` operation
+returns canonical values, and the hot loops of `corings.linalg`
+accumulate with plain operators and call `reduce` once per entry.  An
+int and a Fraction of equal value compare and hash equal, so the choice
+of form never shows in equality, hashing or `Field.format`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -49,6 +60,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """An int or Fraction in canonical rational form (int when integral)."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 @dataclass(frozen=True)
 class Field:
     """The rationals (p is None) or the prime field of order p."""
@@ -63,18 +79,21 @@ class Field:
 
     # -- constants ---------------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
+    zero = 0
+    one = 1
 
     # -- coercion ----------------------------------------------------------
 
+    @cached_property
+    def reduce(self):
+        """The function taking an int or Fraction to canonical form: x mod p
+        over GF(p); over QQ an int when x is integral, else x itself."""
+        return _rational if self.p is None else self.p.__rmod__
+
     def of(self, v):
         """Coerce an int, Fraction or "a/b" string into this field."""
+        if type(v) is int:
+            return v if self.p is None else v % self.p
         if isinstance(v, str):
             return self.parse(v)
         if self.p is not None:
@@ -83,7 +102,7 @@ class Field:
                     raise ValueError(f"{v} is not an integer residue")
                 v = v.numerator
             return v % self.p
-        return Fraction(v)
+        return _rational(Fraction(v))
 
     def parse(self, tok: str):
         tok = tok.strip()
@@ -91,8 +110,8 @@ class Field:
             return int(tok) % self.p
         if "/" in tok:
             num, den = tok.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
+            return _rational(Fraction(int(num), int(den)))
+        return int(tok)
 
     def format(self, x) -> str:
         if self.p is not None:
@@ -105,13 +124,13 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
+        return (a + b) % self.p if self.p is not None else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
+        return (a - b) % self.p if self.p is not None else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
+        return (a * b) % self.p if self.p is not None else _rational(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
@@ -121,7 +140,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.p is not None:
             return pow(a, self.p - 2, self.p)
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -225,6 +225,11 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             rows = [[int(x) for x in r] for r in table]
         except (TypeError, ValueError):
             raise StructureError(bln, "group table entries must be integers") from None
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise StructureError(bln, "group table must be a square list")
+        if any(not 0 <= x < n for r in rows for x in r):
+            raise StructureError(bln, f"group table entries must lie in [0, {n})")
         g = FiniteGroup.from_table(rows)
         if any(g.mul(0, a) != a or g.mul(a, 0) != a for a in range(g.order)):
             raise StructureError(bln, "group identity must be index 0")
@@ -344,7 +349,10 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
         if "from-comodule-algebra" in m:
             bln, ca_name = m["from-comodule-algebra"]
             ca = _lookup(sf.comodule_algebras, ca_name, bln, "comodule-algebra")
-            cor, gl = coring_from_comodule_algebra(ca)
+            try:
+                cor, gl = coring_from_comodule_algebra(ca)
+            except ValueError as exc:  # e.g. an action that does not descend
+                raise StructureError(bln, f"coring {name!r}: {exc}") from None
             sf.corings[name] = cor
             sf.canonical_grouplikes[name] = gl.vectors
         elif "sweedler" in m:

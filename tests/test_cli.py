@@ -100,3 +100,25 @@ def test_hopf_suite_skips_without_comodule_algebra():
     rep = run_suite(ms, "hopf", seed=0)
     assert rep.ok
     assert any("skipped" in it.law for it in rep.items)
+
+
+def _item_verdicts(report: str) -> list:
+    """(item id, PASS/FAIL) of every item line of a machine report."""
+    return [tuple(line.split("\t")[1:4:2]) for line in report.splitlines()
+            if line.startswith("item\t")]
+
+
+@pytest.mark.parametrize("name", ["trivial", "regular", "nongalois", "sweedler"])
+def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path):
+    # The fixtures have integer entries, so over GF(1000003) every check must
+    # come out as over QQ; a difference points at one field's arithmetic.
+    text = fixture_file_text(name)
+    assert "\nfield Q\n" in text
+    runs = []
+    for field_line in ("field Q", "field Fp 1000003"):
+        path = tmp_path / f"{name}-{field_line.split()[-1]}.coring"
+        path.write_text(text.replace("\nfield Q\n", f"\n{field_line}\n"))
+        rc, out, _ = run_cli(["check", str(path), "--suite", "all", "--format", "machine"])
+        runs.append((rc, _item_verdicts(out)))
+    assert runs[0][1], "no items reported"
+    assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 """Exact linear algebra core: frozen examples plus seeded property checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from corings.linalg import (
     solve,
     tensor_k,
     tensor_slice_operator,
+    tensor_vec,
     vstack,
 )
 from corings.scalars import GF, QQ, DimensionMismatch, FieldMismatch
@@ -305,3 +307,110 @@ def test_terms_on_an_empty_unknown_are_skipped():
     sys = LinearSystem(QQ, {"a": (0, 2), "b": (1, 1)})
     sys.add((1, "a", Mat.zeros(QQ, 1, 0), Mat.zeros(QQ, 2, 1)), (1, "b", M([[2]]), M([[1]])))
     assert sys.basis() == []
+
+
+# -- the field-specialised loops against plain Field-method loops ------------------
+#
+# The references below are the straightforward loops the library used before
+# its products and elimination accumulated with plain operators; every result
+# must be equal and in canonical form (see corings.scalars).
+
+def ref_matmul(a: Mat, b: Mat) -> Mat:
+    F = a.field
+    data = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = F.zero
+            for t in range(a.cols):
+                s = F.add(s, F.mul(a.at(i, t), b.at(t, j)))
+            data.append(s)
+    return Mat(F, a.rows, b.cols, tuple(data))
+
+
+def ref_rref(m: Mat) -> Mat:
+    F = m.field
+    rows = m.row_lists()
+    r = 0
+    for c in range(m.cols):
+        sel = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return Mat(F, m.rows, m.cols, tuple(x for row in rows for x in row))
+
+
+def ref_tensor(f: Mat, g: Mat) -> Mat:
+    F = f.field
+    return Mat(F, f.rows * g.rows, f.cols * g.cols, tuple(
+        F.mul(f.at(i, k), g.at(j, l))
+        for i in range(f.rows) for j in range(g.rows)
+        for k in range(f.cols) for l in range(g.cols)))
+
+
+def ref_tensor_slice(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
+    """Column (n, u) is the flattened P[:, n-th slice] @ S[u-th slice, :]."""
+    F = P.field
+    cols = []
+    for n in range(fn):
+        pslice = Mat.from_cols(F, [P.col(n * c + k) for k in range(c)])
+        for u in range(fm):
+            sslice = Mat(F, c, S.cols, S.data[u * c * S.cols:(u * c + c) * S.cols])
+            cols.append(ref_matmul(pslice, sslice).data)
+    return Mat.from_cols(F, cols)
+
+
+def mixed_mat(field, rows, cols, rng):
+    """Sparse entries with small integers and, over QQ, proper fractions."""
+    def entry():
+        if rng.random() < 0.5:
+            return field.zero
+        if field.p is None and rng.random() < 0.3:
+            return field.of(Fraction(rng.randint(-4, 4), rng.randint(2, 4)))
+        return field.of(rng.randint(-3, 3))
+    return Mat(field, rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def assert_canonical(field, values):
+    for x in values:
+        if field.p is None:
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), x
+        else:
+            assert type(x) is int and 0 <= x < field.p, x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_specialised_loops_match_the_plain_loops(field):
+    rng = random.Random(8)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, a2, b = mixed_mat(field, n, k, rng), mixed_mat(field, n, k, rng), mixed_mat(field, k, m, rng)
+        v = mixed_mat(field, k, 1, rng).data
+        s = field.of(3 if field.p else Fraction(-3, 2))
+        results = [
+            (a @ b, ref_matmul(a, b)),
+            (Mat(field, n, 1, a.apply(v)), ref_matmul(a, Mat(field, k, 1, v))),
+            (tensor_k(a, b), ref_tensor(a, b)),
+            (Mat(field, 1, k * n, tensor_vec(field, v, a.col(0))),
+             ref_tensor(Mat(field, 1, k, v), Mat(field, 1, n, a.col(0)))),
+            (rref(vstack([a, a2, a + a2])), ref_rref(vstack([a, a2, a + a2]))),
+            (a + a2, Mat(field, n, k, tuple(map(field.add, a.data, a2.data)))),
+            (a - a2, Mat(field, n, k, tuple(map(field.sub, a.data, a2.data)))),
+            (a.scale(s), Mat(field, n, k, tuple(field.mul(s, x) for x in a.data))),
+            (a.transpose(), Mat.from_rows(field, [a.col(j) for j in range(k)])),
+        ]
+        c, fn, fm = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        P, S = mixed_mat(field, rng.randint(1, 3), fn * c, rng), mixed_mat(field, fm * c, rng.randint(1, 3), rng)
+        results.append((tensor_slice_operator(P, S, c, fn, fm), ref_tensor_slice(P, S, c, fn, fm)))
+        P = mixed_mat(field, rng.randint(1, 3), fn, rng)
+        S = mixed_mat(field, fm, rng.randint(1, 3), rng)
+        results.append((sandwich_operator(P, S, fn, fm), ref_tensor_slice(P, S, 1, fn, fm)))
+        for got, want in results:
+            assert got == want
+            assert_canonical(field, got.data)

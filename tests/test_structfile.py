@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import random
 import time
 
 import pytest
@@ -226,3 +227,35 @@ def test_large_modulus_field_line_returns_quickly(tmp_path):
         rc = main(["check", str(path), "--suite", "validate"])
     assert rc == 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_group_table_entries_out_of_range_rejected():
+    text = fixture_file_text("regular").replace("table [[0, 1], [1, 0]]", "table [[0, 1], [1, 4]]")
+    with pytest.raises(StructureError, match=r"\[0, 2\)"):
+        parse(text)
+
+
+def test_non_square_group_table_rejected():
+    text = fixture_file_text("regular").replace("table [[0, 1], [1, 0]]", "table [[0, 1], [1]]")
+    with pytest.raises(StructureError, match="square"):
+        parse(text)
+
+
+def test_action_that_does_not_descend_rejected():
+    text = fixture_file_text("regular").replace(
+        "mul [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]", "mul [[[0, 0], [0, 1]], [[0, 1], [1, 0]]]")
+    with pytest.raises(StructureError, match="does not descend"):
+        parse(text)
+
+
+def test_digit_mutations_raise_only_structure_errors():
+    rng = random.Random(0)
+    texts = [fixture_file_text(n) for n in ("trivial", "regular", "nongalois", "sweedler")]
+    for _ in range(400):
+        text = rng.choice(texts)
+        pos = rng.choice([i for i, ch in enumerate(text) if ch.isdigit()])
+        digit = rng.choice([d for d in "0123456789" if d != text[pos]])
+        try:
+            parse(text[:pos] + digit + text[pos + 1:])
+        except StructureError:
+            pass
