@@ -21,8 +21,12 @@ from corings.comodules import (
 )
 from corings.fixtures import fixture
 from corings.galois import (
+    RANDOM_COMODULE_RANK,
+    coinvariant_ring,
     comodule_from_grouplike,
     galois_decomposition,
+    inclusion_morphism,
+    induce_comodule,
     induce_gcomodule,
     free_right_module,
     random_comodule,
@@ -163,6 +167,19 @@ def test_random_comodule_is_valid_and_seeded():
     m2 = random_comodule(fx.grouplike, random.Random(7))
     assert validate_comodule(m1).ok
     assert comodules_equal(m1, m2)
+
+
+def test_random_comodule_size_does_not_depend_on_the_seed():
+    # the seed draws the change of basis only: every seed checks the
+    # induced module of one fixed rank, so a suite's cost is the same
+    fx = fixture("regular")
+    t = coinvariant_ring(fx.grouplike)
+    ind = induce_comodule(free_right_module(t.algebra, RANDOM_COMODULE_RANK),
+                          inclusion_morphism(t, fx.coring.base), fx.grouplike).comodule
+    dims = {random_comodule(fx.grouplike, random.Random(seed)).space.dim for seed in range(8)}
+    assert dims == {ind.space.dim}
+    assert not comodules_equal(random_comodule(fx.grouplike, random.Random(0)),
+                               random_comodule(fx.grouplike, random.Random(1)))
 
 
 def test_hom_transposition_is_natural():
