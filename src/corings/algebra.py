@@ -25,6 +25,7 @@ from corings.linalg import (
     solve,
     tensor_k,
     tensor_vec,
+    triple_balanced_quotient,
     unit_vec,
     vstack,
 )
@@ -59,8 +60,7 @@ class Algebra:
         return cls(field, dim, mul_t, tuple(field.of(x) for x in unit))
 
     def multiply(self, x, y) -> tuple:
-        F = self.field
-        acc = [F.zero] * self.dim
+        acc = [0] * self.dim
         for i, a in enumerate(x):
             if not a:
                 continue
@@ -68,11 +68,11 @@ class Algebra:
             for j, b in enumerate(y):
                 if not b:
                     continue
-                ab = F.mul(a, b)
+                ab = a * b
                 for k, c in enumerate(row[j]):
                     if c:
-                        acc[k] = F.add(acc[k], F.mul(ab, c))
-        return tuple(acc)
+                        acc[k] += ab * c
+        return tuple(map(self.field.reduce, acc))
 
     def left_mult(self, a) -> Mat:
         """Matrix of x -> a*x."""
@@ -94,6 +94,14 @@ class Algebra:
 
     def basis_vec(self, i: int) -> tuple:
         return unit_vec(self.field, self.dim, i)
+
+    @cached_property
+    def quotients(self) -> dict:
+        """Memo of the tensor quotients over this algebra, filled by
+        `cached_tensor` and `cached_triple`.  Keys and values hold only
+        dims, `Mat`s and `QuotientSpace`s, never a `Bimodule` or the
+        algebra itself, so the memo makes no reference cycle."""
+        return {}
 
 
 # -- algebra constructors -------------------------------------------------------
@@ -285,8 +293,7 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> TensorProduct:
     The result keeps m's left action (when present) and n's right action;
     both are checked to descend to the quotient.
     """
-    if m.base is not n.base and m.base != n.base:
-        raise BaseMismatch("tensor factors over different base algebras")
+    _check_same_base(m, n)
     A = m.base
     F = A.field
     q = balanced_quotient(F, m.dim, n.dim, m.right, n.left)
@@ -302,6 +309,37 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> TensorProduct:
         _check_descends(q, [tensor_k(ident_m, R) for R in n.right], "right")
     module = Bimodule(A, q.dim, left, right)
     return TensorProduct(m, n, q, module)
+
+
+def _check_same_base(*mods: Bimodule) -> None:
+    if any(m.base is not mods[0].base and m.base != mods[0].base for m in mods):
+        raise BaseMismatch("tensor factors over different base algebras")
+
+
+def cached_tensor(m: Bimodule, n: Bimodule) -> TensorProduct:
+    """`tensor_over_algebra(m, n)`, memoised by content on the base algebra;
+    a hit wraps the stored quotient and outer actions around m and n."""
+    _check_same_base(m, n)
+    memo = m.base.quotients
+    key = (m.dim, m.left, m.right, n.dim, n.left, n.right)
+    if key not in memo:
+        t = tensor_over_algebra(m, n)
+        memo[key] = (t.space, t.module.left, t.module.right)
+        return t
+    space, left, right = memo[key]
+    return TensorProduct(m, n, space, Bimodule(m.base, space.dim, left, right))
+
+
+def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
+    """M (x)_A N (x)_A P by `triple_balanced_quotient`, memoised like
+    `cached_tensor` (its 7-entry keys never equal a 6-entry pair key)."""
+    _check_same_base(m, n, p)
+    memo = m.base.quotients
+    key = (m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left)
+    if key not in memo:
+        memo[key] = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
+                                             (m.right, n.left), (n.right, p.left))
+    return memo[key]
 
 
 def _check_descends(q: QuotientSpace, ambient_mats, side: str) -> None:
@@ -322,22 +360,14 @@ def induced_map(src: TensorProduct, dst: TensorProduct, f: Mat, g: Mat) -> Mat:
 
 def collapse_right(m: Bimodule) -> Mat:
     """M (x)_k A -> M, m (x) a -> m.a  (columns indexed m-major)."""
-    F = m.base.field
-    cols = []
-    for i in range(m.dim):
-        for k in range(m.base.dim):
-            cols.append(m.right[k].col(i))
-    return Mat.from_cols(F, cols)
+    return Mat._from_cols(m.base.field, [m.right[k].col(i) for i in range(m.dim)
+                                         for k in range(m.base.dim)])
 
 
 def collapse_left(m: Bimodule) -> Mat:
     """A (x)_k M -> M, a (x) m -> a.m  (columns indexed a-major)."""
-    F = m.base.field
-    cols = []
-    for k in range(m.base.dim):
-        for i in range(m.dim):
-            cols.append(m.left[k].col(i))
-    return Mat.from_cols(F, cols)
+    return Mat._from_cols(m.base.field, [m.left[k].col(i) for k in range(m.base.dim)
+                                         for i in range(m.dim)])
 
 
 def contract_right(m: Bimodule, c_dim: int, functional: Mat) -> Mat:

@@ -15,8 +15,9 @@ from __future__ import annotations
 from corings.algebra import (
     Bimodule,
     TensorProduct,
+    cached_tensor,
+    cached_triple,
     contract_right,
-    tensor_over_algebra,
 )
 from corings.coring import (
     CofreeWitness,
@@ -30,7 +31,6 @@ from corings.linalg import (
     QuotientSpace,
     hstack,
     tensor_k,
-    triple_balanced_quotient,
     vstack,
 )
 from corings.report import CheckReport
@@ -43,23 +43,12 @@ class Comodule:
         self.coring = coring
         self.space = space
         self.rho = tuple(rho)
-        self._tensors: dict = {}
-        self._triples: dict = {}
 
     def tensor(self, a: int) -> TensorProduct:
-        if a not in self._tensors:
-            self._tensors[a] = tensor_over_algebra(self.space, self.coring.comps[a])
-        return self._tensors[a]
+        return cached_tensor(self.space, self.coring.comps[a])
 
     def triple(self, a: int, b: int) -> QuotientSpace:
-        key = (a, b)
-        if key not in self._triples:
-            ca, cb = self.coring.comps[a], self.coring.comps[b]
-            self._triples[key] = triple_balanced_quotient(
-                self.coring.base.field, self.space.dim, ca.dim, cb.dim,
-                (self.space.right, ca.left), (ca.right, cb.left),
-            )
-        return self._triples[key]
+        return cached_triple(self.space, self.coring.comps[a], self.coring.comps[b])
 
 
 class GComodule:
@@ -69,25 +58,12 @@ class GComodule:
         self.coring = coring
         self.comps = tuple(comps)
         self.rho = dict(rho)
-        self._tensors: dict = {}
-        self._triples: dict = {}
 
     def tensor(self, a: int, b: int) -> TensorProduct:
-        key = (a, b)
-        if key not in self._tensors:
-            self._tensors[key] = tensor_over_algebra(self.comps[a], self.coring.comps[b])
-        return self._tensors[key]
+        return cached_tensor(self.comps[a], self.coring.comps[b])
 
     def triple(self, a: int, b: int, c: int) -> QuotientSpace:
-        key = (a, b, c)
-        if key not in self._triples:
-            cb, cc = self.coring.comps[b], self.coring.comps[c]
-            m = self.comps[a]
-            self._triples[key] = triple_balanced_quotient(
-                self.coring.base.field, m.dim, cb.dim, cc.dim,
-                (m.right, cb.left), (cb.right, cc.left),
-            )
-        return self._triples[key]
+        return cached_triple(self.comps[a], self.coring.comps[b], self.coring.comps[c])
 
 
 # -- validators ---------------------------------------------------------------------

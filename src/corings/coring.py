@@ -15,15 +15,16 @@ from corings.algebra import (
     Bimodule,
     BimoduleMap,
     TensorProduct,
+    cached_tensor,
+    cached_triple,
     contract_left,
     contract_right,
     is_bimodule_iso,
-    tensor_over_algebra,
     validate_bimodule,
     validate_bimodule_map,
 )
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
-from corings.linalg import Mat, QuotientSpace, inverse, tensor_k, triple_balanced_quotient
+from corings.linalg import Mat, QuotientSpace, inverse, tensor_k
 from corings.report import CheckReport
 
 
@@ -40,26 +41,14 @@ class GroupCoring:
         self.comps = tuple(comps)
         self.delta = dict(delta)   # (a, b) -> Mat: C_{ab} -> tensor(a,b).space.dim
         self.counit = counit       # base.dim x C_e.dim
-        self._tensors: dict = {}
-        self._triples: dict = {}
 
-    # -- cached tensor quotients -------------------------------------------
+    # -- tensor quotients, memoised on the base algebra ----------------------
 
     def tensor(self, a: int, b: int) -> TensorProduct:
-        key = (a, b)
-        if key not in self._tensors:
-            self._tensors[key] = tensor_over_algebra(self.comps[a], self.comps[b])
-        return self._tensors[key]
+        return cached_tensor(self.comps[a], self.comps[b])
 
     def triple(self, a: int, b: int, c: int) -> QuotientSpace:
-        key = (a, b, c)
-        if key not in self._triples:
-            ca, cb, cc = self.comps[a], self.comps[b], self.comps[c]
-            self._triples[key] = triple_balanced_quotient(
-                self.base.field, ca.dim, cb.dim, cc.dim,
-                (ca.right, cb.left), (cb.right, cc.left),
-            )
-        return self._triples[key]
+        return cached_triple(self.comps[a], self.comps[b], self.comps[c])
 
     # -- composite comultiplications -----------------------------------------
 
@@ -276,12 +265,9 @@ class GradedCoring:
         self.offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
         self.delta = delta
         self.counit = counit
-        self._tensor = None
 
     def tensor(self) -> TensorProduct:
-        if self._tensor is None:
-            self._tensor = tensor_over_algebra(self.total, self.total)
-        return self._tensor
+        return cached_tensor(self.total, self.total)
 
     def as_group_coring(self) -> GroupCoring:
         return GroupCoring(TRIVIAL_GROUP, self.base, (self.total,),

@@ -16,6 +16,7 @@ from corings.algebra import (
     Algebra,
     Bimodule,
     MissingDualBasis,
+    cached_triple,
     contract_right,
     embed_right,
     find_dual_basis,
@@ -38,7 +39,6 @@ from corings.linalg import (
     rank,
     tensor_k,
     tensor_vec,
-    triple_balanced_quotient,
 )
 from corings.report import CheckReport
 
@@ -677,10 +677,7 @@ def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing,
         for cdeg in g.elements():
             bc = g.mul(b, cdeg)
             rm = r.comps[g.inv(bc)]
-            tq3 = triple_balanced_quotient(
-                F, rm.dim, c.comps[b].dim, c.comps[cdeg].dim,
-                (rm.right, c.comps[b].left), (c.comps[b].right, c.comps[cdeg].left),
-            )
+            tq3 = cached_triple(rm, c.comps[b], c.comps[cdeg])
             lift = c.delta_left_lift(b, cdeg)
             lhs = [F.zero] * tq3.ambient_dim
             for fcoords, vec in dbs[bc]:

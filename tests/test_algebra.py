@@ -324,3 +324,48 @@ def test_quotient_actions_annihilate_relations():
         assert (t.space.proj @ tensor_k(L, ident) @ rel_t).is_zero()
     for R in reg.right:
         assert (t.space.proj @ tensor_k(Mat.identity(QQ, 4), R) @ rel_t).is_zero()
+
+
+def test_multiply_and_collapse_agree_with_field_method_loops():
+    # multiply accumulates with plain operators and reduces once per entry;
+    # compare with Field.add/Field.mul on random structure constants
+    # (fractions over QQ, residues over GF(p)) and check canonical form
+    from fractions import Fraction
+
+    from corings.scalars import GF
+
+    rng = random.Random(11)
+    for F in (QQ, GF(101), GF(1000003)):
+        n = 3
+
+        def scalar():
+            if rng.random() < 0.4:
+                return F.zero
+            if F.p is None:
+                return F.of(Fraction(rng.randrange(-7, 8), rng.randrange(1, 5)))
+            return F.of(rng.randrange(F.p))
+
+        mul = [[[scalar() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        a = Algebra.from_tables(F, mul, [scalar() for _ in range(n)])
+        for _ in range(20):
+            x = tuple(scalar() for _ in range(n))
+            y = tuple(scalar() for _ in range(n))
+            ref = [F.zero] * n
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        ref[k] = F.add(ref[k], F.mul(F.mul(x[i], y[j]), a.mul[i][j][k]))
+            got = a.multiply(x, y)
+            assert got == tuple(ref)
+            for v in got:
+                if F.p is None:
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                else:
+                    assert type(v) is int and 0 <= v < F.p
+        reg = Bimodule.regular(a)
+        cr, cl = collapse_right(reg), collapse_left(reg)
+        assert cr.data == tuple(F.of(v) for v in cr.data)
+        for i in range(n):
+            for k in range(n):
+                assert cr.col(i * n + k) == reg.right[k].col(i)
+                assert cl.col(k * n + i) == reg.left[k].col(i)

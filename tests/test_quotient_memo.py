@@ -1,0 +1,189 @@
+"""The per-algebra memo of tensor quotients (`Algebra.quotients`)."""
+
+import gc
+import weakref
+
+import pytest
+
+from corings import algebra, comodules, coring, dualring
+from corings.algebra import (
+    Algebra,
+    BaseMismatch,
+    Bimodule,
+    cached_tensor,
+    cached_triple,
+    product_field_algebra,
+    tensor_over_algebra,
+)
+from corings.fixtures import fixture_file_text
+from corings.linalg import triple_balanced_quotient
+from corings.scalars import QQ
+from corings.structfile import main_structure, parse
+from corings.suites import run_suite
+
+FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
+
+
+def _load(name):
+    return main_structure(parse(fixture_file_text(name)))
+
+
+def _same_space(q1, q2):
+    return (q1.dim, q1.relations, q1.proj, q1.sect) == (q2.dim, q2.relations, q2.proj, q2.sect)
+
+
+def _checked(monkeypatch, hits):
+    """Rebind the memo lookups of the coring, comodule and dual-ring layers
+    to versions that compare every hit with a fresh, uncached build."""
+
+    def tensor(m, n):
+        hit = (m.dim, m.left, m.right, n.dim, n.left, n.right) in m.base.quotients
+        t = cached_tensor(m, n)
+        if hit:
+            fresh = tensor_over_algebra(m, n)
+            assert _same_space(t.space, fresh.space)
+            assert (t.module.dim, t.module.left, t.module.right) == \
+                (fresh.module.dim, fresh.module.left, fresh.module.right)
+            assert (t.left, t.right) == (m, n)
+            hits["tensor"] += 1
+        return t
+
+    def triple(m, n, p):
+        hit = (m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left) in m.base.quotients
+        q = cached_triple(m, n, p)
+        if hit:
+            fresh = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
+                                             (m.right, n.left), (n.right, p.left))
+            assert _same_space(q, fresh)
+            hits["triple"] += 1
+        return q
+
+    for mod in (coring, comodules, dualring):
+        for name, checked in (("cached_tensor", tensor), ("cached_triple", triple)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, checked)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_memo_hit_equals_a_fresh_build(monkeypatch, name):
+    hits = {"tensor": 0, "triple": 0}
+    _checked(monkeypatch, hits)
+    ms = _load(name)
+    for suite in ("validate", "comodules", "dual-ring"):
+        run_suite(ms, suite, seed=0)
+    assert hits["tensor"] > 0 and hits["triple"] > 0
+
+
+def test_memo_entries_equal_fresh_builds_after_all():
+    ms = _load("sweedler")
+    run_suite(ms, "all", seed=0)
+    A = ms.coring.base
+    assert A.quotients
+    for key, value in A.quotients.items():
+        if len(key) == 6:
+            dm, ml, mr, dn, nl, nr = key
+            fresh = tensor_over_algebra(Bimodule(A, dm, ml, mr), Bimodule(A, dn, nl, nr))
+            space, left, right = value
+            assert _same_space(space, fresh.space)
+            assert (left, right) == (fresh.module.left, fresh.module.right)
+        else:
+            d1, d2, d3, r1, l2, r2, l3 = key
+            assert _same_space(value, triple_balanced_quotient(A.field, d1, d2, d3,
+                                                               (r1, l2), (r2, l3)))
+
+
+def test_memo_keeps_no_bimodule_or_algebra():
+    ms = _load("regular")
+    run_suite(ms, "comodules", seed=0)
+    memo = ms.coring.base.quotients
+
+    def leaves(x):
+        if isinstance(x, tuple):
+            for y in x:
+                yield from leaves(y)
+        else:
+            yield x
+
+    found = [x for x in leaves(tuple(memo.items())) if isinstance(x, (Bimodule, Algebra))]
+    assert memo and not found
+
+
+def test_two_parses_of_one_text_share_no_entries():
+    text = fixture_file_text("regular")
+    ms1 = main_structure(parse(text))
+    ms2 = main_structure(parse(text))
+    A1, A2 = ms1.coring.base, ms2.coring.base
+    assert A1 == A2 and A1 is not A2
+    after_parse = dict(A2.quotients)
+    run_suite(ms1, "validate", seed=0)
+    assert len(A1.quotients) > len(after_parse)
+    assert A2.quotients == after_parse
+    run_suite(ms2, "validate", seed=0)
+    assert A1.quotients is not A2.quotients
+    assert A1.quotients.keys() == A2.quotients.keys()
+    assert not {id(v) for v in A1.quotients.values()} & {id(v) for v in A2.quotients.values()}
+
+
+def test_factors_over_different_algebras_raise_base_mismatch():
+    a1, a2 = product_field_algebra(QQ, 2), product_field_algebra(QQ, 3)
+    r1, r2 = Bimodule.regular(a1), Bimodule.regular(a2)
+    with pytest.raises(BaseMismatch):
+        cached_tensor(r1, r2)
+    with pytest.raises(BaseMismatch):
+        cached_triple(r1, r1, r2)
+    with pytest.raises(BaseMismatch):
+        cached_triple(r2, r1, r1)
+    assert not a1.quotients and not a2.quotients
+
+
+def test_base_mismatch_is_checked_before_the_lookup():
+    a1 = product_field_algebra(QQ, 2)
+    a2 = Algebra.from_tables(QQ, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0])
+    r1 = Bimodule.regular(a1)
+    alien = Bimodule(a2, r1.dim, r1.left, r1.right)  # a1's content over a2
+    cached_tensor(r1, r1)
+    cached_triple(r1, r1, r1)
+    with pytest.raises(BaseMismatch):
+        cached_tensor(r1, alien)
+    with pytest.raises(BaseMismatch):
+        cached_triple(r1, alien, r1)
+
+
+def test_equal_algebras_share_tensor_results_but_not_memos():
+    a1, a2 = product_field_algebra(QQ, 2), product_field_algebra(QQ, 2)
+    t1 = cached_tensor(Bimodule.regular(a1), Bimodule.regular(a2))
+    t2 = cached_tensor(Bimodule.regular(a1), Bimodule.regular(a1))
+    assert t2.space is t1.space
+    assert t2.module.base is a1
+    assert a1.quotients and not a2.quotients
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_dropped_structure_frees_its_algebra_without_the_collector(name):
+    ms = _load(name)
+    run_suite(ms, "comodules", seed=0)
+    ref = weakref.ref(ms.coring.base)
+    assert ms.coring.base.quotients
+    gc.collect()
+    gc.disable()
+    try:
+        del ms
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_uses_the_uncached_builders(monkeypatch):
+    calls = []
+    real = algebra.tensor_over_algebra
+
+    def counted(m, n):
+        calls.append(1)
+        return real(m, n)
+
+    monkeypatch.setattr(algebra, "tensor_over_algebra", counted)
+    a = product_field_algebra(QQ, 2)
+    reg = Bimodule.regular(a)
+    cached_tensor(reg, reg)
+    cached_tensor(Bimodule.regular(a), Bimodule.regular(a))
+    assert len(calls) == 1
