@@ -18,6 +18,7 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     balanced_quotient,
+    combine,
     coords_in_rowspace,
     hstack,
     rank,
@@ -188,23 +189,17 @@ class Bimodule:
         return cls(a, a.dim, None, a.right_mats)
 
     def left_act(self, a) -> Mat:
-        return _act(self.left, a, self.base.field, self.dim)
+        if self.left is None:
+            raise ValueError("module has no left action")
+        return combine(self.base.field, self.dim, self.dim, self.left, a)
 
     def right_act(self, a) -> Mat:
-        return _act(self.right, a, self.base.field, self.dim)
+        if self.right is None:
+            raise ValueError("module has no right action")
+        return combine(self.base.field, self.dim, self.dim, self.right, a)
 
     def with_trivial_left(self) -> "Bimodule":
         return Bimodule(self.base, self.dim, None, self.right)
-
-
-def _act(mats, a, field, dim) -> Mat:
-    if mats is None:
-        raise ValueError("module has no action on this side")
-    acc = Mat.zeros(field, dim, dim)
-    for i, c in enumerate(a):
-        if c:
-            acc = acc + mats[i].scale(c)
-    return acc
 
 
 def validate_bimodule(m: Bimodule, suite: str = "bimodule") -> CheckReport:
@@ -378,17 +373,6 @@ def contract_right(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
 def contract_left(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
     """C (x)_k M -> M, c (x) m -> functional(c).m."""
     return collapse_left(m) @ tensor_k(functional, Mat.identity(m.base.field, m.dim))
-
-
-def embed_right(field: Field, dim_m: int, cvec) -> Mat:
-    """M -> M (x)_k C, m -> m (x) c for the fixed vector c."""
-    cvec = tuple(cvec)
-    cols = []
-    for i in range(dim_m):
-        base = tuple(field.zero for _ in range(i * len(cvec)))
-        tail = tuple(field.zero for _ in range((dim_m - 1 - i) * len(cvec)))
-        cols.append(base + cvec + tail)
-    return Mat.from_cols(field, cols)
 
 
 # -- left duals and dual bases -------------------------------------------------------

@@ -24,7 +24,7 @@ from corings.algebra import (
     validate_bimodule_map,
 )
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
-from corings.linalg import Mat, QuotientSpace, inverse, tensor_k
+from corings.linalg import Mat, QuotientSpace, block_matrix, inverse, tensor_k
 from corings.report import CheckReport
 
 
@@ -262,7 +262,6 @@ class GradedCoring:
         self.base = base
         self.total = total
         self.dims = tuple(dims)
-        self.offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
         self.delta = delta
         self.counit = counit
 
@@ -274,14 +273,7 @@ class GradedCoring:
                            {(0, 0): self.delta}, self.counit)
 
     def block_injection(self, a: int) -> Mat:
-        F = self.base.field
-        rows = []
-        for i in range(self.total.dim):
-            row = [F.zero] * self.dims[a]
-            if self.offsets[a] <= i < self.offsets[a] + self.dims[a]:
-                row[i - self.offsets[a]] = F.one
-            rows.append(row)
-        return Mat.from_rows(F, rows)
+        return _injection(self.base.field, self.dims, a)
 
     def block_projection(self, a: int) -> Mat:
         return self.block_injection(a).transpose()
@@ -293,35 +285,25 @@ def direct_sum_bimodule(comps) -> tuple[Bimodule, list, list]:
     base = comps[0].base
     F = base.field
     dims = [m.dim for m in comps]
-    total = sum(dims)
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    injections = []
-    projections = []
-    for k, m in enumerate(comps):
-        rows = []
-        for i in range(total):
-            row = [F.zero] * m.dim
-            if offsets[k] <= i < offsets[k] + m.dim:
-                row[i - offsets[k]] = F.one
-            rows.append(row)
-        inj = Mat.from_rows(F, rows)
-        injections.append(inj)
-        projections.append(inj.transpose())
-    left = None
+    injections = [_injection(F, dims, k) for k in range(len(comps))]
+
+    def block_diagonal(actions):
+        return tuple(block_matrix(F, dims, dims,
+                                  {(k, k): acts[t] for k, acts in enumerate(actions)})
+                     for t in range(base.dim))
+
+    left = right = None
     if all(m.left is not None for m in comps):
-        left = tuple(
-            sum((injections[k] @ comps[k].left[t] @ projections[k] for k in range(len(comps))),
-                Mat.zeros(F, total, total))
-            for t in range(base.dim)
-        )
-    right = None
+        left = block_diagonal([m.left for m in comps])
     if all(m.right is not None for m in comps):
-        right = tuple(
-            sum((injections[k] @ comps[k].right[t] @ projections[k] for k in range(len(comps))),
-                Mat.zeros(F, total, total))
-            for t in range(base.dim)
-        )
-    return Bimodule(base, total, left, right), injections, projections
+        right = block_diagonal([m.right for m in comps])
+    return (Bimodule(base, sum(dims), left, right), injections,
+            [inj.transpose() for inj in injections])
+
+
+def _injection(field, dims, a: int) -> Mat:
+    """The inclusion of block a into the direct sum of blocks of sizes dims."""
+    return block_matrix(field, dims, [dims[a]], {(a, 0): Mat.identity(field, dims[a])})
 
 
 def pack_graded_coring(c: GroupCoring) -> GradedCoring:

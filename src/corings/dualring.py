@@ -18,7 +18,6 @@ from corings.algebra import (
     MissingDualBasis,
     cached_triple,
     contract_right,
-    embed_right,
     find_dual_basis,
     left_dual,
 )
@@ -34,20 +33,28 @@ from corings.groups import FiniteGroup
 from corings.linalg import (
     LinearSystem,
     Mat,
+    block_matrix,
+    combine,
     coords_in_rowspace,
     inverse,
     rank,
     tensor_k,
     tensor_vec,
+    unit_vec,
 )
 from corings.report import CheckReport
+from corings.scalars import DimensionMismatch, Field
 
 
 # -- graded algebras (packed graded rings over the ground field) -----------------
 
 @dataclass(frozen=True)
 class GradedAlgebra:
-    """A plain algebra together with a block grading by group degree."""
+    """A plain algebra together with a block grading by group degree.
+
+    This is the one owner of the packed layout: the basis elements of
+    degree a sit at `offsets[a]`, ..., `offsets[a] + dims[a] - 1`, degree
+    after degree."""
 
     group: FiniteGroup
     algebra: Algebra
@@ -60,14 +67,35 @@ class GradedAlgebra:
         offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
         return cls(group, algebra, dims, offsets)
 
+    @classmethod
+    def from_products(cls, field: Field, group: FiniteGroup, dims, product,
+                      unit) -> "GradedAlgebra":
+        """The graded algebra with dims[a] basis elements of degree a whose
+        product of degrees a and b is the matrix product(a, b), of shape
+        dims[ab] x (dims[a] * dims[b]) with column i * dims[b] + j holding
+        e_i e_j, and whose unit is `unit` in the identity degree."""
+        g = group
+        dims = tuple(dims)
+        placed = {(a, b): block_matrix(field, dims, [dims[a] * dims[b]],
+                                       {(g.mul(a, b), 0): product(a, b)})
+                  for a in g.elements() for b in g.elements()}
+        mul = tuple(tuple(placed[(a, b)].col(i * dims[b] + j)
+                          for b in g.elements() for j in range(dims[b]))
+                    for a in g.elements() for i in range(dims[a]))
+        unit = block_matrix(field, dims, [1], {(g.identity, 0): Mat.col_vector(field, unit)})
+        return cls.build(g, Algebra(field, sum(dims), mul, unit.data), dims)
+
     def inject(self, a: int, vec) -> tuple:
-        F = self.algebra.field
-        out = [F.zero] * self.algebra.dim
-        for i, x in enumerate(vec):
-            out[self.offsets[a] + i] = x
-        return tuple(out)
+        """The packed vector of the degree-a coordinates vec."""
+        vec = tuple(vec)
+        if len(vec) != self.dims[a]:
+            raise DimensionMismatch(f"degree {a} has {self.dims[a]} coordinates, got {len(vec)}")
+        zero = self.algebra.field.zero
+        after = self.algebra.dim - self.offsets[a] - len(vec)
+        return (zero,) * self.offsets[a] + vec + (zero,) * after
 
     def block(self, a: int, total_vec) -> tuple:
+        """The degree-a coordinates of a packed vector."""
         return tuple(total_vec[self.offsets[a]: self.offsets[a] + self.dims[a]])
 
 
@@ -97,23 +125,10 @@ def group_ring(base: Algebra, group: FiniteGroup) -> GradedAlgebra:
     """base[G]: one copy of base per degree, (x u_a)(y u_b) = xy u_{ab}."""
     F = base.field
     n = base.dim
-    total = n * group.order
-    mul = [[None] * total for _ in range(total)]
-    for a in group.elements():
-        for b in group.elements():
-            ab = group.mul(a, b)
-            for i in range(n):
-                for j in range(n):
-                    prod = base.multiply(base.basis_vec(i), base.basis_vec(j))
-                    vec = [F.zero] * total
-                    for k, v in enumerate(prod):
-                        vec[ab * n + k] = v
-                    mul[a * n + i][b * n + j] = tuple(vec)
-    unit = [F.zero] * total
-    for k, v in enumerate(base.unit):
-        unit[k] = v
-    alg = Algebra(F, total, tuple(tuple(r) for r in mul), tuple(unit))
-    return GradedAlgebra.build(group, alg, [n] * group.order)
+    prod = Mat._from_cols(F, [base.multiply(base.basis_vec(i), base.basis_vec(j))
+                              for i in range(n) for j in range(n)])
+    return GradedAlgebra.from_products(F, group, [n] * group.order,
+                                       lambda a, b: prod, base.unit)
 
 
 # -- the dual graded ring -----------------------------------------------------------
@@ -157,12 +172,8 @@ class GradedRing:
 
     def functional_of(self, a: int, coords) -> Mat:
         """The functional C_{a^{-1}} -> A with the given coordinates."""
-        F = self.base.field
-        acc = Mat.zeros(F, self.base.dim, self.coring.comps[self.group.inv(a)].dim)
-        for u, x in enumerate(coords):
-            if x:
-                acc = acc + self.functionals[a][u].scale(x)
-        return acc
+        return combine(self.base.field, self.base.dim, self.coring.comps[self.group.inv(a)].dim,
+                       self.functionals[a], coords)
 
     def coords(self, a: int, functional: Mat) -> tuple:
         out = coords_in_rowspace(self._func_bases[a], functional.data)
@@ -196,26 +207,9 @@ class GradedRing:
     def packed(self) -> GradedAlgebra:
         if self._packed is None:
             g = self.group
-            F = self.base.field
-            dims = [self.dim(a) for a in g.elements()]
-            offsets = [sum(dims[:i]) for i in range(len(dims))]
-            total = sum(dims)
-            mul = [[(F.zero,) * total] * total for _ in range(total)]
-            for a in g.elements():
-                for b in g.elements():
-                    ab = g.mul(a, b)
-                    for i in range(dims[a]):
-                        for j in range(dims[b]):
-                            prod = self.mul[(a, b)].col(i * dims[b] + j)
-                            vec = [F.zero] * total
-                            for k, v in enumerate(prod):
-                                vec[offsets[ab] + k] = v
-                            mul[offsets[a] + i][offsets[b] + j] = tuple(vec)
-            unit = [F.zero] * total
-            for k, v in enumerate(self.unit_vec):
-                unit[offsets[g.identity] + k] = v
-            alg = Algebra(F, total, tuple(tuple(r) for r in mul), tuple(unit))
-            self._packed = GradedAlgebra.build(g, alg, dims)
+            self._packed = GradedAlgebra.from_products(
+                self.base.field, g, [self.dim(a) for a in g.elements()],
+                lambda a, b: self.mul[(a, b)], self.unit_vec)
         return self._packed
 
 
@@ -241,10 +235,11 @@ def validate_graded_ring(r: GradedRing, suite: str = "dual-ring") -> CheckReport
             not bad, f"failing triples: {bad[:5]}" if bad else "")
     e = g.identity
     bad = []
+    unit = Mat.col_vector(F, r.unit_vec)
     for a in g.elements():
         ident = Mat.identity(F, r.dim(a))
-        left_unit = r.mul[(e, a)] @ embed_left_vec(F, r.unit_vec, r.dim(a))
-        right_unit = r.mul[(a, e)] @ embed_right(F, r.dim(a), r.unit_vec)
+        left_unit = r.mul[(e, a)] @ tensor_k(unit, ident)
+        right_unit = r.mul[(a, e)] @ tensor_k(ident, unit)
         if left_unit != ident or right_unit != ident:
             bad.append(a)
     rep.add("dual-ring.unit", "the counit is a two-sided unit",
@@ -266,10 +261,10 @@ def validate_graded_ring(r: GradedRing, suite: str = "dual-ring") -> CheckReport
             # a.f = i(a) # f and f.a = f # i(a)
             iv = r.base_map.col(j)
             left_by = Mat.from_cols(F, [
-                r.multiply(e, iv, a, r_basis(F, r.dim(a), u)) for u in range(r.dim(a))
+                r.multiply(e, iv, a, unit_vec(F, r.dim(a), u)) for u in range(r.dim(a))
             ])
             right_by = Mat.from_cols(F, [
-                r.multiply(a, r_basis(F, r.dim(a), u), e, iv) for u in range(r.dim(a))
+                r.multiply(a, unit_vec(F, r.dim(a), u), e, iv) for u in range(r.dim(a))
             ])
             if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
                 bad.append((a, j))
@@ -277,22 +272,6 @@ def validate_graded_ring(r: GradedRing, suite: str = "dual-ring") -> CheckReport
             "base actions agree with multiplication through the base map",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
-
-
-def r_basis(F, n, u):
-    return tuple(F.one if i == u else F.zero for i in range(n))
-
-
-def embed_left_vec(F, vec, dim_m) -> Mat:
-    """M -> V (x)k M, m -> vec (x) m."""
-    vec = tuple(vec)
-    cols = []
-    for i in range(dim_m):
-        col = [F.zero] * (len(vec) * dim_m)
-        for j, x in enumerate(vec):
-            col[j * dim_m + i] = x
-        cols.append(col)
-    return Mat.from_cols(F, cols)
 
 
 # -- duals of coring morphisms ----------------------------------------------------
@@ -366,8 +345,9 @@ def validate_graded_module(m: GradedModule, suite: str = "graded-module") -> Che
     g = r.group
     F = r.base.field
     e = g.identity
+    unit = Mat.col_vector(F, r.unit_vec)
     bad = [a for a in g.elements()
-           if m.act[(a, e)] @ embed_right(F, m.comps[a].dim, r.unit_vec)
+           if m.act[(a, e)] @ tensor_k(Mat.identity(F, m.comps[a].dim), unit)
            != Mat.identity(F, m.comps[a].dim)]
     rep.add("graded-module.unit", "the unit acts as the identity",
             not bad, f"failing degrees: {bad}" if bad else "")
@@ -428,7 +408,8 @@ def validate_rmodule(m: RModule, suite: str = "module") -> CheckReport:
     F = r.base.field
     e = g.identity
     rep.add("module.unit", "the unit acts as the identity",
-            m.act[e] @ embed_right(F, m.module.dim, r.unit_vec) == Mat.identity(F, m.module.dim))
+            m.act[e] @ tensor_k(Mat.identity(F, m.module.dim), Mat.col_vector(F, r.unit_vec))
+            == Mat.identity(F, m.module.dim))
     bad = []
     for a in g.elements():
         for b in g.elements():
@@ -500,7 +481,7 @@ def graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
                 vec = [F.zero] * t.space.ambient_dim
                 for fcoords, cu in dbs[b]:
                     mi = m.act[(ab, binv)].apply(
-                        tensor_vec(F, r_basis(F, m.comps[ab].dim, i), fcoords))
+                        tensor_vec(F, unit_vec(F, m.comps[ab].dim, i), fcoords))
                     pure = tensor_vec(F, mi, cu)
                     vec = [F.add(x, y) for x, y in zip(vec, pure)]
                 cols.append(t.space.project(vec))

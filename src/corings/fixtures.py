@@ -122,10 +122,6 @@ def bad_antipode_hopf() -> HopfGCoalgebra:
 
 # -- structure-file emission -----------------------------------------------------------
 
-def _fmt_scalar(field, x) -> str:
-    return field.format(x)
-
-
 def _fmt_vector(field, v) -> str:
     return "[" + ", ".join(field.format(x) for x in v) + "]"
 

@@ -15,7 +15,6 @@ from corings.algebra import (
     Algebra,
     Bimodule,
     ModulePredicates,
-    embed_right,
     left_module_predicates,
     subalgebra,
 )
@@ -30,6 +29,7 @@ from corings.coring import (
     GroupCoring,
     GroupCoringMorphism,
     cofree_coring,
+    direct_sum_bimodule,
     validate_coring_morphism,
 )
 from corings.groups import TRIVIAL_GROUP
@@ -157,7 +157,8 @@ def coinvariants(m: Comodule, x: GrouplikeFamily) -> Mat:
     rows = []
     for a in c.group.elements():
         t = m.tensor(a)
-        rows.append(m.rho[a] - t.space.proj @ embed_right(F, m.space.dim, x.vec(a)))
+        coact = tensor_k(Mat.identity(F, m.space.dim), Mat.col_vector(F, x.vec(a)))
+        rows.append(m.rho[a] - t.space.proj @ coact)
     return kernel(vstack(rows))
 
 
@@ -171,7 +172,8 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
     one = Mat.identity(F, 1)
     for a in g.elements():
         for b in g.elements():
-            coact = m.tensor(a, b).space.proj @ embed_right(F, m.comps[a].dim, x.vec(b))
+            coact = m.tensor(a, b).space.proj @ tensor_k(Mat.identity(F, m.comps[a].dim),
+                                                         Mat.col_vector(F, x.vec(b)))
             sys.add((1, g.mul(a, b), m.rho[(a, b)], one), (-1, a, coact, one))
     return sys.kernel()
 
@@ -454,21 +456,15 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     A = c.base
     F = A.field
     w = g_coinvariants(m, x)
-    dims = [mm.dim for mm in m.comps]
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
+    total, _, proj = direct_sum_bimodule(m.comps)
     # right B-module structure on the coinvariants
     right = []
     ok = True
     for i in range(b.src.dim):
-        img = b.mat.col(i)
+        act = total.right_act(b.mat.col(i))
         cols = []
         for u in range(w.rows):
-            rowvec = w.row(u)
-            moved = []
-            for a in g.elements():
-                blk = rowvec[offsets[a]: offsets[a] + dims[a]]
-                moved.extend(m.comps[a].right_act(img).apply(blk))
-            coords = coords_in_rowspace(w, tuple(moved))
+            coords = coords_in_rowspace(w, act.apply(w.row(u)))
             if coords is None:
                 ok = False
                 coords = (F.zero,) * w.rows
@@ -486,7 +482,7 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
         for a in g.elements():
             cols = []
             for u in range(w.rows):
-                blk = w.row(u)[offsets[a]: offsets[a] + dims[a]]
+                blk = proj[a].apply(w.row(u))
                 for j in range(A.dim):
                     cols.append(m.comps[a].right[j].apply(blk))
             k_level = Mat.from_cols(F, cols)

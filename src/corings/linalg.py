@@ -210,6 +210,45 @@ def vstack(mats) -> Mat:
     return Mat(F, sum(m.rows for m in mats), cols, tuple(data))
 
 
+def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
+    """The matrix cut into row blocks of sizes row_dims and column blocks of
+    sizes col_dims (each block after the ones before it), holding
+    blocks[(i, j)] in block (i, j) and zeros everywhere else."""
+    row_offsets = [sum(row_dims[:i]) for i in range(len(row_dims))]
+    col_offsets = [sum(col_dims[:j]) for j in range(len(col_dims))]
+    width = sum(col_dims)
+    data = [field.zero] * (sum(row_dims) * width)
+    for (i, j), m in blocks.items():
+        if (m.rows, m.cols) != (row_dims[i], col_dims[j]):
+            raise DimensionMismatch(f"block ({i}, {j}) is {m.rows}x{m.cols}, "
+                                    f"expected {row_dims[i]}x{col_dims[j]}")
+        if m.field != field:
+            raise FieldMismatch(f"block ({i}, {j}) over {m.field}, expected {field}")
+        for r in range(m.rows):
+            start = (row_offsets[i] + r) * width + col_offsets[j]
+            data[start:start + m.cols] = m.data[r * m.cols:(r + 1) * m.cols]
+    return Mat(field, sum(row_dims), width, tuple(data))
+
+
+def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
+    """The rows x cols matrix sum(c * m) over the pairs of mats and coeffs."""
+    mats, coeffs = list(mats), list(coeffs)
+    if len(mats) != len(coeffs):
+        raise DimensionMismatch(f"{len(mats)} matrices vs {len(coeffs)} coefficients")
+    acc = [0] * (rows * cols)
+    for m, c in zip(mats, coeffs):
+        if not c:
+            continue
+        if (m.rows, m.cols) != (rows, cols):
+            raise DimensionMismatch(f"{m.rows}x{m.cols} term in a {rows}x{cols} sum")
+        if m.field != field:
+            raise FieldMismatch(f"term over {m.field} in a sum over {field}")
+        c = field.of(c)
+        for k, x in _nonzeros(m.data):
+            acc[k] += c * x
+    return Mat(field, rows, cols, tuple(map(field.reduce, acc)))
+
+
 # -- gaussian elimination ----------------------------------------------------
 
 def _rref_rows(field: Field, rows: list) -> tuple[list, list]:

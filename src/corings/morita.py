@@ -18,9 +18,10 @@ from corings.algebra import (
     Bimodule,
     contract_right,
     left_module_predicates,
+    subalgebra,
 )
 from corings.comodules import replicate_comodule
-from corings.coring import CofreeWitness
+from corings.coring import CofreeWitness, validate_coring_morphism
 from corings.dualring import (
     GradedAlgebra,
     GradedModule,
@@ -49,6 +50,8 @@ from corings.linalg import (
     LinearSystem,
     Mat,
     balanced_quotient,
+    block_matrix,
+    combine,
     coords_in_rowspace,
     inverse,
     kernel,
@@ -64,6 +67,43 @@ from corings.report import CheckReport
 
 class HypothesisFailed(ValueError):
     """Raised when a battery's standing hypothesis does not hold."""
+
+
+# -- degree blocks and coordinates ----------------------------------------------------
+
+def _packed_base_action(r: GradedRing) -> list:
+    """The right action of each base basis element on the packed dual ring,
+    degree by degree."""
+    packed = r.packed()
+    return [block_matrix(r.base.field, packed.dims, packed.dims,
+                         {(a, a): r.comps[a].right[j] for a in r.group.elements()})
+            for j in range(r.base.dim)]
+
+
+def _evaluations(x: GrouplikeFamily, r: GradedRing, a: int) -> list:
+    """For each basis functional f of degree a, the matrix of the action
+    b -> f(x_{a^{-1}} . b) of f on the base."""
+    c = x.coring
+    ainv = c.group.inv(a)
+    translates = Mat.from_cols(c.base.field, [R.apply(x.vec(ainv)) for R in c.comps[ainv].right])
+    return [f @ translates for f in r.functionals[a]]
+
+
+def _coordinates(basis: Mat, vecs) -> tuple[list, bool]:
+    """The coordinates of each vector in the rows of basis (zeros for one
+    outside their span) and whether every vector lies in the span."""
+    out, ok = [], True
+    for v in vecs:
+        coords = coords_in_rowspace(basis, v)
+        if coords is None:
+            ok, coords = False, (basis.field.zero,) * basis.rows
+        out.append(coords)
+    return out, ok
+
+
+def _degrees(dims) -> list:
+    """The degree of each index of a layout with dims[a] indices of degree a."""
+    return [a for a, d in enumerate(dims) for _ in range(d)]
 
 
 # -- the grouplike character --------------------------------------------------------
@@ -83,14 +123,8 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
         for u in range(r.dim(a)):
             cols.append(r.functionals[a][u].apply(x.vec(ainv)))
     chi = Mat.from_cols(F, cols)
-    bad = []
-    for j in range(A.dim):
-        blocks = []
-        for a in g.elements():
-            blocks.append(r.comps[a].right[j])
-        block_diag = _block_diag(F, blocks)
-        if chi @ block_diag != A.right_mats[j] @ chi:
-            bad.append(j)
+    bad = [j for j, right in enumerate(_packed_base_action(r))
+           if chi @ right != A.right_mats[j] @ chi]
     rep.add("character.right-linear", "the character is right-linear over the base",
             not bad, f"failing basis: {bad}" if bad else "")
     bad = []
@@ -114,20 +148,6 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
     return chi, rep
 
 
-def _block_diag(F, mats) -> Mat:
-    total_r = sum(m.rows for m in mats)
-    total_c = sum(m.cols for m in mats)
-    out = [[F.zero] * total_c for _ in range(total_r)]
-    ro = co = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[ro + i][co + j] = m.at(i, j)
-        ro += m.rows
-        co += m.cols
-    return Mat.from_rows(F, out)
-
-
 # -- two-ring bimodules and Morita contexts ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -145,11 +165,7 @@ def validate_ring_bimodule(m: RingBimodule, suite: str = "ring-bimodule") -> Che
     ident = Mat.identity(F, m.dim)
 
     def act(mats, vec):
-        acc = Mat.zeros(F, m.dim, m.dim)
-        for i, c in enumerate(vec):
-            if c:
-                acc = acc + mats[i].scale(c)
-        return acc
+        return combine(F, m.dim, m.dim, mats, vec)
 
     rep.add("bimodule.left-unital", "left unit acts as the identity",
             act(m.left, m.left_ring.unit) == ident)
@@ -226,43 +242,24 @@ def validate_morita_context(ctx: MoritaContext, suite: str = "morita") -> CheckR
             bad.append(("right", j))
     rep.add("morita.mu-bilinear", "second connecting map is bilinear over the big ring",
             not bad, f"failing: {bad[:5]}" if bad else "")
+    pd, qd = ctx.p.dim, ctx.q.dim
     bad = []
-    for i in range(ctx.p.dim):
-        for j in range(ctx.q.dim):
-            t_val = ctx.tau.apply(tensor_vec(F, _unit(F, ctx.p.dim, i), _unit(F, ctx.q.dim, j)))
-            left_t = Mat.zeros(F, ctx.p.dim, ctx.p.dim)
-            for k, cval in enumerate(t_val):
-                if cval:
-                    left_t = left_t + ctx.p.left[k].scale(cval)
-            for k in range(ctx.p.dim):
-                lhs = left_t.apply(_unit(F, ctx.p.dim, k))
-                m_val = ctx.mu.apply(tensor_vec(F, _unit(F, ctx.q.dim, j), _unit(F, ctx.p.dim, k)))
-                right_m = Mat.zeros(F, ctx.p.dim, ctx.p.dim)
-                for l, cval in enumerate(m_val):
-                    if cval:
-                        right_m = right_m + ctx.p.right[l].scale(cval)
-                rhs = right_m.apply(_unit(F, ctx.p.dim, i))
-                if lhs != rhs:
+    for i in range(pd):
+        for j in range(qd):
+            left_t = combine(F, pd, pd, ctx.p.left, ctx.tau.col(i * qd + j))
+            for k in range(pd):
+                right_m = combine(F, pd, pd, ctx.p.right, ctx.mu.col(j * pd + k))
+                if left_t.col(k) != right_m.col(i):
                     bad.append((i, j, k))
     rep.add("morita.assoc-p", "connecting maps associate through the first module",
             not bad, f"failing: {bad[:3]}" if bad else "")
     bad = []
-    for j in range(ctx.q.dim):
-        for i in range(ctx.p.dim):
-            m_val = ctx.mu.apply(tensor_vec(F, _unit(F, ctx.q.dim, j), _unit(F, ctx.p.dim, i)))
-            left_m = Mat.zeros(F, ctx.q.dim, ctx.q.dim)
-            for l, cval in enumerate(m_val):
-                if cval:
-                    left_m = left_m + ctx.q.left[l].scale(cval)
-            for l in range(ctx.q.dim):
-                lhs = left_m.apply(_unit(F, ctx.q.dim, l))
-                t_val = ctx.tau.apply(tensor_vec(F, _unit(F, ctx.p.dim, i), _unit(F, ctx.q.dim, l)))
-                right_t = Mat.zeros(F, ctx.q.dim, ctx.q.dim)
-                for k, cval in enumerate(t_val):
-                    if cval:
-                        right_t = right_t + ctx.q.right[k].scale(cval)
-                rhs = right_t.apply(_unit(F, ctx.q.dim, j))
-                if lhs != rhs:
+    for j in range(qd):
+        for i in range(pd):
+            left_m = combine(F, qd, qd, ctx.q.left, ctx.mu.col(j * pd + i))
+            for l in range(qd):
+                right_t = combine(F, qd, qd, ctx.q.right, ctx.tau.col(i * qd + l))
+                if left_m.col(l) != right_t.col(j):
                     bad.append((j, i, l))
     rep.add("morita.assoc-q", "connecting maps associate through the second module",
             not bad, f"failing: {bad[:3]}" if bad else "")
@@ -436,24 +433,9 @@ def coefficient_ring(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing,
             cols.append(coords)
         sigma.append(Mat.from_cols(F, cols))
     # twisted group ring: (u_a b)(u_b c) = u_{ab} b^{shift} c
-    total = n * w
-    mul_t = [[None] * total for _ in range(total)]
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            for i in range(w):
-                shifted = sigma[b].apply(_unit(F, w, i))
-                for j in range(w):
-                    prod = s_alg.multiply(shifted, _unit(F, w, j))
-                    vec = [F.zero] * total
-                    for k, v in enumerate(prod):
-                        vec[ab * w + k] = v
-                    mul_t[a * w + i][b * w + j] = tuple(vec)
-    unit_t = [F.zero] * total
-    for k, v in enumerate(unit_coords):
-        unit_t[k] = v
-    twisted = GradedAlgebra.build(g, Algebra(F, total, tuple(tuple(rr) for rr in mul_t),
-                                             tuple(unit_t)), [w] * n)
+    s_mul = Mat._from_cols(F, [s_alg.mul[i][j] for i in range(w) for j in range(w)])
+    twisted = GradedAlgebra.from_products(
+        F, g, [w] * n, lambda a, b: s_mul @ tensor_k(sigma[b], Mat.identity(F, w)), unit_coords)
     diag_cols = []
     for i in range(t.basis.rows):
         tv = t.basis.row(i)
@@ -485,6 +467,24 @@ def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing,
 
 # -- the classical context ---------------------------------------------------------------
 
+def _weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
+    t_basis = weak_coinvariant_ring(x, r)
+    t_alg, t_incl = subalgebra(x.coring.base, t_basis)
+    return CoinvariantRing(t_basis, t_alg, t_incl)
+
+
+def _dual_ring_action(w: Mat, packed: GradedAlgebra) -> tuple[list, bool]:
+    """Left multiplication by each packed dual-ring basis element on the span
+    of the rows of w, in the coordinates of those rows, and whether the span
+    is closed under it."""
+    mats, ok = [], True
+    for left in packed.algebra.left_mats:
+        coords, closed = _coordinates(w, [left.apply(w.row(i)) for i in range(w.rows)])
+        mats.append(Mat._from_cols(w.field, coords))
+        ok = ok and closed
+    return mats, ok
+
+
 def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
                    t: CoinvariantRing | None = None) -> tuple[MoritaContext, Mat, CheckReport]:
     """The context (coinvariants, packed dual ring, base, connecting space).
@@ -497,102 +497,40 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     g = c.group
     A = c.base
     F = A.field
-    if t is None:
-        t = coinvariant_ring(x)
     if weak:
-        t_basis = weak_coinvariant_ring(x, r)
-        from corings.algebra import subalgebra
-
-        t_alg, t_incl = subalgebra(A, t_basis)
-        t = CoinvariantRing(t_basis, t_alg, t_incl)
+        t = _weak_coinvariants(x, r)
+    elif t is None:
+        t = coinvariant_ring(x)
     packed = r.packed()
     w = connecting_space(x, r, weak)
     o_dim = w.rows
-    dims = [r.dim(a) for a in g.elements()]
-    offsets = packed.offsets
     # P = base as (T, R)-bimodule
     p_left = tuple(A.left_mult(t.inclusion.col(i)) for i in range(t.algebra.dim))
-    p_right = []
-    for a in g.elements():
-        ainv = g.inv(a)
-        for u in range(dims[a]):
-            fu = r.functionals[a][u]
-            cols = [fu.apply(c.comps[ainv].right[j].apply(x.vec(ainv))) for j in range(A.dim)]
-            p_right.append(Mat.from_cols(F, cols))
-    p = RingBimodule(t.algebra, packed.algebra, A.dim, p_left, tuple(p_right))
+    p_right = tuple(m for a in g.elements() for m in _evaluations(x, r, a))
+    p = RingBimodule(t.algebra, packed.algebra, A.dim, p_left, p_right)
     # Q = connecting space as (R, T)-bimodule
-    ok_left = True
-    q_left = []
-    for a in g.elements():
-        for u in range(dims[a]):
-            cols = []
-            for i in range(o_dim):
-                qrow = w.row(i)
-                out = [F.zero] * packed.algebra.dim
-                for b in g.elements():
-                    ab = g.mul(a, b)
-                    block = qrow[offsets[b]: offsets[b] + dims[b]]
-                    prod = r.multiply(a, _unit(F, dims[a], u), b, block)
-                    for k, v in enumerate(prod):
-                        out[offsets[ab] + k] = F.add(out[offsets[ab] + k], v)
-                coords = coords_in_rowspace(w, tuple(out))
-                if coords is None:
-                    ok_left = False
-                    coords = (F.zero,) * o_dim
-                cols.append(coords)
-            q_left.append(Mat.from_cols(F, cols))
+    q_left, ok_left = _dual_ring_action(w, packed)
     rep.add("build.left-ideal", "the connecting space is a left ideal", ok_left)
+    base_action = _packed_base_action(r)
     ok_right = True
     q_right = []
     for i in range(t.algebra.dim):
-        img = t.inclusion.col(i)
-        cols = []
-        for u in range(o_dim):
-            qrow = w.row(u)
-            out = []
-            for b in g.elements():
-                block = qrow[offsets[b]: offsets[b] + dims[b]]
-                out.extend(r.comps[b].right_act(img).apply(block))
-            coords = coords_in_rowspace(w, tuple(out))
-            if coords is None:
-                ok_right = False
-                coords = (F.zero,) * o_dim
-            cols.append(coords)
-        q_right.append(Mat.from_cols(F, cols))
+        act = combine(F, packed.algebra.dim, packed.algebra.dim, base_action, t.inclusion.col(i))
+        coords, closed = _coordinates(w, [act.apply(w.row(u)) for u in range(o_dim)])
+        q_right.append(Mat._from_cols(F, coords))
+        ok_right = ok_right and closed
     rep.add("build.right-module", "the connecting space absorbs the coinvariants",
             ok_right)
     q = RingBimodule(packed.algebra, t.algebra, o_dim, tuple(q_left), tuple(q_right))
-    # tau: P (x) Q -> T
-    ok_tau = True
-    tau_cols = []
-    for j in range(A.dim):
-        for u in range(o_dim):
-            qrow = w.row(u)
-            val = [F.zero] * A.dim
-            for a in g.elements():
-                ainv = g.inv(a)
-                block = qrow[offsets[a]: offsets[a] + dims[a]]
-                func = r.functional_of(a, block)
-                arg = c.comps[ainv].right[j].apply(x.vec(ainv))
-                val = [F.add(p_, q_) for p_, q_ in zip(val, func.apply(arg))]
-            coords = coords_in_rowspace(t.basis, tuple(val))
-            if coords is None:
-                ok_tau = False
-                coords = (F.zero,) * t.algebra.dim
-            tau_cols.append(coords)
+    # tau: P (x) Q -> T, the right action of Q on the base
+    acts = [combine(F, A.dim, A.dim, p_right, w.row(u)) for u in range(o_dim)]
+    tau_cols, ok_tau = _coordinates(t.basis, [acts[u].col(j) for j in range(A.dim)
+                                              for u in range(o_dim)])
     rep.add("build.tau-lands", "the pairing lands in the coinvariants", ok_tau)
-    tau = Mat.from_cols(F, tau_cols)
-    # mu: Q (x) P -> R
-    mu_cols = []
-    for u in range(o_dim):
-        qrow = w.row(u)
-        for j in range(A.dim):
-            out = []
-            for b in g.elements():
-                block = qrow[offsets[b]: offsets[b] + dims[b]]
-                out.extend(r.comps[b].right[j].apply(block))
-            mu_cols.append(tuple(out))
-    mu = Mat.from_cols(F, mu_cols)
+    tau = Mat._from_cols(F, tau_cols)
+    # mu: Q (x) P -> R, the right action of the base on Q
+    mu = Mat._from_cols(F, [base_action[j].apply(w.row(u)) for u in range(o_dim)
+                            for j in range(A.dim)])
     return MoritaContext(t.algebra, packed.algebra, p, q, tau, mu), w, rep
 
 
@@ -613,39 +551,20 @@ def validate_graded_morita_context(gctx: GradedMoritaContext,
     rep = CheckReport(suite)
     rep.extend(validate_morita_context(gctx.ctx), prefix="underlying.")
     g = gctx.group
-    F = gctx.ctx.ring1.field
-    p_off = [sum(gctx.p_dims[:i]) for i in range(len(gctx.p_dims))]
-    q_off = [sum(gctx.q_dims[:i]) for i in range(len(gctx.q_dims))]
-
-    def block_of(offsets_list, dims_list, idx):
-        for a, off in enumerate(offsets_list):
-            if off <= idx < off + dims_list[a]:
-                return a
-        raise IndexError(idx)
-
+    ctx = gctx.ctx
+    p_deg, q_deg = _degrees(gctx.p_dims), _degrees(gctx.q_dims)
+    deg1, deg2 = _degrees(gctx.ring1.dims), _degrees(gctx.ring2.dims)
     bad = []
-    for i in range(gctx.ctx.p.dim):
-        a = block_of(p_off, gctx.p_dims, i)
-        for j in range(gctx.ctx.q.dim):
-            b = block_of(q_off, gctx.q_dims, j)
-            ab = g.mul(a, b)
-            val = gctx.ctx.tau.apply(tensor_vec(F, _unit(F, gctx.ctx.p.dim, i),
-                                                _unit(F, gctx.ctx.q.dim, j)))
-            for k, v in enumerate(val):
-                if v and not (gctx.ring1.offsets[ab] <= k < gctx.ring1.offsets[ab] + gctx.ring1.dims[ab]):
-                    bad.append(("tau", i, j))
-                    break
-    for j in range(gctx.ctx.q.dim):
-        a = block_of(q_off, gctx.q_dims, j)
-        for i in range(gctx.ctx.p.dim):
-            b = block_of(p_off, gctx.p_dims, i)
-            ab = g.mul(a, b)
-            val = gctx.ctx.mu.apply(tensor_vec(F, _unit(F, gctx.ctx.q.dim, j),
-                                               _unit(F, gctx.ctx.p.dim, i)))
-            for k, v in enumerate(val):
-                if v and not (gctx.ring2.offsets[ab] <= k < gctx.ring2.offsets[ab] + gctx.ring2.dims[ab]):
-                    bad.append(("mu", j, i))
-                    break
+    for i in range(ctx.p.dim):
+        for j in range(ctx.q.dim):
+            ab = g.mul(p_deg[i], q_deg[j])
+            if any(v and deg1[k] != ab for k, v in enumerate(ctx.tau.col(i * ctx.q.dim + j))):
+                bad.append(("tau", i, j))
+    for j in range(ctx.q.dim):
+        for i in range(ctx.p.dim):
+            ab = g.mul(q_deg[j], p_deg[i])
+            if any(v and deg2[k] != ab for k, v in enumerate(ctx.mu.col(j * ctx.p.dim + i))):
+                bad.append(("mu", j, i))
     rep.add("graded.degree-zero", "connecting maps are homogeneous of trivial degree",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -662,23 +581,12 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily, r: Graded
                                   suite: str = "canonical-action") -> CheckReport:
     """The dualized action agrees with the direct evaluation formula."""
     rep = CheckReport(suite)
-    c = x.coring
-    g = c.group
-    A = c.base
-    F = A.field
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            binv = g.inv(b)
-            cols = []
-            for i in range(A.dim):
-                for u in range(r.dim(b)):
-                    fu = r.functionals[b][u]
-                    arg = c.comps[binv].right[i].apply(x.vec(binv))
-                    cols.append(fu.apply(arg))
-            direct = Mat.from_cols(F, cols)
-            if direct != m.act[(a, b)]:
-                bad.append((a, b))
+    g = x.coring.group
+    A = x.coring.base
+    direct = {b: Mat.from_cols(A.field, [ev.col(i) for i in range(A.dim)
+                                         for ev in _evaluations(x, r, b)])
+              for b in g.elements()}
+    bad = [(a, b) for a in g.elements() for b in g.elements() if direct[b] != m.act[(a, b)]]
     rep.add("canonical.action", "dualized action equals the direct evaluation formula",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep
@@ -695,179 +603,77 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     A = c.base
     F = A.field
     n = g.order
-    if t is None:
-        t = coinvariant_ring(x)
     if weak:
-        from corings.algebra import subalgebra
-
-        t_basis = weak_coinvariant_ring(x, r)
-        t_alg, t_incl = subalgebra(A, t_basis)
-        t = CoinvariantRing(t_basis, t_alg, t_incl)
+        t = _weak_coinvariants(x, r)
+    elif t is None:
+        t = coinvariant_ring(x)
     s = coefficient_ring(x, r, t, weak)
     wq = connecting_space(x, r, weak)
     o_dim = wq.rows
     packed = r.packed()
-    dims = [r.dim(a) for a in g.elements()]
-    offsets = packed.offsets
     sdim = s.algebra.dim
     gs = s.twisted
+    a_dims, o_dims = [A.dim] * n, [o_dim] * n
     # P = graded copies of the base, (G*S, R)-bimodule
-    p_total = n * A.dim
     p_left = []
     for tt in g.elements():
         for wi in range(sdim):
-            b_fam = s.basis.row(wi)
-            mat = [[F.zero] * p_total for _ in range(p_total)]
-            for a in g.elements():
-                ta = g.mul(tt, a)
-                b_a = b_fam[a * A.dim:(a + 1) * A.dim]
-                block = A.left_mult(b_a)
-                for rr in range(A.dim):
-                    for cc in range(A.dim):
-                        mat[ta * A.dim + rr][a * A.dim + cc] = block.at(rr, cc)
-            p_left.append(Mat.from_rows(F, mat))
-    p_right = []
-    for b in g.elements():
-        binv = g.inv(b)
-        for u in range(dims[b]):
-            fu = r.functionals[b][u]
-            action_cols = [fu.apply(c.comps[binv].right[j].apply(x.vec(binv)))
-                           for j in range(A.dim)]
-            small = Mat.from_cols(F, action_cols)  # A -> A
-            mat = [[F.zero] * p_total for _ in range(p_total)]
-            for a in g.elements():
-                ab = g.mul(a, b)
-                for rr in range(A.dim):
-                    for cc in range(A.dim):
-                        mat[ab * A.dim + rr][a * A.dim + cc] = small.at(rr, cc)
-            p_right.append(Mat.from_rows(F, mat))
-    p = RingBimodule(gs.algebra, packed.algebra, p_total, tuple(p_left), tuple(p_right))
+            fam = Mat(F, n, A.dim, s.basis.row(wi))
+            p_left.append(block_matrix(F, a_dims, a_dims,
+                                       {(g.mul(tt, a), a): A.left_mult(fam.row(a))
+                                        for a in g.elements()}))
+    evals = {b: _evaluations(x, r, b) for b in g.elements()}
+    p_right = [block_matrix(F, a_dims, a_dims, {(g.mul(a, b), a): ev for a in g.elements()})
+               for b in g.elements() for ev in evals[b]]
+    p = RingBimodule(gs.algebra, packed.algebra, n * A.dim, tuple(p_left), tuple(p_right))
     # QG = graded copies of the connecting space, (R, G*S)-bimodule
-    q_total = n * o_dim
     # left action of the dual ring through the shifted product
-    left_small = {}
-    ok_left = True
-    for b in g.elements():
-        for u in range(dims[b]):
-            cols = []
-            for i in range(o_dim):
-                qrow = wq.row(i)
-                out = [F.zero] * packed.algebra.dim
-                for d in g.elements():
-                    bd = g.mul(b, d)
-                    block = qrow[offsets[d]: offsets[d] + dims[d]]
-                    prod = r.multiply(b, _unit(F, dims[b], u), d, block)
-                    for k, v in enumerate(prod):
-                        out[offsets[bd] + k] = F.add(out[offsets[bd] + k], v)
-                coords = coords_in_rowspace(wq, tuple(out))
-                if coords is None:
-                    ok_left = False
-                    coords = (F.zero,) * o_dim
-                cols.append(coords)
-            left_small[(b, u)] = Mat.from_cols(F, cols)
+    left_small, ok_left = _dual_ring_action(wq, packed)
     rep.add("build.q-left-closure", "dual-ring action preserves the connecting families",
             ok_left)
-    q_left = []
-    for b in g.elements():
-        for u in range(dims[b]):
-            small = left_small[(b, u)]
-            mat = [[F.zero] * q_total for _ in range(q_total)]
-            for a in g.elements():
-                ba = g.mul(b, a)
-                for rr in range(o_dim):
-                    for cc in range(o_dim):
-                        mat[ba * o_dim + rr][a * o_dim + cc] = small.at(rr, cc)
-            q_left.append(Mat.from_rows(F, mat))
-    # right action of the twisted ring through shifted coefficient families
+    q_left = [block_matrix(F, o_dims, o_dims, {(g.mul(b, a), a): small for a in g.elements()})
+              for b, small in zip(_degrees(packed.dims), left_small)]
+    # right action of the twisted ring through shifted coefficient families;
+    # the block leaving degree a depends only on the shift (a tt)^{-1}
     ok_right = True
     right_small = {}
-    for sigma_deg in g.elements():
+    for shift in g.elements():
         for wi in range(sdim):
-            # q . (b shifted by (a tau)^{-1}): depends on the target block, so
-            # precompute per source block a
-            right_small[(sigma_deg, wi)] = {}
-    for tt in g.elements():
-        for wi in range(sdim):
-            for a in g.elements():
-                at = g.mul(a, tt)
-                shift = g.inv(at)
-                shifted = s.sigma[shift].apply(_unit(F, sdim, wi))
-                fam = [F.zero] * (n * A.dim)
-                for k, v in enumerate(shifted):
-                    if v:
-                        fam = [F.add(p_, F.mul(v, q_)) for p_, q_ in zip(fam, s.basis.row(k))]
-                cols = []
-                for i in range(o_dim):
-                    qrow = wq.row(i)
-                    out = []
-                    for d in g.elements():
-                        block = qrow[offsets[d]: offsets[d] + dims[d]]
-                        b_d = tuple(fam[d * A.dim:(d + 1) * A.dim])
-                        out.extend(r.comps[d].right_act(b_d).apply(block))
-                    coords = coords_in_rowspace(wq, tuple(out))
-                    if coords is None:
-                        ok_right = False
-                        coords = (F.zero,) * o_dim
-                    cols.append(coords)
-                right_small[(tt, wi)][a] = Mat.from_cols(F, cols)
+            fam = Mat(F, n, A.dim, s.basis.transpose().apply(s.sigma[shift].col(wi)))
+            act = block_matrix(F, packed.dims, packed.dims,
+                               {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
+            coords, closed = _coordinates(wq, [act.apply(wq.row(i)) for i in range(o_dim)])
+            right_small[(shift, wi)] = Mat._from_cols(F, coords)
+            ok_right = ok_right and closed
     rep.add("build.q-right-closure",
             "coefficient families act on the connecting families", ok_right)
-    q_right = []
-    for tt in g.elements():
-        for wi in range(sdim):
-            mat = [[F.zero] * q_total for _ in range(q_total)]
-            for a in g.elements():
-                at = g.mul(a, tt)
-                small = right_small[(tt, wi)][a]
-                for rr in range(o_dim):
-                    for cc in range(o_dim):
-                        mat[at * o_dim + rr][a * o_dim + cc] = small.at(rr, cc)
-            q_right.append(Mat.from_rows(F, mat))
-    q = RingBimodule(packed.algebra, gs.algebra, q_total, tuple(q_left), tuple(q_right))
-    # omega: P (x) QG -> G*S
-    ok_omega = True
-    omega_cols = []
-    for a in g.elements():
-        for j in range(A.dim):
-            for sigma_deg in g.elements():
-                for u in range(o_dim):
-                    qrow = wq.row(u)
-                    fam = []
-                    for b in g.elements():
-                        sb = g.mul(sigma_deg, b)
-                        sbinv = g.inv(sb)
-                        block = qrow[offsets[sb]: offsets[sb] + dims[sb]]
-                        func = r.functional_of(sb, block)
-                        arg = c.comps[sbinv].right[j].apply(x.vec(sbinv))
-                        fam.extend(func.apply(arg))
-                    coords = coords_in_rowspace(s.basis, tuple(fam))
-                    if coords is None:
-                        ok_omega = False
-                        coords = (F.zero,) * sdim
-                    out = [F.zero] * gs.algebra.dim
-                    asig = g.mul(a, sigma_deg)
-                    for k, v in enumerate(coords):
-                        out[asig * sdim + k] = v
-                    omega_cols.append(tuple(out))
+    q_right = [block_matrix(F, o_dims, o_dims,
+                            {(g.mul(a, tt), a): right_small[(g.inv(g.mul(a, tt)), wi)]
+                             for a in g.elements()})
+               for tt in g.elements() for wi in range(sdim)]
+    q = RingBimodule(packed.algebra, gs.algebra, n * o_dim, tuple(q_left), tuple(q_right))
+    # omega: P (x) QG -> G*S; the family it reads off does not depend on the
+    # degree of the P factor
+    acts = {(u, d): combine(F, A.dim, A.dim, evals[d], packed.block(d, wq.row(u)))
+            for u in range(o_dim) for d in g.elements()}
+    keys = [(j, sigma, u) for j in range(A.dim) for sigma in g.elements() for u in range(o_dim)]
+    coords, ok_omega = _coordinates(s.basis, [
+        tuple(v for b in g.elements() for v in acts[(u, g.mul(sigma, b))].col(j))
+        for j, sigma, u in keys])
     rep.add("build.omega-lands", "the first connecting map lands in the coefficient ring",
             ok_omega)
-    omega = Mat.from_cols(F, omega_cols)
+    coords = dict(zip(keys, coords))
+    omega = Mat._from_cols(F, [gs.inject(g.mul(a, sigma), coords[(j, sigma, u)])
+                               for a in g.elements() for j, sigma, u in keys])
     # nu: QG (x) P -> R
     nu_cols = []
-    for sigma_deg in g.elements():
+    for sigma in g.elements():
         for u in range(o_dim):
-            qrow = wq.row(u)
             for a in g.elements():
-                sa = g.mul(sigma_deg, a)
-                for j in range(A.dim):
-                    block = qrow[offsets[sa]: offsets[sa] + dims[sa]]
-                    val = r.comps[sa].right[j].apply(block)
-                    out = [F.zero] * packed.algebra.dim
-                    for k, v in enumerate(val):
-                        out[offsets[sa] + k] = v
-                    nu_cols.append(tuple(out))
-    nu = Mat.from_cols(F, nu_cols)
-    ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, nu)
+                sa = g.mul(sigma, a)
+                block = packed.block(sa, wq.row(u))
+                nu_cols.extend(packed.inject(sa, right.apply(block)) for right in r.comps[sa].right)
+    ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, Mat._from_cols(F, nu_cols))
     gctx = GradedMoritaContext(ctx, g, gs, packed, (A.dim,) * n, (o_dim,) * n)
     return gctx, s, wq, rep
 
@@ -949,54 +755,30 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
     hdims = [len(b) for b in hom_bases]
     hom_coords = _family_coords(F, hom_bases, "module map")
     m_dims = [mm.dim for mm in m.comps]
-    m_offsets = [sum(m_dims[:i]) for i in range(len(m_dims))]
-    m_total = sum(m_dims)
+
+    def fixing_left(act, e, d):
+        """The map R_d -> W, v -> act(e (x) v), for the action act: V (x) R_d -> W."""
+        return act @ tensor_k(Mat.col_vector(F, e), Mat.identity(F, r.dim(d)))
+
     # P: left END, right R
-    p_left = []
-    for sigma in g.elements():
-        for fams in end.bases[sigma]:
-            mat = [[F.zero] * m_total for _ in range(m_total)]
-            for a in g.elements():
-                sa = g.mul(sigma, a)
-                blk = fams[a]
-                for rr in range(blk.rows):
-                    for cc in range(blk.cols):
-                        mat[m_offsets[sa] + rr][m_offsets[a] + cc] = blk.at(rr, cc)
-            p_left.append(Mat.from_rows(F, mat))
-    p_right = []
-    for b in g.elements():
-        for u in range(r.dim(b)):
-            mat = [[F.zero] * m_total for _ in range(m_total)]
-            for a in g.elements():
-                ab = g.mul(a, b)
-                for i in range(m_dims[a]):
-                    col = m.act[(a, b)].apply(tensor_vec(F, _unit(F, m_dims[a], i),
-                                                         _unit(F, r.dim(b), u)))
-                    for rr, v in enumerate(col):
-                        mat[m_offsets[ab] + rr][m_offsets[a] + i] = v
-            p_right.append(Mat.from_rows(F, mat))
-    p = RingBimodule(end.graded.algebra, packed.algebra, m_total,
-                     tuple(p_left), tuple(p_right))
+    p_left = tuple(block_matrix(F, m_dims, m_dims,
+                                {(g.mul(sigma, a), a): fams[a] for a in g.elements()})
+                   for sigma in g.elements() for fams in end.bases[sigma])
+    p_right = tuple(block_matrix(F, m_dims, m_dims, {
+        (g.mul(a, b), a): m.act[(a, b)] @ tensor_k(Mat.identity(F, m_dims[a]),
+                                                   Mat.col_vector(F, _unit(F, r.dim(b), u)))
+        for a in g.elements()}) for b in g.elements() for u in range(r.dim(b)))
+    p = RingBimodule(end.graded.algebra, packed.algebra, sum(m_dims), p_left, p_right)
     # Q: left R, right END, both through composition
     q_left = []
     for b in g.elements():
         for u in range(r.dim(b)):
-            cols = []
-            for sigma in g.elements():
-                for fams in hom_bases[sigma]:
-                    # (r . q)_a = left multiply the value: R_b x R_{sigma a} -> R_{b sigma a}
-                    new = []
-                    for a in g.elements():
-                        sa = g.mul(sigma, a)
-                        colsn = []
-                        for i in range(m_dims[a]):
-                            val = fams[a].col(i)
-                            prod = r.multiply(b, _unit(F, r.dim(b), u), sa, val)
-                            colsn.append(prod)
-                        new.append(Mat.from_cols(F, colsn))
-                    coords = hom_coords(new, g.mul(b, sigma))
-                    cols.append(coords)
-            q_left.append(Mat.from_cols(F, cols))
+            # (r . q)_a = left multiply the value: R_b x R_{sigma a} -> R_{b sigma a}
+            times = [fixing_left(r.mul[(b, d)], _unit(F, r.dim(b), u), d) for d in g.elements()]
+            q_left.append(Mat._from_cols(F, [
+                hom_coords(tuple(times[g.mul(sigma, a)] @ fams[a] for a in g.elements()),
+                           g.mul(b, sigma))
+                for sigma in g.elements() for fams in hom_bases[sigma]]))
     q_right = []
     for tau in g.elements():
         for ti, tfam in enumerate(end.bases[tau]):
@@ -1005,40 +787,23 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                 for fams in hom_bases[sigma]:
                     comp = tuple(fams[g.mul(tau, a)] @ tfam[a] for a in g.elements())
                     cols.append(hom_coords(comp, g.mul(sigma, tau)))
-            q_right.append(Mat.from_cols(F, cols))
+            q_right.append(Mat._from_cols(F, cols))
     q = RingBimodule(packed.algebra, end.graded.algebra, sum(hdims),
                      tuple(q_left), tuple(q_right))
     # phi: P (x) Q -> END, phi(p (x) q)(p') = p . q(p')
     phi_cols = []
     for a in g.elements():
         for i in range(m_dims[a]):
+            moving = [fixing_left(m.act[(a, d)], _unit(F, m_dims[a], i), d) for d in g.elements()]
             for sigma in g.elements():
                 for fams in hom_bases[sigma]:
-                    endo = []
-                    for b in g.elements():
-                        sb = g.mul(sigma, b)
-                        colsn = []
-                        for k in range(m_dims[b]):
-                            val = fams[b].col(k)  # in R_{sigma b}
-                            moved = m.act[(a, sb)].apply(tensor_vec(
-                                F, _unit(F, m_dims[a], i), val))
-                            colsn.append(moved)
-                        endo.append(Mat.from_cols(F, colsn))
-                    phi_cols.append(end.coords(tuple(endo), g.mul(a, sigma)))
-    phi = Mat.from_cols(F, phi_cols)
+                    endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
+                    phi_cols.append(end.coords(endo, g.mul(a, sigma)))
+    phi = Mat._from_cols(F, phi_cols)
     # psi: Q (x) P -> R, psi(q (x) p) = q(p)
-    psi_cols = []
-    for sigma in g.elements():
-        for fams in hom_bases[sigma]:
-            for a in g.elements():
-                for i in range(m_dims[a]):
-                    val = fams[a].col(i)
-                    out = [F.zero] * packed.algebra.dim
-                    sa = g.mul(sigma, a)
-                    for k, v in enumerate(val):
-                        out[packed.offsets[sa] + k] = v
-                    psi_cols.append(tuple(out))
-    psi = Mat.from_cols(F, psi_cols)
+    psi = Mat._from_cols(F, [packed.inject(g.mul(sigma, a), fams[a].col(i))
+                             for sigma in g.elements() for fams in hom_bases[sigma]
+                             for a in g.elements() for i in range(m_dims[a])])
     ctx = MoritaContext(end.graded.algebra, packed.algebra, p, q, phi, psi)
     gctx = GradedMoritaContext(ctx, g, end.graded, packed,
                                tuple(m_dims), tuple(hdims))
@@ -1063,25 +828,13 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing,
     g = end.graded.group
     F = end.graded.algebra.field
     A_unit = end.module.ring.base.unit
-    sdim = s.algebra.dim
     gs = s.twisted
-    cols = []
-    ok = True
-    for sigma in g.elements():
-        for fams in end.bases[sigma]:
-            fam_vec = []
-            for a in g.elements():
-                fam_vec.extend(fams[a].apply(A_unit))
-            coords = coords_in_rowspace(s.basis, tuple(fam_vec))
-            if coords is None:
-                ok = False
-                coords = (F.zero,) * sdim
-            out = [F.zero] * gs.algebra.dim
-            for k, v in enumerate(coords):
-                out[sigma * sdim + k] = v
-            cols.append(tuple(out))
+    degrees = [sigma for sigma in g.elements() for _ in end.bases[sigma]]
+    coords, ok = _coordinates(s.basis, [
+        tuple(v for a in g.elements() for v in fams[a].apply(A_unit))
+        for sigma in g.elements() for fams in end.bases[sigma]])
     rep.add("end-iso.lands", "endomorphism families are coefficient families", ok)
-    xi = Mat.from_cols(F, cols)
+    xi = Mat._from_cols(F, [gs.inject(sigma, cc) for sigma, cc in zip(degrees, coords)])
     rep.add("end-iso.bijective", "the comparison is bijective",
             xi.rows == xi.cols and rank(xi) == xi.rows,
             f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
@@ -1107,30 +860,14 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing,
     rep = CheckReport(suite)
     g = r.group
     F = r.base.field
-    packed = r.packed()
-    o_dim = wq.rows
-    n = g.order
-    cols = []
-    ok = True
-    for sigma in g.elements():
-        sinv = g.inv(sigma)
-        for fams in hom_bases[sigma]:
-            fam = [F.zero] * packed.algebra.dim
-            for a in g.elements():
-                src = g.mul(sinv, a)
-                val = fams[src].apply(r.base.unit)  # in R_{sigma sinv a} = R_a
-                for k, v in enumerate(val):
-                    fam[packed.offsets[a] + k] = v
-            coords = coords_in_rowspace(wq, tuple(fam))
-            if coords is None:
-                ok = False
-                coords = (F.zero,) * o_dim
-            out = [F.zero] * (n * o_dim)
-            for k, v in enumerate(coords):
-                out[sigma * o_dim + k] = v
-            cols.append(tuple(out))
+    degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
+    # the value of a map of degree sigma at the unit of degree sigma^{-1} a lies in R_a
+    coords, ok = _coordinates(wq, [
+        tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(r.base.unit))
+        for sigma in g.elements() for fams in hom_bases[sigma]])
     rep.add("hom-iso.lands", "module-map families are connecting families", ok)
-    psi = Mat.from_cols(F, cols)
+    psi = Mat._from_cols(F, [tensor_vec(F, _unit(F, g.order, sigma), cc)
+                             for sigma, cc in zip(degrees, coords)])
     rep.add("hom-iso.bijective", "the comparison is bijective",
             psi.rows == psi.cols and rank(psi) == psi.rows,
             f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
@@ -1162,10 +899,7 @@ def check_standard_context_match(x: GrouplikeFamily, r: GradedRing,
             bad.append(("left", k))
     for k in range(end.graded.algebra.dim):
         lhs = psi @ std.ctx.q.right[k]
-        rhs = Mat.zeros(F, psi.rows, psi.cols)
-        for l, v in enumerate(xi.col(k)):
-            if v:
-                rhs = rhs + gctx.ctx.q.right[l].scale(v)
+        rhs = combine(F, gctx.ctx.q.dim, gctx.ctx.q.dim, gctx.ctx.q.right, xi.col(k))
         if lhs != rhs @ psi:
             bad.append(("right", k))
     rep.add("standard.hom-equivariant",
@@ -1193,69 +927,32 @@ def group_ring_context(ctx_e: MoritaContext, g) -> GradedMoritaContext:
     ring2 = group_ring(ctx_e.ring2, g)
     n = g.order
 
-    def blow_left(small_mats, ring_dim, mod_dim):
-        out = []
-        for sigma in g.elements():
-            for i in range(ring_dim):
-                mat = [[F.zero] * (n * mod_dim) for _ in range(n * mod_dim)]
-                for tau in g.elements():
-                    st = g.mul(sigma, tau)
-                    blk = small_mats[i]
-                    for rr in range(mod_dim):
-                        for cc in range(mod_dim):
-                            mat[st * mod_dim + rr][tau * mod_dim + cc] = blk.at(rr, cc)
-                out.append(Mat.from_rows(F, mat))
-        return tuple(out)
+    def spread(small_mats, mod_dim, target):
+        """Each basis element of degree sigma of a group ring acts as its
+        small matrix from every degree tau to degree target(sigma, tau)."""
+        dims = [mod_dim] * n
+        return tuple(block_matrix(F, dims, dims, {(target(sigma, tau), tau): small
+                                                  for tau in g.elements()})
+                     for sigma in g.elements() for small in small_mats)
 
-    def blow_right(small_mats, ring_dim, mod_dim):
-        out = []
-        for rho in g.elements():
-            for i in range(ring_dim):
-                mat = [[F.zero] * (n * mod_dim) for _ in range(n * mod_dim)]
-                for tau in g.elements():
-                    tr = g.mul(tau, rho)
-                    blk = small_mats[i]
-                    for rr in range(mod_dim):
-                        for cc in range(mod_dim):
-                            mat[tr * mod_dim + rr][tau * mod_dim + cc] = blk.at(rr, cc)
-                out.append(Mat.from_rows(F, mat))
-        return tuple(out)
+    def on_right(rho, tau):
+        return g.mul(tau, rho)
 
     p = RingBimodule(ring1.algebra, ring2.algebra, n * ctx_e.p.dim,
-                     blow_left(ctx_e.p.left, ctx_e.ring1.dim, ctx_e.p.dim),
-                     blow_right(ctx_e.p.right, ctx_e.ring2.dim, ctx_e.p.dim))
+                     spread(ctx_e.p.left, ctx_e.p.dim, g.mul),
+                     spread(ctx_e.p.right, ctx_e.p.dim, on_right))
     q = RingBimodule(ring2.algebra, ring1.algebra, n * ctx_e.q.dim,
-                     blow_left(ctx_e.q.left, ctx_e.ring2.dim, ctx_e.q.dim),
-                     blow_right(ctx_e.q.right, ctx_e.ring1.dim, ctx_e.q.dim))
-    tau_cols = []
-    for sigma in g.elements():
-        for i in range(ctx_e.p.dim):
-            for rho in g.elements():
-                for j in range(ctx_e.q.dim):
-                    val = ctx_e.tau.apply(tensor_vec(F, _unit(F, ctx_e.p.dim, i),
-                                                     _unit(F, ctx_e.q.dim, j)))
-                    out = [F.zero] * ring1.algebra.dim
-                    sr = g.mul(sigma, rho)
-                    for k, v in enumerate(val):
-                        out[sr * ctx_e.ring1.dim + k] = v
-                    tau_cols.append(tuple(out))
-    tau = Mat.from_cols(F, tau_cols)
-    mu_cols = []
-    for sigma in g.elements():
-        for j in range(ctx_e.q.dim):
-            for rho in g.elements():
-                for i in range(ctx_e.p.dim):
-                    val = ctx_e.mu.apply(tensor_vec(F, _unit(F, ctx_e.q.dim, j),
-                                                    _unit(F, ctx_e.p.dim, i)))
-                    out = [F.zero] * ring2.algebra.dim
-                    sr = g.mul(sigma, rho)
-                    for k, v in enumerate(val):
-                        out[sr * ctx_e.ring2.dim + k] = v
-                    mu_cols.append(tuple(out))
-    mu = Mat.from_cols(F, mu_cols)
+                     spread(ctx_e.q.left, ctx_e.q.dim, g.mul),
+                     spread(ctx_e.q.right, ctx_e.q.dim, on_right))
+    pd, qd = ctx_e.p.dim, ctx_e.q.dim
+    tau = Mat._from_cols(F, [ring1.inject(g.mul(sigma, rho), ctx_e.tau.col(i * qd + j))
+                             for sigma in g.elements() for i in range(pd)
+                             for rho in g.elements() for j in range(qd)])
+    mu = Mat._from_cols(F, [ring2.inject(g.mul(sigma, rho), ctx_e.mu.col(j * pd + i))
+                            for sigma in g.elements() for j in range(qd)
+                            for rho in g.elements() for i in range(pd)])
     ctx = MoritaContext(ring1.algebra, ring2.algebra, p, q, tau, mu)
-    return GradedMoritaContext(ctx, g, ring1, ring2,
-                               (ctx_e.p.dim,) * n, (ctx_e.q.dim,) * n)
+    return GradedMoritaContext(ctx, g, ring1, ring2, (pd,) * n, (qd,) * n)
 
 
 def slice_context(x: GrouplikeFamily) -> tuple[MoritaContext, Mat, GradedRing]:
@@ -1296,15 +993,8 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
             "slice coinvariants equal the family coinvariants",
             ctx_e.ring1.dim == t.algebra.dim and ctx_e.ring1.mul == t.algebra.mul)
     # Theta: T[G] -> G*S via diagonal families
-    sdim = s.algebra.dim
-    theta_cols = []
-    for sigma in g.elements():
-        for i in range(t.algebra.dim):
-            out = [F.zero] * s.twisted.algebra.dim
-            for k, v in enumerate(s.diag.col(i)):
-                out[sigma * sdim + k] = v
-            theta_cols.append(tuple(out))
-    theta = Mat.from_cols(F, theta_cols)
+    theta = Mat._from_cols(F, [s.twisted.inject(sigma, s.diag.col(i))
+                               for sigma in g.elements() for i in range(t.algebra.dim)])
     rep.add("ring-match.theta-bijective", "diagonal comparison is bijective",
             theta.rows == theta.cols and rank(theta) == theta.rows,
             f"{theta.cols} -> {theta.rows}")
@@ -1317,15 +1007,8 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
             f"failing pairs: {bad[:5]}" if bad else "")
     # phi47 packed: R_e[G] -> packed R through the shifts
     packed = r.packed()
-    phi47_cols = []
-    for rho in g.elements():
-        for u in range(r_e.dim(0)):
-            vec = [F.zero] * packed.algebra.dim
-            img = sigmas[rho].apply(_unit(F, r_e.dim(0), u))
-            for k, v in enumerate(img):
-                vec[packed.offsets[rho] + k] = v
-            phi47_cols.append(tuple(vec))
-    phi47 = Mat.from_cols(F, phi47_cols)
+    phi47 = Mat._from_cols(F, [packed.inject(rho, sigmas[rho].col(u))
+                               for rho in g.elements() for u in range(r_e.dim(0))])
     reg = ring_ctx_e.ring2.algebra
     bad = [(i, j) for i in range(reg.dim) for j in range(reg.dim)
            if phi47.apply(reg.multiply(_unit(F, reg.dim, i), _unit(F, reg.dim, j)))
@@ -1336,48 +1019,19 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
             f"failing pairs: {bad[:5]}" if bad else "")
     # the tag swap on the base copies is the identity in these coordinates;
     # equivariance over both ring comparisons pins it down
-    bad = []
-    for k in range(tg.dim):
-        img = theta.col(k)
-        acting = Mat.zeros(F, gctx.ctx.p.dim, gctx.ctx.p.dim)
-        for l, v in enumerate(img):
-            if v:
-                acting = acting + gctx.ctx.p.left[l].scale(v)
-        if acting != ring_ctx_e.ctx.p.left[k]:
-            bad.append(("left", k))
-    for k in range(reg.dim):
-        img = phi47.col(k)
-        acting = Mat.zeros(F, gctx.ctx.p.dim, gctx.ctx.p.dim)
-        for l, v in enumerate(img):
-            if v:
-                acting = acting + gctx.ctx.p.right[l].scale(v)
-        if acting != ring_ctx_e.ctx.p.right[k]:
-            bad.append(("right", k))
+    pd, qd = gctx.ctx.p.dim, gctx.ctx.q.dim
+    bad = [("left", k) for k in range(tg.dim)
+           if combine(F, pd, pd, gctx.ctx.p.left, theta.col(k)) != ring_ctx_e.ctx.p.left[k]]
+    bad += [("right", k) for k in range(reg.dim)
+            if combine(F, pd, pd, gctx.ctx.p.right, phi47.col(k)) != ring_ctx_e.ctx.p.right[k]]
     rep.add("ring-match.base-equivariant",
             "base copies carry the same actions through the ring comparisons",
             not bad, f"failing: {bad[:5]}" if bad else "")
     # j: slice connecting space -> family connecting space through the shifts
-    o_dim = wq.rows
-    oe_dim = w_e.rows
-    j_cols = []
-    ok = True
-    for sigma in g.elements():
-        for v in range(oe_dim):
-            qe = w_e.row(v)
-            fam = [F.zero] * packed.algebra.dim
-            for a in g.elements():
-                img = sigmas[a].apply(qe)
-                for k, vv in enumerate(img):
-                    fam[packed.offsets[a] + k] = vv
-            coords = coords_in_rowspace(wq, tuple(fam))
-            if coords is None:
-                ok = False
-                coords = (F.zero,) * o_dim
-            out = [F.zero] * (n * o_dim)
-            for k, vv in enumerate(coords):
-                out[sigma * o_dim + k] = vv
-            j_cols.append(tuple(out))
-    jg = Mat.from_cols(F, j_cols)
+    coords, ok = _coordinates(wq, [
+        tuple(v for a in g.elements() for v in sigmas[a].apply(w_e.row(u)))
+        for u in range(w_e.rows)])
+    jg = tensor_k(Mat.identity(F, n), Mat._from_cols(F, coords))
     rep.add("ring-match.connecting-lands",
             "shifted slice families are connecting families", ok)
     rep.add("ring-match.connecting-bijective",
@@ -1386,23 +1040,12 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
     if jg.rows != jg.cols or rank(jg) != jg.rows:
         return rep
     jg_inv = inverse(jg)
-    bad = []
-    for k in range(reg.dim):
-        img = phi47.col(k)
-        acting = Mat.zeros(F, gctx.ctx.q.dim, gctx.ctx.q.dim)
-        for l, v in enumerate(img):
-            if v:
-                acting = acting + gctx.ctx.q.left[l].scale(v)
-        if acting @ jg != jg @ ring_ctx_e.ctx.q.left[k]:
-            bad.append(("left", k))
-    for k in range(tg.dim):
-        img = theta.col(k)
-        acting = Mat.zeros(F, gctx.ctx.q.dim, gctx.ctx.q.dim)
-        for l, v in enumerate(img):
-            if v:
-                acting = acting + gctx.ctx.q.right[l].scale(v)
-        if acting @ jg != jg @ ring_ctx_e.ctx.q.right[k]:
-            bad.append(("right", k))
+    bad = [("left", k) for k in range(reg.dim)
+           if combine(F, qd, qd, gctx.ctx.q.left, phi47.col(k)) @ jg
+           != jg @ ring_ctx_e.ctx.q.left[k]]
+    bad += [("right", k) for k in range(tg.dim)
+            if combine(F, qd, qd, gctx.ctx.q.right, theta.col(k)) @ jg
+            != jg @ ring_ctx_e.ctx.q.right[k]]
     rep.add("ring-match.connecting-equivariant",
             "the connecting comparison intertwines both bimodule structures",
             not bad, f"failing: {bad[:5]}" if bad else "")
@@ -1448,8 +1091,7 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
     t = coinvariant_ring(x)
     preds_b = predicates_of_extension(b)
     can = canonical_morphism(x, b)
-    can_rep = validate_coring_morphism_quick(can)
-    can_iso = can_rep and all(
+    can_iso = validate_coring_morphism(can.morphism).ok and all(
         m.rows == m.cols and rank(m) == m.rows for m in can.morphism.maps)
     s1 = can_iso and preds_b.faithfully_flat
     rep.add("battery.statement-1",
@@ -1494,8 +1136,3 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
             agreement, f"values=({s1}, {s2}, {s3}, {s4})")
     return rep
 
-
-def validate_coring_morphism_quick(can) -> bool:
-    from corings.coring import validate_coring_morphism
-
-    return validate_coring_morphism(can.morphism).ok

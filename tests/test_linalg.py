@@ -10,6 +10,8 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     balanced_quotient,
+    block_matrix,
+    combine,
     coords_in_rowspace,
     hstack,
     inverse,
@@ -414,3 +416,69 @@ def test_specialised_loops_match_the_plain_loops(field):
         for got, want in results:
             assert got == want
             assert_canonical(field, got.data)
+
+
+# -- degree blocks and linear combinations --------------------------------------------
+
+def ref_block_matrix(field, row_dims, col_dims, blocks) -> Mat:
+    """Entry by entry: find the block of each position, read it or put zero."""
+    def locate(dims, idx):
+        for b, d in enumerate(dims):
+            if idx < d:
+                return b, idx
+            idx -= d
+    data = []
+    for i in range(sum(row_dims)):
+        bi, r = locate(row_dims, i)
+        for j in range(sum(col_dims)):
+            bj, c = locate(col_dims, j)
+            data.append(blocks[(bi, bj)].at(r, c) if (bi, bj) in blocks else field.zero)
+    return Mat(field, sum(row_dims), sum(col_dims), tuple(data))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_block_matrix_matches_the_entrywise_reference(field):
+    rng = random.Random(11)
+    for _ in range(40):
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        blocks = {(i, j): mixed_mat(field, row_dims[i], col_dims[j], rng)
+                  for i in range(len(row_dims)) for j in range(len(col_dims))
+                  if rng.random() < 0.5}
+        got = block_matrix(field, row_dims, col_dims, blocks)
+        assert got == ref_block_matrix(field, row_dims, col_dims, blocks)
+        assert_canonical(field, got.data)
+
+
+def test_block_matrix_without_blocks_is_zero():
+    assert block_matrix(QQ, [2, 1], [1, 3], {}) == Mat.zeros(QQ, 3, 4)
+    assert block_matrix(QQ, [], [], {}) == Mat(QQ, 0, 0, ())
+
+
+def test_block_matrix_rejects_a_misshaped_block():
+    with pytest.raises(DimensionMismatch):
+        block_matrix(QQ, [2, 1], [1, 3], {(0, 1): Mat.zeros(QQ, 2, 2)})
+    with pytest.raises(FieldMismatch):
+        block_matrix(QQ, [1], [1], {(0, 0): Mat.identity(GF(101), 1)})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_combine_matches_the_field_reference_loop(field):
+    rng = random.Random(12)
+    for _ in range(40):
+        rows, cols, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        mats = [mixed_mat(field, rows, cols, rng) for _ in range(k)]
+        coeffs = mixed_mat(field, 1, k, rng).data
+        want = [field.zero] * (rows * cols)
+        for m, c in zip(mats, coeffs):
+            want = [field.add(x, field.mul(c, y)) for x, y in zip(want, m.data)]
+        got = combine(field, rows, cols, mats, coeffs)
+        assert got == Mat(field, rows, cols, tuple(want))
+        assert_canonical(field, got.data)
+
+
+def test_combine_rejects_mismatched_terms():
+    with pytest.raises(DimensionMismatch):
+        combine(QQ, 2, 2, [Mat.identity(QQ, 2)], [1, 2])
+    with pytest.raises(DimensionMismatch):
+        combine(QQ, 2, 2, [Mat.identity(QQ, 3)], [1])

@@ -1,0 +1,112 @@
+"""Static checks on the library source, with the standard library only.
+
+* No module imports a name it never uses (names listed in `__all__` count
+  as used, `from __future__` imports are exempt).
+* Every private module-level function is referenced somewhere in the
+  library, so helpers that lost their last caller are deleted with it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "corings"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Name bound by each import statement -> line number."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _annotation_names(tree: ast.Module) -> set:
+    """Names inside string annotations such as -> "Mat"."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            args = node.args
+            annotations += [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
+            annotations += [a.annotation for a in (args.vararg, args.kwarg) if a is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in annotations:
+        for sub in ast.walk(ann) if ann is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used_names(tree: ast.Module) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def unused_imports(path: Path) -> list:
+    tree = _tree(path)
+    used = _used_names(tree) | _annotation_names(tree) | _exported(tree)
+    return sorted((line, name) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def unreferenced_private_functions(paths) -> list:
+    trees = {path: _tree(path) for path in paths}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted((path.name, node.name) for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in referenced)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions(MODULES) == []
+
+
+def test_the_checks_catch_what_they_look_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from json import dumps, loads\n"
+        "from typing import Any\n"
+        "__all__ = ['loads']\n"
+        "def _used() -> 'Any':\n"
+        "    return dumps(1)\n"
+        "def _dead():\n"
+        "    return _used()\n")
+    assert unused_imports(src) == [(2, "os")]
+    assert unreferenced_private_functions([src]) == [("sample.py", "_dead")]
