@@ -283,10 +283,11 @@ class GradedRingMorphism:
     maps: tuple  # per degree a: Mat dst.dim(a) x src.dim(a)
 
 
-def dual_morphism(f: GroupCoringMorphism) -> GradedRingMorphism:
+def dual_morphism(f: GroupCoringMorphism, r_dst: GradedRing | None = None) -> GradedRingMorphism:
     """Left dual of a coring morphism: reverses direction degreewise by
-    precomposition with the inverse-degree component."""
-    rsrc = dual_ring(f.dst)
+    precomposition with the inverse-degree component.  `r_dst` is the dual
+    ring of f.dst, built when not given."""
+    rsrc = r_dst or dual_ring(f.dst)
     rdst = dual_ring(f.src)
     g = f.src.group
     maps = []

@@ -320,24 +320,45 @@ def canonical_morphism(x: GrouplikeFamily, b: RingMorphism) -> CanonicalMorphism
     return CanonicalMorphism(dom, wit, mor, q, gl)
 
 
+def onto_coinvariants(b: RingMorphism, t: CoinvariantRing) -> bool:
+    """Whether the base morphism is injective with image the coinvariants."""
+    return rank(b.mat) == b.src.dim and row_space(b.mat.transpose()) == row_space(t.basis)
+
+
+def check_base_ring(b: RingMorphism, t: CoinvariantRing) -> CheckReport:
+    """The supplied base ring compared against the coinvariants."""
+    rep = CheckReport("galois")
+    matches = onto_coinvariants(b, t)
+    rep.add("galois.base-ring", "supplied base ring matches the coinvariants",
+            matches, "" if matches else
+            f"supplied dim {b.src.dim}, coinvariants dim {t.basis.rows}")
+    return rep
+
+
+def coinvariant_canonical_morphism(x: GrouplikeFamily,
+                                   t: CoinvariantRing | None = None) -> CanonicalMorphism:
+    """The canonical morphism over the coinvariant ring of the family."""
+    if t is None:
+        t = coinvariant_ring(x)
+    return canonical_morphism(x, inclusion_morphism(t, x.coring.base))
+
+
 def is_galois(x: GrouplikeFamily, b: RingMorphism | None = None,
-              suite: str = "galois") -> tuple[bool, CheckReport]:
+              suite: str = "galois", can: CanonicalMorphism | None = None,
+              ) -> tuple[bool, CheckReport]:
     """Galois property: the canonical morphism from the cofree coring on the
     coinvariant tensor square is an isomorphism of group corings.
 
-    The coinvariant ring is always recomputed; a supplied base morphism is
-    only compared against it (mismatch is reported, not fatal).
+    `can` is that canonical morphism, built from the family when not given;
+    a supplied base morphism is only compared against the coinvariants
+    (mismatch is reported, not fatal).
     """
     rep = CheckReport(suite)
     c = x.coring
-    t = coinvariant_ring(x)
     if b is not None:
-        matches = (rank(b.mat) == b.src.dim
-                   and row_space(b.mat.transpose()) == row_space(t.basis))
-        rep.add("galois.base-ring", "supplied base ring matches the coinvariants",
-                matches, "" if matches else
-                f"supplied dim {b.src.dim}, coinvariants dim {t.basis.rows}")
-    can = canonical_morphism(x, inclusion_morphism(t, c.base))
+        rep.extend(check_base_ring(b, coinvariant_ring(x)))
+    if can is None:
+        can = coinvariant_canonical_morphism(x)
     mrep = validate_coring_morphism(can.morphism)
     rep.add("galois.canonical-morphism", "canonical comparison is a coring morphism",
             mrep.ok, "; ".join(f"{it.check_id}" for it in mrep.failures()))
@@ -352,25 +373,28 @@ def is_galois(x: GrouplikeFamily, b: RingMorphism | None = None,
     return verdict, rep
 
 
-def galois_decomposition(x: GrouplikeFamily):
+def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism | None = None,
+                         galois: tuple[bool, CheckReport] | None = None):
     """When Galois: the induced cofree witness (connecting maps through the
     canonical morphism) plus the degree-e Galois verdict.
 
     Returns (witness, report) with witness None when not Galois.  The report
     also confirms the reverse composition: connecting maps composed with the
-    degree-e canonical map recover every component map bijectively.
+    degree-e canonical map recover every component map bijectively.  `can`
+    and `galois` are the canonical morphism over the coinvariants and the
+    result of `is_galois`, built from the family when not given.
     """
     rep = CheckReport("galois-decomposition")
     c = x.coring
     g = c.group
-    verdict, sub = is_galois(x)
+    if can is None:
+        can = coinvariant_canonical_morphism(x)
+    verdict, sub = galois if galois is not None else is_galois(x, can=can)
     rep.extend(sub)
     if not verdict:
         rep.add("decomposition.available", "coring splits as a cofree coring", False,
                 "not Galois")
         return None, rep
-    t = coinvariant_ring(x)
-    can = canonical_morphism(x, inclusion_morphism(t, c.base))
     e = g.identity
     can_e_inv = inverse(can.morphism.maps[e])
     gammas = tuple(can.morphism.maps[a] @ can_e_inv for a in g.elements())
@@ -391,16 +415,18 @@ def galois_decomposition(x: GrouplikeFamily):
 
 
 def check_coinvariants_cofree(x: GrouplikeFamily, w: CofreeWitness,
-                              suite: str = "coinvariants-cofree") -> CheckReport:
+                              suite: str = "coinvariants-cofree",
+                              t: CoinvariantRing | None = None) -> CheckReport:
     """For a cofree coring whose witness carries the grouplike family, the
-    family coinvariants of the base equal the degree-e coinvariants."""
+    family coinvariants of the base (`t`, built when not given) equal the
+    degree-e coinvariants."""
     rep = CheckReport(suite)
     c = x.coring
     g = c.group
     e = g.identity
     carried = all(w.gammas[a].apply(x.vec(e)) == x.vec(a) for a in g.elements())
     rep.add("cofree-coinvariants.carried", "witness carries the grouplike family", carried)
-    t_full = coinvariant_ring(x).basis
+    t_full = (t or coinvariant_ring(x)).basis
     A = c.base
     F = A.field
     cols = [(c.comps[e].left[j] - c.comps[e].right[j]).apply(x.vec(e)) for j in range(A.dim)]
@@ -495,20 +521,20 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
 
 def structure_theorem_battery(x: GrouplikeFamily, b: RingMorphism,
                               b_modules=None, gcomodules=None,
-                              suite: str = "structure-theorem") -> CheckReport:
+                              suite: str = "structure-theorem",
+                              t: CoinvariantRing | None = None,
+                              galois: bool | None = None) -> CheckReport:
     """Both sides of the structure equivalence, verified object-wise.
 
     Side one: the base morphism is an isomorphism onto the coinvariants, the
     coring is Galois, and the extension is faithfully flat.  Side two: the
     extension is flat and the induction unit/counit comparisons are bijective
-    on every test object.  The check asserts the two sides agree.
+    on every test object.  The check asserts the two sides agree.  The
+    coinvariants `t` and the Galois verdict are computed when not given.
     """
     rep = CheckReport(suite)
-    c = x.coring
-    t = coinvariant_ring(x)
-    iso_onto_t = (rank(b.mat) == b.src.dim
-                  and row_space(b.mat.transpose()) == row_space(t.basis))
-    galois_verdict, _ = is_galois(x)
+    iso_onto_t = onto_coinvariants(b, t or coinvariant_ring(x))
+    galois_verdict = galois if galois is not None else is_galois(x)[0]
     preds = predicates_of_extension(b)
     side1 = iso_onto_t and galois_verdict and preds.faithfully_flat
     rep.add("structure.side1", "base iso onto coinvariants + Galois + faithfully flat",
@@ -562,15 +588,17 @@ def default_test_gcomodules(x: GrouplikeFamily, b: RingMorphism, rng=None) -> li
 RANDOM_COMODULE_RANK = 2
 
 
-def random_comodule(x: GrouplikeFamily, rng) -> Comodule:
+def random_comodule(x: GrouplikeFamily, rng, t: CoinvariantRing | None = None) -> Comodule:
     """A seeded-random valid comodule: the induced free module of rank
-    RANDOM_COMODULE_RANK conjugated by a random invertible change of basis.
+    RANDOM_COMODULE_RANK over the coinvariants `t` (computed when not given)
+    conjugated by a random invertible change of basis.
 
     The seed draws only the change of basis, so every seed checks an
     object of the same size and a suite's cost does not depend on it."""
     c = x.coring
     F = c.base.field
-    t = coinvariant_ring(x)
+    if t is None:
+        t = coinvariant_ring(x)
     b = inclusion_morphism(t, c.base)
     ind = induce_comodule(free_right_module(t.algebra, RANDOM_COMODULE_RANK), b, x).comodule
     u = random_invertible(F, ind.space.dim, rng)

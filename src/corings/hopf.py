@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from corings.algebra import Algebra, Bimodule, validate_algebra
 from corings.coring import GroupCoring
-from corings.dualring import dual_ring
+from corings.dualring import GradedRing, dual_ring
 from corings.galois import (
+    CoinvariantRing,
     GrouplikeFamily,
     coinvariant_ring,
     galois_decomposition,
@@ -373,12 +374,20 @@ def invariant_subalgebra(ca: ComoduleAlgebra) -> Mat:
     return kernel(vstack(rows))
 
 
-def hopf_galois_check(ca: ComoduleAlgebra, suite: str = "hopf-galois") -> tuple[bool, CheckReport]:
+def hopf_galois_check(ca: ComoduleAlgebra, suite: str = "hopf-galois",
+                      galois: tuple[bool, CheckReport] | None = None,
+                      t: CoinvariantRing | None = None) -> tuple[bool, CheckReport]:
     """Galois property of the induced coring, plus the identification of its
-    coinvariants with the invariant subalgebra of the coaction."""
-    cor, x = coring_from_comodule_algebra(ca)
-    verdict, rep = is_galois(x, suite=suite)
-    t = coinvariant_ring(x)
+    coinvariants with the invariant subalgebra of the coaction.  The result
+    of `is_galois` and the coinvariants of the induced coring are computed
+    when not given."""
+    if galois is None or t is None:
+        _, x = coring_from_comodule_algebra(ca)
+        galois = galois or is_galois(x)
+        t = t or coinvariant_ring(x)
+    verdict, sub = galois
+    rep = CheckReport(suite)
+    rep.extend(sub)
     inv = invariant_subalgebra(ca)
     rep.add("hopf-galois.invariants",
             "coring coinvariants equal the coaction invariants",
@@ -387,13 +396,20 @@ def hopf_galois_check(ca: ComoduleAlgebra, suite: str = "hopf-galois") -> tuple[
 
 
 def hopf_galois_decomposition_check(ca: ComoduleAlgebra,
-                                    suite: str = "hopf-galois-split") -> CheckReport:
+                                    suite: str = "hopf-galois-split",
+                                    galois: tuple[bool, CheckReport] | None = None,
+                                    decomposition: tuple | None = None) -> CheckReport:
     """Galois for the family holds exactly when the family splits cofreely
-    and the identity-degree slice is Galois (checked through the coring)."""
+    and the identity-degree slice is Galois (checked through the coring).
+    The results of `is_galois` and `galois_decomposition` on the induced
+    coring are computed when not given."""
     rep = CheckReport(suite)
-    cor, x = coring_from_comodule_algebra(ca)
-    verdict, _ = is_galois(x)
-    wit, drep = galois_decomposition(x)
+    if galois is None or decomposition is None:
+        _, x = coring_from_comodule_algebra(ca)
+        galois = galois or is_galois(x)
+        decomposition = decomposition or galois_decomposition(x, galois=galois)
+    verdict, _ = galois
+    wit, drep = decomposition
     rep.add("split.galois-verdict", "family Galois verdict computed", True, f"value={verdict}")
     if verdict:
         rep.add("split.witness", "decomposition produced a cofree witness", wit is not None)
@@ -507,13 +523,18 @@ def coring_comodule_to_relative(m, ca: ComoduleAlgebra) -> RelativeHopfModule:
 
 
 def relative_hopf_module_check(ca: ComoduleAlgebra, modules,
-                               b=None, suite: str = "relative-hopf-modules") -> CheckReport:
+                               b=None, suite: str = "relative-hopf-modules",
+                               induced: tuple | None = None,
+                               t: CoinvariantRing | None = None,
+                               galois: bool | None = None) -> CheckReport:
     """Both reindexing directions on each test module, then the structure
-    battery of the induced coring."""
+    battery of the induced coring.  The induced coring and its grouplike
+    family (`induced`, as `coring_from_comodule_algebra` returns them) are
+    built when not given; `t` and `galois` go to the battery."""
     from corings.comodules import validate_comodule
 
     rep = CheckReport(suite)
-    cor, x = coring_from_comodule_algebra(ca)
+    cor, x = induced or coring_from_comodule_algebra(ca)
     for idx, m in enumerate(modules):
         vrep = validate_relative_hopf_module(m)
         rep.add(f"relative[{idx}].axioms", "relative module axioms hold", vrep.ok,
@@ -526,7 +547,7 @@ def relative_hopf_module_check(ca: ComoduleAlgebra, modules,
         rep.add(f"relative[{idx}].roundtrip", "reindexing round-trips",
                 back.rho == m.rho and back.space.right == m.space.right)
     if b is not None:
-        rep.extend(structure_theorem_battery(x, b), prefix="relative.")
+        rep.extend(structure_theorem_battery(x, b, t=t, galois=galois), prefix="relative.")
     return rep
 
 
@@ -643,13 +664,14 @@ def validate_smash_product(sp: SmashProduct, suite: str = "smash") -> CheckRepor
     return rep
 
 
-def smash_dual(ca: ComoduleAlgebra) -> tuple[SmashProduct, list, CheckReport]:
+def smash_dual(ca: ComoduleAlgebra, r: GradedRing | None = None,
+               ) -> tuple[SmashProduct, list, CheckReport]:
     """The smash product, the degreewise comparison maps onto the dual ring
-    of the induced coring, and the report checking they form a graded ring
-    isomorphism."""
+    `r` of the induced coring (built when not given), and the report
+    checking they form a graded ring isomorphism."""
     rep = CheckReport("smash-dual")
-    cor, _ = coring_from_comodule_algebra(ca)
-    r = dual_ring(cor)
+    if r is None:
+        r = dual_ring(coring_from_comodule_algebra(ca)[0])
     sp = SmashProduct(ca)
     g = sp.group
     F = sp.field

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
@@ -68,16 +69,18 @@ class Mat:
         return cls(field, rows, cols, (field.zero,) * (rows * cols))
 
     @classmethod
-    def from_cols(cls, field: Field, cols) -> "Mat":
-        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols])
+    def from_cols(cls, field: Field, cols, rows: int | None = None) -> "Mat":
+        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols], rows)
 
     @classmethod
-    def _from_cols(cls, field: Field, cols) -> "Mat":
+    def _from_cols(cls, field: Field, cols, rows: int | None = None) -> "Mat":
         """from_cols for entries that are already field elements: no
-        coercion through `Field.of`."""
+        coercion through `Field.of`.  Without `rows`, the row count is the
+        length of the first column, and 0 when there are no columns."""
         cols = list(cols)
-        nrows = len(cols[0]) if cols else 0
-        return cls(field, nrows, len(cols), tuple(chain.from_iterable(zip(*cols))))
+        if rows is None:
+            rows = len(cols[0]) if cols else 0
+        return cls(field, rows, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
@@ -169,6 +172,12 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(self.data)
+
+    @cached_property
+    def _row_solver(self) -> "_RowSolver":
+        """The factorization `coords_in_rowspace` solves against, built on
+        first use; as a cached property it stays out of eq, hash and repr."""
+        return _RowSolver(self)
 
     def __repr__(self):
         fmt = self.field.format
@@ -370,12 +379,63 @@ def inverse(m: Mat) -> Mat:
     return Mat(F, n, n, data)
 
 
+class _RowSolver:
+    """The rows of a basis factored once for repeated coordinate solves.
+
+    `indep` are the rows kept by ``solve(basis.transpose(), v)``: the pivots
+    of rref(basis^T), i.e. each row not in the span of the rows before it.
+    With [R | T] = rref([B | I]) for B the kept rows, R has an identity
+    block at its pivot columns and T @ B = R.  A vector v lies in the span
+    iff v = y @ R for y = v at those pivots, and then y @ T are its
+    coordinates in B.  Each row of [R | T] is kept as its pivot and the
+    nonzero entries of R off the pivots and of T.
+    """
+
+    def __init__(self, basis: Mat):
+        F = basis.field
+        _, indep = _rref_rows(F, basis.transpose().row_lists())
+        r, n = len(indep), basis.cols
+        aug = [list(basis.row(i)) + list(unit_vec(F, r, k)) for k, i in enumerate(indep)]
+        rows, pivots = _rref_rows(F, aug)
+        pivset = set(pivots)
+        self.field = F
+        self.size = basis.rows
+        self.indep = indep
+        self.free = [j for j in range(n) if j not in pivset]
+        self.rows = [(p, [(j, x) for j, x in _nonzeros(row[:n]) if j not in pivset],
+                      _nonzeros(row, n)) for p, row in zip(pivots, rows)]
+        self.width = n
+
+    def solve(self, v: tuple) -> tuple | None:
+        acc = [0] * (self.width + len(self.indep))
+        for p, off_pivot, trow in self.rows:
+            y = v[p]
+            if y:
+                for j, x in off_pivot:
+                    acc[j] += y * x
+                for k, t in trow:
+                    acc[k] += y * t
+        red = self.field.reduce
+        for j in self.free:
+            if red(acc[j] - v[j]):
+                return None
+        x = [self.field.zero] * self.size
+        for k, i in enumerate(self.indep, self.width):
+            x[i] = red(acc[k])
+        return tuple(x)
+
+
 def coords_in_rowspace(basis: Mat, v) -> tuple | None:
-    """Coordinates of vector v in the span of basis rows, or None if outside."""
+    """Coordinates of vector v in the span of basis rows, or None if outside.
+
+    Equal, value and canonical form, to ``solve(basis.transpose(), v)``:
+    dependent rows get coordinate zero.  The basis is factored on the first
+    call and each further call costs O(rank * cols).
+    """
     v = tuple(v)
     if len(v) != basis.cols:
         raise DimensionMismatch("vector length vs basis width")
-    return solve(basis.transpose(), v)
+    return basis._row_solver.solve(v)
 
 
 # -- tensor product over the base field --------------------------------------

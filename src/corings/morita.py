@@ -44,6 +44,7 @@ from corings.galois import (
     free_right_module,
     induction_counits,
     induction_unit,
+    onto_coinvariants,
     predicates_of_extension,
 )
 from corings.linalg import (
@@ -467,7 +468,8 @@ def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing,
 
 # -- the classical context ---------------------------------------------------------------
 
-def _weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
+def weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
+    """The weak coinvariants as a ring."""
     t_basis = weak_coinvariant_ring(x, r)
     t_alg, t_incl = subalgebra(x.coring.base, t_basis)
     return CoinvariantRing(t_basis, t_alg, t_incl)
@@ -486,23 +488,25 @@ def _dual_ring_action(w: Mat, packed: GradedAlgebra) -> tuple[list, bool]:
 
 
 def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
-                   t: CoinvariantRing | None = None) -> tuple[MoritaContext, Mat, CheckReport]:
+                   t: CoinvariantRing | None = None, w: Mat | None = None,
+                   ) -> tuple[MoritaContext, Mat, CheckReport]:
     """The context (coinvariants, packed dual ring, base, connecting space).
 
     Returns the context, the solved connecting-space basis (rows in packed
-    dual-ring coordinates) and a report of the membership self-checks.
+    dual-ring coordinates) and a report of the membership self-checks.  The
+    (weak, if asked) coinvariants `t` and connecting space `w` are solved
+    when not given.
     """
     rep = CheckReport("morita-build")
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
-    if weak:
-        t = _weak_coinvariants(x, r)
-    elif t is None:
-        t = coinvariant_ring(x)
+    if t is None:
+        t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
     packed = r.packed()
-    w = connecting_space(x, r, weak)
+    if w is None:
+        w = connecting_space(x, r, weak)
     o_dim = w.rows
     # P = base as (T, R)-bimodule
     p_left = tuple(A.left_mult(t.inclusion.col(i)) for i in range(t.algebra.dim))
@@ -527,10 +531,10 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     tau_cols, ok_tau = _coordinates(t.basis, [acts[u].col(j) for j in range(A.dim)
                                               for u in range(o_dim)])
     rep.add("build.tau-lands", "the pairing lands in the coinvariants", ok_tau)
-    tau = Mat._from_cols(F, tau_cols)
+    tau = Mat._from_cols(F, tau_cols, t.algebra.dim)
     # mu: Q (x) P -> R, the right action of the base on Q
     mu = Mat._from_cols(F, [base_action[j].apply(w.row(u)) for u in range(o_dim)
-                            for j in range(A.dim)])
+                            for j in range(A.dim)], packed.algebra.dim)
     return MoritaContext(t.algebra, packed.algebra, p, q, tau, mu), w, rep
 
 
@@ -594,21 +598,24 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily, r: Graded
 
 def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
                           t: CoinvariantRing | None = None,
+                          s: CoefficientRing | None = None, wq: Mat | None = None,
                           ) -> tuple[GradedMoritaContext, CoefficientRing, Mat, CheckReport]:
     """The graded context (twisted coefficient ring, dual ring, base copies,
-    shifted connecting families)."""
+    shifted connecting families).  The (weak, if asked) coefficient ring `s`
+    over the coinvariants `t` and the connecting space `wq` are solved when
+    not given."""
     rep = CheckReport("graded-morita-build")
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
     n = g.order
-    if weak:
-        t = _weak_coinvariants(x, r)
-    elif t is None:
-        t = coinvariant_ring(x)
-    s = coefficient_ring(x, r, t, weak)
-    wq = connecting_space(x, r, weak)
+    if s is None:
+        if t is None:
+            t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
+        s = coefficient_ring(x, r, t, weak)
+    if wq is None:
+        wq = connecting_space(x, r, weak)
     o_dim = wq.rows
     packed = r.packed()
     sdim = s.algebra.dim
@@ -643,7 +650,7 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
             act = block_matrix(F, packed.dims, packed.dims,
                                {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
             coords, closed = _coordinates(wq, [act.apply(wq.row(i)) for i in range(o_dim)])
-            right_small[(shift, wi)] = Mat._from_cols(F, coords)
+            right_small[(shift, wi)] = Mat._from_cols(F, coords, o_dim)
             ok_right = ok_right and closed
     rep.add("build.q-right-closure",
             "coefficient families act on the connecting families", ok_right)
@@ -664,7 +671,8 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
             ok_omega)
     coords = dict(zip(keys, coords))
     omega = Mat._from_cols(F, [gs.inject(g.mul(a, sigma), coords[(j, sigma, u)])
-                               for a in g.elements() for j, sigma, u in keys])
+                               for a in g.elements() for j, sigma, u in keys],
+                           gs.algebra.dim)
     # nu: QG (x) P -> R
     nu_cols = []
     for sigma in g.elements():
@@ -673,7 +681,8 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
                 sa = g.mul(sigma, a)
                 block = packed.block(sa, wq.row(u))
                 nu_cols.extend(packed.inject(sa, right.apply(block)) for right in r.comps[sa].right)
-    ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, Mat._from_cols(F, nu_cols))
+    nu = Mat._from_cols(F, nu_cols, packed.algebra.dim)
+    ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, nu)
     gctx = GradedMoritaContext(ctx, g, gs, packed, (A.dim,) * n, (o_dim,) * n)
     return gctx, s, wq, rep
 
@@ -778,7 +787,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
             q_left.append(Mat._from_cols(F, [
                 hom_coords(tuple(times[g.mul(sigma, a)] @ fams[a] for a in g.elements()),
                            g.mul(b, sigma))
-                for sigma in g.elements() for fams in hom_bases[sigma]]))
+                for sigma in g.elements() for fams in hom_bases[sigma]], sum(hdims)))
     q_right = []
     for tau in g.elements():
         for ti, tfam in enumerate(end.bases[tau]):
@@ -787,7 +796,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                 for fams in hom_bases[sigma]:
                     comp = tuple(fams[g.mul(tau, a)] @ tfam[a] for a in g.elements())
                     cols.append(hom_coords(comp, g.mul(sigma, tau)))
-            q_right.append(Mat._from_cols(F, cols))
+            q_right.append(Mat._from_cols(F, cols, sum(hdims)))
     q = RingBimodule(packed.algebra, end.graded.algebra, sum(hdims),
                      tuple(q_left), tuple(q_right))
     # phi: P (x) Q -> END, phi(p (x) q)(p') = p . q(p')
@@ -799,11 +808,12 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                 for fams in hom_bases[sigma]:
                     endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
                     phi_cols.append(end.coords(endo, g.mul(a, sigma)))
-    phi = Mat._from_cols(F, phi_cols)
+    phi = Mat._from_cols(F, phi_cols, end.graded.algebra.dim)
     # psi: Q (x) P -> R, psi(q (x) p) = q(p)
     psi = Mat._from_cols(F, [packed.inject(g.mul(sigma, a), fams[a].col(i))
                              for sigma in g.elements() for fams in hom_bases[sigma]
-                             for a in g.elements() for i in range(m_dims[a])])
+                             for a in g.elements() for i in range(m_dims[a])],
+                         packed.algebra.dim)
     ctx = MoritaContext(end.graded.algebra, packed.algebra, p, q, phi, psi)
     gctx = GradedMoritaContext(ctx, g, end.graded, packed,
                                tuple(m_dims), tuple(hdims))
@@ -875,15 +885,20 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing,
 
 
 def check_standard_context_match(x: GrouplikeFamily, r: GradedRing,
-                                 suite: str = "standard-context") -> CheckReport:
+                                 suite: str = "standard-context",
+                                 agm: GradedModule | None = None,
+                                 weak_graded: tuple | None = None) -> CheckReport:
     """The standard context of the canonical graded module matches the weak
     graded context through the two comparison isomorphisms (commuting
-    squares checked as matrix identities)."""
+    squares checked as matrix identities).  The canonical graded module
+    `agm` and the result of `graded_morita_context(x, r, weak=True)` are
+    built when not given."""
     rep = CheckReport(suite)
     F = x.coring.base.field
-    agm = canonical_graded_module(x, r)
+    if agm is None:
+        agm = canonical_graded_module(x, r)
     std, end, hom_bases = context_from_graded_module(agm)
-    gctx, s, wq, build_rep = graded_morita_context(x, r, weak=True)
+    gctx, s, wq, build_rep = weak_graded or graded_morita_context(x, r, weak=True)
     rep.extend(build_rep, prefix="weak.")
     xi, xi_rep = end_to_twisted_iso(end, s)
     rep.extend(xi_rep)
@@ -968,10 +983,15 @@ def slice_context(x: GrouplikeFamily) -> tuple[MoritaContext, Mat, GradedRing]:
 
 def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
                                    w: CofreeWitness,
-                                   suite: str = "group-ring-context") -> CheckReport:
+                                   suite: str = "group-ring-context",
+                                   t: CoinvariantRing | None = None,
+                                   graded: tuple | None = None,
+                                   slice_ctx: tuple | None = None) -> CheckReport:
     """For a cofree coring carrying the grouplike family: the graded context
     is isomorphic to the group-ring extension of the slice context, through
-    the diagonal, tag-swap and shift comparison maps."""
+    the diagonal, tag-swap and shift comparison maps.  The coinvariants `t`
+    and the results of `graded_morita_context(x, r)` and `slice_context(x)`
+    are built when not given."""
     if w is None:
         from corings.coring import MissingCofreeWitness
 
@@ -982,9 +1002,10 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
     A = c.base
     F = A.field
     n = g.order
-    t = coinvariant_ring(x)
-    gctx, s, wq, _ = graded_morita_context(x, r)
-    ctx_e, w_e, r_e = slice_context(x)
+    if t is None:
+        t = coinvariant_ring(x)
+    gctx, s, wq, _ = graded or graded_morita_context(x, r, t=t)
+    ctx_e, w_e, r_e = slice_ctx or slice_context(x)
     ring_ctx_e = group_ring_context(ctx_e, g)
     sigmas, sig_rep = cofree_dual_group_ring_iso(c, w, r)
     rep.extend(sig_rep)
@@ -1065,7 +1086,9 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
 
 def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
                                r: GradedRing | None = None,
-                               suite: str = "galois-equivalences") -> CheckReport:
+                               suite: str = "galois-equivalences",
+                               t: CoinvariantRing | None = None,
+                               graded: tuple | None = None) -> CheckReport:
     """Four equivalent characterizations of the Galois property for corings
     whose components are left progenerators, evaluated independently:
 
@@ -1077,6 +1100,9 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
        ring is bijective, and the graded context is strict;
     4. the base equals the coinvariants and induction/coinvariants form an
        object-level equivalence.
+
+    The dual ring `r`, the coinvariants `t` and the result of
+    `graded_morita_context(x, r)` are built when not given.
     """
     rep = CheckReport(suite)
     c = x.coring
@@ -1088,7 +1114,8 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
     rep.add("battery.hypothesis", "every component is a left progenerator", True)
     if r is None:
         r = dual_ring(c)
-    t = coinvariant_ring(x)
+    if t is None:
+        t = coinvariant_ring(x)
     preds_b = predicates_of_extension(b)
     can = canonical_morphism(x, b)
     can_iso = validate_coring_morphism(can.morphism).ok and all(
@@ -1097,15 +1124,14 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
     rep.add("battery.statement-1",
             "canonical comparison iso + faithfully flat extension", True,
             f"value={s1} (iso={can_iso}, faithfully_flat={preds_b.faithfully_flat})")
-    dual_can = dual_morphism(can.morphism)
+    dual_can = dual_morphism(can.morphism, r)
     dual_ok = validate_graded_ring_morphism(dual_can).ok and is_graded_ring_iso(dual_can)
     s2 = dual_ok and preds_b.progenerator
     rep.add("battery.statement-2",
             "dual comparison graded ring iso + progenerator extension", True,
             f"value={s2} (dual_iso={dual_ok}, progenerator={preds_b.progenerator})")
-    b_is_t = (rank(b.mat) == b.src.dim
-              and row_space(b.mat.transpose()) == row_space(t.basis))
-    gctx, s, wq, _ = graded_morita_context(x, r, t=t)
+    b_is_t = onto_coinvariants(b, t)
+    gctx, s, wq, _ = graded or graded_morita_context(x, r, t=t)
     diag_bij = (s.diag.rows == s.diag.cols and rank(s.diag) == s.diag.cols)
     strict_verdict, strict_rep = is_strict(gctx.ctx)
     s3 = b_is_t and diag_bij and strict_verdict

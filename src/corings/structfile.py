@@ -12,10 +12,22 @@ reported as a positioned error, never an exception escaping `parse`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from corings.algebra import Algebra, Bimodule
 from corings.coring import CofreeWitness, GroupCoring
-from corings.galois import GrouplikeFamily, RingMorphism, sweedler_coring
+from corings.dualring import GradedModule, GradedRing, dual_ring
+from corings.galois import (
+    CanonicalMorphism,
+    CoinvariantRing,
+    GrouplikeFamily,
+    RingMorphism,
+    coinvariant_canonical_morphism,
+    coinvariant_ring,
+    galois_decomposition,
+    is_galois,
+    sweedler_coring,
+)
 from corings.groups import FiniteGroup
 from corings.hopf import (
     ComoduleAlgebra,
@@ -26,6 +38,16 @@ from corings.hopf import (
     trivial_comodule_algebra,
 )
 from corings.linalg import Mat
+from corings.morita import (
+    CoefficientRing,
+    canonical_graded_module,
+    coefficient_ring,
+    connecting_space,
+    graded_morita_context,
+    morita_context,
+    slice_context,
+    weak_coinvariants,
+)
 from corings.scalars import Field
 
 
@@ -467,6 +489,12 @@ class MainStructure:
     witness: CofreeWitness | None
     source: StructureFile
 
+    @cached_property
+    def derived(self) -> "Derived":
+        """The objects the suites derive from this structure, shared by all
+        of them; built on first use, so parsing does not pay for it."""
+        return Derived(self.coring, self.grouplike, self.witness, self.comodule_algebra)
+
 
 def main_structure(sf: StructureFile) -> MainStructure:
     if not sf.main:
@@ -480,3 +508,118 @@ def main_structure(sf: StructureFile) -> MainStructure:
         witness=sf.witnesses.get(cname),
         source=sf,
     )
+
+
+def _same_coring(c1: GroupCoring, c2: GroupCoring) -> bool:
+    return (c1.group, c1.base, c1.comps, c1.delta, c1.counit) == \
+        (c2.group, c2.base, c2.comps, c2.delta, c2.counit)
+
+
+class Derived:
+    """What the check suites derive from a coring with a grouplike family:
+    the dual ring, the coinvariants, the Galois data and the (graded) Morita
+    solution spaces and contexts, each built once, on first use.
+
+    It keeps the parts of a structure it reads, never the MainStructure
+    itself, so that dropping the structure frees all of it without the
+    cycle collector.  The strict and weak variants are separate members.
+    """
+
+    def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily,
+                 witness: CofreeWitness | None = None,
+                 comodule_algebra: ComoduleAlgebra | None = None):
+        self.coring = coring
+        self.grouplike = grouplike
+        self.comodule_algebra = comodule_algebra
+        self._witness = witness
+
+    @cached_property
+    def dual_ring(self) -> GradedRing:
+        return dual_ring(self.coring)
+
+    @cached_property
+    def coinvariants(self) -> CoinvariantRing:
+        return coinvariant_ring(self.grouplike)
+
+    @cached_property
+    def weak_coinvariants(self) -> CoinvariantRing:
+        return weak_coinvariants(self.grouplike, self.dual_ring)
+
+    @cached_property
+    def canonical(self) -> CanonicalMorphism:
+        """The canonical morphism over the coinvariants."""
+        return coinvariant_canonical_morphism(self.grouplike, self.coinvariants)
+
+    @cached_property
+    def galois(self) -> tuple:
+        """`is_galois` without a base morphism: (verdict, report)."""
+        return is_galois(self.grouplike, can=self.canonical)
+
+    @cached_property
+    def decomposition(self) -> tuple:
+        """`galois_decomposition`: (witness or None, report)."""
+        return galois_decomposition(self.grouplike, can=self.canonical, galois=self.galois)
+
+    @cached_property
+    def witness(self) -> CofreeWitness | None:
+        """The cofree witness of the file, else the one of the decomposition."""
+        return self._witness if self._witness is not None else self.decomposition[0]
+
+    @cached_property
+    def connecting(self) -> Mat:
+        return connecting_space(self.grouplike, self.dual_ring)
+
+    @cached_property
+    def weak_connecting(self) -> Mat:
+        return connecting_space(self.grouplike, self.dual_ring, weak=True)
+
+    @cached_property
+    def coefficients(self) -> CoefficientRing:
+        return coefficient_ring(self.grouplike, self.dual_ring, self.coinvariants)
+
+    @cached_property
+    def weak_coefficients(self) -> CoefficientRing:
+        return coefficient_ring(self.grouplike, self.dual_ring, self.weak_coinvariants, weak=True)
+
+    @cached_property
+    def morita(self) -> tuple:
+        """`morita_context`: (context, connecting space, build report)."""
+        return morita_context(self.grouplike, self.dual_ring, t=self.coinvariants,
+                              w=self.connecting)
+
+    @cached_property
+    def weak_morita(self) -> tuple:
+        return morita_context(self.grouplike, self.dual_ring, weak=True,
+                              t=self.weak_coinvariants, w=self.weak_connecting)
+
+    @cached_property
+    def graded_morita(self) -> tuple:
+        """`graded_morita_context`: (graded context, coefficient ring,
+        connecting space, build report)."""
+        return graded_morita_context(self.grouplike, self.dual_ring, s=self.coefficients,
+                                     wq=self.connecting)
+
+    @cached_property
+    def weak_graded_morita(self) -> tuple:
+        return graded_morita_context(self.grouplike, self.dual_ring, weak=True,
+                                     s=self.weak_coefficients, wq=self.weak_connecting)
+
+    @cached_property
+    def slice(self) -> tuple:
+        """`slice_context`: (context, connecting space, dual ring) of the
+        identity-degree slice."""
+        return slice_context(self.grouplike)
+
+    @cached_property
+    def canonical_module(self) -> GradedModule:
+        return canonical_graded_module(self.grouplike, self.dual_ring)
+
+    @cached_property
+    def hopf(self) -> "Derived | None":
+        """The derived objects of the coring the comodule algebra induces,
+        with its canonical family; None when those equal the coring and
+        family here in content, whose derived objects then serve both."""
+        cor, x = coring_from_comodule_algebra(self.comodule_algebra)
+        if _same_coring(cor, self.coring) and x.vectors == self.grouplike.vectors:
+            return None
+        return Derived(cor, x)

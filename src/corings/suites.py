@@ -27,7 +27,6 @@ from corings.dualring import (
     check_functor_square,
     cofree_dual_group_ring_iso,
     comodule_to_module,
-    dual_ring,
     forget_grading,
     gcomodule_to_graded,
     graded_to_gcomodule,
@@ -37,11 +36,9 @@ from corings.dualring import (
     validate_graded_module,
 )
 from corings.galois import (
-    coinvariant_ring,
+    check_base_ring,
     comodule_from_grouplike,
-    galois_decomposition,
     grouplike_from_comodule,
-    is_galois,
     random_comodule,
     structure_theorem_battery,
     validate_grouplike,
@@ -60,21 +57,15 @@ from corings.hopf import (
 )
 from corings.linalg import row_space
 from corings.morita import (
-    canonical_graded_module,
     check_canonical_graded_action,
     check_group_ring_context_match,
     check_shift_fixed_points,
     check_standard_context_match,
-    coefficient_ring,
-    connecting_space,
     galois_equivalence_battery,
-    graded_morita_context,
     grouplike_character,
     is_strict,
-    morita_context,
     validate_graded_morita_context,
     validate_morita_context,
-    weak_coinvariant_ring,
 )
 from corings.report import CheckReport
 from corings.structfile import MainStructure
@@ -86,13 +77,6 @@ class UnknownSuite(ValueError):
 
 SUITES = ("validate", "comodules", "dual-ring", "galois", "structure-theorem",
           "morita", "graded-morita", "section9", "hopf", "all")
-
-
-def _witness(ms: MainStructure):
-    if ms.witness is not None:
-        return ms.witness
-    wit, _ = galois_decomposition(ms.grouplike)
-    return wit
 
 
 def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
@@ -114,6 +98,7 @@ def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
 
 def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("comodules")
+    d = ms.derived
     rng = random.Random(seed)
     acom = comodule_from_grouplike(ms.grouplike)
     rep.extend(validate_comodule(acom), prefix="comodules.base.")
@@ -124,12 +109,12 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(validate_g_comodule(cg), prefix="comodules.coring.")
     packed, _, _ = pack_gcomodule(cg)
     rep.extend(validate_comodule(packed), prefix="comodules.packed.")
-    rnd = random_comodule(ms.grouplike, rng)
+    rnd = random_comodule(ms.grouplike, rng, d.coinvariants)
     rep.extend(validate_comodule(rnd), prefix="comodules.random.")
     pairs = [(replicate_comodule(acom), acom), (cg, packed)]
     rep.extend(check_pack_replicate_adjunction(pairs), prefix="comodules.")
     rep.extend(check_pack_replicate_frobenius(pairs), prefix="comodules.")
-    wit = _witness(ms)
+    wit = d.witness
     if wit is not None:
         rep.extend(verify_cofree(ms.coring, wit), prefix="comodules.")
         rep.extend(check_cofree_counit_identities(ms.coring, wit), prefix="comodules.")
@@ -143,8 +128,9 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
 
 def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("dual-ring")
+    d = ms.derived
     rng = random.Random(seed)
-    r = dual_ring(ms.coring)
+    r = d.dual_ring
     rep.extend(validate_graded_ring(r), prefix="dual-ring.")
     rep.extend(check_component_bidual(ms.coring, r), prefix="dual-ring.")
     rep.extend(check_dual_basis_comultiplication(ms.coring, r), prefix="dual-ring.")
@@ -165,10 +151,10 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     rm = comodule_to_module(acom, r)
     rep.extend(validate_rmodule(rm), prefix="dual-ring.base-module.")
     rep.extend(validate_graded_module(induce_grading(rm)), prefix="dual-ring.regraded.")
-    rnd = random_comodule(ms.grouplike, rng)
+    rnd = random_comodule(ms.grouplike, rng, d.coinvariants)
     rep.extend(check_functor_square([cg, replicate_comodule(rnd)], [acom, rnd], r),
                prefix="dual-ring.")
-    wit = _witness(ms)
+    wit = d.witness
     if wit is not None:
         _, srep = cofree_dual_group_ring_iso(ms.coring, wit, r)
         rep.extend(srep, prefix="dual-ring.")
@@ -180,41 +166,43 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
 
 def suite_galois(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("galois")
-    verdict, vrep = is_galois(ms.grouplike, ms.base)
-    rep.extend(vrep)
-    wit, drep = galois_decomposition(ms.grouplike)
+    d = ms.derived
+    rep.extend(check_base_ring(ms.base, d.coinvariants))
+    rep.extend(d.galois[1])
+    wit, drep = d.decomposition
     for it in drep.items:
         if it.check_id.startswith("decomposition."):
             rep.add(f"galois.{it.check_id}", it.law, it.passed, it.witness)
     if wit is not None:
-        rep.extend(check_coinvariants_cofree(ms.grouplike, wit), prefix="galois.")
+        rep.extend(check_coinvariants_cofree(ms.grouplike, wit, t=d.coinvariants),
+                   prefix="galois.")
     return rep
 
 
 def suite_structure_theorem(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("structure-theorem")
-    rep.extend(structure_theorem_battery(ms.grouplike, ms.base), prefix="structure-theorem.")
+    d = ms.derived
+    rep.extend(structure_theorem_battery(ms.grouplike, ms.base, t=d.coinvariants,
+                                         galois=d.galois[0]),
+               prefix="structure-theorem.")
     return rep
 
 
 def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("morita")
-    r = dual_ring(ms.coring)
-    chi, chirep = grouplike_character(ms.grouplike, r)
+    d = ms.derived
+    chi, chirep = grouplike_character(ms.grouplike, d.dual_ring)
     rep.extend(chirep, prefix="morita.")
-    t = coinvariant_ring(ms.grouplike)
-    tw = weak_coinvariant_ring(ms.grouplike, r)
     rep.add("morita.coinvariants-agree", "strict and weak coinvariants coincide",
-            row_space(t.basis) == row_space(tw))
-    o_strict = connecting_space(ms.grouplike, r, weak=False)
-    o_weak = connecting_space(ms.grouplike, r, weak=True)
+            row_space(d.coinvariants.basis) == row_space(d.weak_coinvariants.basis))
+    o_strict, o_weak = d.connecting, d.weak_connecting
     rep.add("morita.connecting-agree", "strict and weak connecting spaces coincide",
             row_space(o_strict) == row_space(o_weak),
             f"dims {o_strict.rows} vs {o_weak.rows}")
-    ctx, w, brep = morita_context(ms.grouplike, r)
+    ctx, w, brep = d.morita
     rep.extend(brep, prefix="morita.")
     rep.extend(validate_morita_context(ctx), prefix="morita.")
-    ctx_w, w_w, _ = morita_context(ms.grouplike, r, weak=True)
+    ctx_w, w_w, _ = d.weak_morita
     rep.add("morita.contexts-identified",
             "strict and weak contexts share maps on the common bases",
             w == w_w and ctx.tau == ctx_w.tau and ctx.mu == ctx_w.mu)
@@ -231,22 +219,21 @@ def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
 
 def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("graded-morita")
-    r = dual_ring(ms.coring)
-    t = coinvariant_ring(ms.grouplike)
-    s = coefficient_ring(ms.grouplike, r, t, weak=False)
-    s_w = coefficient_ring(ms.grouplike, r, t, weak=True)
+    d = ms.derived
+    r = d.dual_ring
+    s, s_w = d.coefficients, d.weak_coefficients
     rep.add("graded-morita.coefficients-agree",
             "strict and weak coefficient families coincide",
             row_space(s.basis) == row_space(s_w.basis),
             f"dims {s.basis.rows} vs {s_w.basis.rows}")
-    rep.extend(check_shift_fixed_points(s, t), prefix="graded-morita.")
-    gctx, s2, wq, brep = graded_morita_context(ms.grouplike, r, t=t)
+    rep.extend(check_shift_fixed_points(s, d.coinvariants), prefix="graded-morita.")
+    gctx, _, _, brep = d.graded_morita
     rep.extend(brep, prefix="graded-morita.")
     rep.extend(validate_graded_morita_context(gctx), prefix="graded-morita.")
     strict_verdict, _ = is_strict(gctx.ctx)
     rep.add("graded-morita.strictness", "strictness of the graded context computed", True,
             f"value={strict_verdict}")
-    agm = canonical_graded_module(ms.grouplike, r)
+    agm = d.canonical_module
     rep.extend(check_canonical_graded_action(agm, ms.grouplike, r), prefix="graded-morita.")
     lhs = comodule_to_module(pack_gcomodule(replicate_comodule(
         comodule_from_grouplike(ms.grouplike)))[0], r)
@@ -255,10 +242,13 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep.add("graded-morita.forget-match",
             "forgetting the grading of the canonical module matches the packed dual action",
             rmodules_equal(forget_grading(agm), lhs))
-    rep.extend(check_standard_context_match(ms.grouplike, r), prefix="graded-morita.")
-    wit = _witness(ms)
+    rep.extend(check_standard_context_match(ms.grouplike, r, agm=agm,
+                                            weak_graded=d.weak_graded_morita),
+               prefix="graded-morita.")
+    wit = d.witness
     if wit is not None:
-        rep.extend(check_group_ring_context_match(ms.grouplike, r, wit),
+        rep.extend(check_group_ring_context_match(ms.grouplike, r, wit, t=d.coinvariants,
+                                                  graded=d.graded_morita, slice_ctx=d.slice),
                    prefix="graded-morita.")
     else:
         rep.add("graded-morita.group-ring-context", "group-ring comparison skipped", True,
@@ -268,8 +258,10 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
 
 def suite_section9(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport("section9")
-    r = dual_ring(ms.coring)
-    rep.extend(galois_equivalence_battery(ms.grouplike, ms.base, r), prefix="section9.")
+    d = ms.derived
+    rep.extend(galois_equivalence_battery(ms.grouplike, ms.base, d.dual_ring, t=d.coinvariants,
+                                          graded=d.graded_morita),
+               prefix="section9.")
     return rep
 
 
@@ -281,18 +273,24 @@ def suite_hopf(ms: MainStructure, seed: int) -> CheckReport:
         return rep
     rep.extend(validate_hopf_g_coalgebra(ca.hopf), prefix="hopf.")
     rep.extend(validate_comodule_algebra(ca), prefix="hopf.")
-    verdict, grep = hopf_galois_check(ca)
+    h = ms.derived.hopf or ms.derived  # the derived objects of the induced coring
+    verdict, grep = hopf_galois_check(ca, galois=h.galois, t=h.coinvariants)
     for it in grep.items:
         if "invariants" in it.check_id:
             rep.items.append(it)
     rep.add("hopf.galois-verdict", "Galois verdict of the induced coring computed", True,
             f"value={verdict}")
-    rep.extend(hopf_galois_decomposition_check(ca), prefix="hopf.")
+    rep.extend(hopf_galois_decomposition_check(ca, galois=h.galois,
+                                               decomposition=h.decomposition),
+               prefix="hopf.")
     from corings.algebra import Bimodule
 
     mod = RelativeHopfModule(ca, Bimodule.right_regular(ca.algebra), ca.rho)
-    rep.extend(relative_hopf_module_check(ca, [mod], b=ms.base), prefix="hopf.")
-    sp, lambdas, srep = smash_dual(ca)
+    rep.extend(relative_hopf_module_check(ca, [mod], b=ms.base,
+                                          induced=(h.coring, h.grouplike),
+                                          t=h.coinvariants, galois=h.galois[0]),
+               prefix="hopf.")
+    sp, lambdas, srep = smash_dual(ca, h.dual_ring)
     rep.extend(validate_smash_product(sp), prefix="hopf.")
     rep.extend(srep, prefix="hopf.")
     return rep

@@ -122,3 +122,20 @@ def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path
         runs.append((rc, _item_verdicts(out)))
     assert runs[0][1], "no items reported"
     assert runs[0] == runs[1]
+
+
+def test_zero_dimensional_connecting_space_gives_a_verdict(tmp_path):
+    # A Hopf coalgebra whose comultiplication is not coassociative makes the
+    # connecting space of the classical context zero-dimensional; the maps
+    # assembled column by column out of it must keep their row counts, so
+    # the run ends with failed checks instead of a shape error.
+    text = fixture_file_text("nongalois")
+    good = "delta [[1, 0], [0, 0], [0, 0], [0, 1]]"
+    assert text.count(good) == 1
+    path = tmp_path / "broken-delta.coring"
+    path.write_text(text.replace(good, "delta [[1, 0], [0, 0], [6, 0], [0, 1]]"))
+    rc, out, err = run_cli(["check", str(path), "--suite", "all", "--format", "machine"])
+    assert rc == 1
+    assert "Traceback" not in out + err
+    assert out.rstrip().endswith("verdict fail")
+    assert "item\tgalois.bijective\t" in out

@@ -1,0 +1,160 @@
+"""The objects the suites share through `MainStructure.derived`: each is built
+once per structure, and dropping the structure frees them all."""
+
+import dataclasses
+import gc
+import inspect
+import sys
+import weakref
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+from corings import dualring, galois, morita
+from corings.coring import GroupCoring
+from corings.dualring import GradedRing
+from corings.fixtures import fixture_file_text
+from corings.galois import GrouplikeFamily
+from corings.hopf import coring_from_comodule_algebra
+from corings.structfile import main_structure, parse
+from corings.suites import run_suite
+
+FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
+
+# builder -> (module, the parameters that make up its input)
+BUILDERS = {
+    "dual_ring": (dualring, ("c",)),
+    "coinvariant_ring": (galois, ("x",)),
+    "is_galois": (galois, ("x", "b")),
+    "galois_decomposition": (galois, ("x",)),
+    "connecting_space": (morita, ("x", "r", "weak")),
+    "coefficient_space": (morita, ("x", "r", "weak")),
+    "graded_morita_context": (morita, ("x", "r", "weak")),
+    "canonical_graded_module": (morita, ("x", "r")),
+}
+
+
+def content(obj):
+    """A value equal for inputs with equal content: corings, dual rings and
+    grouplike families compare by identity otherwise."""
+    if isinstance(obj, GroupCoring):
+        return ("coring", obj.group, obj.base, obj.comps,
+                tuple(sorted(obj.delta.items())), obj.counit)
+    if isinstance(obj, GradedRing):
+        return ("dual ring", content(obj.coring))
+    if isinstance(obj, GrouplikeFamily):
+        return ("grouplike", content(obj.coring), obj.vectors)
+    return obj
+
+
+def record_builds(monkeypatch) -> dict:
+    """Rebind every builder in every corings module to a version that logs
+    the content of its input; returns builder name -> list of inputs.
+
+    The dual of the canonical comparison in the section 9 battery builds the
+    dual ring of the comparison's domain, a coring built inside the check
+    from the base morphism; its inputs are logged under their own role, as
+    on some fixtures that coring equals the main one in content."""
+    calls = defaultdict(list)
+    role = []
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "corings" or name.startswith("corings."))]
+    for name, (module, params) in BUILDERS.items():
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+
+        def logged(*args, _original=original, _name=name, _params=params,
+                   _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            key = tuple(content(bound.arguments[p]) for p in _params)
+            calls[_name].append((tuple(role), key))
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, logged)
+    original_dual = dualring.dual_morphism
+
+    def dual_morphism(*args, **kwargs):
+        role.append("comparison domain")
+        try:
+            return original_dual(*args, **kwargs)
+        finally:
+            role.pop()
+
+    monkeypatch.setattr(morita, "dual_morphism", dual_morphism)
+    return calls
+
+
+def distinct(inputs) -> int:
+    seen = []
+    for key in inputs:
+        if key not in seen:
+            seen.append(key)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_suite_all_builds_each_input_once(monkeypatch, name):
+    ms = main_structure(parse(fixture_file_text(name)))
+    calls = record_builds(monkeypatch)
+    run_suite(ms, "all", seed=0)
+    for builder in ("dual_ring", "coinvariant_ring", "is_galois", "galois_decomposition",
+                    "connecting_space", "coefficient_space", "graded_morita_context"):
+        assert calls[builder], builder
+        assert len(calls[builder]) == distinct(calls[builder]), (builder, len(calls[builder]))
+
+
+def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
+    ms = main_structure(parse(C3.read_bytes()))
+    calls = record_builds(monkeypatch)
+    run_suite(ms, "graded-morita", seed=0)
+    counts = {name: (len(calls[name]), distinct(calls[name])) for name in (
+        "connecting_space", "coefficient_space", "coinvariant_ring",
+        "graded_morita_context", "canonical_graded_module")}
+    # strict, weak and identity-slice connecting spaces; strict and weak
+    # coefficients and graded contexts; coinvariants of the family and slice
+    assert counts == {"connecting_space": (3, 3), "coefficient_space": (2, 2),
+                      "coinvariant_ring": (2, 2), "graded_morita_context": (2, 2),
+                      "canonical_graded_module": (1, 1)}
+
+
+def test_parsing_builds_nothing_and_suites_share_one_derived():
+    ms = main_structure(parse(fixture_file_text("regular")))
+    assert "derived" not in vars(ms)
+    d = ms.derived
+    assert not any(name in vars(d) for name in ("dual_ring", "coinvariants", "galois"))
+    run_suite(ms, "morita", seed=0)
+    assert ms.derived is d
+    assert "dual_ring" in vars(d) and "weak_morita" in vars(d)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_dropped_structure_frees_its_derived_objects_without_the_collector(name):
+    ms = main_structure(parse(fixture_file_text(name)))
+    run_suite(ms, "all", seed=0)
+    refs = [weakref.ref(ms.coring.base), weakref.ref(ms.derived),
+            weakref.ref(ms.derived.dual_ring)]
+    gc.collect()
+    gc.disable()
+    try:
+        del ms
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_hopf_suite_reads_the_induced_coring_when_it_is_not_the_main_one():
+    ms = main_structure(parse(fixture_file_text("regular")))
+    cor, x = coring_from_comodule_algebra(ms.comodule_algebra)
+    assert ms.derived.hopf is None  # the main coring is the induced one
+    other = main_structure(parse(fixture_file_text("nongalois")))
+    mixed = dataclasses.replace(ms, coring=other.coring, grouplike=other.grouplike)
+    h = mixed.derived.hopf
+    assert h is not None and content(h.coring) == content(cor)
+    assert h.grouplike.vectors == x.vectors
+    assert run_suite(mixed, "hopf", seed=0).items == run_suite(ms, "hopf", seed=0).items

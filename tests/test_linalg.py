@@ -482,3 +482,64 @@ def test_combine_rejects_mismatched_terms():
         combine(QQ, 2, 2, [Mat.identity(QQ, 2)], [1, 2])
     with pytest.raises(DimensionMismatch):
         combine(QQ, 2, 2, [Mat.identity(QQ, 3)], [1])
+
+
+# -- the factored row-space solver ---------------------------------------------------
+
+def random_basis(field, rng):
+    """Rows of mixed entries, some of them zero and some combinations of
+    earlier rows; now and then no rows or no columns at all."""
+    rows, cols = rng.choice([0, 1, 2, 3, 4, 5]), rng.choice([0, 1, 2, 3, 4, 6])
+    data = []
+    for i in range(rows):
+        kind = rng.random()
+        if kind < 0.15 or not data:
+            row = mixed_mat(field, 1, cols, rng).data if kind >= 0.15 else (field.zero,) * cols
+        elif kind < 0.4:
+            a, b = rng.choice(data), rng.choice(data)
+            c = mixed_mat(field, 1, 1, rng).data[0]
+            row = tuple(field.add(x, field.mul(c, y)) for x, y in zip(a, b))
+        else:
+            row = mixed_mat(field, 1, cols, rng).data
+        data.append(row)
+    return Mat(field, rows, cols, tuple(x for r in data for x in r))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_coords_in_rowspace_matches_the_transposed_solve(field):
+    rng = random.Random(13)
+    outside = 0
+    for _ in range(150):
+        basis = random_basis(field, rng)
+        copy = Mat(basis.field, basis.rows, basis.cols, basis.data)
+        vecs = [mixed_mat(field, 1, basis.cols, rng).data for _ in range(3)]
+        coeffs = mixed_mat(field, 1, basis.rows, rng).data
+        vecs.append(tuple(basis.transpose().apply(coeffs)))  # inside the span
+        for v in vecs + vecs:  # each vector twice on one factored basis
+            got = coords_in_rowspace(basis, v)
+            want = solve(basis.transpose(), v)
+            assert got == want
+            if got is None:
+                outside += 1
+            else:
+                assert type(got) is tuple
+                assert_canonical(field, got)
+                assert tuple(basis.transpose().apply(got)) == v
+        assert basis == copy and hash(basis) == hash(copy) and repr(basis) == repr(copy)
+    assert outside > 0
+
+
+def test_coords_in_rowspace_on_empty_bases():
+    assert coords_in_rowspace(Mat(QQ, 0, 3, ()), (0, 0, 0)) == ()
+    assert coords_in_rowspace(Mat(QQ, 0, 3, ()), (0, 1, 0)) is None
+    assert coords_in_rowspace(Mat(QQ, 2, 0, ()), ()) == (0, 0)
+    assert coords_in_rowspace(Mat(QQ, 0, 0, ()), ()) == ()
+    with pytest.raises(DimensionMismatch):
+        coords_in_rowspace(Mat(QQ, 2, 0, ()), (1,))
+
+
+def test_coords_in_rowspace_gives_dependent_rows_zero():
+    basis = M([[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, Fraction(1, 2), 1]])
+    assert coords_in_rowspace(basis, (1, 3, 2)) == (0, 1, 0, 2)
+    assert coords_in_rowspace(basis, (1, 3, 2)) == solve(basis.transpose(), (1, 3, 2))
+    assert coords_in_rowspace(basis, (0, 0, 1)) is None
