@@ -32,6 +32,7 @@ from corings.coring import (
     validate_group_coring,
     verify_cofree,
 )
+from corings.fixtures import fixture
 from corings.report import CheckItem, CheckReport
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "QuotientSpace",
     "cofree_coring",
     "find_dual_basis",
+    "fixture",
     "is_bimodule_iso",
     "kernel",
     "left_dual",

@@ -346,11 +346,6 @@ def _check_descends(q: QuotientSpace, ambient_mats, side: str) -> None:
             raise ValueError(f"{side} action does not descend to the tensor quotient (index {t})")
 
 
-def induced_map(src: TensorProduct, dst: TensorProduct, f: Mat, g: Mat) -> Mat:
-    """The map f (x)_A g between tensor quotients, computed through sections."""
-    return dst.space.proj @ tensor_k(f, g) @ src.space.sect
-
-
 # -- collapse and contraction helpers ----------------------------------------------
 
 def collapse_right(m: Bimodule) -> Mat:
@@ -446,21 +441,6 @@ def find_dual_basis(m: Bimodule) -> DualBasis | None:
             if t:
                 pairs.append((functionals[u].scale(t), unit_vec(F, m.dim, c)))
     return DualBasis(m, tuple(pairs))
-
-
-def check_dual_basis(db: DualBasis) -> bool:
-    m = db.module
-    F = m.base.field
-    for j in range(m.dim):
-        e = unit_vec(F, m.dim, j)
-        acc = [F.zero] * m.dim
-        for f, vec in db.pairs:
-            a = f.apply(e)
-            img = m.left_act(a).apply(vec)
-            acc = [F.add(x, y) for x, y in zip(acc, img)]
-        if tuple(acc) != e:
-            return False
-    return True
 
 
 # -- module predicates ------------------------------------------------------------

@@ -147,13 +147,6 @@ def validate_coring_morphism(f: GroupCoringMorphism, suite: str = "coring-morphi
     return rep
 
 
-def is_coring_iso(f: GroupCoringMorphism) -> bool:
-    return all(
-        is_bimodule_iso(BimoduleMap(f.src.comps[a], f.dst.comps[a], f.maps[a]))
-        for a in f.src.group.elements()
-    )
-
-
 # -- cofree corings -----------------------------------------------------------------
 
 class CofreeWitness:
@@ -349,18 +342,7 @@ def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
 
 
 def group_corings_equal(c1: GroupCoring, c2: GroupCoring) -> bool:
-    """Structural equality: same dims, same structure matrices per index."""
-    g = c1.group
-    if g.order != c2.group.order or g.table != c2.group.table:
-        return False
-    for a in g.elements():
-        if c1.comps[a].dim != c2.comps[a].dim:
-            return False
-        if c1.comps[a].left != c2.comps[a].left or c1.comps[a].right != c2.comps[a].right:
-            return False
-    if c1.counit != c2.counit:
-        return False
-    for key in c1.delta:
-        if c1.delta[key] != c2.delta[key]:
-            return False
-    return True
+    """Structural equality: same group, base algebra, components, structure
+    matrices and counit."""
+    return (c1.group, c1.base, c1.comps, c1.delta, c1.counit) == \
+        (c2.group, c2.base, c2.comps, c2.delta, c2.counit)

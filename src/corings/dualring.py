@@ -99,28 +99,6 @@ class GradedAlgebra:
         return tuple(total_vec[self.offsets[a]: self.offsets[a] + self.dims[a]])
 
 
-def validate_graded_algebra(ga: GradedAlgebra, suite: str = "graded-algebra") -> CheckReport:
-    rep = CheckReport(suite)
-    g = ga.group
-    A = ga.algebra
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            for i in range(ga.dims[a]):
-                for j in range(ga.dims[b]):
-                    x = A.basis_vec(ga.offsets[a] + i)
-                    y = A.basis_vec(ga.offsets[b] + j)
-                    prod = A.multiply(x, y)
-                    for k, v in enumerate(prod):
-                        if v and not (ga.offsets[ab] <= k < ga.offsets[ab] + ga.dims[ab]):
-                            bad.append((a, b, i, j))
-                            break
-    rep.add("grading.multiplicative", "homogeneous products land in the product degree",
-            not bad, f"failing: {bad[:5]}" if bad else "")
-    return rep
-
-
 def group_ring(base: Algebra, group: FiniteGroup) -> GradedAlgebra:
     """base[G]: one copy of base per degree, (x u_a)(y u_b) = xy u_{ab}."""
     F = base.field

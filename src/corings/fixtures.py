@@ -22,7 +22,6 @@ from corings.groups import FiniteGroup
 from corings.hopf import (
     ComoduleAlgebra,
     HopfAlgebra,
-    HopfGCoalgebra,
     cofree_hopf,
     coring_from_comodule_algebra,
     group_hopf_algebra,
@@ -108,16 +107,6 @@ def fixture(name: str) -> Fixture:
         return FIXTURE_BUILDERS[name]()
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURE_BUILDERS)}") from None
-
-
-@lru_cache(maxsize=None)
-def bad_antipode_hopf() -> HopfGCoalgebra:
-    """Cofree family on the order-three group algebra with the antipode
-    replaced by the identity: every axiom holds except the antipode law."""
-    c3 = FiniteGroup.cyclic(3)
-    ha = group_hopf_algebra(QQ, c3)
-    broken = HopfAlgebra(ha.algebra, ha.delta, ha.counit, Mat.identity(QQ, 3))
-    return cofree_hopf(broken, FiniteGroup.cyclic(2))
 
 
 # -- structure-file emission -----------------------------------------------------------

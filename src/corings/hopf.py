@@ -103,49 +103,6 @@ def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
     return HopfAlgebra(alg, delta, counit, antipode)
 
 
-def validate_hopf_algebra(h: HopfAlgebra, suite: str = "hopf-algebra") -> CheckReport:
-    rep = CheckReport(suite)
-    a = h.algebra
-    F = a.field
-    rep.extend(validate_algebra(a), prefix="underlying.")
-    ident = Mat.identity(F, a.dim)
-    lhs = tensor_k(h.delta, ident) @ h.delta
-    rhs = tensor_k(ident, h.delta) @ h.delta
-    rep.add("hopf.coassociative", "comultiplication coassociativity", lhs == rhs)
-    rep.add("hopf.counit", "counit laws",
-            tensor_k(ident, h.counit) @ h.delta == ident
-            and tensor_k(h.counit, ident) @ h.delta == ident)
-    bad = [
-        (i, j)
-        for i in range(a.dim)
-        for j in range(a.dim)
-        if h.delta.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
-        != tensor_multiply(a, a, h.delta.col(i), h.delta.col(j))
-    ]
-    rep.add("hopf.delta-multiplicative", "comultiplication is an algebra map",
-            not bad, f"failing pairs: {bad[:5]}" if bad else "")
-    rep.add("hopf.delta-unital", "comultiplication preserves the unit",
-            h.delta.apply(a.unit) == tensor_vec(F, a.unit, a.unit))
-    bad = [
-        (i, j)
-        for i in range(a.dim)
-        for j in range(a.dim)
-        if h.counit.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
-        != (F.mul(h.counit.at(0, i), h.counit.at(0, j)),)
-    ]
-    rep.add("hopf.counit-multiplicative", "counit is an algebra map",
-            not bad and h.counit.apply(a.unit) == (F.one,),
-            f"failing pairs: {bad[:5]}" if bad else "")
-    mm = mult_matrix(a)
-    anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
-    anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
-    unit_eps = Mat.from_cols(F, [tuple(F.mul(h.counit.at(0, i), u) for u in a.unit)
-                                 for i in range(a.dim)])
-    rep.add("hopf.antipode", "antipode law",
-            anti1 == unit_eps and anti2 == unit_eps)
-    return rep
-
-
 # -- group-indexed Hopf coalgebras -----------------------------------------------------
 
 class HopfGCoalgebra:

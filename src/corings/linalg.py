@@ -471,22 +471,53 @@ def tensor_vec(field: Field, u, v) -> tuple:
 
 @dataclass(frozen=True)
 class QuotientSpace:
-    """Ambient space modulo the row span of `relations`.
+    """Ambient space modulo the kernel of `proj`.
 
     proj maps ambient coordinates onto quotient coordinates, sect picks the
     canonical representative of each class; proj @ sect is the identity and
-    proj annihilates every relation row.
+    the representatives are the unit vectors of the free ambient columns.
     """
 
     field: Field
     ambient_dim: int
-    relations: Mat  # canonical (row_space) form
     proj: Mat       # dim x ambient_dim
     sect: Mat       # ambient_dim x dim
     dim: int
 
     def project(self, v) -> tuple:
         return self.proj.apply(v)
+
+    @cached_property
+    def relations(self) -> Mat:
+        """The kernel of proj in canonical (row_space) form: for each
+        non-free column c in ascending order, e_c minus the sum of
+        proj[q, c] e_free(q).  This is the rref of any relation matrix the
+        space is the quotient by."""
+        F, n = self.field, self.ambient_dim
+        free = [c for c in range(n) if any(self.sect.row(c))]
+        freeset = set(free)
+        rows = []
+        for c in range(n):
+            if c in freeset:
+                continue
+            row = [F.zero] * n
+            row[c] = F.one
+            for q, fc in enumerate(free):
+                x = self.proj.at(q, c)
+                if x:
+                    row[fc] = F.neg(x)
+            rows.extend(row)
+        return Mat(F, n - self.dim, n, tuple(rows))
+
+
+def _quotient_on(field: Field, ambient_dim: int, free, proj: Mat) -> QuotientSpace:
+    """The quotient whose basis is the classes of the ambient columns free
+    (ascending), for a proj that is the identity on those columns."""
+    dim = len(free)
+    sect = [field.zero] * (ambient_dim * dim)
+    for q, c in enumerate(free):
+        sect[c * dim + q] = field.one
+    return QuotientSpace(field, ambient_dim, proj, Mat(field, ambient_dim, dim, tuple(sect)), dim)
 
 
 def quotient_by(field: Field, ambient_dim: int, relations: Mat | None) -> QuotientSpace:
@@ -500,26 +531,19 @@ def quotient_by(field: Field, ambient_dim: int, relations: Mat | None) -> Quotie
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relation width vs ambient dimension")
     r, pivots = rref_pivots(relations)
-    canon = Mat(field, len(pivots), ambient_dim, r.data[: len(pivots) * ambient_dim])
     pivset = set(pivots)
     free = [c for c in range(ambient_dim) if c not in pivset]
-    dim = len(free)
     F = field
     # proj: e_free -> corresponding class; e_pivot -> -sum of rref tail over free cols
-    proj_rows = [[F.zero] * ambient_dim for _ in range(dim)]
+    proj = [F.zero] * (len(free) * ambient_dim)
     for qi, c in enumerate(free):
-        proj_rows[qi][c] = F.one
+        proj[qi * ambient_dim + c] = F.one
     for i, pc in enumerate(pivots):
         for qi, c in enumerate(free):
-            x = canon.at(i, c)
+            x = r.at(i, c)
             if x:
-                proj_rows[qi][pc] = F.neg(x)
-    proj = Mat(F, dim, ambient_dim, tuple(x for row in proj_rows for x in row))
-    sect_rows = [[F.zero] * dim for _ in range(ambient_dim)]
-    for qi, c in enumerate(free):
-        sect_rows[c][qi] = F.one
-    sect = Mat(F, ambient_dim, dim, tuple(x for row in sect_rows for x in row))
-    return QuotientSpace(F, ambient_dim, canon, proj, sect, dim)
+                proj[qi * ambient_dim + pc] = F.neg(x)
+    return _quotient_on(F, ambient_dim, free, Mat(F, len(free), ambient_dim, tuple(proj)))
 
 
 def balanced_quotient(field: Field, dim_m: int, dim_n: int,
@@ -560,56 +584,25 @@ def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
 
     acts12 = (right action mats on factor 1, left action mats on factor 2),
     acts23 = (right action mats on factor 2, left action mats on factor 3).
+    It is built as (M (x)_A N) (x)_A P from two balanced quotients, and
+    equals the quotient by the relations of both junctions, basis included,
+    whenever the right actions on factor 2 descend to M (x)_A N, as they do
+    for a bimodule.
     """
     F = field
     total = d1 * d2 * d3
-    rows = []
-    r12, l12 = acts12
-    for R, L in zip(r12, l12):
-        for i in range(d1):
-            mcol = R.col(i)
-            for k in range(d2):
-                ncol = L.col(k)
-                base = [F.zero] * (d1 * d2)
-                for a, x in enumerate(mcol):
-                    if x:
-                        base[a * d2 + k] = F.add(base[a * d2 + k], x)
-                for b, y in enumerate(ncol):
-                    if y:
-                        base[i * d2 + b] = F.sub(base[i * d2 + b], y)
-                if any(base):
-                    for w in range(d3):
-                        row = [F.zero] * total
-                        for idx, v in enumerate(base):
-                            if v:
-                                row[idx * d3 + w] = v
-                        rows.append(row)
-    r23, l23 = acts23
-    for R, L in zip(r23, l23):
-        for k in range(d2):
-            mcol = R.col(k)
-            for w in range(d3):
-                ncol = L.col(w)
-                base = [F.zero] * (d2 * d3)
-                for a, x in enumerate(mcol):
-                    if x:
-                        base[a * d3 + w] = F.add(base[a * d3 + w], x)
-                for b, y in enumerate(ncol):
-                    if y:
-                        base[k * d3 + b] = F.sub(base[k * d3 + b], y)
-                if any(base):
-                    for u in range(d1):
-                        row = [F.zero] * total
-                        off = u * d2 * d3
-                        for idx, v in enumerate(base):
-                            if v:
-                                row[off + idx] = v
-                        rows.append(row)
-    if rows:
-        rel = Mat(F, len(rows), total, tuple(x for row in rows for x in row))
-    else:
-        rel = None
-    return quotient_by(F, total, rel)
+    q12 = balanced_quotient(F, d1, d2, *acts12)
+    ident = Mat.identity(F, d1)
+    outer = [q12.proj @ tensor_k(ident, R) @ q12.sect for R in acts23[0]]
+    q = balanced_quotient(F, q12.dim, d3, outer, acts23[1])
+    pi = q.proj @ tensor_k(q12.proj, Mat.identity(F, d3))
+    # Column c is a pivot of the rref of the relations exactly when pi(e_c)
+    # lies in the span of the pi(e_c') with c' > c, so the free columns are
+    # the pivots of pi with its columns reversed.
+    _, rev_pivots = _rref_rows(F, [row[::-1] for row in pi.row_lists()])
+    free = sorted(total - 1 - c for c in rev_pivots)
+    on_free = Mat._from_cols(F, [pi.col(c) for c in free], q.dim)
+    return _quotient_on(F, total, free, inverse(on_free) @ pi)
 
 
 def sandwich_operator(P: Mat, S: Mat, fn: int, fm: int) -> Mat:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from corings.algebra import Algebra, Bimodule
-from corings.coring import CofreeWitness, GroupCoring
+from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
 from corings.dualring import GradedModule, GradedRing, dual_ring
 from corings.galois import (
     CanonicalMorphism,
@@ -510,11 +510,6 @@ def main_structure(sf: StructureFile) -> MainStructure:
     )
 
 
-def _same_coring(c1: GroupCoring, c2: GroupCoring) -> bool:
-    return (c1.group, c1.base, c1.comps, c1.delta, c1.counit) == \
-        (c2.group, c2.base, c2.comps, c2.delta, c2.counit)
-
-
 class Derived:
     """What the check suites derive from a coring with a grouplike family:
     the dual ring, the coinvariants, the Galois data and the (graded) Morita
@@ -620,6 +615,6 @@ class Derived:
         with its canonical family; None when those equal the coring and
         family here in content, whose derived objects then serve both."""
         cor, x = coring_from_comodule_algebra(self.comodule_algebra)
-        if _same_coring(cor, self.coring) and x.vectors == self.grouplike.vectors:
+        if group_corings_equal(cor, self.coring) and x.vectors == self.grouplike.vectors:
             return None
         return Derived(cor, x)

@@ -1,0 +1,197 @@
+"""Code the tests share that the library itself never calls.
+
+* `dense_triple_quotient` is the reference for
+  `linalg.triple_balanced_quotient`: it writes every balanced relation of
+  both junctions over the d1*d2*d3 ambient columns and eliminates them in
+  one matrix.
+* The other functions are checks and objects only the tests use: the
+  dual-basis identity, tensor quotient maps, coring isomorphisms, the
+  graded-algebra and Hopf-algebra axioms and a Hopf family with a broken
+  antipode.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from corings.algebra import (
+    BimoduleMap,
+    DualBasis,
+    TensorProduct,
+    is_bimodule_iso,
+    validate_algebra,
+)
+from corings.coring import GroupCoringMorphism
+from corings.dualring import GradedAlgebra
+from corings.groups import FiniteGroup
+from corings.hopf import (
+    HopfAlgebra,
+    HopfGCoalgebra,
+    cofree_hopf,
+    group_hopf_algebra,
+    mult_matrix,
+    tensor_multiply,
+)
+from corings.linalg import Mat, QuotientSpace, quotient_by, tensor_k, tensor_vec, unit_vec
+from corings.report import CheckReport
+from corings.scalars import QQ, Field
+
+
+def dense_triple_quotient(field: Field, d1: int, d2: int, d3: int,
+                          acts12, acts23) -> QuotientSpace:
+    """Quotient of k^(d1*d2*d3) by middle relations at both junctions.
+
+    acts12 = (right action mats on factor 1, left action mats on factor 2),
+    acts23 = (right action mats on factor 2, left action mats on factor 3).
+    """
+    F = field
+    total = d1 * d2 * d3
+    rows = []
+    r12, l12 = acts12
+    for R, L in zip(r12, l12):
+        for i in range(d1):
+            mcol = R.col(i)
+            for k in range(d2):
+                ncol = L.col(k)
+                base = [F.zero] * (d1 * d2)
+                for a, x in enumerate(mcol):
+                    if x:
+                        base[a * d2 + k] = F.add(base[a * d2 + k], x)
+                for b, y in enumerate(ncol):
+                    if y:
+                        base[i * d2 + b] = F.sub(base[i * d2 + b], y)
+                if any(base):
+                    for w in range(d3):
+                        row = [F.zero] * total
+                        for idx, v in enumerate(base):
+                            if v:
+                                row[idx * d3 + w] = v
+                        rows.append(row)
+    r23, l23 = acts23
+    for R, L in zip(r23, l23):
+        for k in range(d2):
+            mcol = R.col(k)
+            for w in range(d3):
+                ncol = L.col(w)
+                base = [F.zero] * (d2 * d3)
+                for a, x in enumerate(mcol):
+                    if x:
+                        base[a * d3 + w] = F.add(base[a * d3 + w], x)
+                for b, y in enumerate(ncol):
+                    if y:
+                        base[k * d3 + b] = F.sub(base[k * d3 + b], y)
+                if any(base):
+                    for u in range(d1):
+                        row = [F.zero] * total
+                        off = u * d2 * d3
+                        for idx, v in enumerate(base):
+                            if v:
+                                row[off + idx] = v
+                        rows.append(row)
+    if rows:
+        rel = Mat(F, len(rows), total, tuple(x for row in rows for x in row))
+    else:
+        rel = None
+    return quotient_by(F, total, rel)
+
+
+def induced_map(src: TensorProduct, dst: TensorProduct, f: Mat, g: Mat) -> Mat:
+    """The map f (x)_A g between tensor quotients, computed through sections."""
+    return dst.space.proj @ tensor_k(f, g) @ src.space.sect
+
+
+def check_dual_basis(db: DualBasis) -> bool:
+    m = db.module
+    F = m.base.field
+    for j in range(m.dim):
+        e = unit_vec(F, m.dim, j)
+        acc = [F.zero] * m.dim
+        for f, vec in db.pairs:
+            a = f.apply(e)
+            img = m.left_act(a).apply(vec)
+            acc = [F.add(x, y) for x, y in zip(acc, img)]
+        if tuple(acc) != e:
+            return False
+    return True
+
+
+def is_coring_iso(f: GroupCoringMorphism) -> bool:
+    return all(
+        is_bimodule_iso(BimoduleMap(f.src.comps[a], f.dst.comps[a], f.maps[a]))
+        for a in f.src.group.elements()
+    )
+
+
+def validate_graded_algebra(ga: GradedAlgebra, suite: str = "graded-algebra") -> CheckReport:
+    rep = CheckReport(suite)
+    g = ga.group
+    A = ga.algebra
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            for i in range(ga.dims[a]):
+                for j in range(ga.dims[b]):
+                    x = A.basis_vec(ga.offsets[a] + i)
+                    y = A.basis_vec(ga.offsets[b] + j)
+                    prod = A.multiply(x, y)
+                    for k, v in enumerate(prod):
+                        if v and not (ga.offsets[ab] <= k < ga.offsets[ab] + ga.dims[ab]):
+                            bad.append((a, b, i, j))
+                            break
+    rep.add("grading.multiplicative", "homogeneous products land in the product degree",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    return rep
+
+
+def validate_hopf_algebra(h: HopfAlgebra, suite: str = "hopf-algebra") -> CheckReport:
+    rep = CheckReport(suite)
+    a = h.algebra
+    F = a.field
+    rep.extend(validate_algebra(a), prefix="underlying.")
+    ident = Mat.identity(F, a.dim)
+    lhs = tensor_k(h.delta, ident) @ h.delta
+    rhs = tensor_k(ident, h.delta) @ h.delta
+    rep.add("hopf.coassociative", "comultiplication coassociativity", lhs == rhs)
+    rep.add("hopf.counit", "counit laws",
+            tensor_k(ident, h.counit) @ h.delta == ident
+            and tensor_k(h.counit, ident) @ h.delta == ident)
+    bad = [
+        (i, j)
+        for i in range(a.dim)
+        for j in range(a.dim)
+        if h.delta.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
+        != tensor_multiply(a, a, h.delta.col(i), h.delta.col(j))
+    ]
+    rep.add("hopf.delta-multiplicative", "comultiplication is an algebra map",
+            not bad, f"failing pairs: {bad[:5]}" if bad else "")
+    rep.add("hopf.delta-unital", "comultiplication preserves the unit",
+            h.delta.apply(a.unit) == tensor_vec(F, a.unit, a.unit))
+    bad = [
+        (i, j)
+        for i in range(a.dim)
+        for j in range(a.dim)
+        if h.counit.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
+        != (F.mul(h.counit.at(0, i), h.counit.at(0, j)),)
+    ]
+    rep.add("hopf.counit-multiplicative", "counit is an algebra map",
+            not bad and h.counit.apply(a.unit) == (F.one,),
+            f"failing pairs: {bad[:5]}" if bad else "")
+    mm = mult_matrix(a)
+    anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
+    anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
+    unit_eps = Mat.from_cols(F, [tuple(F.mul(h.counit.at(0, i), u) for u in a.unit)
+                                 for i in range(a.dim)])
+    rep.add("hopf.antipode", "antipode law",
+            anti1 == unit_eps and anti2 == unit_eps)
+    return rep
+
+
+@lru_cache(maxsize=None)
+def bad_antipode_hopf() -> HopfGCoalgebra:
+    """Cofree family on the order-three group algebra with the antipode
+    replaced by the identity: every axiom holds except the antipode law."""
+    c3 = FiniteGroup.cyclic(3)
+    ha = group_hopf_algebra(QQ, c3)
+    broken = HopfAlgebra(ha.algebra, ha.delta, ha.counit, Mat.identity(QQ, 3))
+    return cofree_hopf(broken, FiniteGroup.cyclic(2))

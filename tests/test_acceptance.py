@@ -30,7 +30,7 @@ from corings.dualring import (
     validate_graded_ring,
 )
 from corings.comodules import gcomodules_equal
-from corings.fixtures import bad_antipode_hopf, fixture, fixture_file_text
+from corings.fixtures import fixture, fixture_file_text
 from corings.galois import (
     coinvariant_ring,
     comodule_from_grouplike,
@@ -56,6 +56,7 @@ from corings.morita import (
     is_strict,
     weak_coinvariant_ring,
 )
+from helpers import bad_antipode_hopf
 
 ALL_FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 

@@ -8,12 +8,10 @@ from corings.algebra import (
     Algebra,
     BimoduleMap,
     Bimodule,
-    check_dual_basis,
     collapse_left,
     collapse_right,
     field_algebra,
     find_dual_basis,
-    induced_map,
     is_bimodule_iso,
     left_dual,
     left_module_predicates,
@@ -27,6 +25,7 @@ from corings.algebra import (
 )
 from corings.linalg import Mat
 from corings.scalars import QQ
+from helpers import check_dual_basis, induced_map
 
 
 QQ1 = field_algebra(QQ)

@@ -7,7 +7,6 @@ from corings.coring import (
     check_cofree_counit_identities,
     cofree_coring,
     group_corings_equal,
-    is_coring_iso,
     pack_graded_coring,
     trivial_coring,
     unpack_graded_coring,
@@ -19,6 +18,7 @@ from corings.fixtures import fixture
 from corings.groups import FiniteGroup
 from corings.linalg import Mat
 from corings.scalars import QQ
+from helpers import is_coring_iso
 
 
 def test_trivial_coring_is_valid():

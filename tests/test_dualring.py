@@ -25,7 +25,6 @@ from corings.dualring import (
     induce_grading,
     is_graded_ring_iso,
     rmodules_equal,
-    validate_graded_algebra,
     validate_graded_ring,
     validate_graded_ring_morphism,
     validate_graded_module,
@@ -43,6 +42,7 @@ from corings.galois import (
 from corings.groups import FiniteGroup
 from corings.linalg import Mat
 from corings.scalars import QQ
+from helpers import validate_graded_algebra
 
 
 def witness_of(name):

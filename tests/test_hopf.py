@@ -4,7 +4,7 @@ modules and the smash-product form of the dual ring."""
 from corings.algebra import Bimodule, field_algebra, validate_bimodule
 from corings.coring import validate_group_coring
 from corings.dualring import dual_ring
-from corings.fixtures import bad_antipode_hopf, fixture
+from corings.fixtures import fixture
 from corings.galois import coinvariant_ring, galois_decomposition, validate_grouplike
 from corings.groups import FiniteGroup
 from corings.hopf import (
@@ -22,12 +22,12 @@ from corings.hopf import (
     trivial_comodule_algebra,
     trivial_hopf,
     validate_comodule_algebra,
-    validate_hopf_algebra,
     validate_hopf_g_coalgebra,
     validate_smash_product,
 )
 from corings.linalg import Mat, row_space
 from corings.scalars import QQ
+from helpers import bad_antipode_hopf, validate_hopf_algebra
 
 
 def test_group_hopf_algebras_validate():

@@ -1,10 +1,22 @@
 """Exact linear algebra core: frozen examples plus seeded property checks."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from corings import algebra, linalg
+from corings.algebra import Bimodule, product_field_algebra, validate_bimodule
+from corings.fixtures import fixture_file_text
+from corings.groups import FiniteGroup
+from corings.hopf import (
+    cofree_hopf,
+    coring_from_comodule_algebra,
+    group_hopf_algebra,
+    regular_comodule_algebra,
+)
 from corings.linalg import (
     LinearSystem,
     Mat,
@@ -25,9 +37,13 @@ from corings.linalg import (
     tensor_k,
     tensor_slice_operator,
     tensor_vec,
+    triple_balanced_quotient,
     vstack,
 )
 from corings.scalars import GF, QQ, DimensionMismatch, FieldMismatch
+from corings.structfile import main_structure, parse
+from corings.suites import run_suite
+from helpers import dense_triple_quotient
 
 
 def M(rows, field=QQ):
@@ -543,3 +559,114 @@ def test_coords_in_rowspace_gives_dependent_rows_zero():
     assert coords_in_rowspace(basis, (1, 3, 2)) == (0, 1, 0, 2)
     assert coords_in_rowspace(basis, (1, 3, 2)) == solve(basis.transpose(), (1, 3, 2))
     assert coords_in_rowspace(basis, (0, 0, 1)) is None
+
+
+# -- triple quotients against the dense reference ----------------------------------
+
+FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
+FIELD_LINES = ("field Q", "field Fp 1000003")
+
+
+def same_quotient(q: QuotientSpace, ref: QuotientSpace) -> bool:
+    return (q.dim, q.proj, q.sect, q.relations) == (ref.dim, ref.proj, ref.sect, ref.relations)
+
+
+def triple_args(m: Bimodule, n: Bimodule, p: Bimodule) -> tuple:
+    return (m.base.field, m.dim, n.dim, p.dim, (m.right, n.left), (n.right, p.left))
+
+
+def load(name: str, field_line: str = "field Q"):
+    text = fixture_file_text(name)
+    assert "\nfield Q\n" in text
+    return main_structure(parse(text.replace("\nfield Q\n", f"\n{field_line}\n")))
+
+
+def assert_triples_match_the_reference(mods):
+    for m in mods:
+        assert validate_bimodule(m).ok
+    for m, n, p in itertools.product(mods, repeat=3):
+        args = triple_args(m, n, p)
+        assert same_quotient(triple_balanced_quotient(*args), dense_triple_quotient(*args))
+
+
+@pytest.mark.parametrize("field_line", FIELD_LINES)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_triple_quotient_of_fixture_bimodules_matches_the_dense_reference(name, field_line):
+    cor = load(name, field_line).coring
+    A = cor.base
+    empty = tuple(Mat.zeros(A.field, 0, 0) for _ in range(A.dim))
+    zero = Bimodule(A, 0, empty, empty)
+    assert_triples_match_the_reference(list(cor.comps) + [Bimodule.regular(A), zero])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1000003)])
+def test_triple_quotient_of_simple_bimodules_matches_the_dense_reference(field):
+    # Over k x k the simple bimodule S_i has both idempotents acting by
+    # delta_ik, so S_0 (x) S_1 vanishes and S_0 (x) S_0 is one-dimensional.
+    A = product_field_algebra(field, 2)
+    s0, s1 = (Bimodule(A, 1, acts, acts)
+              for acts in (tuple(Mat.from_rows(field, [[int(k == i)]]) for k in range(2))
+                           for i in range(2)))
+    assert_triples_match_the_reference([s0, s1, Bimodule.regular(A)])
+    assert triple_balanced_quotient(*triple_args(s0, s1, s1)).dim == 0
+    assert triple_balanced_quotient(*triple_args(s1, s1, s1)).dim == 1
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_triple_of_a_full_run_matches_the_dense_reference(monkeypatch, name):
+    built = []
+    real = algebra.triple_balanced_quotient
+
+    def recording(*args):
+        q = real(*args)
+        built.append((args, q))
+        return q
+
+    monkeypatch.setattr(algebra, "triple_balanced_quotient", recording)
+    ms = load(name)
+    run_suite(ms, "all", seed=0)
+    memo = ms.coring.base.quotients
+    triples = {key: q for key, q in memo.items() if len(key) == 7}
+    assert triples
+    assert all(any(q is value for _, q in built) for value in triples.values())
+    for args, q in built:
+        assert same_quotient(q, dense_triple_quotient(*args))
+
+
+@lru_cache(maxsize=None)
+def c3_components() -> tuple:
+    """The three 9-dimensional components of the coring of regular k[C_3]."""
+    g = FiniteGroup.cyclic(3)
+    ha = group_hopf_algebra(QQ, g)
+    cor, _ = coring_from_comodule_algebra(regular_comodule_algebra(cofree_hopf(ha, g), ha))
+    return cor.comps
+
+
+def test_triple_quotient_of_c3_components_matches_the_dense_reference():
+    args = triple_args(*c3_components())
+    assert same_quotient(triple_balanced_quotient(*args), dense_triple_quotient(*args))
+
+
+def test_triple_quotient_eliminates_nothing_over_the_flat_space(monkeypatch):
+    shapes = []
+    real = linalg._rref_rows
+
+    def recording(field, rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return real(field, rows)
+
+    monkeypatch.setattr(linalg, "_rref_rows", recording)
+    m, n, p = c3_components()
+    q = triple_balanced_quotient(*triple_args(m, n, p))
+    flat = m.dim * n.dim * p.dim
+    assert (flat, q.dim) == (729, 81)
+    assert shapes and all(rows <= q.dim for rows, cols in shapes if cols == flat)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_derived_relations_are_the_row_space_of_the_input(field):
+    rng = random.Random(9)
+    for _ in range(40):
+        amb, nrel, inner = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        rel = mixed_mat(field, nrel, inner, rng) @ mixed_mat(field, inner, amb, rng)
+        assert quotient_by(field, amb, rel).relations == row_space(rel)

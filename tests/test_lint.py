@@ -2,8 +2,10 @@
 
 * No module imports a name it never uses (names listed in `__all__` count
   as used, `from __future__` imports are exempt).
-* Every private module-level function is referenced somewhere in the
-  library, so helpers that lost their last caller are deleted with it.
+* Every module-level function, public or private, is referenced somewhere
+  in the library, so code that lost its last library caller is deleted
+  with it or moved to the tests (names listed in `__all__` count as
+  references).
 """
 
 import ast
@@ -70,7 +72,7 @@ def unused_imports(path: Path) -> list:
     return sorted((line, name) for name, line in _imported_names(tree).items() if name not in used)
 
 
-def unreferenced_private_functions(paths) -> list:
+def unreferenced_functions(paths) -> list:
     trees = {path: _tree(path) for path in paths}
     referenced = set()
     for tree in trees.values():
@@ -81,10 +83,10 @@ def unreferenced_private_functions(paths) -> list:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
+        referenced |= _exported(tree)
     return sorted((path.name, node.name) for path, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and node.name.startswith("_") and not node.name.startswith("__")
-                  and node.name not in referenced)
+                  and not node.name.startswith("__") and node.name not in referenced)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -92,8 +94,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_every_private_function_is_referenced():
-    assert unreferenced_private_functions(MODULES) == []
+def test_every_function_is_referenced():
+    assert unreferenced_functions(MODULES) == []
 
 
 def test_the_checks_catch_what_they_look_for(tmp_path):
@@ -103,10 +105,25 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "import os\n"
         "from json import dumps, loads\n"
         "from typing import Any\n"
-        "__all__ = ['loads']\n"
+        "__all__ = ['loads', 'exported']\n"
         "def _used() -> 'Any':\n"
         "    return dumps(1)\n"
         "def _dead():\n"
-        "    return _used()\n")
+        "    return _used()\n"
+        "def exported():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def called_elsewhere():\n"
+        "    return 2\n"
+        "def orphan():\n"
+        "    return 3\n")
+    other = tmp_path / "other.py"
+    other.write_text("import sample\n"
+                     "def _run():\n"
+                     "    return sample.called_elsewhere()\n"
+                     "RESULT = _run()\n")
     assert unused_imports(src) == [(2, "os")]
-    assert unreferenced_private_functions([src]) == [("sample.py", "_dead")]
+    assert unreferenced_functions([src]) == [
+        ("sample.py", "_dead"), ("sample.py", "called_elsewhere"), ("sample.py", "orphan")]
+    assert unreferenced_functions([src, other]) == [("sample.py", "_dead"), ("sample.py", "orphan")]

@@ -4,7 +4,7 @@ battery of equivalent Galois characterizations."""
 import pytest
 
 from corings.algebra import field_algebra
-from corings.dualring import dual_ring, validate_graded_algebra
+from corings.dualring import dual_ring
 from corings.fixtures import fixture
 from corings.galois import coinvariant_ring, galois_decomposition
 from corings.linalg import Mat, rank, row_space, tensor_vec
@@ -35,6 +35,7 @@ from corings.morita import (
     _ring_as_module,
 )
 from corings.scalars import QQ
+from helpers import validate_graded_algebra
 
 
 def witness_of(name):
