@@ -143,8 +143,8 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     return alg, incl
 
 
-def validate_algebra(a: Algebra, suite: str = "algebra") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_algebra(a: Algebra) -> CheckReport:
+    rep = CheckReport()
     ok_assoc = []
     for i in range(a.dim):
         for j in range(a.dim):
@@ -202,8 +202,8 @@ class Bimodule:
         return Bimodule(self.base, self.dim, None, self.right)
 
 
-def validate_bimodule(m: Bimodule, suite: str = "bimodule") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_bimodule(m: Bimodule) -> CheckReport:
+    rep = CheckReport()
     A = m.base
     F = A.field
     ident = Mat.identity(F, m.dim)
@@ -248,8 +248,8 @@ class BimoduleMap:
     mat: Mat  # dst.dim x src.dim
 
 
-def validate_bimodule_map(f: BimoduleMap, suite: str = "bimodule-map") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_bimodule_map(f: BimoduleMap) -> CheckReport:
+    rep = CheckReport()
     A = f.src.base
     if f.src.left is not None and f.dst.left is not None:
         bad = [i for i in range(A.dim) if f.mat @ f.src.left[i] != f.dst.left[i] @ f.mat]

@@ -31,7 +31,7 @@ def _machine_report(rep: CheckReport, source: str, suite: str, seed: int) -> str
 
 
 def _text_report(rep: CheckReport, source: str, suite: str, seed: int) -> str:
-    lines = [f"source: {source}", f"seed: {seed}", rep.to_text()]
+    lines = [f"source: {source}", f"seed: {seed}", rep.to_text(suite)]
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,7 @@ from corings.linalg import (
     LinearSystem,
     Mat,
     QuotientSpace,
+    block_matrix,
     hstack,
     tensor_k,
     vstack,
@@ -68,8 +69,8 @@ class GComodule:
 
 # -- validators ---------------------------------------------------------------------
 
-def validate_comodule(m: Comodule, suite: str = "comodule") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_comodule(m: Comodule) -> CheckReport:
+    rep = CheckReport()
     c = m.coring
     g = c.group
     F = c.base.field
@@ -105,8 +106,8 @@ def validate_comodule(m: Comodule, suite: str = "comodule") -> CheckReport:
     return rep
 
 
-def validate_g_comodule(m: GComodule, suite: str = "g-comodule") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_g_comodule(m: GComodule) -> CheckReport:
+    rep = CheckReport()
     c = m.coring
     g = c.group
     F = c.base.field
@@ -254,10 +255,10 @@ def is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
 
 # -- adjunction and Frobenius batteries ---------------------------------------------------
 
-def check_pack_replicate_adjunction(pairs, suite: str = "adjunction") -> CheckReport:
+def check_pack_replicate_adjunction(pairs) -> CheckReport:
     """For each (family, comodule) pair: the hom-space bijection in both
     directions plus the triangle identities of the adjunction."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     for idx, (gm, n) in enumerate(pairs):
         c = gm.coring
         g = c.group
@@ -289,19 +290,17 @@ def check_pack_replicate_adjunction(pairs, suite: str = "adjunction") -> CheckRe
         rep.add(f"adjunction[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         # triangle identities
-        f1_eta = vstack([
-            hstack([inj[a] if b == a else Mat.zeros(F, packed.space.dim, gm.comps[b].dim)
-                    for b in g.elements()])
-            for a in g.elements()
-        ])
+        comp_dims = [m.dim for m in gm.comps]
+        f1_eta = block_matrix(F, [packed.space.dim] * g.order, comp_dims,
+                              {(a, a): inj[a] for a in g.elements()})
         eps_packed = hstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
         rep.add(f"adjunction[{idx}].triangle-left",
                 "counit after packed unit is the identity",
                 eps_packed @ f1_eta == Mat.identity(F, packed.space.dim))
         eta_repl_ok = True
         for b in g.elements():
-            eta_b = vstack([Mat.identity(F, n.space.dim) if a == b else Mat.zeros(F, n.space.dim, n.space.dim)
-                            for a in g.elements()])
+            eta_b = block_matrix(F, [n.space.dim] * g.order, [n.space.dim],
+                                 {(b, 0): Mat.identity(F, n.space.dim)})
             g1_eps_b = hstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
             if g1_eps_b @ eta_b != Mat.identity(F, n.space.dim):
                 eta_repl_ok = False
@@ -310,9 +309,9 @@ def check_pack_replicate_adjunction(pairs, suite: str = "adjunction") -> CheckRe
     return rep
 
 
-def check_pack_replicate_frobenius(pairs, suite: str = "frobenius") -> CheckReport:
+def check_pack_replicate_frobenius(pairs) -> CheckReport:
     """The second adjunction (replicate left adjoint of pack) on hom bases."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     for idx, (gm, n) in enumerate(pairs):
         c = gm.coring
         g = c.group
@@ -342,21 +341,16 @@ def check_pack_replicate_frobenius(pairs, suite: str = "frobenius") -> CheckRepo
         nu = vstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
         zeta = tuple(proj[a] for a in g.elements())
         # pack(zeta) o nu_pack = id
-        pack_zeta = hstack([
-            vstack([zeta[b] if a == b else Mat.zeros(F, gm.comps[b].dim, packed.space.dim)
-                    for b in g.elements()])
-            for a in g.elements()
-        ])
+        pack_zeta = block_matrix(F, [m.dim for m in gm.comps], [packed.space.dim] * g.order,
+                                 {(a, a): zeta[a] for a in g.elements()})
         nu_pack = vstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
         rep.add(f"frobenius[{idx}].triangle-left",
                 "packed counit after unit is the identity",
                 pack_zeta @ nu_pack == Mat.identity(F, packed.space.dim))
         tri_ok = True
         for b in g.elements():
-            zeta_repl_b = hstack([
-                Mat.identity(F, n.space.dim) if a == b else Mat.zeros(F, n.space.dim, n.space.dim)
-                for a in g.elements()
-            ])
+            zeta_repl_b = block_matrix(F, [n.space.dim], [n.space.dim] * g.order,
+                                       {(0, b): Mat.identity(F, n.space.dim)})
             if zeta_repl_b @ nu != Mat.identity(F, n.space.dim):
                 tri_ok = False
         rep.add(f"frobenius[{idx}].triangle-right",
@@ -409,11 +403,10 @@ def gcomodules_equal(m1: GComodule, m2: GComodule) -> bool:
     return m1.rho == m2.rho
 
 
-def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects,
-                             suite: str = "cofree-equivalence") -> CheckReport:
+def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> CheckReport:
     """Extend/restrict along the cofree witness and verify the comparison
     maps are mutually inverse morphisms on each supplied family."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = c.group
     F = c.base.field
     for idx, gm in enumerate(objects):

@@ -77,9 +77,8 @@ class GroupCoring:
         )
 
 
-def validate_group_coring(c: GroupCoring, suite: str = "coring",
-                          check_components: bool = True) -> CheckReport:
-    rep = CheckReport(suite)
+def validate_group_coring(c: GroupCoring, check_components: bool = True) -> CheckReport:
+    rep = CheckReport()
     g = c.group
     e = g.identity
     if check_components:
@@ -123,8 +122,8 @@ class GroupCoringMorphism:
         self.maps = tuple(maps)  # per group element: Mat dst.comps[a].dim x src.comps[a].dim
 
 
-def validate_coring_morphism(f: GroupCoringMorphism, suite: str = "coring-morphism") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_coring_morphism(f: GroupCoringMorphism) -> CheckReport:
+    rep = CheckReport()
     g = f.src.group
     for a in g.elements():
         bm = BimoduleMap(f.src.comps[a], f.dst.comps[a], f.maps[a])
@@ -175,8 +174,8 @@ def cofree_coring(c_e: GroupCoring, group: FiniteGroup) -> tuple[GroupCoring, Co
     return cor, wit
 
 
-def verify_cofree(c: GroupCoring, w: CofreeWitness, suite: str = "cofree") -> CheckReport:
-    rep = CheckReport(suite)
+def verify_cofree(c: GroupCoring, w: CofreeWitness) -> CheckReport:
+    rep = CheckReport()
     g = c.group
     e = g.identity
     bad_iso = []
@@ -203,12 +202,11 @@ def verify_cofree(c: GroupCoring, w: CofreeWitness, suite: str = "cofree") -> Ch
     return rep
 
 
-def check_cofree_counit_identities(c: GroupCoring, w: CofreeWitness,
-                                   suite: str = "cofree-counit") -> CheckReport:
+def check_cofree_counit_identities(c: GroupCoring, w: CofreeWitness) -> CheckReport:
     """The two derived identities mixing counit and connecting maps:
     contracting the first leg of Delta_{a,b} with counit o gamma_a^{-1}
     recovers gamma_b o gamma_{ab}^{-1}, and symmetrically on the second leg."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = c.group
     bad1, bad2 = [], []
     for a in g.elements():

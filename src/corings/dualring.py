@@ -195,8 +195,8 @@ def dual_ring(c: GroupCoring) -> GradedRing:
     return GradedRing(c)
 
 
-def validate_graded_ring(r: GradedRing, suite: str = "dual-ring") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_graded_ring(r: GradedRing) -> CheckReport:
+    rep = CheckReport()
     g = r.group
     F = r.base.field
     bad = []
@@ -261,27 +261,25 @@ class GradedRingMorphism:
     maps: tuple  # per degree a: Mat dst.dim(a) x src.dim(a)
 
 
-def dual_morphism(f: GroupCoringMorphism, r_dst: GradedRing | None = None) -> GradedRingMorphism:
+def dual_morphism(f: GroupCoringMorphism, r_dst: GradedRing) -> GradedRingMorphism:
     """Left dual of a coring morphism: reverses direction degreewise by
     precomposition with the inverse-degree component.  `r_dst` is the dual
-    ring of f.dst, built when not given."""
-    rsrc = r_dst or dual_ring(f.dst)
-    rdst = dual_ring(f.src)
+    ring of f.dst."""
+    r_src = dual_ring(f.src)
     g = f.src.group
     maps = []
     for a in g.elements():
         ainv = g.inv(a)
         cols = []
-        for u in range(rsrc.dim(a)):
-            func = rsrc.functionals[a][u] @ f.maps[ainv]
-            cols.append(rdst.coords(a, func))
+        for u in range(r_dst.dim(a)):
+            func = r_dst.functionals[a][u] @ f.maps[ainv]
+            cols.append(r_src.coords(a, func))
         maps.append(Mat.from_cols(f.src.base.field, cols))
-    return GradedRingMorphism(rsrc, rdst, tuple(maps))
+    return GradedRingMorphism(r_dst, r_src, tuple(maps))
 
 
-def validate_graded_ring_morphism(m: GradedRingMorphism,
-                                  suite: str = "dual-ring-morphism") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_graded_ring_morphism(m: GradedRingMorphism) -> CheckReport:
+    rep = CheckReport()
     g = m.src.group
     F = m.src.base.field
     bad = []
@@ -318,8 +316,8 @@ class GradedModule:
         self.act = dict(act)  # (a, b) -> Mat: M_a (x)k R_b -> M_{ab}
 
 
-def validate_graded_module(m: GradedModule, suite: str = "graded-module") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_graded_module(m: GradedModule) -> CheckReport:
+    rep = CheckReport()
     r = m.ring
     g = r.group
     F = r.base.field
@@ -380,8 +378,8 @@ class RModule:
         self.act = dict(act)  # a -> Mat: M (x)k R_a -> M
 
 
-def validate_rmodule(m: RModule, suite: str = "module") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_rmodule(m: RModule) -> CheckReport:
+    rep = CheckReport()
     r = m.ring
     g = r.group
     F = r.base.field
@@ -493,15 +491,12 @@ def comodule_to_module(m: Comodule, r: GradedRing) -> RModule:
 def forget_grading(m: GradedModule) -> RModule:
     g = m.ring.group
     F = m.ring.base.field
-    total, inj, proj = direct_sum_bimodule([mm.with_trivial_left() if mm.left is not None else mm
-                                            for mm in m.comps])
-    act = {}
-    for b in g.elements():
-        acc = Mat.zeros(F, total.dim, total.dim * m.ring.dim(b))
-        for a in g.elements():
-            ab = g.mul(a, b)
-            acc = acc + inj[ab] @ m.act[(a, b)] @ tensor_k(proj[a], Mat.identity(F, m.ring.dim(b)))
-        act[b] = acc
+    total, _, _ = direct_sum_bimodule([mm.with_trivial_left() if mm.left is not None else mm
+                                       for mm in m.comps])
+    dims = [mm.dim for mm in m.comps]
+    act = {b: block_matrix(F, dims, [d * m.ring.dim(b) for d in dims],
+                           {(g.mul(a, b), a): m.act[(a, b)] for a in g.elements()})
+           for b in g.elements()}
     return RModule(m.ring, total, act)
 
 
@@ -512,10 +507,9 @@ def induce_grading(m: RModule) -> GradedModule:
     return GradedModule(m.ring, comps, act)
 
 
-def check_functor_square(gcomodules, comodules, r: GradedRing,
-                         suite: str = "functor-square") -> CheckReport:
+def check_functor_square(gcomodules, comodules, r: GradedRing) -> CheckReport:
     """Pack-then-dualize equals dualize-then-forget, on both sides."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     for idx, gm in enumerate(gcomodules):
         packed, _, _ = pack_gcomodule(gm)
         lhs = comodule_to_module(packed, r)
@@ -540,14 +534,13 @@ def _replicate(cm: Comodule):
 
 # -- graded ring of a cofree coring ----------------------------------------------------
 
-def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing,
-                               suite: str = "cofree-dual") -> tuple:
+def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) -> tuple:
     """Degreewise isomorphisms from the degree-e dual onto each degree,
     given by precomposition with the inverse connecting maps; returns
     (sigma maps, CheckReport) where sigma[a]: R_e -> R_a."""
     if w is None:
         raise MissingCofreeWitness("group-ring comparison needs a cofree witness")
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = c.group
     F = c.base.field
     e = g.identity
@@ -581,11 +574,10 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing,
 
 # -- homogeneous biduals ------------------------------------------------------------
 
-def check_component_bidual(c: GroupCoring, r: GradedRing,
-                           suite: str = "bidual") -> CheckReport:
+def check_component_bidual(c: GroupCoring, r: GradedRing) -> CheckReport:
     """Evaluation from each component into the linear dual of the matching
     dual-ring degree is bijective (homogeneously finite case)."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = c.group
     F = c.base.field
     bad = []
@@ -618,12 +610,11 @@ def check_component_bidual(c: GroupCoring, r: GradedRing,
     return rep
 
 
-def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing,
-                                      suite: str = "dual-basis-comult") -> CheckReport:
+def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> CheckReport:
     """Comultiplied dual bases match the product of dual bases: for each
     degree pair, the image of the dual basis of the product component under
     comultiplication equals the product-functional expansion."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = c.group
     F = c.base.field
     dbs = {}

@@ -65,8 +65,8 @@ class GrouplikeFamily:
         return self.vectors[a]
 
 
-def validate_grouplike(x: GrouplikeFamily, suite: str = "grouplike") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_grouplike(x: GrouplikeFamily) -> CheckReport:
+    rep = CheckReport()
     c = x.coring
     g = c.group
     F = c.base.field
@@ -187,8 +187,8 @@ class RingMorphism:
     mat: Mat  # dst.dim x src.dim
 
 
-def validate_ring_morphism(b: RingMorphism, suite: str = "ring-morphism") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_ring_morphism(b: RingMorphism) -> CheckReport:
+    rep = CheckReport()
     rep.add("ring-morphism.unit", "preserves the unit",
             b.mat.apply(b.src.unit) == b.dst.unit)
     bad = []
@@ -327,7 +327,7 @@ def onto_coinvariants(b: RingMorphism, t: CoinvariantRing) -> bool:
 
 def check_base_ring(b: RingMorphism, t: CoinvariantRing) -> CheckReport:
     """The supplied base ring compared against the coinvariants."""
-    rep = CheckReport("galois")
+    rep = CheckReport()
     matches = onto_coinvariants(b, t)
     rep.add("galois.base-ring", "supplied base ring matches the coinvariants",
             matches, "" if matches else
@@ -335,30 +335,22 @@ def check_base_ring(b: RingMorphism, t: CoinvariantRing) -> CheckReport:
     return rep
 
 
-def coinvariant_canonical_morphism(x: GrouplikeFamily,
-                                   t: CoinvariantRing | None = None) -> CanonicalMorphism:
-    """The canonical morphism over the coinvariant ring of the family."""
-    if t is None:
-        t = coinvariant_ring(x)
+def coinvariant_canonical_morphism(x: GrouplikeFamily, t: CoinvariantRing) -> CanonicalMorphism:
+    """The canonical morphism over the coinvariant ring `t` of the family."""
     return canonical_morphism(x, inclusion_morphism(t, x.coring.base))
 
 
-def is_galois(x: GrouplikeFamily, b: RingMorphism | None = None,
-              suite: str = "galois", can: CanonicalMorphism | None = None,
+def is_galois(x: GrouplikeFamily, can: CanonicalMorphism | None = None,
               ) -> tuple[bool, CheckReport]:
     """Galois property: the canonical morphism from the cofree coring on the
     coinvariant tensor square is an isomorphism of group corings.
 
-    `can` is that canonical morphism, built from the family when not given;
-    a supplied base morphism is only compared against the coinvariants
-    (mismatch is reported, not fatal).
+    `can` is that canonical morphism, built from the family when not given.
     """
-    rep = CheckReport(suite)
+    rep = CheckReport()
     c = x.coring
-    if b is not None:
-        rep.extend(check_base_ring(b, coinvariant_ring(x)))
     if can is None:
-        can = coinvariant_canonical_morphism(x)
+        can = coinvariant_canonical_morphism(x, coinvariant_ring(x))
     mrep = validate_coring_morphism(can.morphism)
     rep.add("galois.canonical-morphism", "canonical comparison is a coring morphism",
             mrep.ok, "; ".join(f"{it.check_id}" for it in mrep.failures()))
@@ -384,11 +376,11 @@ def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism | None = Non
     and `galois` are the canonical morphism over the coinvariants and the
     result of `is_galois`, built from the family when not given.
     """
-    rep = CheckReport("galois-decomposition")
+    rep = CheckReport()
     c = x.coring
     g = c.group
     if can is None:
-        can = coinvariant_canonical_morphism(x)
+        can = coinvariant_canonical_morphism(x, coinvariant_ring(x))
     verdict, sub = galois if galois is not None else is_galois(x, can=can)
     rep.extend(sub)
     if not verdict:
@@ -415,25 +407,22 @@ def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism | None = Non
 
 
 def check_coinvariants_cofree(x: GrouplikeFamily, w: CofreeWitness,
-                              suite: str = "coinvariants-cofree",
-                              t: CoinvariantRing | None = None) -> CheckReport:
+                              t: CoinvariantRing) -> CheckReport:
     """For a cofree coring whose witness carries the grouplike family, the
-    family coinvariants of the base (`t`, built when not given) equal the
-    degree-e coinvariants."""
-    rep = CheckReport(suite)
+    family coinvariants `t` of the base equal the degree-e coinvariants."""
+    rep = CheckReport()
     c = x.coring
     g = c.group
     e = g.identity
     carried = all(w.gammas[a].apply(x.vec(e)) == x.vec(a) for a in g.elements())
     rep.add("cofree-coinvariants.carried", "witness carries the grouplike family", carried)
-    t_full = (t or coinvariant_ring(x)).basis
     A = c.base
     F = A.field
     cols = [(c.comps[e].left[j] - c.comps[e].right[j]).apply(x.vec(e)) for j in range(A.dim)]
     t_slice = kernel(Mat.from_cols(F, cols))
     rep.add("cofree-coinvariants.equal",
             "family coinvariants equal the degree-e coinvariants",
-            row_space(t_full) == row_space(t_slice))
+            row_space(t.basis) == row_space(t_slice))
     return rep
 
 
@@ -519,67 +508,55 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     return mats, bij
 
 
-def structure_theorem_battery(x: GrouplikeFamily, b: RingMorphism,
-                              b_modules=None, gcomodules=None,
-                              suite: str = "structure-theorem",
-                              t: CoinvariantRing | None = None,
-                              galois: bool | None = None) -> CheckReport:
-    """Both sides of the structure equivalence, verified object-wise.
+def induction_equivalence(x: GrouplikeFamily, b: RingMorphism) -> tuple[bool, bool, str]:
+    """Whether the induction unit is bijective on the free right modules of
+    rank one and two over the source of `b`, and the counit on every default
+    test family; each stops at its first failure, which the detail names."""
+    modules = [free_right_module(b.src, 1), free_right_module(b.src, 2)]
+    unit_wit = next((f"unit comparison fails on module {i}"
+                     for i, n in enumerate(modules) if not induction_unit(n, b, x)[1]), "")
+    counit_wit = next((f"counit comparison fails on family object {i}"
+                       for i, gm in enumerate(default_test_gcomodules(x, b))
+                       if not induction_counits(gm, b, x)[1]), "")
+    return not unit_wit, not counit_wit, unit_wit + counit_wit
+
+
+def structure_theorem_battery(d: "Derived", b: RingMorphism) -> CheckReport:
+    """Both sides of the structure equivalence for the family of `d` (the
+    `structfile.Derived` of its coring), verified object-wise.
 
     Side one: the base morphism is an isomorphism onto the coinvariants, the
     coring is Galois, and the extension is faithfully flat.  Side two: the
     extension is flat and the induction unit/counit comparisons are bijective
-    on every test object.  The check asserts the two sides agree.  The
-    coinvariants `t` and the Galois verdict are computed when not given.
+    on every test object.  The check asserts the two sides agree.
     """
-    rep = CheckReport(suite)
-    iso_onto_t = onto_coinvariants(b, t or coinvariant_ring(x))
-    galois_verdict = galois if galois is not None else is_galois(x)[0]
+    rep = CheckReport()
+    iso_onto_t = onto_coinvariants(b, d.coinvariants)
+    galois_verdict = d.galois[0]
     preds = predicates_of_extension(b)
     side1 = iso_onto_t and galois_verdict and preds.faithfully_flat
     rep.add("structure.side1", "base iso onto coinvariants + Galois + faithfully flat",
             True,
             f"value={side1} (iso={iso_onto_t}, galois={galois_verdict}, "
             f"faithfully_flat={preds.faithfully_flat})")
-    if b_modules is None:
-        b_modules = [free_right_module(b.src, 1), free_right_module(b.src, 2)]
-    if gcomodules is None:
-        gcomodules = default_test_gcomodules(x, b)
-    units_ok = True
-    unit_wit = ""
-    for i, n in enumerate(b_modules):
-        _, bij = induction_unit(n, b, x)
-        if not bij:
-            units_ok = False
-            unit_wit = f"unit comparison fails on module {i}"
-            break
-    counits_ok = True
-    counit_wit = ""
-    for i, gm in enumerate(gcomodules):
-        _, bij = induction_counits(gm, b, x)
-        if not bij:
-            counits_ok = False
-            counit_wit = f"counit comparison fails on family object {i}"
-            break
+    units_ok, counits_ok, detail = induction_equivalence(d.grouplike, b)
     side2 = preds.flat_projective and units_ok and counits_ok
     rep.add("structure.side2", "flat + unit/counit comparisons bijective on test objects",
             True,
             f"value={side2} (flat={preds.flat_projective}, units={units_ok}, "
-            f"counits={counits_ok})" + (f"; {unit_wit}{counit_wit}" if not side2 else ""))
+            f"counits={counits_ok})" + (f"; {detail}" if not side2 else ""))
     rep.add("structure.agreement", "the two sides of the structure equivalence agree",
             side1 == side2, f"side1={side1}, side2={side2}")
     return rep
 
 
-def default_test_gcomodules(x: GrouplikeFamily, b: RingMorphism, rng=None) -> list:
+def default_test_gcomodules(x: GrouplikeFamily, b: RingMorphism) -> list:
     out = [coring_as_gcomodule(x.coring),
            replicate_comodule(comodule_from_grouplike(x))]
     try:
         out.append(induce_gcomodule(free_right_module(b.src, 1), b, x))
     except ImageNotInCoinvariants:
         pass
-    if rng is not None:
-        out.append(replicate_comodule(random_comodule(x, rng)))
     return out
 
 
@@ -588,17 +565,15 @@ def default_test_gcomodules(x: GrouplikeFamily, b: RingMorphism, rng=None) -> li
 RANDOM_COMODULE_RANK = 2
 
 
-def random_comodule(x: GrouplikeFamily, rng, t: CoinvariantRing | None = None) -> Comodule:
+def random_comodule(x: GrouplikeFamily, rng, t: CoinvariantRing) -> Comodule:
     """A seeded-random valid comodule: the induced free module of rank
-    RANDOM_COMODULE_RANK over the coinvariants `t` (computed when not given)
-    conjugated by a random invertible change of basis.
+    RANDOM_COMODULE_RANK over the coinvariants `t` of the family, conjugated
+    by a random invertible change of basis.
 
     The seed draws only the change of basis, so every seed checks an
     object of the same size and a suite's cost does not depend on it."""
     c = x.coring
     F = c.base.field
-    if t is None:
-        t = coinvariant_ring(x)
     b = inclusion_morphism(t, c.base)
     ind = induce_comodule(free_right_module(t.algebra, RANDOM_COMODULE_RANK), b, x).comodule
     u = random_invertible(F, ind.space.dim, rng)

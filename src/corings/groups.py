@@ -54,8 +54,8 @@ class FiniteGroup:
 TRIVIAL_GROUP = FiniteGroup(1, ((0,),))
 
 
-def validate_group(g: FiniteGroup, suite: str = "group") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_group(g: FiniteGroup) -> CheckReport:
+    rep = CheckReport()
     n = g.order
     shape_ok = len(g.table) == n and all(len(r) == n for r in g.table) and all(
         0 <= x < n for r in g.table for x in r

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 from corings.algebra import Algebra, Bimodule, validate_algebra
 from corings.coring import GroupCoring
-from corings.dualring import GradedRing, dual_ring
-from corings.galois import (
-    CoinvariantRing,
-    GrouplikeFamily,
-    coinvariant_ring,
-    galois_decomposition,
-    is_galois,
-    structure_theorem_battery,
-)
+from corings.dualring import GradedRing
+from corings.galois import GrouplikeFamily
 from corings.groups import FiniteGroup
 from corings.linalg import (
     Mat,
@@ -132,8 +125,8 @@ def trivial_hopf(field: Field, group: FiniteGroup) -> HopfGCoalgebra:
     return cofree_hopf(HopfAlgebra(base, one, one, one), group)
 
 
-def validate_hopf_g_coalgebra(h: HopfGCoalgebra, suite: str = "hopf-g-coalgebra") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_hopf_g_coalgebra(h: HopfGCoalgebra) -> CheckReport:
+    rep = CheckReport()
     g = h.group
     F = h.field
     for a in g.elements():
@@ -209,8 +202,8 @@ class ComoduleAlgebra:
         self.rho = tuple(rho)  # per degree a: Mat (dimA*dimH_a) x dimA
 
 
-def validate_comodule_algebra(ca: ComoduleAlgebra, suite: str = "comodule-algebra") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_comodule_algebra(ca: ComoduleAlgebra) -> CheckReport:
+    rep = CheckReport()
     a = ca.algebra
     h = ca.hopf
     g = h.group
@@ -331,42 +324,28 @@ def invariant_subalgebra(ca: ComoduleAlgebra) -> Mat:
     return kernel(vstack(rows))
 
 
-def hopf_galois_check(ca: ComoduleAlgebra, suite: str = "hopf-galois",
-                      galois: tuple[bool, CheckReport] | None = None,
-                      t: CoinvariantRing | None = None) -> tuple[bool, CheckReport]:
+def hopf_galois_check(ca: ComoduleAlgebra, h: "Derived") -> tuple[bool, CheckReport]:
     """Galois property of the induced coring, plus the identification of its
-    coinvariants with the invariant subalgebra of the coaction.  The result
-    of `is_galois` and the coinvariants of the induced coring are computed
-    when not given."""
-    if galois is None or t is None:
-        _, x = coring_from_comodule_algebra(ca)
-        galois = galois or is_galois(x)
-        t = t or coinvariant_ring(x)
-    verdict, sub = galois
-    rep = CheckReport(suite)
+    coinvariants with the invariant subalgebra of the coaction; `h` is the
+    `structfile.Derived` of the induced coring and its canonical family."""
+    verdict, sub = h.galois
+    rep = CheckReport()
     rep.extend(sub)
     inv = invariant_subalgebra(ca)
     rep.add("hopf-galois.invariants",
             "coring coinvariants equal the coaction invariants",
-            row_space(t.basis) == row_space(inv))
+            row_space(h.coinvariants.basis) == row_space(inv))
     return verdict, rep
 
 
-def hopf_galois_decomposition_check(ca: ComoduleAlgebra,
-                                    suite: str = "hopf-galois-split",
-                                    galois: tuple[bool, CheckReport] | None = None,
-                                    decomposition: tuple | None = None) -> CheckReport:
+def hopf_galois_decomposition_check(h: "Derived") -> CheckReport:
     """Galois for the family holds exactly when the family splits cofreely
-    and the identity-degree slice is Galois (checked through the coring).
-    The results of `is_galois` and `galois_decomposition` on the induced
-    coring are computed when not given."""
-    rep = CheckReport(suite)
-    if galois is None or decomposition is None:
-        _, x = coring_from_comodule_algebra(ca)
-        galois = galois or is_galois(x)
-        decomposition = decomposition or galois_decomposition(x, galois=galois)
-    verdict, _ = galois
-    wit, drep = decomposition
+    and the identity-degree slice is Galois (checked through the coring);
+    `h` is the `structfile.Derived` of the induced coring and its canonical
+    family."""
+    rep = CheckReport()
+    verdict, _ = h.galois
+    wit, drep = h.decomposition
     rep.add("split.galois-verdict", "family Galois verdict computed", True, f"value={verdict}")
     if verdict:
         rep.add("split.witness", "decomposition produced a cofree witness", wit is not None)
@@ -387,9 +366,8 @@ class RelativeHopfModule:
         self.rho = tuple(rho)  # per degree a: Mat (dim*dimH_a) x dim
 
 
-def validate_relative_hopf_module(m: RelativeHopfModule,
-                                  suite: str = "relative-hopf") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_relative_hopf_module(m: RelativeHopfModule) -> CheckReport:
+    rep = CheckReport()
     ca = m.ca
     h = ca.hopf
     g = h.group
@@ -479,19 +457,12 @@ def coring_comodule_to_relative(m, ca: ComoduleAlgebra) -> RelativeHopfModule:
     return RelativeHopfModule(ca, m.space, rho)
 
 
-def relative_hopf_module_check(ca: ComoduleAlgebra, modules,
-                               b=None, suite: str = "relative-hopf-modules",
-                               induced: tuple | None = None,
-                               t: CoinvariantRing | None = None,
-                               galois: bool | None = None) -> CheckReport:
-    """Both reindexing directions on each test module, then the structure
-    battery of the induced coring.  The induced coring and its grouplike
-    family (`induced`, as `coring_from_comodule_algebra` returns them) are
-    built when not given; `t` and `galois` go to the battery."""
+def relative_hopf_module_check(ca: ComoduleAlgebra, modules, cor: GroupCoring) -> CheckReport:
+    """Both reindexing directions on each test module, through the coring
+    `cor` the comodule algebra induces."""
     from corings.comodules import validate_comodule
 
-    rep = CheckReport(suite)
-    cor, x = induced or coring_from_comodule_algebra(ca)
+    rep = CheckReport()
     for idx, m in enumerate(modules):
         vrep = validate_relative_hopf_module(m)
         rep.add(f"relative[{idx}].axioms", "relative module axioms hold", vrep.ok,
@@ -503,8 +474,6 @@ def relative_hopf_module_check(ca: ComoduleAlgebra, modules,
         back = coring_comodule_to_relative(com, ca)
         rep.add(f"relative[{idx}].roundtrip", "reindexing round-trips",
                 back.rho == m.rho and back.space.right == m.space.right)
-    if b is not None:
-        rep.extend(structure_theorem_battery(x, b, t=t, galois=galois), prefix="relative.")
     return rep
 
 
@@ -587,8 +556,8 @@ class SmashProduct:
         return Mat.from_cols(F, cols)
 
 
-def validate_smash_product(sp: SmashProduct, suite: str = "smash") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_smash_product(sp: SmashProduct) -> CheckReport:
+    rep = CheckReport()
     g = sp.group
     F = sp.field
     bad = []
@@ -621,14 +590,11 @@ def validate_smash_product(sp: SmashProduct, suite: str = "smash") -> CheckRepor
     return rep
 
 
-def smash_dual(ca: ComoduleAlgebra, r: GradedRing | None = None,
-               ) -> tuple[SmashProduct, list, CheckReport]:
+def smash_dual(ca: ComoduleAlgebra, r: GradedRing) -> tuple[SmashProduct, list, CheckReport]:
     """The smash product, the degreewise comparison maps onto the dual ring
-    `r` of the induced coring (built when not given), and the report
-    checking they form a graded ring isomorphism."""
-    rep = CheckReport("smash-dual")
-    if r is None:
-        r = dual_ring(coring_from_comodule_algebra(ca)[0])
+    `r` of the induced coring, and the report checking they form a graded
+    ring isomorphism."""
+    rep = CheckReport()
     sp = SmashProduct(ca)
     g = sp.group
     F = sp.field

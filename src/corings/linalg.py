@@ -69,8 +69,8 @@ class Mat:
         return cls(field, rows, cols, (field.zero,) * (rows * cols))
 
     @classmethod
-    def from_cols(cls, field: Field, cols, rows: int | None = None) -> "Mat":
-        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols], rows)
+    def from_cols(cls, field: Field, cols) -> "Mat":
+        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols])
 
     @classmethod
     def _from_cols(cls, field: Field, cols, rows: int | None = None) -> "Mat":

@@ -21,7 +21,7 @@ from corings.algebra import (
     subalgebra,
 )
 from corings.comodules import replicate_comodule
-from corings.coring import CofreeWitness, validate_coring_morphism
+from corings.coring import MissingCofreeWitness, validate_coring_morphism
 from corings.dualring import (
     GradedAlgebra,
     GradedModule,
@@ -41,9 +41,7 @@ from corings.galois import (
     canonical_morphism,
     coinvariant_ring,
     comodule_from_grouplike,
-    free_right_module,
-    induction_counits,
-    induction_unit,
+    induction_equivalence,
     onto_coinvariants,
     predicates_of_extension,
 )
@@ -112,7 +110,7 @@ def _degrees(dims) -> list:
 def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckReport]:
     """The map from the packed dual ring to the base evaluating each degree
     at the inverse-degree member of the family."""
-    rep = CheckReport("character")
+    rep = CheckReport()
     c = x.coring
     g = c.group
     A = c.base
@@ -160,8 +158,8 @@ class RingBimodule:
     right: tuple  # per right_ring basis element
 
 
-def validate_ring_bimodule(m: RingBimodule, suite: str = "ring-bimodule") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
+    rep = CheckReport()
     F = m.left_ring.field
     ident = Mat.identity(F, m.dim)
 
@@ -202,8 +200,8 @@ class MoritaContext:
     mu: Mat              # ring2.dim x (q.dim * p.dim)
 
 
-def validate_morita_context(ctx: MoritaContext, suite: str = "morita") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_morita_context(ctx: MoritaContext) -> CheckReport:
+    rep = CheckReport()
     F = ctx.ring1.field
     rep.extend(validate_ring_bimodule(ctx.p), prefix="p.")
     rep.extend(validate_ring_bimodule(ctx.q), prefix="q.")
@@ -271,7 +269,7 @@ def is_strict(ctx: MoritaContext) -> tuple[bool, CheckReport]:
     """Strict = both connecting maps surjective; bijectivity on the balanced
     tensor quotients is then asserted, a mismatch being reported as a hard
     inconsistency."""
-    rep = CheckReport("strict")
+    rep = CheckReport()
     F = ctx.ring1.field
     tau_surj = rank(ctx.tau) == ctx.ring1.dim
     mu_surj = rank(ctx.mu) == ctx.ring2.dim
@@ -449,11 +447,10 @@ def coefficient_ring(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing,
     return CoefficientRing(basis, s_alg, tuple(sigma), twisted, diag)
 
 
-def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing,
-                             suite: str = "fixed-points") -> CheckReport:
+def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing) -> CheckReport:
     """Fixed points of the shift action are exactly the diagonal families
     coming from the coinvariants."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     F = s.algebra.field
     w = s.algebra.dim
     rows = []
@@ -497,7 +494,7 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     (weak, if asked) coinvariants `t` and connecting space `w` are solved
     when not given.
     """
-    rep = CheckReport("morita-build")
+    rep = CheckReport()
     c = x.coring
     g = c.group
     A = c.base
@@ -550,9 +547,8 @@ class GradedMoritaContext:
     q_dims: tuple
 
 
-def validate_graded_morita_context(gctx: GradedMoritaContext,
-                                   suite: str = "graded-morita") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_graded_morita_context(gctx: GradedMoritaContext) -> CheckReport:
+    rep = CheckReport()
     rep.extend(validate_morita_context(gctx.ctx), prefix="underlying.")
     g = gctx.group
     ctx = gctx.ctx
@@ -581,10 +577,10 @@ def canonical_graded_module(x: GrouplikeFamily, r: GradedRing) -> GradedModule:
     return gcomodule_to_graded(replicate_comodule(acom), r)
 
 
-def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily, r: GradedRing,
-                                  suite: str = "canonical-action") -> CheckReport:
+def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily,
+                                  r: GradedRing) -> CheckReport:
     """The dualized action agrees with the direct evaluation formula."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = x.coring.group
     A = x.coring.base
     direct = {b: Mat.from_cols(A.field, [ev.col(i) for i in range(A.dim)
@@ -597,22 +593,19 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily, r: Graded
 
 
 def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
-                          t: CoinvariantRing | None = None,
                           s: CoefficientRing | None = None, wq: Mat | None = None,
                           ) -> tuple[GradedMoritaContext, CoefficientRing, Mat, CheckReport]:
     """The graded context (twisted coefficient ring, dual ring, base copies,
     shifted connecting families).  The (weak, if asked) coefficient ring `s`
-    over the coinvariants `t` and the connecting space `wq` are solved when
-    not given."""
-    rep = CheckReport("graded-morita-build")
+    and connecting space `wq` are solved when not given."""
+    rep = CheckReport()
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
     n = g.order
     if s is None:
-        if t is None:
-            t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
+        t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
         s = coefficient_ring(x, r, t, weak)
     if wq is None:
         wq = connecting_space(x, r, weak)
@@ -829,12 +822,11 @@ def _ring_as_module(r: GradedRing) -> GradedModule:
 
 # -- comparison isomorphisms for the standard context ---------------------------------------
 
-def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing,
-                       suite: str = "end-iso") -> tuple[Mat, CheckReport]:
+def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckReport]:
     """Endomorphisms of the canonical graded module correspond to twisted
     coefficient families: read each endomorphism off its values at the
     block units."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = end.graded.group
     F = end.graded.algebra.field
     A_unit = end.module.ring.base.unit
@@ -863,11 +855,10 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing,
     return xi, rep
 
 
-def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing,
-                       suite: str = "hom-iso") -> tuple[Mat, CheckReport]:
+def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckReport]:
     """Module maps from the canonical graded module into the ring correspond
     to shifted connecting families: read each map off the block units."""
-    rep = CheckReport(suite)
+    rep = CheckReport()
     g = r.group
     F = r.base.field
     degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
@@ -884,21 +875,16 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing,
     return psi, rep
 
 
-def check_standard_context_match(x: GrouplikeFamily, r: GradedRing,
-                                 suite: str = "standard-context",
-                                 agm: GradedModule | None = None,
-                                 weak_graded: tuple | None = None) -> CheckReport:
-    """The standard context of the canonical graded module matches the weak
-    graded context through the two comparison isomorphisms (commuting
-    squares checked as matrix identities).  The canonical graded module
-    `agm` and the result of `graded_morita_context(x, r, weak=True)` are
-    built when not given."""
-    rep = CheckReport(suite)
-    F = x.coring.base.field
-    if agm is None:
-        agm = canonical_graded_module(x, r)
-    std, end, hom_bases = context_from_graded_module(agm)
-    gctx, s, wq, build_rep = weak_graded or graded_morita_context(x, r, weak=True)
+def check_standard_context_match(d: "Derived") -> CheckReport:
+    """The standard context of the canonical graded module of `d` (the
+    `structfile.Derived` of the coring) matches its weak graded context
+    through the two comparison isomorphisms (commuting squares checked as
+    matrix identities)."""
+    rep = CheckReport()
+    r = d.dual_ring
+    F = r.base.field
+    std, end, hom_bases = context_from_graded_module(d.canonical_module)
+    gctx, s, wq, build_rep = d.weak_graded_morita
     rep.extend(build_rep, prefix="weak.")
     xi, xi_rep = end_to_twisted_iso(end, s)
     rep.extend(xi_rep)
@@ -981,31 +967,22 @@ def slice_context(x: GrouplikeFamily) -> tuple[MoritaContext, Mat, GradedRing]:
     return ctx, w, r_e
 
 
-def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
-                                   w: CofreeWitness,
-                                   suite: str = "group-ring-context",
-                                   t: CoinvariantRing | None = None,
-                                   graded: tuple | None = None,
-                                   slice_ctx: tuple | None = None) -> CheckReport:
-    """For a cofree coring carrying the grouplike family: the graded context
-    is isomorphic to the group-ring extension of the slice context, through
-    the diagonal, tag-swap and shift comparison maps.  The coinvariants `t`
-    and the results of `graded_morita_context(x, r)` and `slice_context(x)`
-    are built when not given."""
+def check_group_ring_context_match(d: "Derived") -> CheckReport:
+    """For a cofree coring carrying the grouplike family, with the
+    `structfile.Derived` objects `d`: the graded context is isomorphic to the
+    group-ring extension of the slice context, through the diagonal, tag-swap
+    and shift comparison maps."""
+    w = d.witness
     if w is None:
-        from corings.coring import MissingCofreeWitness
-
         raise MissingCofreeWitness("context comparison needs a cofree witness")
-    rep = CheckReport(suite)
-    c = x.coring
+    rep = CheckReport()
+    c = d.grouplike.coring
     g = c.group
-    A = c.base
-    F = A.field
+    F = c.base.field
     n = g.order
-    if t is None:
-        t = coinvariant_ring(x)
-    gctx, s, wq, _ = graded or graded_morita_context(x, r, t=t)
-    ctx_e, w_e, r_e = slice_ctx or slice_context(x)
+    r, t = d.dual_ring, d.coinvariants
+    gctx, s, wq, _ = d.graded_morita
+    ctx_e, w_e, r_e = d.slice
     ring_ctx_e = group_ring_context(ctx_e, g)
     sigmas, sig_rep = cofree_dual_group_ring_iso(c, w, r)
     rep.extend(sig_rep)
@@ -1084,13 +1061,10 @@ def check_group_ring_context_match(x: GrouplikeFamily, r: GradedRing,
 
 # -- the equivalent characterizations battery --------------------------------------------------
 
-def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
-                               r: GradedRing | None = None,
-                               suite: str = "galois-equivalences",
-                               t: CoinvariantRing | None = None,
-                               graded: tuple | None = None) -> CheckReport:
+def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
     """Four equivalent characterizations of the Galois property for corings
-    whose components are left progenerators, evaluated independently:
+    whose components are left progenerators, evaluated independently on the
+    family of `d` (the `structfile.Derived` of its coring) over `b`:
 
     1. the canonical comparison is an isomorphism and the extension is
        faithfully flat;
@@ -1100,11 +1074,9 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
        ring is bijective, and the graded context is strict;
     4. the base equals the coinvariants and induction/coinvariants form an
        object-level equivalence.
-
-    The dual ring `r`, the coinvariants `t` and the result of
-    `graded_morita_context(x, r)` are built when not given.
     """
-    rep = CheckReport(suite)
+    rep = CheckReport()
+    x = d.grouplike
     c = x.coring
     for a in c.group.elements():
         comp = Bimodule(c.base, c.comps[a].dim, c.comps[a].left, None)
@@ -1112,10 +1084,6 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
         if not preds.progenerator:
             raise HypothesisFailed(f"component {a} is not a left progenerator")
     rep.add("battery.hypothesis", "every component is a left progenerator", True)
-    if r is None:
-        r = dual_ring(c)
-    if t is None:
-        t = coinvariant_ring(x)
     preds_b = predicates_of_extension(b)
     can = canonical_morphism(x, b)
     can_iso = validate_coring_morphism(can.morphism).ok and all(
@@ -1124,35 +1092,22 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
     rep.add("battery.statement-1",
             "canonical comparison iso + faithfully flat extension", True,
             f"value={s1} (iso={can_iso}, faithfully_flat={preds_b.faithfully_flat})")
-    dual_can = dual_morphism(can.morphism, r)
+    dual_can = dual_morphism(can.morphism, d.dual_ring)
     dual_ok = validate_graded_ring_morphism(dual_can).ok and is_graded_ring_iso(dual_can)
     s2 = dual_ok and preds_b.progenerator
     rep.add("battery.statement-2",
             "dual comparison graded ring iso + progenerator extension", True,
             f"value={s2} (dual_iso={dual_ok}, progenerator={preds_b.progenerator})")
-    b_is_t = onto_coinvariants(b, t)
-    gctx, s, wq, _ = graded or graded_morita_context(x, r, t=t)
+    b_is_t = onto_coinvariants(b, d.coinvariants)
+    s = d.graded_morita[1]
     diag_bij = (s.diag.rows == s.diag.cols and rank(s.diag) == s.diag.cols)
-    strict_verdict, strict_rep = is_strict(gctx.ctx)
+    strict_verdict, strict_rep = d.graded_strict
     s3 = b_is_t and diag_bij and strict_verdict
     rep.add("battery.statement-3",
             "base equals coinvariants + diagonal iso + strict graded context", True,
             f"value={s3} (base={b_is_t}, diagonal={diag_bij}, strict={strict_verdict})")
     rep.extend(strict_rep, prefix="battery.")
-    units_ok = True
-    from corings.galois import default_test_gcomodules
-
-    for n_mod in [free_right_module(b.src, 1), free_right_module(b.src, 2)]:
-        _, bij = induction_unit(n_mod, b, x)
-        if not bij:
-            units_ok = False
-            break
-    counits_ok = True
-    for gm in default_test_gcomodules(x, b):
-        _, bij = induction_counits(gm, b, x)
-        if not bij:
-            counits_ok = False
-            break
+    units_ok, counits_ok, _ = induction_equivalence(x, b)
     s4 = b_is_t and units_ok and counits_ok
     rep.add("battery.statement-4",
             "base equals coinvariants + object-level induction equivalence", True,
@@ -1161,4 +1116,3 @@ def galois_equivalence_battery(x: GrouplikeFamily, b: RingMorphism,
     rep.add("battery.agreement", "all four characterizations agree",
             agreement, f"values=({s1}, {s2}, {s3}, {s4})")
     return rep
-

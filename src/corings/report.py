@@ -15,7 +15,6 @@ class CheckItem:
 
 @dataclass
 class CheckReport:
-    suite: str
     items: list = field(default_factory=list)
 
     def add(self, check_id: str, law: str, passed: bool, witness: str = "") -> None:
@@ -36,8 +35,8 @@ class CheckReport:
     def sorted_items(self) -> list:
         return sorted(self.items, key=lambda it: it.check_id)
 
-    def to_text(self) -> str:
-        lines = [f"suite: {self.suite}"]
+    def to_text(self, suite: str) -> str:
+        lines = [f"suite: {suite}"]
         for it in self.sorted_items():
             mark = "PASS" if it.passed else "FAIL"
             line = f"  [{mark}] {it.check_id}: {it.law}"

@@ -145,10 +145,9 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def random(self, rng, span: int = 3):
-        """Small deterministic scalar from a seeded rng."""
-        v = rng.randrange(-span, span + 1)
-        return self.of(v)
+    def random(self, rng):
+        """Small deterministic scalar from a seeded rng: an integer in [-3, 3]."""
+        return self.of(rng.randrange(-3, 4))
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"

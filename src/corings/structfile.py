@@ -44,6 +44,7 @@ from corings.morita import (
     coefficient_ring,
     connecting_space,
     graded_morita_context,
+    is_strict,
     morita_context,
     slice_context,
     weak_coinvariants,
@@ -593,6 +594,11 @@ class Derived:
         connecting space, build report)."""
         return graded_morita_context(self.grouplike, self.dual_ring, s=self.coefficients,
                                      wq=self.connecting)
+
+    @cached_property
+    def graded_strict(self) -> tuple:
+        """`is_strict` of the graded context: (verdict, report)."""
+        return is_strict(self.graded_morita[0].ctx)
 
     @cached_property
     def weak_graded_morita(self) -> tuple:

@@ -80,7 +80,7 @@ SUITES = ("validate", "comodules", "dual-ring", "galois", "structure-theorem",
 
 
 def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("validate")
+    rep = CheckReport()
     rep.extend(validate_group(ms.coring.group), prefix="validate.")
     rep.extend(validate_algebra(ms.coring.base), prefix="validate.base.")
     for a in ms.coring.group.elements():
@@ -97,7 +97,7 @@ def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
 
 
 def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("comodules")
+    rep = CheckReport()
     d = ms.derived
     rng = random.Random(seed)
     acom = comodule_from_grouplike(ms.grouplike)
@@ -127,7 +127,7 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
 
 
 def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("dual-ring")
+    rep = CheckReport()
     d = ms.derived
     rng = random.Random(seed)
     r = d.dual_ring
@@ -165,7 +165,7 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
 
 
 def suite_galois(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("galois")
+    rep = CheckReport()
     d = ms.derived
     rep.extend(check_base_ring(ms.base, d.coinvariants))
     rep.extend(d.galois[1])
@@ -174,22 +174,19 @@ def suite_galois(ms: MainStructure, seed: int) -> CheckReport:
         if it.check_id.startswith("decomposition."):
             rep.add(f"galois.{it.check_id}", it.law, it.passed, it.witness)
     if wit is not None:
-        rep.extend(check_coinvariants_cofree(ms.grouplike, wit, t=d.coinvariants),
+        rep.extend(check_coinvariants_cofree(ms.grouplike, wit, d.coinvariants),
                    prefix="galois.")
     return rep
 
 
 def suite_structure_theorem(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("structure-theorem")
-    d = ms.derived
-    rep.extend(structure_theorem_battery(ms.grouplike, ms.base, t=d.coinvariants,
-                                         galois=d.galois[0]),
-               prefix="structure-theorem.")
+    rep = CheckReport()
+    rep.extend(structure_theorem_battery(ms.derived, ms.base), prefix="structure-theorem.")
     return rep
 
 
 def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("morita")
+    rep = CheckReport()
     d = ms.derived
     chi, chirep = grouplike_character(ms.grouplike, d.dual_ring)
     rep.extend(chirep, prefix="morita.")
@@ -218,7 +215,7 @@ def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
 
 
 def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("graded-morita")
+    rep = CheckReport()
     d = ms.derived
     r = d.dual_ring
     s, s_w = d.coefficients, d.weak_coefficients
@@ -230,7 +227,7 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
     gctx, _, _, brep = d.graded_morita
     rep.extend(brep, prefix="graded-morita.")
     rep.extend(validate_graded_morita_context(gctx), prefix="graded-morita.")
-    strict_verdict, _ = is_strict(gctx.ctx)
+    strict_verdict, _ = d.graded_strict
     rep.add("graded-morita.strictness", "strictness of the graded context computed", True,
             f"value={strict_verdict}")
     agm = d.canonical_module
@@ -242,14 +239,9 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep.add("graded-morita.forget-match",
             "forgetting the grading of the canonical module matches the packed dual action",
             rmodules_equal(forget_grading(agm), lhs))
-    rep.extend(check_standard_context_match(ms.grouplike, r, agm=agm,
-                                            weak_graded=d.weak_graded_morita),
-               prefix="graded-morita.")
-    wit = d.witness
-    if wit is not None:
-        rep.extend(check_group_ring_context_match(ms.grouplike, r, wit, t=d.coinvariants,
-                                                  graded=d.graded_morita, slice_ctx=d.slice),
-                   prefix="graded-morita.")
+    rep.extend(check_standard_context_match(d), prefix="graded-morita.")
+    if d.witness is not None:
+        rep.extend(check_group_ring_context_match(d), prefix="graded-morita.")
     else:
         rep.add("graded-morita.group-ring-context", "group-ring comparison skipped", True,
                 "no cofree witness available for this coring")
@@ -257,16 +249,13 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
 
 
 def suite_section9(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("section9")
-    d = ms.derived
-    rep.extend(galois_equivalence_battery(ms.grouplike, ms.base, d.dual_ring, t=d.coinvariants,
-                                          graded=d.graded_morita),
-               prefix="section9.")
+    rep = CheckReport()
+    rep.extend(galois_equivalence_battery(ms.derived, ms.base), prefix="section9.")
     return rep
 
 
 def suite_hopf(ms: MainStructure, seed: int) -> CheckReport:
-    rep = CheckReport("hopf")
+    rep = CheckReport()
     ca = ms.comodule_algebra
     if ca is None:
         rep.add("hopf.data", "no comodule algebra in this file; checks skipped", True)
@@ -274,22 +263,18 @@ def suite_hopf(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(validate_hopf_g_coalgebra(ca.hopf), prefix="hopf.")
     rep.extend(validate_comodule_algebra(ca), prefix="hopf.")
     h = ms.derived.hopf or ms.derived  # the derived objects of the induced coring
-    verdict, grep = hopf_galois_check(ca, galois=h.galois, t=h.coinvariants)
+    verdict, grep = hopf_galois_check(ca, h)
     for it in grep.items:
         if "invariants" in it.check_id:
             rep.items.append(it)
     rep.add("hopf.galois-verdict", "Galois verdict of the induced coring computed", True,
             f"value={verdict}")
-    rep.extend(hopf_galois_decomposition_check(ca, galois=h.galois,
-                                               decomposition=h.decomposition),
-               prefix="hopf.")
+    rep.extend(hopf_galois_decomposition_check(h), prefix="hopf.")
     from corings.algebra import Bimodule
 
     mod = RelativeHopfModule(ca, Bimodule.right_regular(ca.algebra), ca.rho)
-    rep.extend(relative_hopf_module_check(ca, [mod], b=ms.base,
-                                          induced=(h.coring, h.grouplike),
-                                          t=h.coinvariants, galois=h.galois[0]),
-               prefix="hopf.")
+    rep.extend(relative_hopf_module_check(ca, [mod], h.coring), prefix="hopf.")
+    rep.extend(structure_theorem_battery(h, ms.base), prefix="hopf.relative.")
     sp, lambdas, srep = smash_dual(ca, h.dual_ring)
     rep.extend(validate_smash_product(sp), prefix="hopf.")
     rep.extend(srep, prefix="hopf.")
@@ -311,7 +296,7 @@ _SUITE_FUNCS = {
 
 def run_suite(ms: MainStructure, suite: str, seed: int = 0) -> CheckReport:
     if suite == "all":
-        rep = CheckReport("all")
+        rep = CheckReport()
         for name in SUITES[:-1]:
             rep.extend(_SUITE_FUNCS[name](ms, seed))
         return rep

@@ -4,6 +4,8 @@
   `linalg.triple_balanced_quotient`: it writes every balanced relation of
   both junctions over the d1*d2*d3 ambient columns and eliminates them in
   one matrix.
+* `derived` gives a fixture the `Derived` objects that the checks taking
+  a structure's derived objects read, as `MainStructure.derived` does.
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
   graded-algebra and Hopf-algebra axioms and a Hopf family with a broken
@@ -35,6 +37,13 @@ from corings.hopf import (
 from corings.linalg import Mat, QuotientSpace, quotient_by, tensor_k, tensor_vec, unit_vec
 from corings.report import CheckReport
 from corings.scalars import QQ, Field
+from corings.structfile import Derived
+
+
+def derived(fx) -> Derived:
+    """The derived objects of a fixture's coring, family, witness and
+    comodule algebra."""
+    return Derived(fx.coring, fx.grouplike, fx.witness, fx.comodule_algebra)
 
 
 def dense_triple_quotient(field: Field, d1: int, d2: int, d3: int,
@@ -122,8 +131,8 @@ def is_coring_iso(f: GroupCoringMorphism) -> bool:
     )
 
 
-def validate_graded_algebra(ga: GradedAlgebra, suite: str = "graded-algebra") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_graded_algebra(ga: GradedAlgebra) -> CheckReport:
+    rep = CheckReport()
     g = ga.group
     A = ga.algebra
     bad = []
@@ -144,8 +153,8 @@ def validate_graded_algebra(ga: GradedAlgebra, suite: str = "graded-algebra") ->
     return rep
 
 
-def validate_hopf_algebra(h: HopfAlgebra, suite: str = "hopf-algebra") -> CheckReport:
-    rep = CheckReport(suite)
+def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
+    rep = CheckReport()
     a = h.algebra
     F = a.field
     rep.extend(validate_algebra(a), prefix="underlying.")

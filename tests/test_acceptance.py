@@ -56,7 +56,7 @@ from corings.morita import (
     is_strict,
     weak_coinvariant_ring,
 )
-from helpers import bad_antipode_hopf
+from helpers import bad_antipode_hopf, derived
 
 ALL_FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 
@@ -154,7 +154,7 @@ def test_galois_verdicts():
 def test_structure_battery():
     for name, value in (("regular", True), ("nongalois", False)):
         fx = fixture(name)
-        rep = structure_theorem_battery(fx.grouplike, fx.base)
+        rep = structure_theorem_battery(derived(fx), fx.base)
         assert rep.ok, name
         for side in ("structure.side1", "structure.side2"):
             it = next(i for i in rep.items if i.check_id == side)
@@ -189,12 +189,11 @@ def test_morita_spaces_and_contexts():
     # evaluation squares of the standard context comparison
     for name in ("regular", "trivial"):
         fx = fixture(name)
-        assert check_standard_context_match(fx.grouplike, dual_ring(fx.coring)).ok, name
+        assert check_standard_context_match(derived(fx)).ok, name
     # graded context matches the group-ring extension of the slice context
     for name in ("regular", "sweedler"):
         fx = fixture(name)
-        assert check_group_ring_context_match(
-            fx.grouplike, dual_ring(fx.coring), witness_of(name)).ok, name
+        assert check_group_ring_context_match(derived(fx)).ok, name
 
 
 @criterion("four equivalent Galois characterizations agree")
@@ -204,7 +203,7 @@ def test_equivalence_battery():
                 "nongalois": "(False, False, False, False)"}
     for name, want in expected.items():
         fx = fixture(name)
-        rep = galois_equivalence_battery(fx.grouplike, fx.base)
+        rep = galois_equivalence_battery(derived(fx), fx.base)
         agree = next(it for it in rep.items if it.check_id == "battery.agreement")
         assert agree.passed, name
         assert want in agree.witness, name
@@ -213,19 +212,19 @@ def test_equivalence_battery():
 @criterion("smash-product dual comparison and the antipode negative witness")
 def test_hopf_package():
     fx = fixture("regular")
-    sp, lambdas, rep = smash_dual(fx.comodule_algebra)
-    assert rep.ok
     r = dual_ring(fx.coring)
+    sp, lambdas, rep = smash_dual(fx.comodule_algebra, r)
+    assert rep.ok
     assert list(sp.dims) == [r.dim(a) for a in fx.coring.group.elements()]
     # the split biconditional: Galois <-> carrying witness + slice Galois
-    verdict, _ = hopf_galois_check(fx.comodule_algebra)
+    verdict, _ = hopf_galois_check(fx.comodule_algebra, derived(fx))
     wit, drep = galois_decomposition(fx.grouplike)
     carried = wit is not None and all(
         wit.gammas[a].apply(fx.grouplike.vec(0)) == fx.grouplike.vec(a)
         for a in fx.coring.group.elements())
     assert verdict == carried
     nfx = fixture("nongalois")
-    nverdict, _ = hopf_galois_check(nfx.comodule_algebra)
+    nverdict, _ = hopf_galois_check(nfx.comodule_algebra, derived(nfx))
     nwit, _ = galois_decomposition(nfx.grouplike)
     assert nverdict == (nwit is not None) == False  # noqa: E712
     bad = validate_hopf_g_coalgebra(bad_antipode_hopf())

@@ -138,7 +138,8 @@ def test_cofree_equivalence_on_cofree_fixtures():
         wit = witness_of(name)
         objs = [coring_as_gcomodule(fx.coring),
                 replicate_comodule(comodule_from_grouplike(fx.grouplike)),
-                replicate_comodule(random_comodule(fx.grouplike, rng))]
+                replicate_comodule(random_comodule(fx.grouplike, rng,
+                                                   coinvariant_ring(fx.grouplike)))]
         assert check_cofree_equivalence(fx.coring, wit, objs).ok, name
 
 
@@ -163,8 +164,9 @@ def test_extension_of_base_slice_is_replicated_base():
 
 def test_random_comodule_is_valid_and_seeded():
     fx = fixture("regular")
-    m1 = random_comodule(fx.grouplike, random.Random(7))
-    m2 = random_comodule(fx.grouplike, random.Random(7))
+    t = coinvariant_ring(fx.grouplike)
+    m1 = random_comodule(fx.grouplike, random.Random(7), t)
+    m2 = random_comodule(fx.grouplike, random.Random(7), t)
     assert validate_comodule(m1).ok
     assert comodules_equal(m1, m2)
 
@@ -176,10 +178,10 @@ def test_random_comodule_size_does_not_depend_on_the_seed():
     t = coinvariant_ring(fx.grouplike)
     ind = induce_comodule(free_right_module(t.algebra, RANDOM_COMODULE_RANK),
                           inclusion_morphism(t, fx.coring.base), fx.grouplike).comodule
-    dims = {random_comodule(fx.grouplike, random.Random(seed)).space.dim for seed in range(8)}
+    dims = {random_comodule(fx.grouplike, random.Random(seed), t).space.dim for seed in range(8)}
     assert dims == {ind.space.dim}
-    assert not comodules_equal(random_comodule(fx.grouplike, random.Random(0)),
-                               random_comodule(fx.grouplike, random.Random(1)))
+    assert not comodules_equal(random_comodule(fx.grouplike, random.Random(0), t),
+                               random_comodule(fx.grouplike, random.Random(1), t))
 
 
 def test_hom_transposition_is_natural():

@@ -27,7 +27,7 @@ C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring
 BUILDERS = {
     "dual_ring": (dualring, ("c",)),
     "coinvariant_ring": (galois, ("x",)),
-    "is_galois": (galois, ("x", "b")),
+    "is_galois": (galois, ("x",)),
     "galois_decomposition": (galois, ("x",)),
     "connecting_space": (morita, ("x", "r", "weak")),
     "coefficient_space": (morita, ("x", "r", "weak")),
@@ -107,6 +107,25 @@ def test_suite_all_builds_each_input_once(monkeypatch, name):
                     "connecting_space", "coefficient_space", "graded_morita_context"):
         assert calls[builder], builder
         assert len(calls[builder]) == distinct(calls[builder]), (builder, len(calls[builder]))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_suite_all_decides_the_strictness_of_each_context_once(monkeypatch, name):
+    ms = main_structure(parse(fixture_file_text(name)))
+    original = morita.is_strict
+    contexts = []
+
+    def is_strict(ctx):
+        contexts.append(ctx)
+        return original(ctx)
+
+    for m in [m for key, m in sys.modules.items()
+              if m is not None and (key == "corings" or key.startswith("corings."))]:
+        for attr, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, attr, is_strict)
+    run_suite(ms, "all", seed=0)
+    assert len(contexts) == distinct(contexts) > 0, (len(contexts), distinct(contexts))
 
 
 def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):

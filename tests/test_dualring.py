@@ -81,7 +81,7 @@ def test_dual_of_identity_morphism_is_identity():
     fx = fixture("regular")
     ident = GroupCoringMorphism(fx.coring, fx.coring,
                                 [Mat.identity(QQ, m.dim) for m in fx.coring.comps])
-    dm = dual_morphism(ident)
+    dm = dual_morphism(ident, dual_ring(fx.coring))
     assert validate_graded_ring_morphism(dm).ok
     for a in fx.coring.group.elements():
         assert dm.maps[a] == Mat.identity(QQ, dm.src.dim(a))
@@ -91,7 +91,7 @@ def test_dual_of_canonical_morphism_is_graded_iso_when_galois():
     fx = fixture("regular")
     t = coinvariant_ring(fx.grouplike)
     can = canonical_morphism(fx.grouplike, inclusion_morphism(t, fx.coring.base))
-    dm = dual_morphism(can.morphism)
+    dm = dual_morphism(can.morphism, dual_ring(fx.coring))
     assert validate_graded_ring_morphism(dm).ok
     assert is_graded_ring_iso(dm)
 
@@ -101,7 +101,7 @@ def test_dual_of_component_zeroed_morphism_fails_unit():
     maps = [Mat.identity(QQ, m.dim) for m in fx.coring.comps]
     maps[0] = Mat.zeros(QQ, maps[0].rows, maps[0].cols)
     bad = GroupCoringMorphism(fx.coring, fx.coring, maps)
-    dm = dual_morphism(bad)
+    dm = dual_morphism(bad, dual_ring(fx.coring))
     rep = validate_graded_ring_morphism(dm)
     assert any(it.check_id == "morphism.unit" and not it.passed for it in rep.items)
 
@@ -169,7 +169,7 @@ def test_functor_square_commutes():
         r = dual_ring(fx.coring)
         cg = coring_as_gcomodule(fx.coring)
         acom = comodule_from_grouplike(fx.grouplike)
-        rnd = random_comodule(fx.grouplike, rng)
+        rnd = random_comodule(fx.grouplike, rng, coinvariant_ring(fx.grouplike))
         rep = check_functor_square([cg, replicate_comodule(rnd)], [acom, rnd], r)
         assert rep.ok, name
 

@@ -5,7 +5,12 @@ from corings.algebra import Bimodule, field_algebra, validate_bimodule
 from corings.coring import validate_group_coring
 from corings.dualring import dual_ring
 from corings.fixtures import fixture
-from corings.galois import coinvariant_ring, galois_decomposition, validate_grouplike
+from corings.galois import (
+    coinvariant_ring,
+    galois_decomposition,
+    structure_theorem_battery,
+    validate_grouplike,
+)
 from corings.groups import FiniteGroup
 from corings.hopf import (
     RelativeHopfModule,
@@ -27,7 +32,7 @@ from corings.hopf import (
 )
 from corings.linalg import Mat, row_space
 from corings.scalars import QQ
-from helpers import bad_antipode_hopf, validate_hopf_algebra
+from helpers import bad_antipode_hopf, derived, validate_hopf_algebra
 
 
 def test_group_hopf_algebras_validate():
@@ -95,9 +100,11 @@ def test_invariants_equal_coinvariants():
 
 
 def test_hopf_galois_verdicts():
-    verdict, rep = hopf_galois_check(fixture("regular").comodule_algebra)
+    fx = fixture("regular")
+    verdict, rep = hopf_galois_check(fx.comodule_algebra, derived(fx))
     assert verdict and rep.ok
-    verdict, rep = hopf_galois_check(fixture("nongalois").comodule_algebra)
+    fx = fixture("nongalois")
+    verdict, rep = hopf_galois_check(fx.comodule_algebra, derived(fx))
     assert not verdict
 
 
@@ -105,8 +112,8 @@ def test_hopf_galois_split_biconditional():
     # Galois holds exactly when a carrying cofree witness exists and the
     # slice is Galois: both sides true on the regular fixture, both false on
     # the trivial coaction
-    assert hopf_galois_decomposition_check(fixture("regular").comodule_algebra).ok
-    assert hopf_galois_decomposition_check(fixture("nongalois").comodule_algebra).ok
+    assert hopf_galois_decomposition_check(derived(fixture("regular"))).ok
+    assert hopf_galois_decomposition_check(derived(fixture("nongalois"))).ok
     wit, _ = galois_decomposition(fixture("nongalois").grouplike)
     assert wit is None
 
@@ -116,7 +123,8 @@ def test_relative_module_on_the_algebra_itself():
         fx = fixture(name)
         ca = fx.comodule_algebra
         m = RelativeHopfModule(ca, Bimodule.right_regular(ca.algebra), ca.rho)
-        rep = relative_hopf_module_check(ca, [m], b=fx.base)
+        rep = relative_hopf_module_check(ca, [m], fx.coring)
+        rep.extend(structure_theorem_battery(derived(fx), fx.base), prefix="relative.")
         if name == "regular":
             assert rep.ok
         else:
@@ -131,7 +139,7 @@ def test_zero_relative_module_passes():
     zero_space = Bimodule(ca.algebra, 0, None, (Mat.zeros(QQ, 0, 0),) * ca.algebra.dim)
     rho = tuple(Mat.zeros(QQ, 0, 0) for _ in ca.hopf.group.elements())
     m = RelativeHopfModule(ca, zero_space, rho)
-    rep = relative_hopf_module_check(ca, [m])
+    rep = relative_hopf_module_check(ca, [m], fx.coring)
     assert rep.ok
 
 
@@ -168,7 +176,7 @@ def test_incompatible_relative_module_fails_coring_axioms():
 
 def test_smash_dual_on_trivial_hopf():
     fx = fixture("trivial")
-    sp, lambdas, rep = smash_dual(fx.comodule_algebra)
+    sp, lambdas, rep = smash_dual(fx.comodule_algebra, dual_ring(fx.coring))
     assert rep.ok
     assert validate_smash_product(sp).ok
     assert list(sp.dims) == [1, 1]
@@ -176,7 +184,7 @@ def test_smash_dual_on_trivial_hopf():
 
 def test_smash_dual_on_regular_fixture():
     fx = fixture("regular")
-    sp, lambdas, rep = smash_dual(fx.comodule_algebra)
+    sp, lambdas, rep = smash_dual(fx.comodule_algebra, dual_ring(fx.coring))
     assert rep.ok
     assert validate_smash_product(sp).ok
     r = dual_ring(fx.coring)
@@ -186,7 +194,7 @@ def test_smash_dual_on_regular_fixture():
 def test_smash_dual_on_nongalois_fixture():
     # the comparison is an iso regardless of the Galois property
     fx = fixture("nongalois")
-    sp, lambdas, rep = smash_dual(fx.comodule_algebra)
+    sp, lambdas, rep = smash_dual(fx.comodule_algebra, dual_ring(fx.coring))
     assert rep.ok
 
 
@@ -195,7 +203,7 @@ def test_smash_associativity_on_order_three_components():
     ha = group_hopf_algebra(QQ, FiniteGroup.cyclic(3))
     h = cofree_hopf(ha, g2)
     ca = trivial_comodule_algebra(field_algebra(QQ), h)
-    sp, _, rep = smash_dual(ca)
+    sp, _, rep = smash_dual(ca, dual_ring(coring_from_comodule_algebra(ca)[0]))
     assert validate_smash_product(sp).ok
     assert rep.ok
 

@@ -6,6 +6,12 @@
   in the library, so code that lost its last library caller is deleted
   with it or moved to the tests (names listed in `__all__` count as
   references).
+* Every parameter with a default, of a function or a method, is passed,
+  positionally or by keyword, by at least one call in the library: a
+  default no library call overrides is a constant.  Calls match by name, so
+  a call counts for every definition of that name; a constructor is called
+  by its class name.  The console-script entry point `cli.main(argv)` is
+  the only exemption.
 """
 
 import ast
@@ -89,6 +95,54 @@ def unreferenced_functions(paths) -> list:
                   and not node.name.startswith("__") and node.name not in referenced)
 
 
+# (module, function): parameters with defaults that only callers outside the
+# library set
+CALLED_FROM_OUTSIDE = {("cli.py", "main")}
+
+
+def _optional_parameters(fn, is_method: bool) -> list:
+    """(name, position) of each parameter of fn with a default; position is
+    the index among the positional arguments a caller passes, None for a
+    keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+        positional = positional[1:]
+    out = [(a.arg, i) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unpassed_optional_parameters(paths) -> list:
+    trees = {path: _tree(path) for path in paths}
+    calls = {}  # called name -> list of (positional count, keyword names)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), keywords))
+    out = []
+    for path, tree in trees.items():
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (path.name, fn.name) in CALLED_FROM_OUTSIDE):
+                continue
+            called = methods[id(fn)] if fn.name == "__init__" else fn.name
+            for param, pos in _optional_parameters(fn, id(fn) in methods):
+                if not any((pos is not None and pos < n) or param in kws or None in kws
+                           for n, kws in calls.get(called, [])):
+                    out.append((path.name, fn.name, param))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -96,6 +150,10 @@ def test_no_unused_imports(path):
 
 def test_every_function_is_referenced():
     assert unreferenced_functions(MODULES) == []
+
+
+def test_every_optional_parameter_is_passed_by_a_library_call():
+    assert unpassed_optional_parameters(MODULES) == []
 
 
 def test_the_checks_catch_what_they_look_for(tmp_path):
@@ -127,3 +185,42 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     assert unreferenced_functions([src]) == [
         ("sample.py", "_dead"), ("sample.py", "called_elsewhere"), ("sample.py", "orphan")]
     assert unreferenced_functions([src, other]) == [("sample.py", "_dead"), ("sample.py", "orphan")]
+
+
+def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def shared(y=1):\n"
+        "    return y\n"
+        "def spread(u=1, v=2):\n"
+        "    return u + v\n"
+        "class K:\n"
+        "    def __init__(self, p=None, q=None):\n"
+        "        self.p = p\n"
+        "    def m(self, r=1):\n"
+        "        return r\n"
+        "    @staticmethod\n"
+        "    def s(w=1):\n"
+        "        return w\n"
+        "f(1, 2)\n"
+        "f(1, d=4)\n"
+        "K(5).m(2)\n"
+        "K.s(3)\n"
+        "spread(*(1, 2))\n")
+    other = tmp_path / "other.py"
+    other.write_text("def shared(y=2):\n"
+                     "    return y\n"
+                     "RESULT = shared(y=3)\n")
+    cli = tmp_path / "cli.py"
+    cli.write_text("def main(argv=None):\n"
+                   "    return argv\n"
+                   "def run(seed=0):\n"
+                   "    return seed\n")
+    assert unpassed_optional_parameters([src]) == [
+        ("sample.py", "__init__", "q"), ("sample.py", "f", "c"), ("sample.py", "f", "e"),
+        ("sample.py", "shared", "y")]
+    assert unpassed_optional_parameters([src, other, cli]) == [
+        ("cli.py", "run", "seed"), ("sample.py", "__init__", "q"), ("sample.py", "f", "c"),
+        ("sample.py", "f", "e")]

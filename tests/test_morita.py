@@ -35,7 +35,8 @@ from corings.morita import (
     _ring_as_module,
 )
 from corings.scalars import QQ
-from helpers import validate_graded_algebra
+from corings.structfile import Derived
+from helpers import derived, validate_graded_algebra
 
 
 def witness_of(name):
@@ -242,8 +243,7 @@ def test_standard_context_of_ring_is_strict():
 def test_standard_context_matches_weak_graded_context():
     for name in ("trivial", "regular", "sweedler"):
         fx = fixture(name)
-        r = dual_ring(fx.coring)
-        assert check_standard_context_match(fx.grouplike, r).ok, name
+        assert check_standard_context_match(derived(fx)).ok, name
 
 
 # -- group-ring contexts ---------------------------------------------------------------------
@@ -276,9 +276,7 @@ def test_zero_context_extends_to_zero_context():
 def test_graded_context_matches_group_ring_context_on_cofree_fixtures():
     for name in ("trivial", "regular", "sweedler"):
         fx = fixture(name)
-        r = dual_ring(fx.coring)
-        wit = witness_of(name)
-        assert check_group_ring_context_match(fx.grouplike, r, wit).ok, name
+        assert check_group_ring_context_match(derived(fx)).ok, name
 
 
 # -- the equivalence battery -------------------------------------------------------------------
@@ -289,7 +287,7 @@ def test_battery_agreement_on_fixtures():
                 "nongalois": "(False, False, False, False)"}
     for name, want in expected.items():
         fx = fixture(name)
-        rep = galois_equivalence_battery(fx.grouplike, fx.base)
+        rep = galois_equivalence_battery(derived(fx), fx.base)
         agree = next(it for it in rep.items if it.check_id == "battery.agreement")
         assert agree.passed and want in agree.witness, name
 
@@ -312,16 +310,16 @@ def test_battery_hypothesis_check():
     x = GrouplikeFamily(cor, ((QQ.one,),))
     b = RingMorphism(kx, kx, Mat.identity(QQ, 2))
     with pytest.raises(HypothesisFailed):
-        galois_equivalence_battery(x, b)
+        galois_equivalence_battery(Derived(cor, x), b)
 
 
 def test_battery_lets_induction_errors_propagate(monkeypatch):
-    import corings.morita as morita_mod
+    import corings.galois as galois_mod
 
     def broken(*args):
         raise RuntimeError("induction failed")
 
-    monkeypatch.setattr(morita_mod, "induction_unit", broken)
+    monkeypatch.setattr(galois_mod, "induction_unit", broken)
     fx = fixture("trivial")
     with pytest.raises(RuntimeError, match="induction failed"):
-        galois_equivalence_battery(fx.grouplike, fx.base)
+        galois_equivalence_battery(derived(fx), fx.base)

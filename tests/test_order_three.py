@@ -70,6 +70,8 @@ from corings.morita import (
     is_strict,
 )
 from corings.scalars import QQ
+from corings.structfile import Derived
+from helpers import derived
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +102,7 @@ def test_trivial_order_three_coring_and_galois():
     assert group_corings_equal(
         unpack_graded_coring(pack_graded_coring(fx.coring)), fx.coring)
     assert validate_grouplike(fx.grouplike).ok
-    assert is_galois(fx.grouplike, fx.base)[0]
+    assert is_galois(fx.grouplike)[0]
 
 
 def test_trivial_order_three_comodules_and_dual():
@@ -131,10 +133,11 @@ def test_trivial_order_three_contexts_and_batteries():
     gctx, _, _, brep = graded_morita_context(fx.grouplike, r)
     assert brep.ok
     assert is_strict(gctx.ctx)[0]
-    assert check_standard_context_match(fx.grouplike, r).ok
-    assert check_group_ring_context_match(fx.grouplike, r, wit).ok
-    assert structure_theorem_battery(fx.grouplike, fx.base).ok
-    rep = galois_equivalence_battery(fx.grouplike, fx.base, r)
+    d = Derived(fx.coring, fx.grouplike, wit)
+    assert check_standard_context_match(d).ok
+    assert check_group_ring_context_match(d).ok
+    assert structure_theorem_battery(d, fx.base).ok
+    rep = galois_equivalence_battery(d, fx.base)
     agree = next(it for it in rep.items if it.check_id == "battery.agreement")
     assert agree.passed and "(True, True, True, True)" in agree.witness
 
@@ -168,11 +171,12 @@ def test_nongalois_order_three_batteries():
     gctx, _, _, brep = graded_morita_context(fx.grouplike, r)
     assert brep.ok
     assert not is_strict(gctx.ctx)[0]
-    assert check_standard_context_match(fx.grouplike, r).ok
-    assert structure_theorem_battery(fx.grouplike, fx.base).ok
-    rep = galois_equivalence_battery(fx.grouplike, fx.base, r)
+    d = derived(fx)
+    assert check_standard_context_match(d).ok
+    assert structure_theorem_battery(d, fx.base).ok
+    rep = galois_equivalence_battery(d, fx.base)
     agree = next(it for it in rep.items if it.check_id == "battery.agreement")
     assert agree.passed and "(False, False, False, False)" in agree.witness
-    sp, _, srep = smash_dual(fx.comodule_algebra)
+    sp, _, srep = smash_dual(fx.comodule_algebra, r)
     assert srep.ok
     assert validate_smash_product(sp).ok
