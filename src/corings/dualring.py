@@ -21,7 +21,7 @@ from corings.algebra import (
     find_dual_basis,
     left_dual,
 )
-from corings.comodules import Comodule, GComodule, pack_gcomodule
+from corings.comodules import Comodule, GComodule, pack_gcomodule, replicate_comodule
 from corings.coring import (
     CofreeWitness,
     GroupCoring,
@@ -518,18 +518,12 @@ def check_functor_square(gcomodules, comodules, r: GradedRing) -> CheckReport:
                 "packing then dualizing equals dualizing then forgetting the grading",
                 rmodules_equal(lhs, rhs))
     for idx, cm in enumerate(comodules):
-        lhs = gcomodule_to_graded(_replicate(cm), r)
+        lhs = gcomodule_to_graded(replicate_comodule(cm), r)
         rhs = induce_grading(comodule_to_module(cm, r))
         rep.add(f"square.single[{idx}]",
                 "replicating then dualizing equals dualizing then regrading",
                 graded_modules_equal(lhs, rhs))
     return rep
-
-
-def _replicate(cm: Comodule):
-    from corings.comodules import replicate_comodule
-
-    return replicate_comodule(cm)
 
 
 # -- graded ring of a cofree coring ----------------------------------------------------

@@ -160,8 +160,6 @@ def _emit_hopfalgebra(name: str, alg_name: str, ha: HopfAlgebra) -> list:
 
 def fixture_file_text(name: str) -> str:
     """The structure-definition file for a bundled fixture."""
-    from corings.hopf import group_hopf_algebra
-
     g2 = FiniteGroup.cyclic(2)
     lines = ["# bundled fixture: " + name, "field Q", ""]
     if name == "trivial":

@@ -15,6 +15,7 @@ from corings.algebra import (
     Algebra,
     Bimodule,
     ModulePredicates,
+    collapse_left,
     left_module_predicates,
     subalgebra,
 )
@@ -108,8 +109,6 @@ def comodule_from_grouplike(x: GrouplikeFamily) -> Comodule:
 
 def grouplike_from_comodule(m: Comodule) -> GrouplikeFamily:
     """Read the family back off the coaction of the unit."""
-    from corings.algebra import collapse_left
-
     c = m.coring
     g = c.group
     A = c.base

@@ -464,11 +464,14 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
         for key in ("coring", "grouplike", "base"):
             _require(m, key, line, "main")
         bln, cname = m["coring"]
-        _lookup(sf.corings, cname, bln, "coring")
+        cor = _lookup(sf.corings, cname, bln, "coring")
         bln, gname = m["grouplike"]
-        _lookup(sf.grouplikes, gname, bln, "grouplike")
+        if _lookup(sf.grouplikes, gname, bln, "grouplike").coring is not cor:
+            raise StructureError(bln, f"grouplike {gname!r} is not a family on coring {cname!r}")
         bln, bname = m["base"]
-        _lookup(sf.morphisms, bname, bln, "morphism")
+        if _lookup(sf.morphisms, bname, bln, "morphism").dst != cor.base:
+            raise StructureError(bln, f"morphism {bname!r} does not land in the base "
+                                      f"algebra of coring {cname!r}")
         main = {"coring": cname, "grouplike": gname, "base": bname}
         if "comodule-algebra" in m:
             bln, caname = m["comodule-algebra"]

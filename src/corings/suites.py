@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 
-from corings.algebra import validate_algebra, validate_bimodule
+from corings.algebra import Bimodule, validate_algebra, validate_bimodule
 from corings.comodules import (
     check_cofree_equivalence,
     check_pack_replicate_adjunction,
     check_pack_replicate_frobenius,
     coring_as_gcomodule,
+    gcomodules_equal,
     pack_gcomodule,
     replicate_comodule,
     validate_comodule,
@@ -31,6 +32,7 @@ from corings.dualring import (
     gcomodule_to_graded,
     graded_to_gcomodule,
     induce_grading,
+    rmodules_equal,
     validate_graded_ring,
     validate_rmodule,
     validate_graded_module,
@@ -42,6 +44,7 @@ from corings.galois import (
     random_comodule,
     structure_theorem_battery,
     validate_grouplike,
+    validate_ring_morphism,
     check_coinvariants_cofree,
 )
 from corings.groups import validate_group
@@ -87,8 +90,6 @@ def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
         rep.extend(validate_bimodule(ms.coring.comps[a]), prefix=f"validate.comp[{a}].")
     rep.extend(validate_group_coring(ms.coring, check_components=False), prefix="validate.")
     rep.extend(validate_grouplike(ms.grouplike), prefix="validate.")
-    from corings.galois import validate_ring_morphism
-
     rep.extend(validate_ring_morphism(ms.base), prefix="validate.base-morphism.")
     if ms.comodule_algebra is not None:
         rep.extend(validate_hopf_g_coalgebra(ms.comodule_algebra.hopf), prefix="validate.")
@@ -137,8 +138,6 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     cg = coring_as_gcomodule(ms.coring)
     gm = gcomodule_to_graded(cg, r)
     rep.extend(validate_graded_module(gm), prefix="dual-ring.coring-module.")
-    from corings.comodules import gcomodules_equal
-
     back = graded_to_gcomodule(gm, ms.coring)
     rep.add("dual-ring.roundtrip.coring", "graded module reconstructs the family",
             gcomodules_equal(back, cg))
@@ -234,8 +233,6 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(check_canonical_graded_action(agm, ms.grouplike, r), prefix="graded-morita.")
     lhs = comodule_to_module(pack_gcomodule(replicate_comodule(
         comodule_from_grouplike(ms.grouplike)))[0], r)
-    from corings.dualring import rmodules_equal
-
     rep.add("graded-morita.forget-match",
             "forgetting the grading of the canonical module matches the packed dual action",
             rmodules_equal(forget_grading(agm), lhs))
@@ -270,8 +267,6 @@ def suite_hopf(ms: MainStructure, seed: int) -> CheckReport:
     rep.add("hopf.galois-verdict", "Galois verdict of the induced coring computed", True,
             f"value={verdict}")
     rep.extend(hopf_galois_decomposition_check(h), prefix="hopf.")
-    from corings.algebra import Bimodule
-
     mod = RelativeHopfModule(ca, Bimodule.right_regular(ca.algebra), ca.rho)
     rep.extend(relative_hopf_module_check(ca, [mod], h.coring), prefix="hopf.")
     rep.extend(structure_theorem_battery(h, ms.base), prefix="hopf.relative.")

@@ -4,6 +4,11 @@
   `linalg.triple_balanced_quotient`: it writes every balanced relation of
   both junctions over the d1*d2*d3 ambient columns and eliminates them in
   one matrix.
+* `reference_induced_right`, `reference_induced_delta` and
+  `reference_smash_mul` are the references for the right action and the
+  comultiplication of `hopf.coring_from_comodule_algebra` and for
+  `hopf.SmashProduct.mul`: they build each entry by a loop over basis
+  indices instead of by Kronecker products.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * The other functions are checks and objects only the tests use: the
@@ -32,7 +37,7 @@ from corings.hopf import (
     cofree_hopf,
     group_hopf_algebra,
     mult_matrix,
-    tensor_multiply,
+    tensor_algebra,
 )
 from corings.linalg import Mat, QuotientSpace, quotient_by, tensor_k, tensor_vec, unit_vec
 from corings.report import CheckReport
@@ -165,12 +170,13 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     rep.add("hopf.counit", "counit laws",
             tensor_k(ident, h.counit) @ h.delta == ident
             and tensor_k(h.counit, ident) @ h.delta == ident)
+    aa = tensor_algebra(a, a)
     bad = [
         (i, j)
         for i in range(a.dim)
         for j in range(a.dim)
         if h.delta.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
-        != tensor_multiply(a, a, h.delta.col(i), h.delta.col(j))
+        != aa.multiply(h.delta.col(i), h.delta.col(j))
     ]
     rep.add("hopf.delta-multiplicative", "comultiplication is an algebra map",
             not bad, f"failing pairs: {bad[:5]}" if bad else "")
@@ -204,3 +210,111 @@ def bad_antipode_hopf() -> HopfGCoalgebra:
     ha = group_hopf_algebra(QQ, c3)
     broken = HopfAlgebra(ha.algebra, ha.delta, ha.counit, Mat.identity(QQ, 3))
     return cofree_hopf(broken, FiniteGroup.cyclic(2))
+
+
+def reference_induced_right(ca, p: int) -> tuple:
+    """Right action matrices of the degree-p component A (x) H_p of the
+    coring the comodule algebra ca induces, summed term by term."""
+    a = ca.algebra
+    h = ca.hopf
+    F = a.field
+    hp = h.comps[p]
+    dim = a.dim * hp.dim
+    right = []
+    for j in range(a.dim):
+        v = ca.rho[p].col(j)
+        acc = Mat.zeros(F, dim, dim)
+        for pi in range(a.dim):
+            for qi in range(hp.dim):
+                coeff = v[pi * hp.dim + qi]
+                if coeff:
+                    acc = acc + tensor_k(a.right_mats[pi], hp.right_mats[qi]).scale(coeff)
+        right.append(acc)
+    return tuple(right)
+
+
+def reference_induced_delta(ca, cor, p: int, q: int) -> Mat:
+    """Comultiplication (p, q) of the coring cor that the comodule algebra
+    ca induces, one pure tensor (a (x) h(1)) (x) (1 (x) h(2)) at a time."""
+    a = ca.algebra
+    h = ca.hopf
+    g = h.group
+    F = a.field
+    pq = g.mul(p, q)
+    t = cor.tensor(p, q)
+    hp_dim = h.comps[p].dim
+    hq_dim = h.comps[q].dim
+    cols = []
+    for i in range(a.dim):
+        for m in range(h.comps[pq].dim):
+            dcol = h.delta[(p, q)].col(m)
+            vec = [F.zero] * t.space.ambient_dim
+            for u in range(hp_dim):
+                for v in range(hq_dim):
+                    coeff = dcol[u * hq_dim + v]
+                    if coeff:
+                        first = [F.zero] * (a.dim * hp_dim)
+                        first[i * hp_dim + u] = coeff
+                        second = [F.zero] * (a.dim * hq_dim)
+                        for k, unit_c in enumerate(a.unit):
+                            if unit_c:
+                                second[k * hq_dim + v] = unit_c
+                        pure = tensor_vec(F, tuple(first), tuple(second))
+                        vec = [F.add(xx, yy) for xx, yy in zip(vec, pure)]
+            cols.append(t.space.project(vec))
+    return Mat.from_cols(F, cols)
+
+
+def reference_smash_mul(sp, p: int, q: int) -> Mat:
+    """Multiplication SP_p (x) SP_q -> SP_{pq} of the smash product sp,
+    entry by entry over the Sweedler parts."""
+    ca = sp.ca
+    h = ca.hopf
+    g = sp.group
+    a = ca.algebra
+    F = sp.field
+    pinv, qinv = g.inv(p), g.inv(q)
+    pq = g.mul(p, q)
+    hp, hq = h.comps[pinv], h.comps[qinv]
+    hpq = h.comps[g.inv(pq)]
+    # pairing data: delta of H_{(pq)^{-1}} into H_{q^{-1}} (x) H_{p^{-1}}
+    dd = h.delta[(qinv, pinv)]
+    # comultiplication of the dual component K_q = H_{q^{-1}}^*: transpose of mult
+    mm_q = mult_matrix(hq)
+    cols = []
+    for hu in range(hp.dim):
+        for ai in range(a.dim):
+            for kv in range(hq.dim):
+                for bj in range(a.dim):
+                    # (delta_u^* # e_ai)(delta_v^* # e_bj)
+                    # = (k(1)* . h*) # (k(2)* . a) b over Sweedler parts of k*
+                    out = [F.zero] * (hpq.dim * a.dim)
+                    # Sweedler parts of delta_v^*: <k(1)*, x><k(2)*, y> = <k*, xy>
+                    for s in range(hq.dim):
+                        for t_ in range(hq.dim):
+                            coeff_split = mm_q.at(kv, s * hq.dim + t_)
+                            if not coeff_split:
+                                continue
+                            # action part: k(2)* . e_ai = <delta_t*, a[1,q^{-1}]> a[0]
+                            acted = [F.zero] * a.dim
+                            acol = ca.rho[qinv].col(ai)
+                            for mi in range(a.dim):
+                                cval = acol[mi * hq.dim + t_]
+                                if cval:
+                                    acted[mi] = F.add(acted[mi], cval)
+                            if not any(acted):
+                                continue
+                            coeff_a = a.multiply(tuple(acted), a.basis_vec(bj))
+                            # product part: (delta_s* ? delta_hu*) on H_{(pq)^{-1}}:
+                            # <prod, h> = <delta_s*, h(1,q^{-1})><delta_hu*, h(2,p^{-1})>
+                            for w in range(hpq.dim):
+                                pair_val = dd.at(s * hp.dim + hu, w)
+                                if pair_val:
+                                    for z, av in enumerate(coeff_a):
+                                        if av:
+                                            idx = w * a.dim + z
+                                            out[idx] = F.add(
+                                                out[idx],
+                                                F.mul(coeff_split, F.mul(pair_val, av)))
+                    cols.append(tuple(out))
+    return Mat.from_cols(F, cols)

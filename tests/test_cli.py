@@ -139,3 +139,80 @@ def test_zero_dimensional_connecting_space_gives_a_verdict(tmp_path):
     assert "Traceback" not in out + err
     assert out.rstrip().endswith("verdict fail")
     assert "item\tgalois.bijective\t" in out
+
+
+# A second coring on the nongalois fixture: the one a trivial coaction of a
+# one-dimensional Hopf family induces on B, with its canonical family XT.
+SECOND_CORING = """
+begin hopfalgebra HT
+  algebra B
+  delta [[1]]
+  counit [[1]]
+  antipode [[1]]
+end
+
+begin hopf HTG
+  group G
+  cofree HT
+end
+
+begin comodule-algebra CAT
+  algebra B
+  hopf HTG
+  trivial
+end
+
+begin coring CT2
+  from-comodule-algebra CAT
+end
+
+begin grouplike XT
+  coring CT2
+  canonical
+end
+
+begin morphism IH
+  src B
+  dst HC2
+  mat [[1], [0]]
+end
+
+begin main
+"""
+
+
+def _nongalois_with_main(tmp_path, old: str, new: str):
+    text = fixture_file_text("nongalois")
+    assert text.count("\nbegin main\n") == 1 and text.count(old) == 1
+    path = tmp_path / "mixed.coring"
+    path.write_text(text.replace("\nbegin main\n", SECOND_CORING).replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("suite", ["galois", "comodules"])
+def test_main_rejects_a_grouplike_on_another_coring(suite, tmp_path):
+    # Naming XT with the coring C used to report the verdict of CT2 under
+    # galois and to end in a shape error under comodules.
+    path = _nongalois_with_main(tmp_path, "  grouplike X\n", "  grouplike XT\n")
+    rc, out, err = run_cli(["check", str(path), "--suite", suite])
+    assert rc == 2
+    assert "grouplike 'XT' is not a family on coring 'C'" in err
+    assert out == ""
+
+
+def test_main_rejects_a_base_morphism_into_another_algebra(tmp_path):
+    path = _nongalois_with_main(tmp_path, "  base IB\n", "  base IH\n")
+    rc, out, err = run_cli(["check", str(path), "--suite", "galois"])
+    assert rc == 2
+    assert "morphism 'IH' does not land in the base algebra of coring 'C'" in err
+
+
+def test_main_accepts_the_second_coring_with_its_own_family(tmp_path):
+    path = _nongalois_with_main(
+        tmp_path, "  coring C\n  grouplike X\n  base IB\n  comodule-algebra CA\n",
+        "  coring CT2\n  grouplike XT\n  base IB2\n  comodule-algebra CAT\n")
+    path.write_text(path.read_text().replace(
+        "begin main", "begin morphism IB2\n  src B\n  dst B\n  mat [[1]]\nend\n\nbegin main"))
+    rc, out, _ = run_cli(["check", str(path), "--suite", "galois"])
+    assert rc == 0
+    assert "verdict: pass" in out

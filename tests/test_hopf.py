@@ -1,7 +1,9 @@
 """Hopf structures, induced corings, Hopf-Galois detection, relative
 modules and the smash-product form of the dual ring."""
 
-from corings.algebra import Bimodule, field_algebra, validate_bimodule
+import pytest
+
+from corings.algebra import Bimodule, field_algebra, validate_algebra, validate_bimodule
 from corings.coring import validate_group_coring
 from corings.dualring import dual_ring
 from corings.fixtures import fixture
@@ -14,6 +16,7 @@ from corings.galois import (
 from corings.groups import FiniteGroup
 from corings.hopf import (
     RelativeHopfModule,
+    SmashProduct,
     cofree_hopf,
     coring_from_comodule_algebra,
     coring_comodule_to_relative,
@@ -23,16 +26,25 @@ from corings.hopf import (
     invariant_subalgebra,
     relative_hopf_module_check,
     relative_to_coring_comodule,
+    regular_comodule_algebra,
     smash_dual,
+    tensor_algebra,
     trivial_comodule_algebra,
     trivial_hopf,
     validate_comodule_algebra,
     validate_hopf_g_coalgebra,
     validate_smash_product,
 )
-from corings.linalg import Mat, row_space
-from corings.scalars import QQ
-from helpers import bad_antipode_hopf, derived, validate_hopf_algebra
+from corings.linalg import Mat, row_space, tensor_vec
+from corings.scalars import GF, QQ
+from helpers import (
+    bad_antipode_hopf,
+    derived,
+    reference_induced_delta,
+    reference_induced_right,
+    reference_smash_mul,
+    validate_hopf_algebra,
+)
 
 
 def test_group_hopf_algebras_validate():
@@ -216,3 +228,52 @@ def test_cofree_family_transports_the_antipode():
     for a in g2.elements():
         assert h.antipode[a] == ha.antipode
         assert h.comps[a].mul == ha.algebra.mul
+
+
+def test_tensor_algebra_multiplies_componentwise():
+    a = group_hopf_algebra(QQ, FiniteGroup.cyclic(3)).algebra
+    b = fixture("regular").comodule_algebra.algebra
+    ab = tensor_algebra(a, b)
+    assert validate_algebra(ab).ok
+    assert ab.unit == tensor_vec(QQ, a.unit, b.unit)
+    for i in range(a.dim):
+        for j in range(b.dim):
+            for k in range(a.dim):
+                for l in range(b.dim):
+                    assert ab.multiply(tensor_vec(QQ, a.basis_vec(i), b.basis_vec(j)),
+                                       tensor_vec(QQ, a.basis_vec(k), b.basis_vec(l))) \
+                        == tensor_vec(QQ, a.mul[i][k], b.mul[j][l])
+
+
+def _c3_comodule_algebras(field):
+    """Comodule algebras over cofree families of the order-three group
+    algebra, indexed by groups of order two and three: the algebra itself
+    with the regular and with the trivial coaction, and the ground field."""
+    ha = group_hopf_algebra(field, FiniteGroup.cyclic(3))
+    out = []
+    for n in (2, 3):
+        h = cofree_hopf(ha, FiniteGroup.cyclic(n))
+        out += [regular_comodule_algebra(h, ha), trivial_comodule_algebra(ha.algebra, h),
+                trivial_comodule_algebra(field_algebra(field), h)]
+    return out
+
+
+REFERENCE_CASES = {
+    "fixtures": lambda: [fixture(name).comodule_algebra
+                         for name in ("trivial", "regular", "nongalois")],
+    "c3-qq": lambda: _c3_comodule_algebras(QQ),
+    "c3-gf101": lambda: _c3_comodule_algebras(GF(101)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_structure_maps_equal_their_index_loop_references(case):
+    for ca in REFERENCE_CASES[case]():
+        cor, _ = coring_from_comodule_algebra(ca)
+        sp = SmashProduct(ca)
+        g = ca.hopf.group
+        for p in g.elements():
+            assert cor.comps[p].right == reference_induced_right(ca, p)
+            for q in g.elements():
+                assert cor.delta[(p, q)] == reference_induced_delta(ca, cor, p, q)
+                assert sp.mul[(p, q)] == reference_smash_mul(sp, p, q)

@@ -6,6 +6,8 @@
   in the library, so code that lost its last library caller is deleted
   with it or moved to the tests (names listed in `__all__` count as
   references).
+* No function body imports from `corings`: every library import sits at
+  module level, where the import graph can be read at a glance.
 * Every parameter with a default, of a function or a method, is passed,
   positionally or by keyword, by at least one call in the library: a
   default no library call overrides is a constant.  Calls match by name, so
@@ -70,6 +72,25 @@ def _exported(tree: ast.Module) -> set:
 
 def _used_names(tree: ast.Module) -> set:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def function_local_imports(path: Path) -> list:
+    """(line, module) of each import from `corings` inside a function body;
+    a relative import, from within the package, counts."""
+    out = set()
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            out |= {(node.lineno, m) for m in modules
+                    if m.startswith(".") or m.split(".")[0] == "corings"}
+    return sorted(out)
 
 
 def unused_imports(path: Path) -> list:
@@ -148,6 +169,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_from_the_library(path):
+    assert function_local_imports(path) == []
+
+
 def test_every_function_is_referenced():
     assert unreferenced_functions(MODULES) == []
 
@@ -224,3 +250,24 @@ def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):
     assert unpassed_optional_parameters([src, other, cli]) == [
         ("cli.py", "run", "seed"), ("sample.py", "__init__", "q"), ("sample.py", "f", "c"),
         ("sample.py", "f", "e")]
+
+
+def test_the_local_import_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import corings.linalg\n"
+        "from corings.algebra import Algebra\n"
+        "def f():\n"
+        "    from corings.galois import is_galois\n"
+        "    import json\n"
+        "    return is_galois, json\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        import corings.report as report\n"
+        "        def inner():\n"
+        "            from . import sibling\n"
+        "            from corings_extra import thing\n"
+        "            return sibling, thing\n"
+        "        return report, inner\n")
+    assert function_local_imports(src) == [
+        (4, "corings.galois"), (9, "corings.report"), (11, ".")]
