@@ -21,10 +21,10 @@ from corings.linalg import (
     combine,
     coords_in_rowspace,
     hstack,
+    kron_after,
     rank,
     row_space,
     solve,
-    tensor_k,
     tensor_vec,
     triple_balanced_quotient,
     unit_vec,
@@ -78,12 +78,12 @@ class Algebra:
     def left_mult(self, a) -> Mat:
         """Matrix of x -> a*x."""
         cols = [self.multiply(a, unit_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols)
+        return Mat._from_cols(self.field, cols)
 
     def right_mult(self, a) -> Mat:
         """Matrix of x -> x*a."""
         cols = [self.multiply(unit_vec(self.field, self.dim, j), a) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols)
+        return Mat._from_cols(self.field, cols)
 
     @cached_property
     def left_mats(self) -> tuple:
@@ -296,12 +296,14 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> TensorProduct:
     ident_n = Mat.identity(F, n.dim)
     left = None
     if m.left is not None:
-        left = tuple(q.proj @ tensor_k(L, ident_n) @ q.sect for L in m.left)
-        _check_descends(q, [tensor_k(L, ident_n) for L in m.left], "left")
+        outer = [kron_after(q.proj, L, ident_n) for L in m.left]
+        _check_descends(q, outer, "left")
+        left = tuple(x @ q.sect for x in outer)
     right = None
     if n.right is not None:
-        right = tuple(q.proj @ tensor_k(ident_m, R) @ q.sect for R in n.right)
-        _check_descends(q, [tensor_k(ident_m, R) for R in n.right], "right")
+        outer = [kron_after(q.proj, ident_m, R) for R in n.right]
+        _check_descends(q, outer, "right")
+        right = tuple(x @ q.sect for x in outer)
     module = Bimodule(A, q.dim, left, right)
     return TensorProduct(m, n, q, module)
 
@@ -337,12 +339,14 @@ def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
     return memo[key]
 
 
-def _check_descends(q: QuotientSpace, ambient_mats, side: str) -> None:
+def _check_descends(q: QuotientSpace, projected, side: str) -> None:
+    """Each map q.proj @ X of projected (X an action on the ambient space)
+    kills the relations of q, so that X descends to the quotient."""
     if q.relations.rows == 0:
         return
     rel_t = q.relations.transpose()
-    for t, mat in enumerate(ambient_mats):
-        if not (q.proj @ mat @ rel_t).is_zero():
+    for t, mat in enumerate(projected):
+        if not (mat @ rel_t).is_zero():
             raise ValueError(f"{side} action does not descend to the tensor quotient (index {t})")
 
 
@@ -362,12 +366,12 @@ def collapse_left(m: Bimodule) -> Mat:
 
 def contract_right(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
     """M (x)_k C -> M, m (x) c -> m.functional(c), functional: C -> A."""
-    return collapse_right(m) @ tensor_k(Mat.identity(m.base.field, m.dim), functional)
+    return kron_after(collapse_right(m), Mat.identity(m.base.field, m.dim), functional)
 
 
 def contract_left(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
     """C (x)_k M -> M, c (x) m -> functional(c).m."""
-    return collapse_left(m) @ tensor_k(functional, Mat.identity(m.base.field, m.dim))
+    return kron_after(collapse_left(m), functional, Mat.identity(m.base.field, m.dim))
 
 
 # -- left duals and dual bases -------------------------------------------------------

@@ -31,7 +31,7 @@ from corings.linalg import (
     QuotientSpace,
     block_matrix,
     hstack,
-    tensor_k,
+    kron_after,
     vstack,
 )
 from corings.report import CheckReport
@@ -91,8 +91,8 @@ def validate_comodule(m: Comodule) -> CheckReport:
             tq3 = m.triple(a, b)
             idm = Mat.identity(F, m.space.dim)
             idc = Mat.identity(F, c.comps[b].dim)
-            lhs = tq3.proj @ tensor_k(idm, c.delta_left_lift(a, b)) @ m.tensor(ab).space.sect @ m.rho[ab]
-            rhs = tq3.proj @ tensor_k(m.tensor(a).space.sect @ m.rho[a], idc) \
+            lhs = kron_after(tq3.proj, idm, c.delta_left_lift(a, b)) @ m.tensor(ab).space.sect @ m.rho[ab]
+            rhs = kron_after(tq3.proj, m.tensor(a).space.sect @ m.rho[a], idc) \
                 @ m.tensor(b).space.sect @ m.rho[b]
             if lhs != rhs:
                 bad.append((a, b))
@@ -128,9 +128,9 @@ def validate_g_comodule(m: GComodule) -> CheckReport:
                 tq3 = m.triple(a, b, d)
                 idm = Mat.identity(F, m.comps[a].dim)
                 idc = Mat.identity(F, c.comps[d].dim)
-                lhs = tq3.proj @ tensor_k(idm, c.delta_left_lift(b, d)) \
+                lhs = kron_after(tq3.proj, idm, c.delta_left_lift(b, d)) \
                     @ m.tensor(a, bd).space.sect @ m.rho[(a, bd)]
-                rhs = tq3.proj @ tensor_k(m.tensor(a, b).space.sect @ m.rho[(a, b)], idc) \
+                rhs = kron_after(tq3.proj, m.tensor(a, b).space.sect @ m.rho[(a, b)], idc) \
                     @ m.tensor(ab, d).space.sect @ m.rho[(ab, d)]
                 if lhs != rhs:
                     bad.append((a, b, d))
@@ -179,7 +179,7 @@ def pack_gcomodule(m: GComodule) -> tuple[Comodule, list, list]:
         for b in g.elements():
             src = g.mul(b, ainv)
             t_src = m.tensor(src, a)
-            incl = t_tot.space.proj @ tensor_k(inj[src], idc) @ t_src.space.sect
+            incl = kron_after(t_tot.space.proj, inj[src], idc) @ t_src.space.sect
             acc = acc + incl @ m.rho[(src, a)] @ proj[b]
         rho.append(acc)
     packed.rho = tuple(rho)
@@ -246,7 +246,7 @@ def is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
         for b in g.elements():
             ab = g.mul(a, b)
             cdim = c.comps[b].dim
-            lhs = n.tensor(a, b).space.proj @ tensor_k(fams[a], Mat.identity(c.base.field, cdim)) \
+            lhs = kron_after(n.tensor(a, b).space.proj, fams[a], Mat.identity(c.base.field, cdim)) \
                 @ m.tensor(a, b).space.sect @ m.rho[(a, b)]
             if lhs != n.rho[(a, b)] @ fams[ab]:
                 return False
@@ -375,7 +375,7 @@ def cofree_extend(n: Comodule, c: GroupCoring, w: CofreeWitness) -> GComodule:
     for a in g.elements():
         for b in g.elements():
             t = out.tensor(a, b)
-            rho[(a, b)] = t.space.proj @ tensor_k(Mat.identity(F, n.space.dim), w.gammas[b]) \
+            rho[(a, b)] = kron_after(t.space.proj, Mat.identity(F, n.space.dim), w.gammas[b]) \
                 @ e_t.space.sect @ n.rho[0]
     out.rho = rho
     return out

@@ -24,7 +24,7 @@ from corings.algebra import (
     validate_bimodule_map,
 )
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
-from corings.linalg import Mat, QuotientSpace, block_matrix, inverse, tensor_k
+from corings.linalg import Mat, QuotientSpace, block_matrix, inverse, kron_after
 from corings.report import CheckReport
 
 
@@ -64,8 +64,8 @@ class GroupCoring:
         tq3 = self.triple(a, b, c)
         idc = Mat.identity(self.base.field, self.comps[c].dim)
         ida = Mat.identity(self.base.field, self.comps[a].dim)
-        lhs = tq3.proj @ tensor_k(self.delta_left_lift(a, b), idc) @ self.delta_left_lift(ab, c)
-        rhs = tq3.proj @ tensor_k(ida, self.delta_left_lift(b, c)) @ self.delta_left_lift(a, bc)
+        lhs = kron_after(tq3.proj, self.delta_left_lift(a, b), idc) @ self.delta_left_lift(ab, c)
+        rhs = kron_after(tq3.proj, ida, self.delta_left_lift(b, c)) @ self.delta_left_lift(a, bc)
         return lhs, rhs
 
     def e_slice(self) -> "GroupCoring":
@@ -134,7 +134,7 @@ def validate_coring_morphism(f: GroupCoringMorphism) -> CheckReport:
             ab = g.mul(a, b)
             src_t = f.src.tensor(a, b)
             dst_t = f.dst.tensor(a, b)
-            lhs = dst_t.space.proj @ tensor_k(f.maps[a], f.maps[b]) @ src_t.space.sect @ f.src.delta[(a, b)]
+            lhs = kron_after(dst_t.space.proj, f.maps[a], f.maps[b]) @ src_t.space.sect @ f.src.delta[(a, b)]
             rhs = f.dst.delta[(a, b)] @ f.maps[ab]
             if lhs != rhs:
                 bad.append((a, b))
@@ -194,7 +194,7 @@ def verify_cofree(c: GroupCoring, w: CofreeWitness) -> CheckReport:
             t = c.tensor(a, b)
             te = c.tensor(e, e)
             lhs = c.delta[(a, b)] @ w.gammas[ab]
-            rhs = t.space.proj @ tensor_k(w.gammas[a], w.gammas[b]) @ te.space.sect @ c.delta[(e, e)]
+            rhs = kron_after(t.space.proj, w.gammas[a], w.gammas[b]) @ te.space.sect @ c.delta[(e, e)]
             if lhs != rhs:
                 bad.append((a, b))
     rep.add("cofree.compatible", "connecting maps intertwine comultiplication",
@@ -310,7 +310,7 @@ def pack_graded_coring(c: GroupCoring) -> GradedCoring:
         for b in g.elements():
             ab = g.mul(a, b)
             t_ab = c.tensor(a, b)
-            incl = t_tot.space.proj @ tensor_k(inj[a], inj[b]) @ t_ab.space.sect
+            incl = kron_after(t_tot.space.proj, inj[a], inj[b]) @ t_ab.space.sect
             delta = delta + incl @ c.delta[(a, b)] @ proj[ab]
     packed.delta = delta
     packed.counit = c.counit @ proj[g.identity]
@@ -334,7 +334,7 @@ def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
         for b in g.elements():
             ab = g.mul(a, b)
             t_ab = cor.tensor(a, b)
-            extract = t_ab.space.proj @ tensor_k(p.block_projection(a), p.block_projection(b)) @ t_tot.space.sect
+            extract = kron_after(t_ab.space.proj, p.block_projection(a), p.block_projection(b)) @ t_tot.space.sect
             cor.delta[(a, b)] = extract @ p.delta @ p.block_injection(ab)
     return cor
 

@@ -37,8 +37,8 @@ from corings.linalg import (
     combine,
     coords_in_rowspace,
     inverse,
+    kron_after,
     rank,
-    tensor_k,
     tensor_vec,
     unit_vec,
 )
@@ -173,7 +173,7 @@ class GradedRing:
                 gv = self.functionals[b][v]
                 prod = gv @ partial
                 cols.append(self.coords(ab, prod))
-        return Mat.from_cols(self.base.field, cols)
+        return Mat._from_cols(self.base.field, cols)
 
     def multiply(self, a: int, x, b: int, y) -> tuple:
         """Product of homogeneous elements of degrees a and b."""
@@ -205,8 +205,8 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
             for c in g.elements():
                 ab = g.mul(a, b)
                 bc = g.mul(b, c)
-                lhs = r.mul[(ab, c)] @ tensor_k(r.mul[(a, b)], Mat.identity(F, r.dim(c)))
-                rhs = r.mul[(a, bc)] @ tensor_k(Mat.identity(F, r.dim(a)), r.mul[(b, c)])
+                lhs = kron_after(r.mul[(ab, c)], r.mul[(a, b)], Mat.identity(F, r.dim(c)))
+                rhs = kron_after(r.mul[(a, bc)], Mat.identity(F, r.dim(a)), r.mul[(b, c)])
                 if lhs != rhs:
                     bad.append((a, b, c))
     rep.add("dual-ring.associative", "product associativity on all degree triples",
@@ -216,8 +216,8 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
     unit = Mat.col_vector(F, r.unit_vec)
     for a in g.elements():
         ident = Mat.identity(F, r.dim(a))
-        left_unit = r.mul[(e, a)] @ tensor_k(unit, ident)
-        right_unit = r.mul[(a, e)] @ tensor_k(ident, unit)
+        left_unit = kron_after(r.mul[(e, a)], unit, ident)
+        right_unit = kron_after(r.mul[(a, e)], ident, unit)
         if left_unit != ident or right_unit != ident:
             bad.append(a)
     rep.add("dual-ring.unit", "the counit is a two-sided unit",
@@ -287,7 +287,7 @@ def validate_graded_ring_morphism(m: GradedRingMorphism) -> CheckReport:
         for b in g.elements():
             ab = g.mul(a, b)
             lhs = m.maps[ab] @ m.src.mul[(a, b)]
-            rhs = m.dst.mul[(a, b)] @ tensor_k(m.maps[a], m.maps[b])
+            rhs = kron_after(m.dst.mul[(a, b)], m.maps[a], m.maps[b])
             if lhs != rhs:
                 bad.append((a, b))
     rep.add("morphism.multiplicative", "preserves the graded product",
@@ -324,7 +324,7 @@ def validate_graded_module(m: GradedModule) -> CheckReport:
     e = g.identity
     unit = Mat.col_vector(F, r.unit_vec)
     bad = [a for a in g.elements()
-           if m.act[(a, e)] @ tensor_k(Mat.identity(F, m.comps[a].dim), unit)
+           if kron_after(m.act[(a, e)], Mat.identity(F, m.comps[a].dim), unit)
            != Mat.identity(F, m.comps[a].dim)]
     rep.add("graded-module.unit", "the unit acts as the identity",
             not bad, f"failing degrees: {bad}" if bad else "")
@@ -334,8 +334,8 @@ def validate_graded_module(m: GradedModule) -> CheckReport:
             for c in g.elements():
                 ab = g.mul(a, b)
                 bc = g.mul(b, c)
-                lhs = m.act[(ab, c)] @ tensor_k(m.act[(a, b)], Mat.identity(F, r.dim(c)))
-                rhs = m.act[(a, bc)] @ tensor_k(Mat.identity(F, m.comps[a].dim), r.mul[(b, c)])
+                lhs = kron_after(m.act[(ab, c)], m.act[(a, b)], Mat.identity(F, r.dim(c)))
+                rhs = kron_after(m.act[(a, bc)], Mat.identity(F, m.comps[a].dim), r.mul[(b, c)])
                 if lhs != rhs:
                     bad.append((a, b, c))
     rep.add("graded-module.associative", "action associativity on degree triples",
@@ -345,11 +345,11 @@ def validate_graded_module(m: GradedModule) -> CheckReport:
         for b in g.elements():
             ab = g.mul(a, b)
             for j in range(r.base.dim):
-                balance_l = m.act[(a, b)] @ tensor_k(m.comps[a].right[j], Mat.identity(F, r.dim(b)))
-                balance_r = m.act[(a, b)] @ tensor_k(Mat.identity(F, m.comps[a].dim), r.comps[b].left[j])
+                balance_l = kron_after(m.act[(a, b)], m.comps[a].right[j], Mat.identity(F, r.dim(b)))
+                balance_r = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].left[j])
                 if balance_l != balance_r:
                     bad.append((a, b, j, "balance"))
-                lin_l = m.act[(a, b)] @ tensor_k(Mat.identity(F, m.comps[a].dim), r.comps[b].right[j])
+                lin_l = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].right[j])
                 lin_r = m.comps[ab].right[j] @ m.act[(a, b)]
                 if lin_l != lin_r:
                     bad.append((a, b, j, "linear"))
@@ -385,14 +385,14 @@ def validate_rmodule(m: RModule) -> CheckReport:
     F = r.base.field
     e = g.identity
     rep.add("module.unit", "the unit acts as the identity",
-            m.act[e] @ tensor_k(Mat.identity(F, m.module.dim), Mat.col_vector(F, r.unit_vec))
+            kron_after(m.act[e], Mat.identity(F, m.module.dim), Mat.col_vector(F, r.unit_vec))
             == Mat.identity(F, m.module.dim))
     bad = []
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            lhs = m.act[ab] @ tensor_k(Mat.identity(F, m.module.dim), r.mul[(a, b)])
-            rhs = m.act[b] @ tensor_k(m.act[a], Mat.identity(F, r.dim(b)))
+            lhs = kron_after(m.act[ab], Mat.identity(F, m.module.dim), r.mul[(a, b)])
+            rhs = kron_after(m.act[b], m.act[a], Mat.identity(F, r.dim(b)))
             if lhs != rhs:
                 bad.append((a, b))
     rep.add("module.associative", "action associativity on degree pairs",
@@ -556,7 +556,7 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) 
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            lhs = r.mul[(a, b)] @ tensor_k(sigmas[a], sigmas[b])
+            lhs = kron_after(r.mul[(a, b)], sigmas[a], sigmas[b])
             rhs = sigmas[ab] @ r.mul[(e, e)]
             if lhs != rhs:
                 bad.append((a, b))

@@ -42,6 +42,7 @@ from corings.linalg import (
     coords_in_rowspace,
     inverse,
     kernel,
+    kron_after,
     random_invertible,
     rank,
     row_space,
@@ -171,8 +172,8 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
     one = Mat.identity(F, 1)
     for a in g.elements():
         for b in g.elements():
-            coact = m.tensor(a, b).space.proj @ tensor_k(Mat.identity(F, m.comps[a].dim),
-                                                         Mat.col_vector(F, x.vec(b)))
+            coact = kron_after(m.tensor(a, b).space.proj, Mat.identity(F, m.comps[a].dim),
+                               Mat.col_vector(F, x.vec(b)))
             sys.add((1, g.mul(a, b), m.rho[(a, b)], one), (-1, a, coact, one))
     return sys.kernel()
 
@@ -231,7 +232,7 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
     right_acts = [n.right_act(b.src.basis_vec(i)) for i in range(b.src.dim)]
     left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
     q = balanced_quotient(F, n.dim, A.dim, right_acts, left_acts)
-    right = tuple(q.proj @ tensor_k(Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
+    right = tuple(kron_after(q.proj, Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
     space = Bimodule(A, q.dim, None, right)
     m = Comodule(c, space, [None] * c.group.order)
     rho = []
@@ -280,8 +281,8 @@ def sweedler_coring(b: RingMorphism, group) -> tuple[GroupCoring, CofreeWitness,
     left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
     q = balanced_quotient(F, A.dim, A.dim, right_acts, left_acts)
     ident = Mat.identity(F, A.dim)
-    left = tuple(q.proj @ tensor_k(L, ident) @ q.sect for L in A.left_mats)
-    right = tuple(q.proj @ tensor_k(ident, R) @ q.sect for R in A.right_mats)
+    left = tuple(kron_after(q.proj, L, ident) @ q.sect for L in A.left_mats)
+    right = tuple(kron_after(q.proj, ident, R) @ q.sect for R in A.right_mats)
     d_e = Bimodule(A, q.dim, left, right)
     slice_coring = GroupCoring(TRIVIAL_GROUP, A, (d_e,), {}, Mat.zeros(F, 1, 1))
     t = slice_coring.tensor(0, 0)
@@ -585,6 +586,6 @@ def random_comodule(x: GrouplikeFamily, rng, t: CoinvariantRing) -> Comodule:
         t_new = m.tensor(a)
         t_old = ind.tensor(a)
         idc = Mat.identity(F, c.comps[a].dim)
-        rho.append(t_new.space.proj @ tensor_k(u, idc) @ t_old.space.sect @ ind.rho[a] @ uinv)
+        rho.append(kron_after(t_new.space.proj, u, idc) @ t_old.space.sect @ ind.rho[a] @ uinv)
     m.rho = tuple(rho)
     return m

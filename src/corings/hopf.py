@@ -34,6 +34,7 @@ from corings.linalg import (
     Mat,
     combine,
     kernel,
+    kron_after,
     rank,
     row_space,
     tensor_k,
@@ -63,7 +64,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
 def _is_algebra_map(f: Mat, src: Algebra, dst: Algebra) -> bool:
     """f: src -> dst preserves the unit and the multiplication."""
     return (f.apply(src.unit) == dst.unit
-            and f @ mult_matrix(src) == mult_matrix(dst) @ tensor_k(f, f))
+            and f @ mult_matrix(src) == kron_after(mult_matrix(dst), f, f))
 
 
 def _one_tensor(a: Algebra, dim: int) -> Mat:
@@ -152,8 +153,8 @@ def validate_hopf_g_coalgebra(h: HopfGCoalgebra) -> CheckReport:
         ainv = g.inv(a)
         mm = mult_matrix(h.comps[a])
         unit_eps = Mat.col_vector(F, h.comps[a].unit) @ h.counit
-        if (mm @ tensor_k(h.antipode[a], ident[a]) @ h.delta[(ainv, a)] != unit_eps
-                or mm @ tensor_k(ident[a], h.antipode[a]) @ h.delta[(a, ainv)] != unit_eps):
+        if (kron_after(mm, h.antipode[a], ident[a]) @ h.delta[(ainv, a)] != unit_eps
+                or kron_after(mm, ident[a], h.antipode[a]) @ h.delta[(a, ainv)] != unit_eps):
             bad.append(a)
     rep.add("hopf-g.antipode", "antipode law on every degree",
             not bad, f"failing degrees: {bad}" if bad else "")
@@ -245,7 +246,7 @@ def coring_from_comodule_algebra(ca: ComoduleAlgebra) -> tuple[GroupCoring, Grou
         for q in g.elements():
             # H_pq -> H_p (x) A (x) H_q, h -> h_(1) (x) 1 (x) h_(2)
             split = tensor_k(idp, ones[q]) @ h.delta[(p, q)]
-            cor.delta[(p, q)] = cor.tensor(p, q).space.proj @ tensor_k(ida, split)
+            cor.delta[(p, q)] = kron_after(cor.tensor(p, q).space.proj, ida, split)
     vectors = tuple(tensor_vec(F, a.unit, h.comps[p].unit) for p in g.elements())
     return cor, GrouplikeFamily(cor, vectors)
 
@@ -319,8 +320,8 @@ def relative_to_coring_comodule(m: RelativeHopfModule, cor: GroupCoring) -> Como
     quotient coordinates: m (x) h -> m (x)_A (1 (x) h)."""
     ca = m.ca
     ident = Mat.identity(ca.algebra.field, m.space.dim)
-    rho = [cached_tensor(m.space, cor.comps[p]).space.proj
-           @ tensor_k(ident, _one_tensor(ca.algebra, ca.hopf.comps[p].dim)) @ m.rho[p]
+    rho = [kron_after(cached_tensor(m.space, cor.comps[p]).space.proj,
+                      ident, _one_tensor(ca.algebra, ca.hopf.comps[p].dim)) @ m.rho[p]
            for p in cor.group.elements()]
     return Comodule(cor, m.space, rho)
 
@@ -394,12 +395,12 @@ class SmashProduct:
                  for t in range(hq.dim)]
         terms = []
         for s in range(hq.dim):
-            pairing = dual_delta @ tensor_k(Mat.col_vector(F, hq.basis_vec(s)),
-                                            Mat.identity(F, hp.dim))
+            pairing = kron_after(dual_delta, Mat.col_vector(F, hq.basis_vec(s)),
+                                 Mat.identity(F, hp.dim))
             for t in range(hq.dim):
                 weight = Mat.from_rows(F, [hq.mul[s][t]])
                 terms.append(tensor_k(pairing,
-                                      mult_a @ tensor_k(tensor_k(acted[t], weight), ida)))
+                                      kron_after(mult_a, tensor_k(acted[t], weight), ida)))
         rows = self.dims[g.mul(p, q)]
         return combine(F, rows, self.dims[p] * self.dims[q], terms, [F.one] * len(terms))
 
@@ -410,15 +411,15 @@ def validate_smash_product(sp: SmashProduct) -> CheckReport:
     F = sp.field
     ident = [Mat.identity(F, sp.dims[p]) for p in g.elements()]
     bad = [(p, q, r) for p in g.elements() for q in g.elements() for r in g.elements()
-           if sp.mul[(g.mul(p, q), r)] @ tensor_k(sp.mul[(p, q)], ident[r])
-           != sp.mul[(p, g.mul(q, r))] @ tensor_k(ident[p], sp.mul[(q, r)])]
+           if kron_after(sp.mul[(g.mul(p, q), r)], sp.mul[(p, q)], ident[r])
+           != kron_after(sp.mul[(p, g.mul(q, r))], ident[p], sp.mul[(q, r)])]
     rep.add("smash.associative", "multiplication associativity",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
     e = g.identity
     unit = Mat.col_vector(F, sp.unit_vec)
     bad = [p for p in g.elements()
-           if sp.mul[(e, p)] @ tensor_k(unit, ident[p]) != ident[p]
-           or sp.mul[(p, e)] @ tensor_k(ident[p], unit) != ident[p]]
+           if kron_after(sp.mul[(e, p)], unit, ident[p]) != ident[p]
+           or kron_after(sp.mul[(p, e)], ident[p], unit) != ident[p]]
     rep.add("smash.unit", "two-sided unit", not bad, f"failing degrees: {bad}" if bad else "")
     return rep
 
@@ -448,7 +449,7 @@ def smash_dual(ca: ComoduleAlgebra, r: GradedRing) -> tuple[SmashProduct, list, 
     rep.add("smash-dual.bijective", "comparison maps are bijective per degree",
             not bad, f"failing degrees: {bad}" if bad else "")
     bad = [(p, q) for p in g.elements() for q in g.elements()
-           if r.mul[(p, q)] @ tensor_k(lambdas[p], lambdas[q])
+           if kron_after(r.mul[(p, q)], lambdas[p], lambdas[q])
            != lambdas[g.mul(p, q)] @ sp.mul[(p, q)]]
     rep.add("smash-dual.multiplicative",
             "comparison transports the smash multiplication to the dual product",

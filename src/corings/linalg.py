@@ -30,6 +30,15 @@ def _nonzeros(seq, start: int = 0) -> list:
     return [(j, seq[j]) for j in compress(range(start, len(seq)), seq[start:])]
 
 
+def _row_entries(m: "Mat") -> list:
+    """The nonzero (column, value) pairs of each row of m, from one scan."""
+    rows = [[] for _ in range(m.rows)]
+    for k, x in _nonzeros(m.data):
+        i, j = divmod(k, m.cols)
+        rows[i].append((j, x))
+    return rows
+
+
 @dataclass(frozen=True)
 class Mat:
     """Immutable dense matrix over an exact field, row-major entries."""
@@ -462,6 +471,46 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
     return Mat(F, rows, cols, tuple(data))
 
 
+def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
+    """m @ tensor_k(x, y), computed from the nonzero entries of m, x and y
+    without forming the Kronecker product.
+
+    Column t = i * y.rows + j of m meets row i of x and row j of y: entry
+    m[r, t] contributes m[r, t] * x[i, k] * y[j, l] to column k * y.cols + l
+    of row r.  Each row of m is first summed against the rows of y, one
+    partial row per i, and those against the rows of x; only the touched
+    entries are reduced.
+    """
+    if not m.field == x.field == y.field:
+        raise FieldMismatch(f"{m.field} vs {x.field} (x) {y.field}")
+    if m.cols != x.rows * y.rows:
+        raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by "
+                                f"{x.rows * y.rows}x{x.cols * y.cols}")
+    red = m.field.reduce
+    yr, yc, width = y.rows, y.cols, x.cols * y.cols
+    xrows, yrows = _row_entries(x), _row_entries(y)
+    out = [0] * (m.rows * width)
+    for r, mrow in enumerate(_row_entries(m)):
+        partial = {}  # i -> {l: sum over j of m[r, i * yr + j] * y[j, l]}
+        for t, a in mrow:
+            i, j = divmod(t, yr)
+            prow = partial.get(i)
+            if prow is None:
+                prow = partial[i] = {}
+            for l, b in yrows[j]:
+                prow[l] = prow.get(l, 0) + a * b
+        acc = {}
+        for i, prow in partial.items():
+            for k, a in xrows[i]:
+                base = k * yc
+                for l, b in prow.items():
+                    acc[base + l] = acc.get(base + l, 0) + a * b
+        base = r * width
+        for c, v in acc.items():
+            out[base + c] = red(v)
+    return Mat(m.field, m.rows, width, tuple(out))
+
+
 def tensor_vec(field: Field, u, v) -> tuple:
     """u (x) v as a coordinate tuple in the lexicographic basis."""
     return tuple(map(field.reduce, [a * b for a in u for b in v]))
@@ -593,9 +642,9 @@ def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
     total = d1 * d2 * d3
     q12 = balanced_quotient(F, d1, d2, *acts12)
     ident = Mat.identity(F, d1)
-    outer = [q12.proj @ tensor_k(ident, R) @ q12.sect for R in acts23[0]]
+    outer = [kron_after(q12.proj, ident, R) @ q12.sect for R in acts23[0]]
     q = balanced_quotient(F, q12.dim, d3, outer, acts23[1])
-    pi = q.proj @ tensor_k(q12.proj, Mat.identity(F, d3))
+    pi = kron_after(q.proj, q12.proj, Mat.identity(F, d3))
     # Column c is a pivot of the rref of the relations exactly when pi(e_c)
     # lies in the span of the pi(e_c') with c' > c, so the free columns are
     # the pivots of pi with its columns reversed.
@@ -617,19 +666,30 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     """Matrix of F -> P @ (F tensor I_c) @ S on row-major vec(F).
 
     F is fn x fm, so F tensor I_c is (fn*c) x (fm*c); P consumes its rows
-    and S feeds its columns.  Column (n, u) of the operator is the flattened
-    product of the n-th column slice of P with the u-th row slice of S.
+    and S feeds its columns.  Entry ((p, s), (n, m)) is the sum over k of
+    P[p, n*c + k] * S[m*c + k, s], summed from the nonzero entries of P and
+    S; only the touched entries are reduced.
     """
     if P.cols != fn * c or S.rows != fm * c:
         raise DimensionMismatch("tensor slice operator shape mismatch")
-    F = P.field
-    cols = []
-    for n in range(fn):
-        pslice = Mat._from_cols(F, [P.col(n * c + k) for k in range(c)])
-        for u in range(fm):
-            sslice = Mat(F, c, S.cols, S.data[(u * c) * S.cols:(u * c + c) * S.cols])
-            cols.append((pslice @ sslice).data)
-    return Mat._from_cols(F, cols)
+    red = P.field.reduce
+    width = fn * fm
+    srows = _row_entries(S)
+    block = S.cols * width  # the rows (p, s) of one p
+    out = [0] * (P.rows * block)
+    for p, prow in enumerate(_row_entries(P)):
+        acc = {}
+        for t, a in prow:
+            n, k = divmod(t, c)
+            for m in range(fm):
+                col = n * fm + m
+                for s, b in srows[m * c + k]:
+                    j = s * width + col
+                    acc[j] = acc.get(j, 0) + a * b
+        base = p * block
+        for j, v in acc.items():
+            out[base + j] = red(v)
+    return Mat(P.field, P.rows * S.cols, width, tuple(out))
 
 
 class LinearSystem:
@@ -674,11 +734,11 @@ class LinearSystem:
             elif len(acc) != op.rows:
                 raise DimensionMismatch("terms of one equation differ in shape")
             sign = F.of(sign)
-            off, width, data = self.offsets[name], op.cols, op.data
-            for i, row in enumerate(acc):
-                for j, x in enumerate(data[i * width:(i + 1) * width], off):
-                    if x:
-                        row[j] = row.get(j, 0) + sign * x
+            off = self.offsets[name]
+            for i, entries in enumerate(_row_entries(op)):
+                row = acc[i]
+                for j, x in entries:
+                    row[off + j] = row.get(off + j, 0) + sign * x
         red = F.reduce
         for row in acc or ():
             row = {j: x for j, x in zip(row, map(red, row.values())) if x}

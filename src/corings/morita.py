@@ -54,6 +54,7 @@ from corings.linalg import (
     coords_in_rowspace,
     inverse,
     kernel,
+    kron_after,
     rank,
     row_space,
     tensor_k,
@@ -62,6 +63,7 @@ from corings.linalg import (
     vstack,
 )
 from corings.report import CheckReport
+from corings.scalars import DimensionMismatch
 
 
 class HypothesisFailed(ValueError):
@@ -158,6 +160,30 @@ class RingBimodule:
     right: tuple  # per right_ring basis element
 
 
+def _flat(F, dim: int, mats) -> Mat:
+    """The matrix whose row k holds the entries of mats[k], row-major; its
+    product with a coefficient row is the vectorized linear combination,
+    and vec(X @ A @ Y) = vec(A) @ (X^T (x) Y) turns products into
+    `kron_after`."""
+    for mat in mats:
+        if (mat.rows, mat.cols) != (dim, dim):
+            raise DimensionMismatch(f"{mat.rows}x{mat.cols} action on a module of dimension {dim}")
+    return Mat(F, len(mats), dim * dim, tuple(x for mat in mats for x in mat.data))
+
+
+def _col_rows(F, dim: int, mats, i: int) -> Mat:
+    """The matrix whose row k is column i of the dim x dim matrix mats[k]."""
+    return Mat(F, len(mats), dim, tuple(x for mat in mats for x in mat.col(i)))
+
+
+def _row_block(m: Mat, start: int, count: int) -> Mat:
+    return Mat(m.field, count, m.cols, m.data[start * m.cols:(start + count) * m.cols])
+
+
+def _rows_differ(a: Mat, b: Mat) -> list:
+    return [j for j in range(a.rows) if a.row(j) != b.row(j)]
+
+
 def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
     rep = CheckReport()
     F = m.left_ring.field
@@ -166,25 +192,28 @@ def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
     def act(mats, vec):
         return combine(F, m.dim, m.dim, mats, vec)
 
+    def products(ring: Algebra, i: int) -> Mat:
+        """Row j: the coordinates of e_i e_j."""
+        return Mat(F, ring.dim, ring.dim, tuple(x for j in range(ring.dim) for x in ring.mul[i][j]))
+
     rep.add("bimodule.left-unital", "left unit acts as the identity",
             act(m.left, m.left_ring.unit) == ident)
     rep.add("bimodule.right-unital", "right unit acts as the identity",
             act(m.right, m.right_ring.unit) == ident)
-    bad = []
-    for i in range(m.left_ring.dim):
-        for j in range(m.left_ring.dim):
-            if act(m.left, m.left_ring.multiply(
-                    m.left_ring.basis_vec(i), m.left_ring.basis_vec(j))) != m.left[i] @ m.left[j]:
-                bad.append(("left", i, j))
-    for i in range(m.right_ring.dim):
-        for j in range(m.right_ring.dim):
-            if act(m.right, m.right_ring.multiply(
-                    m.right_ring.basis_vec(i), m.right_ring.basis_vec(j))) != m.right[j] @ m.right[i]:
-                bad.append(("right", i, j))
+    # row j of each side: vec of act(e_i e_j) against vec(L_i L_j), vec(R_j R_i)
+    left, right = _flat(F, m.dim, m.left), _flat(F, m.dim, m.right)
+    bad = [("left", i, j) for i in range(m.left_ring.dim)
+           for j in _rows_differ(products(m.left_ring, i) @ left,
+                                 kron_after(left, m.left[i].transpose(), ident))]
+    bad += [("right", i, j) for i in range(m.right_ring.dim)
+            for j in _rows_differ(products(m.right_ring, i) @ right,
+                                  kron_after(right, ident, m.right[i]))]
     rep.add("bimodule.actions", "actions respect ring multiplication",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    bad = [(i, j) for i in range(m.left_ring.dim) for j in range(m.right_ring.dim)
-           if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]]
+    # row j: vec(L_i R_j) against vec(R_j L_i)
+    bad = [(i, j) for i in range(m.left_ring.dim)
+           for j in _rows_differ(kron_after(right, m.left[i].transpose(), ident),
+                                 kron_after(right, ident, m.left[i]))]
     rep.add("bimodule.commuting", "left and right actions commute",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -205,61 +234,54 @@ def validate_morita_context(ctx: MoritaContext) -> CheckReport:
     F = ctx.ring1.field
     rep.extend(validate_ring_bimodule(ctx.p), prefix="p.")
     rep.extend(validate_ring_bimodule(ctx.q), prefix="q.")
-    bad = []
-    for j in range(ctx.ring2.dim):
-        lhs = ctx.tau @ tensor_k(ctx.p.right[j], Mat.identity(F, ctx.q.dim))
-        rhs = ctx.tau @ tensor_k(Mat.identity(F, ctx.p.dim), ctx.q.left[j])
-        if lhs != rhs:
-            bad.append(j)
+    pd, qd = ctx.p.dim, ctx.q.dim
+    ident_p, ident_q = Mat.identity(F, pd), Mat.identity(F, qd)
+    bad = [j for j in range(ctx.ring2.dim)
+           if kron_after(ctx.tau, ctx.p.right[j], ident_q)
+           != kron_after(ctx.tau, ident_p, ctx.q.left[j])]
     rep.add("morita.tau-balanced", "first connecting map is balanced over the big ring",
             not bad, f"failing basis: {bad[:5]}" if bad else "")
-    bad = []
-    for i in range(ctx.ring1.dim):
-        lhs = ctx.mu @ tensor_k(ctx.q.right[i], Mat.identity(F, ctx.p.dim))
-        rhs = ctx.mu @ tensor_k(Mat.identity(F, ctx.q.dim), ctx.p.left[i])
-        if lhs != rhs:
-            bad.append(i)
+    bad = [i for i in range(ctx.ring1.dim)
+           if kron_after(ctx.mu, ctx.q.right[i], ident_p)
+           != kron_after(ctx.mu, ident_q, ctx.p.left[i])]
     rep.add("morita.mu-balanced", "second connecting map is balanced over the small ring",
             not bad, f"failing basis: {bad[:5]}" if bad else "")
     bad = []
     for i in range(ctx.ring1.dim):
-        lhs = ctx.tau @ tensor_k(ctx.p.left[i], Mat.identity(F, ctx.q.dim))
-        if lhs != ctx.ring1.left_mats[i] @ ctx.tau:
+        if kron_after(ctx.tau, ctx.p.left[i], ident_q) != ctx.ring1.left_mats[i] @ ctx.tau:
             bad.append(("left", i))
-        lhs = ctx.tau @ tensor_k(Mat.identity(F, ctx.p.dim), ctx.q.right[i])
-        if lhs != ctx.ring1.right_mats[i] @ ctx.tau:
+        if kron_after(ctx.tau, ident_p, ctx.q.right[i]) != ctx.ring1.right_mats[i] @ ctx.tau:
             bad.append(("right", i))
     rep.add("morita.tau-bilinear", "first connecting map is bilinear over the small ring",
             not bad, f"failing: {bad[:5]}" if bad else "")
     bad = []
     for j in range(ctx.ring2.dim):
-        lhs = ctx.mu @ tensor_k(ctx.q.left[j], Mat.identity(F, ctx.p.dim))
-        if lhs != ctx.ring2.left_mats[j] @ ctx.mu:
+        if kron_after(ctx.mu, ctx.q.left[j], ident_p) != ctx.ring2.left_mats[j] @ ctx.mu:
             bad.append(("left", j))
-        lhs = ctx.mu @ tensor_k(Mat.identity(F, ctx.q.dim), ctx.p.right[j])
-        if lhs != ctx.ring2.right_mats[j] @ ctx.mu:
+        if kron_after(ctx.mu, ident_q, ctx.p.right[j]) != ctx.ring2.right_mats[j] @ ctx.mu:
             bad.append(("right", j))
     rep.add("morita.mu-bilinear", "second connecting map is bilinear over the big ring",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    pd, qd = ctx.p.dim, ctx.q.dim
+    # Associativity through P, one i at a time: tau(p_i (x) q_j) . p_k is
+    # row j of left_t read at the entries of column k, and p_i . mu(q_j (x) p_k)
+    # is row j*pd + k of right_m; through Q likewise, one j at a time.
+    tau_t, mu_t = ctx.tau.transpose(), ctx.mu.transpose()
+    flat_p = _flat(F, pd, ctx.p.left)
     bad = []
     for i in range(pd):
-        for j in range(qd):
-            left_t = combine(F, pd, pd, ctx.p.left, ctx.tau.col(i * qd + j))
-            for k in range(pd):
-                right_m = combine(F, pd, pd, ctx.p.right, ctx.mu.col(j * pd + k))
-                if left_t.col(k) != right_m.col(i):
-                    bad.append((i, j, k))
+        left_t = _row_block(tau_t, i * qd, qd) @ flat_p
+        right_m = mu_t @ _col_rows(F, pd, ctx.p.right, i)
+        bad += [(i, j, k) for j in range(qd) for k in range(pd)
+                if left_t.data[j * pd * pd + k:(j + 1) * pd * pd:pd] != right_m.row(j * pd + k)]
     rep.add("morita.assoc-p", "connecting maps associate through the first module",
             not bad, f"failing: {bad[:3]}" if bad else "")
+    flat_q = _flat(F, qd, ctx.q.left)
     bad = []
     for j in range(qd):
-        for i in range(pd):
-            left_m = combine(F, qd, qd, ctx.q.left, ctx.mu.col(j * pd + i))
-            for l in range(qd):
-                right_t = combine(F, qd, qd, ctx.q.right, ctx.tau.col(i * qd + l))
-                if left_m.col(l) != right_t.col(j):
-                    bad.append((j, i, l))
+        left_m = _row_block(mu_t, j * pd, pd) @ flat_q
+        right_t = tau_t @ _col_rows(F, qd, ctx.q.right, j)
+        bad += [(j, i, l) for i in range(pd) for l in range(qd)
+                if left_m.data[i * qd * qd + l:(i + 1) * qd * qd:qd] != right_t.row(i * qd + l)]
     rep.add("morita.assoc-q", "connecting maps associate through the second module",
             not bad, f"failing: {bad[:3]}" if bad else "")
     return rep
@@ -316,8 +338,8 @@ def connecting_space(x: GrouplikeFamily, r: GradedRing, weak: bool = False) -> M
                 for f in r.functionals[a]
             ]
             second_leg = [
-                Mat.from_cols(F, [c.comps[binv].left_act(fv.col(k)).apply(x.vec(binv))
-                                  for k in range(src_dim)])
+                Mat._from_cols(F, [c.comps[binv].left_act(fv.col(k)).apply(x.vec(binv))
+                                   for k in range(src_dim)])
                 for fv in r.functionals[ab]
             ]
             if weak:
@@ -434,7 +456,7 @@ def coefficient_ring(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing,
     # twisted group ring: (u_a b)(u_b c) = u_{ab} b^{shift} c
     s_mul = Mat._from_cols(F, [s_alg.mul[i][j] for i in range(w) for j in range(w)])
     twisted = GradedAlgebra.from_products(
-        F, g, [w] * n, lambda a, b: s_mul @ tensor_k(sigma[b], Mat.identity(F, w)), unit_coords)
+        F, g, [w] * n, lambda a, b: kron_after(s_mul, sigma[b], Mat.identity(F, w)), unit_coords)
     diag_cols = []
     for i in range(t.basis.rows):
         tv = t.basis.row(i)
@@ -583,8 +605,8 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily,
     rep = CheckReport()
     g = x.coring.group
     A = x.coring.base
-    direct = {b: Mat.from_cols(A.field, [ev.col(i) for i in range(A.dim)
-                                         for ev in _evaluations(x, r, b)])
+    direct = {b: Mat._from_cols(A.field, [ev.col(i) for i in range(A.dim)
+                                          for ev in _evaluations(x, r, b)])
               for b in g.elements()}
     bad = [(a, b) for a in g.elements() for b in g.elements() if direct[b] != m.act[(a, b)]]
     rep.add("canonical.action", "dualized action equals the direct evaluation formula",
@@ -760,15 +782,15 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
 
     def fixing_left(act, e, d):
         """The map R_d -> W, v -> act(e (x) v), for the action act: V (x) R_d -> W."""
-        return act @ tensor_k(Mat.col_vector(F, e), Mat.identity(F, r.dim(d)))
+        return kron_after(act, Mat.col_vector(F, e), Mat.identity(F, r.dim(d)))
 
     # P: left END, right R
     p_left = tuple(block_matrix(F, m_dims, m_dims,
                                 {(g.mul(sigma, a), a): fams[a] for a in g.elements()})
                    for sigma in g.elements() for fams in end.bases[sigma])
     p_right = tuple(block_matrix(F, m_dims, m_dims, {
-        (g.mul(a, b), a): m.act[(a, b)] @ tensor_k(Mat.identity(F, m_dims[a]),
-                                                   Mat.col_vector(F, _unit(F, r.dim(b), u)))
+        (g.mul(a, b), a): kron_after(m.act[(a, b)], Mat.identity(F, m_dims[a]),
+                                     Mat.col_vector(F, _unit(F, r.dim(b), u)))
         for a in g.elements()}) for b in g.elements() for u in range(r.dim(b)))
     p = RingBimodule(end.graded.algebra, packed.algebra, sum(m_dims), p_left, p_right)
     # Q: left R, right END, both through composition
@@ -907,12 +929,12 @@ def check_standard_context_match(d: "Derived") -> CheckReport:
             "the hom comparison intertwines both module structures",
             not bad, f"failing: {bad[:5]}" if bad else "")
     lhs = xi @ std.ctx.tau
-    rhs = gctx.ctx.tau @ tensor_k(Mat.identity(F, std.ctx.p.dim), psi)
+    rhs = kron_after(gctx.ctx.tau, Mat.identity(F, std.ctx.p.dim), psi)
     rep.add("standard.square-one",
             "evaluation square: endomorphism pairing matches the coefficient pairing",
             lhs == rhs)
     lhs = std.ctx.mu
-    rhs = gctx.ctx.mu @ tensor_k(psi, Mat.identity(F, std.ctx.p.dim))
+    rhs = kron_after(gctx.ctx.mu, psi, Mat.identity(F, std.ctx.p.dim))
     rep.add("standard.square-two",
             "evaluation square: ring-valued pairings agree",
             lhs == rhs)
@@ -1049,11 +1071,11 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             not bad, f"failing: {bad[:5]}" if bad else "")
     ident_p = Mat.identity(F, gctx.ctx.p.dim)
     lhs = gctx.ctx.tau
-    rhs = theta @ ring_ctx_e.ctx.tau @ tensor_k(ident_p, jg_inv)
+    rhs = kron_after(theta @ ring_ctx_e.ctx.tau, ident_p, jg_inv)
     rep.add("ring-match.square-one",
             "first connecting maps agree through the comparisons", lhs == rhs)
     lhs = gctx.ctx.mu
-    rhs = phi47 @ ring_ctx_e.ctx.mu @ tensor_k(jg_inv, ident_p)
+    rhs = kron_after(phi47 @ ring_ctx_e.ctx.mu, jg_inv, ident_p)
     rep.add("ring-match.square-two",
             "second connecting maps agree through the comparisons", lhs == rhs)
     return rep

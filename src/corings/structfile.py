@@ -36,6 +36,8 @@ from corings.hopf import (
     coring_from_comodule_algebra,
     regular_comodule_algebra,
     trivial_comodule_algebra,
+    validate_comodule_algebra,
+    validate_hopf_g_coalgebra,
 )
 from corings.linalg import Mat
 from corings.morita import (
@@ -49,6 +51,7 @@ from corings.morita import (
     slice_context,
     weak_coinvariants,
 )
+from corings.report import CheckReport
 from corings.scalars import Field
 
 
@@ -498,6 +501,18 @@ class MainStructure:
         """The objects the suites derive from this structure, shared by all
         of them; built on first use, so parsing does not pay for it."""
         return Derived(self.coring, self.grouplike, self.witness, self.comodule_algebra)
+
+    # the `validate` and `hopf` suites both report these two checks of the
+    # comodule algebra, under their own prefixes; read them only when there
+    # is one
+
+    @cached_property
+    def hopf_family_report(self) -> CheckReport:
+        return validate_hopf_g_coalgebra(self.comodule_algebra.hopf)
+
+    @cached_property
+    def comodule_algebra_report(self) -> CheckReport:
+        return validate_comodule_algebra(self.comodule_algebra)
 
 
 def main_structure(sf: StructureFile) -> MainStructure:

@@ -53,8 +53,6 @@ from corings.hopf import (
     hopf_galois_decomposition_check,
     relative_hopf_module_check,
     smash_dual,
-    validate_comodule_algebra,
-    validate_hopf_g_coalgebra,
     validate_smash_product,
     RelativeHopfModule,
 )
@@ -92,8 +90,8 @@ def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(validate_grouplike(ms.grouplike), prefix="validate.")
     rep.extend(validate_ring_morphism(ms.base), prefix="validate.base-morphism.")
     if ms.comodule_algebra is not None:
-        rep.extend(validate_hopf_g_coalgebra(ms.comodule_algebra.hopf), prefix="validate.")
-        rep.extend(validate_comodule_algebra(ms.comodule_algebra), prefix="validate.")
+        rep.extend(ms.hopf_family_report, prefix="validate.")
+        rep.extend(ms.comodule_algebra_report, prefix="validate.")
     return rep
 
 
@@ -257,8 +255,8 @@ def suite_hopf(ms: MainStructure, seed: int) -> CheckReport:
     if ca is None:
         rep.add("hopf.data", "no comodule algebra in this file; checks skipped", True)
         return rep
-    rep.extend(validate_hopf_g_coalgebra(ca.hopf), prefix="hopf.")
-    rep.extend(validate_comodule_algebra(ca), prefix="hopf.")
+    rep.extend(ms.hopf_family_report, prefix="hopf.")
+    rep.extend(ms.comodule_algebra_report, prefix="hopf.")
     h = ms.derived.hopf or ms.derived  # the derived objects of the induced coring
     verdict, grep = hopf_galois_check(ca, h)
     for it in grep.items:

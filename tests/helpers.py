@@ -9,6 +9,11 @@
   comultiplication of `hopf.coring_from_comodule_algebra` and for
   `hopf.SmashProduct.mul`: they build each entry by a loop over basis
   indices instead of by Kronecker products.
+* `reference_validate_ring_bimodule` and `reference_validate_morita_context`
+  are the references for `morita.validate_ring_bimodule` and
+  `morita.validate_morita_context`: they check each law one pair of basis
+  elements at a time, with dense Kronecker products and one linear
+  combination of action matrices per index pair.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * The other functions are checks and objects only the tests use: the
@@ -39,7 +44,16 @@ from corings.hopf import (
     mult_matrix,
     tensor_algebra,
 )
-from corings.linalg import Mat, QuotientSpace, quotient_by, tensor_k, tensor_vec, unit_vec
+from corings.linalg import (
+    Mat,
+    QuotientSpace,
+    combine,
+    quotient_by,
+    tensor_k,
+    tensor_vec,
+    unit_vec,
+)
+from corings.morita import MoritaContext, RingBimodule
 from corings.report import CheckReport
 from corings.scalars import QQ, Field
 from corings.structfile import Derived
@@ -318,3 +332,103 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                                                 F.mul(coeff_split, F.mul(pair_val, av)))
                     cols.append(tuple(out))
     return Mat.from_cols(F, cols)
+
+
+def reference_validate_ring_bimodule(m: RingBimodule) -> CheckReport:
+    """`morita.validate_ring_bimodule` as one loop per pair of basis elements."""
+    rep = CheckReport()
+    F = m.left_ring.field
+    ident = Mat.identity(F, m.dim)
+
+    def act(mats, vec):
+        return combine(F, m.dim, m.dim, mats, vec)
+
+    rep.add("bimodule.left-unital", "left unit acts as the identity",
+            act(m.left, m.left_ring.unit) == ident)
+    rep.add("bimodule.right-unital", "right unit acts as the identity",
+            act(m.right, m.right_ring.unit) == ident)
+    bad = []
+    for i in range(m.left_ring.dim):
+        for j in range(m.left_ring.dim):
+            if act(m.left, m.left_ring.multiply(
+                    m.left_ring.basis_vec(i), m.left_ring.basis_vec(j))) != m.left[i] @ m.left[j]:
+                bad.append(("left", i, j))
+    for i in range(m.right_ring.dim):
+        for j in range(m.right_ring.dim):
+            if act(m.right, m.right_ring.multiply(
+                    m.right_ring.basis_vec(i), m.right_ring.basis_vec(j))) != m.right[j] @ m.right[i]:
+                bad.append(("right", i, j))
+    rep.add("bimodule.actions", "actions respect ring multiplication",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    bad = [(i, j) for i in range(m.left_ring.dim) for j in range(m.right_ring.dim)
+           if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]]
+    rep.add("bimodule.commuting", "left and right actions commute",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    return rep
+
+
+def reference_validate_morita_context(ctx: MoritaContext) -> CheckReport:
+    """`morita.validate_morita_context` with a dense Kronecker product per
+    law and basis element and a linear combination per index pair."""
+    rep = CheckReport()
+    F = ctx.ring1.field
+    rep.extend(reference_validate_ring_bimodule(ctx.p), prefix="p.")
+    rep.extend(reference_validate_ring_bimodule(ctx.q), prefix="q.")
+    bad = []
+    for j in range(ctx.ring2.dim):
+        lhs = ctx.tau @ tensor_k(ctx.p.right[j], Mat.identity(F, ctx.q.dim))
+        rhs = ctx.tau @ tensor_k(Mat.identity(F, ctx.p.dim), ctx.q.left[j])
+        if lhs != rhs:
+            bad.append(j)
+    rep.add("morita.tau-balanced", "first connecting map is balanced over the big ring",
+            not bad, f"failing basis: {bad[:5]}" if bad else "")
+    bad = []
+    for i in range(ctx.ring1.dim):
+        lhs = ctx.mu @ tensor_k(ctx.q.right[i], Mat.identity(F, ctx.p.dim))
+        rhs = ctx.mu @ tensor_k(Mat.identity(F, ctx.q.dim), ctx.p.left[i])
+        if lhs != rhs:
+            bad.append(i)
+    rep.add("morita.mu-balanced", "second connecting map is balanced over the small ring",
+            not bad, f"failing basis: {bad[:5]}" if bad else "")
+    bad = []
+    for i in range(ctx.ring1.dim):
+        lhs = ctx.tau @ tensor_k(ctx.p.left[i], Mat.identity(F, ctx.q.dim))
+        if lhs != ctx.ring1.left_mats[i] @ ctx.tau:
+            bad.append(("left", i))
+        lhs = ctx.tau @ tensor_k(Mat.identity(F, ctx.p.dim), ctx.q.right[i])
+        if lhs != ctx.ring1.right_mats[i] @ ctx.tau:
+            bad.append(("right", i))
+    rep.add("morita.tau-bilinear", "first connecting map is bilinear over the small ring",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    bad = []
+    for j in range(ctx.ring2.dim):
+        lhs = ctx.mu @ tensor_k(ctx.q.left[j], Mat.identity(F, ctx.p.dim))
+        if lhs != ctx.ring2.left_mats[j] @ ctx.mu:
+            bad.append(("left", j))
+        lhs = ctx.mu @ tensor_k(Mat.identity(F, ctx.q.dim), ctx.p.right[j])
+        if lhs != ctx.ring2.right_mats[j] @ ctx.mu:
+            bad.append(("right", j))
+    rep.add("morita.mu-bilinear", "second connecting map is bilinear over the big ring",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    pd, qd = ctx.p.dim, ctx.q.dim
+    bad = []
+    for i in range(pd):
+        for j in range(qd):
+            left_t = combine(F, pd, pd, ctx.p.left, ctx.tau.col(i * qd + j))
+            for k in range(pd):
+                right_m = combine(F, pd, pd, ctx.p.right, ctx.mu.col(j * pd + k))
+                if left_t.col(k) != right_m.col(i):
+                    bad.append((i, j, k))
+    rep.add("morita.assoc-p", "connecting maps associate through the first module",
+            not bad, f"failing: {bad[:3]}" if bad else "")
+    bad = []
+    for j in range(qd):
+        for i in range(pd):
+            left_m = combine(F, qd, qd, ctx.q.left, ctx.mu.col(j * pd + i))
+            for l in range(qd):
+                right_t = combine(F, qd, qd, ctx.q.right, ctx.tau.col(i * qd + l))
+                if left_m.col(l) != right_t.col(j):
+                    bad.append((j, i, l))
+    rep.add("morita.assoc-q", "connecting maps associate through the second module",
+            not bad, f"failing: {bad[:3]}" if bad else "")
+    return rep

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corings import dualring, galois, morita
+from corings import dualring, galois, morita, structfile
 from corings.coring import GroupCoring
 from corings.dualring import GradedRing
 from corings.fixtures import fixture_file_text
@@ -140,6 +140,24 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
     assert counts == {"connecting_space": (3, 3), "coefficient_space": (2, 2),
                       "coinvariant_ring": (2, 2), "graded_morita_context": (2, 2),
                       "canonical_graded_module": (1, 1)}
+
+
+def test_suite_all_validates_the_comodule_algebra_once(monkeypatch):
+    # the validate and hopf suites both report these checks
+    ms = main_structure(parse(fixture_file_text("regular")))
+    calls = defaultdict(int)
+    for name in ("validate_hopf_g_coalgebra", "validate_comodule_algebra"):
+        original = getattr(structfile, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(structfile, name, counted)
+    rep = run_suite(ms, "all", seed=0)
+    assert calls == {"validate_hopf_g_coalgebra": 1, "validate_comodule_algebra": 1}
+    ids = {it.check_id for it in rep.items}
+    assert {"validate.hopf-g.antipode", "hopf.hopf-g.antipode"} <= ids
 
 
 def test_parsing_builds_nothing_and_suites_share_one_derived():

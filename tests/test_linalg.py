@@ -28,6 +28,7 @@ from corings.linalg import (
     hstack,
     inverse,
     kernel,
+    kron_after,
     quotient_by,
     rank,
     row_space,
@@ -432,6 +433,37 @@ def test_specialised_loops_match_the_plain_loops(field):
         for got, want in results:
             assert got == want
             assert_canonical(field, got.data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_kron_after_is_the_product_with_the_kronecker_product(field):
+    rng = random.Random(11)
+    for _ in range(150):
+        xr, xc, yr, yc, rows = (rng.randint(0, 4) for _ in range(5))
+        m, x, y = (mixed_mat(field, rows, xr * yr, rng), mixed_mat(field, xr, xc, rng),
+                   mixed_mat(field, yr, yc, rng))
+        got = kron_after(m, x, y)
+        assert got == m @ tensor_k(x, y), (m, x, y)
+        assert_canonical(field, got.data)
+    ident = Mat.identity(field, 3)
+    m = mixed_mat(field, 2, 9, rng)
+    assert kron_after(m, ident, ident) == m
+    with pytest.raises(DimensionMismatch):
+        kron_after(m, ident, Mat.identity(field, 2))
+    with pytest.raises(FieldMismatch):
+        kron_after(m, ident, Mat.identity(GF(7), 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_tensor_slice_operator_matches_the_per_slice_products(field):
+    rng = random.Random(12)
+    for _ in range(150):
+        c, fn, fm = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        P = mixed_mat(field, rng.randint(0, 4), fn * c, rng)
+        S = mixed_mat(field, fm * c, rng.randint(0, 4), rng)
+        got = tensor_slice_operator(P, S, c, fn, fm)
+        assert got == ref_tensor_slice(P, S, c, fn, fm)
+        assert_canonical(field, got.data)
 
 
 # -- degree blocks and linear combinations --------------------------------------------

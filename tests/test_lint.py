@@ -14,6 +14,9 @@
   a call counts for every definition of that name; a constructor is called
   by its class name.  The console-script entry point `cli.main(argv)` is
   the only exemption.
+* No expression multiplies by a Kronecker product, `A @ tensor_k(X, Y)`:
+  `linalg.kron_after(A, X, Y)` gives the same matrix from the nonzero
+  entries without forming X (x) Y.
 """
 
 import ast
@@ -90,6 +93,18 @@ def function_local_imports(path: Path) -> list:
                 continue
             out |= {(node.lineno, m) for m in modules
                     if m.startswith(".") or m.split(".")[0] == "corings"}
+    return sorted(out)
+
+
+def kronecker_products_applied(path: Path) -> list:
+    """(line, column) of each matrix product whose right operand is a call
+    of `tensor_k`, by name or as an attribute."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            func = node.right.func if isinstance(node.right, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "tensor_k":
+                out.append((node.lineno, node.col_offset))
     return sorted(out)
 
 
@@ -172,6 +187,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_imports_from_the_library(path):
     assert function_local_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_product_with_a_kronecker_product(path):
+    assert kronecker_products_applied(path) == []
 
 
 def test_every_function_is_referenced():
@@ -271,3 +291,16 @@ def test_the_local_import_check_catches_what_it_looks_for(tmp_path):
         "        return report, inner\n")
     assert function_local_imports(src) == [
         (4, "corings.galois"), (9, "corings.report"), (11, ".")]
+
+
+def test_the_kronecker_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "a = m @ tensor_k(x, y)\n"
+        "b = tensor_k(x, y) @ m\n"
+        "c = m @ linalg.tensor_k(x, y) @ s\n"
+        "d = kron_after(m, tensor_k(x, y), z)\n"
+        "e = m @ (tensor_k(x, y))\n"
+        "f = m @ tensor_vec(x, y)\n"
+        "g = m @ tensor_k\n")
+    assert kronecker_products_applied(src) == [(1, 4), (3, 4), (5, 4)]

@@ -1,11 +1,18 @@
 """Classical and graded Morita contexts, comparison isomorphisms and the
 battery of equivalent Galois characterizations."""
 
+import dataclasses
+import random
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+
+from corings import morita
 
 from corings.algebra import field_algebra
 from corings.dualring import dual_ring
-from corings.fixtures import fixture
+from corings.fixtures import fixture, fixture_file_text
 from corings.galois import coinvariant_ring, galois_decomposition
 from corings.linalg import Mat, rank, row_space, tensor_vec
 from corings.morita import (
@@ -35,8 +42,15 @@ from corings.morita import (
     _ring_as_module,
 )
 from corings.scalars import QQ
-from corings.structfile import Derived
-from helpers import derived, validate_graded_algebra
+from corings.structfile import Derived, main_structure, parse
+from corings.suites import run_suite
+from helpers import (
+    derived,
+    reference_validate_morita_context,
+    validate_graded_algebra,
+)
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 def witness_of(name):
@@ -323,3 +337,81 @@ def test_battery_lets_induction_errors_propagate(monkeypatch):
     fx = fixture("trivial")
     with pytest.raises(RuntimeError, match="induction failed"):
         galois_equivalence_battery(derived(fx), fx.base)
+
+
+# -- the batched law checks against the loop references ---------------------------------
+
+# the suites of `all` that build a Morita context; the others build none
+CONTEXT_SUITES = ("morita", "graded-morita", "section9")
+
+
+@lru_cache(maxsize=None)
+def contexts_of_a_full_run(name: str) -> tuple:
+    """Every `MoritaContext` that `--suite all` builds on a fixture, or on
+    regular k[C_3] over QQ, in the order they are built."""
+    if name == "c3":
+        text, suites = C3.read_text(), CONTEXT_SUITES
+    else:
+        text, suites = fixture_file_text(name), ("all",)
+    built = []
+    real = morita.MoritaContext
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    morita.MoritaContext = recording
+    try:
+        ms = main_structure(parse(text))
+        for suite in suites:
+            run_suite(ms, suite, seed=0)
+    finally:
+        morita.MoritaContext = real
+    return tuple(built)
+
+
+def mutations(ctx: MoritaContext, rng) -> list:
+    """ctx with one entry changed in each action family of p and q, in tau
+    and in mu."""
+    F = ctx.ring1.field
+
+    def bumped(m: Mat) -> Mat:
+        k = rng.randrange(len(m.data))
+        return Mat(F, m.rows, m.cols, m.data[:k] + (F.add(m.data[k], F.one),) + m.data[k + 1:])
+
+    def in_family(mats, k):
+        return mats[:k] + (bumped(mats[k]),) + mats[k + 1:]
+
+    out = []
+    for side in ("p", "q"):
+        module = getattr(ctx, side)
+        for family in ("left", "right") if module.dim else ():
+            mats = getattr(module, family)
+            changed = in_family(mats, rng.randrange(len(mats)))
+            out.append(dataclasses.replace(
+                ctx, **{side: dataclasses.replace(module, **{family: changed})}))
+    if ctx.tau.data:
+        out.append(dataclasses.replace(ctx, tau=bumped(ctx.tau)))
+    if ctx.mu.data:
+        out.append(dataclasses.replace(ctx, mu=bumped(ctx.mu)))
+    return out
+
+
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler", "c3"))
+def test_batched_morita_laws_match_the_loop_reference(name):
+    contexts = contexts_of_a_full_run(name)
+    assert contexts
+    for ctx in contexts:
+        assert validate_morita_context(ctx).items == reference_validate_morita_context(ctx).items
+
+
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler", "c3"))
+def test_batched_morita_laws_report_the_failures_of_the_loop_reference(name):
+    rng = random.Random(10)
+    contexts = contexts_of_a_full_run(name)
+    # on k[C_3] the classical and the graded context stand for the rest
+    for ctx in (contexts[0], contexts[2]) if name == "c3" else contexts:
+        for broken in mutations(ctx, rng):
+            got = validate_morita_context(broken).items
+            assert got == reference_validate_morita_context(broken).items
+            assert not all(it.passed for it in got)
