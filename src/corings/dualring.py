@@ -133,9 +133,13 @@ class GradedRing:
                 tuple(x for f in fs for x in f.data))
             for a, fs in zip(g.elements(), self.functionals)
         )
+        # legs[(a, b)]: per functional f of degree a, the first
+        # comultiplication leg C_{(ab)^{-1}} -> C_{b^{-1}}, c -> c_(1) f(c_(2))
+        self.legs = {}
         self.mul = {}
         for a in g.elements():
             for b in g.elements():
+                self.legs[(a, b)] = self._first_legs(a, b)
                 self.mul[(a, b)] = self._build_mul(a, b)
         e = g.identity
         self.unit_vec = self.coords(e, coring.counit)
@@ -159,21 +163,20 @@ class GradedRing:
             raise ValueError("functional outside the solved dual basis")
         return out
 
-    def _build_mul(self, a: int, b: int) -> Mat:
+    def _first_legs(self, a: int, b: int) -> tuple:
         g = self.group
         c = self.coring
         ainv, binv = g.inv(a), g.inv(b)
-        ab = g.mul(a, b)
         lift = c.delta_left_lift(binv, ainv)  # C_{(ab)^{-1}} -> C_{b^-1} (x)k C_{a^-1}
-        cols = []
-        for u in range(len(self.functionals[a])):
-            fu = self.functionals[a][u]
-            partial = contract_right(c.comps[binv], c.comps[ainv].dim, fu) @ lift
-            for v in range(len(self.functionals[b])):
-                gv = self.functionals[b][v]
-                prod = gv @ partial
-                cols.append(self.coords(ab, prod))
-        return Mat._from_cols(self.base.field, cols)
+        return tuple(contract_right(c.comps[binv], c.comps[ainv].dim, f) @ lift
+                     for f in self.functionals[a])
+
+    def _build_mul(self, a: int, b: int) -> Mat:
+        """Column u * dim(b) + v: the coordinates of f_u f_v = f_v o leg_u."""
+        ab = self.group.mul(a, b)
+        return Mat._from_cols(self.base.field, [self.coords(ab, gv @ leg)
+                                                for leg in self.legs[(a, b)]
+                                                for gv in self.functionals[b]])
 
     def multiply(self, a: int, x, b: int, y) -> tuple:
         """Product of homogeneous elements of degrees a and b."""

@@ -10,12 +10,14 @@ given coring; bijectivity of every component is the Galois property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from corings.algebra import (
     Algebra,
     Bimodule,
     ModulePredicates,
     collapse_left,
+    collapse_right,
     left_module_predicates,
     subalgebra,
 )
@@ -39,13 +41,14 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     balanced_quotient,
-    coords_in_rowspace,
+    hstack,
     inverse,
     kernel,
     kron_after,
     random_invertible,
     rank,
     row_space,
+    rowspace_coords,
     tensor_k,
     tensor_vec,
     unit_vec,
@@ -65,6 +68,22 @@ class GrouplikeFamily:
 
     def vec(self, a: int) -> tuple:
         return self.vectors[a]
+
+    @cached_property
+    def left_translates(self) -> tuple:
+        """Per degree a: the C_a.dim x A.dim matrix of b -> b.x_a."""
+        c = self.coring
+        ident = Mat.identity(c.base.field, c.base.dim)
+        return tuple(kron_after(collapse_left(m), ident, Mat.col_vector(c.base.field, x))
+                     for m, x in zip(c.comps, self.vectors))
+
+    @cached_property
+    def right_translates(self) -> tuple:
+        """Per degree a: the C_a.dim x A.dim matrix of b -> x_a.b."""
+        c = self.coring
+        ident = Mat.identity(c.base.field, c.base.dim)
+        return tuple(kron_after(collapse_right(m), Mat.col_vector(c.base.field, x), ident)
+                     for m, x in zip(c.comps, self.vectors))
 
 
 def validate_grouplike(x: GrouplikeFamily) -> CheckReport:
@@ -96,15 +115,10 @@ def comodule_from_grouplike(x: GrouplikeFamily) -> Comodule:
     g = c.group
     A = c.base
     m = Comodule(c, Bimodule.right_regular(A), [None] * g.order)
-    rho = []
-    for a in g.elements():
-        t = m.tensor(a)
-        cols = []
-        for j in range(A.dim):
-            xa_aj = c.comps[a].right[j].apply(x.vec(a))
-            cols.append(t.pure(A.unit, xa_aj))
-        rho.append(Mat.from_cols(A.field, cols))
-    m.rho = tuple(rho)
+    unit = Mat.col_vector(A.field, A.unit)
+    # rho_a(b) = 1 (x) x_a.b
+    m.rho = tuple(kron_after(m.tensor(a).space.proj, unit, x.right_translates[a])
+                  for a in g.elements())
     return m
 
 
@@ -134,32 +148,10 @@ class CoinvariantRing:
 
 def coinvariant_ring(x: GrouplikeFamily) -> CoinvariantRing:
     """T = elements of the base commuting with every member of the family."""
-    c = x.coring
-    g = c.group
-    A = c.base
-    F = A.field
-    blocks = []
-    for a in g.elements():
-        cols = [
-            (c.comps[a].left[j] - c.comps[a].right[j]).apply(x.vec(a))
-            for j in range(A.dim)
-        ]
-        blocks.append(Mat.from_cols(F, cols))
-    basis = kernel(vstack(blocks))
-    alg, incl = subalgebra(A, basis)
+    basis = kernel(vstack([left - right for left, right
+                           in zip(x.left_translates, x.right_translates)]))
+    alg, incl = subalgebra(x.coring.base, basis)
     return CoinvariantRing(basis, alg, incl)
-
-
-def coinvariants(m: Comodule, x: GrouplikeFamily) -> Mat:
-    """Basis rows of the coinvariant subspace of a comodule."""
-    c = m.coring
-    F = c.base.field
-    rows = []
-    for a in c.group.elements():
-        t = m.tensor(a)
-        coact = tensor_k(Mat.identity(F, m.space.dim), Mat.col_vector(F, x.vec(a)))
-        rows.append(m.rho[a] - t.space.proj @ coact)
-    return kernel(vstack(rows))
 
 
 def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
@@ -208,11 +200,12 @@ def inclusion_morphism(t: CoinvariantRing, a: Algebra) -> RingMorphism:
 
 
 def _check_image_in_coinvariants(b: RingMorphism, x: GrouplikeFamily) -> None:
-    c = x.coring
+    degrees = x.coring.group.elements()
+    # column i of moved[a]: image i times x_a minus x_a times image i
+    moved = [(x.left_translates[a] - x.right_translates[a]) @ b.mat for a in degrees]
     for i in range(b.src.dim):
-        img = b.mat.col(i)
-        for a in c.group.elements():
-            if c.comps[a].left_act(img).apply(x.vec(a)) != c.comps[a].right_act(img).apply(x.vec(a)):
+        for a in degrees:
+            if any(moved[a].col(i)):
                 raise ImageNotInCoinvariants(
                     f"image of basis element {i} does not centralize the family at degree {a}")
 
@@ -235,18 +228,11 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
     right = tuple(kron_after(q.proj, Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
     space = Bimodule(A, q.dim, None, right)
     m = Comodule(c, space, [None] * c.group.order)
-    rho = []
-    for a in c.group.elements():
-        t = m.tensor(a)
-        cols = []
-        for i in range(n.dim):
-            base_cls = q.project(tensor_vec(F, unit_vec(F, n.dim, i), A.unit))
-            for j in range(A.dim):
-                xa = c.comps[a].right[j].apply(x.vec(a))
-                cols.append(t.space.project(tensor_vec(F, base_cls, xa)))
-        k_level = Mat.from_cols(F, cols)
-        rho.append(k_level @ q.sect)
-    m.rho = tuple(rho)
+    # column i: the class of n_i (x) 1
+    base_cls = kron_after(q.proj, Mat.identity(F, n.dim), Mat.col_vector(F, A.unit))
+    # rho_a(n_i (x) b) = (n_i (x) 1) (x) x_a.b
+    m.rho = tuple(kron_after(m.tensor(a).space.proj, base_cls, x.right_translates[a]) @ q.sect
+                  for a in c.group.elements())
     return InducedComodule(m, q)
 
 
@@ -305,17 +291,10 @@ def sweedler_coring(b: RingMorphism, group) -> tuple[GroupCoring, CofreeWitness,
 def canonical_morphism(x: GrouplikeFamily, b: RingMorphism) -> CanonicalMorphism:
     _check_image_in_coinvariants(b, x)
     c = x.coring
-    A = c.base
-    F = A.field
     dom, wit, q, gl = sweedler_coring(b, c.group)
-    maps = []
-    for a in c.group.elements():
-        cols = []
-        for i in range(A.dim):
-            for j in range(A.dim):
-                v = c.comps[a].left[i] @ c.comps[a].right[j]
-                cols.append(v.apply(x.vec(a)))
-        maps.append(Mat.from_cols(F, cols) @ q.sect)
+    # b (x) b' -> b.x_a.b'
+    maps = [hstack([L @ x.right_translates[a] for L in c.comps[a].left]) @ q.sect
+            for a in c.group.elements()]
     mor = GroupCoringMorphism(dom, c, maps)
     return CanonicalMorphism(dom, wit, mor, q, gl)
 
@@ -340,17 +319,11 @@ def coinvariant_canonical_morphism(x: GrouplikeFamily, t: CoinvariantRing) -> Ca
     return canonical_morphism(x, inclusion_morphism(t, x.coring.base))
 
 
-def is_galois(x: GrouplikeFamily, can: CanonicalMorphism | None = None,
-              ) -> tuple[bool, CheckReport]:
-    """Galois property: the canonical morphism from the cofree coring on the
-    coinvariant tensor square is an isomorphism of group corings.
-
-    `can` is that canonical morphism, built from the family when not given.
-    """
+def is_galois(x: GrouplikeFamily, can: CanonicalMorphism) -> tuple[bool, CheckReport]:
+    """Galois property: the canonical morphism `can` from the cofree coring
+    on the coinvariant tensor square is an isomorphism of group corings."""
     rep = CheckReport()
     c = x.coring
-    if can is None:
-        can = coinvariant_canonical_morphism(x, coinvariant_ring(x))
     mrep = validate_coring_morphism(can.morphism)
     rep.add("galois.canonical-morphism", "canonical comparison is a coring morphism",
             mrep.ok, "; ".join(f"{it.check_id}" for it in mrep.failures()))
@@ -365,8 +338,8 @@ def is_galois(x: GrouplikeFamily, can: CanonicalMorphism | None = None,
     return verdict, rep
 
 
-def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism | None = None,
-                         galois: tuple[bool, CheckReport] | None = None):
+def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism,
+                         galois: tuple[bool, CheckReport]):
     """When Galois: the induced cofree witness (connecting maps through the
     canonical morphism) plus the degree-e Galois verdict.
 
@@ -374,14 +347,12 @@ def galois_decomposition(x: GrouplikeFamily, can: CanonicalMorphism | None = Non
     also confirms the reverse composition: connecting maps composed with the
     degree-e canonical map recover every component map bijectively.  `can`
     and `galois` are the canonical morphism over the coinvariants and the
-    result of `is_galois`, built from the family when not given.
+    result of `is_galois` on it.
     """
     rep = CheckReport()
     c = x.coring
     g = c.group
-    if can is None:
-        can = coinvariant_canonical_morphism(x, coinvariant_ring(x))
-    verdict, sub = galois if galois is not None else is_galois(x, can=can)
+    verdict, sub = galois
     rep.extend(sub)
     if not verdict:
         rep.add("decomposition.available", "coring splits as a cofree coring", False,
@@ -416,10 +387,7 @@ def check_coinvariants_cofree(x: GrouplikeFamily, w: CofreeWitness,
     e = g.identity
     carried = all(w.gammas[a].apply(x.vec(e)) == x.vec(a) for a in g.elements())
     rep.add("cofree-coinvariants.carried", "witness carries the grouplike family", carried)
-    A = c.base
-    F = A.field
-    cols = [(c.comps[e].left[j] - c.comps[e].right[j]).apply(x.vec(e)) for j in range(A.dim)]
-    t_slice = kernel(Mat.from_cols(F, cols))
+    t_slice = kernel(x.left_translates[e] - x.right_translates[e])
     rep.add("cofree-coinvariants.equal",
             "family coinvariants equal the degree-e coinvariants",
             row_space(t.basis) == row_space(t_slice))
@@ -446,19 +414,11 @@ def induction_unit(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> tuple[Ma
     ind = induce_comodule(n, b, x)
     fam = replicate_comodule(ind.comodule)
     w = g_coinvariants(fam, x)
-    cols = []
-    ok = True
-    for i in range(n.dim):
-        cls = ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit))
-        vec = []
-        for _ in g.elements():
-            vec.extend(cls)
-        coords = coords_in_rowspace(w, vec)
-        if coords is None:
-            ok = False
-            coords = (F.zero,) * w.rows
-        cols.append(coords)
-    mat = Mat.from_cols(F, cols)
+    # n_i -> the class of n_i (x) 1 in every degree
+    cols, ok = rowspace_coords(w, [
+        ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit)) * g.order
+        for i in range(n.dim)])
+    mat = Mat._from_cols(F, cols, w.rows)
     bij = ok and mat.rows == mat.cols and rank(mat) == mat.rows
     return mat, bij
 
@@ -477,14 +437,9 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     ok = True
     for i in range(b.src.dim):
         act = total.right_act(b.mat.col(i))
-        cols = []
-        for u in range(w.rows):
-            coords = coords_in_rowspace(w, act.apply(w.row(u)))
-            if coords is None:
-                ok = False
-                coords = (F.zero,) * w.rows
-            cols.append(coords)
-        right.append(Mat.from_cols(F, cols))
+        cols, closed = rowspace_coords(w, [act.apply(w.row(u)) for u in range(w.rows)])
+        right.append(Mat._from_cols(F, cols, w.rows))
+        ok = ok and closed
     n_w = Bimodule(b.src, w.rows, None, tuple(right))
     qq = None
     if ok:

@@ -249,11 +249,12 @@ def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
 
 
 def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
-    """The rows x cols matrix sum(c * m) over the pairs of mats and coeffs."""
+    """The rows x cols matrix sum(c * m) over the pairs of mats and coeffs;
+    only the entries some term touches are brought to canonical form."""
     mats, coeffs = list(mats), list(coeffs)
     if len(mats) != len(coeffs):
         raise DimensionMismatch(f"{len(mats)} matrices vs {len(coeffs)} coefficients")
-    acc = [0] * (rows * cols)
+    acc = {}
     for m, c in zip(mats, coeffs):
         if not c:
             continue
@@ -263,8 +264,12 @@ def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
             raise FieldMismatch(f"term over {m.field} in a sum over {field}")
         c = field.of(c)
         for k, x in _nonzeros(m.data):
-            acc[k] += c * x
-    return Mat(field, rows, cols, tuple(map(field.reduce, acc)))
+            acc[k] = acc.get(k, 0) + c * x
+    red = field.reduce
+    out = [0] * (rows * cols)
+    for k, x in acc.items():
+        out[k] = red(x)
+    return Mat(field, rows, cols, tuple(out))
 
 
 # -- gaussian elimination ----------------------------------------------------
@@ -445,6 +450,18 @@ def coords_in_rowspace(basis: Mat, v) -> tuple | None:
     if len(v) != basis.cols:
         raise DimensionMismatch("vector length vs basis width")
     return basis._row_solver.solve(v)
+
+
+def rowspace_coords(basis: Mat, vecs) -> tuple[list, bool]:
+    """The coordinates of each vector in the rows of basis (zeros for one
+    outside their span) and whether every vector lies in the span."""
+    out, ok = [], True
+    for v in vecs:
+        coords = coords_in_rowspace(basis, v)
+        if coords is None:
+            ok, coords = False, (basis.field.zero,) * basis.rows
+        out.append(coords)
+    return out, ok
 
 
 # -- tensor product over the base field --------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from corings.algebra import (
     Algebra,
     Bimodule,
-    contract_right,
     left_module_predicates,
     subalgebra,
 )
@@ -57,6 +56,7 @@ from corings.linalg import (
     kron_after,
     rank,
     row_space,
+    rowspace_coords,
     tensor_k,
     tensor_vec,
     unit_vec as _unit,
@@ -84,22 +84,8 @@ def _packed_base_action(r: GradedRing) -> list:
 def _evaluations(x: GrouplikeFamily, r: GradedRing, a: int) -> list:
     """For each basis functional f of degree a, the matrix of the action
     b -> f(x_{a^{-1}} . b) of f on the base."""
-    c = x.coring
-    ainv = c.group.inv(a)
-    translates = Mat.from_cols(c.base.field, [R.apply(x.vec(ainv)) for R in c.comps[ainv].right])
+    translates = x.right_translates[x.coring.group.inv(a)]
     return [f @ translates for f in r.functionals[a]]
-
-
-def _coordinates(basis: Mat, vecs) -> tuple[list, bool]:
-    """The coordinates of each vector in the rows of basis (zeros for one
-    outside their span) and whether every vector lies in the span."""
-    out, ok = [], True
-    for v in vecs:
-        coords = coords_in_rowspace(basis, v)
-        if coords is None:
-            ok, coords = False, (basis.field.zero,) * basis.rows
-        out.append(coords)
-    return out, ok
 
 
 def _degrees(dims) -> list:
@@ -316,87 +302,73 @@ def is_strict(ctx: MoritaContext) -> tuple[bool, CheckReport]:
 
 # -- the solution spaces --------------------------------------------------------------
 
-def connecting_space(x: GrouplikeFamily, r: GradedRing, weak: bool = False) -> Mat:
-    """Families (q_a) of dual-ring elements with the connecting property:
-    the first comultiplication leg times the evaluated second leg equals the
-    evaluated product times the family member.  The weak variant only asks
-    for equality after applying every functional."""
+def connecting_spaces(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, Mat]:
+    """The strict and the weak connecting space, solved in one pass.
+
+    Both hold the families (q_a) of dual-ring elements with the connecting
+    property: the first comultiplication leg times the evaluated second leg
+    equals the evaluated product times the family member.  The weak space
+    only asks for equality after applying every functional."""
     c = x.coring
     g = c.group
     F = c.base.field
-    sys = LinearSystem(F, {a: (1, r.dim(a)) for a in g.elements()})
+    shapes = {a: (1, r.dim(a)) for a in g.elements()}
+    strict, weak = LinearSystem(F, shapes), LinearSystem(F, shapes)
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            ainv, binv = g.inv(a), g.inv(b)
-            src_dim = c.comps[g.inv(ab)].dim
+            binv = g.inv(b)
             out_dim = c.comps[binv].dim
-            lift = c.delta_left_lift(binv, ainv)
-            # (q (x) I) @ (stacked legs) sums q[u] times the u-th leg
-            first_leg = [
-                contract_right(c.comps[binv], c.comps[ainv].dim, f) @ lift
-                for f in r.functionals[a]
-            ]
-            second_leg = [
-                Mat._from_cols(F, [c.comps[binv].left_act(fv.col(k)).apply(x.vec(binv))
-                                   for k in range(src_dim)])
-                for fv in r.functionals[ab]
-            ]
-            if weak:
-                posts = r.functionals[b]
-            else:
-                posts = [Mat.identity(F, out_dim)]
-            for post in posts:
-                terms = []
-                if first_leg:
-                    terms.append((1, a, post, vstack(first_leg), out_dim))
-                if second_leg:
-                    terms.append((-1, ab, post, vstack(second_leg), out_dim))
-                sys.add(*terms)
-    return sys.kernel()
+            # (q (x) I) @ (stacked legs) sums q[u] times the u-th leg; the
+            # second leg of f is f followed by b -> b.x_{b^{-1}}
+            legs = []
+            if r.legs[(a, b)]:
+                legs.append((1, a, vstack(r.legs[(a, b)])))
+            if r.functionals[ab]:
+                legs.append((-1, ab, vstack([x.left_translates[binv] @ f
+                                              for f in r.functionals[ab]])))
+            for system, posts in ((strict, [Mat.identity(F, out_dim)]),
+                                  (weak, r.functionals[b])):
+                for post in posts:
+                    system.add(*[(sign, name, post, stacked, out_dim)
+                                 for sign, name, stacked in legs])
+    return strict.kernel(), weak.kernel()
 
 
 def weak_coinvariant_ring(x: GrouplikeFamily, r: GradedRing) -> Mat:
     """Basis rows of the weak coinvariants: elements whose commutator with
     every family member is killed by all functionals."""
-    c = x.coring
-    g = c.group
-    A = c.base
-    F = A.field
-    rows = []
-    for a in g.elements():
-        ainv = g.inv(a)
-        for u in range(r.dim(ainv)):
-            fu = r.functionals[ainv][u]
-            cols = [fu.apply((c.comps[a].left[j] - c.comps[a].right[j]).apply(x.vec(a)))
-                    for j in range(A.dim)]
-            rows.append(Mat.from_cols(F, cols))
-    return kernel(vstack(rows))
+    g = x.coring.group
+    return kernel(vstack([f @ (x.left_translates[a] - x.right_translates[a])
+                          for a in g.elements() for f in r.functionals[g.inv(a)]]))
 
 
-def coefficient_space(x: GrouplikeFamily, r: GradedRing, weak: bool = False) -> Mat:
-    """Families (b_a) in a product of base copies with the twisted
-    commutation property against the grouplike family."""
+def coefficient_spaces(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, Mat]:
+    """The strict and the weak coefficient families, solved in one pass.
+
+    Both hold the families (b_a) in a product of base copies with the
+    twisted commutation property b_{ab} x_{b^{-1}} = x_{b^{-1}} b_a; the
+    weak ones only after applying every functional of degree b."""
     c = x.coring
     g = c.group
-    A = c.base
-    F = A.field
-    sys = LinearSystem(F, {a: (A.dim, 1) for a in g.elements()})
+    F = c.base.field
+    shapes = {a: (c.base.dim, 1) for a in g.elements()}
+    strict, weak = LinearSystem(F, shapes), LinearSystem(F, shapes)
     one = Mat.identity(F, 1)
-    for a in g.elements():
-        for b in g.elements():
-            binv = g.inv(b)
-            lefts = Mat.from_cols(F, [c.comps[binv].left[j].apply(x.vec(binv))
-                                      for j in range(A.dim)])
-            rights = Mat.from_cols(F, [c.comps[binv].right[j].apply(x.vec(binv))
-                                       for j in range(A.dim)])
-            if weak:
-                posts = r.functionals[b]
-            else:
-                posts = [Mat.identity(F, c.comps[binv].dim)]
+    for b in g.elements():
+        binv = g.inv(b)
+        left, right = x.left_translates[binv], x.right_translates[binv]
+        for system, posts in ((strict, [Mat.identity(F, left.rows)]), (weak, r.functionals[b])):
             for post in posts:
-                sys.add((1, g.mul(a, b), post @ lefts, one), (-1, a, post @ rights, one))
-    return sys.kernel()
+                lhs, rhs = post @ left, post @ right
+                for a in g.elements():
+                    system.add((1, g.mul(a, b), lhs, one), (-1, a, rhs, one))
+    return strict.kernel(), weak.kernel()
+
+
+# the names `bench/spans.py` traces the two solvers under
+connecting_space = connecting_spaces
+coefficient_space = coefficient_spaces
 
 
 @dataclass(frozen=True)
@@ -408,65 +380,49 @@ class CoefficientRing:
     diag: Mat            # coinvariants -> coefficient ring (diagonal families)
 
 
-def coefficient_ring(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing,
-                     weak: bool = False) -> CoefficientRing:
+def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> CoefficientRing:
+    """The ring of the coefficient families with basis rows `basis` (one of
+    `coefficient_spaces`), with its shift action, its twisted group ring
+    and the diagonal families of the coinvariants `t`."""
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
     n = g.order
-    basis = coefficient_space(x, r, weak)
     w = basis.rows
 
-    def comp_mult(uvec, vvec):
-        out = []
-        for a in range(n):
-            out.extend(A.multiply(uvec[a * A.dim:(a + 1) * A.dim],
-                                  vvec[a * A.dim:(a + 1) * A.dim]))
-        return tuple(out)
+    def coords(vecs, failure: str) -> list:
+        out, ok = rowspace_coords(basis, vecs)
+        if not ok:
+            raise ValueError(failure)
+        return out
 
-    unit_family = tuple(v for _ in range(n) for v in A.unit)
-    unit_coords = coords_in_rowspace(basis, unit_family)
-    if unit_coords is None:
-        raise ValueError("coefficient families do not contain the unit family")
-    mul = []
-    for i in range(w):
-        row = []
-        for j in range(w):
-            prod = comp_mult(basis.row(i), basis.row(j))
-            coords = coords_in_rowspace(basis, prod)
-            if coords is None:
-                raise ValueError("coefficient families are not closed under multiplication")
-            row.append(coords)
-        mul.append(tuple(row))
-    s_alg = Algebra(F, w, tuple(mul), unit_coords)
-    sigma = []
-    for s in g.elements():
-        cols = []
-        for i in range(w):
-            moved = []
-            for a in range(n):
-                sa = g.mul(s, a)
-                moved.extend(basis.row(i)[sa * A.dim:(sa + 1) * A.dim])
-            coords = coords_in_rowspace(basis, tuple(moved))
-            if coords is None:
-                raise ValueError("coefficient families are not stable under the shift action")
-            cols.append(coords)
-        sigma.append(Mat.from_cols(F, cols))
+    def block(vec, a: int) -> tuple:
+        return vec[a * A.dim:(a + 1) * A.dim]
+
+    def product(u, v) -> tuple:
+        return tuple(e for a in range(n) for e in A.multiply(block(u, a), block(v, a)))
+
+    def shifted(u, s: int) -> tuple:
+        """The family whose block of degree a is the block of degree s a of u."""
+        return tuple(e for a in range(n) for e in block(u, g.mul(s, a)))
+
+    (unit_coords,) = coords([A.unit * n], "coefficient families do not contain the unit family")
+    mul = tuple(tuple(coords([product(basis.row(i), basis.row(j)) for j in range(w)],
+                             "coefficient families are not closed under multiplication"))
+                for i in range(w))
+    s_alg = Algebra(F, w, mul, unit_coords)
+    sigma = tuple(Mat._from_cols(F, coords([shifted(basis.row(i), s) for i in range(w)],
+                                           "coefficient families are not stable under the "
+                                           "shift action"))
+                  for s in g.elements())
     # twisted group ring: (u_a b)(u_b c) = u_{ab} b^{shift} c
     s_mul = Mat._from_cols(F, [s_alg.mul[i][j] for i in range(w) for j in range(w)])
     twisted = GradedAlgebra.from_products(
         F, g, [w] * n, lambda a, b: kron_after(s_mul, sigma[b], Mat.identity(F, w)), unit_coords)
-    diag_cols = []
-    for i in range(t.basis.rows):
-        tv = t.basis.row(i)
-        fam = tuple(v for _ in range(n) for v in tv)
-        coords = coords_in_rowspace(basis, fam)
-        if coords is None:
-            raise ValueError("diagonal coinvariant family escapes the coefficient ring")
-        diag_cols.append(coords)
-    diag = Mat.from_cols(F, diag_cols)
-    return CoefficientRing(basis, s_alg, tuple(sigma), twisted, diag)
+    diag = Mat._from_cols(F, coords([t.basis.row(i) * n for i in range(t.basis.rows)],
+                                    "diagonal coinvariant family escapes the coefficient ring"))
+    return CoefficientRing(basis, s_alg, sigma, twisted, diag)
 
 
 def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing) -> CheckReport:
@@ -494,60 +450,49 @@ def weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
     return CoinvariantRing(t_basis, t_alg, t_incl)
 
 
-def _dual_ring_action(w: Mat, packed: GradedAlgebra) -> tuple[list, bool]:
-    """Left multiplication by each packed dual-ring basis element on the span
-    of the rows of w, in the coordinates of those rows, and whether the span
-    is closed under it."""
+def _span_action(w: Mat, acts) -> tuple[list, bool]:
+    """Each matrix of acts on the span of the rows of w, in the coordinates
+    of those rows, and whether the span is closed under all of them."""
     mats, ok = [], True
-    for left in packed.algebra.left_mats:
-        coords, closed = _coordinates(w, [left.apply(w.row(i)) for i in range(w.rows)])
-        mats.append(Mat._from_cols(w.field, coords))
+    for act in acts:
+        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
+        mats.append(Mat._from_cols(w.field, coords, w.rows))
         ok = ok and closed
     return mats, ok
 
 
-def morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
-                   t: CoinvariantRing | None = None, w: Mat | None = None,
+def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat,
                    ) -> tuple[MoritaContext, Mat, CheckReport]:
-    """The context (coinvariants, packed dual ring, base, connecting space).
+    """The context (coinvariants `t`, packed dual ring, base, connecting
+    space with basis rows `w`), strict or weak as `t` and `w` are.
 
-    Returns the context, the solved connecting-space basis (rows in packed
-    dual-ring coordinates) and a report of the membership self-checks.  The
-    (weak, if asked) coinvariants `t` and connecting space `w` are solved
-    when not given.
+    Returns the context, the connecting-space basis (rows in packed
+    dual-ring coordinates) and a report of the membership self-checks.
     """
     rep = CheckReport()
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
-    if t is None:
-        t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
     packed = r.packed()
-    if w is None:
-        w = connecting_space(x, r, weak)
     o_dim = w.rows
     # P = base as (T, R)-bimodule
     p_left = tuple(A.left_mult(t.inclusion.col(i)) for i in range(t.algebra.dim))
     p_right = tuple(m for a in g.elements() for m in _evaluations(x, r, a))
     p = RingBimodule(t.algebra, packed.algebra, A.dim, p_left, p_right)
     # Q = connecting space as (R, T)-bimodule
-    q_left, ok_left = _dual_ring_action(w, packed)
+    q_left, ok_left = _span_action(w, packed.algebra.left_mats)
     rep.add("build.left-ideal", "the connecting space is a left ideal", ok_left)
     base_action = _packed_base_action(r)
-    ok_right = True
-    q_right = []
-    for i in range(t.algebra.dim):
-        act = combine(F, packed.algebra.dim, packed.algebra.dim, base_action, t.inclusion.col(i))
-        coords, closed = _coordinates(w, [act.apply(w.row(u)) for u in range(o_dim)])
-        q_right.append(Mat._from_cols(F, coords))
-        ok_right = ok_right and closed
+    q_right, ok_right = _span_action(w, [
+        combine(F, packed.algebra.dim, packed.algebra.dim, base_action, t.inclusion.col(i))
+        for i in range(t.algebra.dim)])
     rep.add("build.right-module", "the connecting space absorbs the coinvariants",
             ok_right)
     q = RingBimodule(packed.algebra, t.algebra, o_dim, tuple(q_left), tuple(q_right))
     # tau: P (x) Q -> T, the right action of Q on the base
     acts = [combine(F, A.dim, A.dim, p_right, w.row(u)) for u in range(o_dim)]
-    tau_cols, ok_tau = _coordinates(t.basis, [acts[u].col(j) for j in range(A.dim)
+    tau_cols, ok_tau = rowspace_coords(t.basis, [acts[u].col(j) for j in range(A.dim)
                                               for u in range(o_dim)])
     rep.add("build.tau-lands", "the pairing lands in the coinvariants", ok_tau)
     tau = Mat._from_cols(F, tau_cols, t.algebra.dim)
@@ -614,23 +559,17 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily,
     return rep
 
 
-def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
-                          s: CoefficientRing | None = None, wq: Mat | None = None,
+def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing, wq: Mat,
                           ) -> tuple[GradedMoritaContext, CoefficientRing, Mat, CheckReport]:
-    """The graded context (twisted coefficient ring, dual ring, base copies,
-    shifted connecting families).  The (weak, if asked) coefficient ring `s`
-    and connecting space `wq` are solved when not given."""
+    """The graded context (twisted coefficient ring `s`, dual ring, base
+    copies, shifted connecting families with basis rows `wq`), strict or
+    weak as `s` and `wq` are."""
     rep = CheckReport()
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
     n = g.order
-    if s is None:
-        t = weak_coinvariants(x, r) if weak else coinvariant_ring(x)
-        s = coefficient_ring(x, r, t, weak)
-    if wq is None:
-        wq = connecting_space(x, r, weak)
     o_dim = wq.rows
     packed = r.packed()
     sdim = s.algebra.dim
@@ -650,23 +589,22 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     p = RingBimodule(gs.algebra, packed.algebra, n * A.dim, tuple(p_left), tuple(p_right))
     # QG = graded copies of the connecting space, (R, G*S)-bimodule
     # left action of the dual ring through the shifted product
-    left_small, ok_left = _dual_ring_action(wq, packed)
+    left_small, ok_left = _span_action(wq, packed.algebra.left_mats)
     rep.add("build.q-left-closure", "dual-ring action preserves the connecting families",
             ok_left)
     q_left = [block_matrix(F, o_dims, o_dims, {(g.mul(b, a), a): small for a in g.elements()})
               for b, small in zip(_degrees(packed.dims), left_small)]
+
     # right action of the twisted ring through shifted coefficient families;
     # the block leaving degree a depends only on the shift (a tt)^{-1}
-    ok_right = True
-    right_small = {}
-    for shift in g.elements():
-        for wi in range(sdim):
-            fam = Mat(F, n, A.dim, s.basis.transpose().apply(s.sigma[shift].col(wi)))
-            act = block_matrix(F, packed.dims, packed.dims,
-                               {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
-            coords, closed = _coordinates(wq, [act.apply(wq.row(i)) for i in range(o_dim)])
-            right_small[(shift, wi)] = Mat._from_cols(F, coords, o_dim)
-            ok_right = ok_right and closed
+    def shifted_action(shift: int, wi: int) -> Mat:
+        fam = Mat(F, n, A.dim, s.basis.transpose().apply(s.sigma[shift].col(wi)))
+        return block_matrix(F, packed.dims, packed.dims,
+                            {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
+
+    shifts = [(shift, wi) for shift in g.elements() for wi in range(sdim)]
+    smalls, ok_right = _span_action(wq, [shifted_action(*key) for key in shifts])
+    right_small = dict(zip(shifts, smalls))
     rep.add("build.q-right-closure",
             "coefficient families act on the connecting families", ok_right)
     q_right = [block_matrix(F, o_dims, o_dims,
@@ -679,7 +617,7 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, weak: bool = False,
     acts = {(u, d): combine(F, A.dim, A.dim, evals[d], packed.block(d, wq.row(u)))
             for u in range(o_dim) for d in g.elements()}
     keys = [(j, sigma, u) for j in range(A.dim) for sigma in g.elements() for u in range(o_dim)]
-    coords, ok_omega = _coordinates(s.basis, [
+    coords, ok_omega = rowspace_coords(s.basis, [
         tuple(v for b in g.elements() for v in acts[(u, g.mul(sigma, b))].col(j))
         for j, sigma, u in keys])
     rep.add("build.omega-lands", "the first connecting map lands in the coefficient ring",
@@ -854,7 +792,7 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
     A_unit = end.module.ring.base.unit
     gs = s.twisted
     degrees = [sigma for sigma in g.elements() for _ in end.bases[sigma]]
-    coords, ok = _coordinates(s.basis, [
+    coords, ok = rowspace_coords(s.basis, [
         tuple(v for a in g.elements() for v in fams[a].apply(A_unit))
         for sigma in g.elements() for fams in end.bases[sigma]])
     rep.add("end-iso.lands", "endomorphism families are coefficient families", ok)
@@ -885,7 +823,7 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckRep
     F = r.base.field
     degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
     # the value of a map of degree sigma at the unit of degree sigma^{-1} a lies in R_a
-    coords, ok = _coordinates(wq, [
+    coords, ok = rowspace_coords(wq, [
         tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(r.base.unit))
         for sigma in g.elements() for fams in hom_bases[sigma]])
     rep.add("hom-iso.lands", "module-map families are connecting families", ok)
@@ -985,7 +923,8 @@ def slice_context(x: GrouplikeFamily) -> tuple[MoritaContext, Mat, GradedRing]:
     e_coring = c.e_slice()
     x_e = GrouplikeFamily(e_coring, (x.vec(e),))
     r_e = dual_ring(e_coring)
-    ctx, w, _ = morita_context(x_e, r_e)
+    strict, _ = connecting_spaces(x_e, r_e)
+    ctx, w, _ = morita_context(x_e, r_e, coinvariant_ring(x_e), strict)
     return ctx, w, r_e
 
 
@@ -1048,7 +987,7 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             "base copies carry the same actions through the ring comparisons",
             not bad, f"failing: {bad[:5]}" if bad else "")
     # j: slice connecting space -> family connecting space through the shifts
-    coords, ok = _coordinates(wq, [
+    coords, ok = rowspace_coords(wq, [
         tuple(v for a in g.elements() for v in sigmas[a].apply(w_e.row(u)))
         for u in range(w_e.rows)])
     jg = tensor_k(Mat.identity(F, n), Mat._from_cols(F, coords))

@@ -44,7 +44,8 @@ from corings.morita import (
     CoefficientRing,
     canonical_graded_module,
     coefficient_ring,
-    connecting_space,
+    coefficient_spaces,
+    connecting_spaces,
     graded_morita_context,
     is_strict,
     morita_context,
@@ -536,7 +537,9 @@ class Derived:
 
     It keeps the parts of a structure it reads, never the MainStructure
     itself, so that dropping the structure frees all of it without the
-    cycle collector.  The strict and weak variants are separate members.
+    cycle collector.  Each solution space is one (strict, weak) pair,
+    solved in one pass; the rings and contexts built on them are separate
+    strict and weak members.
     """
 
     def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily,
@@ -567,12 +570,12 @@ class Derived:
     @cached_property
     def galois(self) -> tuple:
         """`is_galois` without a base morphism: (verdict, report)."""
-        return is_galois(self.grouplike, can=self.canonical)
+        return is_galois(self.grouplike, self.canonical)
 
     @cached_property
     def decomposition(self) -> tuple:
         """`galois_decomposition`: (witness or None, report)."""
-        return galois_decomposition(self.grouplike, can=self.canonical, galois=self.galois)
+        return galois_decomposition(self.grouplike, self.canonical, self.galois)
 
     @cached_property
     def witness(self) -> CofreeWitness | None:
@@ -580,38 +583,41 @@ class Derived:
         return self._witness if self._witness is not None else self.decomposition[0]
 
     @cached_property
-    def connecting(self) -> Mat:
-        return connecting_space(self.grouplike, self.dual_ring)
+    def connecting_spaces(self) -> tuple:
+        """`connecting_spaces`: (strict, weak) basis rows."""
+        return connecting_spaces(self.grouplike, self.dual_ring)
 
     @cached_property
-    def weak_connecting(self) -> Mat:
-        return connecting_space(self.grouplike, self.dual_ring, weak=True)
+    def coefficient_spaces(self) -> tuple:
+        """`coefficient_spaces`: (strict, weak) basis rows."""
+        return coefficient_spaces(self.grouplike, self.dual_ring)
 
     @cached_property
     def coefficients(self) -> CoefficientRing:
-        return coefficient_ring(self.grouplike, self.dual_ring, self.coinvariants)
+        return coefficient_ring(self.grouplike, self.coefficient_spaces[0], self.coinvariants)
 
     @cached_property
     def weak_coefficients(self) -> CoefficientRing:
-        return coefficient_ring(self.grouplike, self.dual_ring, self.weak_coinvariants, weak=True)
+        return coefficient_ring(self.grouplike, self.coefficient_spaces[1],
+                                self.weak_coinvariants)
 
     @cached_property
     def morita(self) -> tuple:
         """`morita_context`: (context, connecting space, build report)."""
-        return morita_context(self.grouplike, self.dual_ring, t=self.coinvariants,
-                              w=self.connecting)
+        return morita_context(self.grouplike, self.dual_ring, self.coinvariants,
+                              self.connecting_spaces[0])
 
     @cached_property
     def weak_morita(self) -> tuple:
-        return morita_context(self.grouplike, self.dual_ring, weak=True,
-                              t=self.weak_coinvariants, w=self.weak_connecting)
+        return morita_context(self.grouplike, self.dual_ring, self.weak_coinvariants,
+                              self.connecting_spaces[1])
 
     @cached_property
     def graded_morita(self) -> tuple:
         """`graded_morita_context`: (graded context, coefficient ring,
         connecting space, build report)."""
-        return graded_morita_context(self.grouplike, self.dual_ring, s=self.coefficients,
-                                     wq=self.connecting)
+        return graded_morita_context(self.grouplike, self.dual_ring, self.coefficients,
+                                     self.connecting_spaces[0])
 
     @cached_property
     def graded_strict(self) -> tuple:
@@ -620,8 +626,8 @@ class Derived:
 
     @cached_property
     def weak_graded_morita(self) -> tuple:
-        return graded_morita_context(self.grouplike, self.dual_ring, weak=True,
-                                     s=self.weak_coefficients, wq=self.weak_connecting)
+        return graded_morita_context(self.grouplike, self.dual_ring, self.weak_coefficients,
+                                     self.connecting_spaces[1])
 
     @cached_property
     def slice(self) -> tuple:

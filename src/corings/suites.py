@@ -189,7 +189,7 @@ def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(chirep, prefix="morita.")
     rep.add("morita.coinvariants-agree", "strict and weak coinvariants coincide",
             row_space(d.coinvariants.basis) == row_space(d.weak_coinvariants.basis))
-    o_strict, o_weak = d.connecting, d.weak_connecting
+    o_strict, o_weak = d.connecting_spaces
     rep.add("morita.connecting-agree", "strict and weak connecting spaces coincide",
             row_space(o_strict) == row_space(o_weak),
             f"dims {o_strict.rows} vs {o_weak.rows}")

@@ -16,6 +16,10 @@
   combination of action matrices per index pair.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
+* `triangular_family` is a grouplike family over a group with elements
+  that are not their own inverses and that does not commute with the base,
+  so the shifts of the graded Morita contexts are not the identity.
+* `coinvariants` solves the coinvariants of a single comodule.
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
   graded-algebra and Hopf-algebra axioms and a Hopf family with a broken
@@ -27,14 +31,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 from corings.algebra import (
+    Algebra,
     BimoduleMap,
     DualBasis,
     TensorProduct,
     is_bimodule_iso,
     validate_algebra,
 )
-from corings.coring import GroupCoringMorphism
+from corings.comodules import Comodule
+from corings.coring import GroupCoringMorphism, trivial_coring
 from corings.dualring import GradedAlgebra
+from corings.galois import GrouplikeFamily
 from corings.groups import FiniteGroup
 from corings.hopf import (
     HopfAlgebra,
@@ -48,14 +55,17 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     combine,
+    kernel,
+    kron_after,
     quotient_by,
     tensor_k,
     tensor_vec,
     unit_vec,
+    vstack,
 )
 from corings.morita import MoritaContext, RingBimodule
 from corings.report import CheckReport
-from corings.scalars import QQ, Field
+from corings.scalars import GF, QQ, Field
 from corings.structfile import Derived
 
 
@@ -63,6 +73,30 @@ def derived(fx) -> Derived:
     """The derived objects of a fixture's coring, family, witness and
     comodule algebra."""
     return Derived(fx.coring, fx.grouplike, fx.witness, fx.comodule_algebra)
+
+
+def triangular_family() -> GrouplikeFamily:
+    """The family x_a = diag(1, 2^a) on trivial_coring(T_2, C_3) over GF(7),
+    where T_2 is the algebra of upper triangular 2x2 matrices with basis
+    e11, e12, e22 (2 has order three mod 7)."""
+    F = GF(7)
+    # mul[i][j]: the coordinates of e_i e_j
+    t2 = Algebra.from_tables(F, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+                                 [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                                 [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [1, 0, 1])
+    g = FiniteGroup.cyclic(3)
+    coring, _ = trivial_coring(t2, g)
+    return GrouplikeFamily(coring, tuple((1, 0, pow(2, a, 7)) for a in g.elements()))
+
+
+def coinvariants(m: Comodule, x: GrouplikeFamily) -> Mat:
+    """Basis rows of the coinvariant subspace of a comodule: the v with
+    rho_a(v) = v (x) x_a in every degree a."""
+    F = m.coring.base.field
+    ident = Mat.identity(F, m.space.dim)
+    return kernel(vstack([
+        m.rho[a] - kron_after(m.tensor(a).space.proj, ident, Mat.col_vector(F, x.vec(a)))
+        for a in m.coring.group.elements()]))
 
 
 def dense_triple_quotient(field: Field, d1: int, d2: int, d3: int,

@@ -34,8 +34,6 @@ from corings.fixtures import fixture, fixture_file_text
 from corings.galois import (
     coinvariant_ring,
     comodule_from_grouplike,
-    galois_decomposition,
-    is_galois,
     structure_theorem_battery,
     validate_grouplike,
 )
@@ -50,9 +48,9 @@ from corings.morita import (
     check_shift_fixed_points,
     check_standard_context_match,
     coefficient_ring,
-    connecting_space,
+    coefficient_spaces,
+    connecting_spaces,
     galois_equivalence_battery,
-    graded_morita_context,
     is_strict,
     weak_coinvariant_ring,
 )
@@ -78,8 +76,7 @@ def criterion(name):
 
 
 def witness_of(name):
-    fx = fixture(name)
-    return fx.witness if fx.witness is not None else galois_decomposition(fx.grouplike)[0]
+    return derived(fixture(name)).witness
 
 
 @criterion("axiom batteries on every fixture")
@@ -142,9 +139,9 @@ def test_dual_ring_package():
 
 @criterion("Galois verdicts with the dimension witness on the negative fixture")
 def test_galois_verdicts():
-    assert is_galois(fixture("regular").grouplike)[0]
-    assert is_galois(fixture("trivial").grouplike)[0]
-    verdict, rep = is_galois(fixture("nongalois").grouplike)
+    assert derived(fixture("regular")).galois[0]
+    assert derived(fixture("trivial")).galois[0]
+    verdict, rep = derived(fixture("nongalois")).galois
     assert not verdict
     bij = next(it for it in rep.items if it.check_id == "galois.bijective")
     assert "1 -> 2" in bij.witness
@@ -170,20 +167,18 @@ def test_morita_spaces_and_contexts():
         # strict and weak coinvariants coincide
         assert row_space(t.basis) == row_space(weak_coinvariant_ring(fx.grouplike, r)), name
         # strict and weak connecting spaces coincide
-        o1 = connecting_space(fx.grouplike, r, weak=False)
-        o2 = connecting_space(fx.grouplike, r, weak=True)
+        o1, o2 = connecting_spaces(fx.grouplike, r)
         assert row_space(o1) == row_space(o2), name
         # fixed points of the shift action equal the (weak) coinvariants
-        s = coefficient_ring(fx.grouplike, r, t, weak=False)
-        s_w = coefficient_ring(fx.grouplike, r, t, weak=True)
+        basis, basis_w = coefficient_spaces(fx.grouplike, r)
+        s = coefficient_ring(fx.grouplike, basis, t)
+        s_w = coefficient_ring(fx.grouplike, basis_w, t)
         assert row_space(s.basis) == row_space(s_w.basis), name
         assert check_shift_fixed_points(s, t).ok, name
         assert check_shift_fixed_points(s_w, t).ok, name
     # strictness of the graded context
     for name, value in (("regular", True), ("nongalois", False)):
-        fx = fixture(name)
-        r = dual_ring(fx.coring)
-        gctx, _, _, _ = graded_morita_context(fx.grouplike, r)
+        gctx, _, _, _ = derived(fixture(name)).graded_morita
         verdict, _ = is_strict(gctx.ctx)
         assert verdict == value, name
     # evaluation squares of the standard context comparison
@@ -218,14 +213,14 @@ def test_hopf_package():
     assert list(sp.dims) == [r.dim(a) for a in fx.coring.group.elements()]
     # the split biconditional: Galois <-> carrying witness + slice Galois
     verdict, _ = hopf_galois_check(fx.comodule_algebra, derived(fx))
-    wit, drep = galois_decomposition(fx.grouplike)
+    wit, drep = derived(fx).decomposition
     carried = wit is not None and all(
         wit.gammas[a].apply(fx.grouplike.vec(0)) == fx.grouplike.vec(a)
         for a in fx.coring.group.elements())
     assert verdict == carried
     nfx = fixture("nongalois")
     nverdict, _ = hopf_galois_check(nfx.comodule_algebra, derived(nfx))
-    nwit, _ = galois_decomposition(nfx.grouplike)
+    nwit, _ = derived(nfx).decomposition
     assert nverdict == (nwit is not None) == False  # noqa: E712
     bad = validate_hopf_g_coalgebra(bad_antipode_hopf())
     assert [it.check_id for it in bad.items if not it.passed] == ["hopf-g.antipode"]

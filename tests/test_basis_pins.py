@@ -27,8 +27,8 @@ from corings.linalg import Mat
 from corings.morita import (
     _ring_as_module,
     canonical_graded_module,
-    coefficient_space,
-    connecting_space,
+    coefficient_spaces,
+    connecting_spaces,
     graded_hom,
 )
 
@@ -100,8 +100,8 @@ def solver_outputs(name: str) -> dict:
                          for m, n in ((agm, agm), (agm, rm), (rm, rm))
                          for sigma in g.elements()]
     out["left_dual"] = [left_dual(comp)[1] for comp in c.comps]
-    out["connecting_space"] = [connecting_space(x, r, weak) for weak in (False, True)]
-    out["coefficient_space"] = [coefficient_space(x, r, weak) for weak in (False, True)]
+    out["connecting_space"] = list(connecting_spaces(x, r))
+    out["coefficient_space"] = list(coefficient_spaces(x, r))
     seen = []
     original = dualring_mod.coords_in_rowspace
 

@@ -24,7 +24,6 @@ from corings.galois import (
     RANDOM_COMODULE_RANK,
     coinvariant_ring,
     comodule_from_grouplike,
-    galois_decomposition,
     inclusion_morphism,
     induce_comodule,
     induce_gcomodule,
@@ -33,14 +32,11 @@ from corings.galois import (
 )
 from corings.linalg import Mat
 from corings.scalars import QQ
+from helpers import derived
 
 
 def witness_of(name):
-    fx = fixture(name)
-    if fx.witness is not None:
-        return fx.witness
-    wit, _ = galois_decomposition(fx.grouplike)
-    return wit
+    return derived(fixture(name)).witness
 
 
 def test_base_comodule_validates_on_all_fixtures():

@@ -7,7 +7,8 @@ blocks would pass the CLI tests unnoticed.  Each digest is the sha256 of the
 `q.right`, `tau` and `mu` (for an algebra: of its structure constants and
 its unit); run this file as a script to print them.  Besides the four
 fixtures, whose group has exponent two and so cannot tell a degree from its
-inverse, the regular comodule algebra k[C_3] over QQ is pinned too.
+inverse, the regular comodule algebra k[C_3] over QQ and the triangular
+family of `helpers.triangular_family` over GF(7) are pinned too.
 """
 
 import hashlib
@@ -15,9 +16,9 @@ import hashlib
 import pytest
 
 from corings.algebra import field_algebra
-from corings.dualring import dual_ring, group_ring
+from corings.dualring import group_ring
 from corings.fixtures import Fixture, fixture
-from corings.galois import RingMorphism, coinvariant_ring, galois_decomposition
+from corings.galois import RingMorphism
 from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
@@ -26,16 +27,10 @@ from corings.hopf import (
     regular_comodule_algebra,
 )
 from corings.linalg import Mat
-from corings.morita import (
-    canonical_graded_module,
-    coefficient_ring,
-    context_from_graded_module,
-    graded_morita_context,
-    group_ring_context,
-    morita_context,
-    slice_context,
-)
+from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
+from corings.structfile import Derived
+from helpers import triangular_family
 
 PINNED = {
     'trivial': {
@@ -97,11 +92,27 @@ PINNED = {
         'packed_ring': 'b2c01ad6c0eeec41d3572199bea73d986838f52690aa5ece0e9e0035f82a08ba',
         'group_ring': '3976370fabedae451dd8058d4a4d7b8836d360f3d2a88c784b3c8d1cd494ef99',
     },
+    'triangular': {
+        'morita_context': '634ee2fd15e201f31a3a100c9f3d8182ebe8ed220326ea3f059fc69038e6769c',
+        'graded_morita_context': '58557831fcc8e77e3ce749e7974b49581da8039e2d8c443f4b1835a50fd006e6',
+        'twisted_ring': '0b3c7af79a234131c112ebab72411f8e9cbf2b490647371691663914d6df9d9d',
+        'morita_context_weak': '634ee2fd15e201f31a3a100c9f3d8182ebe8ed220326ea3f059fc69038e6769c',
+        'graded_morita_context_weak': '58557831fcc8e77e3ce749e7974b49581da8039e2d8c443f4b1835a50fd006e6',
+        'twisted_ring_weak': '0b3c7af79a234131c112ebab72411f8e9cbf2b490647371691663914d6df9d9d',
+        'context_from_graded_module': '43b4f95f0d15fb82e7aadcc3c002b30e617e520e0eacff1494117ff6e535ea2b',
+        'packed_ring': '7aa92582b35029cbf2cb282b4ebeda732b5cd7036df85a0144b0aede3b4002be',
+        'group_ring': '7aa92582b35029cbf2cb282b4ebeda732b5cd7036df85a0144b0aede3b4002be',
+    },
 }
 NAMES = list(PINNED)
 
 
 def _fixture(name: str) -> Fixture:
+    if name == "triangular":
+        x = triangular_family()
+        a = x.coring.base
+        b = RingMorphism(field_algebra(a.field), a, Mat.from_cols(a.field, [a.unit]))
+        return Fixture(name, "triangular family over GF(7)", x.coring, x, b)
     if name != "regular3":
         return fixture(name)
     g = FiniteGroup.cyclic(3)
@@ -130,21 +141,21 @@ def _constants(alg) -> tuple:
 def pinned_objects(name: str) -> dict:
     """Every pinned context and algebra on one fixture, keyed by builder."""
     fx = _fixture(name)
-    c, x = fx.coring, fx.grouplike
+    c = fx.coring
     g = c.group
-    r = dual_ring(c)
-    t = coinvariant_ring(x)
+    d = Derived(c, fx.grouplike, fx.witness)
     out = {}
-    for weak, tag in ((False, ""), (True, "_weak")):
-        out["morita_context" + tag] = _context(morita_context(x, r, weak=weak)[0])
-        out["graded_morita_context" + tag] = _context(graded_morita_context(x, r, weak=weak)[0].ctx)
-        out["twisted_ring" + tag] = _constants(coefficient_ring(x, r, t, weak).twisted.algebra)
+    for tag, morita, graded, coefficients in (
+            ("", d.morita, d.graded_morita, d.coefficients),
+            ("_weak", d.weak_morita, d.weak_graded_morita, d.weak_coefficients)):
+        out["morita_context" + tag] = _context(morita[0])
+        out["graded_morita_context" + tag] = _context(graded[0].ctx)
+        out["twisted_ring" + tag] = _constants(coefficients.twisted.algebra)
     out["context_from_graded_module"] = _context(
-        context_from_graded_module(canonical_graded_module(x, r))[0].ctx)
-    wit = fx.witness if fx.witness is not None else galois_decomposition(x)[0]
-    if wit is not None:
-        out["group_ring_context"] = _context(group_ring_context(slice_context(x)[0], g).ctx)
-    out["packed_ring"] = _constants(r.packed().algebra)
+        context_from_graded_module(d.canonical_module)[0].ctx)
+    if d.witness is not None:
+        out["group_ring_context"] = _context(group_ring_context(d.slice[0], g).ctx)
+    out["packed_ring"] = _constants(d.dual_ring.packed().algebra)
     out["group_ring"] = _constants(group_ring(c.base, g).algebra)
     return out
 

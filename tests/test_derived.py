@@ -11,12 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from corings import dualring, galois, morita, structfile
+from corings import algebra, dualring, galois, morita, structfile
 from corings.coring import GroupCoring
-from corings.dualring import GradedRing
+from corings.dualring import GradedRing, dual_ring
 from corings.fixtures import fixture_file_text
 from corings.galois import GrouplikeFamily
 from corings.hopf import coring_from_comodule_algebra
+from corings.linalg import Mat
+from corings.morita import CoefficientRing
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 
@@ -29,16 +31,18 @@ BUILDERS = {
     "coinvariant_ring": (galois, ("x",)),
     "is_galois": (galois, ("x",)),
     "galois_decomposition": (galois, ("x",)),
-    "connecting_space": (morita, ("x", "r", "weak")),
-    "coefficient_space": (morita, ("x", "r", "weak")),
-    "graded_morita_context": (morita, ("x", "r", "weak")),
+    "connecting_spaces": (morita, ("x", "r")),
+    "coefficient_spaces": (morita, ("x", "r")),
+    "graded_morita_context": (morita, ("x", "r", "s", "wq")),
     "canonical_graded_module": (morita, ("x", "r")),
 }
 
 
 def content(obj):
     """A value equal for inputs with equal content: corings, dual rings and
-    grouplike families compare by identity otherwise."""
+    grouplike families compare by identity otherwise.  Solved rings and
+    spaces count by identity: the strict and the weak ones are equal in
+    content on these structures, but are separate inputs."""
     if isinstance(obj, GroupCoring):
         return ("coring", obj.group, obj.base, obj.comps,
                 tuple(sorted(obj.delta.items())), obj.counit)
@@ -46,6 +50,8 @@ def content(obj):
         return ("dual ring", content(obj.coring))
     if isinstance(obj, GrouplikeFamily):
         return ("grouplike", content(obj.coring), obj.vectors)
+    if isinstance(obj, (CoefficientRing, Mat)):
+        return ("solved", id(obj))
     return obj
 
 
@@ -104,7 +110,7 @@ def test_suite_all_builds_each_input_once(monkeypatch, name):
     calls = record_builds(monkeypatch)
     run_suite(ms, "all", seed=0)
     for builder in ("dual_ring", "coinvariant_ring", "is_galois", "galois_decomposition",
-                    "connecting_space", "coefficient_space", "graded_morita_context"):
+                    "connecting_spaces", "coefficient_spaces", "graded_morita_context"):
         assert calls[builder], builder
         assert len(calls[builder]) == distinct(calls[builder]), (builder, len(calls[builder]))
 
@@ -133,13 +139,35 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
     calls = record_builds(monkeypatch)
     run_suite(ms, "graded-morita", seed=0)
     counts = {name: (len(calls[name]), distinct(calls[name])) for name in (
-        "connecting_space", "coefficient_space", "coinvariant_ring",
+        "connecting_spaces", "coefficient_spaces", "coinvariant_ring",
         "graded_morita_context", "canonical_graded_module")}
-    # strict, weak and identity-slice connecting spaces; strict and weak
-    # coefficients and graded contexts; coinvariants of the family and slice
-    assert counts == {"connecting_space": (3, 3), "coefficient_space": (2, 2),
+    # connecting spaces of the family and of the identity-degree slice, each
+    # strict and weak in one pass; strict and weak coefficients in one pass;
+    # strict and weak graded contexts; coinvariants of the family and slice
+    assert counts == {"connecting_spaces": (2, 2), "coefficient_spaces": (1, 1),
                       "coinvariant_ring": (2, 2), "graded_morita_context": (2, 2),
                       "canonical_graded_module": (1, 1)}
+
+
+def test_connecting_spaces_read_the_first_legs_off_the_dual_ring(monkeypatch):
+    ms = main_structure(parse(C3.read_bytes()))
+    x, r = ms.grouplike, ms.derived.dual_ring
+    calls = []
+    original = algebra.contract_right
+
+    def contract_right(*args):
+        calls.append(args)
+        return original(*args)
+
+    for m in [m for key, m in sys.modules.items()
+              if m is not None and (key == "corings" or key.startswith("corings."))]:
+        for attr, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, attr, contract_right)
+    strict, weak = morita.connecting_spaces(x, r)
+    assert calls == [] and strict.rows == weak.rows > 0
+    dual_ring(ms.coring)  # the dual ring computes the legs, and is counted
+    assert calls
 
 
 def test_suite_all_validates_the_comodule_algebra_once(monkeypatch):

@@ -35,19 +35,18 @@ from corings.galois import (
     canonical_morphism,
     coinvariant_ring,
     comodule_from_grouplike,
-    galois_decomposition,
     inclusion_morphism,
     random_comodule,
 )
 from corings.groups import FiniteGroup
 from corings.linalg import Mat
 from corings.scalars import QQ
-from helpers import validate_graded_algebra
+from helpers import derived, validate_graded_algebra
 
 
 def witness_of(name):
     fx = fixture(name)
-    return fx.witness if fx.witness is not None else galois_decomposition(fx.grouplike)[0]
+    return derived(fx).witness
 
 
 def test_dual_of_trivial_coring_is_the_group_ring():

@@ -20,18 +20,15 @@ from corings.galois import (
     canonical_morphism,
     check_coinvariants_cofree,
     coinvariant_ring,
-    coinvariants,
     comodule_from_grouplike,
     free_right_module,
     g_coinvariants,
-    galois_decomposition,
     grouplike_from_comodule,
     induce_comodule,
     induce_gcomodule,
     induction_counits,
     induction_unit,
     inclusion_morphism,
-    is_galois,
     predicates_of_extension,
     structure_theorem_battery,
     validate_grouplike,
@@ -39,7 +36,7 @@ from corings.galois import (
 )
 from corings.linalg import Mat, rank, row_space
 from corings.scalars import QQ
-from helpers import derived
+from helpers import coinvariants, derived
 
 
 def test_grouplike_families_validate():
@@ -156,10 +153,10 @@ def test_trivial_coring_canonical_morphism_is_iso():
 
 
 def test_galois_verdicts():
-    assert is_galois(fixture("trivial").grouplike)[0]
-    assert is_galois(fixture("regular").grouplike)[0]
-    assert is_galois(fixture("sweedler").grouplike)[0]
-    verdict, rep = is_galois(fixture("nongalois").grouplike)
+    assert derived(fixture("trivial")).galois[0]
+    assert derived(fixture("regular")).galois[0]
+    assert derived(fixture("sweedler")).galois[0]
+    verdict, rep = derived(fixture("nongalois")).galois
     assert not verdict
     bij = next(it for it in rep.items if it.check_id == "galois.bijective")
     assert "1 -> 2" in bij.witness
@@ -168,7 +165,7 @@ def test_galois_verdicts():
 def test_galois_decomposition_produces_carrying_witness():
     for name in ("trivial", "regular", "sweedler"):
         fx = fixture(name)
-        wit, rep = galois_decomposition(fx.grouplike)
+        wit, rep = derived(fx).decomposition
         assert wit is not None and rep.ok, name
         e = fx.coring.group.identity
         for a in fx.coring.group.elements():
@@ -176,7 +173,7 @@ def test_galois_decomposition_produces_carrying_witness():
 
 
 def test_galois_decomposition_refuses_nongalois():
-    wit, rep = galois_decomposition(fixture("nongalois").grouplike)
+    wit, rep = derived(fixture("nongalois")).decomposition
     assert wit is None
     assert not rep.ok
 
@@ -184,7 +181,7 @@ def test_galois_decomposition_refuses_nongalois():
 def test_cofree_coinvariants_lemma():
     for name in ("regular", "sweedler"):
         fx = fixture(name)
-        wit = fx.witness or galois_decomposition(fx.grouplike)[0]
+        wit = derived(fx).witness
         assert check_coinvariants_cofree(fx.grouplike, wit, coinvariant_ring(fx.grouplike)).ok, name
 
 
@@ -193,7 +190,7 @@ def test_extension_factors_through_slice_extension():
     # witness, for witnesses carrying the grouplike family
     for name in ("regular", "sweedler"):
         fx = fixture(name)
-        wit = fx.witness or galois_decomposition(fx.grouplike)[0]
+        wit = derived(fx).witness
         n = free_right_module(fx.base.src, 1)
         fam = induce_gcomodule(n, fx.base, fx.grouplike)
         e_coring = fx.coring.e_slice()
@@ -246,7 +243,7 @@ def test_unit_counit_direction_implications():
         counits_ok = all(induction_counits(gm, fx.base, fx.grouplike)[1] for gm in objs)
         b_is_t = (rank(fx.base.mat) == fx.base.src.dim
                   and row_space(fx.base.mat.transpose()) == row_space(t.basis))
-        galois_verdict, _ = is_galois(fx.grouplike)
+        galois_verdict, _ = derived(fx).galois
         if units_ok:
             assert b_is_t, name
         if counits_ok:

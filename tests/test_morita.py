@@ -13,7 +13,7 @@ from corings import morita
 from corings.algebra import field_algebra
 from corings.dualring import dual_ring
 from corings.fixtures import fixture, fixture_file_text
-from corings.galois import coinvariant_ring, galois_decomposition
+from corings.galois import coinvariant_ring
 from corings.linalg import Mat, rank, row_space, tensor_vec
 from corings.morita import (
     MoritaContext,
@@ -24,16 +24,15 @@ from corings.morita import (
     check_shift_fixed_points,
     check_standard_context_match,
     coefficient_ring,
-    connecting_space,
+    coefficient_spaces,
+    connecting_spaces,
     context_from_graded_module,
     galois_equivalence_battery,
     graded_end,
     graded_hom,
-    graded_morita_context,
     group_ring_context,
     grouplike_character,
     is_strict,
-    morita_context,
     slice_context,
     validate_graded_morita_context,
     validate_morita_context,
@@ -47,15 +46,11 @@ from corings.suites import run_suite
 from helpers import (
     derived,
     reference_validate_morita_context,
+    triangular_family,
     validate_graded_algebra,
 )
 
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
-
-
-def witness_of(name):
-    fx = fixture(name)
-    return fx.witness if fx.witness is not None else galois_decomposition(fx.grouplike)[0]
 
 
 # -- grouplike character -----------------------------------------------------------
@@ -93,8 +88,7 @@ def test_strict_and_weak_spaces_agree():
         r = dual_ring(fx.coring)
         t = coinvariant_ring(fx.grouplike)
         assert row_space(t.basis) == row_space(weak_coinvariant_ring(fx.grouplike, r)), name
-        o1 = connecting_space(fx.grouplike, r, weak=False)
-        o2 = connecting_space(fx.grouplike, r, weak=True)
+        o1, o2 = connecting_spaces(fx.grouplike, r)
         assert row_space(o1) == row_space(o2), name
 
 
@@ -103,7 +97,7 @@ def test_connecting_space_dimensions():
     # and the family space matches it through the shifts
     fx = fixture("regular")
     r = dual_ring(fx.coring)
-    assert connecting_space(fx.grouplike, r).rows == 2
+    assert connecting_spaces(fx.grouplike, r)[0].rows == 2
     ctx_e, w_e, _ = slice_context(fx.grouplike)
     assert w_e.rows == 2
 
@@ -113,9 +107,7 @@ def test_classical_context_validates_but_is_not_strict():
     # group has more than one element: the second map lands in a subspace of
     # dimension at most dim(connecting) * dim(base)
     for name, tau_surj in (("trivial", True), ("regular", True), ("nongalois", True)):
-        fx = fixture(name)
-        r = dual_ring(fx.coring)
-        ctx, w, brep = morita_context(fx.grouplike, r)
+        ctx, w, brep = derived(fixture(name)).morita
         assert brep.ok, name
         assert validate_morita_context(ctx).ok, name
         verdict, rep = is_strict(ctx)
@@ -147,28 +139,23 @@ def test_coefficient_ring_fixed_points_and_agreement():
         fx = fixture(name)
         r = dual_ring(fx.coring)
         t = coinvariant_ring(fx.grouplike)
-        s = coefficient_ring(fx.grouplike, r, t, weak=False)
-        s_w = coefficient_ring(fx.grouplike, r, t, weak=True)
+        basis, basis_w = coefficient_spaces(fx.grouplike, r)
+        s = coefficient_ring(fx.grouplike, basis, t)
+        s_w = coefficient_ring(fx.grouplike, basis_w, t)
         assert row_space(s.basis) == row_space(s_w.basis), name
         assert check_shift_fixed_points(s, t).ok, name
         assert validate_graded_algebra(s.twisted).ok, name
 
 
 def test_trivial_coefficient_ring_is_constant_families():
-    fx = fixture("trivial")
-    r = dual_ring(fx.coring)
-    t = coinvariant_ring(fx.grouplike)
-    s = coefficient_ring(fx.grouplike, r, t)
+    s = derived(fixture("trivial")).coefficients
     assert s.algebra.dim == 1
     assert row_space(s.basis) == row_space(Mat.from_rows(QQ, [[1, 1]]))
 
 
 def test_diagonal_map_is_iso_on_cofree_fixtures():
     for name in ("trivial", "regular", "sweedler"):
-        fx = fixture(name)
-        r = dual_ring(fx.coring)
-        t = coinvariant_ring(fx.grouplike)
-        s = coefficient_ring(fx.grouplike, r, t)
+        s = derived(fixture(name)).coefficients
         assert s.diag.rows == s.diag.cols and rank(s.diag) == s.diag.cols, name
 
 
@@ -177,9 +164,7 @@ def test_diagonal_map_is_iso_on_cofree_fixtures():
 def test_graded_context_strictness_matches_galois():
     expected = {"trivial": True, "regular": True, "nongalois": False, "sweedler": True}
     for name, value in expected.items():
-        fx = fixture(name)
-        r = dual_ring(fx.coring)
-        gctx, s, wq, brep = graded_morita_context(fx.grouplike, r)
+        gctx, s, wq, brep = derived(fixture(name)).graded_morita
         assert brep.ok, name
         assert validate_graded_morita_context(gctx).ok, name
         verdict, _ = is_strict(gctx.ctx)
@@ -187,10 +172,9 @@ def test_graded_context_strictness_matches_galois():
 
 
 def test_weak_graded_context_equals_strict_one():
-    fx = fixture("regular")
-    r = dual_ring(fx.coring)
-    g1, _, w1, _ = graded_morita_context(fx.grouplike, r, weak=False)
-    g2, _, w2, _ = graded_morita_context(fx.grouplike, r, weak=True)
+    d = derived(fixture("regular"))
+    g1, _, w1, _ = d.graded_morita
+    g2, _, w2, _ = d.weak_graded_morita
     assert w1 == w2
     assert g1.ctx.tau == g2.ctx.tau and g1.ctx.mu == g2.ctx.mu
 
@@ -258,6 +242,19 @@ def test_standard_context_matches_weak_graded_context():
     for name in ("trivial", "regular", "sweedler"):
         fx = fixture(name)
         assert check_standard_context_match(derived(fx)).ok, name
+
+
+def test_graded_context_with_nontrivial_shifts():
+    # over C_3 a degree is not its own inverse, and a family that does not
+    # commute with the base shifts the coefficient families; a context that
+    # shifts a block by a degree instead of its inverse fails both checks
+    x = triangular_family()
+    d = Derived(x.coring, x)
+    assert d.coefficients.algebra.dim == 3
+    gctx, _, _, brep = d.graded_morita
+    assert brep.ok
+    assert validate_graded_morita_context(gctx).ok
+    assert check_standard_context_match(d).ok
 
 
 # -- group-ring contexts ---------------------------------------------------------------------

@@ -45,8 +45,6 @@ from corings.galois import (
     GrouplikeFamily,
     RingMorphism,
     comodule_from_grouplike,
-    galois_decomposition,
-    is_galois,
     structure_theorem_battery,
     validate_grouplike,
 )
@@ -66,7 +64,6 @@ from corings.morita import (
     check_group_ring_context_match,
     check_standard_context_match,
     galois_equivalence_battery,
-    graded_morita_context,
     is_strict,
 )
 from corings.scalars import QQ
@@ -102,12 +99,12 @@ def test_trivial_order_three_coring_and_galois():
     assert group_corings_equal(
         unpack_graded_coring(pack_graded_coring(fx.coring)), fx.coring)
     assert validate_grouplike(fx.grouplike).ok
-    assert is_galois(fx.grouplike)[0]
+    assert derived(fx).galois[0]
 
 
 def test_trivial_order_three_comodules_and_dual():
     fx = order_three_trivial()
-    wit, drep = galois_decomposition(fx.grouplike)
+    wit, drep = derived(fx).decomposition
     assert drep.ok
     acom = comodule_from_grouplike(fx.grouplike)
     cg = coring_as_gcomodule(fx.coring)
@@ -128,12 +125,11 @@ def test_trivial_order_three_comodules_and_dual():
 
 def test_trivial_order_three_contexts_and_batteries():
     fx = order_three_trivial()
-    r = dual_ring(fx.coring)
-    wit, _ = galois_decomposition(fx.grouplike)
-    gctx, _, _, brep = graded_morita_context(fx.grouplike, r)
+    wit, _ = derived(fx).decomposition
+    d = Derived(fx.coring, fx.grouplike, wit)
+    gctx, _, _, brep = d.graded_morita
     assert brep.ok
     assert is_strict(gctx.ctx)[0]
-    d = Derived(fx.coring, fx.grouplike, wit)
     assert check_standard_context_match(d).ok
     assert check_group_ring_context_match(d).ok
     assert structure_theorem_battery(d, fx.base).ok
@@ -149,7 +145,7 @@ def test_nongalois_order_three_structures():
     assert validate_comodule_algebra(fx.comodule_algebra).ok
     assert validate_group_coring(fx.coring).ok
     assert validate_grouplike(fx.grouplike).ok
-    assert not is_galois(fx.grouplike)[0]
+    assert not derived(fx).galois[0]
     r = dual_ring(fx.coring)
     assert validate_graded_ring(r).ok
     assert check_component_bidual(fx.coring, r).ok
@@ -168,10 +164,10 @@ def test_nongalois_order_three_batteries():
     assert validate_comodule(packed).ok
     pairs = [(replicate_comodule(acom), acom)]
     assert check_pack_replicate_adjunction(pairs).ok
-    gctx, _, _, brep = graded_morita_context(fx.grouplike, r)
+    d = derived(fx)
+    gctx, _, _, brep = d.graded_morita
     assert brep.ok
     assert not is_strict(gctx.ctx)[0]
-    d = derived(fx)
     assert check_standard_context_match(d).ok
     assert structure_theorem_battery(d, fx.base).ok
     rep = galois_equivalence_battery(d, fx.base)
