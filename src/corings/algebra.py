@@ -18,6 +18,8 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     balanced_quotient,
+    block_diagonal,
+    block_matrix,
     combine,
     coords_in_rowspace,
     hstack,
@@ -99,9 +101,10 @@ class Algebra:
     @cached_property
     def quotients(self) -> dict:
         """Memo of the tensor quotients over this algebra, filled by
-        `cached_tensor` and `cached_triple`.  Keys and values hold only
-        dims, `Mat`s and `QuotientSpace`s, never a `Bimodule` or the
-        algebra itself, so the memo makes no reference cycle."""
+        `cached_tensor` and `cached_triple`, and of the direct sums
+        `direct_sum_bimodule` built.  Keys and values hold only dims,
+        `Mat`s and `QuotientSpace`s, never a `Bimodule` or the algebra
+        itself, so the memo makes no reference cycle."""
         return {}
 
 
@@ -315,14 +318,22 @@ def _check_same_base(*mods: Bimodule) -> None:
 
 def cached_tensor(m: Bimodule, n: Bimodule) -> TensorProduct:
     """`tensor_over_algebra(m, n)`, memoised by content on the base algebra;
-    a hit wraps the stored quotient and outer actions around m and n."""
+    a hit wraps the stored quotient and outer actions around m and n.  When
+    m is a sum recorded by `direct_sum_bimodule`, a miss is assembled from
+    the summands' entries instead of eliminating over the sum."""
     _check_same_base(m, n)
     memo = m.base.quotients
     key = (m.dim, m.left, m.right, n.dim, n.left, n.right)
     if key not in memo:
-        t = tensor_over_algebra(m, n)
-        memo[key] = (t.space, t.module.left, t.module.right)
-        return t
+        parts = _summands(m)
+        if parts is None:
+            t = tensor_over_algebra(m, n)
+            memo[key] = (t.space, t.module.left, t.module.right)
+            return t
+        ts = [cached_tensor(part, n) for part in parts]
+        memo[key] = (_block_quotient([t.space for t in ts]),
+                     _block_actions([t.module.left for t in ts]),
+                     _block_actions([t.module.right for t in ts]))
     space, left, right = memo[key]
     return TensorProduct(m, n, space, Bimodule(m.base, space.dim, left, right))
 
@@ -334,9 +345,58 @@ def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
     memo = m.base.quotients
     key = (m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left)
     if key not in memo:
+        parts = _summands(m)
         memo[key] = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
-                                             (m.right, n.left), (n.right, p.left))
+                                             (m.right, n.left), (n.right, p.left)) \
+            if parts is None else _block_quotient([cached_triple(part, n, p) for part in parts])
     return memo[key]
+
+
+def direct_sum_bimodule(comps) -> tuple[Bimodule, list, list]:
+    """Block direct sum of bimodules over a common base; returns the sum
+    plus the per-block injection and projection matrices.
+
+    The sum is recorded in the memo of the base under its 3-entry key
+    (dim, left, right), which no pair or triple key has, as the nonzero
+    summands' dims and action tuples.  The balanced relations of a tensor product
+    whose left factor is the sum are block-diagonal in the packed layout,
+    and the reduced row echelon form is unique, so its quotient is the
+    block diagonal of the summands' quotients, basis included."""
+    base = comps[0].base
+    F = base.field
+    dims = [m.dim for m in comps]
+    injections = [block_matrix(F, dims, [d], {(k, 0): Mat.identity(F, d)})
+                  for k, d in enumerate(dims)]
+    left = _block_actions([m.left for m in comps])
+    right = _block_actions([m.right for m in comps])
+    parts = [m for m in comps if m.dim]
+    if len(parts) > 1:  # else the sum equals its one nonzero summand
+        base.quotients[(sum(dims), left, right)] = tuple(
+            (m.dim, m.left if left else None, m.right if right else None) for m in parts)
+    return (Bimodule(base, sum(dims), left, right), injections,
+            [inj.transpose() for inj in injections])
+
+
+def _summands(m: Bimodule) -> list | None:
+    """The summands of m when `direct_sum_bimodule` recorded it, else None."""
+    record = m.base.quotients.get((m.dim, m.left, m.right))
+    return None if record is None else [Bimodule(m.base, *part) for part in record]
+
+
+def _block_actions(actions) -> tuple | None:
+    """Per basis element of the base, the block diagonal of the summands'
+    action matrices, one action tuple per summand; None when a summand has
+    no action on that side."""
+    if any(acts is None for acts in actions):
+        return None
+    return tuple(block_diagonal(blocks) for blocks in zip(*actions))
+
+
+def _block_quotient(spaces) -> QuotientSpace:
+    """The direct sum of the quotient spaces, blocks in order."""
+    proj = block_diagonal([q.proj for q in spaces])
+    return QuotientSpace(proj.field, proj.cols, proj,
+                         block_diagonal([q.sect for q in spaces]), proj.rows)
 
 
 def _check_descends(q: QuotientSpace, projected, side: str) -> None:
@@ -364,12 +424,12 @@ def collapse_left(m: Bimodule) -> Mat:
                                          for i in range(m.dim)])
 
 
-def contract_right(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
+def contract_right(m: Bimodule, functional: Mat) -> Mat:
     """M (x)_k C -> M, m (x) c -> m.functional(c), functional: C -> A."""
     return kron_after(collapse_right(m), Mat.identity(m.base.field, m.dim), functional)
 
 
-def contract_left(m: Bimodule, c_dim: int, functional: Mat) -> Mat:
+def contract_left(m: Bimodule, functional: Mat) -> Mat:
     """C (x)_k M -> M, c (x) m -> functional(c).m."""
     return kron_after(collapse_left(m), functional, Mat.identity(m.base.field, m.dim))
 

@@ -18,17 +18,14 @@ from corings.algebra import (
     cached_tensor,
     cached_triple,
     contract_right,
-)
-from corings.coring import (
-    CofreeWitness,
-    GroupCoring,
-    MissingCofreeWitness,
     direct_sum_bimodule,
 )
+from corings.coring import CofreeWitness, GroupCoring, MissingCofreeWitness
 from corings.linalg import (
     LinearSystem,
     Mat,
     QuotientSpace,
+    block_diagonal,
     block_matrix,
     hstack,
     kron_after,
@@ -99,7 +96,7 @@ def validate_comodule(m: Comodule) -> CheckReport:
     rep.add("comodule.coassociativity", "coaction coassociativity",
             not bad, f"failing pairs: {bad}" if bad else "")
     e = g.identity
-    counit_side = contract_right(m.space, c.comps[e].dim, c.counit) \
+    counit_side = contract_right(m.space, c.counit) \
         @ m.tensor(e).space.sect @ m.rho[e]
     rep.add("comodule.counit", "counit law",
             counit_side == Mat.identity(F, m.space.dim))
@@ -139,7 +136,7 @@ def validate_g_comodule(m: GComodule) -> CheckReport:
     e = g.identity
     bad = []
     for a in g.elements():
-        side = contract_right(m.comps[a], c.comps[e].dim, c.counit) \
+        side = contract_right(m.comps[a], c.counit) \
             @ m.tensor(a, e).space.sect @ m.rho[(a, e)]
         if side != Mat.identity(F, m.comps[a].dim):
             bad.append(a)
@@ -161,29 +158,23 @@ def coring_as_gcomodule(c: GroupCoring) -> GComodule:
 # -- the pack / replicate adjunction ---------------------------------------------------
 
 def pack_gcomodule(m: GComodule) -> tuple[Comodule, list, list]:
-    """Direct sum of the family with coactions shifted by the group action.
+    """Direct sum of the family with coactions shifted by the group action:
+    rho_a sends block b to block b a^{-1} of the packed quotient, the block
+    diagonal of the quotients M_x (x)_A C_a, by the family's rho[(b a^{-1}, a)].
 
     Returns the comodule plus the block injection/projection matrices.
     """
     c = m.coring
     g = c.group
-    F = c.base.field
     total, inj, proj = direct_sum_bimodule([mm.with_trivial_left() for mm in m.comps])
-    packed = Comodule(c, total, [Mat.zeros(F, 1, 1)] * g.order)
+    dims = [mm.dim for mm in m.comps]
     rho = []
     for a in g.elements():
-        t_tot = packed.tensor(a)
-        acc = Mat.zeros(F, t_tot.space.dim, total.dim)
         ainv = g.inv(a)
-        idc = Mat.identity(F, c.comps[a].dim)
-        for b in g.elements():
-            src = g.mul(b, ainv)
-            t_src = m.tensor(src, a)
-            incl = kron_after(t_tot.space.proj, inj[src], idc) @ t_src.space.sect
-            acc = acc + incl @ m.rho[(src, a)] @ proj[b]
-        rho.append(acc)
-    packed.rho = tuple(rho)
-    return packed, inj, proj
+        rho.append(block_matrix(c.base.field, [m.rho[(x, a)].rows for x in g.elements()],
+                                dims, {(g.mul(b, ainv), b): m.rho[(g.mul(b, ainv), a)]
+                                       for b in g.elements()}))
+    return Comodule(c, total, rho), inj, proj
 
 
 def replicate_comodule(m: Comodule) -> GComodule:
@@ -263,7 +254,7 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         c = gm.coring
         g = c.group
         F = c.base.field
-        packed, inj, proj = pack_gcomodule(gm)
+        packed, inj, _ = pack_gcomodule(gm)
         h_packed = comodule_homs(packed, n)
         repl = replicate_comodule(n)
         h_family = gcomodule_homs(gm, repl)
@@ -274,25 +265,18 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         def psi(f: Mat):
             return tuple(f @ inj[a] for a in g.elements())
 
-        def phi(fams):
-            acc = Mat.zeros(F, n.space.dim, packed.space.dim)
-            for a in g.elements():
-                acc = acc + fams[a] @ proj[a]
-            return acc
-
-        ok = all(phi(psi(f)) == f for f in h_packed)
+        # the inverse transposition puts the family side by side
+        ok = all(hstack(psi(f)) == f for f in h_packed)
         rep.add(f"adjunction[{idx}].retract", "hom transposition composes to the identity",
                 ok)
-        ok = all(tuple(psi(phi(fams))) == tuple(fams) for fams in h_family)
+        ok = all(tuple(psi(hstack(fams))) == tuple(fams) for fams in h_family)
         rep.add(f"adjunction[{idx}].section", "reverse hom transposition composes to the identity",
                 ok)
         ok = all(is_gcomodule_hom(gm, repl, psi(f)) for f in h_packed)
         rep.add(f"adjunction[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         # triangle identities
-        comp_dims = [m.dim for m in gm.comps]
-        f1_eta = block_matrix(F, [packed.space.dim] * g.order, comp_dims,
-                              {(a, a): inj[a] for a in g.elements()})
+        f1_eta = block_diagonal(inj)
         eps_packed = hstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
         rep.add(f"adjunction[{idx}].triangle-left",
                 "counit after packed unit is the identity",
@@ -325,15 +309,13 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
                 len(h_rev_family) == len(h_rev_packed),
                 f"{len(h_rev_family)} vs {len(h_rev_packed)}")
 
-        def cap_phi(fams):
-            return vstack([fams[a] for a in g.elements()])
-
         def cap_psi(f: Mat):
             return tuple(proj[a] @ f for a in g.elements())
 
-        ok = all(tuple(cap_psi(cap_phi(fams))) == tuple(fams) for fams in h_rev_family)
+        # the inverse transposition stacks the family
+        ok = all(tuple(cap_psi(vstack(fams))) == tuple(fams) for fams in h_rev_family)
         rep.add(f"frobenius[{idx}].retract", "hom transposition composes to the identity", ok)
-        ok = all(cap_phi(cap_psi(f)) == f for f in h_rev_packed)
+        ok = all(vstack(cap_psi(f)) == f for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].section", "reverse transposition composes to the identity", ok)
         ok = all(is_gcomodule_hom(repl, gm, cap_psi(f)) for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].well-defined", "transposed maps are morphisms", ok)
@@ -341,8 +323,7 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
         nu = vstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
         zeta = tuple(proj[a] for a in g.elements())
         # pack(zeta) o nu_pack = id
-        pack_zeta = block_matrix(F, [m.dim for m in gm.comps], [packed.space.dim] * g.order,
-                                 {(a, a): zeta[a] for a in g.elements()})
+        pack_zeta = block_diagonal(zeta)
         nu_pack = vstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
         rep.add(f"frobenius[{idx}].triangle-left",
                 "packed counit after unit is the identity",
@@ -418,12 +399,12 @@ def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> Check
         for a in g.elements():
             t_a = gm.tensor(g.identity, a)
             func_a = c.counit @ w.gamma_inv(a)
-            phi_a = contract_right(gm.comps[g.identity], c.comps[a].dim, func_a) \
+            phi_a = contract_right(gm.comps[g.identity], func_a) \
                 @ t_a.space.sect @ gm.rho[(g.identity, a)]
             ainv = g.inv(a)
             t_b = gm.tensor(a, ainv)
             func_b = c.counit @ w.gamma_inv(ainv)
-            psi_a = contract_right(gm.comps[a], c.comps[ainv].dim, func_b) \
+            psi_a = contract_right(gm.comps[a], func_b) \
                 @ t_b.space.sect @ gm.rho[(a, ainv)]
             phis.append(phi_a)
             psis.append(psi_a)

@@ -19,6 +19,7 @@ from corings.algebra import (
     cached_triple,
     contract_left,
     contract_right,
+    direct_sum_bimodule,
     is_bimodule_iso,
     validate_bimodule,
     validate_bimodule_map,
@@ -103,9 +104,9 @@ def validate_group_coring(c: GroupCoring, check_components: bool = True) -> Chec
         comp = c.comps[a]
         ident = Mat.identity(c.base.field, comp.dim)
         # (C_a (x) counit) o Delta_{a,e} = id
-        right_side = contract_right(comp, c.comps[e].dim, c.counit) @ c.delta_left_lift(a, e)
+        right_side = contract_right(comp, c.counit) @ c.delta_left_lift(a, e)
         # (counit (x) C_a) o Delta_{e,a} = id
-        left_side = contract_left(comp, c.comps[e].dim, c.counit) @ c.delta_left_lift(e, a)
+        left_side = contract_left(comp, c.counit) @ c.delta_left_lift(e, a)
         if right_side != ident or left_side != ident:
             bad.append(a)
     rep.add("coring.counit", "counit laws on every component",
@@ -215,11 +216,11 @@ def check_cofree_counit_identities(c: GroupCoring, w: CofreeWitness) -> CheckRep
             lift = c.delta_left_lift(a, b)
             t_a = c.counit @ w.gamma_inv(a)
             t_b = c.counit @ w.gamma_inv(b)
-            lhs1 = contract_left(c.comps[b], c.comps[a].dim, t_a) @ lift
+            lhs1 = contract_left(c.comps[b], t_a) @ lift
             rhs1 = w.gammas[b] @ w.gamma_inv(ab)
             if lhs1 != rhs1:
                 bad1.append((a, b))
-            lhs2 = contract_right(c.comps[a], c.comps[b].dim, t_b) @ lift
+            lhs2 = contract_right(c.comps[a], t_b) @ lift
             rhs2 = w.gammas[a] @ w.gamma_inv(ab)
             if lhs2 != rhs2:
                 bad2.append((a, b))
@@ -264,37 +265,11 @@ class GradedCoring:
                            {(0, 0): self.delta}, self.counit)
 
     def block_injection(self, a: int) -> Mat:
-        return _injection(self.base.field, self.dims, a)
+        F = self.base.field
+        return block_matrix(F, self.dims, [self.dims[a]], {(a, 0): Mat.identity(F, self.dims[a])})
 
     def block_projection(self, a: int) -> Mat:
         return self.block_injection(a).transpose()
-
-
-def direct_sum_bimodule(comps) -> tuple[Bimodule, list, list]:
-    """Block direct sum of bimodules over a common base; returns the sum
-    plus the per-block injection and projection matrices."""
-    base = comps[0].base
-    F = base.field
-    dims = [m.dim for m in comps]
-    injections = [_injection(F, dims, k) for k in range(len(comps))]
-
-    def block_diagonal(actions):
-        return tuple(block_matrix(F, dims, dims,
-                                  {(k, k): acts[t] for k, acts in enumerate(actions)})
-                     for t in range(base.dim))
-
-    left = right = None
-    if all(m.left is not None for m in comps):
-        left = block_diagonal([m.left for m in comps])
-    if all(m.right is not None for m in comps):
-        right = block_diagonal([m.right for m in comps])
-    return (Bimodule(base, sum(dims), left, right), injections,
-            [inj.transpose() for inj in injections])
-
-
-def _injection(field, dims, a: int) -> Mat:
-    """The inclusion of block a into the direct sum of blocks of sizes dims."""
-    return block_matrix(field, dims, [dims[a]], {(a, 0): Mat.identity(field, dims[a])})
 
 
 def pack_graded_coring(c: GroupCoring) -> GradedCoring:

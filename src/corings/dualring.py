@@ -16,8 +16,11 @@ from corings.algebra import (
     Algebra,
     Bimodule,
     MissingDualBasis,
+    TensorProduct,
+    cached_tensor,
     cached_triple,
     contract_right,
+    direct_sum_bimodule,
     find_dual_basis,
     left_dual,
 )
@@ -27,7 +30,6 @@ from corings.coring import (
     GroupCoring,
     GroupCoringMorphism,
     MissingCofreeWitness,
-    direct_sum_bimodule,
 )
 from corings.groups import FiniteGroup
 from corings.linalg import (
@@ -40,7 +42,6 @@ from corings.linalg import (
     kron_after,
     rank,
     tensor_vec,
-    unit_vec,
 )
 from corings.report import CheckReport
 from corings.scalars import DimensionMismatch, Field
@@ -168,7 +169,7 @@ class GradedRing:
         c = self.coring
         ainv, binv = g.inv(a), g.inv(b)
         lift = c.delta_left_lift(binv, ainv)  # C_{(ab)^{-1}} -> C_{b^-1} (x)k C_{a^-1}
-        return tuple(contract_right(c.comps[binv], c.comps[ainv].dim, f) @ lift
+        return tuple(contract_right(c.comps[binv], f) @ lift
                      for f in self.functionals[a])
 
     def _build_mul(self, a: int, b: int) -> Mat:
@@ -238,15 +239,12 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
             r.base_map.apply(r.base.unit) == r.unit_vec)
     bad = []
     for a in g.elements():
+        ident = Mat.identity(F, r.dim(a))
         for j in range(r.base.dim):
             # a.f = i(a) # f and f.a = f # i(a)
-            iv = r.base_map.col(j)
-            left_by = Mat.from_cols(F, [
-                r.multiply(e, iv, a, unit_vec(F, r.dim(a), u)) for u in range(r.dim(a))
-            ])
-            right_by = Mat.from_cols(F, [
-                r.multiply(a, unit_vec(F, r.dim(a), u), e, iv) for u in range(r.dim(a))
-            ])
+            iv = Mat._from_cols(F, [r.base_map.col(j)])
+            left_by = kron_after(r.mul[(e, a)], iv, ident)
+            right_by = kron_after(r.mul[(a, e)], ident, iv)
             if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
                 bad.append((a, j))
     rep.add("dual-ring.bimodule-compat",
@@ -410,92 +408,77 @@ def rmodules_equal(m1: RModule, m2: RModule) -> bool:
 
 # -- the functors -----------------------------------------------------------------------
 
+def _dual_action(t: TensorProduct, rho: Mat, r: GradedRing, b: int) -> Mat:
+    """M (x)k R_b -> N, m (x) f -> m_(0) f(m_(1)), for a coaction
+    rho: M -> N (x)_A C_{b^{-1}} landing in t = N (x)_A C_{b^{-1}}; column
+    i * dim(b) + u holds the contraction of rho(e_i) by functional u."""
+    F = r.base.field
+    # the evaluation C_{b^{-1}} (x)k R_b -> A, c (x) f -> f(c)
+    pairing = Mat._from_cols(F, [f.col(j) for j in range(t.right.dim) for f in r.functionals[b]],
+                             r.base.dim)
+    ident = Mat.identity(F, r.dim(b))
+    return kron_after(contract_right(t.left, pairing), t.space.sect @ rho, ident)
+
+
 def gcomodule_to_graded(m: GComodule, r: GradedRing) -> GradedModule:
     """Action m.f = (value of the inverse-degree coaction contracted by f)."""
-    c = m.coring
-    g = c.group
-    F = c.base.field
+    g = m.coring.group
     act = {}
     for a in g.elements():
         for b in g.elements():
-            ab = g.mul(a, b)
-            binv = g.inv(b)
-            mats = []
-            for u in range(r.dim(b)):
-                fu = r.functionals[b][u]
-                mat_u = contract_right(m.comps[ab], c.comps[binv].dim, fu) \
-                    @ m.tensor(ab, binv).space.sect @ m.rho[(ab, binv)]
-                mats.append(mat_u)
-            cols = []
-            for i in range(m.comps[a].dim):
-                for u in range(r.dim(b)):
-                    cols.append(mats[u].col(i))
-            act[(a, b)] = Mat.from_cols(F, cols)
+            ab, binv = g.mul(a, b), g.inv(b)
+            act[(a, b)] = _dual_action(m.tensor(ab, binv), m.rho[(ab, binv)], r, b)
     return GradedModule(r, tuple(m.comps), act)
 
 
-def graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
-    """Inverse construction through dual bases of the components."""
-    r = m.ring
+def _dual_basis_tensors(c: GroupCoring, r: GradedRing) -> dict:
+    """Per degree b, the dual basis of C_b as the dim(R_{b^{-1}}) x dim(C_b)
+    matrix sum_s f_s c_s^T, with f_s in dual-ring coordinates: its entries,
+    row by row, are the tensor D_b = sum_s f_s (x) c_s."""
     g = c.group
     F = c.base.field
-    dbs = {}
+    out = {}
     for b in g.elements():
         db = find_dual_basis(c.comps[b])
         if db is None:
             raise MissingDualBasis(f"component {b} has no dual basis")
         binv = g.inv(b)
-        pairs = []
-        for func, vec in db.pairs:
-            pairs.append((r.coords(binv, func), vec))
-        dbs[b] = pairs
-    out = GComodule(c, tuple(m.comps), {})
+        funcs = Mat._from_cols(F, [r.coords(binv, f) for f, _ in db.pairs], r.dim(binv))
+        vecs = Mat._from_cols(F, [v for _, v in db.pairs], c.comps[b].dim)
+        out[b] = funcs @ vecs.transpose()
+    return out
+
+
+def graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
+    """Inverse construction through dual bases of the components:
+    rho(m) = sum_s m.f_s (x) c_s."""
+    g = c.group
+    F = c.base.field
+    tensors = _dual_basis_tensors(c, m.ring)
     rho = {}
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            binv = g.inv(b)
-            t = out.tensor(a, b)
-            cols = []
-            for i in range(m.comps[ab].dim):
-                vec = [F.zero] * t.space.ambient_dim
-                for fcoords, cu in dbs[b]:
-                    mi = m.act[(ab, binv)].apply(
-                        tensor_vec(F, unit_vec(F, m.comps[ab].dim, i), fcoords))
-                    pure = tensor_vec(F, mi, cu)
-                    vec = [F.add(x, y) for x, y in zip(vec, pure)]
-                cols.append(t.space.project(vec))
-            rho[(a, b)] = Mat.from_cols(F, cols)
-    out.rho = rho
-    return out
+            d_b = tensors[b]
+            # m (x) D_b -> (m.f_s) (x) c_s, then onto the quotient
+            proj = cached_tensor(m.comps[a], c.comps[b]).space.proj
+            acted = kron_after(proj, m.act[(ab, g.inv(b))], Mat.identity(F, c.comps[b].dim))
+            rho[(a, b)] = kron_after(acted, Mat.identity(F, m.comps[ab].dim),
+                                     Mat(F, d_b.rows * d_b.cols, 1, d_b.data))
+    return GComodule(c, m.comps, rho)
 
 
 def comodule_to_module(m: Comodule, r: GradedRing) -> RModule:
     """Total action of the packed dual ring on a comodule."""
-    c = m.coring
-    g = c.group
-    F = c.base.field
-    act = {}
-    for a in g.elements():
-        ainv = g.inv(a)
-        mats = []
-        for u in range(r.dim(a)):
-            fu = r.functionals[a][u]
-            mats.append(contract_right(m.space, c.comps[ainv].dim, fu)
-                        @ m.tensor(ainv).space.sect @ m.rho[ainv])
-        cols = []
-        for i in range(m.space.dim):
-            for u in range(r.dim(a)):
-                cols.append(mats[u].col(i))
-        act[a] = Mat.from_cols(F, cols)
+    g = m.coring.group
+    act = {a: _dual_action(m.tensor(g.inv(a)), m.rho[g.inv(a)], r, a) for a in g.elements()}
     return RModule(r, m.space, act)
 
 
 def forget_grading(m: GradedModule) -> RModule:
     g = m.ring.group
     F = m.ring.base.field
-    total, _, _ = direct_sum_bimodule([mm.with_trivial_left() if mm.left is not None else mm
-                                       for mm in m.comps])
+    total, _, _ = direct_sum_bimodule([mm.with_trivial_left() for mm in m.comps])
     dims = [mm.dim for mm in m.comps]
     act = {b: block_matrix(F, dims, [d * m.ring.dim(b) for d in dims],
                            {(g.mul(a, b), a): m.act[(a, b)] for a in g.elements()})
@@ -614,31 +597,22 @@ def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> CheckRep
     rep = CheckReport()
     g = c.group
     F = c.base.field
-    dbs = {}
-    for b in g.elements():
-        db = find_dual_basis(c.comps[b])
-        if db is None:
-            raise MissingDualBasis(f"component {b} has no dual basis")
-        dbs[b] = [(r.coords(g.inv(b), func), vec) for func, vec in db.pairs]
+    tensors = _dual_basis_tensors(c, r)
     bad = []
     for b in g.elements():
         for cdeg in g.elements():
             bc = g.mul(b, cdeg)
-            rm = r.comps[g.inv(bc)]
-            tq3 = cached_triple(rm, c.comps[b], c.comps[cdeg])
-            lift = c.delta_left_lift(b, cdeg)
-            lhs = [F.zero] * tq3.ambient_dim
-            for fcoords, vec in dbs[bc]:
-                pure = tensor_vec(F, fcoords, lift.apply(vec))
-                lhs = [F.add(x, y) for x, y in zip(lhs, pure)]
-            rhs = [F.zero] * tq3.ambient_dim
-            for fu, cu in dbs[b]:
-                for gv, dv in dbs[cdeg]:
-                    # product f^(c) # f^(b) in degree (bc)^{-1}
-                    prod = r.mul[(g.inv(cdeg), g.inv(b))].apply(tensor_vec(F, gv, fu))
-                    pure = tensor_vec(F, prod, tensor_vec(F, cu, dv))
-                    rhs = [F.add(x, y) for x, y in zip(rhs, pure)]
-            if tq3.project(lhs) != tq3.project(rhs):
+            binv, cinv = g.inv(b), g.inv(cdeg)
+            tq3 = cached_triple(r.comps[g.inv(bc)], c.comps[b], c.comps[cdeg])
+            # sum_s f_s (x) Delta(c_s) over the dual basis of C_bc
+            lhs = tensors[bc] @ c.delta_left_lift(b, cdeg).transpose()
+            # g_v (x) D_b (x) d_v over the dual basis of C_c, then the
+            # product g_v # f_u of the two dual-ring legs
+            d_b = tensors[b]
+            spread = kron_after(tensors[cdeg], Mat(F, 1, d_b.rows * d_b.cols, d_b.data),
+                                Mat.identity(F, c.comps[cdeg].dim))
+            rhs = r.mul[(cinv, binv)] @ Mat(F, r.dim(cinv) * r.dim(binv), lhs.cols, spread.data)
+            if tq3.project(lhs.data) != tq3.project(rhs.data):
                 bad.append((b, cdeg))
     rep.add("dual-basis.comultiplication",
             "dual bases are compatible with comultiplication",

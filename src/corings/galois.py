@@ -18,6 +18,7 @@ from corings.algebra import (
     ModulePredicates,
     collapse_left,
     collapse_right,
+    direct_sum_bimodule,
     left_module_predicates,
     subalgebra,
 )
@@ -32,7 +33,6 @@ from corings.coring import (
     GroupCoring,
     GroupCoringMorphism,
     cofree_coring,
-    direct_sum_bimodule,
     validate_coring_morphism,
 )
 from corings.groups import TRIVIAL_GROUP

@@ -248,6 +248,12 @@ def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
     return Mat(field, sum(row_dims), width, tuple(data))
 
 
+def block_diagonal(blocks) -> Mat:
+    """The block matrix with the given blocks down the diagonal, in order."""
+    return block_matrix(blocks[0].field, [b.rows for b in blocks], [b.cols for b in blocks],
+                        {(k, k): b for k, b in enumerate(blocks)})
+
+
 def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
     """The rows x cols matrix sum(c * m) over the pairs of mats and coeffs;
     only the entries some term touches are brought to canonical form."""

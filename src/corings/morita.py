@@ -425,7 +425,7 @@ def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> Coef
     return CoefficientRing(basis, s_alg, sigma, twisted, diag)
 
 
-def check_shift_fixed_points(s: CoefficientRing, t: CoinvariantRing) -> CheckReport:
+def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
     """Fixed points of the shift action are exactly the diagonal families
     coming from the coinvariants."""
     rep = CheckReport()

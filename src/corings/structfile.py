@@ -213,7 +213,7 @@ def parse(text: str) -> StructureFile:
     return sf
 
 
-def _body_map(body, line: int, multi=()):
+def _body_map(body, multi=()):
     out = {}
     for bln, bline in body:
         parts = bline.split(None, 1)
@@ -243,7 +243,7 @@ def _lookup(table, name, line, what):
 def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> None:
     fld = sf.field
     if kind == "group":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln, rest = _require(m, "table", line, "group")
         table = _parse_value(rest, bln, fld)
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
@@ -262,7 +262,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             raise StructureError(bln, "group identity must be index 0")
         sf.groups[name] = g
     elif kind == "algebra":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln_d, rest_d = _require(m, "dim", line, "algebra")
         try:
             dim = int(rest_d)
@@ -277,7 +277,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             raise StructureError(bln_m, f"algebra {name!r} has inconsistent dimensions")
         sf.algebras[name] = Algebra.from_tables(fld, mul, unit)
     elif kind == "bimodule":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln_b, base_name = _require(m, "base", line, "bimodule")
         base = _lookup(sf.algebras, base_name, bln_b, "algebra")
         bln_d, rest_d = _require(m, "dim", line, "bimodule")
@@ -301,7 +301,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
 
         sf.bimodules[name] = Bimodule(base, dim, side("left"), side("right"))
     elif kind == "hopfalgebra":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln_a, alg_name = _require(m, "algebra", line, "hopfalgebra")
         alg = _lookup(sf.algebras, alg_name, bln_a, "algebra")
         bln, rest = _require(m, "delta", line, "hopfalgebra")
@@ -316,7 +316,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             raise StructureError(line, f"hopfalgebra {name!r} has inconsistent shapes")
         sf.hopf_algebras[name] = HopfAlgebra(alg, delta, counit, antipode)
     elif kind == "hopf":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln_g, group_name = _require(m, "group", line, "hopf")
         g = _lookup(sf.groups, group_name, bln_g, "group")
         if "cofree" in m:
@@ -326,7 +326,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
         else:
             raise StructureError(line, f"hopf {name!r} needs a 'cofree <hopfalgebra>' entry")
     elif kind == "comodule-algebra":
-        m = _body_map(body, line, multi=("rho",))
+        m = _body_map(body, multi=("rho",))
         bln_a, alg_name = _require(m, "algebra", line, "comodule-algebra")
         alg = _lookup(sf.algebras, alg_name, bln_a, "algebra")
         bln_h, hopf_name = _require(m, "hopf", line, "comodule-algebra")
@@ -361,7 +361,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
                                  f"comodule-algebra {name!r} needs 'regular', 'trivial' or 'rho' entries")
         sf.comodule_algebras[name] = ca
     elif kind == "morphism":
-        m = _body_map(body, line)
+        m = _body_map(body)
         bln_s, src_name = _require(m, "src", line, "morphism")
         src = _lookup(sf.algebras, src_name, bln_s, "algebra")
         bln_d, dst_name = _require(m, "dst", line, "morphism")
@@ -372,7 +372,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             raise StructureError(bln, f"morphism {name!r} must be {dst.dim}x{src.dim}")
         sf.morphisms[name] = RingMorphism(src, dst, mat)
     elif kind == "coring":
-        m = _body_map(body, line, multi=("comp", "delta"))
+        m = _body_map(body, multi=("comp", "delta"))
         if "from-comodule-algebra" in m:
             bln, ca_name = m["from-comodule-algebra"]
             ca = _lookup(sf.comodule_algebras, ca_name, bln, "comodule-algebra")
@@ -437,7 +437,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             cor.counit = counit
             sf.corings[name] = cor
     elif kind == "grouplike":
-        m = _body_map(body, line, multi=("x",))
+        m = _body_map(body, multi=("x",))
         bln_c, coring_name = _require(m, "coring", line, "grouplike")
         cor = _lookup(sf.corings, coring_name, bln_c, "coring")
         if "canonical" in m:
@@ -464,7 +464,7 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
             vectors = tuple(vecs)
         sf.grouplikes[name] = GrouplikeFamily(cor, vectors)
     elif kind == "main":
-        m = _body_map(body, line)
+        m = _body_map(body)
         for key in ("coring", "grouplike", "base"):
             _require(m, key, line, "main")
         bln, cname = m["coring"]

@@ -220,7 +220,7 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
             "strict and weak coefficient families coincide",
             row_space(s.basis) == row_space(s_w.basis),
             f"dims {s.basis.rows} vs {s_w.basis.rows}")
-    rep.extend(check_shift_fixed_points(s, d.coinvariants), prefix="graded-morita.")
+    rep.extend(check_shift_fixed_points(s), prefix="graded-morita.")
     gctx, _, _, brep = d.graded_morita
     rep.extend(brep, prefix="graded-morita.")
     rep.extend(validate_graded_morita_context(gctx), prefix="graded-morita.")

@@ -14,6 +14,14 @@
   `morita.validate_morita_context`: they check each law one pair of basis
   elements at a time, with dense Kronecker products and one linear
   combination of action matrices per index pair.
+* `reference_pack_gcomodule`, `reference_gcomodule_to_graded`,
+  `reference_comodule_to_module`, `reference_graded_to_gcomodule` and
+  `reference_dual_basis_comultiplication` are the references for
+  `comodules.pack_gcomodule`, the dual-ring functors of `dualring` and
+  `dualring.check_dual_basis_comultiplication`.  The pack reference
+  eliminates over the whole direct sum instead of assembling its quotient
+  from the summands'; the others add up one dual-basis pair or one
+  functional at a time.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * `triangular_family` is a grouplike family over a group with elements
@@ -34,13 +42,19 @@ from corings.algebra import (
     Algebra,
     BimoduleMap,
     DualBasis,
+    MissingDualBasis,
     TensorProduct,
+    cached_triple,
+    contract_right,
+    direct_sum_bimodule,
+    find_dual_basis,
     is_bimodule_iso,
+    tensor_over_algebra,
     validate_algebra,
 )
-from corings.comodules import Comodule
-from corings.coring import GroupCoringMorphism, trivial_coring
-from corings.dualring import GradedAlgebra
+from corings.comodules import Comodule, GComodule
+from corings.coring import GroupCoring, GroupCoringMorphism, trivial_coring
+from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
 from corings.galois import GrouplikeFamily
 from corings.groups import FiniteGroup
 from corings.hopf import (
@@ -466,3 +480,120 @@ def reference_validate_morita_context(ctx: MoritaContext) -> CheckReport:
     rep.add("morita.assoc-q", "connecting maps associate through the second module",
             not bad, f"failing: {bad[:3]}" if bad else "")
     return rep
+
+
+# -- references for the direct-sum and dual-basis constructions -----------------
+
+def reference_pack_gcomodule(m: GComodule) -> Comodule:
+    """The packed comodule, each summand's coaction included into a tensor
+    quotient eliminated over the whole sum."""
+    c = m.coring
+    g = c.group
+    F = c.base.field
+    total, inj, proj = direct_sum_bimodule([mm.with_trivial_left() for mm in m.comps])
+    rho = []
+    for a in g.elements():
+        t_tot = tensor_over_algebra(total, c.comps[a])
+        acc = Mat.zeros(F, t_tot.space.dim, total.dim)
+        ainv = g.inv(a)
+        idc = Mat.identity(F, c.comps[a].dim)
+        for b in g.elements():
+            src = g.mul(b, ainv)
+            t_src = m.tensor(src, a)
+            incl = kron_after(t_tot.space.proj, inj[src], idc) @ t_src.space.sect
+            acc = acc + incl @ m.rho[(src, a)] @ proj[b]
+        rho.append(acc)
+    return Comodule(c, total, rho)
+
+
+def _interleaved_contractions(target, t: TensorProduct, rho: Mat, functionals) -> Mat:
+    """Column i * len(functionals) + u: rho(e_i) contracted by functional u."""
+    mats = [contract_right(target, f) @ t.space.sect @ rho for f in functionals]
+    return Mat.from_cols(target.base.field, [mat.col(i) for i in range(rho.cols) for mat in mats])
+
+
+def reference_gcomodule_to_graded(m: GComodule, r: GradedRing) -> GradedModule:
+    g = m.coring.group
+    act = {}
+    for a in g.elements():
+        for b in g.elements():
+            ab, binv = g.mul(a, b), g.inv(b)
+            act[(a, b)] = _interleaved_contractions(m.comps[ab], m.tensor(ab, binv),
+                                                    m.rho[(ab, binv)], r.functionals[b])
+    return GradedModule(r, tuple(m.comps), act)
+
+
+def reference_comodule_to_module(m: Comodule, r: GradedRing) -> RModule:
+    g = m.coring.group
+    act = {a: _interleaved_contractions(m.space, m.tensor(g.inv(a)), m.rho[g.inv(a)],
+                                        r.functionals[a])
+           for a in g.elements()}
+    return RModule(r, m.space, act)
+
+
+def _dual_basis_pairs(c: GroupCoring, r: GradedRing) -> dict:
+    """Per degree b, the dual basis of C_b as (dual-ring coordinates, vector) pairs."""
+    g = c.group
+    out = {}
+    for b in g.elements():
+        db = find_dual_basis(c.comps[b])
+        if db is None:
+            raise MissingDualBasis(f"component {b} has no dual basis")
+        out[b] = [(r.coords(g.inv(b), func), vec) for func, vec in db.pairs]
+    return out
+
+
+def reference_graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
+    """rho(e_i) = sum over the dual basis pairs (f, c) of e_i.f (x) c, one
+    pair at a time."""
+    g = c.group
+    F = c.base.field
+    dbs = _dual_basis_pairs(c, m.ring)
+    out = GComodule(c, tuple(m.comps), {})
+    rho = {}
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            binv = g.inv(b)
+            t = out.tensor(a, b)
+            cols = []
+            for i in range(m.comps[ab].dim):
+                vec = [F.zero] * t.space.ambient_dim
+                for fcoords, cu in dbs[b]:
+                    mi = m.act[(ab, binv)].apply(
+                        tensor_vec(F, unit_vec(F, m.comps[ab].dim, i), fcoords))
+                    pure = tensor_vec(F, mi, cu)
+                    vec = [F.add(x, y) for x, y in zip(vec, pure)]
+                cols.append(t.space.project(vec))
+            rho[(a, b)] = Mat.from_cols(F, cols)
+    out.rho = rho
+    return out
+
+
+def reference_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> list:
+    """The degree pairs (b, c) at which the comultiplied dual basis of C_bc
+    and the product expansion of the dual bases of C_b and C_c differ,
+    summed one pair at a time."""
+    g = c.group
+    F = c.base.field
+    dbs = _dual_basis_pairs(c, r)
+    bad = []
+    for b in g.elements():
+        for cdeg in g.elements():
+            bc = g.mul(b, cdeg)
+            tq3 = cached_triple(r.comps[g.inv(bc)], c.comps[b], c.comps[cdeg])
+            lift = c.delta_left_lift(b, cdeg)
+            lhs = [F.zero] * tq3.ambient_dim
+            for fcoords, vec in dbs[bc]:
+                pure = tensor_vec(F, fcoords, lift.apply(vec))
+                lhs = [F.add(x, y) for x, y in zip(lhs, pure)]
+            rhs = [F.zero] * tq3.ambient_dim
+            for fu, cu in dbs[b]:
+                for gv, dv in dbs[cdeg]:
+                    # product f^(c) # f^(b) in degree (bc)^{-1}
+                    prod = r.mul[(g.inv(cdeg), g.inv(b))].apply(tensor_vec(F, gv, fu))
+                    pure = tensor_vec(F, prod, tensor_vec(F, cu, dv))
+                    rhs = [F.add(x, y) for x, y in zip(rhs, pure)]
+            if tq3.project(lhs) != tq3.project(rhs):
+                bad.append((b, cdeg))
+    return bad

@@ -174,8 +174,8 @@ def test_morita_spaces_and_contexts():
         s = coefficient_ring(fx.grouplike, basis, t)
         s_w = coefficient_ring(fx.grouplike, basis_w, t)
         assert row_space(s.basis) == row_space(s_w.basis), name
-        assert check_shift_fixed_points(s, t).ok, name
-        assert check_shift_fixed_points(s_w, t).ok, name
+        assert check_shift_fixed_points(s).ok, name
+        assert check_shift_fixed_points(s_w).ok, name
     # strictness of the graded context
     for name, value in (("regular", True), ("nongalois", False)):
         gctx, _, _, _ = derived(fixture(name)).graded_morita

@@ -2,6 +2,9 @@
 equivalence."""
 
 import random
+from pathlib import Path
+
+import pytest
 
 from corings.comodules import (
     Comodule,
@@ -32,7 +35,10 @@ from corings.galois import (
 )
 from corings.linalg import Mat
 from corings.scalars import QQ
-from helpers import derived
+from corings.structfile import main_structure, parse
+from helpers import derived, reference_pack_gcomodule
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 def witness_of(name):
@@ -212,3 +218,13 @@ def test_hom_transposition_is_natural():
             lhs = psi(f @ pack_map(fams))
             rhs = tuple(psi(f)[a] @ fams[a] for a in g.elements())
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler", "c3-qq"))
+def test_pack_equals_the_reference_over_the_whole_sum(name):
+    s = main_structure(parse(C3.read_bytes())) if name == "c3-qq" else fixture(name)
+    acom = comodule_from_grouplike(s.grouplike)
+    for family in (coring_as_gcomodule(s.coring), replicate_comodule(acom)):
+        packed, _, _ = pack_gcomodule(family)
+        assert comodules_equal(packed, reference_pack_gcomodule(family))
+        assert validate_comodule(packed).ok

@@ -1,6 +1,9 @@
 """The dual graded ring, its functors and the cofree group-ring form."""
 
 import random
+from pathlib import Path
+
+import pytest
 
 from corings.algebra import field_algebra
 from corings.comodules import (
@@ -20,6 +23,7 @@ from corings.dualring import (
     dual_ring,
     forget_grading,
     gcomodule_to_graded,
+    graded_modules_equal,
     graded_to_gcomodule,
     group_ring,
     induce_grading,
@@ -39,9 +43,26 @@ from corings.galois import (
     random_comodule,
 )
 from corings.groups import FiniteGroup
-from corings.linalg import Mat
+from corings.linalg import Mat, unit_vec
 from corings.scalars import QQ
-from helpers import derived, validate_graded_algebra
+from corings.structfile import main_structure, parse
+from helpers import (
+    derived,
+    reference_comodule_to_module,
+    reference_dual_basis_comultiplication,
+    reference_gcomodule_to_graded,
+    reference_graded_to_gcomodule,
+    validate_graded_algebra,
+)
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
+STRUCTURES = ("trivial", "regular", "nongalois", "sweedler", "c3-qq")
+
+
+def structure(name):
+    """A fixture, or the main structure of regular k[C_3] over QQ: either
+    way an object with a `coring` and a `grouplike`."""
+    return main_structure(parse(C3.read_bytes())) if name == "c3-qq" else fixture(name)
 
 
 def witness_of(name):
@@ -205,3 +226,43 @@ def test_cofree_dual_iso_on_galois_witness():
     wit = witness_of("regular")
     _, rep = cofree_dual_group_ring_iso(fx.coring, wit, r)
     assert rep.ok
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_dual_ring_functors_equal_the_reference_loops(name):
+    s = structure(name)
+    c = s.coring
+    r = dual_ring(c)
+    acom = comodule_from_grouplike(s.grouplike)
+    for family in (coring_as_gcomodule(c), replicate_comodule(acom)):
+        gm = gcomodule_to_graded(family, r)
+        assert graded_modules_equal(gm, reference_gcomodule_to_graded(family, r))
+        back = graded_to_gcomodule(gm, c)
+        assert gcomodules_equal(back, reference_graded_to_gcomodule(gm, c))
+        assert gcomodules_equal(back, family)
+    assert rmodules_equal(comodule_to_module(acom, r), reference_comodule_to_module(acom, r))
+    assert check_dual_basis_comultiplication(c, r).ok
+    assert reference_dual_basis_comultiplication(c, r) == []
+
+
+def _swap(field, m: int, n: int) -> Mat:
+    """The flip k^m (x) k^n -> k^n (x) k^m."""
+    return Mat.from_cols(field, [unit_vec(field, m * n, j * m + i)
+                                 for i in range(m) for j in range(n)])
+
+
+@pytest.mark.parametrize("name, detected", [("trivial", False), ("regular", True),
+                                            ("nongalois", False), ("sweedler", True),
+                                            ("c3-qq", True)])
+def test_dual_basis_comultiplication_detects_the_opposite_product(name, detected):
+    # x * y := y x, defined degreewise because the group is abelian; the
+    # dual rings of trivial and nongalois are commutative, so there the
+    # opposite product is the product and nothing can be detected
+    c = structure(name).coring
+    g = c.group
+    assert all(g.mul(x, y) == g.mul(y, x) for x in g.elements() for y in g.elements())
+    r = dual_ring(c)
+    r.mul = {(x, y): r.mul[(y, x)] @ _swap(QQ, r.dim(x), r.dim(y)) for x, y in r.mul}
+    rep = check_dual_basis_comultiplication(c, r)
+    assert rep.ok is not detected
+    assert (reference_dual_basis_comultiplication(c, r) != []) is detected

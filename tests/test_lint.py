@@ -21,6 +21,15 @@
 * No expression multiplies by a Kronecker product, `A @ tensor_k(X, Y)`:
   `linalg.kron_after(A, X, Y)` gives the same matrix from the nonzero
   entries without forming X (x) Y.
+* Every parameter of a function definition is read in its body: a
+  parameter no body reads is a knob that does nothing.  The instance
+  parameter of a method is bound by the call, not passed, and the suite
+  functions that `suites.run_suite` dispatches share the signature
+  `(ms, seed)` whether or not they draw random objects; both are exempt.
+* Field arithmetic by hand (`F.add(x, y)`, `F.mul(...)` and the other
+  `Field` operations, or a `[F.zero] * n` list to accumulate into) stays in
+  `linalg.py` and `scalars.py`; the other modules combine vectors and
+  matrices through the `linalg` operations.
 """
 
 import ast
@@ -239,6 +248,61 @@ def unpassed_optional_parameters(paths) -> list:
     return sorted(out)
 
 
+# (module, name prefix, parameters): signatures fixed by a dispatcher
+DISPATCHED = (("suites.py", "suite_", {"ms", "seed"}),)
+
+
+def unread_parameters(paths) -> list:
+    """(module, function, parameter) of each parameter of a function
+    definition that its body never reads, apart from the instance parameter
+    of a method and the `DISPATCHED` signatures."""
+    out = []
+    for path in paths:
+        tree = _tree(path)
+        methods = _methods(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if id(fn) in methods and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                             for d in fn.decorator_list):
+                params = params[1:]
+            exempt = set().union(*(names for module, prefix, names in DISPATCHED
+                                   if path.name == module and fn.name.startswith(prefix)))
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            out += [(path.name, fn.name, p) for p in params if p not in read | exempt]
+    return sorted(out)
+
+
+FIELD_OPERATIONS = {"add", "sub", "mul", "neg", "inv", "div"}
+
+
+def _names_a_field(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("F", "field")
+            or isinstance(node, ast.Attribute) and node.attr == "field")
+
+
+def hand_field_arithmetic(path: Path) -> list:
+    """Line of each call of a `Field` operation on F, field or x.field, and
+    of each list of a field's zero repeated by `*`."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in FIELD_OPERATIONS and _names_a_field(node.func.value)):
+            out.add(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(isinstance(side, ast.List) and any(
+                    isinstance(e, ast.Attribute) and e.attr == "zero" for e in side.elts)
+                   for side in (node.left, node.right)):
+                out.add(node.lineno)
+    return sorted(out)
+
+
+ARITHMETIC_HOMES = ("linalg.py", "scalars.py")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -252,6 +316,16 @@ def test_no_function_imports_from_the_library(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_product_with_a_kronecker_product(path):
     assert kronecker_products_applied(path) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(MODULES) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ARITHMETIC_HOMES],
+                         ids=lambda p: p.name)
+def test_no_hand_rolled_field_arithmetic(path):
+    assert hand_field_arithmetic(path) == []
 
 
 def test_every_function_is_referenced():
@@ -377,3 +451,47 @@ def test_the_kronecker_check_catches_what_it_looks_for(tmp_path):
         "f = m @ tensor_vec(x, y)\n"
         "g = m @ tensor_k\n")
     assert kronecker_products_applied(src) == [(1, 4), (3, 4), (5, 4)]
+
+
+def test_the_unread_parameter_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def f(a, b, *args, c, **kw):\n"
+        "    return a + len(kw)\n"
+        "def g(x):\n"
+        "    def inner(y):\n"
+        "        return x\n"
+        "    return inner\n"
+        "def suite_one(ms, seed):\n"
+        "    return ms\n"
+        "class K:\n"
+        "    def m(self, r):\n"
+        "        return 1\n"
+        "    @staticmethod\n"
+        "    def s(w):\n"
+        "        return 2\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return 3\n"
+        "h = lambda u, v: u\n")
+    suites = tmp_path / "suites.py"
+    suites.write_text(src.read_text())
+    expected = [("f", "args"), ("f", "b"), ("f", "c"), ("inner", "y"), ("m", "r"), ("s", "w")]
+    assert unread_parameters([src]) == [("sample.py", fn, p) for fn, p in
+                                        sorted(expected + [("suite_one", "seed")])]
+    assert unread_parameters([suites]) == [("suites.py", fn, p) for fn, p in expected]
+
+
+def test_the_field_arithmetic_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "v = [F.zero] * n\n"
+        "w = [F.add(x, y) for x, y in zip(v, v)]\n"
+        "z = m.field.mul(a, b)\n"
+        "q = field.inv(a)\n"
+        "r = 3 * [self.field.zero]\n"
+        "rep.add('id', 'text', True)\n"
+        "s = g.mul(a, b) + g.inv(a)\n"
+        "t = [0] * n\n"
+        "u = (F.zero,) * n\n")
+    assert hand_field_arithmetic(src) == [1, 2, 3, 4, 5]

@@ -2,10 +2,11 @@
 
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
-from corings import algebra, comodules, coring, dualring
+from corings import algebra, comodules, coring, dualring, linalg
 from corings.algebra import (
     Algebra,
     BaseMismatch,
@@ -15,17 +16,25 @@ from corings.algebra import (
     product_field_algebra,
     tensor_over_algebra,
 )
+from corings.comodules import (
+    coring_as_gcomodule,
+    pack_gcomodule,
+    validate_comodule,
+    validate_g_comodule,
+)
 from corings.fixtures import fixture_file_text
-from corings.linalg import triple_balanced_quotient
+from corings.linalg import Mat, triple_balanced_quotient
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 def _load(name):
-    return main_structure(parse(fixture_file_text(name)))
+    text = C3.read_bytes() if name == "c3-qq" else fixture_file_text(name)
+    return main_structure(parse(text))
 
 
 def _same_space(q1, q2):
@@ -74,22 +83,51 @@ def test_every_memo_hit_equals_a_fresh_build(monkeypatch, name):
     assert hits["tensor"] > 0 and hits["triple"] > 0
 
 
-def test_memo_entries_equal_fresh_builds_after_all():
-    ms = _load("sweedler")
-    run_suite(ms, "all", seed=0)
+@pytest.mark.parametrize("name, suite", [(name, "all") for name in FIXTURES]
+                         + [("c3-qq", "dual-ring")])
+def test_memo_entries_equal_fresh_builds_after_all(name, suite):
+    ms = _load(name)
+    run_suite(ms, suite, seed=0)
     A = ms.coring.base
-    assert A.quotients
-    for key, value in A.quotients.items():
-        if len(key) == 6:
+    memo = A.quotients
+    assert memo
+    sums = {key for key in memo if len(key) == 3}  # recorded by direct_sum_bimodule
+    filled = 0
+    for key, value in list(memo.items()):
+        if len(key) == 3:
+            total, _, _ = algebra.direct_sum_bimodule([Bimodule(A, *part) for part in value])
+            assert (total.dim, total.left, total.right) == key
+        elif len(key) == 6:
             dm, ml, mr, dn, nl, nr = key
+            filled += (dm, ml, mr) in sums
             fresh = tensor_over_algebra(Bimodule(A, dm, ml, mr), Bimodule(A, dn, nl, nr))
             space, left, right = value
             assert _same_space(space, fresh.space)
             assert (left, right) == (fresh.module.left, fresh.module.right)
         else:
             d1, d2, d3, r1, l2, r2, l3 = key
+            filled += (d1, None, r1) in sums
             assert _same_space(value, triple_balanced_quotient(A.field, d1, d2, d3,
                                                                (r1, l2), (r2, l3)))
+    assert sums and filled
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_packing_runs_no_elimination_once_the_summands_are_in_the_memo(monkeypatch, name):
+    ms = _load(name)
+    cg = coring_as_gcomodule(ms.coring)
+    assert validate_g_comodule(cg).ok  # fills every summand pair and triple quotient
+    calls = []
+    real = linalg.quotient_by
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "quotient_by", counted)
+    packed, _, _ = pack_gcomodule(cg)
+    assert validate_comodule(packed).ok
+    assert calls == []
 
 
 def test_memo_keeps_no_bimodule_or_algebra():
@@ -187,3 +225,34 @@ def test_memo_uses_the_uncached_builders(monkeypatch):
     cached_tensor(reg, reg)
     cached_tensor(Bimodule.regular(a), Bimodule.regular(a))
     assert len(calls) == 1
+
+
+def test_a_sum_with_one_nonzero_summand_is_not_split():
+    a = product_field_algebra(QQ, 2)
+    reg = Bimodule.regular(a)
+    zero = Bimodule(a, 0, tuple(Mat.zeros(QQ, 0, 0) for _ in range(2)),
+                    tuple(Mat.zeros(QQ, 0, 0) for _ in range(2)))
+    for parts in ([reg], [zero, reg], [reg, zero, zero]):
+        total, _, _ = algebra.direct_sum_bimodule(parts)
+        assert (total.dim, total.left, total.right) == (reg.dim, reg.left, reg.right)
+        assert not any(len(key) == 3 for key in a.quotients)
+        t = cached_tensor(total, reg)
+        assert _same_space(t.space, tensor_over_algebra(reg, reg).space)
+    total, _, _ = algebra.direct_sum_bimodule([reg, zero, reg])
+    assert a.quotients[(total.dim, total.left, total.right)] == ((2, reg.left, reg.right),) * 2
+
+
+def test_sum_entries_follow_the_order_of_unequal_summands():
+    a = product_field_algebra(QQ, 2)
+    reg = Bimodule.regular(a)
+    # the simple module on which e_0 acts as 1 and e_1 as 0
+    acts = (Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1))
+    simple = Bimodule(a, 1, acts, acts)
+    for parts in ([reg, simple], [simple, reg, simple]):
+        total, _, _ = algebra.direct_sum_bimodule(parts)
+        t, fresh = cached_tensor(total, reg), tensor_over_algebra(total, reg)
+        assert _same_space(t.space, fresh.space)
+        assert (t.module.left, t.module.right) == (fresh.module.left, fresh.module.right)
+        assert _same_space(cached_triple(total, reg, simple),
+                           triple_balanced_quotient(QQ, total.dim, 2, 1, (total.right, reg.left),
+                                                    (reg.right, simple.left)))
