@@ -6,7 +6,17 @@ literal matrix equalities.
 """
 
 from corings.scalars import Field, GF, QQ
-from corings.linalg import Mat, QuotientSpace, kernel, quotient_by, rref, solve, tensor_k
+from corings.linalg import (
+    Mat,
+    QuotientSpace,
+    kernel,
+    quotient_by,
+    rref,
+    sandwich_operator,
+    solve,
+    tensor_k,
+    tensor_slice_operator,
+)
 from corings.algebra import (
     Algebra,
     Bimodule,
@@ -60,8 +70,10 @@ __all__ = [
     "pack_graded_coring",
     "quotient_by",
     "rref",
+    "sandwich_operator",
     "solve",
     "tensor_k",
+    "tensor_slice_operator",
     "tensor_over_algebra",
     "trivial_coring",
     "unpack_graded_coring",

@@ -101,7 +101,8 @@ class Algebra:
     @cached_property
     def quotients(self) -> dict:
         """Memo of the tensor quotients over this algebra, filled by
-        `cached_tensor` and `cached_triple`, and of the direct sums
+        `cached_tensor` (pairs, and their spaces alone under 4-entry keys)
+        and `cached_triple`, and of the direct sums
         `direct_sum_bimodule` built.  Keys and values hold only dims,
         `Mat`s and `QuotientSpace`s, never a `Bimodule` or the algebra
         itself, so the memo makes no reference cycle."""
@@ -292,9 +293,14 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> TensorProduct:
     both are checked to descend to the quotient.
     """
     _check_same_base(m, n)
+    return _tensor_on(m, n, balanced_quotient(m.base.field, m.dim, n.dim, m.right, n.left))
+
+
+def _tensor_on(m: Bimodule, n: Bimodule, q: QuotientSpace) -> TensorProduct:
+    """M (x)_A N on q, the balanced quotient of m (x)_k n: the outer
+    actions of `tensor_over_algebra`, checked to descend to q."""
     A = m.base
     F = A.field
-    q = balanced_quotient(F, m.dim, n.dim, m.right, n.left)
     ident_m = Mat.identity(F, m.dim)
     ident_n = Mat.identity(F, n.dim)
     left = None
@@ -318,16 +324,22 @@ def _check_same_base(*mods: Bimodule) -> None:
 
 def cached_tensor(m: Bimodule, n: Bimodule) -> TensorProduct:
     """`tensor_over_algebra(m, n)`, memoised by content on the base algebra;
-    a hit wraps the stored quotient and outer actions around m and n.  When
-    m is a sum recorded by `direct_sum_bimodule`, a miss is assembled from
-    the summands' entries instead of eliminating over the sum."""
+    a hit wraps the stored quotient and outer actions around m and n.  The
+    quotient space depends only on (m.dim, m.right, n.dim, n.left); it is
+    also stored under that 4-entry key, so a miss that shares it only
+    derives the outer actions.  When m is a sum recorded by
+    `direct_sum_bimodule`, a miss is assembled from the summands' entries
+    instead of eliminating over the sum."""
     _check_same_base(m, n)
     memo = m.base.quotients
     key = (m.dim, m.left, m.right, n.dim, n.left, n.right)
     if key not in memo:
         parts = _summands(m)
         if parts is None:
-            t = tensor_over_algebra(m, n)
+            space_key = (m.dim, m.right, n.dim, n.left)
+            space = memo.get(space_key)
+            t = tensor_over_algebra(m, n) if space is None else _tensor_on(m, n, space)
+            memo[space_key] = t.space
             memo[key] = (t.space, t.module.left, t.module.right)
             return t
         ts = [cached_tensor(part, n) for part in parts]

@@ -1,10 +1,18 @@
-"""Dense exact linear algebra with deterministic basis choices.
+"""Exact linear algebra with deterministic basis choices.
+
+A `Mat` stores its entries densely, row-major, and caches the nonzero
+entries of each row on first use; products, Kronecker products, linear
+combinations and the hom systems of `LinearSystem` read that cache, and
+products seed it on their results.  Elimination runs on sparse rows only:
+one eliminator reduces `{column: value}` dicts in place and serves rref,
+kernels, solves, inverses, quotients and hom systems.
 
 Conventions fixed here and relied on everywhere downstream:
 
 * rref scans columns left to right and normalizes pivots to 1, so every
   "chosen basis" (kernels, quotient bases, solved functional spaces) is
-  deterministic.
+  deterministic.  The reduced form is unique, so which row supplies a
+  pivot never shows in a result.
 * Kernel bases use the free-column convention: the basis vector for free
   column c has a 1 at c and zeros at every other free column.  Hence the
   coordinates of a kernel element in that basis can be read off the free
@@ -20,23 +28,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
-
-
-def _nonzeros(seq, start: int = 0) -> list:
-    """The (index, value) pairs of the nonzero entries of seq from start on."""
-    return [(j, seq[j]) for j in compress(range(start, len(seq)), seq[start:])]
-
-
-def _row_entries(m: "Mat") -> list:
-    """The nonzero (column, value) pairs of each row of m, from one scan."""
-    rows = [[] for _ in range(m.rows)]
-    for k, x in _nonzeros(m.data):
-        i, j = divmod(k, m.cols)
-        rows[i].append((j, x))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,9 @@ class Mat:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        one, zero = field.one, field.zero
-        data = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(field, n, n, data)
+        data = [field.zero] * (n * n)
+        data[::n + 1] = [field.one] * n
+        return cls(field, n, n, tuple(data))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
@@ -107,9 +102,6 @@ class Mat:
     def col(self, j: int) -> tuple:
         return self.data[j::self.cols]
 
-    def row_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra -----------------------------------------------------------
 
     def _check_field(self, other: "Mat"):
@@ -142,36 +134,25 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        sdata, odata, red = self.data, other.data, self.field.reduce
-        orows = [None] * k  # nonzero entries of the rows of other, as needed
-        out = [0] * (n * m)
-        for i in range(n):
+        orows, rows = other._entries, []
+        for srow in self._entries:
             acc = {}
-            for t, a in _nonzeros(sdata[i * k:(i + 1) * k]):
-                orow = orows[t]
-                if orow is None:
-                    orow = orows[t] = _nonzeros(odata[t * m:(t + 1) * m])
-                for j, b in orow:
+            for t, a in srow:
+                for j, b in orows[t]:
                     acc[j] = acc.get(j, 0) + a * b
-            for j, x in acc.items():
-                out[i * m + j] = red(x)
-        return Mat(self.field, n, m, tuple(out))
+            rows.append(acc)
+        return _from_entries(self.field, rows, other.cols)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, given and returned as a tuple."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        data, cols = self.data, self.cols
-        entries = _nonzeros(vec)
         out = []
-        for i in range(self.rows):
-            base, s = i * cols, 0
-            for j, v in entries:
-                a = data[base + j]
-                if a:
-                    s += a * v
+        for row in self._entries:
+            s = 0
+            for j, a in row:
+                s += a * vec[j]
             out.append(s)
         return tuple(map(self.field.reduce, out))
 
@@ -181,6 +162,17 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(self.data)
+
+    @cached_property
+    def _entries(self) -> list:
+        """The nonzero (column, value) pairs of each row, in ascending
+        column order; like `_row_solver`, a cached property that stays out
+        of eq, hash and repr.  Products fill it on their results."""
+        data, rows = self.data, [[] for _ in range(self.rows)]
+        for k in compress(range(len(data)), data):
+            i, j = divmod(k, self.cols)
+            rows[i].append((j, data[k]))
+        return rows
 
     @cached_property
     def _row_solver(self) -> "_RowSolver":
@@ -193,6 +185,25 @@ class Mat:
         rows = ["[" + ", ".join(fmt(self.at(i, j)) for j in range(self.cols)) + "]"
                 for i in range(self.rows)]
         return "Mat[" + "; ".join(rows) + "]"
+
+
+def _from_entries(field: Field, rows, cols: int) -> Mat:
+    """The matrix with len(rows) rows and cols columns whose row i holds the
+    entries of the dict rows[i] ({column: value}, values as plain `+` and
+    `*` leave them), with its row cache filled; only those entries are
+    brought to canonical form."""
+    red, data, entries = field.reduce, [0] * (len(rows) * cols), []
+    for i, row in enumerate(rows):
+        base, out = i * cols, []
+        for j in sorted(row):
+            v = red(row[j])
+            if v:
+                out.append((j, v))
+                data[base + j] = v
+        entries.append(out)
+    m = Mat(field, len(rows), cols, tuple(data))
+    m.__dict__["_entries"] = entries
+    return m
 
 
 # -- stacking ---------------------------------------------------------------
@@ -260,7 +271,7 @@ def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
     mats, coeffs = list(mats), list(coeffs)
     if len(mats) != len(coeffs):
         raise DimensionMismatch(f"{len(mats)} matrices vs {len(coeffs)} coefficients")
-    acc = {}
+    acc = [{} for _ in range(rows)]
     for m, c in zip(mats, coeffs):
         if not c:
             continue
@@ -269,56 +280,104 @@ def combine(field: Field, rows: int, cols: int, mats, coeffs) -> Mat:
         if m.field != field:
             raise FieldMismatch(f"term over {m.field} in a sum over {field}")
         c = field.of(c)
-        for k, x in _nonzeros(m.data):
-            acc[k] = acc.get(k, 0) + c * x
-    red = field.reduce
-    out = [0] * (rows * cols)
-    for k, x in acc.items():
-        out[k] = red(x)
-    return Mat(field, rows, cols, tuple(out))
+        for row, mrow in zip(acc, m._entries):
+            for j, x in mrow:
+                row[j] = row.get(j, 0) + c * x
+    return _from_entries(field, acc, cols)
 
 
 # -- gaussian elimination ----------------------------------------------------
 
-def _rref_rows(field: Field, rows: list) -> tuple[list, list]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    red = field.reduce
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        inv = field.inv(prow[c])
-        if inv != 1:
-            prow = rows[r] = [red(inv * x) if x else x for x in prow]
-        pentries = _nonzeros(prow, c)
-        for i in range(nrows):
-            tgt = rows[i]
-            f = tgt[c]
-            if not f or i == r:
-                continue
-            for j, pv in pentries:
-                tgt[j] = red(tgt[j] - f * pv)
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _eliminate(field: Field, rows: list) -> list:
+    """Reduce the sparse rows {column: nonzero value} in place to reduced row
+    echelon form; returns the (pivot column, row) pairs in ascending pivot
+    order, each row 1 at its pivot and 0 at every other pivot column.
+
+    Columns are swept left to right.  Each row waits under its leading
+    column; in each column the waiting row with the fewest entries becomes
+    the pivot (Markowitz's rule, the lowest index breaking ties) and
+    clears the column from the others, which move on to their new leading
+    columns.  The pivot rows are then cleared above each other, last pivot
+    first.  The reduced form is unique, so the choice of pivot rows moves
+    no result.
+    """
+    red, inv = field.reduce, field.inv
+    waiting = {}  # leading column -> indices of the rows led there
+    for i, row in enumerate(rows):
+        if row:
+            waiting.setdefault(min(row), []).append(i)
+    heap = list(waiting)
+    heapify(heap)
+    pivoted = []
+    while heap:
+        c = heappop(heap)
+        led = waiting.pop(c)
+        p = min(led, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        s = inv(prow[c])
+        if s != 1:
+            for j, x in prow.items():
+                prow[j] = red(s * x)
+        tail = [(j, x) for j, x in prow.items() if j != c]
+        for i in led:
+            if i != p:
+                row = rows[i]
+                _subtract(red, row, row.pop(c), tail)
+                if row:
+                    k = min(row)
+                    if k in waiting:
+                        waiting[k].append(i)
+                    else:
+                        waiting[k] = [i]
+                        heappush(heap, k)
+        pivoted.append((c, prow))
+    # A pivot row holds no earlier pivot column, and clearing a later one
+    # adds only columns that are no pivot, so the rows holding each pivot
+    # column can be listed once, before the rows are cleared above.
+    index = {c: k for k, (c, _) in enumerate(pivoted)}
+    above = [[] for _ in pivoted]
+    for c, row in pivoted:
+        for j in row:
+            if j != c and j in index:
+                above[index[j]].append(row)
+    for (c, prow), rows_above in zip(reversed(pivoted), reversed(above)):
+        tail = [(j, x) for j, x in prow.items() if j != c]
+        for row in rows_above:
+            _subtract(red, row, row.pop(c), tail)
+    return pivoted
+
+
+def _subtract(red, row: dict, f, tail) -> None:
+    """row -= f * tail in place, dropping the entries that cancel."""
+    for j, x in tail:
+        v = red(row.get(j, 0) - f * x)
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
+
+
+def _null_basis(field: Field, width: int, pivoted) -> Mat:
+    """One row per free column c of the reduced rows pivoted: 1 at c and
+    -r[c] at the pivot of each reduced row r.  These rows are the kernel
+    basis of the reduced matrix and the projection onto its quotient."""
+    pivots = {c for c, _ in pivoted}
+    free = {c: q for q, c in enumerate(c for c in range(width) if c not in pivots)}
+    data = [0] * (len(free) * width)
+    for c, q in free.items():
+        data[q * width + c] = 1
+    neg = field.neg
+    for pc, row in pivoted:
+        for c, x in row.items():
+            if c != pc:
+                data[free[c] * width + pc] = neg(x)
+    return Mat(field, len(free), width, tuple(data))
 
 
 def rref_pivots(m: Mat) -> tuple[Mat, tuple]:
-    rows, pivots = _rref_rows(m.field, m.row_lists())
-    data = tuple(chain.from_iterable(rows))
-    return Mat(m.field, m.rows, m.cols, data), tuple(pivots)
+    pivoted = _eliminate(m.field, [dict(row) for row in m._entries])
+    rows = [row for _, row in pivoted] + [{}] * (m.rows - len(pivoted))
+    return _from_entries(m.field, rows, m.cols), tuple(c for c, _ in pivoted)
 
 
 def rref(m: Mat) -> Mat:
@@ -347,22 +406,7 @@ def kernel(m: Mat) -> Mat:
     Row count is cols - rank.  The basis vector for free column c carries
     a 1 at position c and zeros at all other free columns.
     """
-    r, pivots = rref_pivots(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    F = m.field
-    rows = []
-    for c in free:
-        v = [F.zero] * m.cols
-        v[c] = F.one
-        for i, pc in enumerate(pivots):
-            x = r.at(i, c)
-            if x:
-                v[pc] = F.neg(x)
-        rows.append(v)
-    if not rows:
-        return Mat(F, 0, m.cols, ())
-    return Mat(F, len(rows), m.cols, tuple(x for row in rows for x in row))
+    return _null_basis(m.field, m.cols, _eliminate(m.field, [dict(row) for row in m._entries]))
 
 
 def solve(m: Mat, b) -> tuple | None:
@@ -374,29 +418,31 @@ def solve(m: Mat, b) -> tuple | None:
     b = tuple(b)
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
-    F = m.field
-    aug_rows = [list(m.row(i)) + [F.of(b[i])] for i in range(m.rows)]
-    rows, pivots = _rref_rows(F, aug_rows) if aug_rows else ([], [])
-    ncols = m.cols
-    x = [F.zero] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
+    F, n = m.field, m.cols
+    aug = [dict(row) for row in m._entries]
+    for row, y in zip(aug, b):
+        y = F.of(y)
+        if y:
+            row[n] = y
+    x = [F.zero] * n
+    for pc, row in _eliminate(F, aug):
+        if pc == n:
             return None  # pivot in the augmented column: inconsistent
-        x[pc] = rows[i][ncols]
+        x[pc] = row.get(n, F.zero)
     return tuple(x)
 
 
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of non-square matrix")
-    F = m.field
-    n = m.rows
-    aug = [list(m.row(i)) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    rows, pivots = _rref_rows(F, aug)
-    if list(pivots) != list(range(n)):
+    F, n = m.field, m.rows
+    aug = [dict(row) for row in m._entries]
+    for i, row in enumerate(aug):
+        row[n + i] = F.one
+    pivoted = _eliminate(F, aug)
+    if [c for c, _ in pivoted] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    data = tuple(rows[i][n + j] for i in range(n) for j in range(n))
-    return Mat(F, n, n, data)
+    return _from_entries(F, [{j - n: x for j, x in row.items() if j >= n} for _, row in pivoted], n)
 
 
 class _RowSolver:
@@ -412,18 +458,19 @@ class _RowSolver:
     """
 
     def __init__(self, basis: Mat):
-        F = basis.field
-        _, indep = _rref_rows(F, basis.transpose().row_lists())
-        r, n = len(indep), basis.cols
-        aug = [list(basis.row(i)) + list(unit_vec(F, r, k)) for k, i in enumerate(indep)]
-        rows, pivots = _rref_rows(F, aug)
-        pivset = set(pivots)
+        F, n = basis.field, basis.cols
+        indep = [i for i, _ in _eliminate(F, [dict(row) for row in basis.transpose()._entries])]
+        aug = [dict(basis._entries[i]) for i in indep]
+        for k, row in enumerate(aug, n):
+            row[k] = F.one
+        pivoted = _eliminate(F, aug)
+        pivots = {p for p, _ in pivoted}
         self.field = F
         self.size = basis.rows
         self.indep = indep
-        self.free = [j for j in range(n) if j not in pivset]
-        self.rows = [(p, [(j, x) for j, x in _nonzeros(row[:n]) if j not in pivset],
-                      _nonzeros(row, n)) for p, row in zip(pivots, rows)]
+        self.free = [j for j in range(n) if j not in pivots]
+        self.rows = [(p, [(j, x) for j, x in row.items() if j < n and j not in pivots],
+                      [(k, x) for k, x in row.items() if k >= n]) for p, row in pivoted]
         self.width = n
 
     def solve(self, v: tuple) -> tuple | None:
@@ -481,12 +528,10 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
     red = F.reduce
     rows = f.rows * g.rows
     cols = f.cols * g.cols
-    grows = [_nonzeros(g.row(j)) for j in range(g.rows)]
+    grows = g._entries
     data = [0] * (rows * cols)
-    for i in range(f.rows):
-        for k, a in enumerate(f.row(i)):
-            if not a:
-                continue
+    for i, frow in enumerate(f._entries):
+        for k, a in frow:
             for j, grow in enumerate(grows):
                 base = (i * g.rows + j) * cols + k * g.cols
                 for l, b in grow:
@@ -509,11 +554,9 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
     if m.cols != x.rows * y.rows:
         raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by "
                                 f"{x.rows * y.rows}x{x.cols * y.cols}")
-    red = m.field.reduce
-    yr, yc, width = y.rows, y.cols, x.cols * y.cols
-    xrows, yrows = _row_entries(x), _row_entries(y)
-    out = [0] * (m.rows * width)
-    for r, mrow in enumerate(_row_entries(m)):
+    yr, yc = y.rows, y.cols
+    xrows, yrows, rows = x._entries, y._entries, []
+    for mrow in m._entries:
         partial = {}  # i -> {l: sum over j of m[r, i * yr + j] * y[j, l]}
         for t, a in mrow:
             i, j = divmod(t, yr)
@@ -528,10 +571,8 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
                 base = k * yc
                 for l, b in prow.items():
                     acc[base + l] = acc.get(base + l, 0) + a * b
-        base = r * width
-        for c, v in acc.items():
-            out[base + c] = red(v)
-    return Mat(m.field, m.rows, width, tuple(out))
+        rows.append(acc)
+    return _from_entries(m.field, rows, x.cols * yc)
 
 
 def tensor_vec(field: Field, u, v) -> tuple:
@@ -566,20 +607,13 @@ class QuotientSpace:
         proj[q, c] e_free(q).  This is the rref of any relation matrix the
         space is the quotient by."""
         F, n = self.field, self.ambient_dim
-        free = [c for c in range(n) if any(self.sect.row(c))]
-        freeset = set(free)
-        rows = []
-        for c in range(n):
-            if c in freeset:
-                continue
-            row = [F.zero] * n
-            row[c] = F.one
-            for q, fc in enumerate(free):
-                x = self.proj.at(q, c)
-                if x:
-                    row[fc] = F.neg(x)
-            rows.extend(row)
-        return Mat(F, n - self.dim, n, tuple(rows))
+        free = [c for c, row in enumerate(self.sect._entries) if row]
+        rows = {c: {c: F.one} for c, row in enumerate(self.sect._entries) if not row}
+        for fc, prow in zip(free, self.proj._entries):
+            for c, x in prow:
+                if c in rows:
+                    rows[c][fc] = F.neg(x)
+        return _from_entries(F, list(rows.values()), n)
 
 
 def _quotient_on(field: Field, ambient_dim: int, free, proj: Mat) -> QuotientSpace:
@@ -599,23 +633,21 @@ def quotient_by(field: Field, ambient_dim: int, relations: Mat | None) -> Quotie
     coordinates in ascending order.
     """
     if relations is None or relations.rows == 0:
-        relations = Mat(field, 0, ambient_dim, ())
+        return _quotient(field, ambient_dim, [])
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relation width vs ambient dimension")
-    r, pivots = rref_pivots(relations)
-    pivset = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivset]
-    F = field
-    # proj: e_free -> corresponding class; e_pivot -> -sum of rref tail over free cols
-    proj = [F.zero] * (len(free) * ambient_dim)
-    for qi, c in enumerate(free):
-        proj[qi * ambient_dim + c] = F.one
-    for i, pc in enumerate(pivots):
-        for qi, c in enumerate(free):
-            x = r.at(i, c)
-            if x:
-                proj[qi * ambient_dim + pc] = F.neg(x)
-    return _quotient_on(F, ambient_dim, free, Mat(F, len(free), ambient_dim, tuple(proj)))
+    return _quotient(field, ambient_dim, [dict(row) for row in relations._entries])
+
+
+def _quotient(field: Field, ambient_dim: int, rows: list) -> QuotientSpace:
+    """`quotient_by` for relations given as sparse rows {column: nonzero
+    value}, which are reduced in place.  The projection sends e_c for a
+    free column c to its class and a pivot column to minus the reduced
+    relation's entries on the free columns: the rows of `_null_basis`."""
+    pivoted = _eliminate(field, rows)
+    pivots = {c for c, _ in pivoted}
+    free = [c for c in range(ambient_dim) if c not in pivots]
+    return _quotient_on(field, ambient_dim, free, _null_basis(field, ambient_dim, pivoted))
 
 
 def balanced_quotient(field: Field, dim_m: int, dim_n: int,
@@ -626,28 +658,17 @@ def balanced_quotient(field: Field, dim_m: int, dim_n: int,
     element on the left factor, left_acts[t] the left action on the right
     factor.  Relation generators over basis triples suffice by bilinearity.
     """
-    F = field
+    red = field.reduce
     rows = []
-    zero_row = [F.zero] * (dim_m * dim_n)
     for R, L in zip(right_acts, left_acts):
-        for i in range(dim_m):
-            mcol = R.col(i)
-            for k in range(dim_n):
-                ncol = L.col(k)
-                row = list(zero_row)
-                for a, x in enumerate(mcol):
-                    if x:
-                        row[a * dim_n + k] = F.add(row[a * dim_n + k], x)
-                for b, y in enumerate(ncol):
-                    if y:
-                        row[i * dim_n + b] = F.sub(row[i * dim_n + b], y)
-                if any(row):
+        ncols = L.transpose()._entries
+        for i, mcol in enumerate(R.transpose()._entries):
+            for k, ncol in enumerate(ncols):
+                row = {a * dim_n + k: x for a, x in mcol}
+                _subtract(red, row, 1, [(i * dim_n + b, y) for b, y in ncol])
+                if row:
                     rows.append(row)
-    if rows:
-        rel = Mat(F, len(rows), dim_m * dim_n, tuple(x for row in rows for x in row))
-    else:
-        rel = None
-    return quotient_by(F, dim_m * dim_n, rel)
+    return _quotient(field, dim_m * dim_n, rows)
 
 
 def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
@@ -671,8 +692,8 @@ def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
     # Column c is a pivot of the rref of the relations exactly when pi(e_c)
     # lies in the span of the pi(e_c') with c' > c, so the free columns are
     # the pivots of pi with its columns reversed.
-    _, rev_pivots = _rref_rows(F, [row[::-1] for row in pi.row_lists()])
-    free = sorted(total - 1 - c for c in rev_pivots)
+    rev = _eliminate(F, [{total - 1 - j: x for j, x in row} for row in pi._entries])
+    free = sorted(total - 1 - c for c, _ in rev)
     on_free = Mat._from_cols(F, [pi.col(c) for c in free], q.dim)
     return _quotient_on(F, total, free, inverse(on_free) @ pi)
 
@@ -691,28 +712,31 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     F is fn x fm, so F tensor I_c is (fn*c) x (fm*c); P consumes its rows
     and S feeds its columns.  Entry ((p, s), (n, m)) is the sum over k of
     P[p, n*c + k] * S[m*c + k, s], summed from the nonzero entries of P and
-    S; only the touched entries are reduced.
+    S by `_add_term`; only the touched entries are reduced.
     """
     if P.cols != fn * c or S.rows != fm * c:
         raise DimensionMismatch("tensor slice operator shape mismatch")
-    red = P.field.reduce
-    width = fn * fm
-    srows = _row_entries(S)
-    block = S.cols * width  # the rows (p, s) of one p
-    out = [0] * (P.rows * block)
-    for p, prow in enumerate(_row_entries(P)):
-        acc = {}
+    rows = [{} for _ in range(P.rows * S.cols)]
+    _add_term(rows, 1, 0, P, S, c, fm)
+    return _from_entries(P.field, rows, fn * fm)
+
+
+def _add_term(rows: list, sign, off: int, P: Mat, S: Mat, c: int, fm: int) -> None:
+    """Add sign * P @ (X tensor I_c) @ S, for X with fm columns whose
+    row-major entries sit at the columns from off on, to the dict rows
+    ({column: value}; row (p, s) at index p * S.cols + s), from the
+    nonzero entries of P and S.  Values are left as plain `+` and `*`
+    give them."""
+    srows, width = S._entries, S.cols
+    for base, prow in zip(range(0, len(rows), width or 1), P._entries):
         for t, a in prow:
             n, k = divmod(t, c)
+            a = sign * a
             for m in range(fm):
-                col = n * fm + m
+                col = off + n * fm + m
                 for s, b in srows[m * c + k]:
-                    j = s * width + col
-                    acc[j] = acc.get(j, 0) + a * b
-        base = p * block
-        for j, v in acc.items():
-            out[base + j] = red(v)
-    return Mat(P.field, P.rows * S.cols, width, tuple(out))
+                    row = rows[base + s]
+                    row[col] = row.get(col, 0) + a * b
 
 
 class LinearSystem:
@@ -748,20 +772,13 @@ class LinearSystem:
             if fn * fm == 0:
                 continue
             c = c[0] if c else 1
-            if c == 1:
-                op = sandwich_operator(P, S, fn, fm)
-            else:
-                op = tensor_slice_operator(P, S, c, fn, fm)
+            if P.cols != fn * c or S.rows != fm * c:
+                raise DimensionMismatch(f"term on {name} does not fit its {fn}x{fm} shape")
             if acc is None:
-                acc = [{} for _ in range(op.rows)]
-            elif len(acc) != op.rows:
+                acc = [{} for _ in range(P.rows * S.cols)]
+            elif len(acc) != P.rows * S.cols:
                 raise DimensionMismatch("terms of one equation differ in shape")
-            sign = F.of(sign)
-            off = self.offsets[name]
-            for i, entries in enumerate(_row_entries(op)):
-                row = acc[i]
-                for j, x in entries:
-                    row[off + j] = row.get(off + j, 0) + sign * x
+            _add_term(acc, F.of(sign), self.offsets[name], P, S, c, fm)
         red = F.reduce
         for row in acc or ():
             row = {j: x for j, x in zip(row, map(red, row.values())) if x}
@@ -770,14 +787,8 @@ class LinearSystem:
 
     def kernel(self) -> Mat:
         """Basis of the solutions as rows over the whole column layout."""
-        F = self.field
-        data = []
-        for row in self.rows:
-            dense = [F.zero] * self.width
-            for j, x in row.items():
-                dense[j] = x
-            data.extend(dense)
-        return kernel(Mat(F, len(self.rows), self.width, tuple(data)))
+        rows = [dict(row) for row in self.rows]
+        return _null_basis(self.field, self.width, _eliminate(self.field, rows))
 
     def basis(self) -> list:
         """Basis of the solutions, each a tuple of unknown values in
@@ -791,7 +802,7 @@ class LinearSystem:
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     """The i-th standard basis vector of field^n."""
-    return tuple(field.one if k == i else field.zero for k in range(n))
+    return (field.zero,) * i + (field.one,) + (field.zero,) * (n - 1 - i)
 
 
 def random_invertible(field: Field, n: int, rng) -> Mat:

@@ -22,6 +22,13 @@
   eliminates over the whole direct sum instead of assembling its quotient
   from the summands'; the others add up one dual-basis pair or one
   functional at a time.
+* `dense_rref_rows` is the dense Gauss-Jordan elimination the library
+  used before its sparse eliminator (`linalg._eliminate`): it takes the
+  first row with an entry in each column as the pivot.  `dense_rref_pivots`,
+  `dense_kernel`, `dense_solve`, `dense_inverse` and `dense_quotient_by`
+  are the library's old elimination-backed operations written on it, the
+  references for `rref_pivots`, `kernel`, `solve`, `inverse` and
+  `quotient_by`.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * `triangular_family` is a grouplike family over a group with elements
@@ -81,6 +88,83 @@ from corings.morita import MoritaContext, RingBimodule
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, Field
 from corings.structfile import Derived
+
+
+def dense_rref_rows(field: Field, rows: list) -> tuple[list, list]:
+    """In-place reduced row echelon form of dense rows; returns (rows,
+    pivot column list)."""
+    red = field.reduce
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.inv(rows[r][c])
+        prow = rows[r] = [red(inv * x) for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def dense_rref_pivots(m: Mat) -> tuple[Mat, tuple]:
+    rows, pivots = dense_rref_rows(m.field, [list(m.row(i)) for i in range(m.rows)])
+    return Mat(m.field, m.rows, m.cols, tuple(x for row in rows for x in row)), tuple(pivots)
+
+
+def dense_kernel(m: Mat) -> Mat:
+    """The free-column kernel basis read off the dense rref."""
+    F = m.field
+    r, pivots = dense_rref_pivots(m)
+    rows = []
+    for c in (c for c in range(m.cols) if c not in pivots):
+        v = [F.zero] * m.cols
+        v[c] = F.one
+        for i, pc in enumerate(pivots):
+            if r.at(i, c):
+                v[pc] = F.neg(r.at(i, c))
+        rows.append(v)
+    return Mat(F, len(rows), m.cols, tuple(x for row in rows for x in row))
+
+
+def dense_solve(m: Mat, b) -> tuple | None:
+    F = m.field
+    aug = [list(m.row(i)) + [F.of(b[i])] for i in range(m.rows)]
+    rows, pivots = dense_rref_rows(F, aug)
+    x = [F.zero] * m.cols
+    for i, pc in enumerate(pivots):
+        if pc == m.cols:
+            return None
+        x[pc] = rows[i][m.cols]
+    return tuple(x)
+
+
+def dense_inverse(m: Mat) -> Mat:
+    F, n = m.field, m.rows
+    aug = [list(m.row(i)) + list(unit_vec(F, n, i)) for i in range(n)]
+    rows, pivots = dense_rref_rows(F, aug)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return Mat(F, n, n, tuple(x for row in rows for x in row[n:]))
+
+
+def dense_quotient_by(field: Field, ambient_dim: int, relations: Mat) -> QuotientSpace:
+    """The quotient basis is the non-pivot columns; proj is the kernel
+    basis of the relations and sect their unit vectors."""
+    _, pivots = dense_rref_pivots(relations)
+    free = [c for c in range(ambient_dim) if c not in pivots]
+    sect = Mat.from_cols(field, [unit_vec(field, ambient_dim, c) for c in free]) if free \
+        else Mat(field, ambient_dim, 0, ())
+    return QuotientSpace(field, ambient_dim, dense_kernel(relations), sect, len(free))
 
 
 def derived(fx) -> Derived:

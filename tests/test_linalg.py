@@ -9,7 +9,8 @@ import pytest
 
 from corings import algebra, linalg
 from corings.algebra import Bimodule, product_field_algebra, validate_bimodule
-from corings.fixtures import fixture_file_text
+from corings.dualring import dual_ring
+from corings.fixtures import fixture, fixture_file_text
 from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
@@ -33,6 +34,7 @@ from corings.linalg import (
     rank,
     row_space,
     rref,
+    rref_pivots,
     sandwich_operator,
     solve,
     tensor_k,
@@ -41,10 +43,18 @@ from corings.linalg import (
     triple_balanced_quotient,
     vstack,
 )
+from corings.morita import _ring_as_module, graded_hom
 from corings.scalars import GF, QQ, DimensionMismatch, FieldMismatch
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
-from helpers import dense_triple_quotient
+from helpers import (
+    dense_inverse,
+    dense_kernel,
+    dense_quotient_by,
+    dense_rref_pivots,
+    dense_solve,
+    dense_triple_quotient,
+)
 
 
 def M(rows, field=QQ):
@@ -348,7 +358,7 @@ def ref_matmul(a: Mat, b: Mat) -> Mat:
 
 def ref_rref(m: Mat) -> Mat:
     F = m.field
-    rows = m.row_lists()
+    rows = [list(m.row(i)) for i in range(m.rows)]
     r = 0
     for c in range(m.cols):
         sel = next((i for i in range(r, m.rows) if rows[i][c]), None)
@@ -685,18 +695,23 @@ def test_triple_quotient_of_c3_components_matches_the_dense_reference():
 
 def test_triple_quotient_eliminates_nothing_over_the_flat_space(monkeypatch):
     shapes = []
-    real = linalg._rref_rows
+    real = linalg._eliminate
 
     def recording(field, rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        # (row count, 1 + the largest column any row touches)
+        shapes.append((len(rows), max((max(row) + 1 for row in rows if row), default=0)))
         return real(field, rows)
 
-    monkeypatch.setattr(linalg, "_rref_rows", recording)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
     m, n, p = c3_components()
     q = triple_balanced_quotient(*triple_args(m, n, p))
     flat = m.dim * n.dim * p.dim
     assert (flat, q.dim) == (729, 81)
-    assert shapes and all(rows <= q.dim for rows, cols in shapes if cols == flat)
+    # the widest space of the two balanced quotients and the inverse
+    q12 = balanced_quotient(QQ, m.dim, n.dim, m.right, n.left)
+    narrow = max(m.dim * n.dim, q12.dim * p.dim, 2 * q.dim)
+    assert any(cols > narrow for _, cols in shapes)
+    assert shapes and all(rows <= q.dim for rows, cols in shapes if cols > narrow)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
@@ -706,3 +721,114 @@ def test_derived_relations_are_the_row_space_of_the_input(field):
         amb, nrel, inner = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
         rel = mixed_mat(field, nrel, inner, rng) @ mixed_mat(field, inner, amb, rng)
         assert quotient_by(field, amb, rel).relations == row_space(rel)
+
+
+# -- the sparse eliminator against the dense reference -------------------------------
+
+def random_system(field, rng):
+    """A matrix of mixed entries that is now and then all zero, without rows
+    or without columns, and often rank-deficient."""
+    rows, cols = rng.choice([0, 1, 2, 3, 5, 8]), rng.choice([0, 1, 2, 3, 5, 8])
+    kind = rng.random()
+    if kind < 0.1:
+        return Mat.zeros(field, rows, cols)
+    if kind < 0.5:
+        inner = rng.randint(0, 3)
+        return mixed_mat(field, rows, inner, rng) @ mixed_mat(field, inner, cols, rng)
+    return mixed_mat(field, rows, cols, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1000003)])
+def test_sparse_elimination_matches_the_dense_reference(field):
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(300):
+        m = random_system(field, rng)
+        seen |= {"no rows"} if m.rows == 0 else {"no columns"} if m.cols == 0 else set()
+        seen |= {"all zero"} if m.rows and m.cols and m.is_zero() else set()
+        r, pivots = rref_pivots(m)
+        assert (r, pivots) == dense_rref_pivots(m)
+        assert_canonical(field, r.data)
+        assert kernel(m) == dense_kernel(m)
+        q, ref = quotient_by(field, m.cols, m), dense_quotient_by(field, m.cols, m)
+        assert (q.dim, q.proj, q.sect) == (ref.dim, ref.proj, ref.sect)
+        assert q.relations == Mat(field, len(pivots), m.cols, r.data[:len(pivots) * m.cols])
+        x = mixed_mat(field, m.cols, 1, rng).data
+        for b in (mixed_mat(field, m.rows, 1, rng).data, m.apply(x)):
+            assert solve(m, b) == dense_solve(m, b)
+        t = m.transpose()
+        for v in (mixed_mat(field, 1, m.cols, rng).data, t.apply(mixed_mat(field, 1, m.rows, rng).data)):
+            assert coords_in_rowspace(m, v) == dense_solve(t, v)
+        square = m @ t if rng.random() < 0.5 else mixed_mat(field, m.rows, m.rows, rng)
+        try:
+            want = dense_inverse(square)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                inverse(square)
+        else:
+            assert inverse(square) == want
+            seen.add("invertible")
+        fn, fm = rng.randint(0, 3), rng.randint(0, 3)
+        sys = LinearSystem(field, {"x": (fn, fm), "y": (1, fm)})
+        P, S = mixed_mat(field, rng.randint(0, 5), fn, rng), mixed_mat(field, fm, rng.randint(0, 3), rng)
+        sys.add((1, "x", P, S), (-1, "y", mixed_mat(field, P.rows, 1, rng), S))
+        assert sys.kernel() == dense_kernel(system_matrix(sys))
+    assert seen == {"no rows", "no columns", "all zero", "invertible"}
+
+
+def fresh_scan(m: Mat) -> list:
+    return [[(j, m.at(i, j)) for j in range(m.cols) if m.at(i, j)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_cached_rows_are_a_fresh_scan_outside_eq_hash_and_repr(field):
+    rng = random.Random(22)
+    for _ in range(80):
+        n, k, w = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = mixed_mat(field, n, k, rng), mixed_mat(field, k, w, rng)
+        x, y = mixed_mat(field, rng.randint(0, 3), w, rng), mixed_mat(field, rng.randint(0, 3), n, rng)
+        m = mixed_mat(field, k, x.rows * y.rows, rng)
+        seeded = [a @ b, kron_after(m, x, y), rref(a)]
+        assert all("_entries" in got.__dict__ for got in seeded)
+        for got in seeded + [a, Mat.zeros(field, n, k), Mat(field, n, 0, ()), Mat(field, 0, k, ())]:
+            plain = Mat(field, got.rows, got.cols, got.data)
+            before = (hash(plain), repr(plain))
+            assert got._entries == fresh_scan(got) == plain._entries
+            assert got == plain and (hash(got), repr(got)) == before
+            assert (hash(plain), repr(plain)) == before
+
+
+def test_hom_system_rows_reach_the_eliminator_sparse(monkeypatch):
+    r = dual_ring(fixture("sweedler").coring)
+    rm = _ring_as_module(r)
+    systems, eliminated, widths = [], [], []
+    real_kernel, real_eliminate, real_init = LinearSystem.kernel, linalg._eliminate, Mat.__post_init__
+
+    def eliminate(field, rows):
+        eliminated.append([dict(row) for row in rows])
+        return real_eliminate(field, rows)
+
+    def post_init(self):
+        widths.append((self.rows, self.cols))
+        real_init(self)
+
+    def kernel_of(self):
+        systems.append(self)
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        monkeypatch.setattr(Mat, "__post_init__", post_init)
+        try:
+            out = real_kernel(self)
+        finally:
+            monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+            monkeypatch.setattr(Mat, "__post_init__", real_init)
+        # the solution basis is the one matrix of the system's width built
+        assert [shape for shape in widths if shape[1] == self.width] == [(out.rows, self.width)]
+        widths.clear()
+        return out
+
+    monkeypatch.setattr(LinearSystem, "kernel", kernel_of)
+    monkeypatch.setattr(linalg, "kernel", None)  # the dense-matrix path is not taken
+    graded_hom(rm, rm, 0)
+    sys, = systems
+    assert len(sys.rows) > sys.width > 0
+    assert eliminated == [sys.rows]

@@ -192,7 +192,6 @@ OPTIONS = {
     ("cli.py", "main", "argv"),
     ("coring.py", "validate_group_coring", "check_components"),
     ("linalg.py", "_from_cols", "rows"),
-    ("linalg.py", "_nonzeros", "start"),
     ("report.py", "add", "witness"),
     ("report.py", "extend", "prefix"),
     ("structfile.py", "__init__", "comodule_algebra"),

@@ -23,7 +23,7 @@ from corings.comodules import (
     validate_g_comodule,
 )
 from corings.fixtures import fixture_file_text
-from corings.linalg import Mat, triple_balanced_quotient
+from corings.linalg import Mat, balanced_quotient, triple_balanced_quotient
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
@@ -104,6 +104,9 @@ def test_memo_entries_equal_fresh_builds_after_all(name, suite):
             space, left, right = value
             assert _same_space(space, fresh.space)
             assert (left, right) == (fresh.module.left, fresh.module.right)
+        elif len(key) == 4:
+            dm, mr, dn, nl = key
+            assert _same_space(value, balanced_quotient(A.field, dm, dn, mr, nl))
         else:
             d1, d2, d3, r1, l2, r2, l3 = key
             filled += (d1, None, r1) in sums
@@ -113,18 +116,34 @@ def test_memo_entries_equal_fresh_builds_after_all(name, suite):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
+def test_no_two_pair_builds_share_a_quotient_space_key(monkeypatch, name):
+    # the pair quotient depends only on (m.dim, m.right, n.dim, n.left), so
+    # pairs that differ in m.left or n.right share one elimination
+    keys = []
+    real = algebra.balanced_quotient
+
+    def counted(field, dim_m, dim_n, right_acts, left_acts):
+        keys.append((dim_m, tuple(right_acts), dim_n, tuple(left_acts)))
+        return real(field, dim_m, dim_n, right_acts, left_acts)
+
+    monkeypatch.setattr(algebra, "balanced_quotient", counted)
+    run_suite(_load(name), "all", seed=0)
+    assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
 def test_packing_runs_no_elimination_once_the_summands_are_in_the_memo(monkeypatch, name):
     ms = _load(name)
     cg = coring_as_gcomodule(ms.coring)
     assert validate_g_comodule(cg).ok  # fills every summand pair and triple quotient
     calls = []
-    real = linalg.quotient_by
+    real = linalg._quotient  # every quotient, balanced or triple, is built through it
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(linalg, "quotient_by", counted)
+    monkeypatch.setattr(linalg, "_quotient", counted)
     packed, _, _ = pack_gcomodule(cg)
     assert validate_comodule(packed).ok
     assert calls == []
