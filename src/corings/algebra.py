@@ -23,6 +23,7 @@ from corings.linalg import (
     combine,
     coords_in_rowspace,
     hstack,
+    is_invertible,
     kron_after,
     rank,
     row_space,
@@ -33,7 +34,7 @@ from corings.linalg import (
     vstack,
 )
 from corings.report import CheckReport
-from corings.scalars import Field
+from corings.scalars import DimensionMismatch, Field
 
 
 class BaseMismatch(ValueError):
@@ -77,23 +78,30 @@ class Algebra:
                         acc[k] += ab * c
         return tuple(map(self.field.reduce, acc))
 
+    @cached_property
+    def mul_mat(self) -> Mat:
+        """Multiplication as a matrix A (x)k A -> A: column i * dim + j holds
+        e_i e_j, so the algebra laws are `kron_after` identities."""
+        return Mat._from_cols(self.field, [self.mul[i][j] for i in range(self.dim)
+                                           for j in range(self.dim)], self.dim)
+
     def left_mult(self, a) -> Mat:
         """Matrix of x -> a*x."""
-        cols = [self.multiply(a, unit_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return Mat._from_cols(self.field, cols)
+        return kron_after(self.mul_mat, Mat.col_vector(self.field, a),
+                          Mat.identity(self.field, self.dim))
 
     def right_mult(self, a) -> Mat:
         """Matrix of x -> x*a."""
-        cols = [self.multiply(unit_vec(self.field, self.dim, j), a) for j in range(self.dim)]
-        return Mat._from_cols(self.field, cols)
+        return kron_after(self.mul_mat, Mat.identity(self.field, self.dim),
+                          Mat.col_vector(self.field, a))
 
     @cached_property
     def left_mats(self) -> tuple:
-        return tuple(self.left_mult(unit_vec(self.field, self.dim, i)) for i in range(self.dim))
+        return tuple(self.left_mult(self.basis_vec(i)) for i in range(self.dim))
 
     @cached_property
     def right_mats(self) -> tuple:
-        return tuple(self.right_mult(unit_vec(self.field, self.dim, i)) for i in range(self.dim))
+        return tuple(self.right_mult(self.basis_vec(i)) for i in range(self.dim))
 
     def basis_vec(self, i: int) -> tuple:
         return unit_vec(self.field, self.dim, i)
@@ -132,41 +140,51 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     unit = coords_in_rowspace(basis, ambient.unit)
     if unit is None:
         raise ValueError("span does not contain the unit")
-    mul = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = ambient.multiply(basis.row(i), basis.row(j))
-            coords = coords_in_rowspace(basis, prod)
-            if coords is None:
-                raise ValueError(f"span not closed under multiplication at ({i},{j})")
-            row.append(coords)
-        mul.append(row)
+    # column i * n + j: the product of basis rows i and j
+    prods = kron_after(ambient.mul_mat, basis.transpose(), basis.transpose())
+    coords = []
+    for t in range(n * n):
+        c = coords_in_rowspace(basis, prods.col(t))
+        if c is None:
+            i, j = divmod(t, n)
+            raise ValueError(f"span not closed under multiplication at ({i},{j})")
+        coords.append(c)
+    mul = [coords[i * n:(i + 1) * n] for i in range(n)]
     alg = Algebra.from_tables(ambient.field, mul, unit)
     incl = basis.transpose()
     return alg, incl
 
 
 def validate_algebra(a: Algebra) -> CheckReport:
+    """Associativity, m (m (x) I) = m (I (x) m), and the unit law,
+    m (u (x) I) = I = m (I (x) u), as identities of matrices over `mul_mat`."""
     rep = CheckReport()
-    ok_assoc = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                lhs = a.multiply(a.multiply(a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))
-                rhs = a.multiply(a.basis_vec(i), a.multiply(a.basis_vec(j), a.basis_vec(k)))
-                if lhs != rhs:
-                    ok_assoc.append((i, j, k))
+    F, d, m = a.field, a.dim, a.mul_mat
+    ident, unit = Mat.identity(F, d), Mat.col_vector(F, a.unit)
+    # column (i * d + j) * d + k: (e_i e_j) e_k against e_i (e_j e_k)
+    bad = [(t // (d * d), t // d % d, t % d)
+           for t in differing_columns(kron_after(m, m, ident), kron_after(m, ident, m))]
     rep.add("algebra.associativity", "associativity on basis triples",
-            not ok_assoc, f"failing triples: {ok_assoc}" if ok_assoc else "")
-    bad_unit = []
-    for i in range(a.dim):
-        e = a.basis_vec(i)
-        if a.multiply(a.unit, e) != e or a.multiply(e, a.unit) != e:
-            bad_unit.append(i)
+            not bad, f"failing triples: {bad}" if bad else "")
+    bad = sorted(set(differing_columns(kron_after(m, unit, ident), ident))
+                 | set(differing_columns(kron_after(m, ident, unit), ident)))
     rep.add("algebra.unit", "two-sided unit on basis elements",
-            not bad_unit, f"failing indices: {bad_unit}" if bad_unit else "")
+            not bad, f"failing indices: {bad}" if bad else "")
     return rep
+
+
+def differing_columns(a: Mat, b: Mat) -> list:
+    """The indices of the columns where a and b differ, in ascending order."""
+    return [t for t in range(a.cols) if a.col(t) != b.col(t)]
+
+
+def algebra_map_failures(f: Mat, src_mul: Mat, dst_mul: Mat) -> list:
+    """The pairs (i, j), i major, where f(e_i e_j) differs from f(e_i) f(e_j),
+    for a linear map f between algebras with multiplication matrices
+    src_mul and dst_mul (as `Algebra.mul_mat`): the differing columns of
+    f m_src and m_dst (f (x) f).  The unit law is left to the caller."""
+    n = f.cols
+    return [divmod(t, n) for t in differing_columns(f @ src_mul, kron_after(dst_mul, f, f))]
 
 
 # -- bimodules --------------------------------------------------------------------
@@ -209,40 +227,68 @@ class Bimodule:
 def validate_bimodule(m: Bimodule) -> CheckReport:
     rep = CheckReport()
     A = m.base
-    F = A.field
-    ident = Mat.identity(F, m.dim)
     if m.left is not None:
         rep.add("bimodule.left.unital", "left action of the unit is the identity",
-                m.left_act(A.unit) == ident)
-        bad = []
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = m.left_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-                if prod != m.left[i] @ m.left[j]:
-                    bad.append((i, j))
+                acts_unitally(A, m.dim, m.left))
+        bad = action_failures(A, m.dim, m.left, "left")
         rep.add("bimodule.left.associative", "left action respects multiplication",
                 not bad, f"failing pairs: {bad}" if bad else "")
     if m.right is not None:
         rep.add("bimodule.right.unital", "right action of the unit is the identity",
-                m.right_act(A.unit) == ident)
-        bad = []
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = m.right_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-                if prod != m.right[j] @ m.right[i]:
-                    bad.append((i, j))
+                acts_unitally(A, m.dim, m.right))
+        bad = action_failures(A, m.dim, m.right, "right")
         rep.add("bimodule.right.associative", "right action respects multiplication",
                 not bad, f"failing pairs: {bad}" if bad else "")
     if m.left is not None and m.right is not None:
-        bad = [
-            (i, j)
-            for i in range(A.dim)
-            for j in range(A.dim)
-            if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]
-        ]
+        bad = commuting_failures(A.field, m.dim, m.left, m.right)
         rep.add("bimodule.commuting", "left and right actions commute",
                 not bad, f"failing pairs: {bad}" if bad else "")
     return rep
+
+
+# -- action laws ------------------------------------------------------------------
+
+def flat_actions(field: Field, dim: int, mats) -> Mat:
+    """The matrix whose row k holds the entries of the dim x dim matrix
+    mats[k], row-major, vec(mats[k]); its product with a coefficient row is
+    the vectorized linear combination, and vec(X @ M @ Y) = vec(M) @
+    (X^T (x) Y) turns products into `kron_after`.  The field is given so
+    that an empty family has one."""
+    for mat in mats:
+        if (mat.rows, mat.cols) != (dim, dim):
+            raise DimensionMismatch(f"{mat.rows}x{mat.cols} action on a module of dimension {dim}")
+    return Mat(field, len(mats), dim * dim, tuple(x for mat in mats for x in mat.data))
+
+
+def _rows_differ(a: Mat, b: Mat) -> list:
+    return [j for j in range(a.rows) if a.row(j) != b.row(j)]
+
+
+def acts_unitally(ring: Algebra, dim: int, mats) -> bool:
+    """Whether the unit of ring acts through mats as the identity."""
+    return combine(ring.field, dim, dim, mats, ring.unit) == Mat.identity(ring.field, dim)
+
+
+def action_failures(ring: Algebra, dim: int, mats, side: str) -> list:
+    """The pairs (i, j), i major, where e_i e_j does not act through mats as
+    mats[i] @ mats[j] (side "left") or mats[j] @ mats[i] (side "right")."""
+    F = ring.field
+    flat, ident = flat_actions(F, dim, mats), Mat.identity(F, dim)
+    # row j, per i: vec of the action of e_i e_j (row j of left_mats[i]^T)
+    # against vec(mats[i] @ mats[j]) or vec(mats[j] @ mats[i])
+    return [(i, j) for i in range(ring.dim)
+            for j in _rows_differ(ring.left_mats[i].transpose() @ flat,
+                                  kron_after(flat, mats[i].transpose(), ident) if side == "left"
+                                  else kron_after(flat, ident, mats[i]))]
+
+
+def commuting_failures(field: Field, dim: int, left, right) -> list:
+    """The pairs (i, j) where left[i] and right[j] do not commute."""
+    flat, ident = flat_actions(field, dim, right), Mat.identity(field, dim)
+    # row j, per i: vec(left[i] @ right[j]) against vec(right[j] @ left[i])
+    return [(i, j) for i, L in enumerate(left)
+            for j in _rows_differ(kron_after(flat, L.transpose(), ident),
+                                  kron_after(flat, ident, L))]
 
 
 @dataclass(frozen=True)
@@ -267,7 +313,7 @@ def validate_bimodule_map(f: BimoduleMap) -> CheckReport:
 
 
 def is_bimodule_iso(f: BimoduleMap) -> bool:
-    return f.mat.rows == f.mat.cols and rank(f.mat) == f.mat.rows
+    return is_invertible(f.mat)
 
 
 # -- tensor product over the algebra ------------------------------------------------

@@ -17,6 +17,7 @@ from corings.algebra import (
     Bimodule,
     MissingDualBasis,
     TensorProduct,
+    algebra_map_failures,
     cached_tensor,
     cached_triple,
     contract_right,
@@ -39,9 +40,8 @@ from corings.linalg import (
     combine,
     coords_in_rowspace,
     inverse,
+    is_invertible,
     kron_after,
-    rank,
-    tensor_vec,
 )
 from corings.report import CheckReport
 from corings.scalars import DimensionMismatch, Field
@@ -102,12 +102,8 @@ class GradedAlgebra:
 
 def group_ring(base: Algebra, group: FiniteGroup) -> GradedAlgebra:
     """base[G]: one copy of base per degree, (x u_a)(y u_b) = xy u_{ab}."""
-    F = base.field
-    n = base.dim
-    prod = Mat._from_cols(F, [base.multiply(base.basis_vec(i), base.basis_vec(j))
-                              for i in range(n) for j in range(n)])
-    return GradedAlgebra.from_products(F, group, [n] * group.order,
-                                       lambda a, b: prod, base.unit)
+    return GradedAlgebra.from_products(base.field, group, [base.dim] * group.order,
+                                       lambda a, b: base.mul_mat, base.unit)
 
 
 # -- the dual graded ring -----------------------------------------------------------
@@ -179,10 +175,6 @@ class GradedRing:
                                                 for leg in self.legs[(a, b)]
                                                 for gv in self.functionals[b]])
 
-    def multiply(self, a: int, x, b: int, y) -> tuple:
-        """Product of homogeneous elements of degrees a and b."""
-        return self.mul[(a, b)].apply(tensor_vec(self.base.field, x, y))
-
     def dim(self, a: int) -> int:
         return self.comps[a].dim
 
@@ -226,13 +218,7 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
             bad.append(a)
     rep.add("dual-ring.unit", "the counit is a two-sided unit",
             not bad, f"failing degrees: {bad}" if bad else "")
-    bad = []
-    for i in range(r.base.dim):
-        for j in range(r.base.dim):
-            prod = r.base.multiply(r.base.basis_vec(i), r.base.basis_vec(j))
-            lhs = r.mul[(e, e)].apply(tensor_vec(F, r.base_map.col(i), r.base_map.col(j)))
-            if lhs != r.base_map.apply(prod):
-                bad.append((i, j))
+    bad = algebra_map_failures(r.base_map, r.base.mul_mat, r.mul[(e, e)])
     rep.add("dual-ring.base-map", "the base ring map is multiplicative",
             not bad, f"failing pairs: {bad}" if bad else "")
     rep.add("dual-ring.base-map-unit", "the base ring map preserves the unit",
@@ -300,10 +286,7 @@ def validate_graded_ring_morphism(m: GradedRingMorphism) -> CheckReport:
 
 
 def is_graded_ring_iso(m: GradedRingMorphism) -> bool:
-    return all(
-        m.maps[a].rows == m.maps[a].cols and rank(m.maps[a]) == m.maps[a].rows
-        for a in m.src.group.elements()
-    )
+    return all(is_invertible(m.maps[a]) for a in m.src.group.elements())
 
 
 # -- graded modules ------------------------------------------------------------------
@@ -532,8 +515,7 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) 
             func = r.functionals[e][u] @ ginv
             cols.append(r.coords(a, func))
         sigmas.append(Mat.from_cols(F, cols))
-    bad = [a for a in g.elements()
-           if sigmas[a].rows != sigmas[a].cols or rank(sigmas[a]) != sigmas[a].rows]
+    bad = [a for a in g.elements() if not is_invertible(sigmas[a])]
     rep.add("cofree-dual.bijective", "each degree map is bijective",
             not bad, f"failing degrees: {bad}" if bad else "")
     rep.add("cofree-dual.identity-degree", "the identity-degree map is the identity",
@@ -583,7 +565,7 @@ def check_component_bidual(c: GroupCoring, r: GradedRing) -> CheckReport:
             coords.append(cc)
         else:
             mat = Mat.from_cols(F, coords)
-            if mat.rows != mat.cols or rank(mat) != mat.rows:
+            if not is_invertible(mat):
                 bad.append(a)
     rep.add("bidual.iso", "evaluation into the homogeneous bidual is bijective",
             not bad, f"failing degrees: {bad}" if bad else "")

@@ -16,6 +16,7 @@ from corings.algebra import (
     Algebra,
     Bimodule,
     ModulePredicates,
+    algebra_map_failures,
     collapse_left,
     collapse_right,
     direct_sum_bimodule,
@@ -43,6 +44,7 @@ from corings.linalg import (
     balanced_quotient,
     hstack,
     inverse,
+    is_invertible,
     kernel,
     kron_after,
     random_invertible,
@@ -183,13 +185,7 @@ def validate_ring_morphism(b: RingMorphism) -> CheckReport:
     rep = CheckReport()
     rep.add("ring-morphism.unit", "preserves the unit",
             b.mat.apply(b.src.unit) == b.dst.unit)
-    bad = []
-    for i in range(b.src.dim):
-        for j in range(b.src.dim):
-            lhs = b.mat.apply(b.src.multiply(b.src.basis_vec(i), b.src.basis_vec(j)))
-            rhs = b.dst.multiply(b.mat.col(i), b.mat.col(j))
-            if lhs != rhs:
-                bad.append((i, j))
+    bad = algebra_map_failures(b.mat, b.src.mul_mat, b.dst.mul_mat)
     rep.add("ring-morphism.multiplicative", "preserves products",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep
@@ -222,9 +218,8 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
     c = x.coring
     A = c.base
     F = A.field
-    right_acts = [n.right_act(b.src.basis_vec(i)) for i in range(b.src.dim)]
     left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-    q = balanced_quotient(F, n.dim, A.dim, right_acts, left_acts)
+    q = balanced_quotient(F, n.dim, A.dim, n.right, left_acts)
     right = tuple(kron_after(q.proj, Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
     space = Bimodule(A, q.dim, None, right)
     m = Comodule(c, space, [None] * c.group.order)
@@ -271,17 +266,12 @@ def sweedler_coring(b: RingMorphism, group) -> tuple[GroupCoring, CofreeWitness,
     right = tuple(kron_after(q.proj, ident, R) @ q.sect for R in A.right_mats)
     d_e = Bimodule(A, q.dim, left, right)
     slice_coring = GroupCoring(TRIVIAL_GROUP, A, (d_e,), {}, Mat.zeros(F, 1, 1))
-    t = slice_coring.tensor(0, 0)
-    cols = []
-    for i in range(A.dim):
-        li = q.project(tensor_vec(F, A.basis_vec(i), A.unit))
-        for j in range(A.dim):
-            rj = q.project(tensor_vec(F, A.unit, A.basis_vec(j)))
-            cols.append(t.space.project(tensor_vec(F, li, rj)))
-    slice_coring.delta[(0, 0)] = Mat.from_cols(F, cols) @ q.sect
-    eps_cols = [A.multiply(A.basis_vec(i), A.basis_vec(j))
-                for i in range(A.dim) for j in range(A.dim)]
-    slice_coring.counit = Mat.from_cols(F, eps_cols) @ q.sect
+    # column i * dim + j: the class of (e_i (x) 1) (x) (1 (x) e_j)
+    unit = Mat.col_vector(F, A.unit)
+    split = kron_after(slice_coring.tensor(0, 0).space.proj,
+                       kron_after(q.proj, ident, unit), kron_after(q.proj, unit, ident))
+    slice_coring.delta[(0, 0)] = split @ q.sect
+    slice_coring.counit = A.mul_mat @ q.sect
     dom, wit = cofree_coring(slice_coring, group)
     one_cls = q.project(tensor_vec(F, A.unit, A.unit))
     gl = GrouplikeFamily(dom, tuple(one_cls for _ in group.elements()))
@@ -330,7 +320,7 @@ def is_galois(x: GrouplikeFamily, can: CanonicalMorphism) -> tuple[bool, CheckRe
     bad = []
     for a in c.group.elements():
         mat = can.morphism.maps[a]
-        if mat.rows != mat.cols or rank(mat) != mat.rows:
+        if not is_invertible(mat):
             bad.append(f"degree {a}: {mat.cols} -> {mat.rows}, rank {rank(mat)}")
     rep.add("galois.bijective", "every canonical component is bijective",
             not bad, "; ".join(bad))
@@ -419,7 +409,7 @@ def induction_unit(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> tuple[Ma
         ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit)) * g.order
         for i in range(n.dim)])
     mat = Mat._from_cols(F, cols, w.rows)
-    bij = ok and mat.rows == mat.cols and rank(mat) == mat.rows
+    bij = ok and is_invertible(mat)
     return mat, bij
 
 
@@ -443,9 +433,8 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     n_w = Bimodule(b.src, w.rows, None, tuple(right))
     qq = None
     if ok:
-        right_acts = [n_w.right_act(b.src.basis_vec(i)) for i in range(b.src.dim)]
         left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-        qq = balanced_quotient(F, w.rows, A.dim, right_acts, left_acts)
+        qq = balanced_quotient(F, w.rows, A.dim, n_w.right, left_acts)
     mats = []
     bij = ok
     if ok:
@@ -458,7 +447,7 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
             k_level = Mat.from_cols(F, cols)
             eps_a = k_level @ qq.sect
             mats.append(eps_a)
-            if eps_a.rows != eps_a.cols or rank(eps_a) != eps_a.rows:
+            if not is_invertible(eps_a):
                 bij = False
     return mats, bij
 

@@ -8,9 +8,9 @@ every statement about the comodule algebra into a coring statement.
 
 The layer is written as matrix identities over `linalg.tensor_k`: every
 structure map and every law is a composite of Kronecker products, identity
-and unit-vector matrices, `mult_matrix` and the tensor algebra
-`tensor_algebra`, so `tensor_k` and `tensor_vec` are the only code that
-knows the coordinate layout of a tensor product.
+and unit-vector matrices, the multiplication matrices `Algebra.mul_mat` and
+the tensor algebra `tensor_algebra`, so no code here indexes a tensor
+product by hand.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from corings.algebra import (
     Algebra,
     Bimodule,
+    algebra_map_failures,
     cached_tensor,
     collapse_right,
     field_algebra,
@@ -33,9 +34,9 @@ from corings.groups import FiniteGroup
 from corings.linalg import (
     Mat,
     combine,
+    is_invertible,
     kernel,
     kron_after,
-    rank,
     row_space,
     tensor_k,
     tensor_vec,
@@ -44,12 +45,6 @@ from corings.linalg import (
 )
 from corings.report import CheckReport
 from corings.scalars import Field
-
-
-def mult_matrix(a: Algebra) -> Mat:
-    """Multiplication as a matrix A (x)k A -> A (columns i major, j minor)."""
-    cols = [a.mul[i][j] for i in range(a.dim) for j in range(a.dim)]
-    return Mat.from_cols(a.field, cols)
 
 
 def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -64,7 +59,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
 def _is_algebra_map(f: Mat, src: Algebra, dst: Algebra) -> bool:
     """f: src -> dst preserves the unit and the multiplication."""
     return (f.apply(src.unit) == dst.unit
-            and f @ mult_matrix(src) == kron_after(mult_matrix(dst), f, f))
+            and not algebra_map_failures(f, src.mul_mat, dst.mul_mat))
 
 
 def _one_tensor(a: Algebra, dim: int) -> Mat:
@@ -151,7 +146,7 @@ def validate_hopf_g_coalgebra(h: HopfGCoalgebra) -> CheckReport:
     bad = []
     for a in g.elements():
         ainv = g.inv(a)
-        mm = mult_matrix(h.comps[a])
+        mm = h.comps[a].mul_mat
         unit_eps = Mat.col_vector(F, h.comps[a].unit) @ h.counit
         if (kron_after(mm, h.antipode[a], ident[a]) @ h.delta[(ainv, a)] != unit_eps
                 or kron_after(mm, ident[a], h.antipode[a]) @ h.delta[(a, ainv)] != unit_eps):
@@ -388,7 +383,7 @@ class SmashProduct:
         hp, hq = h.comps[pinv], h.comps[qinv]
         # H_{q^{-1}}^* (x) H_{p^{-1}}^* -> H_{(pq)^{-1}}^*
         dual_delta = h.delta[(qinv, pinv)].transpose()
-        mult_a = mult_matrix(a)
+        mult_a = a.mul_mat
         ida = Mat.identity(F, a.dim)
         # A -> A, a -> <e_t^*, a[1]> a[0] for the coaction into H_{q^{-1}}
         acted = [tensor_k(ida, Mat.from_rows(F, [hq.basis_vec(t)])) @ ca.rho[qinv]
@@ -444,8 +439,7 @@ def smash_dual(ca: ComoduleAlgebra, r: GradedRing) -> tuple[SmashProduct, list, 
         lambdas.append(Mat.from_cols(F, [
             r.coords(p, tensor_k(a.right_mats[i], Mat.from_rows(F, [hp.basis_vec(u)])))
             for u in range(hp.dim) for i in range(a.dim)]))
-    bad = [p for p in g.elements()
-           if lambdas[p].rows != lambdas[p].cols or rank(lambdas[p]) != lambdas[p].rows]
+    bad = [p for p in g.elements() if not is_invertible(lambdas[p])]
     rep.add("smash-dual.bijective", "comparison maps are bijective per degree",
             not bad, f"failing degrees: {bad}" if bad else "")
     bad = [(p, q) for p in g.elements() for q in g.elements()

@@ -389,6 +389,11 @@ def rank(m: Mat) -> int:
     return len(rref_pivots(m)[1])
 
 
+def is_invertible(m: Mat) -> bool:
+    """Whether m is square of full rank."""
+    return m.rows == m.cols and rank(m) == m.rows
+
+
 def row_space(m: Mat) -> Mat:
     """Canonical basis of the row space: rref with zero rows dropped.
 

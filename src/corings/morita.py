@@ -16,6 +16,12 @@ from dataclasses import dataclass
 from corings.algebra import (
     Algebra,
     Bimodule,
+    action_failures,
+    acts_unitally,
+    algebra_map_failures,
+    commuting_failures,
+    differing_columns,
+    flat_actions,
     left_module_predicates,
     subalgebra,
 )
@@ -51,7 +57,9 @@ from corings.linalg import (
     block_matrix,
     combine,
     coords_in_rowspace,
+    hstack,
     inverse,
+    is_invertible,
     kernel,
     kron_after,
     rank,
@@ -63,7 +71,6 @@ from corings.linalg import (
     vstack,
 )
 from corings.report import CheckReport
-from corings.scalars import DimensionMismatch
 
 
 class HypothesisFailed(ValueError):
@@ -72,12 +79,12 @@ class HypothesisFailed(ValueError):
 
 # -- degree blocks and coordinates ----------------------------------------------------
 
-def _packed_base_action(r: GradedRing) -> list:
-    """The right action of each base basis element on the packed dual ring,
-    degree by degree."""
+def _packed_base_action(r: GradedRing, side: str) -> list:
+    """The action, on side "left" or "right", of each base basis element on
+    the packed dual ring, degree by degree."""
     packed = r.packed()
     return [block_matrix(r.base.field, packed.dims, packed.dims,
-                         {(a, a): r.comps[a].right[j] for a in r.group.elements()})
+                         {(a, a): getattr(r.comps[a], side)[j] for a in r.group.elements()})
             for j in range(r.base.dim)]
 
 
@@ -104,29 +111,20 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
     A = c.base
     F = A.field
     packed = r.packed()
-    cols = []
-    for a in g.elements():
-        ainv = g.inv(a)
-        for u in range(r.dim(a)):
-            cols.append(r.functionals[a][u].apply(x.vec(ainv)))
-    chi = Mat.from_cols(F, cols)
-    bad = [j for j, right in enumerate(_packed_base_action(r))
+    chi = Mat.from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g.elements()
+                            for f in r.functionals[a]])
+    bad = [j for j, right in enumerate(_packed_base_action(r, "right"))
            if chi @ right != A.right_mats[j] @ chi]
     rep.add("character.right-linear", "the character is right-linear over the base",
             not bad, f"failing basis: {bad}" if bad else "")
-    bad = []
-    for a in g.elements():
-        for u in range(r.dim(a)):
-            fa = packed.inject(a, _unit(F, r.dim(a), u))
-            chifa = chi.apply(fa)
-            for b in g.elements():
-                for v in range(r.dim(b)):
-                    lhs = chi.apply(packed.inject(
-                        b, r.comps[b].left_act(chifa).apply(_unit(F, r.dim(b), v))))
-                    prod = r.multiply(a, _unit(F, r.dim(a), u), b, _unit(F, r.dim(b), v))
-                    rhs = chi.apply(packed.inject(g.mul(a, b), prod))
-                    if lhs != rhs:
-                        bad.append((a, u, b, v))
+    # column f * N + h: chi(chi(f) . h), through the packed left base action,
+    # against chi(f h); packed index f is basis element u of degree a
+    n = packed.algebra.dim
+    left = hstack(_packed_base_action(r, "left"))
+    homogeneous = [(a, u) for a in g.elements() for u in range(r.dim(a))]
+    bad = [homogeneous[t // n] + homogeneous[t % n]
+           for t in differing_columns(kron_after(chi @ left, chi, Mat.identity(F, n)),
+                                      chi @ packed.algebra.mul_mat)]
     rep.add("character.associative", "character of a scaled factor equals character of the product",
             not bad, f"failing: {bad[:5]}" if bad else "")
     e = g.identity
@@ -146,17 +144,6 @@ class RingBimodule:
     right: tuple  # per right_ring basis element
 
 
-def _flat(F, dim: int, mats) -> Mat:
-    """The matrix whose row k holds the entries of mats[k], row-major; its
-    product with a coefficient row is the vectorized linear combination,
-    and vec(X @ A @ Y) = vec(A) @ (X^T (x) Y) turns products into
-    `kron_after`."""
-    for mat in mats:
-        if (mat.rows, mat.cols) != (dim, dim):
-            raise DimensionMismatch(f"{mat.rows}x{mat.cols} action on a module of dimension {dim}")
-    return Mat(F, len(mats), dim * dim, tuple(x for mat in mats for x in mat.data))
-
-
 def _col_rows(F, dim: int, mats, i: int) -> Mat:
     """The matrix whose row k is column i of the dim x dim matrix mats[k]."""
     return Mat(F, len(mats), dim, tuple(x for mat in mats for x in mat.col(i)))
@@ -166,40 +153,18 @@ def _row_block(m: Mat, start: int, count: int) -> Mat:
     return Mat(m.field, count, m.cols, m.data[start * m.cols:(start + count) * m.cols])
 
 
-def _rows_differ(a: Mat, b: Mat) -> list:
-    return [j for j in range(a.rows) if a.row(j) != b.row(j)]
-
-
 def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
     rep = CheckReport()
-    F = m.left_ring.field
-    ident = Mat.identity(F, m.dim)
-
-    def act(mats, vec):
-        return combine(F, m.dim, m.dim, mats, vec)
-
-    def products(ring: Algebra, i: int) -> Mat:
-        """Row j: the coordinates of e_i e_j."""
-        return Mat(F, ring.dim, ring.dim, tuple(x for j in range(ring.dim) for x in ring.mul[i][j]))
-
     rep.add("bimodule.left-unital", "left unit acts as the identity",
-            act(m.left, m.left_ring.unit) == ident)
+            acts_unitally(m.left_ring, m.dim, m.left))
     rep.add("bimodule.right-unital", "right unit acts as the identity",
-            act(m.right, m.right_ring.unit) == ident)
-    # row j of each side: vec of act(e_i e_j) against vec(L_i L_j), vec(R_j R_i)
-    left, right = _flat(F, m.dim, m.left), _flat(F, m.dim, m.right)
-    bad = [("left", i, j) for i in range(m.left_ring.dim)
-           for j in _rows_differ(products(m.left_ring, i) @ left,
-                                 kron_after(left, m.left[i].transpose(), ident))]
-    bad += [("right", i, j) for i in range(m.right_ring.dim)
-            for j in _rows_differ(products(m.right_ring, i) @ right,
-                                  kron_after(right, ident, m.right[i]))]
+            acts_unitally(m.right_ring, m.dim, m.right))
+    bad = [(side, i, j) for side, ring, mats in (("left", m.left_ring, m.left),
+                                                 ("right", m.right_ring, m.right))
+           for i, j in action_failures(ring, m.dim, mats, side)]
     rep.add("bimodule.actions", "actions respect ring multiplication",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    # row j: vec(L_i R_j) against vec(R_j L_i)
-    bad = [(i, j) for i in range(m.left_ring.dim)
-           for j in _rows_differ(kron_after(right, m.left[i].transpose(), ident),
-                                 kron_after(right, ident, m.left[i]))]
+    bad = commuting_failures(m.left_ring.field, m.dim, m.left, m.right)
     rep.add("bimodule.commuting", "left and right actions commute",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -252,7 +217,7 @@ def validate_morita_context(ctx: MoritaContext) -> CheckReport:
     # row j of left_t read at the entries of column k, and p_i . mu(q_j (x) p_k)
     # is row j*pd + k of right_m; through Q likewise, one j at a time.
     tau_t, mu_t = ctx.tau.transpose(), ctx.mu.transpose()
-    flat_p = _flat(F, pd, ctx.p.left)
+    flat_p = flat_actions(F, pd, ctx.p.left)
     bad = []
     for i in range(pd):
         left_t = _row_block(tau_t, i * qd, qd) @ flat_p
@@ -261,7 +226,7 @@ def validate_morita_context(ctx: MoritaContext) -> CheckReport:
                 if left_t.data[j * pd * pd + k:(j + 1) * pd * pd:pd] != right_m.row(j * pd + k)]
     rep.add("morita.assoc-p", "connecting maps associate through the first module",
             not bad, f"failing: {bad[:3]}" if bad else "")
-    flat_q = _flat(F, qd, ctx.q.left)
+    flat_q = flat_actions(F, qd, ctx.q.left)
     bad = []
     for j in range(qd):
         left_m = _row_block(mu_t, j * pd, pd) @ flat_q
@@ -417,9 +382,9 @@ def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> Coef
                                            "shift action"))
                   for s in g.elements())
     # twisted group ring: (u_a b)(u_b c) = u_{ab} b^{shift} c
-    s_mul = Mat._from_cols(F, [s_alg.mul[i][j] for i in range(w) for j in range(w)])
     twisted = GradedAlgebra.from_products(
-        F, g, [w] * n, lambda a, b: kron_after(s_mul, sigma[b], Mat.identity(F, w)), unit_coords)
+        F, g, [w] * n, lambda a, b: kron_after(s_alg.mul_mat, sigma[b], Mat.identity(F, w)),
+        unit_coords)
     diag = Mat._from_cols(F, coords([t.basis.row(i) * n for i in range(t.basis.rows)],
                                     "diagonal coinvariant family escapes the coefficient ring"))
     return CoefficientRing(basis, s_alg, sigma, twisted, diag)
@@ -429,12 +394,8 @@ def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
     """Fixed points of the shift action are exactly the diagonal families
     coming from the coinvariants."""
     rep = CheckReport()
-    F = s.algebra.field
-    w = s.algebra.dim
-    rows = []
-    for sig in s.sigma:
-        rows.append(sig - Mat.identity(F, w))
-    fixed = kernel(vstack(rows)) if rows else Mat.identity(F, w)
+    ident = Mat.identity(s.algebra.field, s.algebra.dim)
+    fixed = kernel(vstack([sig - ident for sig in s.sigma]))
     rep.add("fixed.match", "shift fixed points equal the diagonal coinvariants",
             row_space(fixed) == row_space(s.diag.transpose()),
             f"fixed dim {fixed.rows}, diagonal dim {s.diag.cols}")
@@ -483,7 +444,7 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     # Q = connecting space as (R, T)-bimodule
     q_left, ok_left = _span_action(w, packed.algebra.left_mats)
     rep.add("build.left-ideal", "the connecting space is a left ideal", ok_left)
-    base_action = _packed_base_action(r)
+    base_action = _packed_base_action(r, "right")
     q_right, ok_right = _span_action(w, [
         combine(F, packed.algebra.dim, packed.algebra.dim, base_action, t.inclusion.col(i))
         for i in range(t.algebra.dim)])
@@ -798,16 +759,9 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
     rep.add("end-iso.lands", "endomorphism families are coefficient families", ok)
     xi = Mat._from_cols(F, [gs.inject(sigma, cc) for sigma, cc in zip(degrees, coords)])
     rep.add("end-iso.bijective", "the comparison is bijective",
-            xi.rows == xi.cols and rank(xi) == xi.rows,
-            f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
+            is_invertible(xi), f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
     end_alg = end.graded.algebra
-    bad = []
-    for i in range(end_alg.dim):
-        for j in range(end_alg.dim):
-            lhs = xi.apply(end_alg.multiply(_unit(F, end_alg.dim, i), _unit(F, end_alg.dim, j)))
-            rhs = gs.algebra.multiply(xi.col(i), xi.col(j))
-            if lhs != rhs:
-                bad.append((i, j))
+    bad = algebra_map_failures(xi, end_alg.mul_mat, gs.algebra.mul_mat)
     rep.add("end-iso.multiplicative", "the comparison preserves multiplication",
             not bad, f"failing pairs: {bad[:5]}" if bad else "")
     rep.add("end-iso.unit", "the comparison preserves the unit",
@@ -830,8 +784,7 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckRep
     psi = Mat._from_cols(F, [tensor_vec(F, _unit(F, g.order, sigma), cc)
                              for sigma, cc in zip(degrees, coords)])
     rep.add("hom-iso.bijective", "the comparison is bijective",
-            psi.rows == psi.cols and rank(psi) == psi.rows,
-            f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
+            is_invertible(psi), f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
     return psi, rep
 
 
@@ -955,12 +908,9 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     theta = Mat._from_cols(F, [s.twisted.inject(sigma, s.diag.col(i))
                                for sigma in g.elements() for i in range(t.algebra.dim)])
     rep.add("ring-match.theta-bijective", "diagonal comparison is bijective",
-            theta.rows == theta.cols and rank(theta) == theta.rows,
-            f"{theta.cols} -> {theta.rows}")
+            is_invertible(theta), f"{theta.cols} -> {theta.rows}")
     tg = ring_ctx_e.ring1.algebra
-    bad = [(i, j) for i in range(tg.dim) for j in range(tg.dim)
-           if theta.apply(tg.multiply(_unit(F, tg.dim, i), _unit(F, tg.dim, j)))
-           != s.twisted.algebra.multiply(theta.col(i), theta.col(j))]
+    bad = algebra_map_failures(theta, tg.mul_mat, s.twisted.algebra.mul_mat)
     rep.add("ring-match.theta-multiplicative", "diagonal comparison preserves products",
             not bad and theta.apply(tg.unit) == s.twisted.algebra.unit,
             f"failing pairs: {bad[:5]}" if bad else "")
@@ -969,9 +919,7 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     phi47 = Mat._from_cols(F, [packed.inject(rho, sigmas[rho].col(u))
                                for rho in g.elements() for u in range(r_e.dim(0))])
     reg = ring_ctx_e.ring2.algebra
-    bad = [(i, j) for i in range(reg.dim) for j in range(reg.dim)
-           if phi47.apply(reg.multiply(_unit(F, reg.dim, i), _unit(F, reg.dim, j)))
-           != packed.algebra.multiply(phi47.col(i), phi47.col(j))]
+    bad = algebra_map_failures(phi47, reg.mul_mat, packed.algebra.mul_mat)
     rep.add("ring-match.shift-multiplicative",
             "shift comparison of the dual rings preserves products",
             not bad and phi47.apply(reg.unit) == packed.algebra.unit,
@@ -995,8 +943,8 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             "shifted slice families are connecting families", ok)
     rep.add("ring-match.connecting-bijective",
             "the shifted comparison of connecting spaces is bijective",
-            jg.rows == jg.cols and rank(jg) == jg.rows, f"{jg.cols} -> {jg.rows}")
-    if jg.rows != jg.cols or rank(jg) != jg.rows:
+            is_invertible(jg), f"{jg.cols} -> {jg.rows}")
+    if not is_invertible(jg):
         return rep
     jg_inv = inverse(jg)
     bad = [("left", k) for k in range(reg.dim)
@@ -1048,7 +996,7 @@ def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
     preds_b = predicates_of_extension(b)
     can = canonical_morphism(x, b)
     can_iso = validate_coring_morphism(can.morphism).ok and all(
-        m.rows == m.cols and rank(m) == m.rows for m in can.morphism.maps)
+        is_invertible(m) for m in can.morphism.maps)
     s1 = can_iso and preds_b.faithfully_flat
     rep.add("battery.statement-1",
             "canonical comparison iso + faithfully flat extension", True,
@@ -1061,7 +1009,7 @@ def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
             f"value={s2} (dual_iso={dual_ok}, progenerator={preds_b.progenerator})")
     b_is_t = onto_coinvariants(b, d.coinvariants)
     s = d.graded_morita[1]
-    diag_bij = (s.diag.rows == s.diag.cols and rank(s.diag) == s.diag.cols)
+    diag_bij = is_invertible(s.diag)
     strict_verdict, strict_rep = d.graded_strict
     s3 = b_is_t and diag_bij and strict_verdict
     rep.add("battery.statement-3",

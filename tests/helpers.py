@@ -29,6 +29,13 @@
   are the library's old elimination-backed operations written on it, the
   references for `rref_pivots`, `kernel`, `solve`, `inverse` and
   `quotient_by`.
+* `reference_validate_algebra`, `reference_validate_bimodule`,
+  `reference_validate_ring_morphism`, `reference_multiplicative_failures`
+  and `reference_grouplike_character` are the references for the algebra
+  laws the library states as matrix identities over `Algebra.mul_mat`
+  (`validate_algebra`, `validate_bimodule`, `validate_ring_morphism`,
+  `algebra_map_failures` and `grouplike_character`): they multiply basis
+  vectors one pair or triple at a time with `Algebra.multiply`.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * `triangular_family` is a grouplike family over a group with elements
@@ -47,6 +54,7 @@ from functools import lru_cache
 
 from corings.algebra import (
     Algebra,
+    Bimodule,
     BimoduleMap,
     DualBasis,
     MissingDualBasis,
@@ -62,19 +70,19 @@ from corings.algebra import (
 from corings.comodules import Comodule, GComodule
 from corings.coring import GroupCoring, GroupCoringMorphism, trivial_coring
 from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
-from corings.galois import GrouplikeFamily
+from corings.galois import GrouplikeFamily, RingMorphism
 from corings.groups import FiniteGroup
 from corings.hopf import (
     HopfAlgebra,
     HopfGCoalgebra,
     cofree_hopf,
     group_hopf_algebra,
-    mult_matrix,
     tensor_algebra,
 )
 from corings.linalg import (
     Mat,
     QuotientSpace,
+    block_matrix,
     combine,
     kernel,
     kron_after,
@@ -338,7 +346,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     rep.add("hopf.counit-multiplicative", "counit is an algebra map",
             not bad and h.counit.apply(a.unit) == (F.one,),
             f"failing pairs: {bad[:5]}" if bad else "")
-    mm = mult_matrix(a)
+    mm = a.mul_mat
     anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
     anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
     unit_eps = Mat.from_cols(F, [tuple(F.mul(h.counit.at(0, i), u) for u in a.unit)
@@ -426,7 +434,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
     # pairing data: delta of H_{(pq)^{-1}} into H_{q^{-1}} (x) H_{p^{-1}}
     dd = h.delta[(qinv, pinv)]
     # comultiplication of the dual component K_q = H_{q^{-1}}^*: transpose of mult
-    mm_q = mult_matrix(hq)
+    mm_q = hq.mul_mat
     cols = []
     for hu in range(hp.dim):
         for ai in range(a.dim):
@@ -681,3 +689,114 @@ def reference_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> list
             if tq3.project(lhs) != tq3.project(rhs):
                 bad.append((b, cdeg))
     return bad
+
+
+# -- references for the algebra laws ------------------------------------------------
+
+def reference_validate_algebra(a: Algebra) -> CheckReport:
+    """`algebra.validate_algebra` as loops over basis triples and elements."""
+    rep = CheckReport()
+    bad = []
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                lhs = a.multiply(a.multiply(a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))
+                rhs = a.multiply(a.basis_vec(i), a.multiply(a.basis_vec(j), a.basis_vec(k)))
+                if lhs != rhs:
+                    bad.append((i, j, k))
+    rep.add("algebra.associativity", "associativity on basis triples",
+            not bad, f"failing triples: {bad}" if bad else "")
+    bad = []
+    for i in range(a.dim):
+        e = a.basis_vec(i)
+        if a.multiply(a.unit, e) != e or a.multiply(e, a.unit) != e:
+            bad.append(i)
+    rep.add("algebra.unit", "two-sided unit on basis elements",
+            not bad, f"failing indices: {bad}" if bad else "")
+    return rep
+
+
+def reference_validate_bimodule(m: Bimodule) -> CheckReport:
+    """`algebra.validate_bimodule` as one comparison per pair of basis
+    elements."""
+    rep = CheckReport()
+    A = m.base
+    ident = Mat.identity(A.field, m.dim)
+    pairs = [(i, j) for i in range(A.dim) for j in range(A.dim)]
+    if m.left is not None:
+        rep.add("bimodule.left.unital", "left action of the unit is the identity",
+                m.left_act(A.unit) == ident)
+        bad = [(i, j) for i, j in pairs
+               if m.left_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
+               != m.left[i] @ m.left[j]]
+        rep.add("bimodule.left.associative", "left action respects multiplication",
+                not bad, f"failing pairs: {bad}" if bad else "")
+    if m.right is not None:
+        rep.add("bimodule.right.unital", "right action of the unit is the identity",
+                m.right_act(A.unit) == ident)
+        bad = [(i, j) for i, j in pairs
+               if m.right_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
+               != m.right[j] @ m.right[i]]
+        rep.add("bimodule.right.associative", "right action respects multiplication",
+                not bad, f"failing pairs: {bad}" if bad else "")
+    if m.left is not None and m.right is not None:
+        bad = [(i, j) for i, j in pairs if m.left[i] @ m.right[j] != m.right[j] @ m.left[i]]
+        rep.add("bimodule.commuting", "left and right actions commute",
+                not bad, f"failing pairs: {bad}" if bad else "")
+    return rep
+
+
+def reference_multiplicative_failures(f: Mat, src: Algebra, dst: Algebra) -> list:
+    """The pairs (i, j) with f(e_i e_j) != f(e_i) f(e_j), one pair at a time:
+    the loop of `galois.validate_ring_morphism`, `morita.end_to_twisted_iso`
+    and the theta and phi47 checks of `morita.check_group_ring_context_match`."""
+    return [(i, j) for i in range(src.dim) for j in range(src.dim)
+            if f.apply(src.multiply(src.basis_vec(i), src.basis_vec(j)))
+            != dst.multiply(f.col(i), f.col(j))]
+
+
+def reference_validate_ring_morphism(b: RingMorphism) -> CheckReport:
+    rep = CheckReport()
+    rep.add("ring-morphism.unit", "preserves the unit",
+            b.mat.apply(b.src.unit) == b.dst.unit)
+    bad = reference_multiplicative_failures(b.mat, b.src, b.dst)
+    rep.add("ring-morphism.multiplicative", "preserves products",
+            not bad, f"failing pairs: {bad}" if bad else "")
+    return rep
+
+
+def reference_grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckReport]:
+    """`morita.grouplike_character` with the associativity law checked one
+    pair of homogeneous basis elements at a time."""
+    rep = CheckReport()
+    g = x.coring.group
+    A = x.coring.base
+    F = A.field
+    packed = r.packed()
+    chi = Mat.from_cols(F, [r.functionals[a][u].apply(x.vec(g.inv(a)))
+                            for a in g.elements() for u in range(r.dim(a))])
+    bad = [j for j in range(A.dim)
+           if chi @ block_matrix(F, packed.dims, packed.dims,
+                                 {(a, a): r.comps[a].right[j] for a in g.elements()})
+           != A.right_mats[j] @ chi]
+    rep.add("character.right-linear", "the character is right-linear over the base",
+            not bad, f"failing basis: {bad}" if bad else "")
+    bad = []
+    for a in g.elements():
+        for u in range(r.dim(a)):
+            fa = packed.inject(a, unit_vec(F, r.dim(a), u))
+            chifa = chi.apply(fa)
+            for b in g.elements():
+                for v in range(r.dim(b)):
+                    lhs = chi.apply(packed.inject(
+                        b, r.comps[b].left_act(chifa).apply(unit_vec(F, r.dim(b), v))))
+                    prod = r.mul[(a, b)].apply(
+                        tensor_vec(F, unit_vec(F, r.dim(a), u), unit_vec(F, r.dim(b), v)))
+                    rhs = chi.apply(packed.inject(g.mul(a, b), prod))
+                    if lhs != rhs:
+                        bad.append((a, u, b, v))
+    rep.add("character.associative", "character of a scaled factor equals character of the product",
+            not bad, f"failing: {bad[:5]}" if bad else "")
+    rep.add("character.unit", "character of the unit is one",
+            chi.apply(packed.inject(g.identity, r.unit_vec)) == A.unit)
+    return chi, rep

@@ -1,0 +1,207 @@
+"""The algebra laws stated as matrix identities over `Algebra.mul_mat`,
+compared with the loops over basis elements that they replaced
+(`tests/helpers.py`), on the four fixtures, on regular k[C_3] over QQ and on
+the triangular family over GF(7), and on seeded mutations of each where the
+checks fail."""
+
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from corings import morita
+from corings.algebra import (
+    Algebra,
+    Bimodule,
+    algebra_map_failures,
+    product_field_algebra,
+    validate_algebra,
+    validate_bimodule,
+)
+from corings.dualring import dual_ring
+from corings.fixtures import fixture_file_text
+from corings.galois import (
+    GrouplikeFamily,
+    RingMorphism,
+    coinvariant_ring,
+    inclusion_morphism,
+    validate_ring_morphism,
+)
+from corings.groups import FiniteGroup
+from corings.hopf import group_hopf_algebra
+from corings.linalg import Mat, unit_vec
+from corings.morita import check_standard_context_match, grouplike_character
+from corings.scalars import GF, QQ
+from corings.structfile import Derived, main_structure, parse
+from corings.suites import run_suite
+from helpers import (
+    reference_grouplike_character,
+    reference_multiplicative_failures,
+    reference_validate_algebra,
+    reference_validate_bimodule,
+    reference_validate_ring_morphism,
+    triangular_family,
+)
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
+NAMES = ("trivial", "regular", "nongalois", "sweedler", "c3", "triangular")
+
+
+def _text(name: str) -> str:
+    return C3.read_text() if name == "c3" else fixture_file_text(name)
+
+
+@lru_cache(maxsize=None)
+def structure(name: str) -> tuple:
+    """(coring, grouplike family, base ring morphism) of a named input."""
+    if name == "triangular":
+        x = triangular_family()
+        return x.coring, x, inclusion_morphism(coinvariant_ring(x), x.coring.base)
+    ms = main_structure(parse(_text(name)))
+    return ms.coring, ms.grouplike, ms.base
+
+
+def triangular_algebra(field) -> Algebra:
+    """Upper triangular 2x2 matrices, basis e11, e12, e22."""
+    return Algebra.from_tables(field, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+                                       [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                                       [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [1, 0, 1])
+
+
+def algebra_of(mul: Mat) -> Algebra:
+    """The algebra with multiplication matrix mul (its unit is not read)."""
+    n = mul.rows
+    return Algebra(mul.field, n, tuple(tuple(mul.col(i * n + j) for j in range(n))
+                                       for i in range(n)), (mul.field.zero,) * n)
+
+
+def bumped(m: Mat, rng) -> Mat:
+    k = rng.randrange(len(m.data))
+    return Mat(m.field, m.rows, m.cols,
+               m.data[:k] + (m.field.reduce(m.data[k] + 1),) + m.data[k + 1:])
+
+
+def bumped_algebra(a: Algebra, rng) -> Algebra:
+    """a with one structure constant raised by one."""
+    i, j, k = (rng.randrange(a.dim) for _ in range(3))
+    row = list(a.mul[i])
+    row[j] = row[j][:k] + (a.field.reduce(row[j][k] + 1),) + row[j][k + 1:]
+    return Algebra(a.field, a.dim, a.mul[:i] + (tuple(row),) + a.mul[i + 1:], a.unit)
+
+
+# -- the multiplication matrix ----------------------------------------------------------
+
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=repr)
+def test_mul_mat_and_multiplication_maps_are_their_multiply_definitions(field):
+    rng = random.Random(14)
+    for a in (group_hopf_algebra(field, FiniteGroup.cyclic(3)).algebra,
+              triangular_algebra(field), product_field_algebra(field, 2)):
+        basis = [unit_vec(field, a.dim, i) for i in range(a.dim)]
+        assert a.mul_mat == Mat.from_cols(field, [a.multiply(x, y) for x in basis for y in basis])
+        for _ in range(3):
+            v = tuple(field.random(rng) for _ in range(a.dim))
+            assert a.left_mult(v) == Mat.from_cols(field, [a.multiply(v, y) for y in basis])
+            assert a.right_mult(v) == Mat.from_cols(field, [a.multiply(y, v) for y in basis])
+        assert a.left_mats == tuple(a.left_mult(x) for x in basis)
+        assert a.right_mats == tuple(a.right_mult(x) for x in basis)
+
+
+# -- the laws against their loop references ------------------------------------------------
+
+def algebras(name: str) -> list:
+    coring, x, b = structure(name)
+    return [coring.base, b.src, b.dst, dual_ring(coring).packed().algebra]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_algebra_laws_match_the_loop_references(name):
+    coring, x, b = structure(name)
+    for a in algebras(name):
+        assert validate_algebra(a).items == reference_validate_algebra(a).items
+    for comp in coring.comps:
+        assert validate_bimodule(comp).items == reference_validate_bimodule(comp).items
+    assert validate_ring_morphism(b).items == reference_validate_ring_morphism(b).items
+    r = dual_ring(coring)
+    chi, rep = grouplike_character(x, r)
+    ref_chi, ref_rep = reference_grouplike_character(x, r)
+    assert chi == ref_chi and rep.items == ref_rep.items and rep.ok
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_algebra_laws_report_the_failures_of_the_loop_references(name):
+    rng = random.Random(14)
+    coring, x, b = structure(name)
+    r = dual_ring(coring)
+    failed = set()
+
+    def compare(kind, got, ref):
+        assert got.items == ref.items
+        if not got.ok:
+            failed.add(kind)
+
+    for a in algebras(name):
+        for _ in range(3):
+            broken = bumped_algebra(a, rng)
+            compare("algebra", validate_algebra(broken), reference_validate_algebra(broken))
+    for comp in coring.comps:
+        for _ in range(3):
+            m = Bimodule(bumped_algebra(comp.base, rng), comp.dim, comp.left, comp.right)
+            compare("bimodule", validate_bimodule(m), reference_validate_bimodule(m))
+    for _ in range(3):
+        for m in (RingMorphism(b.src, b.dst, bumped(b.mat, rng)),
+                  RingMorphism(bumped_algebra(b.src, rng), b.dst, b.mat),
+                  RingMorphism(b.src, bumped_algebra(b.dst, rng), b.mat)):
+            compare("morphism", validate_ring_morphism(m), reference_validate_ring_morphism(m))
+    for _ in range(3):
+        a = rng.randrange(coring.group.order)
+        vectors = list(x.vectors)
+        vectors[a] = bumped(Mat.col_vector(r.base.field, vectors[a]), rng).data
+        broken = GrouplikeFamily(coring, tuple(vectors))
+        chi, rep = grouplike_character(broken, r)
+        ref_chi, ref_rep = reference_grouplike_character(broken, r)
+        assert chi == ref_chi
+        compare("character", rep, ref_rep)
+    assert failed == {"algebra", "bimodule", "morphism", "character"}
+
+
+# -- the comparison maps of the graded Morita checks ----------------------------------------
+
+@lru_cache(maxsize=None)
+def comparison_maps(name: str) -> tuple:
+    """The (f, source multiplication, target multiplication) of every
+    `algebra_map_failures` call of `morita` in a `--suite graded-morita`
+    run, or in the standard context comparison of the triangular family."""
+    calls = []
+
+    def recording(f, src_mul, dst_mul):
+        calls.append((f, src_mul, dst_mul))
+        return algebra_map_failures(f, src_mul, dst_mul)
+
+    real = morita.algebra_map_failures
+    morita.algebra_map_failures = recording
+    try:
+        if name == "triangular":
+            x = triangular_family()
+            check_standard_context_match(Derived(x.coring, x))
+        else:
+            run_suite(main_structure(parse(_text(name))), "graded-morita", seed=0)
+    finally:
+        morita.algebra_map_failures = real
+    return tuple(calls)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_comparison_maps_report_the_pairs_of_the_loop_reference(name):
+    rng = random.Random(14)
+    calls = comparison_maps(name)
+    # end_to_twisted_iso, and theta and phi47 where there is a cofree witness
+    assert len(calls) == (1 if name in ("triangular", "nongalois") else 3)
+    failing = 0
+    for f, src_mul, dst_mul in calls:
+        src, dst = algebra_of(src_mul), algebra_of(dst_mul)
+        for g in (f, bumped(f, rng), bumped(f, rng)):
+            got = algebra_map_failures(g, src_mul, dst_mul)
+            assert got == reference_multiplicative_failures(g, src, dst)
+            failing += bool(got)
+    assert failing

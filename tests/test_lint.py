@@ -30,6 +30,13 @@
   `Field` operations, or a `[F.zero] * n` list to accumulate into) stays in
   `linalg.py` and `scalars.py`; the other modules combine vectors and
   matrices through the `linalg` operations.
+* No `.multiply(...)` call takes a basis vector (`basis_vec(...)`,
+  `unit_vec(...)` or `_unit(...)`) as an argument: the products of basis
+  elements are the columns of `Algebra.mul_mat`, and the algebra laws are
+  identities of matrices over it.
+* The invertibility test `m.rows == m.cols and rank(m) == m.rows`, or its
+  negation, is written only in `linalg.py`; the other modules call
+  `linalg.is_invertible`.
 """
 
 import ast
@@ -301,6 +308,38 @@ def hand_field_arithmetic(path: Path) -> list:
 
 ARITHMETIC_HOMES = ("linalg.py", "scalars.py")
 
+BASIS_VECTORS = {"basis_vec", "unit_vec", "_unit"}
+
+
+def _called_name(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def basis_vector_products(path: Path) -> list:
+    """Line of each `.multiply(...)` call with a basis vector argument."""
+    return sorted({node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "multiply"
+                   and any(_called_name(arg) in BASIS_VECTORS for arg in node.args)})
+
+
+def _names_attr(node, attr: str) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+
+
+def hand_invertibility_tests(path: Path) -> list:
+    """Line of each `and`/`or` that compares a `rows` with a `cols` and
+    also compares a `rank(...)`."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.BoolOp):
+            compares = [v for v in node.values if isinstance(v, ast.Compare)]
+            if (any(_names_attr(c, "rows") and _names_attr(c, "cols") for c in compares)
+                    and any(_called_name(n) == "rank" for c in compares for n in ast.walk(c))):
+                out.add(node.lineno)
+    return sorted(out)
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -325,6 +364,17 @@ def test_every_parameter_is_read():
                          ids=lambda p: p.name)
 def test_no_hand_rolled_field_arithmetic(path):
     assert hand_field_arithmetic(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_product_of_basis_vectors(path):
+    assert basis_vector_products(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_hand_written_invertibility_test(path):
+    assert hand_invertibility_tests(path) == []
 
 
 def test_every_function_is_referenced():
@@ -494,3 +544,23 @@ def test_the_field_arithmetic_check_catches_what_it_looks_for(tmp_path):
         "t = [0] * n\n"
         "u = (F.zero,) * n\n")
     assert hand_field_arithmetic(src) == [1, 2, 3, 4, 5]
+
+
+def test_the_algebra_law_checks_catch_what_they_look_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "lhs = a.multiply(a.multiply(a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))\n"
+        "cols = [self.multiply(a, unit_vec(self.field, self.dim, j)) for j in range(n)]\n"
+        "x = tg.multiply(_unit(F, tg.dim, i), _unit(F, tg.dim, j))\n"
+        "y = A.multiply(block(u, a), block(v, a))\n"
+        "z = multiply(basis_vec(i), e)\n"
+        "iso = m.rows == m.cols and rank(m) == m.rows\n"
+        "bij = ok and mat.rows == mat.cols and rank(mat) == mat.rows\n"
+        "bad = [a for a in g if s[a].rows != s[a].cols or rank(s[a]) != s[a].rows]\n"
+        "diag = (d.rows == d.cols\n"
+        "        and rank(d) == d.cols)\n"
+        "square = m.rows == m.cols\n"
+        "full = rank(m) == m.rows\n"
+        "ok = is_invertible(m) and q.dim == n and rank(t) == n\n")
+    assert basis_vector_products(src) == [1, 2, 3]
+    assert hand_invertibility_tests(src) == [6, 7, 8, 9]
