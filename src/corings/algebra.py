@@ -544,9 +544,12 @@ class DualBasis:
 def find_dual_basis(m: Bimodule) -> DualBasis | None:
     """Dual basis of m as a left module, or None when m is not finitely
     generated projective.  Decided by solving sum_i f_i(-) . m_i = id."""
-    A = m.base
-    F = A.field
-    dual, functionals = left_dual(m)
+    return _dual_basis(m, left_dual(m)[1])
+
+
+def _dual_basis(m: Bimodule, functionals: tuple) -> DualBasis | None:
+    """`find_dual_basis` over the basis functionals of the left dual."""
+    F = m.base.field
     nd = len(functionals)
     if m.dim == 0 or nd == 0:
         return DualBasis(m, ()) if m.dim == 0 else None
@@ -583,9 +586,8 @@ def left_module_predicates(m: Bimodule) -> ModulePredicates:
     """
     A = m.base
     F = A.field
-    db = find_dual_basis(m)
-    projective = db is not None
     _, functionals = left_dual(m)
+    projective = _dual_basis(m, functionals) is not None
     trace_rows = []
     for f in functionals:
         for j in range(m.dim):

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from corings.fixtures import FIXTURE_BUILDERS, fixture_file_text
+from corings.fixtures import FIXTURES, fixture_file_text
 from corings.report import CheckReport
 from corings.structfile import StructureError, main_structure, parse
 from corings.suites import SUITES, UnknownSuite, run_suite
@@ -62,7 +62,7 @@ def cmd_check(args) -> int:
 
 def cmd_fixtures(args) -> int:
     if args.action == "list":
-        for name in sorted(FIXTURE_BUILDERS):
+        for name in sorted(FIXTURES):
             print(name)
         return 0
     name = args.name

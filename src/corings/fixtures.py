@@ -8,105 +8,29 @@ Galois-false and cofree-but-nontrivial code paths.
              (the canonical comparison drops dimension).
 * sweedler:  the cofree coring on the two-sided tensor square of the split
              quadratic extension of the rationals (Galois, base nontrivial).
+
+`fixture_file_text` writes each fixture's structure file, and `fixture` is
+the structure parsed from it: the file is the only definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from corings.algebra import Algebra, field_algebra, product_field_algebra
-from corings.coring import CofreeWitness, GroupCoring
-from corings.galois import GrouplikeFamily, RingMorphism, sweedler_coring
 from corings.groups import FiniteGroup
-from corings.hopf import (
-    ComoduleAlgebra,
-    HopfAlgebra,
-    cofree_hopf,
-    coring_from_comodule_algebra,
-    group_hopf_algebra,
-    regular_comodule_algebra,
-    trivial_comodule_algebra,
-    trivial_hopf,
-)
+from corings.hopf import HopfAlgebra, group_hopf_algebra
 from corings.linalg import Mat
 from corings.scalars import QQ
+from corings.structfile import MainStructure, main_structure, parse
 
-
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    description: str
-    coring: GroupCoring
-    grouplike: GrouplikeFamily
-    base: RingMorphism
-    comodule_algebra: ComoduleAlgebra | None = None
-    witness: CofreeWitness | None = None
-
-
-def _unit_column(a: Algebra) -> Mat:
-    return Mat.from_cols(a.field, [a.unit])
+FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 
 
 @lru_cache(maxsize=None)
-def fixture_trivial() -> Fixture:
-    g = FiniteGroup.cyclic(2)
-    a = field_algebra(QQ)
-    ca = trivial_comodule_algebra(a, trivial_hopf(QQ, g))
-    coring, x = coring_from_comodule_algebra(ca)
-    b = RingMorphism(field_algebra(QQ), a, _unit_column(a))
-    return Fixture("trivial", "rank-one components over the rationals",
-                   coring, x, b, comodule_algebra=ca)
-
-
-@lru_cache(maxsize=None)
-def fixture_regular() -> Fixture:
-    g = FiniteGroup.cyclic(2)
-    ha = group_hopf_algebra(QQ, g)
-    h = cofree_hopf(ha, g)
-    ca = regular_comodule_algebra(h, ha)
-    coring, x = coring_from_comodule_algebra(ca)
-    b = RingMorphism(field_algebra(QQ), ha.algebra, _unit_column(ha.algebra))
-    return Fixture("regular", "order-two group algebra coacting on itself",
-                   coring, x, b, comodule_algebra=ca)
-
-
-@lru_cache(maxsize=None)
-def fixture_nongalois() -> Fixture:
-    g = FiniteGroup.cyclic(2)
-    ha = group_hopf_algebra(QQ, g)
-    h = cofree_hopf(ha, g)
-    a = field_algebra(QQ)
-    ca = trivial_comodule_algebra(a, h)
-    coring, x = coring_from_comodule_algebra(ca)
-    b = RingMorphism(field_algebra(QQ), a, _unit_column(a))
-    return Fixture("nongalois", "trivial coaction with two-dimensional components",
-                   coring, x, b, comodule_algebra=ca)
-
-
-@lru_cache(maxsize=None)
-def fixture_sweedler() -> Fixture:
-    g = FiniteGroup.cyclic(2)
-    a = product_field_algebra(QQ, 2)
-    b = RingMorphism(field_algebra(QQ), a, _unit_column(a))
-    coring, wit, _, x = sweedler_coring(b, g)
-    return Fixture("sweedler", "cofree coring on the split quadratic tensor square",
-                   coring, x, b, witness=wit)
-
-
-FIXTURE_BUILDERS = {
-    "trivial": fixture_trivial,
-    "regular": fixture_regular,
-    "nongalois": fixture_nongalois,
-    "sweedler": fixture_sweedler,
-}
-
-
-def fixture(name: str) -> Fixture:
-    try:
-        return FIXTURE_BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURE_BUILDERS)}") from None
+def fixture(name: str) -> MainStructure:
+    """The main structure of a bundled fixture, parsed from its file."""
+    return main_structure(parse(fixture_file_text(name)))
 
 
 # -- structure-file emission -----------------------------------------------------------
@@ -214,5 +138,5 @@ def fixture_file_text(name: str) -> str:
         lines += ["begin grouplike X", "  coring C", "  canonical", "end", ""]
         lines += ["begin main", "  coring C", "  grouplike X", "  base IB", "end"]
     else:
-        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURE_BUILDERS)}")
+        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
     return "\n".join(lines) + "\n"

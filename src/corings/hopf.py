@@ -111,11 +111,6 @@ def cofree_hopf(h: HopfAlgebra, group: FiniteGroup) -> HopfGCoalgebra:
     return HopfGCoalgebra(group, h.algebra.field, comps, delta, h.counit, antipode)
 
 
-def trivial_hopf(field: Field, group: FiniteGroup) -> HopfGCoalgebra:
-    one = Mat.identity(field, 1)
-    return cofree_hopf(HopfAlgebra(field_algebra(field), one, one, one), group)
-
-
 def validate_hopf_g_coalgebra(h: HopfGCoalgebra) -> CheckReport:
     rep = CheckReport()
     g = h.group

@@ -5,14 +5,24 @@ lines, preceded by a mandatory field declaration (``field Q`` or ``field Fp
 <p>``).  Values are nested bracket lists whose scalars are integers or
 ``p/q`` rationals (integers in [0, p) over a prime field); a logical line
 continues onto the next physical line while brackets stay unbalanced.
-Comments start with ``#``.  Parsing is total: any malformed input is
-reported as a positioned error, never an exception escaping `parse`.
+Comments start with ``#``.
+
+Each block is read through a few readers that check what they return:
+`_entry` (exactly one line per key), `_shaped` (a value with the list
+length its key declares at every nesting level and a scalar at every leaf;
+`_matrix` builds a `Mat` from one), `_per_degree` (the ``comp``, ``delta``,
+``rho`` and ``x`` lines: degrees in range, a value after them, one line for
+every degree tuple) and `_lookup` (a name defined by an earlier block).
+Parsing is total: any malformed input is reported as a positioned
+`StructureError`, never another exception escaping `parse`.  A parsed file
+carries its `MainStructure`, and `main_structure` returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, product
 
 from corings.algebra import Algebra, Bimodule
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
@@ -131,15 +141,6 @@ def _parse_value(text: str, line: int, fld: Field):
     return out
 
 
-def _as_matrix(value, line: int, fld: Field) -> Mat:
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise StructureError(line, "expected a matrix (list of rows)")
-    try:
-        return Mat.from_rows(fld, value)
-    except Exception as exc:
-        raise StructureError(line, f"bad matrix: {exc}") from None
-
-
 # -- the parsed structure ------------------------------------------------------------
 
 @dataclass
@@ -156,7 +157,7 @@ class StructureFile:
     witnesses: dict = field(default_factory=dict)          # coring name -> CofreeWitness
     canonical_grouplikes: dict = field(default_factory=dict)  # coring name -> vectors
     grouplikes: dict = field(default_factory=dict)
-    main: dict = field(default_factory=dict)
+    main: MainStructure | None = None
 
 
 def parse(text: str) -> StructureFile:
@@ -213,275 +214,222 @@ def parse(text: str) -> StructureFile:
     return sf
 
 
-def _body_map(body, multi=()):
+def _body_map(body) -> dict:
+    """Key -> the (line, rest) of every body line with that key, in file order."""
     out = {}
     for bln, bline in body:
         parts = bline.split(None, 1)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if key in multi:
-            out.setdefault(key, []).append((bln, rest))
-        else:
-            if key in out:
-                raise StructureError(bln, f"duplicate key {key!r}")
-            out[key] = (bln, rest)
+        out.setdefault(parts[0], []).append((bln, parts[1] if len(parts) > 1 else ""))
     return out
 
 
-def _require(mapping, key, line, kind):
-    if key not in mapping:
+def _entry(m, key, line, kind):
+    """The (line, rest) of the one `key` line of a block."""
+    if key not in m:
         raise StructureError(line, f"{kind} block is missing {key!r}")
-    return mapping[key]
+    if len(m[key]) > 1:
+        raise StructureError(m[key][1][0], f"duplicate key {key!r}")
+    return m[key][0]
 
 
-def _lookup(table, name, line, what):
+def _lookup(table, entry, what):
+    """The object that a (line, name) entry names in table."""
+    line, name = entry
     if name not in table:
         raise StructureError(line, f"unknown {what} {name!r}")
     return table[name]
 
 
+def _dim(entry) -> int:
+    line, rest = entry
+    if not rest.isdecimal():
+        raise StructureError(line, "dim must be a non-negative integer")
+    return int(rest)
+
+
+def _group(entry, fld: Field) -> FiniteGroup:
+    """The group whose multiplication table a (line, text) entry writes."""
+    line, text = entry
+    table = _parse_value(text, line, fld)
+    n = len(table) if isinstance(table, list) else 0
+    if not n or not _fits(table, (n, n)):
+        raise StructureError(line, "group table must be a non-empty square list")
+    if any(type(x) is not int or not 0 <= x < n for row in table for x in row):
+        raise StructureError(line, f"group table entries must be integers in [0, {n})")
+    g = FiniteGroup.from_table(table)
+    if any(g.mul(0, a) != a or g.mul(a, 0) != a for a in range(n)):
+        raise StructureError(line, "group identity must be index 0")
+    return g
+
+
+def _fits(value, shape) -> bool:
+    """Whether value is nested lists with the lengths of shape at each level,
+    outermost first, and a scalar at every leaf."""
+    if not shape:
+        return not isinstance(value, list)
+    return (isinstance(value, list) and len(value) == shape[0]
+            and all(_fits(v, shape[1:]) for v in value))
+
+
+def _shaped(entry, fld: Field, shape, what: str):
+    """The bracket value of a (line, text) entry, checked against shape."""
+    line, text = entry
+    value = _parse_value(text, line, fld)
+    if not _fits(value, shape):
+        raise StructureError(line, f"{what} must have shape {'x'.join(map(str, shape))}")
+    return value
+
+
+def _matrix(entry, fld: Field, rows: int, cols: int, what: str) -> Mat:
+    value = _shaped(entry, fld, (rows, cols), what)
+    return Mat(fld, rows, cols, tuple(chain.from_iterable(value)))
+
+
+def _per_degree(m, key, arity: int, order: int, line: int, kind: str) -> dict:
+    """The `key <degree>... <value>` lines of a block, with arity degrees in
+    [0, order), one for every tuple of degrees: degrees -> (line, value
+    text), in file order."""
+    usage = f"expected '{key}{' <degree>' * arity} <value>'"
+    out = {}
+    for bln, rest in m.get(key, ()):
+        parts = rest.split(None, arity)
+        if len(parts) <= arity or not all(p.isdecimal() for p in parts[:arity]):
+            raise StructureError(bln, usage)
+        degrees = tuple(int(p) for p in parts[:arity])
+        if any(d >= order for d in degrees):
+            raise StructureError(bln, f"{key} degrees must lie in [0, {order})")
+        if degrees in out:
+            raise StructureError(bln, f"duplicate key {key!r} for degrees {degrees}")
+        out[degrees] = (bln, parts[arity])
+    missing = [d for d in product(range(order), repeat=arity) if d not in out]
+    if missing:
+        raise StructureError(line, f"{kind} block is missing {key} "
+                                   + " ".join(map(str, missing[0])))
+    return out
+
+
 def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> None:
     fld = sf.field
+    m = _body_map(body)
+
+    def entry(key):
+        return _entry(m, key, line, kind)
+
     if kind == "group":
-        m = _body_map(body)
-        bln, rest = _require(m, "table", line, "group")
-        table = _parse_value(rest, bln, fld)
-        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-            raise StructureError(bln, "group table must be a square list")
-        try:
-            rows = [[int(x) for x in r] for r in table]
-        except (TypeError, ValueError):
-            raise StructureError(bln, "group table entries must be integers") from None
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise StructureError(bln, "group table must be a square list")
-        if any(not 0 <= x < n for r in rows for x in r):
-            raise StructureError(bln, f"group table entries must lie in [0, {n})")
-        g = FiniteGroup.from_table(rows)
-        if any(g.mul(0, a) != a or g.mul(a, 0) != a for a in range(g.order)):
-            raise StructureError(bln, "group identity must be index 0")
-        sf.groups[name] = g
+        sf.groups[name] = _group(entry("table"), fld)
     elif kind == "algebra":
-        m = _body_map(body)
-        bln_d, rest_d = _require(m, "dim", line, "algebra")
-        try:
-            dim = int(rest_d)
-        except ValueError:
-            raise StructureError(bln_d, "dim must be an integer") from None
-        bln_u, rest_u = _require(m, "unit", line, "algebra")
-        unit = _parse_value(rest_u, bln_u, fld)
-        bln_m, rest_m = _require(m, "mul", line, "algebra")
-        mul = _parse_value(rest_m, bln_m, fld)
-        if len(unit) != dim or len(mul) != dim or any(
-                len(r) != dim or any(len(v) != dim for v in r) for r in mul):
-            raise StructureError(bln_m, f"algebra {name!r} has inconsistent dimensions")
+        dim = _dim(entry("dim"))
+        unit = _shaped(entry("unit"), fld, (dim,), "unit")
+        mul = _shaped(entry("mul"), fld, (dim, dim, dim), "mul")
         sf.algebras[name] = Algebra.from_tables(fld, mul, unit)
     elif kind == "bimodule":
-        m = _body_map(body)
-        bln_b, base_name = _require(m, "base", line, "bimodule")
-        base = _lookup(sf.algebras, base_name, bln_b, "algebra")
-        bln_d, rest_d = _require(m, "dim", line, "bimodule")
-        try:
-            dim = int(rest_d)
-        except ValueError:
-            raise StructureError(bln_d, "dim must be an integer") from None
-
-        def side(key):
-            if key not in m:
-                return None
-            bln, rest = m[key]
-            mats = _parse_value(rest, bln, fld)
-            if len(mats) != base.dim:
-                raise StructureError(bln, f"{key} needs one matrix per base basis element")
-            out = tuple(_as_matrix(mm, bln, fld) for mm in mats)
-            for mm in out:
-                if mm.rows != dim or mm.cols != dim:
-                    raise StructureError(bln, f"{key} matrices must be {dim}x{dim}")
-            return out
-
-        sf.bimodules[name] = Bimodule(base, dim, side("left"), side("right"))
+        base = _lookup(sf.algebras, entry("base"), "algebra")
+        dim = _dim(entry("dim"))
+        sides = {key: tuple(Mat(fld, dim, dim, tuple(chain.from_iterable(act)))
+                            for act in _shaped(entry(key), fld, (base.dim, dim, dim), key))
+                 for key in ("left", "right") if key in m}
+        sf.bimodules[name] = Bimodule(base, dim, sides.get("left"), sides.get("right"))
     elif kind == "hopfalgebra":
-        m = _body_map(body)
-        bln_a, alg_name = _require(m, "algebra", line, "hopfalgebra")
-        alg = _lookup(sf.algebras, alg_name, bln_a, "algebra")
-        bln, rest = _require(m, "delta", line, "hopfalgebra")
-        delta = _as_matrix(_parse_value(rest, bln, fld), bln, fld)
-        bln, rest = _require(m, "counit", line, "hopfalgebra")
-        counit = _as_matrix(_parse_value(rest, bln, fld), bln, fld)
-        bln, rest = _require(m, "antipode", line, "hopfalgebra")
-        antipode = _as_matrix(_parse_value(rest, bln, fld), bln, fld)
-        if delta.rows != alg.dim * alg.dim or delta.cols != alg.dim \
-                or counit.rows != 1 or counit.cols != alg.dim \
-                or antipode.rows != alg.dim or antipode.cols != alg.dim:
-            raise StructureError(line, f"hopfalgebra {name!r} has inconsistent shapes")
-        sf.hopf_algebras[name] = HopfAlgebra(alg, delta, counit, antipode)
+        alg = _lookup(sf.algebras, entry("algebra"), "algebra")
+        d = alg.dim
+        sf.hopf_algebras[name] = HopfAlgebra(alg, _matrix(entry("delta"), fld, d * d, d, "delta"),
+                                             _matrix(entry("counit"), fld, 1, d, "counit"),
+                                             _matrix(entry("antipode"), fld, d, d, "antipode"))
     elif kind == "hopf":
-        m = _body_map(body)
-        bln_g, group_name = _require(m, "group", line, "hopf")
-        g = _lookup(sf.groups, group_name, bln_g, "group")
-        if "cofree" in m:
-            bln_c, base_name = m["cofree"]
-            ha = _lookup(sf.hopf_algebras, base_name, bln_c, "hopfalgebra")
-            sf.hopfs[name] = (cofree_hopf(ha, g), ha)
-        else:
-            raise StructureError(line, f"hopf {name!r} needs a 'cofree <hopfalgebra>' entry")
+        g = _lookup(sf.groups, entry("group"), "group")
+        ha = _lookup(sf.hopf_algebras, entry("cofree"), "hopfalgebra")
+        sf.hopfs[name] = (cofree_hopf(ha, g), ha)
     elif kind == "comodule-algebra":
-        m = _body_map(body, multi=("rho",))
-        bln_a, alg_name = _require(m, "algebra", line, "comodule-algebra")
-        alg = _lookup(sf.algebras, alg_name, bln_a, "algebra")
-        bln_h, hopf_name = _require(m, "hopf", line, "comodule-algebra")
-        hopf, base_ha = _lookup(sf.hopfs, hopf_name, bln_h, "hopf")
+        alg = _lookup(sf.algebras, entry("algebra"), "algebra")
+        hopf, base_ha = _lookup(sf.hopfs, entry("hopf"), "hopf")
         if "regular" in m:
-            if base_ha.algebra is not alg and base_ha.algebra != alg:
-                raise StructureError(m["regular"][0],
+            if base_ha.algebra != alg:
+                raise StructureError(m["regular"][0][0],
                                      "regular coaction needs the underlying Hopf algebra")
             ca = regular_comodule_algebra(hopf, base_ha)
         elif "trivial" in m:
             ca = trivial_comodule_algebra(alg, hopf)
         elif "rho" in m:
-            rho = [None] * hopf.group.order
-            for bln, rest in m["rho"]:
-                parts = rest.split(None, 1)
-                try:
-                    deg = int(parts[0])
-                except (IndexError, ValueError):
-                    raise StructureError(bln, "rho needs a degree then a matrix") from None
-                if not (0 <= deg < hopf.group.order):
-                    raise StructureError(bln, f"degree {deg} out of range")
-                mat = _as_matrix(_parse_value(parts[1], bln, fld), bln, fld)
-                want_rows = alg.dim * hopf.comps[deg].dim
-                if mat.rows != want_rows or mat.cols != alg.dim:
-                    raise StructureError(bln, f"rho {deg} must be {want_rows}x{alg.dim}")
-                rho[deg] = mat
-            if any(r is None for r in rho):
-                raise StructureError(line, f"comodule-algebra {name!r} is missing a coaction degree")
-            ca = ComoduleAlgebra(alg, hopf, rho)
+            rho = _per_degree(m, "rho", 1, hopf.group.order, line, kind)
+            ca = ComoduleAlgebra(alg, hopf, [
+                _matrix(rho[(a,)], fld, alg.dim * hopf.comps[a].dim, alg.dim, f"rho {a}")
+                for a in hopf.group.elements()])
         else:
             raise StructureError(line,
                                  f"comodule-algebra {name!r} needs 'regular', 'trivial' or 'rho' entries")
         sf.comodule_algebras[name] = ca
     elif kind == "morphism":
-        m = _body_map(body)
-        bln_s, src_name = _require(m, "src", line, "morphism")
-        src = _lookup(sf.algebras, src_name, bln_s, "algebra")
-        bln_d, dst_name = _require(m, "dst", line, "morphism")
-        dst = _lookup(sf.algebras, dst_name, bln_d, "algebra")
-        bln, rest = _require(m, "mat", line, "morphism")
-        mat = _as_matrix(_parse_value(rest, bln, fld), bln, fld)
-        if mat.rows != dst.dim or mat.cols != src.dim:
-            raise StructureError(bln, f"morphism {name!r} must be {dst.dim}x{src.dim}")
-        sf.morphisms[name] = RingMorphism(src, dst, mat)
+        src = _lookup(sf.algebras, entry("src"), "algebra")
+        dst = _lookup(sf.algebras, entry("dst"), "algebra")
+        sf.morphisms[name] = RingMorphism(src, dst,
+                                          _matrix(entry("mat"), fld, dst.dim, src.dim, "mat"))
     elif kind == "coring":
-        m = _body_map(body, multi=("comp", "delta"))
         if "from-comodule-algebra" in m:
-            bln, ca_name = m["from-comodule-algebra"]
-            ca = _lookup(sf.comodule_algebras, ca_name, bln, "comodule-algebra")
+            ca_entry = entry("from-comodule-algebra")
+            ca = _lookup(sf.comodule_algebras, ca_entry, "comodule-algebra")
             try:
                 cor, gl = coring_from_comodule_algebra(ca)
             except ValueError as exc:  # e.g. an action that does not descend
-                raise StructureError(bln, f"coring {name!r}: {exc}") from None
+                raise StructureError(ca_entry[0], f"coring {name!r}: {exc}") from None
             sf.corings[name] = cor
             sf.canonical_grouplikes[name] = gl.vectors
         elif "sweedler" in m:
-            bln, rest = m["sweedler"]
+            bln, rest = entry("sweedler")
             parts = rest.split()
             if len(parts) != 3 or parts[1] != "group":
                 raise StructureError(bln, "expected 'sweedler <morphism> group <group>'")
-            mor = _lookup(sf.morphisms, parts[0], bln, "morphism")
-            g = _lookup(sf.groups, parts[2], bln, "group")
+            mor = _lookup(sf.morphisms, (bln, parts[0]), "morphism")
+            g = _lookup(sf.groups, (bln, parts[2]), "group")
             cor, wit, _, gl = sweedler_coring(mor, g)
             sf.corings[name] = cor
             sf.witnesses[name] = wit
             sf.canonical_grouplikes[name] = gl.vectors
         else:
-            bln_g, group_name = _require(m, "group", line, "coring")
-            g = _lookup(sf.groups, group_name, bln_g, "group")
-            bln_b, base_name = _require(m, "base", line, "coring")
-            base = _lookup(sf.algebras, base_name, bln_b, "algebra")
-            comps = [None] * g.order
-            for bln, rest in m.get("comp", []):
-                parts = rest.split()
-                if len(parts) != 2:
-                    raise StructureError(bln, "expected 'comp <degree> <bimodule>'")
-                try:
-                    deg = int(parts[0])
-                except ValueError:
-                    raise StructureError(bln, "component degree must be an integer") from None
-                if not (0 <= deg < g.order):
-                    raise StructureError(bln, f"degree {deg} out of range")
-                comps[deg] = _lookup(sf.bimodules, parts[1], bln, "bimodule")
-            if any(c is None for c in comps):
-                raise StructureError(line, f"coring {name!r} is missing components")
-            cor = GroupCoring(g, base, comps, {}, Mat.zeros(fld, 1, 1))
-            for bln, rest in m.get("delta", []):
-                parts = rest.split(None, 2)
-                try:
-                    da, db = int(parts[0]), int(parts[1])
-                except (IndexError, ValueError):
-                    raise StructureError(bln, "expected 'delta <a> <b> <matrix>'") from None
-                lift = _as_matrix(_parse_value(parts[2], bln, fld), bln, fld)
-                dab = g.mul(da, db)
-                want_rows = comps[da].dim * comps[db].dim
-                if lift.rows != want_rows or lift.cols != comps[dab].dim:
-                    raise StructureError(bln, f"delta {da} {db} must be {want_rows}x{comps[dab].dim}")
-                t = cor.tensor(da, db)
-                cor.delta[(da, db)] = t.space.proj @ lift
-            missing = [(a, b) for a in g.elements() for b in g.elements()
-                       if (a, b) not in cor.delta]
-            if missing:
-                raise StructureError(line, f"coring {name!r} is missing delta {missing[0]}")
-            bln, rest = _require(m, "counit", line, "coring")
-            counit = _as_matrix(_parse_value(rest, bln, fld), bln, fld)
-            if counit.rows != base.dim or counit.cols != comps[0].dim:
-                raise StructureError(bln, f"counit must be {base.dim}x{comps[0].dim}")
-            cor.counit = counit
+            g = _lookup(sf.groups, entry("group"), "group")
+            base = _lookup(sf.algebras, entry("base"), "algebra")
+            comps = _per_degree(m, "comp", 1, g.order, line, kind)
+            comps = [_lookup(sf.bimodules, comps[(a,)], "bimodule") for a in g.elements()]
+            bad = [a for a in g.elements()
+                   if comps[a].base != base or None in (comps[a].left, comps[a].right)]
+            if bad:
+                raise StructureError(line, f"comp {bad[0]} must be a bimodule over the base "
+                                           "algebra with both actions")
+            lifts = _per_degree(m, "delta", 2, g.order, line, kind)
+            counit = _matrix(entry("counit"), fld, base.dim, comps[0].dim, "counit")
+            cor = GroupCoring(g, base, comps, {}, counit)
+            for (a, b), lift in lifts.items():
+                lift = _matrix(lift, fld, comps[a].dim * comps[b].dim, comps[g.mul(a, b)].dim,
+                               f"delta {a} {b}")
+                cor.delta[(a, b)] = cor.tensor(a, b).space.proj @ lift
             sf.corings[name] = cor
     elif kind == "grouplike":
-        m = _body_map(body, multi=("x",))
-        bln_c, coring_name = _require(m, "coring", line, "grouplike")
-        cor = _lookup(sf.corings, coring_name, bln_c, "coring")
+        cname = entry("coring")[1]
+        cor = _lookup(sf.corings, entry("coring"), "coring")
         if "canonical" in m:
-            if coring_name not in sf.canonical_grouplikes:
-                raise StructureError(m["canonical"][0],
-                                     f"coring {coring_name!r} has no canonical grouplike family")
-            vectors = sf.canonical_grouplikes[coring_name]
+            if cname not in sf.canonical_grouplikes:
+                raise StructureError(m["canonical"][0][0],
+                                     f"coring {cname!r} has no canonical grouplike family")
+            vectors = sf.canonical_grouplikes[cname]
         else:
-            vecs = [None] * cor.group.order
-            for bln, rest in m.get("x", []):
-                parts = rest.split(None, 1)
-                try:
-                    deg = int(parts[0])
-                except (IndexError, ValueError):
-                    raise StructureError(bln, "expected 'x <degree> <vector>'") from None
-                if not (0 <= deg < cor.group.order):
-                    raise StructureError(bln, f"degree {deg} out of range")
-                val = _parse_value(parts[1], bln, fld)
-                if not isinstance(val, list) or len(val) != cor.comps[deg].dim:
-                    raise StructureError(bln, f"x {deg} must have length {cor.comps[deg].dim}")
-                vecs[deg] = tuple(val)
-            if any(v is None for v in vecs):
-                raise StructureError(line, f"grouplike {name!r} is missing degrees")
-            vectors = tuple(vecs)
+            xs = _per_degree(m, "x", 1, cor.group.order, line, kind)
+            vectors = tuple(tuple(_shaped(xs[(a,)], fld, (cor.comps[a].dim,), f"x {a}"))
+                            for a in cor.group.elements())
         sf.grouplikes[name] = GrouplikeFamily(cor, vectors)
     elif kind == "main":
-        m = _body_map(body)
-        for key in ("coring", "grouplike", "base"):
-            _require(m, key, line, "main")
-        bln, cname = m["coring"]
-        cor = _lookup(sf.corings, cname, bln, "coring")
-        bln, gname = m["grouplike"]
-        if _lookup(sf.grouplikes, gname, bln, "grouplike").coring is not cor:
-            raise StructureError(bln, f"grouplike {gname!r} is not a family on coring {cname!r}")
-        bln, bname = m["base"]
-        if _lookup(sf.morphisms, bname, bln, "morphism").dst != cor.base:
+        cname = entry("coring")[1]
+        cor = _lookup(sf.corings, entry("coring"), "coring")
+        gln, gname = entry("grouplike")
+        x = _lookup(sf.grouplikes, (gln, gname), "grouplike")
+        if x.coring is not cor:
+            raise StructureError(gln, f"grouplike {gname!r} is not a family on coring {cname!r}")
+        bln, bname = entry("base")
+        base = _lookup(sf.morphisms, (bln, bname), "morphism")
+        if base.dst != cor.base:
             raise StructureError(bln, f"morphism {bname!r} does not land in the base "
                                       f"algebra of coring {cname!r}")
-        main = {"coring": cname, "grouplike": gname, "base": bname}
-        if "comodule-algebra" in m:
-            bln, caname = m["comodule-algebra"]
-            _lookup(sf.comodule_algebras, caname, bln, "comodule-algebra")
-            main["comodule-algebra"] = caname
-        sf.main = main
+        ca = (_lookup(sf.comodule_algebras, entry("comodule-algebra"), "comodule-algebra")
+              if "comodule-algebra" in m else None)
+        sf.main = MainStructure(cor, x, base, ca, sf.witnesses.get(cname))
     else:
         raise StructureError(line, f"unknown block kind {kind!r}")
 
@@ -495,7 +443,6 @@ class MainStructure:
     base: RingMorphism
     comodule_algebra: ComoduleAlgebra | None
     witness: CofreeWitness | None
-    source: StructureFile
 
     @cached_property
     def derived(self) -> "Derived":
@@ -517,17 +464,9 @@ class MainStructure:
 
 
 def main_structure(sf: StructureFile) -> MainStructure:
-    if not sf.main:
+    if sf.main is None:
         raise StructureError(0, "file has no main block")
-    cname = sf.main["coring"]
-    return MainStructure(
-        coring=sf.corings[cname],
-        grouplike=sf.grouplikes[sf.main["grouplike"]],
-        base=sf.morphisms[sf.main["base"]],
-        comodule_algebra=sf.comodule_algebras.get(sf.main.get("comodule-algebra")),
-        witness=sf.witnesses.get(cname),
-        source=sf,
-    )
+    return sf.main
 
 
 class Derived:

@@ -44,8 +44,8 @@
 * `coinvariants` solves the coinvariants of a single comodule.
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
-  graded-algebra and Hopf-algebra axioms and a Hopf family with a broken
-  antipode.
+  graded-algebra and Hopf-algebra axioms, a Hopf family with a broken
+  antipode and the trivial Hopf family on the base field.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from corings.algebra import (
     cached_triple,
     contract_right,
     direct_sum_bimodule,
+    field_algebra,
     find_dual_basis,
     is_bimodule_iso,
     tensor_over_algebra,
@@ -364,6 +365,12 @@ def bad_antipode_hopf() -> HopfGCoalgebra:
     ha = group_hopf_algebra(QQ, c3)
     broken = HopfAlgebra(ha.algebra, ha.delta, ha.counit, Mat.identity(QQ, 3))
     return cofree_hopf(broken, FiniteGroup.cyclic(2))
+
+
+def trivial_hopf(field: Field, group: FiniteGroup) -> HopfGCoalgebra:
+    """Tagged copies of the base field with its trivial Hopf structure."""
+    one = Mat.identity(field, 1)
+    return cofree_hopf(HopfAlgebra(field_algebra(field), one, one, one), group)
 
 
 def reference_induced_right(ca, p: int) -> tuple:

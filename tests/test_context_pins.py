@@ -17,7 +17,7 @@ import pytest
 
 from corings.algebra import field_algebra
 from corings.dualring import group_ring
-from corings.fixtures import Fixture, fixture
+from corings.fixtures import fixture
 from corings.galois import RingMorphism
 from corings.groups import FiniteGroup
 from corings.hopf import (
@@ -29,7 +29,7 @@ from corings.hopf import (
 from corings.linalg import Mat
 from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
-from corings.structfile import Derived
+from corings.structfile import Derived, MainStructure
 from helpers import triangular_family
 
 PINNED = {
@@ -107,19 +107,19 @@ PINNED = {
 NAMES = list(PINNED)
 
 
-def _fixture(name: str) -> Fixture:
+def _fixture(name: str) -> MainStructure:
     if name == "triangular":
         x = triangular_family()
         a = x.coring.base
         b = RingMorphism(field_algebra(a.field), a, Mat.from_cols(a.field, [a.unit]))
-        return Fixture(name, "triangular family over GF(7)", x.coring, x, b)
+        return MainStructure(x.coring, x, b, None, None)
     if name != "regular3":
         return fixture(name)
     g = FiniteGroup.cyclic(3)
     ha = group_hopf_algebra(QQ, g)
     coring, x = coring_from_comodule_algebra(regular_comodule_algebra(cofree_hopf(ha, g), ha))
     b = RingMorphism(field_algebra(QQ), ha.algebra, Mat.from_cols(QQ, [ha.algebra.unit]))
-    return Fixture(name, "regular k[C_3] over the rationals", coring, x, b)
+    return MainStructure(coring, x, b, None, None)
 
 
 def _text(field, obj) -> str:

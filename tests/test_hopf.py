@@ -29,7 +29,6 @@ from corings.hopf import (
     smash_dual,
     tensor_algebra,
     trivial_comodule_algebra,
-    trivial_hopf,
     validate_comodule_algebra,
     validate_hopf_g_coalgebra,
     validate_smash_product,
@@ -42,6 +41,7 @@ from helpers import (
     reference_induced_delta,
     reference_induced_right,
     reference_smash_mul,
+    trivial_hopf,
     validate_hopf_algebra,
 )
 

@@ -37,6 +37,10 @@
 * The invertibility test `m.rows == m.cols and rank(m) == m.rows`, or its
   negation, is written only in `linalg.py`; the other modules call
   `linalg.is_invertible`.
+* No handler catches everything (a bare `except:`, or `Exception` or
+  `BaseException`, alone or in a tuple): a handler names the errors it
+  expects, so a bug in the library surfaces as a traceback instead of a
+  misleading message.
 """
 
 import ast
@@ -203,7 +207,6 @@ OPTIONS = {
     ("report.py", "extend", "prefix"),
     ("structfile.py", "__init__", "comodule_algebra"),
     ("structfile.py", "__init__", "witness"),
-    ("structfile.py", "_body_map", "multi"),
     ("suites.py", "run_suite", "seed"),
 }
 
@@ -341,6 +344,22 @@ def hand_invertibility_tests(path: Path) -> list:
     return sorted(out)
 
 
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
+
+
+def broad_handlers(path: Path) -> list:
+    """Line of each `except` clause that is bare or names `Exception` or
+    `BaseException`, alone or in a tuple."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or getattr(c, "id", getattr(c, "attr", None)) in BROAD_EXCEPTIONS
+                   for c in caught):
+                out.append(node.lineno)
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -375,6 +394,11 @@ def test_no_product_of_basis_vectors(path):
                          ids=lambda p: p.name)
 def test_no_hand_written_invertibility_test(path):
     assert hand_invertibility_tests(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_handler_catches_everything(path):
+    assert broad_handlers(path) == []
 
 
 def test_every_function_is_referenced():
@@ -422,6 +446,28 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         ("sample.py", "shadowed")]
     assert unreferenced_functions([src, other]) == [
         ("sample.py", "_dead"), ("sample.py", "orphan"), ("sample.py", "shadowed")]
+    handlers = tmp_path / "handlers.py"
+    handlers.write_text(
+        # the matrix reader the structure-file loader had before it checked
+        # shapes itself
+        "def _as_matrix(value, line, fld):\n"
+        "    try:\n"
+        "        return Mat.from_rows(fld, value)\n"
+        "    except Exception as exc:\n"
+        "        raise StructureError(line, f'bad matrix: {exc}') from None\n"
+        "try:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+        "try:\n"
+        "    pass\n"
+        "except (ValueError, builtins.BaseException):\n"
+        "    pass\n"
+        "except (ValueError, ZeroDivisionError):\n"
+        "    pass\n"
+        "except ExceptionGroup:\n"
+        "    pass\n")
+    assert broad_handlers(handlers) == [4, 8, 12]
 
 
 def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):

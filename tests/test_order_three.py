@@ -40,7 +40,6 @@ from corings.dualring import (
     group_ring,
     validate_graded_ring,
 )
-from corings.fixtures import Fixture
 from corings.galois import (
     GrouplikeFamily,
     RingMorphism,
@@ -67,7 +66,7 @@ from corings.morita import (
     is_strict,
 )
 from corings.scalars import QQ
-from corings.structfile import Derived
+from corings.structfile import Derived, MainStructure
 from helpers import derived
 
 
@@ -77,7 +76,7 @@ def order_three_trivial():
     cor, wit = trivial_coring(field_algebra(QQ), g)
     x = GrouplikeFamily(cor, tuple((QQ.one,) for _ in g.elements()))
     b = RingMorphism(field_algebra(QQ), field_algebra(QQ), Mat.identity(QQ, 1))
-    return Fixture("trivial3", "rank one over order three", cor, x, b, witness=wit)
+    return MainStructure(cor, x, b, None, wit)
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +87,7 @@ def order_three_nongalois():
     ca = trivial_comodule_algebra(a, h)
     cor, x = coring_from_comodule_algebra(ca)
     b = RingMorphism(field_algebra(QQ), a, Mat.identity(QQ, 1))
-    return Fixture("nongalois3", "trivial coaction over order three", cor, x, b,
-                   comodule_algebra=ca)
+    return MainStructure(cor, x, b, ca, None)
 
 
 def test_trivial_order_three_coring_and_galois():

@@ -14,15 +14,54 @@ from corings.galois import validate_grouplike
 from corings.scalars import Field
 from corings.structfile import StructureError, main_structure, parse
 
-
-def test_fixture_files_parse_and_match_builders():
-    for name in ("trivial", "regular", "nongalois", "sweedler"):
-        sf = parse(fixture_file_text(name))
-        ms = main_structure(sf)
-        fx = fixture(name)
-        assert group_corings_equal(ms.coring, fx.coring), name
-        assert ms.grouplike.vectors == fx.grouplike.vectors, name
-        assert ms.base.mat == fx.base.mat, name
+# the rank-one coring over the rationals written out fully
+EXPLICIT_CORING = """field Q
+begin group G
+  table [[0, 1], [1, 0]]
+end
+begin algebra A
+  dim 1
+  unit [1]
+  mul [[[1]]]
+end
+begin algebra B
+  dim 1
+  unit [1]
+  mul [[[1]]]
+end
+begin bimodule M
+  base A
+  dim 1
+  left [[[1]]]
+  right [[[1]]]
+end
+begin coring C
+  group G
+  base A
+  comp 0 M
+  comp 1 M
+  delta 0 0 [[1]]
+  delta 0 1 [[1]]
+  delta 1 0 [[1]]
+  delta 1 1 [[1]]
+  counit [[1]]
+end
+begin grouplike X
+  coring C
+  x 0 [1]
+  x 1 [1]
+end
+begin morphism IB
+  src B
+  dst A
+  mat [[1]]
+end
+begin main
+  coring C
+  grouplike X
+  base IB
+end
+"""
 
 
 def test_empty_file_reports_missing_field():
@@ -100,54 +139,7 @@ def test_bad_scalar_rejected():
 
 
 def test_explicit_coring_block():
-    # the rank-one coring over the rationals written out fully
-    text = """field Q
-begin group G
-  table [[0, 1], [1, 0]]
-end
-begin algebra A
-  dim 1
-  unit [1]
-  mul [[[1]]]
-end
-begin algebra B
-  dim 1
-  unit [1]
-  mul [[[1]]]
-end
-begin bimodule M
-  base A
-  dim 1
-  left [[[1]]]
-  right [[[1]]]
-end
-begin coring C
-  group G
-  base A
-  comp 0 M
-  comp 1 M
-  delta 0 0 [[1]]
-  delta 0 1 [[1]]
-  delta 1 0 [[1]]
-  delta 1 1 [[1]]
-  counit [[1]]
-end
-begin grouplike X
-  coring C
-  x 0 [1]
-  x 1 [1]
-end
-begin morphism IB
-  src B
-  dst A
-  mat [[1]]
-end
-begin main
-  coring C
-  grouplike X
-  base IB
-end
-"""
+    text = EXPLICIT_CORING
     ms = main_structure(parse(text))
     assert validate_group_coring(ms.coring).ok
     assert validate_grouplike(ms.grouplike).ok
@@ -259,3 +251,74 @@ def test_digit_mutations_raise_only_structure_errors():
             parse(text[:pos] + digit + text[pos + 1:])
         except StructureError:
             pass
+
+
+def _value_lines(text: str):
+    """(index, key, value) of each line of text whose value is a bracket
+    list or an integer; key is everything before the value (the key and
+    any degrees)."""
+    for i, line in enumerate(text.split("\n")):
+        if "[" in line:
+            cut = line.index("[")
+        elif line.split() and line.split()[-1].isdecimal() and line.startswith("  "):
+            cut = line.rindex(" ") + 1
+        else:
+            continue
+        yield i, line[:cut].rstrip(), line[cut:]
+
+
+def _structural_mutations(text: str):
+    """text with the value of one line replaced by a scalar, by `[]`, by
+    the value inside one more level of brackets, or by nothing."""
+    lines = text.split("\n")
+    for i, key, value in _value_lines(text):
+        for new in (f"{key} 5", f"{key} []", f"{key} [{value}]", key):
+            yield "\n".join(lines[:i] + [new] + lines[i + 1:])
+
+
+RHO_TEXT = fixture_file_text("trivial").replace("  trivial\n", "  rho 0 [[1]]\n  rho 1 [[1]]\n")
+
+
+def test_structural_mutations_raise_only_structure_errors():
+    texts = [fixture_file_text(n) for n in ("trivial", "regular", "nongalois", "sweedler")]
+    count = 0
+    for text in texts + [EXPLICIT_CORING, RHO_TEXT]:
+        for mutated in _structural_mutations(text):
+            count += 1
+            try:
+                main_structure(parse(mutated))
+            except StructureError:
+                pass
+    assert count > 200
+
+
+# inputs that escaped `parse` (or, for the empty group table, `--suite all`)
+# with a Python exception before every value was checked against its shape
+ESCAPES = {
+    "unit-scalar": fixture_file_text("regular").replace("unit [1, 0]", "unit 5"),
+    "mul-scalar": fixture_file_text("regular").replace(
+        "mul [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]", "mul 3"),
+    "left-scalar": EXPLICIT_CORING.replace("left [[[1]]]", "left 1"),
+    "unit-nested": EXPLICIT_CORING.replace("unit [1]", "unit [[1]]", 1),
+    "x-without-value": EXPLICIT_CORING.replace("x 1 [1]", "x 1"),
+    "rho-without-value": RHO_TEXT.replace("rho 0 [[1]]", "rho 0"),
+    "delta-without-value": EXPLICIT_CORING.replace("delta 1 1 [[1]]", "delta 1 1"),
+    "one-sided-component": EXPLICIT_CORING.replace("  left [[[1]]]\n", ""),
+    "empty-group-table": fixture_file_text("regular").replace("table [[0, 1], [1, 0]]",
+                                                              "table []"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_malformed_values_exit_two(name, tmp_path):
+    text = ESCAPES[name]
+    assert text not in (fixture_file_text("regular"), EXPLICIT_CORING, RHO_TEXT)
+    with pytest.raises(StructureError):
+        parse(text)
+    path = tmp_path / "bad.coring"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["check", str(path), "--suite", "all"])
+    assert rc == 2
+    assert err.getvalue().startswith("error: line ")
