@@ -188,8 +188,8 @@ def replicate_comodule(m: Comodule) -> GComodule:
 
 # -- hom-space solvers -------------------------------------------------------------------
 
-def comodule_homs(m: Comodule, n: Comodule) -> list:
-    """Basis of the space of comodule morphisms m -> n as matrices."""
+def comodule_homs(m: Comodule, n: Comodule) -> LinearSystem:
+    """The constraints on a comodule morphism m -> n, one unknown "f"."""
     c = m.coring
     F = c.base.field
     fn, fm = n.space.dim, m.space.dim
@@ -202,12 +202,12 @@ def comodule_homs(m: Comodule, n: Comodule) -> list:
         sys.add((1, "f", n.tensor(a).space.proj, m.tensor(a).space.sect @ m.rho[a],
                  c.comps[a].dim),
                 (-1, "f", n.rho[a], idm))
-    return [f for (f,) in sys.basis()]
+    return sys
 
 
-def gcomodule_homs(m: GComodule, n: GComodule) -> list:
-    """Basis of the morphism space m -> n; each element is a per-degree
-    tuple of matrices."""
+def gcomodule_homs(m: GComodule, n: GComodule) -> LinearSystem:
+    """The constraints on a family morphism m -> n, one unknown per degree;
+    each element of its `basis()` is a per-degree tuple of matrices."""
     c = m.coring
     g = c.group
     F = c.base.field
@@ -223,25 +223,7 @@ def gcomodule_homs(m: GComodule, n: GComodule) -> list:
             sys.add((1, a, n.tensor(a, b).space.proj,
                      m.tensor(a, b).space.sect @ m.rho[(a, b)], c.comps[b].dim),
                     (-1, ab, n.rho[(a, b)], Mat.identity(F, m.comps[ab].dim)))
-    return sys.basis()
-
-
-def is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
-    c = m.coring
-    g = c.group
-    for a in g.elements():
-        for j in range(c.base.dim):
-            if fams[a] @ m.comps[a].right[j] != n.comps[a].right[j] @ fams[a]:
-                return False
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            cdim = c.comps[b].dim
-            lhs = kron_after(n.tensor(a, b).space.proj, fams[a], Mat.identity(c.base.field, cdim)) \
-                @ m.tensor(a, b).space.sect @ m.rho[(a, b)]
-            if lhs != n.rho[(a, b)] @ fams[ab]:
-                return False
-    return True
+    return sys
 
 
 # -- adjunction and Frobenius batteries ---------------------------------------------------
@@ -255,9 +237,10 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         g = c.group
         F = c.base.field
         packed, inj, _ = pack_gcomodule(gm)
-        h_packed = comodule_homs(packed, n)
+        h_packed = [f for (f,) in comodule_homs(packed, n).basis()]
         repl = replicate_comodule(n)
-        h_family = gcomodule_homs(gm, repl)
+        family = gcomodule_homs(gm, repl)
+        h_family = family.basis()
         rep.add(f"adjunction[{idx}].dim", "hom spaces have equal dimension",
                 len(h_packed) == len(h_family),
                 f"{len(h_packed)} vs {len(h_family)}")
@@ -272,7 +255,7 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         ok = all(tuple(psi(hstack(fams))) == tuple(fams) for fams in h_family)
         rep.add(f"adjunction[{idx}].section", "reverse hom transposition composes to the identity",
                 ok)
-        ok = all(is_gcomodule_hom(gm, repl, psi(f)) for f in h_packed)
+        ok = all(family.is_solution(psi(f)) for f in h_packed)
         rep.add(f"adjunction[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         # triangle identities
@@ -302,8 +285,9 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
         F = c.base.field
         packed, inj, proj = pack_gcomodule(gm)
         repl = replicate_comodule(n)
-        h_rev_family = gcomodule_homs(repl, gm)   # replicate(N) -> family
-        h_rev_packed = comodule_homs(n, packed)   # N -> packed
+        rev_family = gcomodule_homs(repl, gm)   # replicate(N) -> family
+        h_rev_family = rev_family.basis()
+        h_rev_packed = [f for (f,) in comodule_homs(n, packed).basis()]   # N -> packed
 
         rep.add(f"frobenius[{idx}].dim", "reverse hom spaces have equal dimension",
                 len(h_rev_family) == len(h_rev_packed),
@@ -317,7 +301,7 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
         rep.add(f"frobenius[{idx}].retract", "hom transposition composes to the identity", ok)
         ok = all(vstack(cap_psi(f)) == f for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].section", "reverse transposition composes to the identity", ok)
-        ok = all(is_gcomodule_hom(repl, gm, cap_psi(f)) for f in h_rev_packed)
+        ok = all(rev_family.is_solution(cap_psi(f)) for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         nu = vstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
@@ -415,8 +399,8 @@ def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> Check
         rep.add(f"cofree-equiv[{idx}].inverse", "comparison maps are mutually inverse", ok_inv)
         rep.add(f"cofree-equiv[{idx}].morphism",
                 "comparison maps form a family morphism",
-                is_gcomodule_hom(gm, back, tuple(phis)))
+                gcomodule_homs(gm, back).is_solution(tuple(phis)))
         rep.add(f"cofree-equiv[{idx}].restrict-extend",
                 "restriction of the extension is the original comodule",
-                comodules_equal(e_component(cofree_extend(ncom, c, w)), ncom))
+                comodules_equal(e_component(back), ncom))
     return rep

@@ -465,9 +465,10 @@ def induction_equivalence(x: GrouplikeFamily, b: RingMorphism) -> tuple[bool, bo
     return not unit_wit, not counit_wit, unit_wit + counit_wit
 
 
-def structure_theorem_battery(d: "Derived", b: RingMorphism) -> CheckReport:
-    """Both sides of the structure equivalence for the family of `d` (the
-    `structfile.Derived` of its coring), verified object-wise.
+def structure_theorem_battery(d: "Derived") -> CheckReport:
+    """Both sides of the structure equivalence for the family and the base
+    morphism of `d` (the `structfile.Derived` of its coring), verified
+    object-wise.
 
     Side one: the base morphism is an isomorphism onto the coinvariants, the
     coring is Galois, and the extension is faithfully flat.  Side two: the
@@ -475,15 +476,15 @@ def structure_theorem_battery(d: "Derived", b: RingMorphism) -> CheckReport:
     on every test object.  The check asserts the two sides agree.
     """
     rep = CheckReport()
-    iso_onto_t = onto_coinvariants(b, d.coinvariants)
+    iso_onto_t = onto_coinvariants(d.base, d.coinvariants)
     galois_verdict = d.galois[0]
-    preds = predicates_of_extension(b)
+    preds = predicates_of_extension(d.base)
     side1 = iso_onto_t and galois_verdict and preds.faithfully_flat
     rep.add("structure.side1", "base iso onto coinvariants + Galois + faithfully flat",
             True,
             f"value={side1} (iso={iso_onto_t}, galois={galois_verdict}, "
             f"faithfully_flat={preds.faithfully_flat})")
-    units_ok, counits_ok, detail = induction_equivalence(d.grouplike, b)
+    units_ok, counits_ok, detail = d.induction
     side2 = preds.flat_projective and units_ok and counits_ok
     rep.add("structure.side2", "flat + unit/counit comparisons bijective on test objects",
             True,

@@ -26,14 +26,12 @@ from corings.algebra import (
     subalgebra,
 )
 from corings.comodules import replicate_comodule
-from corings.coring import MissingCofreeWitness, validate_coring_morphism
+from corings.coring import validate_coring_morphism
 from corings.dualring import (
     GradedAlgebra,
     GradedModule,
     GradedRing,
-    cofree_dual_group_ring_iso,
     dual_morphism,
-    dual_ring,
     gcomodule_to_graded,
     group_ring,
     is_graded_ring_iso,
@@ -42,11 +40,8 @@ from corings.dualring import (
 from corings.galois import (
     CoinvariantRing,
     GrouplikeFamily,
-    RingMorphism,
     canonical_morphism,
-    coinvariant_ring,
     comodule_from_grouplike,
-    induction_equivalence,
     onto_coinvariants,
     predicates_of_extension,
 )
@@ -869,26 +864,12 @@ def group_ring_context(ctx_e: MoritaContext, g) -> GradedMoritaContext:
     return GradedMoritaContext(ctx, g, ring1, ring2, (pd,) * n, (qd,) * n)
 
 
-def slice_context(x: GrouplikeFamily) -> tuple[MoritaContext, Mat, GradedRing]:
-    """The classical context of the identity-degree slice."""
-    c = x.coring
-    e = c.group.identity
-    e_coring = c.e_slice()
-    x_e = GrouplikeFamily(e_coring, (x.vec(e),))
-    r_e = dual_ring(e_coring)
-    strict, _ = connecting_spaces(x_e, r_e)
-    ctx, w, _ = morita_context(x_e, r_e, coinvariant_ring(x_e), strict)
-    return ctx, w, r_e
-
-
 def check_group_ring_context_match(d: "Derived") -> CheckReport:
     """For a cofree coring carrying the grouplike family, with the
     `structfile.Derived` objects `d`: the graded context is isomorphic to the
     group-ring extension of the slice context, through the diagonal, tag-swap
     and shift comparison maps."""
-    w = d.witness
-    if w is None:
-        raise MissingCofreeWitness("context comparison needs a cofree witness")
+    sigmas, sig_rep = d.cofree_dual
     rep = CheckReport()
     c = d.grouplike.coring
     g = c.group
@@ -896,9 +877,9 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     n = g.order
     r, t = d.dual_ring, d.coinvariants
     gctx, s, wq, _ = d.graded_morita
-    ctx_e, w_e, r_e = d.slice
+    ctx_e, w_e, _ = d.slice.morita
+    r_e = d.slice.dual_ring
     ring_ctx_e = group_ring_context(ctx_e, g)
-    sigmas, sig_rep = cofree_dual_group_ring_iso(c, w, r)
     rep.extend(sig_rep)
     # the slice coinvariants must match the family coinvariants
     rep.add("ring-match.coinvariants",
@@ -970,10 +951,11 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
 
 # -- the equivalent characterizations battery --------------------------------------------------
 
-def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
+def galois_equivalence_battery(d: "Derived") -> CheckReport:
     """Four equivalent characterizations of the Galois property for corings
     whose components are left progenerators, evaluated independently on the
-    family of `d` (the `structfile.Derived` of its coring) over `b`:
+    family of `d` (the `structfile.Derived` of its coring) over its base
+    morphism b:
 
     1. the canonical comparison is an isomorphism and the extension is
        faithfully flat;
@@ -985,7 +967,7 @@ def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
        object-level equivalence.
     """
     rep = CheckReport()
-    x = d.grouplike
+    x, b = d.grouplike, d.base
     c = x.coring
     for a in c.group.elements():
         comp = Bimodule(c.base, c.comps[a].dim, c.comps[a].left, None)
@@ -1016,7 +998,7 @@ def galois_equivalence_battery(d: "Derived", b: RingMorphism) -> CheckReport:
             "base equals coinvariants + diagonal iso + strict graded context", True,
             f"value={s3} (base={b_is_t}, diagonal={diag_bij}, strict={strict_verdict})")
     rep.extend(strict_rep, prefix="battery.")
-    units_ok, counits_ok, _ = induction_equivalence(x, b)
+    units_ok, counits_ok, _ = d.induction
     s4 = b_is_t and units_ok and counits_ok
     rep.add("battery.statement-4",
             "base equals coinvariants + object-level induction equivalence", True,

@@ -26,7 +26,7 @@ from itertools import chain, product
 
 from corings.algebra import Algebra, Bimodule
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
-from corings.dualring import GradedModule, GradedRing, dual_ring
+from corings.dualring import GradedModule, GradedRing, cofree_dual_group_ring_iso, dual_ring
 from corings.galois import (
     CanonicalMorphism,
     CoinvariantRing,
@@ -35,6 +35,7 @@ from corings.galois import (
     coinvariant_canonical_morphism,
     coinvariant_ring,
     galois_decomposition,
+    induction_equivalence,
     is_galois,
     sweedler_coring,
 )
@@ -59,7 +60,6 @@ from corings.morita import (
     graded_morita_context,
     is_strict,
     morita_context,
-    slice_context,
     weak_coinvariants,
 )
 from corings.report import CheckReport
@@ -448,7 +448,8 @@ class MainStructure:
     def derived(self) -> "Derived":
         """The objects the suites derive from this structure, shared by all
         of them; built on first use, so parsing does not pay for it."""
-        return Derived(self.coring, self.grouplike, self.witness, self.comodule_algebra)
+        return Derived(self.coring, self.grouplike, self.base, self.witness,
+                       self.comodule_algebra)
 
     # the `validate` and `hopf` suites both report these two checks of the
     # comodule algebra, under their own prefixes; read them only when there
@@ -470,9 +471,11 @@ def main_structure(sf: StructureFile) -> MainStructure:
 
 
 class Derived:
-    """What the check suites derive from a coring with a grouplike family:
-    the dual ring, the coinvariants, the Galois data and the (graded) Morita
-    solution spaces and contexts, each built once, on first use.
+    """What the check suites derive from a coring with a grouplike family
+    and a base morphism: the dual ring, the coinvariants, the Galois data,
+    the induction comparisons, the (graded) Morita solution spaces and
+    contexts and the derived objects of the identity-degree slice, each
+    built once, on first use.
 
     It keeps the parts of a structure it reads, never the MainStructure
     itself, so that dropping the structure frees all of it without the
@@ -481,11 +484,12 @@ class Derived:
     strict and weak members.
     """
 
-    def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily,
+    def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily, base: RingMorphism,
                  witness: CofreeWitness | None = None,
                  comodule_algebra: ComoduleAlgebra | None = None):
         self.coring = coring
         self.grouplike = grouplike
+        self.base = base
         self.comodule_algebra = comodule_algebra
         self._witness = witness
 
@@ -517,9 +521,19 @@ class Derived:
         return galois_decomposition(self.grouplike, self.canonical, self.galois)
 
     @cached_property
+    def induction(self) -> tuple:
+        """`induction_equivalence` over the base morphism: (units, counits, detail)."""
+        return induction_equivalence(self.grouplike, self.base)
+
+    @cached_property
     def witness(self) -> CofreeWitness | None:
         """The cofree witness of the file, else the one of the decomposition."""
         return self._witness if self._witness is not None else self.decomposition[0]
+
+    @cached_property
+    def cofree_dual(self) -> tuple:
+        """`cofree_dual_group_ring_iso` along the witness: (degree maps, report)."""
+        return cofree_dual_group_ring_iso(self.coring, self.witness, self.dual_ring)
 
     @cached_property
     def connecting_spaces(self) -> tuple:
@@ -569,10 +583,12 @@ class Derived:
                                      self.connecting_spaces[1])
 
     @cached_property
-    def slice(self) -> tuple:
-        """`slice_context`: (context, connecting space, dual ring) of the
-        identity-degree slice."""
-        return slice_context(self.grouplike)
+    def slice(self) -> "Derived":
+        """The derived objects of the identity-degree slice coring and the
+        identity-degree member of the family, over the same base morphism."""
+        e_coring = self.coring.e_slice()
+        x_e = GrouplikeFamily(e_coring, (self.grouplike.vec(self.coring.group.identity),))
+        return Derived(e_coring, x_e, self.base)
 
     @cached_property
     def canonical_module(self) -> GradedModule:
@@ -586,4 +602,4 @@ class Derived:
         cor, x = coring_from_comodule_algebra(self.comodule_algebra)
         if group_corings_equal(cor, self.coring) and x.vectors == self.grouplike.vectors:
             return None
-        return Derived(cor, x)
+        return Derived(cor, x, self.base)

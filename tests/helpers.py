@@ -22,6 +22,11 @@
   eliminates over the whole direct sum instead of assembling its quotient
   from the summands'; the others add up one dual-basis pair or one
   functional at a time.
+* `reference_is_gcomodule_hom` is the reference for
+  `LinearSystem.is_solution` on the system of `comodules.gcomodule_homs`:
+  it applies each candidate map through a pair projection, the morphism
+  test the adjunction, Frobenius and cofree batteries used before they
+  read the system they solve.
 * `dense_rref_rows` is the dense Gauss-Jordan elimination the library
   used before its sparse eliminator (`linalg._eliminate`): it takes the
   first row with an entry in each column as the pivot.  `dense_rref_pivots`,
@@ -177,9 +182,9 @@ def dense_quotient_by(field: Field, ambient_dim: int, relations: Mat) -> Quotien
 
 
 def derived(fx) -> Derived:
-    """The derived objects of a fixture's coring, family, witness and
-    comodule algebra."""
-    return Derived(fx.coring, fx.grouplike, fx.witness, fx.comodule_algebra)
+    """The derived objects of a fixture's coring, family, base morphism,
+    witness and comodule algebra."""
+    return Derived(fx.coring, fx.grouplike, fx.base, fx.witness, fx.comodule_algebra)
 
 
 def triangular_family() -> GrouplikeFamily:
@@ -603,6 +608,25 @@ def reference_pack_gcomodule(m: GComodule) -> Comodule:
             acc = acc + incl @ m.rho[(src, a)] @ proj[b]
         rho.append(acc)
     return Comodule(c, total, rho)
+
+
+def reference_is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
+    """Whether the per-degree maps `fams` form a family morphism m -> n."""
+    c = m.coring
+    g = c.group
+    for a in g.elements():
+        for j in range(c.base.dim):
+            if fams[a] @ m.comps[a].right[j] != n.comps[a].right[j] @ fams[a]:
+                return False
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            cdim = c.comps[b].dim
+            lhs = kron_after(n.tensor(a, b).space.proj, fams[a], Mat.identity(c.base.field, cdim)) \
+                @ m.tensor(a, b).space.sect @ m.rho[(a, b)]
+            if lhs != n.rho[(a, b)] @ fams[ab]:
+                return False
+    return True
 
 
 def _interleaved_contractions(target, t: TensorProduct, rho: Mat, functionals) -> Mat:

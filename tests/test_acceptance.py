@@ -151,7 +151,7 @@ def test_galois_verdicts():
 def test_structure_battery():
     for name, value in (("regular", True), ("nongalois", False)):
         fx = fixture(name)
-        rep = structure_theorem_battery(derived(fx), fx.base)
+        rep = structure_theorem_battery(derived(fx))
         assert rep.ok, name
         for side in ("structure.side1", "structure.side2"):
             it = next(i for i in rep.items if i.check_id == side)
@@ -198,7 +198,7 @@ def test_equivalence_battery():
                 "nongalois": "(False, False, False, False)"}
     for name, want in expected.items():
         fx = fixture(name)
-        rep = galois_equivalence_battery(derived(fx), fx.base)
+        rep = galois_equivalence_battery(derived(fx))
         agree = next(it for it in rep.items if it.check_id == "battery.agreement")
         assert agree.passed, name
         assert want in agree.witness, name

@@ -182,8 +182,7 @@ def comparison_maps(name: str) -> tuple:
     morita.algebra_map_failures = recording
     try:
         if name == "triangular":
-            x = triangular_family()
-            check_standard_context_match(Derived(x.coring, x))
+            check_standard_context_match(Derived(*structure(name)))
         else:
             run_suite(main_structure(parse(_text(name))), "graded-morita", seed=0)
     finally:

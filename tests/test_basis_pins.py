@@ -92,8 +92,9 @@ def solver_outputs(name: str) -> dict:
     acom = comodule_from_grouplike(x)
     cg = coring_as_gcomodule(c)
     pairs = [(replicate_comodule(acom), acom), (cg, pack_gcomodule(cg)[0])]
-    out["comodule_homs"] = [comodule_homs(pack_gcomodule(gm)[0], n) for gm, n in pairs]
-    out["gcomodule_homs"] = [gcomodule_homs(gm, replicate_comodule(n)) for gm, n in pairs]
+    out["comodule_homs"] = [[f for (f,) in comodule_homs(pack_gcomodule(gm)[0], n).basis()]
+                            for gm, n in pairs]
+    out["gcomodule_homs"] = [gcomodule_homs(gm, replicate_comodule(n)).basis() for gm, n in pairs]
     agm = canonical_graded_module(x, r)
     rm = _ring_as_module(r)
     out["graded_hom"] = [graded_hom(m, n, sigma)

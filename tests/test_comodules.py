@@ -16,6 +16,7 @@ from corings.comodules import (
     comodule_homs,
     coring_as_gcomodule,
     e_component,
+    gcomodule_homs,
     gcomodules_equal,
     pack_gcomodule,
     replicate_comodule,
@@ -34,9 +35,9 @@ from corings.galois import (
     random_comodule,
 )
 from corings.linalg import Mat
-from corings.scalars import QQ
+from corings.scalars import QQ, DimensionMismatch
 from corings.structfile import main_structure, parse
-from helpers import derived, reference_pack_gcomodule
+from helpers import derived, reference_is_gcomodule_hom, reference_pack_gcomodule
 
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
@@ -127,8 +128,8 @@ def test_corrupted_coaction_is_detected():
     cg = coring_as_gcomodule(fx.coring)
     packed, _, _ = pack_gcomodule(cg)
     rep_ok = check_pack_replicate_adjunction([(cg, broken)]).ok
-    hom_dim = len(comodule_homs(packed, broken))
-    hom_dim_good = len(comodule_homs(packed, acom))
+    hom_dim = len(comodule_homs(packed, broken).basis())
+    hom_dim_good = len(comodule_homs(packed, acom).basis())
     # either the battery flags it or the corrupt hom space collapses
     assert (not rep_ok) or hom_dim != hom_dim_good or hom_dim == 0
 
@@ -197,8 +198,8 @@ def test_hom_transposition_is_natural():
     gm = replicate_comodule(acom)
     packed, inj, proj = pack_gcomodule(gm)
     g = fx.coring.group
-    endos = gcomodule_homs(gm, gm)
-    homs = comodule_homs(packed, acom)
+    endos = gcomodule_homs(gm, gm).basis()
+    homs = [f for (f,) in comodule_homs(packed, acom).basis()]
 
     def pack_map(fams):
         # direct sum of a family morphism
@@ -228,3 +229,45 @@ def test_pack_equals_the_reference_over_the_whole_sum(name):
         packed, _, _ = pack_gcomodule(family)
         assert comodules_equal(packed, reference_pack_gcomodule(family))
         assert validate_comodule(packed).ok
+
+
+def _perturbed(fams, k: int) -> tuple:
+    """fams with one added to one entry of one nonempty degree, chosen by k."""
+    degrees = [a for a, f in enumerate(fams) if f.rows * f.cols]
+    a = degrees[k % len(degrees)]
+    f = fams[a]
+    i = k % (f.rows * f.cols)
+    bump = Mat(f.field, f.rows, f.cols, tuple(int(j == i) for j in range(f.rows * f.cols)))
+    return fams[:a] + (f + bump,) + fams[a + 1:]
+
+
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
+def test_hom_system_check_matches_the_reference(name):
+    # the batteries test transposed maps against the solved hom system; on
+    # the pairs the comodules suite checks, in both directions, the system
+    # agrees with the map-by-map test on basis families, their sums and
+    # perturbations of both
+    fx = fixture(name)
+    acom = comodule_from_grouplike(fx.grouplike)
+    cg = coring_as_gcomodule(fx.coring)
+    verdicts = []
+    for gm, n in ((replicate_comodule(acom), acom), (cg, pack_gcomodule(cg)[0])):
+        repl = replicate_comodule(n)
+        for src, dst in ((gm, repl), (repl, gm)):
+            homs = gcomodule_homs(src, dst)
+            basis = homs.basis()
+            sums = [tuple(f + h for f, h in zip(p, q)) for p, q in zip(basis, basis[1:] + basis[:1])]
+            for fams in basis + sums:
+                assert homs.is_solution(fams) and reference_is_gcomodule_hom(src, dst, fams)
+            for k, fams in enumerate(basis + sums):
+                fams = _perturbed(fams, k)
+                verdict = homs.is_solution(fams)
+                assert verdict == reference_is_gcomodule_hom(src, dst, fams)
+                verdicts.append(verdict)
+            f = basis[0][0]
+            wrong = (Mat.zeros(f.field, f.rows + 1, f.cols),) + basis[0][1:]
+            with pytest.raises(DimensionMismatch):
+                homs.is_solution(wrong)
+            with pytest.raises(DimensionMismatch):
+                homs.is_solution(basis[0][1:])
+    assert False in verdicts

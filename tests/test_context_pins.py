@@ -143,7 +143,7 @@ def pinned_objects(name: str) -> dict:
     fx = _fixture(name)
     c = fx.coring
     g = c.group
-    d = Derived(c, fx.grouplike, fx.witness)
+    d = Derived(c, fx.grouplike, fx.base, fx.witness)
     out = {}
     for tag, morita, graded, coefficients in (
             ("", d.morita, d.graded_morita, d.coefficients),
@@ -154,7 +154,7 @@ def pinned_objects(name: str) -> dict:
     out["context_from_graded_module"] = _context(
         context_from_graded_module(d.canonical_module)[0].ctx)
     if d.witness is not None:
-        out["group_ring_context"] = _context(group_ring_context(d.slice[0], g).ctx)
+        out["group_ring_context"] = _context(group_ring_context(d.slice.morita[0], g).ctx)
     out["packed_ring"] = _constants(d.dual_ring.packed().algebra)
     out["group_ring"] = _constants(group_ring(c.base, g).algebra)
     return out

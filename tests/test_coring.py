@@ -139,12 +139,13 @@ def test_prime_field_trivial_coring():
     # the whole stack is field generic: run the rank-one coring over a
     # prime field end to end
     from corings.scalars import GF
-    from corings.galois import GrouplikeFamily
+    from corings.galois import GrouplikeFamily, RingMorphism
     from corings.structfile import Derived
 
     f5 = GF(5)
     c, wit = trivial_coring(field_algebra(f5), FiniteGroup.cyclic(2))
     assert validate_group_coring(c).ok
     x = GrouplikeFamily(c, ((f5.one,), (f5.one,)))
-    verdict, _ = Derived(c, x).galois
+    b = RingMorphism(c.base, c.base, Mat.identity(f5, 1))
+    verdict, _ = Derived(c, x, b).galois
     assert verdict

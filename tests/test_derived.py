@@ -149,6 +149,39 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
                       "canonical_graded_module": (1, 1)}
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
+    # the structure-theorem, section 9 and hopf suites share the induction
+    # comparisons, the dual-ring and graded-morita suites the cofree
+    # comparison of the dual ring, and the dual-ring suite reads the
+    # canonical graded module that the graded-morita suite builds
+    ms = main_structure(parse(fixture_file_text(name)))
+    calls = defaultdict(int)
+    modules = [m for key, m in sys.modules.items()
+               if m is not None and (key == "corings" or key.startswith("corings."))]
+    for module, builder in ((galois, "induction_equivalence"),
+                            (dualring, "cofree_dual_group_ring_iso"),
+                            (dualring, "gcomodule_to_graded")):
+        original = getattr(module, builder)
+
+        def counted(*args, _original=original, _name=builder):
+            calls[_name] += 1
+            return _original(*args)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    run_suite(ms, "all", seed=0)
+    # two families and two comodules through the functor square, the coring
+    # family through the roundtrip, and the canonical module
+    expected = {"induction_equivalence": 1, "cofree_dual_group_ring_iso": 1,
+                "gcomodule_to_graded": 6}
+    if name == "nongalois":  # no cofree witness, so no cofree comparison
+        del expected["cofree_dual_group_ring_iso"]
+    assert dict(calls) == expected
+
+
 def test_connecting_spaces_read_the_first_legs_off_the_dual_ring(monkeypatch):
     ms = main_structure(parse(C3.read_bytes()))
     x, r = ms.grouplike, ms.derived.dual_ring

@@ -135,7 +135,7 @@ def test_relative_module_on_the_algebra_itself():
         ca = fx.comodule_algebra
         m = RelativeHopfModule(ca, Bimodule.right_regular(ca.algebra), ca.rho)
         rep = relative_hopf_module_check(ca, [m], fx.coring)
-        rep.extend(structure_theorem_battery(derived(fx), fx.base), prefix="relative.")
+        rep.extend(structure_theorem_battery(derived(fx)), prefix="relative.")
         if name == "regular":
             assert rep.ok
         else:

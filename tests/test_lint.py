@@ -37,6 +37,10 @@
 * The invertibility test `m.rows == m.cols and rank(m) == m.rows`, or its
   negation, is written only in `linalg.py`; the other modules call
   `linalg.is_invertible`.
+* Only `structfile.py` calls the builders of what `structfile.Derived`
+  caches (`DERIVED_BUILDERS`): a call anywhere else builds again what the
+  suites of one run share.  `dual_ring` is not among them: the dual of a
+  coring morphism builds the dual ring of its domain, another coring.
 * No handler catches everything (a bare `except:`, or `Exception` or
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
@@ -360,6 +364,18 @@ def broad_handlers(path: Path) -> list:
     return sorted(out)
 
 
+DERIVED_BUILDERS = {"induction_equivalence", "cofree_dual_group_ring_iso", "coinvariant_ring",
+                    "connecting_spaces", "coefficient_spaces", "morita_context",
+                    "graded_morita_context", "canonical_graded_module"}
+
+
+def derived_rebuilds(path: Path) -> list:
+    """(line, name) of each call of a `DERIVED_BUILDERS` function, by name or
+    as an attribute."""
+    return sorted((node.lineno, _called_name(node)) for node in ast.walk(_tree(path))
+                  if isinstance(node, ast.Call) and _called_name(node) in DERIVED_BUILDERS)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -399,6 +415,12 @@ def test_no_hand_written_invertibility_test(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_handler_catches_everything(path):
     assert broad_handlers(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structfile.py"],
+                         ids=lambda p: p.name)
+def test_only_derived_builds_the_shared_objects(path):
+    assert derived_rebuilds(path) == []
 
 
 def test_every_function_is_referenced():
@@ -468,6 +490,22 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "except ExceptionGroup:\n"
         "    pass\n")
     assert broad_handlers(handlers) == [4, 8, 12]
+    rebuilds = tmp_path / "rebuilds.py"
+    rebuilds.write_text(
+        # the slice context the Morita layer built before `Derived.slice`
+        "def slice_context(x):\n"
+        "    e_coring = x.coring.e_slice()\n"
+        "    x_e = GrouplikeFamily(e_coring, (x.vec(0),))\n"
+        "    r_e = dual_ring(e_coring)\n"
+        "    strict, _ = connecting_spaces(x_e, r_e)\n"
+        "    ctx, w, _ = morita_context(x_e, r_e, coinvariant_ring(x_e), strict)\n"
+        "    return ctx, w, r_e\n"
+        "def battery(d, b):\n"
+        "    sig = galois.induction_equivalence(d.grouplike, b)\n"
+        "    return sig, d.connecting_spaces[0], d.cofree_dual\n")
+    assert derived_rebuilds(rebuilds) == [
+        (5, "connecting_spaces"), (6, "coinvariant_ring"), (6, "morita_context"),
+        (9, "induction_equivalence")]
 
 
 def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):

@@ -13,7 +13,7 @@ from corings import morita
 from corings.algebra import field_algebra
 from corings.dualring import dual_ring
 from corings.fixtures import fixture, fixture_file_text
-from corings.galois import coinvariant_ring
+from corings.galois import coinvariant_ring, inclusion_morphism
 from corings.linalg import Mat, rank, row_space, tensor_vec
 from corings.morita import (
     MoritaContext,
@@ -33,7 +33,6 @@ from corings.morita import (
     group_ring_context,
     grouplike_character,
     is_strict,
-    slice_context,
     validate_graded_morita_context,
     validate_morita_context,
     weak_coinvariant_ring,
@@ -98,7 +97,7 @@ def test_connecting_space_dimensions():
     fx = fixture("regular")
     r = dual_ring(fx.coring)
     assert connecting_spaces(fx.grouplike, r)[0].rows == 2
-    ctx_e, w_e, _ = slice_context(fx.grouplike)
+    ctx_e, w_e, _ = derived(fx).slice.morita
     assert w_e.rows == 2
 
 
@@ -120,14 +119,14 @@ def test_classical_context_validates_but_is_not_strict():
 
 def test_slice_context_is_strict_on_galois_fixtures():
     for name in ("trivial", "regular", "sweedler"):
-        ctx_e, _, _ = slice_context(fixture(name).grouplike)
+        ctx_e, _, _ = derived(fixture(name)).slice.morita
         assert validate_morita_context(ctx_e).ok, name
         verdict, _ = is_strict(ctx_e)
         assert verdict, name
 
 
 def test_slice_context_not_strict_on_nongalois():
-    ctx_e, _, _ = slice_context(fixture("nongalois").grouplike)
+    ctx_e, _, _ = derived(fixture("nongalois")).slice.morita
     verdict, _ = is_strict(ctx_e)
     assert not verdict
 
@@ -249,7 +248,7 @@ def test_graded_context_with_nontrivial_shifts():
     # commute with the base shifts the coefficient families; a context that
     # shifts a block by a degree instead of its inverse fails both checks
     x = triangular_family()
-    d = Derived(x.coring, x)
+    d = Derived(x.coring, x, inclusion_morphism(coinvariant_ring(x), x.coring.base))
     assert d.coefficients.algebra.dim == 3
     gctx, _, _, brep = d.graded_morita
     assert brep.ok
@@ -298,7 +297,7 @@ def test_battery_agreement_on_fixtures():
                 "nongalois": "(False, False, False, False)"}
     for name, want in expected.items():
         fx = fixture(name)
-        rep = galois_equivalence_battery(derived(fx), fx.base)
+        rep = galois_equivalence_battery(derived(fx))
         agree = next(it for it in rep.items if it.check_id == "battery.agreement")
         assert agree.passed and want in agree.witness, name
 
@@ -321,7 +320,7 @@ def test_battery_hypothesis_check():
     x = GrouplikeFamily(cor, ((QQ.one,),))
     b = RingMorphism(kx, kx, Mat.identity(QQ, 2))
     with pytest.raises(HypothesisFailed):
-        galois_equivalence_battery(Derived(cor, x), b)
+        galois_equivalence_battery(Derived(cor, x, b))
 
 
 def test_battery_lets_induction_errors_propagate(monkeypatch):
@@ -333,7 +332,7 @@ def test_battery_lets_induction_errors_propagate(monkeypatch):
     monkeypatch.setattr(galois_mod, "induction_unit", broken)
     fx = fixture("trivial")
     with pytest.raises(RuntimeError, match="induction failed"):
-        galois_equivalence_battery(derived(fx), fx.base)
+        galois_equivalence_battery(derived(fx))
 
 
 # -- the batched law checks against the loop references ---------------------------------

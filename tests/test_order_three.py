@@ -124,14 +124,14 @@ def test_trivial_order_three_comodules_and_dual():
 def test_trivial_order_three_contexts_and_batteries():
     fx = order_three_trivial()
     wit, _ = derived(fx).decomposition
-    d = Derived(fx.coring, fx.grouplike, wit)
+    d = Derived(fx.coring, fx.grouplike, fx.base, wit)
     gctx, _, _, brep = d.graded_morita
     assert brep.ok
     assert is_strict(gctx.ctx)[0]
     assert check_standard_context_match(d).ok
     assert check_group_ring_context_match(d).ok
-    assert structure_theorem_battery(d, fx.base).ok
-    rep = galois_equivalence_battery(d, fx.base)
+    assert structure_theorem_battery(d).ok
+    rep = galois_equivalence_battery(d)
     agree = next(it for it in rep.items if it.check_id == "battery.agreement")
     assert agree.passed and "(True, True, True, True)" in agree.witness
 
@@ -167,8 +167,8 @@ def test_nongalois_order_three_batteries():
     assert brep.ok
     assert not is_strict(gctx.ctx)[0]
     assert check_standard_context_match(d).ok
-    assert structure_theorem_battery(d, fx.base).ok
-    rep = galois_equivalence_battery(d, fx.base)
+    assert structure_theorem_battery(d).ok
+    rep = galois_equivalence_battery(d)
     agree = next(it for it in rep.items if it.check_id == "battery.agreement")
     assert agree.passed and "(False, False, False, False)" in agree.witness
     sp, _, srep = smash_dual(fx.comodule_algebra, r)
