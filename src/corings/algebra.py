@@ -129,6 +129,15 @@ def product_field_algebra(field: Field, n: int) -> Algebra:
     return Algebra.from_tables(field, mul, [1] * n)
 
 
+def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
+    """A (x)k B with componentwise multiplication, in the basis e_i (x) f_j."""
+    F = a.field
+    mul = tuple(tuple(tensor_vec(F, a.mul[i][k], b.mul[j][l])
+                      for k in range(a.dim) for l in range(b.dim))
+                for i in range(a.dim) for j in range(b.dim))
+    return Algebra(F, a.dim * b.dim, mul, tensor_vec(F, a.unit, b.unit))
+
+
 def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     """Subalgebra of `ambient` spanned by the rows of `basis`.
 

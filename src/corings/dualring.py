@@ -25,7 +25,7 @@ from corings.algebra import (
     find_dual_basis,
     left_dual,
 )
-from corings.comodules import Comodule, GComodule, pack_gcomodule, replicate_comodule
+from corings.comodules import Comodule, GComodule, pack_gcomodule
 from corings.coring import (
     CofreeWitness,
     GroupCoring,
@@ -476,18 +476,18 @@ def induce_grading(m: RModule) -> GradedModule:
     return GradedModule(m.ring, comps, act)
 
 
-def check_functor_square(gcomodules, comodules, r: GradedRing) -> CheckReport:
-    """Pack-then-dualize equals dualize-then-forget, on both sides."""
+def check_functor_square(families, singles, r: GradedRing) -> CheckReport:
+    """Pack-then-dualize equals dualize-then-forget, on both sides, for
+    pairs (family, its graded module) and (comodule, the graded module of
+    its replicate) that the caller built with `gcomodule_to_graded`."""
     rep = CheckReport()
-    for idx, gm in enumerate(gcomodules):
+    for idx, (gm, graded) in enumerate(families):
         packed, _, _ = pack_gcomodule(gm)
         lhs = comodule_to_module(packed, r)
-        rhs = forget_grading(gcomodule_to_graded(gm, r))
         rep.add(f"square.family[{idx}]",
                 "packing then dualizing equals dualizing then forgetting the grading",
-                rmodules_equal(lhs, rhs))
-    for idx, cm in enumerate(comodules):
-        lhs = gcomodule_to_graded(replicate_comodule(cm), r)
+                rmodules_equal(lhs, forget_grading(graded)))
+    for idx, (cm, lhs) in enumerate(singles):
         rhs = induce_grading(comodule_to_module(cm, r))
         rep.add(f"square.single[{idx}]",
                 "replicating then dualizing equals dualizing then regrading",

@@ -294,13 +294,13 @@ def onto_coinvariants(b: RingMorphism, t: CoinvariantRing) -> bool:
     return rank(b.mat) == b.src.dim and row_space(b.mat.transpose()) == row_space(t.basis)
 
 
-def check_base_ring(b: RingMorphism, t: CoinvariantRing) -> CheckReport:
-    """The supplied base ring compared against the coinvariants."""
+def check_base_ring(d: "Derived") -> CheckReport:
+    """The supplied base ring of `d` compared against the coinvariants."""
     rep = CheckReport()
-    matches = onto_coinvariants(b, t)
+    matches = d.onto_coinvariants
     rep.add("galois.base-ring", "supplied base ring matches the coinvariants",
             matches, "" if matches else
-            f"supplied dim {b.src.dim}, coinvariants dim {t.basis.rows}")
+            f"supplied dim {d.base.src.dim}, coinvariants dim {d.coinvariants.basis.rows}")
     return rep
 
 
@@ -476,9 +476,9 @@ def structure_theorem_battery(d: "Derived") -> CheckReport:
     on every test object.  The check asserts the two sides agree.
     """
     rep = CheckReport()
-    iso_onto_t = onto_coinvariants(d.base, d.coinvariants)
+    iso_onto_t = d.onto_coinvariants
     galois_verdict = d.galois[0]
-    preds = predicates_of_extension(d.base)
+    preds = d.extension
     side1 = iso_onto_t and galois_verdict and preds.faithfully_flat
     rep.add("structure.side1", "base iso onto coinvariants + Galois + faithfully flat",
             True,

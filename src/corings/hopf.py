@@ -9,8 +9,8 @@ every statement about the comodule algebra into a coring statement.
 The layer is written as matrix identities over `linalg.tensor_k`: every
 structure map and every law is a composite of Kronecker products, identity
 and unit-vector matrices, the multiplication matrices `Algebra.mul_mat` and
-the tensor algebra `tensor_algebra`, so no code here indexes a tensor
-product by hand.
+the tensor algebra `algebra.tensor_algebra`, so no code here indexes a
+tensor product by hand.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from corings.algebra import (
     cached_tensor,
     collapse_right,
     field_algebra,
+    tensor_algebra,
     validate_algebra,
 )
 from corings.comodules import Comodule, validate_comodule
@@ -45,15 +46,6 @@ from corings.linalg import (
 )
 from corings.report import CheckReport
 from corings.scalars import Field
-
-
-def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """A (x)k B with componentwise multiplication, in the basis e_i (x) f_j."""
-    F = a.field
-    mul = tuple(tuple(tensor_vec(F, a.mul[i][k], b.mul[j][l])
-                      for k in range(a.dim) for l in range(b.dim))
-                for i in range(a.dim) for j in range(b.dim))
-    return Algebra(F, a.dim * b.dim, mul, tensor_vec(F, a.unit, b.unit))
 
 
 def _is_algebra_map(f: Mat, src: Algebra, dst: Algebra) -> bool:

@@ -6,12 +6,18 @@ equivalent Galois characterizations for progenerator components.
 Solution-space objects (the connecting module, the coefficient families)
 are kernels of explicitly assembled linear systems; memberships are then
 rechecked independently when structures act on them.
+
+The context laws and comparisons are matrix identities: each bimodule
+flattens its actions into `RingBimodule.left_map` and `right_map`, and each
+law or intertwining condition is an equation of `kron_after` composites
+whose differing columns name the failing basis elements.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from corings.algebra import (
     Algebra,
@@ -21,9 +27,10 @@ from corings.algebra import (
     algebra_map_failures,
     commuting_failures,
     differing_columns,
-    flat_actions,
     left_module_predicates,
+    product_field_algebra,
     subalgebra,
+    tensor_algebra,
 )
 from corings.comodules import replicate_comodule
 from corings.coring import validate_coring_morphism
@@ -42,8 +49,6 @@ from corings.galois import (
     GrouplikeFamily,
     canonical_morphism,
     comodule_from_grouplike,
-    onto_coinvariants,
-    predicates_of_extension,
 )
 from corings.linalg import (
     LinearSystem,
@@ -95,6 +100,17 @@ def _degrees(dims) -> list:
     return [a for a, d in enumerate(dims) for _ in range(d)]
 
 
+def _span_action(w: Mat, acts) -> tuple[list, bool]:
+    """Each matrix of acts on the span of the rows of w, in the coordinates
+    of those rows, and whether the span is closed under all of them."""
+    mats, ok = [], True
+    for act in acts:
+        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
+        mats.append(Mat._from_cols(w.field, coords, w.rows))
+        ok = ok and closed
+    return mats, ok
+
+
 # -- the grouplike character --------------------------------------------------------
 
 def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckReport]:
@@ -138,14 +154,16 @@ class RingBimodule:
     left: tuple   # per left_ring basis element
     right: tuple  # per right_ring basis element
 
+    @cached_property
+    def left_map(self) -> Mat:
+        """The left action R (x) M -> M: column i * dim + k holds e_i . m_k."""
+        return hstack(self.left)
 
-def _col_rows(F, dim: int, mats, i: int) -> Mat:
-    """The matrix whose row k is column i of the dim x dim matrix mats[k]."""
-    return Mat(F, len(mats), dim, tuple(x for mat in mats for x in mat.col(i)))
-
-
-def _row_block(m: Mat, start: int, count: int) -> Mat:
-    return Mat(m.field, count, m.cols, m.data[start * m.cols:(start + count) * m.cols])
+    @cached_property
+    def right_map(self) -> Mat:
+        """The right action M (x) S -> M: column k * S.dim + j holds m_k . e_j."""
+        return Mat._from_cols(self.left_ring.field, [act.col(k) for k in range(self.dim)
+                                                     for act in self.right], self.dim)
 
 
 def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
@@ -175,59 +193,60 @@ class MoritaContext:
     mu: Mat              # ring2.dim x (q.dim * p.dim)
 
 
+def _balanced_failures(pair: Mat, m: RingBimodule, n: RingBimodule) -> list:
+    """The basis elements e_j of the middle ring where pair(m . e_j (x) n)
+    and pair(m (x) e_j . n) differ; column (i * middle + j) * n.dim + k of
+    both sides is read at m_i, e_j, n_k."""
+    F = pair.field
+    return sorted({t // n.dim % m.right_ring.dim for t in differing_columns(
+        kron_after(pair, m.right_map, Mat.identity(F, n.dim)),
+        kron_after(pair, Mat.identity(F, m.dim), n.left_map))})
+
+
+def _bilinear_failures(pair: Mat, ring: Algebra, m: RingBimodule, n: RingBimodule) -> list:
+    """The ("left", i) and ("right", i), i major, where pair: M (x) N -> ring
+    fails pair(e_i . m (x) n) = e_i pair(m (x) n), or pair(m (x) n . e_i) =
+    pair(m (x) n) e_i."""
+    F, d = ring.field, ring.dim
+    ident, mul = Mat.identity(F, d), ring.mul_mat
+    left = {t // (m.dim * n.dim) for t in differing_columns(
+        kron_after(pair, m.left_map, Mat.identity(F, n.dim)), kron_after(mul, ident, pair))}
+    right = {t % d for t in differing_columns(
+        kron_after(pair, Mat.identity(F, m.dim), n.right_map), kron_after(mul, pair, ident))}
+    return [(side, i) for i in range(d) for side, bad in (("left", left), ("right", right))
+            if i in bad]
+
+
+def _associative_failures(m: RingBimodule, n: RingBimodule, mn: Mat, nm: Mat) -> list:
+    """The triples (i, j, k) where mn(m_i (x) n_j) . m_k and m_i . nm(n_j (x) m_k)
+    differ, for the pairings mn: M (x) N -> the left ring of M and nm:
+    N (x) M -> its right ring."""
+    ident = Mat.identity(mn.field, m.dim)
+    return [(t // (n.dim * m.dim), t // m.dim % n.dim, t % m.dim) for t in differing_columns(
+        kron_after(m.left_map, mn, ident), kron_after(m.right_map, ident, nm))]
+
+
 def validate_morita_context(ctx: MoritaContext) -> CheckReport:
     rep = CheckReport()
-    F = ctx.ring1.field
-    rep.extend(validate_ring_bimodule(ctx.p), prefix="p.")
-    rep.extend(validate_ring_bimodule(ctx.q), prefix="q.")
-    pd, qd = ctx.p.dim, ctx.q.dim
-    ident_p, ident_q = Mat.identity(F, pd), Mat.identity(F, qd)
-    bad = [j for j in range(ctx.ring2.dim)
-           if kron_after(ctx.tau, ctx.p.right[j], ident_q)
-           != kron_after(ctx.tau, ident_p, ctx.q.left[j])]
+    p, q = ctx.p, ctx.q
+    rep.extend(validate_ring_bimodule(p), prefix="p.")
+    rep.extend(validate_ring_bimodule(q), prefix="q.")
+    bad = _balanced_failures(ctx.tau, p, q)
     rep.add("morita.tau-balanced", "first connecting map is balanced over the big ring",
             not bad, f"failing basis: {bad[:5]}" if bad else "")
-    bad = [i for i in range(ctx.ring1.dim)
-           if kron_after(ctx.mu, ctx.q.right[i], ident_p)
-           != kron_after(ctx.mu, ident_q, ctx.p.left[i])]
+    bad = _balanced_failures(ctx.mu, q, p)
     rep.add("morita.mu-balanced", "second connecting map is balanced over the small ring",
             not bad, f"failing basis: {bad[:5]}" if bad else "")
-    bad = []
-    for i in range(ctx.ring1.dim):
-        if kron_after(ctx.tau, ctx.p.left[i], ident_q) != ctx.ring1.left_mats[i] @ ctx.tau:
-            bad.append(("left", i))
-        if kron_after(ctx.tau, ident_p, ctx.q.right[i]) != ctx.ring1.right_mats[i] @ ctx.tau:
-            bad.append(("right", i))
+    bad = _bilinear_failures(ctx.tau, ctx.ring1, p, q)
     rep.add("morita.tau-bilinear", "first connecting map is bilinear over the small ring",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    bad = []
-    for j in range(ctx.ring2.dim):
-        if kron_after(ctx.mu, ctx.q.left[j], ident_p) != ctx.ring2.left_mats[j] @ ctx.mu:
-            bad.append(("left", j))
-        if kron_after(ctx.mu, ident_q, ctx.p.right[j]) != ctx.ring2.right_mats[j] @ ctx.mu:
-            bad.append(("right", j))
+    bad = _bilinear_failures(ctx.mu, ctx.ring2, q, p)
     rep.add("morita.mu-bilinear", "second connecting map is bilinear over the big ring",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    # Associativity through P, one i at a time: tau(p_i (x) q_j) . p_k is
-    # row j of left_t read at the entries of column k, and p_i . mu(q_j (x) p_k)
-    # is row j*pd + k of right_m; through Q likewise, one j at a time.
-    tau_t, mu_t = ctx.tau.transpose(), ctx.mu.transpose()
-    flat_p = flat_actions(F, pd, ctx.p.left)
-    bad = []
-    for i in range(pd):
-        left_t = _row_block(tau_t, i * qd, qd) @ flat_p
-        right_m = mu_t @ _col_rows(F, pd, ctx.p.right, i)
-        bad += [(i, j, k) for j in range(qd) for k in range(pd)
-                if left_t.data[j * pd * pd + k:(j + 1) * pd * pd:pd] != right_m.row(j * pd + k)]
+    bad = _associative_failures(p, q, ctx.tau, ctx.mu)
     rep.add("morita.assoc-p", "connecting maps associate through the first module",
             not bad, f"failing: {bad[:3]}" if bad else "")
-    flat_q = flat_actions(F, qd, ctx.q.left)
-    bad = []
-    for j in range(qd):
-        left_m = _row_block(mu_t, j * pd, pd) @ flat_q
-        right_t = tau_t @ _col_rows(F, qd, ctx.q.right, j)
-        bad += [(j, i, l) for i in range(pd) for l in range(qd)
-                if left_m.data[i * qd * qd + l:(i + 1) * qd * qd:qd] != right_t.row(i * qd + l)]
+    bad = _associative_failures(q, p, ctx.mu, ctx.tau)
     rep.add("morita.assoc-q", "connecting maps associate through the second module",
             not bad, f"failing: {bad[:3]}" if bad else "")
     return rep
@@ -342,47 +361,32 @@ class CoefficientRing:
 
 def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> CoefficientRing:
     """The ring of the coefficient families with basis rows `basis` (one of
-    `coefficient_spaces`), with its shift action, its twisted group ring
-    and the diagonal families of the coinvariants `t`."""
+    `coefficient_spaces`), a subalgebra of the product of base copies, with
+    its shift action, its twisted group ring and the diagonal families of
+    the coinvariants `t`."""
     c = x.coring
     g = c.group
     A = c.base
     F = A.field
     n = g.order
     w = basis.rows
-
-    def coords(vecs, failure: str) -> list:
-        out, ok = rowspace_coords(basis, vecs)
-        if not ok:
-            raise ValueError(failure)
-        return out
-
-    def block(vec, a: int) -> tuple:
-        return vec[a * A.dim:(a + 1) * A.dim]
-
-    def product(u, v) -> tuple:
-        return tuple(e for a in range(n) for e in A.multiply(block(u, a), block(v, a)))
-
-    def shifted(u, s: int) -> tuple:
-        """The family whose block of degree a is the block of degree s a of u."""
-        return tuple(e for a in range(n) for e in block(u, g.mul(s, a)))
-
-    (unit_coords,) = coords([A.unit * n], "coefficient families do not contain the unit family")
-    mul = tuple(tuple(coords([product(basis.row(i), basis.row(j)) for j in range(w)],
-                             "coefficient families are not closed under multiplication"))
-                for i in range(w))
-    s_alg = Algebra(F, w, mul, unit_coords)
-    sigma = tuple(Mat._from_cols(F, coords([shifted(basis.row(i), s) for i in range(w)],
-                                           "coefficient families are not stable under the "
-                                           "shift action"))
-                  for s in g.elements())
+    dims = [A.dim] * n
+    s_alg, _ = subalgebra(tensor_algebra(product_field_algebra(F, n), A), basis)
+    # the shift by s reads the block of degree s a into degree a
+    sigma, stable = _span_action(basis, [
+        block_matrix(F, dims, dims, {(a, g.mul(s, a)): Mat.identity(F, A.dim)
+                                     for a in g.elements()})
+        for s in g.elements()])
+    if not stable:
+        raise ValueError("coefficient families are not stable under the shift action")
     # twisted group ring: (u_a b)(u_b c) = u_{ab} b^{shift} c
     twisted = GradedAlgebra.from_products(
         F, g, [w] * n, lambda a, b: kron_after(s_alg.mul_mat, sigma[b], Mat.identity(F, w)),
-        unit_coords)
-    diag = Mat._from_cols(F, coords([t.basis.row(i) * n for i in range(t.basis.rows)],
-                                    "diagonal coinvariant family escapes the coefficient ring"))
-    return CoefficientRing(basis, s_alg, sigma, twisted, diag)
+        s_alg.unit)
+    diag, ok = rowspace_coords(basis, [t.basis.row(i) * n for i in range(t.basis.rows)])
+    if not ok:
+        raise ValueError("diagonal coinvariant family escapes the coefficient ring")
+    return CoefficientRing(basis, s_alg, tuple(sigma), twisted, Mat._from_cols(F, diag, w))
 
 
 def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
@@ -404,17 +408,6 @@ def weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
     t_basis = weak_coinvariant_ring(x, r)
     t_alg, t_incl = subalgebra(x.coring.base, t_basis)
     return CoinvariantRing(t_basis, t_alg, t_incl)
-
-
-def _span_action(w: Mat, acts) -> tuple[list, bool]:
-    """Each matrix of acts on the span of the rows of w, in the coordinates
-    of those rows, and whether the span is closed under all of them."""
-    mats, ok = [], True
-    for act in acts:
-        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
-        mats.append(Mat._from_cols(w.field, coords, w.rows))
-        ok = ok and closed
-    return mats, ok
 
 
 def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat,
@@ -446,10 +439,9 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     rep.add("build.right-module", "the connecting space absorbs the coinvariants",
             ok_right)
     q = RingBimodule(packed.algebra, t.algebra, o_dim, tuple(q_left), tuple(q_right))
-    # tau: P (x) Q -> T, the right action of Q on the base
-    acts = [combine(F, A.dim, A.dim, p_right, w.row(u)) for u in range(o_dim)]
-    tau_cols, ok_tau = rowspace_coords(t.basis, [acts[u].col(j) for j in range(A.dim)
-                                              for u in range(o_dim)])
+    # tau: P (x) Q -> T, the right action of Q on the base; column j * o_dim + u
+    acted = kron_after(p.right_map, Mat.identity(F, A.dim), w.transpose())
+    tau_cols, ok_tau = rowspace_coords(t.basis, [acted.col(k) for k in range(acted.cols)])
     rep.add("build.tau-lands", "the pairing lands in the coinvariants", ok_tau)
     tau = Mat._from_cols(F, tau_cols, t.algebra.dim)
     # mu: Q (x) P -> R, the right action of the base on Q
@@ -477,17 +469,11 @@ def validate_graded_morita_context(gctx: GradedMoritaContext) -> CheckReport:
     ctx = gctx.ctx
     p_deg, q_deg = _degrees(gctx.p_dims), _degrees(gctx.q_dims)
     deg1, deg2 = _degrees(gctx.ring1.dims), _degrees(gctx.ring2.dims)
-    bad = []
-    for i in range(ctx.p.dim):
-        for j in range(ctx.q.dim):
-            ab = g.mul(p_deg[i], q_deg[j])
-            if any(v and deg1[k] != ab for k, v in enumerate(ctx.tau.col(i * ctx.q.dim + j))):
-                bad.append(("tau", i, j))
-    for j in range(ctx.q.dim):
-        for i in range(ctx.p.dim):
-            ab = g.mul(q_deg[j], p_deg[i])
-            if any(v and deg2[k] != ab for k, v in enumerate(ctx.mu.col(j * ctx.p.dim + i))):
-                bad.append(("mu", j, i))
+    qd, pd = ctx.q.dim, ctx.p.dim
+    bad = [("tau", i, j) for i, a in enumerate(p_deg) for j, b in enumerate(q_deg)
+           if any(v and deg1[k] != g.mul(a, b) for k, v in enumerate(ctx.tau.col(i * qd + j)))]
+    bad += [("mu", j, i) for j, b in enumerate(q_deg) for i, a in enumerate(p_deg)
+            if any(v and deg2[k] != g.mul(b, a) for k, v in enumerate(ctx.mu.col(j * pd + i)))]
     rep.add("graded.degree-zero", "connecting maps are homogeneous of trivial degree",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -738,6 +724,14 @@ def _ring_as_module(r: GradedRing) -> GradedModule:
 
 # -- comparison isomorphisms for the standard context ---------------------------------------
 
+def _intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -> list:
+    """The k where f @ src_acts[k] differs from the action in dst_acts of
+    the image of e_k under ring_map, followed by f: column k * f.cols + c
+    of f @ hstack(src_acts) and of hstack(dst_acts) @ (ring_map (x) f)."""
+    return sorted({t // f.cols for t in differing_columns(
+        f @ hstack(src_acts), kron_after(hstack(dst_acts), ring_map, f))})
+
+
 def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckReport]:
     """Endomorphisms of the canonical graded module correspond to twisted
     coefficient families: read each endomorphism off its values at the
@@ -798,19 +792,10 @@ def check_standard_context_match(d: "Derived") -> CheckReport:
     rep.extend(xi_rep)
     psi, psi_rep = hom_to_shifted_iso(hom_bases, wq, r)
     rep.extend(psi_rep)
-    # equivariance of the hom comparison
-    bad = []
-    packed = r.packed()
-    for k in range(packed.algebra.dim):
-        lhs = psi @ std.ctx.q.left[k]
-        rhs = gctx.ctx.q.left[k] @ psi
-        if lhs != rhs:
-            bad.append(("left", k))
-    for k in range(end.graded.algebra.dim):
-        lhs = psi @ std.ctx.q.right[k]
-        rhs = combine(F, gctx.ctx.q.dim, gctx.ctx.q.dim, gctx.ctx.q.right, xi.col(k))
-        if lhs != rhs @ psi:
-            bad.append(("right", k))
+    bad = [("left", k) for k in _intertwining_failures(
+        psi, std.ctx.q.left, gctx.ctx.q.left, Mat.identity(F, r.packed().algebra.dim))]
+    bad += [("right", k) for k in _intertwining_failures(
+        psi, std.ctx.q.right, gctx.ctx.q.right, xi)]
     rep.add("standard.hom-equivariant",
             "the hom comparison intertwines both module structures",
             not bad, f"failing: {bad[:5]}" if bad else "")
@@ -874,7 +859,6 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     c = d.grouplike.coring
     g = c.group
     F = c.base.field
-    n = g.order
     r, t = d.dual_ring, d.coinvariants
     gctx, s, wq, _ = d.graded_morita
     ctx_e, w_e, _ = d.slice.morita
@@ -907,11 +891,11 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             f"failing pairs: {bad[:5]}" if bad else "")
     # the tag swap on the base copies is the identity in these coordinates;
     # equivariance over both ring comparisons pins it down
-    pd, qd = gctx.ctx.p.dim, gctx.ctx.q.dim
-    bad = [("left", k) for k in range(tg.dim)
-           if combine(F, pd, pd, gctx.ctx.p.left, theta.col(k)) != ring_ctx_e.ctx.p.left[k]]
-    bad += [("right", k) for k in range(reg.dim)
-            if combine(F, pd, pd, gctx.ctx.p.right, phi47.col(k)) != ring_ctx_e.ctx.p.right[k]]
+    ident_p = Mat.identity(F, gctx.ctx.p.dim)
+    bad = [("left", k) for k in _intertwining_failures(
+        ident_p, ring_ctx_e.ctx.p.left, gctx.ctx.p.left, theta)]
+    bad += [("right", k) for k in _intertwining_failures(
+        ident_p, ring_ctx_e.ctx.p.right, gctx.ctx.p.right, phi47)]
     rep.add("ring-match.base-equivariant",
             "base copies carry the same actions through the ring comparisons",
             not bad, f"failing: {bad[:5]}" if bad else "")
@@ -919,7 +903,7 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     coords, ok = rowspace_coords(wq, [
         tuple(v for a in g.elements() for v in sigmas[a].apply(w_e.row(u)))
         for u in range(w_e.rows)])
-    jg = tensor_k(Mat.identity(F, n), Mat._from_cols(F, coords))
+    jg = tensor_k(Mat.identity(F, g.order), Mat._from_cols(F, coords))
     rep.add("ring-match.connecting-lands",
             "shifted slice families are connecting families", ok)
     rep.add("ring-match.connecting-bijective",
@@ -928,16 +912,13 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     if not is_invertible(jg):
         return rep
     jg_inv = inverse(jg)
-    bad = [("left", k) for k in range(reg.dim)
-           if combine(F, qd, qd, gctx.ctx.q.left, phi47.col(k)) @ jg
-           != jg @ ring_ctx_e.ctx.q.left[k]]
-    bad += [("right", k) for k in range(tg.dim)
-            if combine(F, qd, qd, gctx.ctx.q.right, theta.col(k)) @ jg
-            != jg @ ring_ctx_e.ctx.q.right[k]]
+    bad = [("left", k) for k in _intertwining_failures(
+        jg, ring_ctx_e.ctx.q.left, gctx.ctx.q.left, phi47)]
+    bad += [("right", k) for k in _intertwining_failures(
+        jg, ring_ctx_e.ctx.q.right, gctx.ctx.q.right, theta)]
     rep.add("ring-match.connecting-equivariant",
             "the connecting comparison intertwines both bimodule structures",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    ident_p = Mat.identity(F, gctx.ctx.p.dim)
     lhs = gctx.ctx.tau
     rhs = kron_after(theta @ ring_ctx_e.ctx.tau, ident_p, jg_inv)
     rep.add("ring-match.square-one",
@@ -975,7 +956,7 @@ def galois_equivalence_battery(d: "Derived") -> CheckReport:
         if not preds.progenerator:
             raise HypothesisFailed(f"component {a} is not a left progenerator")
     rep.add("battery.hypothesis", "every component is a left progenerator", True)
-    preds_b = predicates_of_extension(b)
+    preds_b = d.extension
     can = canonical_morphism(x, b)
     can_iso = validate_coring_morphism(can.morphism).ok and all(
         is_invertible(m) for m in can.morphism.maps)
@@ -989,7 +970,7 @@ def galois_equivalence_battery(d: "Derived") -> CheckReport:
     rep.add("battery.statement-2",
             "dual comparison graded ring iso + progenerator extension", True,
             f"value={s2} (dual_iso={dual_ok}, progenerator={preds_b.progenerator})")
-    b_is_t = onto_coinvariants(b, d.coinvariants)
+    b_is_t = d.onto_coinvariants
     s = d.graded_morita[1]
     diag_bij = is_invertible(s.diag)
     strict_verdict, strict_rep = d.graded_strict

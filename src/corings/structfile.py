@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 
-from corings.algebra import Algebra, Bimodule
+from corings.algebra import Algebra, Bimodule, ModulePredicates
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
 from corings.dualring import GradedModule, GradedRing, cofree_dual_group_ring_iso, dual_ring
 from corings.galois import (
@@ -37,6 +37,8 @@ from corings.galois import (
     galois_decomposition,
     induction_equivalence,
     is_galois,
+    onto_coinvariants,
+    predicates_of_extension,
     sweedler_coring,
 )
 from corings.groups import FiniteGroup
@@ -504,6 +506,16 @@ class Derived:
     @cached_property
     def weak_coinvariants(self) -> CoinvariantRing:
         return weak_coinvariants(self.grouplike, self.dual_ring)
+
+    @cached_property
+    def onto_coinvariants(self) -> bool:
+        """`onto_coinvariants` of the base morphism and the coinvariants."""
+        return onto_coinvariants(self.base, self.coinvariants)
+
+    @cached_property
+    def extension(self) -> ModulePredicates:
+        """`predicates_of_extension` of the base morphism."""
+        return predicates_of_extension(self.base)
 
     @cached_property
     def canonical(self) -> CanonicalMorphism:

@@ -147,7 +147,10 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(validate_rmodule(rm), prefix="dual-ring.base-module.")
     rep.extend(validate_graded_module(induce_grading(rm)), prefix="dual-ring.regraded.")
     rnd = random_comodule(ms.grouplike, rng, d.coinvariants)
-    rep.extend(check_functor_square([cg, replicate_comodule(rnd)], [acom, rnd], r),
+    rnd_family = replicate_comodule(rnd)
+    rnd_graded = gcomodule_to_graded(rnd_family, r)
+    rep.extend(check_functor_square([(cg, gm), (rnd_family, rnd_graded)],
+                                    [(acom, d.canonical_module), (rnd, rnd_graded)], r),
                prefix="dual-ring.")
     if d.witness is not None:
         rep.extend(d.cofree_dual[1], prefix="dual-ring.")
@@ -160,7 +163,7 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
 def suite_galois(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport()
     d = ms.derived
-    rep.extend(check_base_ring(ms.base, d.coinvariants))
+    rep.extend(check_base_ring(d))
     rep.extend(d.galois[1])
     wit, drep = d.decomposition
     for it in drep.items:

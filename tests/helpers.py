@@ -14,6 +14,13 @@
   `morita.validate_morita_context`: they check each law one pair of basis
   elements at a time, with dense Kronecker products and one linear
   combination of action matrices per index pair.
+* `reference_coefficient_ring` is the reference for
+  `morita.coefficient_ring`: it multiplies, shifts and repeats the
+  coefficient families block by block instead of taking a subalgebra of
+  the product of base copies.  `reference_intertwining_failures` is the
+  reference for `morita._intertwining_failures`: one linear combination of
+  the target actions per basis element, the loop the context comparisons
+  ran before they were one identity.
 * `reference_pack_gcomodule`, `reference_gcomodule_to_graded`,
   `reference_comodule_to_module`, `reference_graded_to_gcomodule` and
   `reference_dual_basis_comultiplication` are the references for
@@ -70,20 +77,20 @@ from corings.algebra import (
     field_algebra,
     find_dual_basis,
     is_bimodule_iso,
+    tensor_algebra,
     tensor_over_algebra,
     validate_algebra,
 )
 from corings.comodules import Comodule, GComodule
 from corings.coring import GroupCoring, GroupCoringMorphism, trivial_coring
 from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
-from corings.galois import GrouplikeFamily, RingMorphism
+from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
 from corings.groups import FiniteGroup
 from corings.hopf import (
     HopfAlgebra,
     HopfGCoalgebra,
     cofree_hopf,
     group_hopf_algebra,
-    tensor_algebra,
 )
 from corings.linalg import (
     Mat,
@@ -93,12 +100,13 @@ from corings.linalg import (
     kernel,
     kron_after,
     quotient_by,
+    rowspace_coords,
     tensor_k,
     tensor_vec,
     unit_vec,
     vstack,
 )
-from corings.morita import MoritaContext, RingBimodule
+from corings.morita import CoefficientRing, MoritaContext, RingBimodule
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, Field
 from corings.structfile import Derived
@@ -831,3 +839,57 @@ def reference_grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Ma
     rep.add("character.unit", "character of the unit is one",
             chi.apply(packed.inject(g.identity, r.unit_vec)) == A.unit)
     return chi, rep
+
+
+# -- references for the coefficient ring and the context comparisons -------------
+
+def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
+                               t: CoinvariantRing) -> CoefficientRing:
+    """`morita.coefficient_ring` with the componentwise product, the shifts
+    and the diagonal families built block by block."""
+    c = x.coring
+    g = c.group
+    A = c.base
+    F = A.field
+    n = g.order
+    w = basis.rows
+
+    def coords(vecs, failure: str) -> list:
+        out, ok = rowspace_coords(basis, vecs)
+        if not ok:
+            raise ValueError(failure)
+        return out
+
+    def block(vec, a: int) -> tuple:
+        return vec[a * A.dim:(a + 1) * A.dim]
+
+    def product(u, v) -> tuple:
+        return tuple(e for a in range(n) for e in A.multiply(block(u, a), block(v, a)))
+
+    def shifted(u, s: int) -> tuple:
+        """The family whose block of degree a is the block of degree s a of u."""
+        return tuple(e for a in range(n) for e in block(u, g.mul(s, a)))
+
+    (unit_coords,) = coords([A.unit * n], "coefficient families do not contain the unit family")
+    mul = tuple(tuple(coords([product(basis.row(i), basis.row(j)) for j in range(w)],
+                             "coefficient families are not closed under multiplication"))
+                for i in range(w))
+    s_alg = Algebra(F, w, mul, unit_coords)
+    sigma = tuple(Mat._from_cols(F, coords([shifted(basis.row(i), s) for i in range(w)],
+                                           "coefficient families are not stable under the "
+                                           "shift action"))
+                  for s in g.elements())
+    twisted = GradedAlgebra.from_products(
+        F, g, [w] * n, lambda a, b: kron_after(s_alg.mul_mat, sigma[b], Mat.identity(F, w)),
+        unit_coords)
+    diag = Mat._from_cols(F, coords([t.basis.row(i) * n for i in range(t.basis.rows)],
+                                    "diagonal coinvariant family escapes the coefficient ring"))
+    return CoefficientRing(basis, s_alg, sigma, twisted, diag)
+
+
+def reference_intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -> list:
+    """`morita._intertwining_failures` as the loop the context comparisons
+    ran: one linear combination of the target actions per basis element."""
+    rows = cols = f.rows
+    return [k for k in range(len(src_acts))
+            if f @ src_acts[k] != combine(f.field, rows, cols, dst_acts, ring_map.col(k)) @ f]

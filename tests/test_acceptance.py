@@ -124,7 +124,8 @@ def test_dual_ring_package():
         gm = gcomodule_to_graded(cg, r)
         assert gcomodules_equal(graded_to_gcomodule(gm, fx.coring), cg), name
         acom = comodule_from_grouplike(fx.grouplike)
-        assert check_functor_square([cg], [acom], r).ok, name
+        replicated = gcomodule_to_graded(replicate_comodule(acom), r)
+        assert check_functor_square([(cg, gm)], [(acom, replicated)], r).ok, name
     # group-ring form: structure constants literally those of the group ring
     fx = fixture("trivial")
     r = dual_ring(fx.coring)

@@ -152,14 +152,17 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
     # the structure-theorem, section 9 and hopf suites share the induction
-    # comparisons, the dual-ring and graded-morita suites the cofree
-    # comparison of the dual ring, and the dual-ring suite reads the
-    # canonical graded module that the graded-morita suite builds
+    # comparisons, and the galois suite and both batteries the extension
+    # facts of the base morphism; the dual-ring and graded-morita suites
+    # share the cofree comparison of the dual ring, and the dual-ring suite
+    # reads the canonical graded module that the graded-morita suite builds
     ms = main_structure(parse(fixture_file_text(name)))
     calls = defaultdict(int)
     modules = [m for key, m in sys.modules.items()
                if m is not None and (key == "corings" or key.startswith("corings."))]
     for module, builder in ((galois, "induction_equivalence"),
+                            (galois, "predicates_of_extension"),
+                            (galois, "onto_coinvariants"),
                             (dualring, "cofree_dual_group_ring_iso"),
                             (dualring, "gcomodule_to_graded")):
         original = getattr(module, builder)
@@ -173,10 +176,11 @@ def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
                 if value is original:
                     monkeypatch.setattr(m, attr, counted)
     run_suite(ms, "all", seed=0)
-    # two families and two comodules through the functor square, the coring
-    # family through the roundtrip, and the canonical module
-    expected = {"induction_equivalence": 1, "cofree_dual_group_ring_iso": 1,
-                "gcomodule_to_graded": 6}
+    # the coring family, the canonical module and the replicated random
+    # comodule: the functor square reads the graded modules the suite built
+    expected = {"induction_equivalence": 1, "predicates_of_extension": 1,
+                "onto_coinvariants": 1, "cofree_dual_group_ring_iso": 1,
+                "gcomodule_to_graded": 3}
     if name == "nongalois":  # no cofree witness, so no cofree comparison
         del expected["cofree_dual_group_ring_iso"]
     assert dict(calls) == expected

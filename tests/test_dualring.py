@@ -190,7 +190,11 @@ def test_functor_square_commutes():
         cg = coring_as_gcomodule(fx.coring)
         acom = comodule_from_grouplike(fx.grouplike)
         rnd = random_comodule(fx.grouplike, rng, coinvariant_ring(fx.grouplike))
-        rep = check_functor_square([cg, replicate_comodule(rnd)], [acom, rnd], r)
+        rnd_family = replicate_comodule(rnd)
+        rnd_graded = gcomodule_to_graded(rnd_family, r)
+        families = [(cg, gcomodule_to_graded(cg, r)), (rnd_family, rnd_graded)]
+        singles = [(acom, gcomodule_to_graded(replicate_comodule(acom), r)), (rnd, rnd_graded)]
+        rep = check_functor_square(families, singles, r)
         assert rep.ok, name
 
 

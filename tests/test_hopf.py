@@ -3,7 +3,13 @@ modules and the smash-product form of the dual ring."""
 
 import pytest
 
-from corings.algebra import Bimodule, field_algebra, validate_algebra, validate_bimodule
+from corings.algebra import (
+    Bimodule,
+    field_algebra,
+    tensor_algebra,
+    validate_algebra,
+    validate_bimodule,
+)
 from corings.coring import validate_group_coring
 from corings.dualring import dual_ring
 from corings.fixtures import fixture
@@ -27,7 +33,6 @@ from corings.hopf import (
     relative_to_coring_comodule,
     regular_comodule_algebra,
     smash_dual,
-    tensor_algebra,
     trivial_comodule_algebra,
     validate_comodule_algebra,
     validate_hopf_g_coalgebra,

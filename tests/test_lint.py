@@ -41,6 +41,9 @@
   caches (`DERIVED_BUILDERS`): a call anywhere else builds again what the
   suites of one run share.  `dual_ring` is not among them: the dual of a
   coring morphism builds the dual ring of its domain, another coring.
+* Only `linalg.py` subscripts the `data` of a `Mat`: its row-major
+  storage is read elsewhere through `row`, `col`, `apply` and the other
+  `linalg` operations, so the layout of a matrix is known in one module.
 * No handler catches everything (a bare `except:`, or `Exception` or
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
@@ -366,7 +369,8 @@ def broad_handlers(path: Path) -> list:
 
 DERIVED_BUILDERS = {"induction_equivalence", "cofree_dual_group_ring_iso", "coinvariant_ring",
                     "connecting_spaces", "coefficient_spaces", "morita_context",
-                    "graded_morita_context", "canonical_graded_module"}
+                    "graded_morita_context", "canonical_graded_module",
+                    "predicates_of_extension", "onto_coinvariants"}
 
 
 def derived_rebuilds(path: Path) -> list:
@@ -374,6 +378,13 @@ def derived_rebuilds(path: Path) -> list:
     as an attribute."""
     return sorted((node.lineno, _called_name(node)) for node in ast.walk(_tree(path))
                   if isinstance(node, ast.Call) and _called_name(node) in DERIVED_BUILDERS)
+
+
+def storage_subscripts(path: Path) -> list:
+    """Line of each subscript of a `data` attribute, as in `m.data[k]`."""
+    return sorted({node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "data"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -410,6 +421,12 @@ def test_no_product_of_basis_vectors(path):
                          ids=lambda p: p.name)
 def test_no_hand_written_invertibility_test(path):
     assert hand_invertibility_tests(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_reads_matrix_storage(path):
+    assert storage_subscripts(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -506,6 +523,17 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     assert derived_rebuilds(rebuilds) == [
         (5, "connecting_spaces"), (6, "coinvariant_ring"), (6, "morita_context"),
         (9, "induction_equivalence")]
+    storage = tmp_path / "storage.py"
+    storage.write_text(
+        # the row block the Morita laws were checked with before they were
+        # written as identities of maps
+        "def _row_block(m, start, count):\n"
+        "    return Mat(m.field, count, m.cols, m.data[start * m.cols:(start + count) * m.cols])\n"
+        "first = m.data[0]\n"
+        "flat = tuple(x for f in fams for x in f.data)\n"
+        "row = m.row(0)[1:]\n"
+        "meta = record['data'][0]\n")
+    assert storage_subscripts(storage) == [2, 3]
 
 
 def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):

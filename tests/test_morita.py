@@ -44,6 +44,8 @@ from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
     derived,
+    reference_coefficient_ring,
+    reference_intertwining_failures,
     reference_validate_morita_context,
     triangular_family,
     validate_graded_algebra,
@@ -366,17 +368,19 @@ def contexts_of_a_full_run(name: str) -> tuple:
     return tuple(built)
 
 
+def bumped(m: Mat, rng) -> Mat:
+    """m with one entry, drawn by rng, raised by one."""
+    F = m.field
+    k = rng.randrange(len(m.data))
+    return Mat(F, m.rows, m.cols, m.data[:k] + (F.add(m.data[k], F.one),) + m.data[k + 1:])
+
+
 def mutations(ctx: MoritaContext, rng) -> list:
     """ctx with one entry changed in each action family of p and q, in tau
     and in mu."""
-    F = ctx.ring1.field
-
-    def bumped(m: Mat) -> Mat:
-        k = rng.randrange(len(m.data))
-        return Mat(F, m.rows, m.cols, m.data[:k] + (F.add(m.data[k], F.one),) + m.data[k + 1:])
 
     def in_family(mats, k):
-        return mats[:k] + (bumped(mats[k]),) + mats[k + 1:]
+        return mats[:k] + (bumped(mats[k], rng),) + mats[k + 1:]
 
     out = []
     for side in ("p", "q"):
@@ -387,9 +391,9 @@ def mutations(ctx: MoritaContext, rng) -> list:
             out.append(dataclasses.replace(
                 ctx, **{side: dataclasses.replace(module, **{family: changed})}))
     if ctx.tau.data:
-        out.append(dataclasses.replace(ctx, tau=bumped(ctx.tau)))
+        out.append(dataclasses.replace(ctx, tau=bumped(ctx.tau, rng)))
     if ctx.mu.data:
-        out.append(dataclasses.replace(ctx, mu=bumped(ctx.mu)))
+        out.append(dataclasses.replace(ctx, mu=bumped(ctx.mu, rng)))
     return out
 
 
@@ -411,3 +415,68 @@ def test_batched_morita_laws_report_the_failures_of_the_loop_reference(name):
             got = validate_morita_context(broken).items
             assert got == reference_validate_morita_context(broken).items
             assert not all(it.passed for it in got)
+
+
+# -- the coefficient ring and the context comparisons against their references --------------
+
+STRUCTURES = ("trivial", "regular", "nongalois", "sweedler", "c3", "triangular")
+
+
+def derived_of(name: str) -> Derived:
+    """The derived objects of a fixture, of regular k[C_3] over QQ, or of
+    the triangular family over the inclusion of its coinvariants."""
+    if name == "c3":
+        return main_structure(parse(C3.read_text())).derived
+    if name == "triangular":
+        x = triangular_family()
+        return Derived(x.coring, x, inclusion_morphism(coinvariant_ring(x), x.coring.base))
+    return derived(fixture(name))
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_coefficient_ring_matches_the_block_reference(name):
+    d = derived_of(name)
+    strict, weak = d.coefficient_spaces
+    assert d.coefficients == reference_coefficient_ring(d.grouplike, strict, d.coinvariants)
+    assert d.weak_coefficients == reference_coefficient_ring(d.grouplike, weak,
+                                                             d.weak_coinvariants)
+    if name == "triangular":  # shifts that move the families
+        ident = Mat.identity(d.coring.base.field, d.coefficients.algebra.dim)
+        assert any(sig != ident for sig in d.coefficients.sigma)
+
+
+EQUIVARIANCE_ROWS = ("standard.hom-equivariant", "ring-match.base-equivariant",
+                     "ring-match.connecting-equivariant")
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@pytest.mark.parametrize("position", (0, 3), ids=("comparison", "ring-map"))
+def test_equivariance_rows_report_the_failures_of_the_loop_reference(monkeypatch, name,
+                                                                      position):
+    # one entry of each comparison map (position 0) or ring map (position 3)
+    # that the rows read is raised by one; the rows then report what the
+    # loop reference finds on the same maps
+    d = derived_of(name)
+    rng = random.Random(position)
+    real = morita._intertwining_failures
+    perturbed, calls = {}, []
+
+    def perturbing(*args):
+        args = list(args)
+        m = args[position]
+        if id(m) not in perturbed:  # the same map keeps its perturbation
+            perturbed[id(m)] = (m, bumped(m, rng))
+        args[position] = perturbed[id(m)][1]
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(morita, "_intertwining_failures", perturbing)
+    rep = check_standard_context_match(d)
+    if d.witness is not None:
+        rep.extend(check_group_ring_context_match(d))
+    rows = [it for it in rep.items if it.check_id in EQUIVARIANCE_ROWS]
+    assert rows and len(calls) == 2 * len(rows)
+    for row, left, right in zip(rows, calls[::2], calls[1::2]):
+        bad = ([("left", k) for k in reference_intertwining_failures(*left)]
+               + [("right", k) for k in reference_intertwining_failures(*right)])
+        assert not row.passed and row.witness == f"failing: {bad[:5]}", row.check_id

@@ -116,7 +116,8 @@ def test_trivial_order_three_comodules_and_dual():
     assert r.packed().algebra.mul == group_ring(field_algebra(QQ), fx.coring.group).algebra.mul
     gm = gcomodule_to_graded(cg, r)
     assert gcomodules_equal(graded_to_gcomodule(gm, fx.coring), cg)
-    assert check_functor_square([cg], [acom], r).ok
+    replicated = gcomodule_to_graded(replicate_comodule(acom), r)
+    assert check_functor_square([(cg, gm)], [(acom, replicated)], r).ok
     _, srep = cofree_dual_group_ring_iso(fx.coring, wit, r)
     assert srep.ok
 
