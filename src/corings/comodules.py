@@ -8,6 +8,9 @@ into tagged copies form an adjoint pair, and for finite index groups a
 Frobenius pair; both facts are verified on solved hom-space bases.  For
 cofree corings the family category collapses onto comodules over the
 degree-e slice, with explicit mutually inverse comparison maps.
+
+A family's laws are `coring.coaction_failures` on each degree; a plain
+comodule is checked as its replicate read at the identity tag.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from corings.algebra import (
     contract_right,
     direct_sum_bimodule,
 )
-from corings.coring import CofreeWitness, GroupCoring, MissingCofreeWitness
+from corings.coring import CofreeWitness, GroupCoring, MissingCofreeWitness, coaction_failures
 from corings.linalg import (
     LinearSystem,
     Mat,
@@ -67,82 +70,47 @@ class GComodule:
 # -- validators ---------------------------------------------------------------------
 
 def validate_comodule(m: Comodule) -> CheckReport:
+    """The laws of m as those of its replicate at the identity tag: rho_a is
+    the coaction of the pair (e, a)."""
     rep = CheckReport()
-    c = m.coring
-    g = c.group
-    F = c.base.field
-    bad_lin = []
-    for a in g.elements():
-        t = m.tensor(a)
-        for j in range(c.base.dim):
-            lhs = m.rho[a] @ m.space.right[j]
-            rhs = t.module.right[j] @ m.rho[a]
-            if lhs != rhs:
-                bad_lin.append((a, j))
+    gm = replicate_comodule(m)
+    e = m.coring.group.identity
+    bad = _right_linear_failures(gm, e)
     rep.add("comodule.right-linear", "coactions are right-linear",
-            not bad_lin, f"failing (degree, basis): {bad_lin}" if bad_lin else "")
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            tq3 = m.triple(a, b)
-            idm = Mat.identity(F, m.space.dim)
-            idc = Mat.identity(F, c.comps[b].dim)
-            lhs = kron_after(tq3.proj, idm, c.delta_left_lift(a, b)) @ m.tensor(ab).space.sect @ m.rho[ab]
-            rhs = kron_after(tq3.proj, m.tensor(a).space.sect @ m.rho[a], idc) \
-                @ m.tensor(b).space.sect @ m.rho[b]
-            if lhs != rhs:
-                bad.append((a, b))
+            not bad, f"failing (degree, basis): {bad}" if bad else "")
+    bad, counit_ok = coaction_failures(gm, m.coring, gm.rho, e)
     rep.add("comodule.coassociativity", "coaction coassociativity",
             not bad, f"failing pairs: {bad}" if bad else "")
-    e = g.identity
-    counit_side = contract_right(m.space, c.counit) \
-        @ m.tensor(e).space.sect @ m.rho[e]
-    rep.add("comodule.counit", "counit law",
-            counit_side == Mat.identity(F, m.space.dim))
+    rep.add("comodule.counit", "counit law", counit_ok)
     return rep
 
 
 def validate_g_comodule(m: GComodule) -> CheckReport:
     rep = CheckReport()
-    c = m.coring
-    g = c.group
-    F = c.base.field
-    bad_lin = []
-    for (a, b), mat in sorted(m.rho.items()):
-        t = m.tensor(a, b)
-        for j in range(c.base.dim):
-            if mat @ m.comps[g.mul(a, b)].right[j] != t.module.right[j] @ mat:
-                bad_lin.append((a, b, j))
+    g = m.coring.group
+    bad = [(a, b, j) for a in g.elements() for b, j in _right_linear_failures(m, a)]
     rep.add("g-comodule.right-linear", "coactions are right-linear",
-            not bad_lin, f"failing (pair, basis): {bad_lin[:5]}" if bad_lin else "")
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            for d in g.elements():
-                ab = g.mul(a, b)
-                bd = g.mul(b, d)
-                tq3 = m.triple(a, b, d)
-                idm = Mat.identity(F, m.comps[a].dim)
-                idc = Mat.identity(F, c.comps[d].dim)
-                lhs = kron_after(tq3.proj, idm, c.delta_left_lift(b, d)) \
-                    @ m.tensor(a, bd).space.sect @ m.rho[(a, bd)]
-                rhs = kron_after(tq3.proj, m.tensor(a, b).space.sect @ m.rho[(a, b)], idc) \
-                    @ m.tensor(ab, d).space.sect @ m.rho[(ab, d)]
-                if lhs != rhs:
-                    bad.append((a, b, d))
+            not bad, f"failing (pair, basis): {bad[:5]}" if bad else "")
+    fails = [coaction_failures(m, m.coring, m.rho, a) for a in g.elements()]
+    bad = [(a, b, d) for a in g.elements() for b, d in fails[a][0]]
     rep.add("g-comodule.coassociativity", "family coaction coassociativity",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
-    e = g.identity
-    bad = []
-    for a in g.elements():
-        side = contract_right(m.comps[a], c.counit) \
-            @ m.tensor(a, e).space.sect @ m.rho[(a, e)]
-        if side != Mat.identity(F, m.comps[a].dim):
-            bad.append(a)
+    bad = [a for a in g.elements() if not fails[a][1]]
     rep.add("g-comodule.counit", "counit law on every component",
             not bad, f"failing indices: {bad}" if bad else "")
     return rep
+
+
+def _right_linear_failures(m: GComodule, a: int) -> list:
+    """The pairs (b, j), b major, where rho[(a, b)]: M_{ab} -> M_a (x)_A C_b
+    does not commute with the right action of base basis element j."""
+    g = m.coring.group
+    bad = []
+    for b in g.elements():
+        rho, right = m.rho[(a, b)], m.tensor(a, b).module.right
+        src = m.comps[g.mul(a, b)].right
+        bad += [(b, j) for j in range(m.coring.base.dim) if rho @ src[j] != right[j] @ rho]
+    return bad
 
 
 # -- canonical objects ----------------------------------------------------------------

@@ -5,7 +5,10 @@ A coring here is a family of bimodules C_a, one per group element, with
 comultiplications Delta[a,b]: C_{ab} -> C_a (x)_A C_b landing in the
 computed tensor quotients, and a counit C_e -> A.  All structure maps are
 stored as matrices in the deterministic quotient bases, so the axioms are
-literal matrix identities.
+literal matrix identities.  The coaction laws on one degree
+(`coaction_failures`) serve the coring over itself and every comodule
+family, and `comultiplicative_failures` serves coring morphisms and cofree
+witnesses.
 """
 
 from __future__ import annotations
@@ -57,18 +60,6 @@ class GroupCoring:
         """C_{ab} -> C_a (x)_k C_b through the chosen section."""
         return self.tensor(a, b).space.sect @ self.delta[(a, b)]
 
-    def double_delta(self, a: int, b: int, c: int) -> tuple[Mat, Mat]:
-        """Both sides of coassociativity as maps C_{abc} -> triple quotient."""
-        g = self.group
-        ab = g.mul(a, b)
-        bc = g.mul(b, c)
-        tq3 = self.triple(a, b, c)
-        idc = Mat.identity(self.base.field, self.comps[c].dim)
-        ida = Mat.identity(self.base.field, self.comps[a].dim)
-        lhs = kron_after(tq3.proj, self.delta_left_lift(a, b), idc) @ self.delta_left_lift(ab, c)
-        rhs = kron_after(tq3.proj, ida, self.delta_left_lift(b, c)) @ self.delta_left_lift(a, bc)
-        return lhs, rhs
-
     def e_slice(self) -> "GroupCoring":
         """The degree-e part as a coring over the trivial group."""
         e = self.group.identity
@@ -90,28 +81,42 @@ def validate_group_coring(c: GroupCoring, check_components: bool = True) -> Chec
             rep.extend(validate_bimodule_map(f), prefix=f"delta[{a},{b}].")
         eps = BimoduleMap(c.comps[e], Bimodule.regular(c.base), c.counit)
         rep.extend(validate_bimodule_map(eps), prefix="counit.")
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            for d in g.elements():
-                lhs, rhs = c.double_delta(a, b, d)
-                if lhs != rhs:
-                    bad.append((a, b, d))
+    fails = [coaction_failures(c, c, c.delta, a) for a in g.elements()]
+    bad = [(a, b, d) for a in g.elements() for b, d in fails[a][0]]
     rep.add("coring.coassociativity", "comultiplication coassociativity",
             not bad, f"failing triples: {bad}" if bad else "")
-    bad = []
-    for a in g.elements():
-        comp = c.comps[a]
-        ident = Mat.identity(c.base.field, comp.dim)
-        # (C_a (x) counit) o Delta_{a,e} = id
-        right_side = contract_right(comp, c.counit) @ c.delta_left_lift(a, e)
-        # (counit (x) C_a) o Delta_{e,a} = id
-        left_side = contract_left(comp, c.counit) @ c.delta_left_lift(e, a)
-        if right_side != ident or left_side != ident:
-            bad.append(a)
+    # the right counit law is the coaction's; (counit (x) C_a) o Delta_{e,a} = id
+    bad = [a for a in g.elements()
+           if not fails[a][1] or contract_left(c.comps[a], c.counit) @ c.delta_left_lift(e, a)
+           != Mat.identity(c.base.field, c.comps[a].dim)]
     rep.add("coring.counit", "counit laws on every component",
             not bad, f"failing indices: {bad}" if bad else "")
     return rep
+
+
+def coaction_failures(m, c: GroupCoring, rho, a: int) -> tuple[list, bool]:
+    """The coaction laws on M_a of a coaction rho[(x, y)]: M_{xy} -> M_x (x)_A C_y
+    over c: the pairs (b, d), b major, where (rho_{a,b} (x) C_d) rho_{ab,d}
+    and (M_a (x) Delta_{b,d}) rho_{a,bd} differ in the triple quotient, and
+    whether (M_a (x) counit) rho_{a,e} is the identity.  m is a
+    `comodules.GComodule` over c, or c itself with rho = c.delta; the
+    quotients are its `tensor` and `triple`."""
+    g = c.group
+    F = c.base.field
+    ident = Mat.identity(F, m.comps[a].dim)
+
+    def lift(x: int, y: int) -> Mat:
+        return m.tensor(x, y).space.sect @ rho[(x, y)]
+
+    bad = []
+    for b in g.elements():
+        first = lift(a, b)
+        for d in g.elements():
+            proj = m.triple(a, b, d).proj
+            if (kron_after(proj, first, Mat.identity(F, c.comps[d].dim)) @ lift(g.mul(a, b), d)
+                    != kron_after(proj, ident, c.delta_left_lift(b, d)) @ lift(a, g.mul(b, d))):
+                bad.append((b, d))
+    return bad, contract_right(m.comps[a], c.counit) @ lift(a, g.identity) == ident
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -129,22 +134,23 @@ def validate_coring_morphism(f: GroupCoringMorphism) -> CheckReport:
     for a in g.elements():
         bm = BimoduleMap(f.src.comps[a], f.dst.comps[a], f.maps[a])
         rep.extend(validate_bimodule_map(bm), prefix=f"component[{a}].")
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            src_t = f.src.tensor(a, b)
-            dst_t = f.dst.tensor(a, b)
-            lhs = kron_after(dst_t.space.proj, f.maps[a], f.maps[b]) @ src_t.space.sect @ f.src.delta[(a, b)]
-            rhs = f.dst.delta[(a, b)] @ f.maps[ab]
-            if lhs != rhs:
-                bad.append((a, b))
+    bad = comultiplicative_failures(f.maps, f.src, f.dst)
     rep.add("morphism.comultiplicative", "compatibility with comultiplication",
             not bad, f"failing pairs: {bad}" if bad else "")
     e = g.identity
     rep.add("morphism.counit", "compatibility with the counit",
             f.dst.counit @ f.maps[e] == f.src.counit)
     return rep
+
+
+def comultiplicative_failures(maps, src: GroupCoring, dst: GroupCoring) -> list:
+    """The pairs (a, b), a major, where the degreewise maps maps[a]: src C_a ->
+    dst C_a do not carry Delta_{a,b} to Delta_{a,b}: (f_a (x) f_b) Delta_{a,b}
+    against Delta_{a,b} f_{ab}."""
+    g = src.group
+    return [(a, b) for a in g.elements() for b in g.elements()
+            if kron_after(dst.tensor(a, b).space.proj, maps[a], maps[b]) @ src.delta_left_lift(a, b)
+            != dst.delta[(a, b)] @ maps[g.mul(a, b)]]
 
 
 # -- cofree corings -----------------------------------------------------------------
@@ -188,16 +194,8 @@ def verify_cofree(c: GroupCoring, w: CofreeWitness) -> CheckReport:
             not bad_iso, f"failing indices: {bad_iso}" if bad_iso else "")
     rep.add("cofree.identity-tag", "the identity-degree connecting map is the identity",
             w.gammas[e] == Mat.identity(c.base.field, c.comps[e].dim))
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            t = c.tensor(a, b)
-            te = c.tensor(e, e)
-            lhs = c.delta[(a, b)] @ w.gammas[ab]
-            rhs = kron_after(t.space.proj, w.gammas[a], w.gammas[b]) @ te.space.sect @ c.delta[(e, e)]
-            if lhs != rhs:
-                bad.append((a, b))
+    # the witness as a morphism from the cofree coring on the degree-e slice
+    bad = comultiplicative_failures(w.gammas, cofree_coring(c.e_slice(), g)[0], c)
     rep.add("cofree.compatible", "connecting maps intertwine comultiplication",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep

@@ -6,6 +6,11 @@ component of degree a^{-1}, multiplied by dualizing comultiplication.  All
 elements are stored as coordinate vectors over the solved functional
 bases, with multiplication precomputed into structure constants at
 construction time.
+
+Graded rings and graded modules share one statement of their laws per
+degree (`graded_action_failures`), and graded ring maps one statement of
+multiplicativity (`graded_map_failures`); a module over the packed ring
+is checked as its regrading read at the identity tag.
 """
 
 from __future__ import annotations
@@ -195,27 +200,15 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
     rep = CheckReport()
     g = r.group
     F = r.base.field
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            for c in g.elements():
-                ab = g.mul(a, b)
-                bc = g.mul(b, c)
-                lhs = kron_after(r.mul[(ab, c)], r.mul[(a, b)], Mat.identity(F, r.dim(c)))
-                rhs = kron_after(r.mul[(a, bc)], Mat.identity(F, r.dim(a)), r.mul[(b, c)])
-                if lhs != rhs:
-                    bad.append((a, b, c))
+    e = g.identity
+    unit = Mat.col_vector(F, r.unit_vec)
+    ident = [Mat.identity(F, r.dim(a)) for a in g.elements()]
+    fails = [graded_action_failures(g, r.mul, r.mul, unit, a) for a in g.elements()]
+    bad = [(a, b, c) for a in g.elements() for b, c in fails[a][0]]
     rep.add("dual-ring.associative", "product associativity on all degree triples",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
-    e = g.identity
-    bad = []
-    unit = Mat.col_vector(F, r.unit_vec)
-    for a in g.elements():
-        ident = Mat.identity(F, r.dim(a))
-        left_unit = kron_after(r.mul[(e, a)], unit, ident)
-        right_unit = kron_after(r.mul[(a, e)], ident, unit)
-        if left_unit != ident or right_unit != ident:
-            bad.append(a)
+    bad = [a for a in g.elements()
+           if not fails[a][1] or kron_after(r.mul[(e, a)], unit, ident[a]) != ident[a]]
     rep.add("dual-ring.unit", "the counit is a two-sided unit",
             not bad, f"failing degrees: {bad}" if bad else "")
     bad = algebra_map_failures(r.base_map, r.base.mul_mat, r.mul[(e, e)])
@@ -225,18 +218,41 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
             r.base_map.apply(r.base.unit) == r.unit_vec)
     bad = []
     for a in g.elements():
-        ident = Mat.identity(F, r.dim(a))
         for j in range(r.base.dim):
             # a.f = i(a) # f and f.a = f # i(a)
             iv = Mat._from_cols(F, [r.base_map.col(j)])
-            left_by = kron_after(r.mul[(e, a)], iv, ident)
-            right_by = kron_after(r.mul[(a, e)], ident, iv)
+            left_by = kron_after(r.mul[(e, a)], iv, ident[a])
+            right_by = kron_after(r.mul[(a, e)], ident[a], iv)
             if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
                 bad.append((a, j))
     rep.add("dual-ring.bimodule-compat",
             "base actions agree with multiplication through the base map",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
+
+
+def graded_action_failures(g: FiniteGroup, act, mul, unit: Mat, a: int) -> tuple[list, bool]:
+    """The laws on degree a of a graded action act[(x, y)]: M_x (x)k R_y ->
+    M_{xy} of the graded ring with product mul and unit column `unit`: the
+    pairs (b, c), b major, where act_{ab,c} (act_{a,b} (x) R_c) and
+    act_{a,bc} (M_a (x) mul_{b,c}) differ, and whether act_{a,e} (M_a (x)
+    unit) is the identity.  With act = mul it checks the ring over itself."""
+    F = unit.field
+    e = g.identity
+    # act_{a,e} lands in M_a and mul_{c,e} in R_c
+    ident = Mat.identity(F, act[(a, e)].rows)
+    bad = [(b, c) for b in g.elements() for c in g.elements()
+           if kron_after(act[(g.mul(a, b), c)], act[(a, b)], Mat.identity(F, mul[(c, e)].rows))
+           != kron_after(act[(a, g.mul(b, c))], ident, mul[(b, c)])]
+    return bad, kron_after(act[(a, e)], ident, unit) == ident
+
+
+def graded_map_failures(g: FiniteGroup, maps, src_mul, dst_mul) -> list:
+    """The pairs (a, b), a major, where the degreewise maps maps[a] do not
+    carry the product src_mul[(a, b)] to dst_mul[(a, b)]: f_{ab} src_mul_{a,b}
+    against dst_mul_{a,b} (f_a (x) f_b)."""
+    return [(a, b) for a in g.elements() for b in g.elements()
+            if maps[g.mul(a, b)] @ src_mul[(a, b)] != kron_after(dst_mul[(a, b)], maps[a], maps[b])]
 
 
 # -- duals of coring morphisms ----------------------------------------------------
@@ -268,15 +284,7 @@ def dual_morphism(f: GroupCoringMorphism, r_dst: GradedRing) -> GradedRingMorphi
 def validate_graded_ring_morphism(m: GradedRingMorphism) -> CheckReport:
     rep = CheckReport()
     g = m.src.group
-    F = m.src.base.field
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            lhs = m.maps[ab] @ m.src.mul[(a, b)]
-            rhs = kron_after(m.dst.mul[(a, b)], m.maps[a], m.maps[b])
-            if lhs != rhs:
-                bad.append((a, b))
+    bad = graded_map_failures(g, m.maps, m.src.mul, m.dst.mul)
     rep.add("morphism.multiplicative", "preserves the graded product",
             not bad, f"failing pairs: {bad}" if bad else "")
     e = g.identity
@@ -305,23 +313,12 @@ def validate_graded_module(m: GradedModule) -> CheckReport:
     r = m.ring
     g = r.group
     F = r.base.field
-    e = g.identity
-    unit = Mat.col_vector(F, r.unit_vec)
-    bad = [a for a in g.elements()
-           if kron_after(m.act[(a, e)], Mat.identity(F, m.comps[a].dim), unit)
-           != Mat.identity(F, m.comps[a].dim)]
+    fails = [graded_action_failures(g, m.act, r.mul, Mat.col_vector(F, r.unit_vec), a)
+             for a in g.elements()]
+    bad = [a for a in g.elements() if not fails[a][1]]
     rep.add("graded-module.unit", "the unit acts as the identity",
             not bad, f"failing degrees: {bad}" if bad else "")
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            for c in g.elements():
-                ab = g.mul(a, b)
-                bc = g.mul(b, c)
-                lhs = kron_after(m.act[(ab, c)], m.act[(a, b)], Mat.identity(F, r.dim(c)))
-                rhs = kron_after(m.act[(a, bc)], Mat.identity(F, m.comps[a].dim), r.mul[(b, c)])
-                if lhs != rhs:
-                    bad.append((a, b, c))
+    bad = [(a, b, c) for a in g.elements() for b, c in fails[a][0]]
     rep.add("graded-module.associative", "action associativity on degree triples",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
     bad = []
@@ -363,22 +360,13 @@ class RModule:
 
 
 def validate_rmodule(m: RModule) -> CheckReport:
+    """The laws of m as those of its regrading at the identity tag."""
     rep = CheckReport()
     r = m.ring
     g = r.group
-    F = r.base.field
-    e = g.identity
-    rep.add("module.unit", "the unit acts as the identity",
-            kron_after(m.act[e], Mat.identity(F, m.module.dim), Mat.col_vector(F, r.unit_vec))
-            == Mat.identity(F, m.module.dim))
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            lhs = kron_after(m.act[ab], Mat.identity(F, m.module.dim), r.mul[(a, b)])
-            rhs = kron_after(m.act[b], m.act[a], Mat.identity(F, r.dim(b)))
-            if lhs != rhs:
-                bad.append((a, b))
+    bad, unit_ok = graded_action_failures(g, induce_grading(m).act, r.mul,
+                                          Mat.col_vector(r.base.field, r.unit_vec), g.identity)
+    rep.add("module.unit", "the unit acts as the identity", unit_ok)
     rep.add("module.associative", "action associativity on degree pairs",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep
@@ -520,14 +508,8 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) 
             not bad, f"failing degrees: {bad}" if bad else "")
     rep.add("cofree-dual.identity-degree", "the identity-degree map is the identity",
             sigmas[e] == Mat.identity(F, r.dim(e)))
-    bad = []
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            lhs = kron_after(r.mul[(a, b)], sigmas[a], sigmas[b])
-            rhs = sigmas[ab] @ r.mul[(e, e)]
-            if lhs != rhs:
-                bad.append((a, b))
+    # sigma carries the group-ring product of R_e[G] to the product of r
+    bad = graded_map_failures(g, sigmas, {key: r.mul[(e, e)] for key in r.mul}, r.mul)
     rep.add("cofree-dual.multiplicative",
             "the group-ring style product is preserved",
             not bad, f"failing pairs: {bad}" if bad else "")

@@ -172,6 +172,17 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
     return sys.kernel()
 
 
+def span_action(w: Mat, acts) -> tuple[list, bool]:
+    """Each matrix of acts on the span of the rows of w, in the coordinates
+    of those rows, and whether the span is closed under all of them."""
+    mats, ok = [], True
+    for act in acts:
+        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
+        mats.append(Mat._from_cols(w.field, coords, w.rows))
+        ok = ok and closed
+    return mats, ok
+
+
 # -- ring morphisms and induction -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -423,33 +434,20 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     w = g_coinvariants(m, x)
     total, _, proj = direct_sum_bimodule(m.comps)
     # right B-module structure on the coinvariants
-    right = []
-    ok = True
-    for i in range(b.src.dim):
-        act = total.right_act(b.mat.col(i))
-        cols, closed = rowspace_coords(w, [act.apply(w.row(u)) for u in range(w.rows)])
-        right.append(Mat._from_cols(F, cols, w.rows))
-        ok = ok and closed
-    n_w = Bimodule(b.src, w.rows, None, tuple(right))
-    qq = None
-    if ok:
-        left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-        qq = balanced_quotient(F, w.rows, A.dim, n_w.right, left_acts)
+    right, ok = span_action(w, [total.right_act(b.mat.col(i)) for i in range(b.src.dim)])
+    if not ok:
+        return [], False
+    left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
+    qq = balanced_quotient(F, w.rows, A.dim, right, left_acts)
     mats = []
-    bij = ok
-    if ok:
-        for a in g.elements():
-            cols = []
-            for u in range(w.rows):
-                blk = proj[a].apply(w.row(u))
-                for j in range(A.dim):
-                    cols.append(m.comps[a].right[j].apply(blk))
-            k_level = Mat.from_cols(F, cols)
-            eps_a = k_level @ qq.sect
-            mats.append(eps_a)
-            if not is_invertible(eps_a):
-                bij = False
-    return mats, bij
+    for a in g.elements():
+        cols = []
+        for u in range(w.rows):
+            blk = proj[a].apply(w.row(u))
+            for j in range(A.dim):
+                cols.append(m.comps[a].right[j].apply(blk))
+        mats.append(Mat.from_cols(F, cols) @ qq.sect)
+    return mats, all(is_invertible(eps_a) for eps_a in mats)
 
 
 def induction_equivalence(x: GrouplikeFamily, b: RingMorphism) -> tuple[bool, bool, str]:

@@ -29,7 +29,7 @@ from corings.algebra import (
 )
 from corings.comodules import Comodule, validate_comodule
 from corings.coring import GroupCoring
-from corings.dualring import GradedRing
+from corings.dualring import GradedRing, graded_action_failures, graded_map_failures
 from corings.galois import GrouplikeFamily
 from corings.groups import FiniteGroup
 from corings.linalg import (
@@ -391,17 +391,15 @@ def validate_smash_product(sp: SmashProduct) -> CheckReport:
     rep = CheckReport()
     g = sp.group
     F = sp.field
-    ident = [Mat.identity(F, sp.dims[p]) for p in g.elements()]
-    bad = [(p, q, r) for p in g.elements() for q in g.elements() for r in g.elements()
-           if kron_after(sp.mul[(g.mul(p, q), r)], sp.mul[(p, q)], ident[r])
-           != kron_after(sp.mul[(p, g.mul(q, r))], ident[p], sp.mul[(q, r)])]
-    rep.add("smash.associative", "multiplication associativity",
-            not bad, f"failing triples: {bad[:5]}" if bad else "")
     e = g.identity
     unit = Mat.col_vector(F, sp.unit_vec)
+    ident = [Mat.identity(F, sp.dims[p]) for p in g.elements()]
+    fails = [graded_action_failures(g, sp.mul, sp.mul, unit, p) for p in g.elements()]
+    bad = [(p, q, r) for p in g.elements() for q, r in fails[p][0]]
+    rep.add("smash.associative", "multiplication associativity",
+            not bad, f"failing triples: {bad[:5]}" if bad else "")
     bad = [p for p in g.elements()
-           if kron_after(sp.mul[(e, p)], unit, ident[p]) != ident[p]
-           or kron_after(sp.mul[(p, e)], ident[p], unit) != ident[p]]
+           if not fails[p][1] or kron_after(sp.mul[(e, p)], unit, ident[p]) != ident[p]]
     rep.add("smash.unit", "two-sided unit", not bad, f"failing degrees: {bad}" if bad else "")
     return rep
 
@@ -429,9 +427,7 @@ def smash_dual(ca: ComoduleAlgebra, r: GradedRing) -> tuple[SmashProduct, list, 
     bad = [p for p in g.elements() if not is_invertible(lambdas[p])]
     rep.add("smash-dual.bijective", "comparison maps are bijective per degree",
             not bad, f"failing degrees: {bad}" if bad else "")
-    bad = [(p, q) for p in g.elements() for q in g.elements()
-           if kron_after(r.mul[(p, q)], lambdas[p], lambdas[q])
-           != lambdas[g.mul(p, q)] @ sp.mul[(p, q)]]
+    bad = graded_map_failures(g, lambdas, sp.mul, r.mul)
     rep.add("smash-dual.multiplicative",
             "comparison transports the smash multiplication to the dual product",
             not bad, f"failing pairs: {bad}" if bad else "")

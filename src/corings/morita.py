@@ -49,6 +49,7 @@ from corings.galois import (
     GrouplikeFamily,
     canonical_morphism,
     comodule_from_grouplike,
+    span_action,
 )
 from corings.linalg import (
     LinearSystem,
@@ -98,17 +99,6 @@ def _evaluations(x: GrouplikeFamily, r: GradedRing, a: int) -> list:
 def _degrees(dims) -> list:
     """The degree of each index of a layout with dims[a] indices of degree a."""
     return [a for a, d in enumerate(dims) for _ in range(d)]
-
-
-def _span_action(w: Mat, acts) -> tuple[list, bool]:
-    """Each matrix of acts on the span of the rows of w, in the coordinates
-    of those rows, and whether the span is closed under all of them."""
-    mats, ok = [], True
-    for act in acts:
-        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
-        mats.append(Mat._from_cols(w.field, coords, w.rows))
-        ok = ok and closed
-    return mats, ok
 
 
 # -- the grouplike character --------------------------------------------------------
@@ -373,7 +363,7 @@ def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> Coef
     dims = [A.dim] * n
     s_alg, _ = subalgebra(tensor_algebra(product_field_algebra(F, n), A), basis)
     # the shift by s reads the block of degree s a into degree a
-    sigma, stable = _span_action(basis, [
+    sigma, stable = span_action(basis, [
         block_matrix(F, dims, dims, {(a, g.mul(s, a)): Mat.identity(F, A.dim)
                                      for a in g.elements()})
         for s in g.elements()])
@@ -430,10 +420,10 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     p_right = tuple(m for a in g.elements() for m in _evaluations(x, r, a))
     p = RingBimodule(t.algebra, packed.algebra, A.dim, p_left, p_right)
     # Q = connecting space as (R, T)-bimodule
-    q_left, ok_left = _span_action(w, packed.algebra.left_mats)
+    q_left, ok_left = span_action(w, packed.algebra.left_mats)
     rep.add("build.left-ideal", "the connecting space is a left ideal", ok_left)
     base_action = _packed_base_action(r, "right")
-    q_right, ok_right = _span_action(w, [
+    q_right, ok_right = span_action(w, [
         combine(F, packed.algebra.dim, packed.algebra.dim, base_action, t.inclusion.col(i))
         for i in range(t.algebra.dim)])
     rep.add("build.right-module", "the connecting space absorbs the coinvariants",
@@ -531,7 +521,7 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     p = RingBimodule(gs.algebra, packed.algebra, n * A.dim, tuple(p_left), tuple(p_right))
     # QG = graded copies of the connecting space, (R, G*S)-bimodule
     # left action of the dual ring through the shifted product
-    left_small, ok_left = _span_action(wq, packed.algebra.left_mats)
+    left_small, ok_left = span_action(wq, packed.algebra.left_mats)
     rep.add("build.q-left-closure", "dual-ring action preserves the connecting families",
             ok_left)
     q_left = [block_matrix(F, o_dims, o_dims, {(g.mul(b, a), a): small for a in g.elements()})
@@ -545,7 +535,7 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
                             {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
 
     shifts = [(shift, wi) for shift in g.elements() for wi in range(sdim)]
-    smalls, ok_right = _span_action(wq, [shifted_action(*key) for key in shifts])
+    smalls, ok_right = span_action(wq, [shifted_action(*key) for key in shifts])
     right_small = dict(zip(shifts, smalls))
     rep.add("build.q-right-closure",
             "coefficient families act on the connecting families", ok_right)

@@ -48,6 +48,17 @@
   (`validate_algebra`, `validate_bimodule`, `validate_ring_morphism`,
   `algebra_map_failures` and `grouplike_character`): they multiply basis
   vectors one pair or triple at a time with `Algebra.multiply`.
+* `reference_coring_laws`, `reference_comultiplicative_row`,
+  `reference_cofree_compatible_row`, `reference_validate_comodule`,
+  `reference_validate_g_comodule`, `reference_graded_ring_laws`,
+  `reference_validate_smash_product`, `reference_graded_map_failures`,
+  `reference_graded_module_laws` and `reference_validate_rmodule` are the
+  references for the degree-indexed laws that `coring.coaction_failures`,
+  `coring.comultiplicative_failures`, `dualring.graded_action_failures` and
+  `dualring.graded_map_failures` state once: each checks its own kind of
+  structure by a loop over degree pairs or triples, and the plain comodule
+  and R-module keep laws of their own instead of being read as their
+  replicates at the identity tag.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * `triangular_family` is a grouplike family over a group with elements
@@ -72,6 +83,7 @@ from corings.algebra import (
     MissingDualBasis,
     TensorProduct,
     cached_triple,
+    contract_left,
     contract_right,
     direct_sum_bimodule,
     field_algebra,
@@ -82,7 +94,7 @@ from corings.algebra import (
     validate_algebra,
 )
 from corings.comodules import Comodule, GComodule
-from corings.coring import GroupCoring, GroupCoringMorphism, trivial_coring
+from corings.coring import CofreeWitness, GroupCoring, GroupCoringMorphism, trivial_coring
 from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
 from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
 from corings.groups import FiniteGroup
@@ -893,3 +905,249 @@ def reference_intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -
     rows = cols = f.rows
     return [k for k in range(len(src_acts))
             if f @ src_acts[k] != combine(f.field, rows, cols, dst_acts, ring_map.col(k)) @ f]
+
+
+# -- the degree-indexed laws as loops over degree pairs and triples ---------------------------
+
+def reference_coring_laws(c: GroupCoring) -> CheckReport:
+    """The coassociativity and counit rows of `coring.validate_group_coring`,
+    one degree triple or degree at a time."""
+    rep = CheckReport()
+    g = c.group
+    e = g.identity
+    F = c.base.field
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            for d in g.elements():
+                tq3 = c.triple(a, b, d)
+                lhs = kron_after(tq3.proj, c.delta_left_lift(a, b),
+                                 Mat.identity(F, c.comps[d].dim)) @ c.delta_left_lift(g.mul(a, b), d)
+                rhs = kron_after(tq3.proj, Mat.identity(F, c.comps[a].dim),
+                                 c.delta_left_lift(b, d)) @ c.delta_left_lift(a, g.mul(b, d))
+                if lhs != rhs:
+                    bad.append((a, b, d))
+    rep.add("coring.coassociativity", "comultiplication coassociativity",
+            not bad, f"failing triples: {bad}" if bad else "")
+    bad = []
+    for a in g.elements():
+        comp = c.comps[a]
+        ident = Mat.identity(F, comp.dim)
+        right_side = contract_right(comp, c.counit) @ c.delta_left_lift(a, e)
+        left_side = contract_left(comp, c.counit) @ c.delta_left_lift(e, a)
+        if right_side != ident or left_side != ident:
+            bad.append(a)
+    rep.add("coring.counit", "counit laws on every component",
+            not bad, f"failing indices: {bad}" if bad else "")
+    return rep
+
+
+def reference_comultiplicative_row(f: GroupCoringMorphism) -> CheckReport:
+    """The comultiplicativity row of `coring.validate_coring_morphism`."""
+    rep = CheckReport()
+    g = f.src.group
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            src_t = f.src.tensor(a, b)
+            dst_t = f.dst.tensor(a, b)
+            lhs = kron_after(dst_t.space.proj, f.maps[a], f.maps[b]) \
+                @ src_t.space.sect @ f.src.delta[(a, b)]
+            if lhs != f.dst.delta[(a, b)] @ f.maps[g.mul(a, b)]:
+                bad.append((a, b))
+    rep.add("morphism.comultiplicative", "compatibility with comultiplication",
+            not bad, f"failing pairs: {bad}" if bad else "")
+    return rep
+
+
+def reference_cofree_compatible_row(c: GroupCoring, w: CofreeWitness) -> CheckReport:
+    """The `cofree.compatible` row of `coring.verify_cofree`."""
+    rep = CheckReport()
+    g = c.group
+    e = g.identity
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            t = c.tensor(a, b)
+            te = c.tensor(e, e)
+            lhs = c.delta[(a, b)] @ w.gammas[g.mul(a, b)]
+            rhs = kron_after(t.space.proj, w.gammas[a], w.gammas[b]) \
+                @ te.space.sect @ c.delta[(e, e)]
+            if lhs != rhs:
+                bad.append((a, b))
+    rep.add("cofree.compatible", "connecting maps intertwine comultiplication",
+            not bad, f"failing pairs: {bad}" if bad else "")
+    return rep
+
+
+def reference_validate_comodule(m: Comodule) -> CheckReport:
+    """`comodules.validate_comodule` with its own loops over degree pairs."""
+    rep = CheckReport()
+    c = m.coring
+    g = c.group
+    F = c.base.field
+    bad_lin = []
+    for a in g.elements():
+        t = m.tensor(a)
+        for j in range(c.base.dim):
+            if m.rho[a] @ m.space.right[j] != t.module.right[j] @ m.rho[a]:
+                bad_lin.append((a, j))
+    rep.add("comodule.right-linear", "coactions are right-linear",
+            not bad_lin, f"failing (degree, basis): {bad_lin}" if bad_lin else "")
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            tq3 = m.triple(a, b)
+            idm = Mat.identity(F, m.space.dim)
+            idc = Mat.identity(F, c.comps[b].dim)
+            lhs = kron_after(tq3.proj, idm, c.delta_left_lift(a, b)) \
+                @ m.tensor(ab).space.sect @ m.rho[ab]
+            rhs = kron_after(tq3.proj, m.tensor(a).space.sect @ m.rho[a], idc) \
+                @ m.tensor(b).space.sect @ m.rho[b]
+            if lhs != rhs:
+                bad.append((a, b))
+    rep.add("comodule.coassociativity", "coaction coassociativity",
+            not bad, f"failing pairs: {bad}" if bad else "")
+    e = g.identity
+    counit_side = contract_right(m.space, c.counit) @ m.tensor(e).space.sect @ m.rho[e]
+    rep.add("comodule.counit", "counit law", counit_side == Mat.identity(F, m.space.dim))
+    return rep
+
+
+def reference_validate_g_comodule(m: GComodule) -> CheckReport:
+    """`comodules.validate_g_comodule` with its own loops over degree pairs
+    and triples."""
+    rep = CheckReport()
+    c = m.coring
+    g = c.group
+    F = c.base.field
+    bad_lin = []
+    for (a, b), mat in sorted(m.rho.items()):
+        t = m.tensor(a, b)
+        for j in range(c.base.dim):
+            if mat @ m.comps[g.mul(a, b)].right[j] != t.module.right[j] @ mat:
+                bad_lin.append((a, b, j))
+    rep.add("g-comodule.right-linear", "coactions are right-linear",
+            not bad_lin, f"failing (pair, basis): {bad_lin[:5]}" if bad_lin else "")
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            for d in g.elements():
+                ab = g.mul(a, b)
+                bd = g.mul(b, d)
+                tq3 = m.triple(a, b, d)
+                idm = Mat.identity(F, m.comps[a].dim)
+                idc = Mat.identity(F, c.comps[d].dim)
+                lhs = kron_after(tq3.proj, idm, c.delta_left_lift(b, d)) \
+                    @ m.tensor(a, bd).space.sect @ m.rho[(a, bd)]
+                rhs = kron_after(tq3.proj, m.tensor(a, b).space.sect @ m.rho[(a, b)], idc) \
+                    @ m.tensor(ab, d).space.sect @ m.rho[(ab, d)]
+                if lhs != rhs:
+                    bad.append((a, b, d))
+    rep.add("g-comodule.coassociativity", "family coaction coassociativity",
+            not bad, f"failing triples: {bad[:5]}" if bad else "")
+    e = g.identity
+    bad = [a for a in g.elements()
+           if contract_right(m.comps[a], c.counit) @ m.tensor(a, e).space.sect @ m.rho[(a, e)]
+           != Mat.identity(F, m.comps[a].dim)]
+    rep.add("g-comodule.counit", "counit law on every component",
+            not bad, f"failing indices: {bad}" if bad else "")
+    return rep
+
+
+def _reference_ring_laws(g: FiniteGroup, mul, unit, dims, prefix: str,
+                         laws: tuple) -> CheckReport:
+    """The associativity and two-sided unit rows of a graded product mul
+    with dims[a] basis elements in degree a, one degree triple or degree at
+    a time, under the check ids prefix + "associative" and prefix + "unit"
+    and the law texts `laws`."""
+    rep = CheckReport()
+    F = unit.field
+    ident = [Mat.identity(F, dims[a]) for a in g.elements()]
+    bad = [(a, b, c) for a in g.elements() for b in g.elements() for c in g.elements()
+           if kron_after(mul[(g.mul(a, b), c)], mul[(a, b)], ident[c])
+           != kron_after(mul[(a, g.mul(b, c))], ident[a], mul[(b, c)])]
+    rep.add(prefix + "associative", laws[0], not bad, f"failing triples: {bad[:5]}" if bad else "")
+    e = g.identity
+    bad = [a for a in g.elements()
+           if kron_after(mul[(e, a)], unit, ident[a]) != ident[a]
+           or kron_after(mul[(a, e)], ident[a], unit) != ident[a]]
+    rep.add(prefix + "unit", laws[1], not bad, f"failing degrees: {bad}" if bad else "")
+    return rep
+
+
+def reference_graded_ring_laws(r: GradedRing) -> CheckReport:
+    """The associativity and unit rows of `dualring.validate_graded_ring`."""
+    return _reference_ring_laws(
+        r.group, r.mul, Mat.col_vector(r.base.field, r.unit_vec),
+        [r.dim(a) for a in r.group.elements()], "dual-ring.",
+        ("product associativity on all degree triples", "the counit is a two-sided unit"))
+
+
+def reference_validate_smash_product(sp) -> CheckReport:
+    """`hopf.validate_smash_product` with its own loops over degree triples."""
+    return _reference_ring_laws(sp.group, sp.mul, Mat.col_vector(sp.field, sp.unit_vec),
+                                sp.dims, "smash.",
+                                ("multiplication associativity", "two-sided unit"))
+
+
+def reference_graded_map_failures(g: FiniteGroup, maps, src_mul, dst_mul) -> list:
+    """The multiplicativity loop of `dualring.validate_graded_ring_morphism`,
+    `hopf.smash_dual` and `dualring.cofree_dual_group_ring_iso`."""
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            lhs = maps[g.mul(a, b)] @ src_mul[(a, b)]
+            if lhs != kron_after(dst_mul[(a, b)], maps[a], maps[b]):
+                bad.append((a, b))
+    return bad
+
+
+def reference_graded_module_laws(m: GradedModule) -> CheckReport:
+    """The unit and associativity rows of `dualring.validate_graded_module`."""
+    rep = CheckReport()
+    r = m.ring
+    g = r.group
+    F = r.base.field
+    e = g.identity
+    unit = Mat.col_vector(F, r.unit_vec)
+    bad = [a for a in g.elements()
+           if kron_after(m.act[(a, e)], Mat.identity(F, m.comps[a].dim), unit)
+           != Mat.identity(F, m.comps[a].dim)]
+    rep.add("graded-module.unit", "the unit acts as the identity",
+            not bad, f"failing degrees: {bad}" if bad else "")
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            for c in g.elements():
+                lhs = kron_after(m.act[(g.mul(a, b), c)], m.act[(a, b)], Mat.identity(F, r.dim(c)))
+                rhs = kron_after(m.act[(a, g.mul(b, c))], Mat.identity(F, m.comps[a].dim),
+                                 r.mul[(b, c)])
+                if lhs != rhs:
+                    bad.append((a, b, c))
+    rep.add("graded-module.associative", "action associativity on degree triples",
+            not bad, f"failing triples: {bad[:5]}" if bad else "")
+    return rep
+
+
+def reference_validate_rmodule(m: RModule) -> CheckReport:
+    """`dualring.validate_rmodule` with its own loop over degree pairs."""
+    rep = CheckReport()
+    r = m.ring
+    g = r.group
+    F = r.base.field
+    e = g.identity
+    ident = Mat.identity(F, m.module.dim)
+    rep.add("module.unit", "the unit acts as the identity",
+            kron_after(m.act[e], ident, Mat.col_vector(F, r.unit_vec)) == ident)
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            lhs = kron_after(m.act[g.mul(a, b)], ident, r.mul[(a, b)])
+            rhs = kron_after(m.act[b], m.act[a], Mat.identity(F, r.dim(b)))
+            if lhs != rhs:
+                bad.append((a, b))
+    rep.add("module.associative", "action associativity on degree pairs",
+            not bad, f"failing pairs: {bad}" if bad else "")
+    return rep
