@@ -3,8 +3,13 @@
 A `Mat` stores its entries densely, row-major, and caches the nonzero
 entries of each row on first use; products, Kronecker products, linear
 combinations and the hom systems of `LinearSystem` read that cache, and
-products seed it on their results.  Elimination runs on sparse rows only:
-one eliminator reduces `{column: value}` dicts in place and serves rref,
+products seed it on their results.  Beside the row cache a `Mat` keeps
+its hash, computed once, and whether it is an identity, read off the row
+cache (`Mat.identity` sets both the rows and the flag as it builds).  An
+identity operand costs nothing: `@` returns the other operand, and
+`kron_after` returns m when both factors are identities and otherwise
+makes one pass when one is.  Elimination runs on sparse rows only: one
+eliminator reduces `{column: value}` dicts in place and serves rref,
 kernels, solves, inverses, quotients and hom systems.
 
 Conventions fixed here and relied on everywhere downstream:
@@ -49,6 +54,18 @@ class Mat:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.data)}"
             )
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field is other.field or self.field == other.field)
+                and self.rows == other.rows and self.cols == other.cols
+                and self.data == other.data)
+
+    def __hash__(self):
+        return self._hash
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -66,7 +83,9 @@ class Mat:
     def identity(cls, field: Field, n: int) -> "Mat":
         data = [field.zero] * (n * n)
         data[::n + 1] = [field.one] * n
-        return cls(field, n, n, tuple(data))
+        m = cls(field, n, n, tuple(data))
+        m.__dict__.update(_entries=[[(i, field.one)] for i in range(n)], _is_identity=True)
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
@@ -105,7 +124,7 @@ class Mat:
     # -- algebra -----------------------------------------------------------
 
     def _check_field(self, other: "Mat"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -128,14 +147,19 @@ class Mat:
                    tuple(map(self.field.reduce, [c * a for a in self.data])))
 
     # The products below accumulate with plain `+` and `*` and bring each
-    # output entry to canonical form once, through `Field.reduce`.
+    # output entry to canonical form once, through `Field.reduce`.  A product
+    # with an identity returns the other operand, row cache filled.
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        orows, rows = other._entries, []
-        for srow in self._entries:
+        srows, orows, rows = self._entries, other._entries, []
+        if self._is_identity:
+            return other
+        if other._is_identity:
+            return self
+        for srow in srows:
             acc = {}
             for t, a in srow:
                 for j, b in orows[t]:
@@ -173,6 +197,20 @@ class Mat:
             i, j = divmod(k, self.cols)
             rows[i].append((j, data[k]))
         return rows
+
+    @cached_property
+    def _is_identity(self) -> bool:
+        """Whether this is an identity matrix, read off the row cache; like
+        `_entries`, outside eq, hash and repr."""
+        one = self.field.one
+        return self.rows == self.cols and all(row == [(i, one)] for i, row in enumerate(self._entries))
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the dense form, computed on the first `hash()` and kept
+        beside `_entries`: the memo keys of `algebra.cached_tensor` are
+        tuples of action matrices, hashed again at every lookup."""
+        return hash((self.field, self.rows, self.cols, self.data))
 
     @cached_property
     def _row_solver(self) -> "_RowSolver":
@@ -314,8 +352,8 @@ def _eliminate(field: Field, rows: list) -> list:
         led = waiting.pop(c)
         p = min(led, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        s = inv(prow[c])
-        if s != 1:
+        if prow[c] != 1:
+            s = inv(prow[c])
             for j, x in prow.items():
                 prow[j] = red(s * x)
         tail = [(j, x) for j, x in prow.items() if j != c]
@@ -552,16 +590,40 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
     m[r, t] contributes m[r, t] * x[i, k] * y[j, l] to column k * y.cols + l
     of row r.  Each row of m is first summed against the rows of y, one
     partial row per i, and those against the rows of x; only the touched
-    entries are reduced.
+    entries are reduced.  With identity factors this is m itself, and with
+    one identity factor each entry of m meets one row of the other factor.
     """
-    if not m.field == x.field == y.field:
+    F = m.field
+    if (x.field is not F and x.field != F) or (y.field is not F and y.field != F):
         raise FieldMismatch(f"{m.field} vs {x.field} (x) {y.field}")
     if m.cols != x.rows * y.rows:
         raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by "
                                 f"{x.rows * y.rows}x{x.cols * y.cols}")
     yr, yc = y.rows, y.cols
-    xrows, yrows, rows = x._entries, y._entries, []
-    for mrow in m._entries:
+    mrows, xrows, yrows, rows = m._entries, x._entries, y._entries, []
+    if y._is_identity:
+        if x._is_identity:
+            return m
+        for mrow in mrows:  # m[r, i * yr + j] * x[i, k] lands in column k * yr + j
+            acc = {}
+            for t, a in mrow:
+                i, j = divmod(t, yr)
+                for k, b in xrows[i]:
+                    col = k * yr + j
+                    acc[col] = acc.get(col, 0) + a * b
+            rows.append(acc)
+        return _from_entries(F, rows, x.cols * yc)
+    if x._is_identity:
+        for mrow in mrows:  # m[r, i * yr + j] * y[j, l] lands in column i * yc + l
+            acc = {}
+            for t, a in mrow:
+                i, j = divmod(t, yr)
+                base = i * yc
+                for l, b in yrows[j]:
+                    acc[base + l] = acc.get(base + l, 0) + a * b
+            rows.append(acc)
+        return _from_entries(F, rows, x.cols * yc)
+    for mrow in mrows:
         partial = {}  # i -> {l: sum over j of m[r, i * yr + j] * y[j, l]}
         for t, a in mrow:
             i, j = divmod(t, yr)
@@ -577,7 +639,7 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
                 for l, b in prow.items():
                     acc[base + l] = acc.get(base + l, 0) + a * b
         rows.append(acc)
-    return _from_entries(m.field, rows, x.cols * yc)
+    return _from_entries(F, rows, x.cols * yc)
 
 
 def tensor_vec(field: Field, u, v) -> tuple:

@@ -20,11 +20,13 @@ carries its `MainStructure`, and `main_structure` returns it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 
 from corings.algebra import Algebra, Bimodule, ModulePredicates
+from corings.comodules import Comodule
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
 from corings.dualring import GradedModule, GradedRing, cofree_dual_group_ring_iso, dual_ring
 from corings.galois import (
@@ -39,6 +41,7 @@ from corings.galois import (
     is_galois,
     onto_coinvariants,
     predicates_of_extension,
+    random_comodule,
     sweedler_coring,
 )
 from corings.groups import FiniteGroup
@@ -476,8 +479,8 @@ class Derived:
     """What the check suites derive from a coring with a grouplike family
     and a base morphism: the dual ring, the coinvariants, the Galois data,
     the induction comparisons, the (graded) Morita solution spaces and
-    contexts and the derived objects of the identity-degree slice, each
-    built once, on first use.
+    contexts, the derived objects of the identity-degree slice and the
+    random comodule of each seed, each built once, on first use.
 
     It keeps the parts of a structure it reads, never the MainStructure
     itself, so that dropping the structure frees all of it without the
@@ -494,6 +497,16 @@ class Derived:
         self.base = base
         self.comodule_algebra = comodule_algebra
         self._witness = witness
+        self._random = {}  # seed -> the comodule `seeded_comodule` drew
+
+    def seeded_comodule(self, seed: int) -> Comodule:
+        """`random_comodule` over the coinvariants, drawn with
+        `random.Random(seed)`: the comodules and dual-ring suites check the
+        same one, built once per seed."""
+        if seed not in self._random:
+            self._random[seed] = random_comodule(self.grouplike, random.Random(seed),
+                                                 self.coinvariants)
+        return self._random[seed]
 
     @cached_property
     def dual_ring(self) -> GradedRing:

@@ -7,8 +7,6 @@ before serialization, so identical invocations produce identical bytes.
 
 from __future__ import annotations
 
-import random
-
 from corings.algebra import Bimodule, validate_algebra, validate_bimodule
 from corings.comodules import (
     check_cofree_equivalence,
@@ -40,7 +38,6 @@ from corings.galois import (
     check_base_ring,
     comodule_from_grouplike,
     grouplike_from_comodule,
-    random_comodule,
     structure_theorem_battery,
     validate_grouplike,
     validate_ring_morphism,
@@ -97,7 +94,6 @@ def suite_validate(ms: MainStructure, seed: int) -> CheckReport:
 def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport()
     d = ms.derived
-    rng = random.Random(seed)
     acom = comodule_from_grouplike(ms.grouplike)
     rep.extend(validate_comodule(acom), prefix="comodules.base.")
     x2 = grouplike_from_comodule(acom)
@@ -107,7 +103,7 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
     rep.extend(validate_g_comodule(cg), prefix="comodules.coring.")
     packed, _, _ = pack_gcomodule(cg)
     rep.extend(validate_comodule(packed), prefix="comodules.packed.")
-    rnd = random_comodule(ms.grouplike, rng, d.coinvariants)
+    rnd = d.seeded_comodule(seed)
     rep.extend(validate_comodule(rnd), prefix="comodules.random.")
     pairs = [(replicate_comodule(acom), acom), (cg, packed)]
     rep.extend(check_pack_replicate_adjunction(pairs), prefix="comodules.")
@@ -127,7 +123,6 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
 def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     rep = CheckReport()
     d = ms.derived
-    rng = random.Random(seed)
     r = d.dual_ring
     rep.extend(validate_graded_ring(r), prefix="dual-ring.")
     rep.extend(check_component_bidual(ms.coring, r), prefix="dual-ring.")
@@ -146,7 +141,7 @@ def suite_dual_ring(ms: MainStructure, seed: int) -> CheckReport:
     rm = comodule_to_module(acom, r)
     rep.extend(validate_rmodule(rm), prefix="dual-ring.base-module.")
     rep.extend(validate_graded_module(induce_grading(rm)), prefix="dual-ring.regraded.")
-    rnd = random_comodule(ms.grouplike, rng, d.coinvariants)
+    rnd = d.seeded_comodule(seed)
     rnd_family = replicate_comodule(rnd)
     rnd_graded = gcomodule_to_graded(rnd_family, r)
     rep.extend(check_functor_square([(cg, gm), (rnd_family, rnd_graded)],

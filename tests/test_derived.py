@@ -155,7 +155,8 @@ def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
     # comparisons, and the galois suite and both batteries the extension
     # facts of the base morphism; the dual-ring and graded-morita suites
     # share the cofree comparison of the dual ring, and the dual-ring suite
-    # reads the canonical graded module that the graded-morita suite builds
+    # reads the canonical graded module that the graded-morita suite builds;
+    # the comodules and dual-ring suites check one random comodule
     ms = main_structure(parse(fixture_file_text(name)))
     calls = defaultdict(int)
     modules = [m for key, m in sys.modules.items()
@@ -163,6 +164,7 @@ def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
     for module, builder in ((galois, "induction_equivalence"),
                             (galois, "predicates_of_extension"),
                             (galois, "onto_coinvariants"),
+                            (galois, "random_comodule"),
                             (dualring, "cofree_dual_group_ring_iso"),
                             (dualring, "gcomodule_to_graded")):
         original = getattr(module, builder)
@@ -180,7 +182,7 @@ def test_suite_all_derives_the_shared_comparisons_once(monkeypatch, name):
     # comodule: the functor square reads the graded modules the suite built
     expected = {"induction_equivalence": 1, "predicates_of_extension": 1,
                 "onto_coinvariants": 1, "cofree_dual_group_ring_iso": 1,
-                "gcomodule_to_graded": 3}
+                "gcomodule_to_graded": 3, "random_comodule": 1}
     if name == "nongalois":  # no cofree witness, so no cofree comparison
         del expected["cofree_dual_group_ring_iso"]
     assert dict(calls) == expected

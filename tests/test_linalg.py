@@ -44,7 +44,7 @@ from corings.linalg import (
     vstack,
 )
 from corings.morita import _ring_as_module, graded_hom
-from corings.scalars import GF, QQ, DimensionMismatch, FieldMismatch
+from corings.scalars import GF, QQ, DimensionMismatch, Field, FieldMismatch
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 from helpers import (
@@ -855,3 +855,95 @@ def test_hom_system_rows_reach_the_eliminator_sparse(monkeypatch):
     sys, = systems
     assert len(sys.rows) > sys.width > 0
     assert eliminated == [sys.rows]
+
+
+# -- identity operands, identity row caches and hashes --------------------------------
+
+def identities(field, n: int) -> list:
+    """The n x n identity from `Mat.identity`, which sets its row cache and
+    flag as it builds, and as plain data through `Mat(...)` and `from_rows`."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [Mat.identity(field, n),
+            Mat(field, n, n, tuple(field.of(x) for row in rows for x in row)),
+            Mat.from_rows(field, rows)]
+
+
+def assert_plain_result(got: Mat, want: Mat):
+    """got equals want, carries its row cache as a fresh scan and hashes as
+    the plain matrix of its data, which is the hash of the dense form."""
+    assert got == want
+    assert_canonical(got.field, got.data)
+    assert "_entries" in got.__dict__ and got._entries == fresh_scan(got)
+    plain = Mat(got.field, got.rows, got.cols, got.data)
+    assert hash(got) == hash(plain) == hash((got.field, got.rows, got.cols, got.data))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_identity_operands_give_the_plain_products(field):
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(60):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        a = mixed_mat(field, n, k, rng)
+        for ident in identities(field, k):
+            assert_plain_result(a @ ident, ref_matmul(a, ident))
+        for ident in identities(field, n):
+            assert_plain_result(ident @ a, ref_matmul(ident, a))
+        xr, xc, yr, yc, r = (rng.randint(0, 4) for _ in range(5))
+        x, y = mixed_mat(field, xr, xc, rng), mixed_mat(field, yr, yc, rng)
+        cases = ([(ix, y) for ix in identities(field, xr)]
+                 + [(x, iy) for iy in identities(field, yr)]
+                 + [(ix, iy) for ix, iy in zip(identities(field, xr), identities(field, yr))])
+        for f, g in cases:
+            m = mixed_mat(field, r, f.rows * g.rows, rng)
+            got = kron_after(m, f, g)
+            assert_plain_result(got, ref_matmul(m, ref_tensor(f, g)))
+            assert got == m @ tensor_k(f, g)
+            seen.add((f._is_identity, g._is_identity))
+    assert seen >= {(True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_identity_flags_and_rows_set_at_build_time_are_a_fresh_scan(field):
+    for n in range(5):
+        built, *plain = identities(field, n)
+        assert built.__dict__["_is_identity"] is True
+        assert built.__dict__["_entries"] == fresh_scan(built)
+        for m in plain:
+            assert m == built and hash(m) == hash(built)
+            assert m._is_identity and m._entries == built._entries
+    one, two = field.one, field.of(2)
+    for m in (Mat.zeros(field, 2, 2), Mat.zeros(field, 0, 3), Mat.zeros(field, 3, 0),
+              Mat.from_rows(field, [[one, 0], [0, two]]), Mat.from_rows(field, [[0, one], [one, 0]]),
+              Mat.from_rows(field, [[one, 0, 0], [0, one, 0]]), Mat.from_rows(field, [[one, one], [0, one]])):
+        assert not m._is_identity
+
+
+def test_a_second_hash_reads_no_entry():
+    hashed = []
+
+    class Counted(int):
+        def __hash__(self):
+            hashed.append(int(self))
+            return int.__hash__(self)
+
+    m = Mat(QQ, 2, 2, tuple(map(Counted, (1, 2, 0, 3))))
+    first = hash(m)
+    assert sorted(hashed) == [0, 1, 2, 3]
+    assert hash(m) == first and {m: None}.keys() == {m}
+    assert len(hashed) == 4
+    assert first == hash(Mat(QQ, 2, 2, (1, 2, 0, 3)))
+
+
+def test_elimination_never_inverts_a_unit_pivot(monkeypatch):
+    inverted = []
+    real = Field.inv
+
+    def inv(self, a):
+        inverted.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Field, "inv", inv)
+    for name in FIXTURES:
+        run_suite(main_structure(parse(fixture_file_text(name))), "all", seed=0)
+    assert inverted and 1 not in inverted

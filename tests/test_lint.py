@@ -44,6 +44,11 @@
 * Only `linalg.py` subscripts the `data` of a `Mat`: its row-major
   storage is read elsewhere through `row`, `col`, `apply` and the other
   `linalg` operations, so the layout of a matrix is known in one module.
+* Outside the class `Mat`, no code makes a matrix without
+  `Mat.__post_init__`: no `__new__` call on `Mat` (as in
+  `object.__new__(Mat)`) and no write of `field`, `rows`, `cols` or
+  `data` through a `__dict__`.  The tests that wrap `__post_init__` see
+  every matrix the library builds.
 * No handler catches everything (a bare `except:`, or `Exception` or
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
@@ -370,7 +375,7 @@ def broad_handlers(path: Path) -> list:
 DERIVED_BUILDERS = {"induction_equivalence", "cofree_dual_group_ring_iso", "coinvariant_ring",
                     "connecting_spaces", "coefficient_spaces", "morita_context",
                     "graded_morita_context", "canonical_graded_module",
-                    "predicates_of_extension", "onto_coinvariants"}
+                    "predicates_of_extension", "onto_coinvariants", "random_comodule"}
 
 
 def derived_rebuilds(path: Path) -> list:
@@ -378,6 +383,49 @@ def derived_rebuilds(path: Path) -> list:
     as an attribute."""
     return sorted((node.lineno, _called_name(node)) for node in ast.walk(_tree(path))
                   if isinstance(node, ast.Call) and _called_name(node) in DERIVED_BUILDERS)
+
+
+MAT_FIELDS = {"field", "rows", "cols", "data"}
+
+
+def _outside_mat(node):
+    """The nodes under node, skipping the body of every class named `Mat`."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.ClassDef) and child.name == "Mat"):
+            yield from _outside_mat(child)
+
+
+def _dict_of(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _is_mat_field(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value in MAT_FIELDS
+
+
+def mat_bypasses(path: Path) -> list:
+    """Line of each way round `Mat.__post_init__` outside the class `Mat`:
+    a `__new__` call with `Mat` as an argument, and a write of a field of
+    `Mat` through a `__dict__` (an item assignment, or a call of `update`,
+    `setdefault` or `__setitem__` on it that names the field)."""
+    lines = set()
+    for node in _outside_mat(_tree(path)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if _dict_of(node.value) and _is_mat_field(node.slice):
+                lines.add(node.lineno)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "__new__" and any(
+                getattr(arg, "id", getattr(arg, "attr", None)) == "Mat" for arg in node.args):
+            lines.add(node.lineno)
+        if _dict_of(node.func.value) and (
+                any(kw.arg in MAT_FIELDS for kw in node.keywords)
+                or any(_is_mat_field(arg) for arg in node.args[:1])
+                or any(isinstance(arg, ast.Dict) and any(map(_is_mat_field, arg.keys))
+                       for arg in node.args)):
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def storage_subscripts(path: Path) -> list:
@@ -427,6 +475,11 @@ def test_no_hand_written_invertibility_test(path):
                          ids=lambda p: p.name)
 def test_only_linalg_reads_matrix_storage(path):
     assert storage_subscripts(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_matrix_passes_post_init(path):
+    assert mat_bypasses(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -534,6 +587,21 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "row = m.row(0)[1:]\n"
         "meta = record['data'][0]\n")
     assert storage_subscripts(storage) == [2, 3]
+    bypass = tmp_path / "bypass.py"
+    bypass.write_text(
+        "class Mat:\n"
+        "    def seed(self, rows):\n"
+        "        self.__dict__['data'] = rows\n"
+        "def fast(field, data):\n"
+        "    m = object.__new__(Mat)\n"
+        "    m.__dict__.update(field=field, rows=1, cols=len(data))\n"
+        "    m.__dict__['data'] = data\n"
+        "    m.__dict__.update({'cols': 2})\n"
+        "    m.__dict__.setdefault('rows', 1)\n"
+        "    m.__dict__['_entries'] = []\n"
+        "    m.__dict__.update(_entries=[], _is_identity=True)\n"
+        "    return linalg.Mat.__new__(linalg.Mat), object.__new__(Other)\n")
+    assert mat_bypasses(bypass) == [5, 6, 7, 8, 9, 12]
 
 
 def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):
