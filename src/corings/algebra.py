@@ -6,6 +6,17 @@ algebra basis element on each side; a module that only has one side sets
 the other to None.  The tensor product over the algebra is realized as an
 explicit quotient of the tensor product over the base field, with the
 deterministic projection/section pair from `linalg.quotient_by`.
+
+Two memos on each algebra hold what its bimodules derive, keyed by content
+(dims and action tuples), so equal modules share one build however many
+objects carry them.  `Algebra.quotients` holds the tensor quotients
+(`cached_tensor`, `cached_triple`) and the direct sums;
+`Algebra.duals` holds the left duals, dual bases, collapse maps and
+contractions (`left_dual`, `find_dual_basis`, `collapse_right`/`left`,
+`contract_right`/`left`), each under a key tagged by its kind.  Both
+store only dims, tuples and matrices, never a `Bimodule` or the algebra,
+so neither makes a reference cycle; a hit wraps the stored parts around
+the module it was asked for.
 """
 
 from __future__ import annotations
@@ -116,6 +127,14 @@ class Algebra:
         itself, so the memo makes no reference cycle."""
         return {}
 
+    @cached_property
+    def duals(self) -> dict:
+        """Memo of the left duals, dual bases, collapse maps and contractions
+        of the bimodules over this algebra, under keys (kind, module dim,
+        the actions the kind reads[, functional]).  Values hold only
+        tuples and `Mat`s, as in `quotients`."""
+        return {}
+
 
 # -- algebra constructors -------------------------------------------------------
 
@@ -183,7 +202,10 @@ def validate_algebra(a: Algebra) -> CheckReport:
 
 
 def differing_columns(a: Mat, b: Mat) -> list:
-    """The indices of the columns where a and b differ, in ascending order."""
+    """The indices of the columns where a and b differ, in ascending order;
+    equal matrices, the common case, are not scanned."""
+    if a == b:
+        return []
     return [t for t in range(a.cols) if a.col(t) != b.col(t)]
 
 
@@ -270,6 +292,8 @@ def flat_actions(field: Field, dim: int, mats) -> Mat:
 
 
 def _rows_differ(a: Mat, b: Mat) -> list:
+    if a == b:
+        return []
     return [j for j in range(a.rows) if a.row(j) != b.row(j)]
 
 
@@ -478,27 +502,54 @@ def _check_descends(q: QuotientSpace, projected, side: str) -> None:
 
 
 # -- collapse and contraction helpers ----------------------------------------------
+#
+# The public functions of this section and the next are memo wrappers over
+# `Algebra.duals`; the uncached builders `_collapse_right`, `_collapse_left`,
+# `_left_dual` and `_dual_basis` are called only from their wrappers (a lint
+# rule keeps it so).
+
+_MISSING = object()
+
+
+def _memoised(m: Bimodule, key: tuple, build):
+    """The entry of `m.base.duals` under key, built by build() on a miss."""
+    memo = m.base.duals
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build()
+    return value
+
 
 def collapse_right(m: Bimodule) -> Mat:
     """M (x)_k A -> M, m (x) a -> m.a  (columns indexed m-major)."""
+    return _memoised(m, ("collapse_right", m.dim, m.right), lambda: _collapse_right(m))
+
+
+def _collapse_right(m: Bimodule) -> Mat:
     return Mat._from_cols(m.base.field, [m.right[k].col(i) for i in range(m.dim)
                                          for k in range(m.base.dim)])
 
 
 def collapse_left(m: Bimodule) -> Mat:
     """A (x)_k M -> M, a (x) m -> a.m  (columns indexed a-major)."""
+    return _memoised(m, ("collapse_left", m.dim, m.left), lambda: _collapse_left(m))
+
+
+def _collapse_left(m: Bimodule) -> Mat:
     return Mat._from_cols(m.base.field, [m.left[k].col(i) for k in range(m.base.dim)
                                          for i in range(m.dim)])
 
 
 def contract_right(m: Bimodule, functional: Mat) -> Mat:
     """M (x)_k C -> M, m (x) c -> m.functional(c), functional: C -> A."""
-    return kron_after(collapse_right(m), Mat.identity(m.base.field, m.dim), functional)
+    return _memoised(m, ("contract_right", m.dim, m.right, functional), lambda: kron_after(
+        collapse_right(m), Mat.identity(m.base.field, m.dim), functional))
 
 
 def contract_left(m: Bimodule, functional: Mat) -> Mat:
     """C (x)_k M -> M, c (x) m -> functional(c).m."""
-    return kron_after(collapse_left(m), functional, Mat.identity(m.base.field, m.dim))
+    return _memoised(m, ("contract_left", m.dim, m.left, functional), lambda: kron_after(
+        collapse_left(m), functional, Mat.identity(m.base.field, m.dim)))
 
 
 # -- left duals and dual bases -------------------------------------------------------
@@ -510,6 +561,13 @@ def left_dual(m: Bimodule) -> tuple[Bimodule, tuple]:
     constraint space.  The bimodule structure is (a.f.b)(c) = f(c.a) b.
     Returns (dual module, tuple of functional matrices A.dim x M.dim).
     """
+    functionals, left, right = _memoised(m, ("left_dual", m.dim, m.left, m.right),
+                                         lambda: _left_dual(m))
+    return Bimodule(m.base, len(functionals), left, right), functionals
+
+
+def _left_dual(m: Bimodule) -> tuple:
+    """`left_dual` as (functionals, left action, right action) of the dual."""
     A = m.base
     F = A.field
     sys = LinearSystem(F, {"f": (A.dim, m.dim)})
@@ -538,8 +596,7 @@ def left_dual(m: Bimodule) -> tuple[Bimodule, tuple]:
         Mat.from_cols(F, [func_coords(A.right_mats[t] @ functionals[u]) for u in range(dim)])
         for t in range(A.dim)
     )
-    dual = Bimodule(A, dim, left, right)
-    return dual, functionals
+    return functionals, left, right
 
 
 @dataclass(frozen=True)
@@ -553,15 +610,18 @@ class DualBasis:
 def find_dual_basis(m: Bimodule) -> DualBasis | None:
     """Dual basis of m as a left module, or None when m is not finitely
     generated projective.  Decided by solving sum_i f_i(-) . m_i = id."""
-    return _dual_basis(m, left_dual(m)[1])
+    pairs = _memoised(m, ("dual_basis", m.dim, m.left),
+                      lambda: _dual_basis(m, left_dual(m)[1]))
+    return None if pairs is None else DualBasis(m, pairs)
 
 
-def _dual_basis(m: Bimodule, functionals: tuple) -> DualBasis | None:
-    """`find_dual_basis` over the basis functionals of the left dual."""
+def _dual_basis(m: Bimodule, functionals: tuple) -> tuple | None:
+    """The pairs of `find_dual_basis` over the basis functionals of the left
+    dual, or None."""
     F = m.base.field
     nd = len(functionals)
     if m.dim == 0 or nd == 0:
-        return DualBasis(m, ()) if m.dim == 0 else None
+        return () if m.dim == 0 else None
     # unknowns t[u][c] at column u * m.dim + c: coefficient of functionals[u] (x) e_c;
     # constraint: for each basis vector e_j of M: sum t[u][c] L(f_u(e_j)) e_c = e_j
     sys = vstack([hstack([m.left_act(f.col(j)) for f in functionals]) for j in range(m.dim)])
@@ -574,7 +634,7 @@ def _dual_basis(m: Bimodule, functionals: tuple) -> DualBasis | None:
             t = sol[u * m.dim + c]
             if t:
                 pairs.append((functionals[u].scale(t), unit_vec(F, m.dim, c)))
-    return DualBasis(m, tuple(pairs))
+    return tuple(pairs)
 
 
 # -- module predicates ------------------------------------------------------------
@@ -596,7 +656,7 @@ def left_module_predicates(m: Bimodule) -> ModulePredicates:
     A = m.base
     F = A.field
     _, functionals = left_dual(m)
-    projective = _dual_basis(m, functionals) is not None
+    projective = find_dual_basis(m) is not None
     trace_rows = []
     for f in functionals:
         for j in range(m.dim):

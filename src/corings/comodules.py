@@ -23,7 +23,13 @@ from corings.algebra import (
     contract_right,
     direct_sum_bimodule,
 )
-from corings.coring import CofreeWitness, GroupCoring, MissingCofreeWitness, coaction_failures
+from corings.coring import (
+    CofreeWitness,
+    GroupCoring,
+    MissingCofreeWitness,
+    cached_lift,
+    coaction_failures,
+)
 from corings.linalg import (
     LinearSystem,
     Mat,
@@ -59,9 +65,14 @@ class GComodule:
         self.coring = coring
         self.comps = tuple(comps)
         self.rho = dict(rho)
+        self._lifts = {}  # (a, b) -> (rho_{a,b}, its lift), see `coring.cached_lift`
 
     def tensor(self, a: int, b: int) -> TensorProduct:
         return cached_tensor(self.comps[a], self.coring.comps[b])
+
+    def lift(self, a: int, b: int) -> Mat:
+        """rho_{a,b} through the chosen section: M_{ab} -> M_a (x)_k C_b."""
+        return cached_lift(self._lifts, self.tensor, self.rho, a, b)
 
     def triple(self, a: int, b: int, c: int) -> QuotientSpace:
         return cached_triple(self.comps[a], self.coring.comps[b], self.coring.comps[c])
@@ -78,7 +89,7 @@ def validate_comodule(m: Comodule) -> CheckReport:
     bad = _right_linear_failures(gm, e)
     rep.add("comodule.right-linear", "coactions are right-linear",
             not bad, f"failing (degree, basis): {bad}" if bad else "")
-    bad, counit_ok = coaction_failures(gm, m.coring, gm.rho, e)
+    bad, counit_ok = coaction_failures(gm, m.coring, gm.lift, e)
     rep.add("comodule.coassociativity", "coaction coassociativity",
             not bad, f"failing pairs: {bad}" if bad else "")
     rep.add("comodule.counit", "counit law", counit_ok)
@@ -91,7 +102,7 @@ def validate_g_comodule(m: GComodule) -> CheckReport:
     bad = [(a, b, j) for a in g.elements() for b, j in _right_linear_failures(m, a)]
     rep.add("g-comodule.right-linear", "coactions are right-linear",
             not bad, f"failing (pair, basis): {bad[:5]}" if bad else "")
-    fails = [coaction_failures(m, m.coring, m.rho, a) for a in g.elements()]
+    fails = [coaction_failures(m, m.coring, m.lift, a) for a in g.elements()]
     bad = [(a, b, d) for a in g.elements() for b, d in fails[a][0]]
     rep.add("g-comodule.coassociativity", "family coaction coassociativity",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
@@ -188,8 +199,7 @@ def gcomodule_homs(m: GComodule, n: GComodule) -> LinearSystem:
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            sys.add((1, a, n.tensor(a, b).space.proj,
-                     m.tensor(a, b).space.sect @ m.rho[(a, b)], c.comps[b].dim),
+            sys.add((1, a, n.tensor(a, b).space.proj, m.lift(a, b), c.comps[b].dim),
                     (-1, ab, n.rho[(a, b)], Mat.identity(F, m.comps[ab].dim)))
     return sys
 
@@ -349,15 +359,11 @@ def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> Check
         psis = []
         ok_inv = True
         for a in g.elements():
-            t_a = gm.tensor(g.identity, a)
             func_a = c.counit @ w.gamma_inv(a)
-            phi_a = contract_right(gm.comps[g.identity], func_a) \
-                @ t_a.space.sect @ gm.rho[(g.identity, a)]
+            phi_a = contract_right(gm.comps[g.identity], func_a) @ gm.lift(g.identity, a)
             ainv = g.inv(a)
-            t_b = gm.tensor(a, ainv)
             func_b = c.counit @ w.gamma_inv(ainv)
-            psi_a = contract_right(gm.comps[a], func_b) \
-                @ t_b.space.sect @ gm.rho[(a, ainv)]
+            psi_a = contract_right(gm.comps[a], func_b) @ gm.lift(a, ainv)
             phis.append(phi_a)
             psis.append(psi_a)
             if phi_a @ psi_a != Mat.identity(F, gm.comps[g.identity].dim):

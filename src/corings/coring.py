@@ -45,6 +45,7 @@ class GroupCoring:
         self.comps = tuple(comps)
         self.delta = dict(delta)   # (a, b) -> Mat: C_{ab} -> tensor(a,b).space.dim
         self.counit = counit       # base.dim x C_e.dim
+        self._lifts = {}           # (a, b) -> (Delta_{a,b}, its lift), see `cached_lift`
 
     # -- tensor quotients, memoised on the base algebra ----------------------
 
@@ -58,7 +59,7 @@ class GroupCoring:
 
     def delta_left_lift(self, a: int, b: int) -> Mat:
         """C_{ab} -> C_a (x)_k C_b through the chosen section."""
-        return self.tensor(a, b).space.sect @ self.delta[(a, b)]
+        return cached_lift(self._lifts, self.tensor, self.delta, a, b)
 
     def e_slice(self) -> "GroupCoring":
         """The degree-e part as a coring over the trivial group."""
@@ -81,7 +82,7 @@ def validate_group_coring(c: GroupCoring, check_components: bool = True) -> Chec
             rep.extend(validate_bimodule_map(f), prefix=f"delta[{a},{b}].")
         eps = BimoduleMap(c.comps[e], Bimodule.regular(c.base), c.counit)
         rep.extend(validate_bimodule_map(eps), prefix="counit.")
-    fails = [coaction_failures(c, c, c.delta, a) for a in g.elements()]
+    fails = [coaction_failures(c, c, c.delta_left_lift, a) for a in g.elements()]
     bad = [(a, b, d) for a in g.elements() for b, d in fails[a][0]]
     rep.add("coring.coassociativity", "comultiplication coassociativity",
             not bad, f"failing triples: {bad}" if bad else "")
@@ -94,20 +95,28 @@ def validate_group_coring(c: GroupCoring, check_components: bool = True) -> Chec
     return rep
 
 
-def coaction_failures(m, c: GroupCoring, rho, a: int) -> tuple[list, bool]:
+def cached_lift(cache: dict, tensor, maps, a: int, b: int) -> Mat:
+    """maps[(a, b)] lifted through the section of tensor(a, b).space, kept in
+    cache under (a, b) with the map it lifts, so a map stored afresh under
+    (a, b) is lifted afresh."""
+    mat = maps[(a, b)]
+    hit = cache.get((a, b))
+    if hit is None or hit[0] is not mat:
+        hit = cache[(a, b)] = (mat, tensor(a, b).space.sect @ mat)
+    return hit[1]
+
+
+def coaction_failures(m, c: GroupCoring, lift, a: int) -> tuple[list, bool]:
     """The coaction laws on M_a of a coaction rho[(x, y)]: M_{xy} -> M_x (x)_A C_y
-    over c: the pairs (b, d), b major, where (rho_{a,b} (x) C_d) rho_{ab,d}
-    and (M_a (x) Delta_{b,d}) rho_{a,bd} differ in the triple quotient, and
-    whether (M_a (x) counit) rho_{a,e} is the identity.  m is a
-    `comodules.GComodule` over c, or c itself with rho = c.delta; the
-    quotients are its `tensor` and `triple`."""
+    over c, given as its lifts lift(x, y): M_{xy} -> M_x (x)_k C_y: the pairs
+    (b, d), b major, where (rho_{a,b} (x) C_d) rho_{ab,d} and (M_a (x)
+    Delta_{b,d}) rho_{a,bd} differ in the triple quotient, and whether (M_a
+    (x) counit) rho_{a,e} is the identity.  m is a `comodules.GComodule`
+    over c with lift = m.lift, or c itself with lift = c.delta_left_lift;
+    the triple quotients are its `triple`."""
     g = c.group
     F = c.base.field
     ident = Mat.identity(F, m.comps[a].dim)
-
-    def lift(x: int, y: int) -> Mat:
-        return m.tensor(x, y).space.sect @ rho[(x, y)]
-
     bad = []
     for b in g.elements():
         first = lift(a, b)
@@ -161,9 +170,12 @@ class CofreeWitness:
     def __init__(self, coring: GroupCoring, gammas):
         self.coring = coring
         self.gammas = tuple(gammas)
+        self._inverses = {}  # a -> gamma_a^{-1}, inverted on first use
 
     def gamma_inv(self, a: int) -> Mat:
-        return inverse(self.gammas[a])
+        if a not in self._inverses:
+            self._inverses[a] = inverse(self.gammas[a])
+        return self._inverses[a]
 
 
 def cofree_coring(c_e: GroupCoring, group: FiniteGroup) -> tuple[GroupCoring, CofreeWitness]:

@@ -44,7 +44,6 @@ from corings.linalg import (
     block_matrix,
     combine,
     coords_in_rowspace,
-    inverse,
     is_invertible,
     kron_after,
 )
@@ -497,7 +496,7 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) 
     e = g.identity
     sigmas = []
     for a in g.elements():
-        ginv = inverse(w.gammas[g.inv(a)])
+        ginv = w.gamma_inv(g.inv(a))
         cols = []
         for u in range(r.dim(e)):
             func = r.functionals[e][u] @ ginv

@@ -4,11 +4,11 @@ A `Mat` stores its entries densely, row-major, and caches the nonzero
 entries of each row on first use; products, Kronecker products, linear
 combinations and the hom systems of `LinearSystem` read that cache, and
 products seed it on their results.  Beside the row cache a `Mat` keeps
-its hash, computed once, and whether it is an identity, read off the row
-cache (`Mat.identity` sets both the rows and the flag as it builds).  An
-identity operand costs nothing: `@` returns the other operand, and
-`kron_after` returns m when both factors are identities and otherwise
-makes one pass when one is.  Elimination runs on sparse rows only: one
+its hash and its rank, each computed once, and whether it is an identity,
+read off the row cache (`Mat.identity` sets both the rows and the flag as
+it builds).  An identity operand costs nothing: `@` returns the other
+operand, and `kron_after` returns m when both factors are identities and
+otherwise makes one pass when one is.  Elimination runs on sparse rows only: one
 eliminator reduces `{column: value}` dicts in place and serves rref,
 kernels, solves, inverses, quotients and hom systems.
 
@@ -211,6 +211,12 @@ class Mat:
         beside `_entries`: the memo keys of `algebra.cached_tensor` are
         tuples of action matrices, hashed again at every lookup."""
         return hash((self.field, self.rows, self.cols, self.data))
+
+    @cached_property
+    def _rank(self) -> int:
+        """The rank, from one elimination on the first `rank()`; the
+        invertibility test and a witness that prints the rank share it."""
+        return len(rref_pivots(self)[1])
 
     @cached_property
     def _row_solver(self) -> "_RowSolver":
@@ -424,7 +430,7 @@ def rref(m: Mat) -> Mat:
 
 
 def rank(m: Mat) -> int:
-    return len(rref_pivots(m)[1])
+    return m._rank
 
 
 def is_invertible(m: Mat) -> bool:

@@ -248,12 +248,13 @@ def is_strict(ctx: MoritaContext) -> tuple[bool, CheckReport]:
     inconsistency."""
     rep = CheckReport()
     F = ctx.ring1.field
-    tau_surj = rank(ctx.tau) == ctx.ring1.dim
-    mu_surj = rank(ctx.mu) == ctx.ring2.dim
+    tau_rank, mu_rank = rank(ctx.tau), rank(ctx.mu)
+    tau_surj = tau_rank == ctx.ring1.dim
+    mu_surj = mu_rank == ctx.ring2.dim
     rep.add("strict.tau-surjective", "first connecting map is surjective", True,
-            f"value={tau_surj} (rank {rank(ctx.tau)} of {ctx.ring1.dim})")
+            f"value={tau_surj} (rank {tau_rank} of {ctx.ring1.dim})")
     rep.add("strict.mu-surjective", "second connecting map is surjective", True,
-            f"value={mu_surj} (rank {rank(ctx.mu)} of {ctx.ring2.dim})")
+            f"value={mu_surj} (rank {mu_rank} of {ctx.ring2.dim})")
     verdict = tau_surj and mu_surj
     if verdict:
         q_pq = balanced_quotient(F, ctx.p.dim, ctx.q.dim, ctx.p.right, ctx.q.left)

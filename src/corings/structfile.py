@@ -486,7 +486,10 @@ class Derived:
     itself, so that dropping the structure frees all of it without the
     cycle collector.  Each solution space is one (strict, weak) pair,
     solved in one pass; the rings and contexts built on them are separate
-    strict and weak members.
+    strict and weak members.  A weak member is the strict object itself
+    when every input its build reads equals the strict one (the builders
+    are deterministic, so equal inputs give equal outputs), and is built
+    on its own otherwise.
     """
 
     def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily, base: RingMorphism,
@@ -576,8 +579,10 @@ class Derived:
 
     @cached_property
     def weak_coefficients(self) -> CoefficientRing:
-        return coefficient_ring(self.grouplike, self.coefficient_spaces[1],
-                                self.weak_coinvariants)
+        strict, weak = self.coefficient_spaces
+        if weak == strict and self.weak_coinvariants == self.coinvariants:
+            return self.coefficients
+        return coefficient_ring(self.grouplike, weak, self.weak_coinvariants)
 
     @cached_property
     def morita(self) -> tuple:
@@ -587,8 +592,10 @@ class Derived:
 
     @cached_property
     def weak_morita(self) -> tuple:
-        return morita_context(self.grouplike, self.dual_ring, self.weak_coinvariants,
-                              self.connecting_spaces[1])
+        strict, weak = self.connecting_spaces
+        if weak == strict and self.weak_coinvariants == self.coinvariants:
+            return self.morita
+        return morita_context(self.grouplike, self.dual_ring, self.weak_coinvariants, weak)
 
     @cached_property
     def graded_morita(self) -> tuple:
@@ -604,8 +611,11 @@ class Derived:
 
     @cached_property
     def weak_graded_morita(self) -> tuple:
+        strict, weak = self.connecting_spaces
+        if weak == strict and self.weak_coefficients == self.coefficients:
+            return self.graded_morita
         return graded_morita_context(self.grouplike, self.dual_ring, self.weak_coefficients,
-                                     self.connecting_spaces[1])
+                                     weak)
 
     @cached_property
     def slice(self) -> "Derived":

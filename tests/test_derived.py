@@ -12,15 +12,17 @@ from pathlib import Path
 import pytest
 
 from corings import algebra, dualring, galois, morita, structfile
+from corings.algebra import field_algebra, subalgebra
 from corings.coring import GroupCoring
 from corings.dualring import GradedRing, dual_ring
 from corings.fixtures import fixture_file_text
-from corings.galois import GrouplikeFamily
+from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
 from corings.hopf import coring_from_comodule_algebra
 from corings.linalg import Mat
 from corings.morita import CoefficientRing
-from corings.structfile import main_structure, parse
+from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
+from helpers import triangular_family
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
@@ -143,9 +145,10 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
         "graded_morita_context", "canonical_graded_module")}
     # connecting spaces of the family and of the identity-degree slice, each
     # strict and weak in one pass; strict and weak coefficients in one pass;
-    # strict and weak graded contexts; coinvariants of the family and slice
+    # one graded context, since the weak inputs equal the strict ones here;
+    # coinvariants of the family and slice
     assert counts == {"connecting_spaces": (2, 2), "coefficient_spaces": (1, 1),
-                      "coinvariant_ring": (2, 2), "graded_morita_context": (2, 2),
+                      "coinvariant_ring": (2, 2), "graded_morita_context": (1, 1),
                       "canonical_graded_module": (1, 1)}
 
 
@@ -262,3 +265,71 @@ def test_hopf_suite_reads_the_induced_coring_when_it_is_not_the_main_one():
     assert h is not None and content(h.coring) == content(cor)
     assert h.grouplike.vectors == x.vectors
     assert run_suite(mixed, "hopf", seed=0).items == run_suite(ms, "hopf", seed=0).items
+
+
+def _derived(name: str) -> Derived:
+    if name != "triangular":
+        return main_structure(parse(fixture_file_text(name))).derived
+    x = triangular_family()
+    a = x.coring.base
+    return Derived(x.coring, x, RingMorphism(field_algebra(a.field), a,
+                                             Mat.from_cols(a.field, [a.unit])))
+
+
+def _count_weak_builds(monkeypatch) -> dict:
+    calls = defaultdict(int)
+    for name in ("coefficient_ring", "morita_context", "graded_morita_context"):
+        original = getattr(structfile, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(structfile, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("triangular",))
+def test_weak_objects_are_the_strict_ones_when_their_inputs_are_equal(monkeypatch, name):
+    d = _derived(name)
+    calls = _count_weak_builds(monkeypatch)
+    assert d.weak_coefficients is d.coefficients
+    assert d.weak_morita is d.morita
+    assert d.weak_graded_morita is d.graded_morita
+    assert calls == {"coefficient_ring": 1, "morita_context": 1, "graded_morita_context": 1}
+
+
+def _rescaled(d: Derived, forced: str) -> None:
+    """Give d a weak input spanning the strict one in another basis (rows
+    times 2), so that it is not equal to the strict input."""
+    if forced == "coinvariants":
+        basis = d.coinvariants.basis.scale(2)
+        vars(d)["weak_coinvariants"] = CoinvariantRing(
+            basis, *subalgebra(d.coring.base, basis))
+    else:
+        spaces = f"{forced}_spaces"
+        strict, weak = getattr(d, spaces)
+        vars(d)[spaces] = (strict, weak.scale(2))
+
+
+@pytest.mark.parametrize("forced, separate", [
+    ("connecting", {"morita_context", "graded_morita_context"}),
+    ("coefficient", {"coefficient_ring", "graded_morita_context"}),
+    ("coinvariants", {"coefficient_ring", "morita_context", "graded_morita_context"}),
+])
+def test_weak_objects_are_built_separately_when_an_input_differs(monkeypatch, forced, separate):
+    # no bundled structure has weak inputs that differ from the strict ones,
+    # so one is rescaled here; the weak builds then read it
+    d = _derived("regular")
+    _rescaled(d, forced)
+    calls = _count_weak_builds(monkeypatch)
+    weak = {"coefficient_ring": d.weak_coefficients, "morita_context": d.weak_morita,
+            "graded_morita_context": d.weak_graded_morita}
+    strict = {"coefficient_ring": d.coefficients, "morita_context": d.morita,
+              "graded_morita_context": d.graded_morita}
+    assert {name for name in weak if weak[name] is not strict[name]} == separate
+    assert dict(calls) == {name: 1 + (name in separate) for name in weak}
+    if forced == "connecting":
+        assert d.weak_morita[1] == d.connecting_spaces[1] != d.morita[1]
+    if forced == "coefficient":
+        assert d.weak_coefficients.basis == d.coefficient_spaces[1]

@@ -53,6 +53,10 @@
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
   misleading message.
+* The uncached builders of `Algebra.duals` (`UNCACHED`: the left dual, the
+  dual-basis solve and the two collapse maps) are called only from their
+  memo wrappers in `algebra.py`: a call anywhere else builds again what the
+  memo holds for every module equal in content.
 """
 
 import ast
@@ -435,6 +439,29 @@ def storage_subscripts(path: Path) -> list:
                    and node.value.attr == "data"})
 
 
+# uncached builder -> the memo wrapper in algebra.py that alone calls it
+UNCACHED = {"_left_dual": "left_dual", "_dual_basis": "find_dual_basis",
+            "_collapse_right": "collapse_right", "_collapse_left": "collapse_left"}
+
+
+def memo_bypasses(path: Path) -> list:
+    """(line, name) of each call of an `UNCACHED` builder, by name or as an
+    attribute, that is not inside its wrapper function in `algebra.py` (a
+    lambda counts as part of the function it is written in)."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            name = _called_name(child)
+            if name in UNCACHED and (path.name, fn) != ("algebra.py", UNCACHED[name]):
+                out.append((child.lineno, name))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else fn)
+
+    visit(_tree(path), None)
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -491,6 +518,11 @@ def test_no_handler_catches_everything(path):
                          ids=lambda p: p.name)
 def test_only_derived_builds_the_shared_objects(path):
     assert derived_rebuilds(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_memo_wrappers_call_the_uncached_builders(path):
+    assert memo_bypasses(path) == []
 
 
 def test_every_function_is_referenced():
@@ -744,3 +776,32 @@ def test_the_algebra_law_checks_catch_what_they_look_for(tmp_path):
         "ok = is_invertible(m) and q.dim == n and rank(t) == n\n")
     assert basis_vector_products(src) == [1, 2, 3]
     assert hand_invertibility_tests(src) == [6, 7, 8, 9]
+
+
+def test_the_memo_bypass_check_catches_what_it_looks_for(tmp_path):
+    home = tmp_path / "algebra.py"
+    home.write_text(
+        "def left_dual(m):\n"
+        "    return _memoised(m, ('left_dual', m.dim), lambda: _left_dual(m))\n"
+        "def find_dual_basis(m):\n"
+        "    return _memoised(m, ('dual_basis', m.dim), lambda: _dual_basis(m, left_dual(m)[1]))\n"
+        # the projectivity test of the module predicates before the dual
+        # basis was memoised
+        "def left_module_predicates(m):\n"
+        "    _, functionals = _left_dual(m)\n"
+        "    return _dual_basis(m, functionals) is not None\n"
+        "def collapse_right(m):\n"
+        "    def inner():\n"
+        "        return _collapse_right(m)\n"
+        "    return _collapse_left(m), inner\n"
+        "CONST = _collapse_right(None)\n")
+    assert memo_bypasses(home) == [(6, "_left_dual"), (7, "_dual_basis"),
+                                   (10, "_collapse_right"), (11, "_collapse_left"),
+                                   (12, "_collapse_right")]
+    other = tmp_path / "dualring.py"
+    other.write_text(
+        "def left_dual(m):\n"
+        "    return algebra._left_dual(m)\n"
+        "def collapse(m):\n"
+        "    return collapse_right(m), _collapse_leftover(m)\n")
+    assert memo_bypasses(other) == [(2, "_left_dual")]
