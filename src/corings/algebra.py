@@ -42,6 +42,7 @@ from corings.linalg import (
     tensor_vec,
     triple_balanced_quotient,
     unit_vec,
+    vec_rows,
     vstack,
 )
 from corings.report import CheckReport
@@ -288,7 +289,7 @@ def flat_actions(field: Field, dim: int, mats) -> Mat:
     for mat in mats:
         if (mat.rows, mat.cols) != (dim, dim):
             raise DimensionMismatch(f"{mat.rows}x{mat.cols} action on a module of dimension {dim}")
-    return Mat(field, len(mats), dim * dim, tuple(x for mat in mats for x in mat.data))
+    return vec_rows(field, dim * dim, mats)
 
 
 def _rows_differ(a: Mat, b: Mat) -> list:
@@ -575,14 +576,12 @@ def _left_dual(m: Bimodule) -> tuple:
     for t in range(A.dim):
         # f @ L_t - left_mult(e_t) @ f = 0
         sys.add((1, "f", ida, m.left[t]), (-1, "f", A.left_mats[t], idm))
-    basis = sys.kernel()
-    functionals = tuple(
-        Mat(F, A.dim, m.dim, basis.row(i)) for i in range(basis.rows)
-    )
+    functionals = tuple(f for f, in sys.basis())
+    basis = vec_rows(F, A.dim * m.dim, functionals)
     dim = len(functionals)
 
     def func_coords(fmat: Mat):
-        return coords_in_rowspace(basis, fmat.data)
+        return coords_in_rowspace(basis, fmat.reshape(1, basis.cols))
 
     left = None
     if m.right is not None:
@@ -625,7 +624,7 @@ def _dual_basis(m: Bimodule, functionals: tuple) -> tuple | None:
     # unknowns t[u][c] at column u * m.dim + c: coefficient of functionals[u] (x) e_c;
     # constraint: for each basis vector e_j of M: sum t[u][c] L(f_u(e_j)) e_c = e_j
     sys = vstack([hstack([m.left_act(f.col(j)) for f in functionals]) for j in range(m.dim)])
-    sol = solve(sys, Mat.identity(F, m.dim).data)
+    sol = solve(sys, Mat.identity(F, m.dim).reshape(1, m.dim * m.dim))
     if sol is None:
         return None
     pairs = []

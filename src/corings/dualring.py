@@ -46,6 +46,7 @@ from corings.linalg import (
     coords_in_rowspace,
     is_invertible,
     kron_after,
+    vec_rows,
 )
 from corings.report import CheckReport
 from corings.scalars import DimensionMismatch, Field
@@ -88,7 +89,7 @@ class GradedAlgebra:
                           for b in g.elements() for j in range(dims[b]))
                     for a in g.elements() for i in range(dims[a]))
         unit = block_matrix(field, dims, [1], {(g.identity, 0): Mat.col_vector(field, unit)})
-        return cls.build(g, Algebra(field, sum(dims), mul, unit.data), dims)
+        return cls.build(g, Algebra(field, sum(dims), mul, unit.col(0)), dims)
 
     def inject(self, a: int, vec) -> tuple:
         """The packed vector of the degree-a coordinates vec."""
@@ -130,8 +131,7 @@ class GradedRing:
         self.functionals = tuple(funcs)
         F = self.base.field
         self._func_bases = tuple(
-            Mat(F, len(fs), self.base.dim * coring.comps[g.inv(a)].dim,
-                tuple(x for f in fs for x in f.data))
+            vec_rows(F, self.base.dim * coring.comps[g.inv(a)].dim, fs)
             for a, fs in zip(g.elements(), self.functionals)
         )
         # legs[(a, b)]: per functional f of degree a, the first
@@ -159,7 +159,7 @@ class GradedRing:
                        self.functionals[a], coords)
 
     def coords(self, a: int, functional: Mat) -> tuple:
-        out = coords_in_rowspace(self._func_bases[a], functional.data)
+        out = coords_in_rowspace(self._func_bases[a], functional.reshape(1, self._func_bases[a].cols))
         if out is None:
             raise ValueError("functional outside the solved dual basis")
         return out
@@ -434,7 +434,7 @@ def graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
             proj = cached_tensor(m.comps[a], c.comps[b]).space.proj
             acted = kron_after(proj, m.act[(ab, g.inv(b))], Mat.identity(F, c.comps[b].dim))
             rho[(a, b)] = kron_after(acted, Mat.identity(F, m.comps[ab].dim),
-                                     Mat(F, d_b.rows * d_b.cols, 1, d_b.data))
+                                     d_b.reshape(d_b.rows * d_b.cols, 1))
     return GComodule(c, m.comps, rho)
 
 
@@ -539,7 +539,7 @@ def check_component_bidual(c: GroupCoring, r: GradedRing) -> CheckReport:
         coords = []
         for i in range(comp.dim):
             h_i = Mat.from_cols(F, [r.functionals[a][u].col(i) for u in range(n_r)])
-            cc = coords_in_rowspace(basis, h_i.data)
+            cc = coords_in_rowspace(basis, h_i.reshape(1, basis.cols))
             if cc is None:
                 bad.append(a)
                 break
@@ -572,10 +572,11 @@ def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> CheckRep
             # g_v (x) D_b (x) d_v over the dual basis of C_c, then the
             # product g_v # f_u of the two dual-ring legs
             d_b = tensors[b]
-            spread = kron_after(tensors[cdeg], Mat(F, 1, d_b.rows * d_b.cols, d_b.data),
+            spread = kron_after(tensors[cdeg], d_b.reshape(1, d_b.rows * d_b.cols),
                                 Mat.identity(F, c.comps[cdeg].dim))
-            rhs = r.mul[(cinv, binv)] @ Mat(F, r.dim(cinv) * r.dim(binv), lhs.cols, spread.data)
-            if tq3.project(lhs.data) != tq3.project(rhs.data):
+            rhs = r.mul[(cinv, binv)] @ spread.reshape(r.dim(cinv) * r.dim(binv), lhs.cols)
+            flat = lhs.rows * lhs.cols
+            if tq3.project(lhs.reshape(1, flat)) != tq3.project(rhs.reshape(1, flat)):
                 bad.append((b, cdeg))
     rep.add("dual-basis.comultiplication",
             "dual bases are compatible with comultiplication",

@@ -1,16 +1,24 @@
 """Exact linear algebra with deterministic basis choices.
 
-A `Mat` stores its entries densely, row-major, and caches the nonzero
-entries of each row on first use; products, Kronecker products, linear
-combinations and the hom systems of `LinearSystem` read that cache, and
-products seed it on their results.  Beside the row cache a `Mat` keeps
-its hash and its rank, each computed once, and whether it is an identity,
-read off the row cache (`Mat.identity` sets both the rows and the flag as
-it builds).  An identity operand costs nothing: `@` returns the other
+A `Mat` is stored as the nonzero (column, value) pairs of each row, in
+ascending column order; the matrices of the library are block-structured
+and almost all zeros.  `Mat(field, rows, cols, data)` takes row-major
+entries and keeps only the nonzero ones, and `data` is a view of the rows
+built on first read.  Every matrix passes through one constructor,
+`Mat._of_rows`, and every operation is written on the rows: products,
+Kronecker products, sums, transposes, stacks, blocks and reshapes read
+the nonzero entries and bring only the entries they touch to canonical
+form (compressed sparse rows, as in Davis, *Direct Methods for Sparse
+Linear Systems*, SIAM 2006, ch. 2).  Equality compares the rows, and the
+hash, computed once, is read off them, so a matrix built from dense
+entries equals and hashes like the same matrix built from rows.  Beside
+the rows a `Mat` caches its columns (for `col` and `transpose`), its rank
+and whether it is an identity (`Mat.identity` sets the flag as it
+builds).  An identity operand costs nothing: `@` returns the other
 operand, and `kron_after` returns m when both factors are identities and
-otherwise makes one pass when one is.  Elimination runs on sparse rows only: one
-eliminator reduces `{column: value}` dicts in place and serves rref,
-kernels, solves, inverses, quotients and hom systems.
+otherwise makes one pass when one is.  Elimination runs on sparse rows
+only: one eliminator reduces `{column: value}` dicts in place and serves
+rref, kernels, solves, inverses, quotients and hom systems.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -39,20 +47,36 @@ from itertools import chain, compress
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Mat:
-    """Immutable dense matrix over an exact field, row-major entries."""
+    """Immutable matrix over an exact field, stored as sparse rows.
+
+    No row list is changed once a matrix holds it, so matrices share them:
+    a stack holds the rows of its parts, and a transpose the column lists
+    of its source."""
 
     field: Field
     rows: int
     cols: int
-    data: tuple
+    _entries: list
 
-    def __post_init__(self):
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.data)}"
-            )
+    def __new__(cls, field: Field, rows: int, cols: int, data) -> "Mat":
+        """The matrix with the row-major entries data; the dense entry point
+        of the loader and the tests.  Only the nonzero entries are kept."""
+        if len(data) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
+        return _from_flat(field, rows, cols, ((k, data[k]) for k in compress(range(len(data)), data)))
+
+    @classmethod
+    def _of_rows(cls, field: Field, rows: int, cols: int, entries: list) -> "Mat":
+        """The one constructor every matrix passes through: entries[i] lists
+        the nonzero (column, value) pairs of row i in ascending column order,
+        values in canonical form."""
+        if len(entries) != rows:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows} rows, got {len(entries)}")
+        m = object.__new__(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, _entries=entries)
+        return m
 
     def __eq__(self, other):
         if self is other:
@@ -61,7 +85,7 @@ class Mat:
             return NotImplemented
         return ((self.field is other.field or self.field == other.field)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self._entries == other._entries)
 
     def __hash__(self):
         return self._hash
@@ -71,25 +95,22 @@ class Mat:
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Mat":
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        data = tuple(field.of(x) for r in rows for x in r)
-        return cls(field, nrows, ncols, data)
+        return cls._of_rows(field, len(rows), ncols,
+                            [[(j, x) for j, x in enumerate(map(field.of, r)) if x] for r in rows])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        data = [field.zero] * (n * n)
-        data[::n + 1] = [field.one] * n
-        m = cls(field, n, n, tuple(data))
-        m.__dict__.update(_entries=[[(i, field.one)] for i in range(n)], _is_identity=True)
+        m = cls._of_rows(field, n, n, [[(i, field.one)] for i in range(n)])
+        m.__dict__["_is_identity"] = True
         return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, (field.zero,) * (rows * cols))
+        return cls._of_rows(field, rows, cols, [[] for _ in range(rows)])
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Mat":
@@ -103,23 +124,48 @@ class Mat:
         cols = list(cols)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        return cls(field, rows, len(cols), tuple(chain.from_iterable(zip(*cols))))
+        out = [[] for _ in range(rows)]
+        for j, col in enumerate(cols):
+            if len(col) != rows:
+                raise DimensionMismatch(f"column of {len(col)} entries in a matrix of {rows} rows")
+            for i in compress(range(rows), col):
+                out[i].append((j, col[i]))
+        return cls._of_rows(field, rows, len(cols), out)
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
-        v = list(v)
-        return cls(field, len(v), 1, tuple(field.of(x) for x in v))
+        return cls._from_cols(field, [[field.of(x) for x in v]])
 
     # -- access ------------------------------------------------------------
 
+    @cached_property
+    def data(self) -> tuple:
+        """The entries, row-major: a view of the rows, built on first read
+        and kept."""
+        cols = self.cols
+        return _densify(self.field, self.rows * cols,
+                        ((i * cols + j, x) for i, row in enumerate(self._entries) for j, x in row))
+
     def at(self, i: int, j: int):
-        return self.data[i * self.cols + j]
+        for c, x in self._entries[i]:
+            if c == j:
+                return x
+        return self.field.zero
 
     def row(self, i: int) -> tuple:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return _densify(self.field, self.cols, self._entries[i])
 
     def col(self, j: int) -> tuple:
-        return self.data[j::self.cols]
+        return _densify(self.field, self.rows, self._columns[j])
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The rows x cols matrix of the same entries read row-major; a
+        one-row reshape is vec(self)."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionMismatch(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        width = self.cols
+        return _from_flat(self.field, rows, cols,
+                          ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row))
 
     # -- algebra -----------------------------------------------------------
 
@@ -127,28 +173,32 @@ class Mat:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _combined(self, other: "Mat", op, what: str) -> "Mat":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return Mat(self.field, self.rows, self.cols,
-                   tuple(map(self.field.reduce, map(operator.add, self.data, other.data))))
+            raise DimensionMismatch(f"shape mismatch in {what}")
+        rows = []
+        for srow, orow in zip(self._entries, other._entries):
+            acc = dict(srow)
+            for j, x in orow:
+                acc[j] = op(acc.get(j, 0), x)
+            rows.append(acc)
+        return _from_entries(self.field, rows, self.cols)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._combined(other, operator.add, "addition")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return Mat(self.field, self.rows, self.cols,
-                   tuple(map(self.field.reduce, map(operator.sub, self.data, other.data))))
+        return self._combined(other, operator.sub, "subtraction")
 
     def scale(self, c) -> "Mat":
-        c = self.field.of(c)
-        return Mat(self.field, self.rows, self.cols,
-                   tuple(map(self.field.reduce, [c * a for a in self.data])))
+        c, red = self.field.of(c), self.field.reduce
+        return Mat._of_rows(self.field, self.rows, self.cols,
+                            [[(j, red(c * x)) for j, x in row] if c else [] for row in self._entries])
 
     # The products below accumulate with plain `+` and `*` and bring each
     # output entry to canonical form once, through `Field.reduce`.  A product
-    # with an identity returns the other operand, row cache filled.
+    # with an identity returns the other operand.
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_field(other)
@@ -181,36 +231,35 @@ class Mat:
         return tuple(map(self.field.reduce, out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(chain.from_iterable(self.data[j::self.cols] for j in range(self.cols))))
+        return Mat._of_rows(self.field, self.cols, self.rows, self._columns)
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self._entries)
 
     @cached_property
-    def _entries(self) -> list:
-        """The nonzero (column, value) pairs of each row, in ascending
-        column order; like `_row_solver`, a cached property that stays out
-        of eq, hash and repr.  Products fill it on their results."""
-        data, rows = self.data, [[] for _ in range(self.rows)]
-        for k in compress(range(len(data)), data):
-            i, j = divmod(k, self.cols)
-            rows[i].append((j, data[k]))
-        return rows
+    def _columns(self) -> list:
+        """The nonzero (row, value) pairs of each column in ascending row
+        order, the rows of the transpose; built on the first `col` or
+        `transpose` and shared with the transpose."""
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._entries):
+            for j, x in row:
+                cols[j].append((i, x))
+        return cols
 
     @cached_property
     def _is_identity(self) -> bool:
-        """Whether this is an identity matrix, read off the row cache; like
-        `_entries`, outside eq, hash and repr."""
+        """Whether this is an identity matrix, read off the rows; like the
+        other caches, outside eq, hash and repr."""
         one = self.field.one
         return self.rows == self.cols and all(row == [(i, one)] for i, row in enumerate(self._entries))
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of the dense form, computed on the first `hash()` and kept
-        beside `_entries`: the memo keys of `algebra.cached_tensor` are
-        tuples of action matrices, hashed again at every lookup."""
-        return hash((self.field, self.rows, self.cols, self.data))
+        """The hash of the rows, computed on the first `hash()`: the memo
+        keys of `algebra.cached_tensor` are tuples of action matrices,
+        hashed again at every lookup."""
+        return hash((self.field, self.rows, self.cols, tuple(map(tuple, self._entries))))
 
     @cached_property
     def _rank(self) -> int:
@@ -226,28 +275,54 @@ class Mat:
 
     def __repr__(self):
         fmt = self.field.format
-        rows = ["[" + ", ".join(fmt(self.at(i, j)) for j in range(self.cols)) + "]"
-                for i in range(self.rows)]
+        rows = ["[" + ", ".join(map(fmt, self.row(i))) + "]" for i in range(self.rows)]
         return "Mat[" + "; ".join(rows) + "]"
+
+
+def _densify(field: Field, n: int, pairs) -> tuple:
+    """The length-n coordinate tuple with the entries (index, value) pairs."""
+    out = [field.zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return tuple(out)
+
+
+def _from_flat(field: Field, rows: int, cols: int, pairs) -> Mat:
+    """The rows x cols matrix whose row-major entries are the (index, value)
+    pairs, given in ascending index order."""
+    if rows == 1:  # vec(m), read by every coordinate solve of a functional
+        return Mat._of_rows(field, 1, cols, [list(pairs)])
+    out = [[] for _ in range(rows)]
+    for k, x in pairs:
+        i, j = divmod(k, cols)
+        out[i].append((j, x))
+    return Mat._of_rows(field, rows, cols, out)
 
 
 def _from_entries(field: Field, rows, cols: int) -> Mat:
     """The matrix with len(rows) rows and cols columns whose row i holds the
     entries of the dict rows[i] ({column: value}, values as plain `+` and
-    `*` leave them), with its row cache filled; only those entries are
-    brought to canonical form."""
-    red, data, entries = field.reduce, [0] * (len(rows) * cols), []
-    for i, row in enumerate(rows):
-        base, out = i * cols, []
+    `*` leave them); only those entries are brought to canonical form."""
+    red, entries = field.reduce, []
+    for row in rows:
+        out = []
         for j in sorted(row):
             v = red(row[j])
             if v:
                 out.append((j, v))
-                data[base + j] = v
         entries.append(out)
-    m = Mat(field, len(rows), cols, tuple(data))
-    m.__dict__["_entries"] = entries
-    return m
+    return Mat._of_rows(field, len(rows), cols, entries)
+
+
+def _pairs(v) -> tuple[int, list]:
+    """The length and the nonzero (index, value) pairs of the vector v, a
+    sequence or a one-row matrix."""
+    if isinstance(v, Mat):
+        if v.rows != 1:
+            raise DimensionMismatch(f"a {v.rows}x{v.cols} matrix is no row vector")
+        return v.cols, v._entries[0]
+    v = tuple(v)
+    return len(v), [(j, x) for j, x in enumerate(v) if x]
 
 
 # -- stacking ---------------------------------------------------------------
@@ -261,11 +336,12 @@ def hstack(mats) -> Mat:
             raise DimensionMismatch("hstack row mismatch")
         if m.field != F:
             raise FieldMismatch("hstack field mismatch")
-    data = []
-    for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return Mat(F, rows, sum(m.cols for m in mats), tuple(data))
+    out, width = [[] for _ in range(rows)], 0
+    for m in mats:
+        for row, mrow in zip(out, m._entries):
+            row.extend([(width + j, x) for j, x in mrow])
+        width += m.cols
+    return Mat._of_rows(F, rows, width, out)
 
 
 def vstack(mats) -> Mat:
@@ -277,10 +353,19 @@ def vstack(mats) -> Mat:
             raise DimensionMismatch("vstack column mismatch")
         if m.field != F:
             raise FieldMismatch("vstack field mismatch")
-    data = []
+    return Mat._of_rows(F, sum(m.rows for m in mats), cols, [row for m in mats for row in m._entries])
+
+
+def vec_rows(field: Field, width: int, mats) -> Mat:
+    """The matrix whose row k is vec(mats[k]), the entries of mats[k]
+    row-major; each has width entries, and the field and width give an
+    empty list its shape."""
+    rows = []
     for m in mats:
-        data.extend(m.data)
-    return Mat(F, sum(m.rows for m in mats), cols, tuple(data))
+        if m.rows * m.cols != width:
+            raise DimensionMismatch(f"{m.rows}x{m.cols} matrix in rows of width {width}")
+        rows.append([(i * m.cols + j, x) for i, mrow in enumerate(m._entries) for j, x in mrow])
+    return Mat._of_rows(field, len(rows), width, rows)
 
 
 def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
@@ -289,18 +374,18 @@ def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
     blocks[(i, j)] in block (i, j) and zeros everywhere else."""
     row_offsets = [sum(row_dims[:i]) for i in range(len(row_dims))]
     col_offsets = [sum(col_dims[:j]) for j in range(len(col_dims))]
-    width = sum(col_dims)
-    data = [field.zero] * (sum(row_dims) * width)
-    for (i, j), m in blocks.items():
+    out = [[] for _ in range(sum(row_dims))]
+    # blocks in column-block order, so that each row is filled left to right
+    for (i, j), m in sorted(blocks.items(), key=lambda item: item[0][1]):
         if (m.rows, m.cols) != (row_dims[i], col_dims[j]):
             raise DimensionMismatch(f"block ({i}, {j}) is {m.rows}x{m.cols}, "
                                     f"expected {row_dims[i]}x{col_dims[j]}")
         if m.field != field:
             raise FieldMismatch(f"block ({i}, {j}) over {m.field}, expected {field}")
-        for r in range(m.rows):
-            start = (row_offsets[i] + r) * width + col_offsets[j]
-            data[start:start + m.cols] = m.data[r * m.cols:(r + 1) * m.cols]
-    return Mat(field, sum(row_dims), width, tuple(data))
+        off = col_offsets[j]
+        for row, mrow in zip(out[row_offsets[i]:], m._entries):
+            row.extend([(off + c, x) for c, x in mrow])
+    return Mat._of_rows(field, len(out), sum(col_dims), out)
 
 
 def block_diagonal(blocks) -> Mat:
@@ -406,16 +491,16 @@ def _null_basis(field: Field, width: int, pivoted) -> Mat:
     -r[c] at the pivot of each reduced row r.  These rows are the kernel
     basis of the reduced matrix and the projection onto its quotient."""
     pivots = {c for c, _ in pivoted}
-    free = {c: q for q, c in enumerate(c for c in range(width) if c not in pivots)}
-    data = [0] * (len(free) * width)
-    for c, q in free.items():
-        data[q * width + c] = 1
-    neg = field.neg
+    free = [c for c in range(width) if c not in pivots]
+    index = {c: q for q, c in enumerate(free)}
+    rows, neg = [[(c, field.one)] for c in free], field.neg
     for pc, row in pivoted:
         for c, x in row.items():
             if c != pc:
-                data[free[c] * width + pc] = neg(x)
-    return Mat(field, len(free), width, tuple(data))
+                rows[index[c]].append((pc, neg(x)))
+    for row in rows:
+        row.sort()
+    return Mat._of_rows(field, len(free), width, rows)
 
 
 def rref_pivots(m: Mat) -> tuple[Mat, tuple]:
@@ -446,7 +531,7 @@ def row_space(m: Mat) -> Mat:
     """
     r, pivots = rref_pivots(m)
     k = len(pivots)
-    return Mat(m.field, k, m.cols, r.data[: k * m.cols])
+    return Mat._of_rows(m.field, k, m.cols, r._entries[:k])
 
 
 def kernel(m: Mat) -> Mat:
@@ -462,17 +547,17 @@ def solve(m: Mat, b) -> tuple | None:
     """Some x with m @ x = b, or None when inconsistent.
 
     Free variables are set to 0 under the rref pivot order, which makes the
-    answer deterministic.
+    answer deterministic.  b is a tuple or a one-row matrix.
     """
-    b = tuple(b)
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
+    nb, b = _pairs(b)
+    if nb != m.rows:
+        raise DimensionMismatch(f"rhs length {nb} vs {m.rows} rows")
     F, n = m.field, m.cols
     aug = [dict(row) for row in m._entries]
-    for row, y in zip(aug, b):
+    for i, y in b:
         y = F.of(y)
         if y:
-            row[n] = y
+            aug[i][n] = y
     x = [F.zero] * n
     for pc, row in _eliminate(F, aug):
         if pc == n:
@@ -503,41 +588,46 @@ class _RowSolver:
     block at its pivot columns and T @ B = R.  A vector v lies in the span
     iff v = y @ R for y = v at those pivots, and then y @ T are its
     coordinates in B.  Each row of [R | T] is kept as its pivot and the
-    nonzero entries of R off the pivots and of T.
+    nonzero entries of R off the pivots and of T, so a solve touches only
+    the entries a sparse v reaches.
     """
 
     def __init__(self, basis: Mat):
         F, n = basis.field, basis.cols
-        indep = [i for i, _ in _eliminate(F, [dict(row) for row in basis.transpose()._entries])]
+        indep = [i for i, _ in _eliminate(F, [dict(col) for col in basis._columns])]
         aug = [dict(basis._entries[i]) for i in indep]
         for k, row in enumerate(aug, n):
             row[k] = F.one
         pivoted = _eliminate(F, aug)
-        pivots = {p for p, _ in pivoted}
+        pivots = self.pivots = {p for p, _ in pivoted}
         self.field = F
         self.size = basis.rows
         self.indep = indep
-        self.free = [j for j in range(n) if j not in pivots]
         self.rows = [(p, [(j, x) for j, x in row.items() if j < n and j not in pivots],
                       [(k, x) for k, x in row.items() if k >= n]) for p, row in pivoted]
         self.width = n
 
-    def solve(self, v: tuple) -> tuple | None:
-        acc = [0] * (self.width + len(self.indep))
+    def solve(self, v: dict) -> tuple | None:
+        """The coordinates of the vector with the nonzero entries v
+        ({column: value}), or None outside the span."""
+        acc = {}
         for p, off_pivot, trow in self.rows:
-            y = v[p]
+            y = v.get(p)
             if y:
-                for j, x in off_pivot:
-                    acc[j] += y * x
-                for k, t in trow:
-                    acc[k] += y * t
-        red = self.field.reduce
-        for j in self.free:
-            if red(acc[j] - v[j]):
+                for j, x in chain(off_pivot, trow):
+                    acc[j] = acc.get(j, 0) + y * x
+        red, n, pivots = self.field.reduce, self.width, self.pivots
+        # off the pivots, v must be y @ R
+        for j, x in v.items():
+            if j not in pivots and red(acc.get(j, 0) - x):
+                return None
+        for j, s in acc.items():
+            if j < n and j not in v and red(s):
                 return None
         x = [self.field.zero] * self.size
-        for k, i in enumerate(self.indep, self.width):
-            x[i] = red(acc[k])
+        for k, i in enumerate(self.indep, n):
+            if k in acc:
+                x[i] = red(acc[k])
         return tuple(x)
 
 
@@ -546,12 +636,13 @@ def coords_in_rowspace(basis: Mat, v) -> tuple | None:
 
     Equal, value and canonical form, to ``solve(basis.transpose(), v)``:
     dependent rows get coordinate zero.  The basis is factored on the first
-    call and each further call costs O(rank * cols).
+    call, and each further call reads the factor rows at the nonzero
+    entries of v, a tuple or a one-row matrix.
     """
-    v = tuple(v)
-    if len(v) != basis.cols:
+    n, v = _pairs(v)
+    if n != basis.cols:
         raise DimensionMismatch("vector length vs basis width")
-    return basis._row_solver.solve(v)
+    return basis._row_solver.solve(dict(v))
 
 
 def rowspace_coords(basis: Mat, vecs) -> tuple[list, bool]:
@@ -574,18 +665,10 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
     if f.field != g.field:
         raise FieldMismatch("tensor over mismatched fields")
     F = f.field
-    red = F.reduce
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    grows = g._entries
-    data = [0] * (rows * cols)
-    for i, frow in enumerate(f._entries):
-        for k, a in frow:
-            for j, grow in enumerate(grows):
-                base = (i * g.rows + j) * cols + k * g.cols
-                for l, b in grow:
-                    data[base + l] = red(a * b)
-    return Mat(F, rows, cols, tuple(data))
+    red, gc, grows = F.reduce, g.cols, g._entries
+    return Mat._of_rows(F, f.rows * g.rows, f.cols * gc,
+                        [[(k * gc + l, red(a * b)) for k, a in frow for l, b in grow]
+                         for frow in f._entries for grow in grows])
 
 
 def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
@@ -671,7 +754,9 @@ class QuotientSpace:
     dim: int
 
     def project(self, v) -> tuple:
-        return self.proj.apply(v)
+        """The class of v, a tuple or a one-row matrix, in quotient
+        coordinates."""
+        return self.proj.apply(_densify(self.field, *_pairs(v)))
 
     @cached_property
     def relations(self) -> Mat:
@@ -692,11 +777,10 @@ class QuotientSpace:
 def _quotient_on(field: Field, ambient_dim: int, free, proj: Mat) -> QuotientSpace:
     """The quotient whose basis is the classes of the ambient columns free
     (ascending), for a proj that is the identity on those columns."""
-    dim = len(free)
-    sect = [field.zero] * (ambient_dim * dim)
-    for q, c in enumerate(free):
-        sect[c * dim + q] = field.one
-    return QuotientSpace(field, ambient_dim, proj, Mat(field, ambient_dim, dim, tuple(sect)), dim)
+    index = {c: q for q, c in enumerate(free)}
+    sect = Mat._of_rows(field, ambient_dim, len(free),
+                        [[(index[c], field.one)] if c in index else [] for c in range(ambient_dim)])
+    return QuotientSpace(field, ambient_dim, proj, sect, len(free))
 
 
 def quotient_by(field: Field, ambient_dim: int, relations: Mat | None) -> QuotientSpace:
@@ -734,8 +818,8 @@ def balanced_quotient(field: Field, dim_m: int, dim_n: int,
     red = field.reduce
     rows = []
     for R, L in zip(right_acts, left_acts):
-        ncols = L.transpose()._entries
-        for i, mcol in enumerate(R.transpose()._entries):
+        ncols = L._columns
+        for i, mcol in enumerate(R._columns):
             for k, ncol in enumerate(ncols):
                 row = {a * dim_n + k: x for a, x in mcol}
                 _subtract(red, row, 1, [(i * dim_n + b, y) for b, y in ncol])
@@ -767,7 +851,7 @@ def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
     # the pivots of pi with its columns reversed.
     rev = _eliminate(F, [{total - 1 - j: x for j, x in row} for row in pi._entries])
     free = sorted(total - 1 - c for c, _ in rev)
-    on_free = Mat._from_cols(F, [pi.col(c) for c in free], q.dim)
+    on_free = Mat._of_rows(F, len(free), q.dim, [pi._columns[c] for c in free]).transpose()
     return _quotient_on(F, total, free, inverse(on_free) @ pi)
 
 
@@ -886,11 +970,11 @@ class LinearSystem:
     def basis(self) -> list:
         """Basis of the solutions, each a tuple of unknown values in
         declaration order."""
-        k = self.kernel()
         layout = [(self.offsets[name], rows, cols) for name, (rows, cols) in self.shapes.items()]
-        return [tuple(Mat(self.field, rows, cols, k.row(i)[off:off + rows * cols])
+        return [tuple(_from_flat(self.field, rows, cols,
+                                 [(j - off, x) for j, x in krow if off <= j < off + rows * cols])
                       for off, rows, cols in layout)
-                for i in range(k.rows)]
+                for krow in self.kernel()._entries]
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:

@@ -394,13 +394,6 @@ def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
 
 # -- the classical context ---------------------------------------------------------------
 
-def weak_coinvariants(x: GrouplikeFamily, r: GradedRing) -> CoinvariantRing:
-    """The weak coinvariants as a ring."""
-    t_basis = weak_coinvariant_ring(x, r)
-    t_alg, t_incl = subalgebra(x.coring.base, t_basis)
-    return CoinvariantRing(t_basis, t_alg, t_incl)
-
-
 def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat,
                    ) -> tuple[MoritaContext, Mat, CheckReport]:
     """The context (coinvariants `t`, packed dual ring, base, connecting
@@ -597,14 +590,14 @@ def _family_coords(F, bases, what: str):
     """Coordinates of maps in the solved bases of all degrees, laid out
     degree after degree; bases[sigma] lists the families of degree sigma.
     Returns coords(fams, sigma) for a family of degree sigma."""
-    per_degree = []
-    for fams_list in bases:
-        flat = [tuple(x for f in fams for x in f.data) for fams in fams_list]
-        per_degree.append(Mat(F, len(flat), len(flat[0]) if flat else 0,
-                              tuple(x for row in flat for x in row)))
+    def flat(fams) -> Mat:  # the maps of a family, each row-major, one after another
+        return hstack([f.reshape(1, f.rows * f.cols) for f in fams])
+
+    per_degree = [vstack([flat(fams) for fams in fams_list]) if fams_list else Mat.zeros(F, 0, 0)
+                  for fams_list in bases]
 
     def coords(fams, sigma: int) -> tuple:
-        local = coords_in_rowspace(per_degree[sigma], tuple(x for f in fams for x in f.data))
+        local = coords_in_rowspace(per_degree[sigma], flat(fams))
         if local is None:
             raise ValueError(f"{what} escaped its solved basis")
         return tuple(x for d, basis in enumerate(per_degree)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 
-from corings.algebra import Algebra, Bimodule, ModulePredicates
+from corings.algebra import Algebra, Bimodule, ModulePredicates, subalgebra
 from corings.comodules import Comodule
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
 from corings.dualring import GradedModule, GradedRing, cofree_dual_group_ring_iso, dual_ring
@@ -65,7 +65,7 @@ from corings.morita import (
     graded_morita_context,
     is_strict,
     morita_context,
-    weak_coinvariants,
+    weak_coinvariant_ring,
 )
 from corings.report import CheckReport
 from corings.scalars import Field
@@ -521,7 +521,12 @@ class Derived:
 
     @cached_property
     def weak_coinvariants(self) -> CoinvariantRing:
-        return weak_coinvariants(self.grouplike, self.dual_ring)
+        """The weak coinvariants as a ring: the strict ring when the weak
+        basis equals the strict one."""
+        basis = weak_coinvariant_ring(self.grouplike, self.dual_ring)
+        if basis == self.coinvariants.basis:
+            return self.coinvariants
+        return CoinvariantRing(basis, *subalgebra(self.coring.base, basis))
 
     @cached_property
     def onto_coinvariants(self) -> bool:

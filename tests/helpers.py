@@ -59,6 +59,15 @@
   structure by a loop over degree pairs or triples, and the plain comodule
   and R-module keep laws of their own instead of being read as their
   replicates at the identity tag.
+* `Dense` is a matrix kept as a plain row-major tuple, the storage `Mat`
+  had before its sparse rows, with the operations `linalg` now writes on
+  rows (`at`, `row`, `col`, `transpose`, `+`, `-`, `scale`, `is_zero`,
+  `reshape`, `row_space`, `kernel`) as slices and index loops over that
+  tuple; `dense_hstack`, `dense_vstack`, `dense_vec_rows`,
+  `dense_block_matrix`, `dense_tensor` and `dense_quotient` are the
+  references for `hstack`, `vstack`, `vec_rows`, `block_matrix`,
+  `tensor_k` and the `proj` and `sect` of `quotient_by`.  None of them
+  reads a `Mat`.
 * `derived` gives a fixture the `Derived` objects that the checks taking
   a structure's derived objects read, as `MainStructure.derived` does.
 * `triangular_family` is a grouplike family over a group with elements
@@ -73,6 +82,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from corings.algebra import (
@@ -199,6 +209,124 @@ def dense_quotient_by(field: Field, ambient_dim: int, relations: Mat) -> Quotien
     sect = Mat.from_cols(field, [unit_vec(field, ambient_dim, c) for c in free]) if free \
         else Mat(field, ambient_dim, 0, ())
     return QuotientSpace(field, ambient_dim, dense_kernel(relations), sect, len(free))
+
+
+@dataclass(frozen=True)
+class Dense:
+    """A matrix as its row-major entries, with the dense operations."""
+
+    field: Field
+    rows: int
+    cols: int
+    data: tuple
+
+    def mat(self) -> Mat:
+        return Mat(self.field, self.rows, self.cols, self.data)
+
+    def nonzero_rows(self) -> list:
+        """The nonzero (column, value) pairs of each row, ascending: what a
+        `Mat` of these entries stores."""
+        return [[(j, x) for j, x in enumerate(self.row(i)) if x] for i in range(self.rows)]
+
+    def at(self, i: int, j: int):
+        return self.data[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.data[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple:
+        return self.data[j::self.cols]
+
+    def transpose(self) -> "Dense":
+        return Dense(self.field, self.cols, self.rows,
+                     tuple(x for j in range(self.cols) for x in self.col(j)))
+
+    def __add__(self, other: "Dense") -> "Dense":
+        return Dense(self.field, self.rows, self.cols, tuple(map(self.field.add, self.data, other.data)))
+
+    def __sub__(self, other: "Dense") -> "Dense":
+        return Dense(self.field, self.rows, self.cols, tuple(map(self.field.sub, self.data, other.data)))
+
+    def scale(self, c) -> "Dense":
+        F = self.field
+        return Dense(F, self.rows, self.cols, tuple(F.mul(F.of(c), x) for x in self.data))
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.data)
+
+    def reshape(self, rows: int, cols: int) -> "Dense":
+        assert rows * cols == len(self.data)
+        return Dense(self.field, rows, cols, self.data)
+
+    def _rref(self) -> tuple[list, list]:
+        return dense_rref_rows(self.field, [list(self.row(i)) for i in range(self.rows)])
+
+    def row_space(self) -> "Dense":
+        rows, pivots = self._rref()
+        return Dense(self.field, len(pivots), self.cols,
+                     tuple(x for row in rows[:len(pivots)] for x in row))
+
+    def kernel(self) -> "Dense":
+        """The free-column kernel basis."""
+        F = self.field
+        rows, pivots = self._rref()
+        out = []
+        for c in (c for c in range(self.cols) if c not in pivots):
+            v = [F.zero] * self.cols
+            v[c] = F.one
+            for row, pc in zip(rows, pivots):
+                if row[c]:
+                    v[pc] = F.neg(row[c])
+            out.extend(v)
+        return Dense(F, len(out) // self.cols if self.cols else 0, self.cols, tuple(out))
+
+
+def dense_hstack(mats) -> Dense:
+    return Dense(mats[0].field, mats[0].rows, sum(m.cols for m in mats),
+                 tuple(x for i in range(mats[0].rows) for m in mats for x in m.row(i)))
+
+
+def dense_vstack(mats) -> Dense:
+    return Dense(mats[0].field, sum(m.rows for m in mats), mats[0].cols,
+                 tuple(x for m in mats for x in m.data))
+
+
+def dense_vec_rows(field: Field, width: int, mats) -> Dense:
+    return Dense(field, len(mats), width, tuple(x for m in mats for x in m.data))
+
+
+def dense_block_matrix(field: Field, row_dims, col_dims, blocks) -> Dense:
+    """Entry by entry: find the block of each position, read it or put zero."""
+    def locate(dims, idx):
+        for b, d in enumerate(dims):
+            if idx < d:
+                return b, idx
+            idx -= d
+    data = []
+    for i in range(sum(row_dims)):
+        bi, r = locate(row_dims, i)
+        for j in range(sum(col_dims)):
+            bj, c = locate(col_dims, j)
+            data.append(blocks[(bi, bj)].at(r, c) if (bi, bj) in blocks else field.zero)
+    return Dense(field, sum(row_dims), sum(col_dims), tuple(data))
+
+
+def dense_tensor(f: Dense, g: Dense) -> Dense:
+    F = f.field
+    return Dense(F, f.rows * g.rows, f.cols * g.cols, tuple(
+        F.mul(f.at(i, k), g.at(j, l))
+        for i in range(f.rows) for j in range(g.rows)
+        for k in range(f.cols) for l in range(g.cols)))
+
+
+def dense_quotient(field: Field, ambient_dim: int, relations: Dense) -> tuple[Dense, Dense]:
+    """(proj, sect) of the quotient by the rows of relations: the kernel
+    basis of the relations, and the unit vectors of the free columns."""
+    proj = relations.kernel()
+    _, pivots = relations._rref()
+    free = [c for c in range(ambient_dim) if c not in pivots]
+    sect = tuple(field.one if c == f else field.zero for c in range(ambient_dim) for f in free)
+    return proj, Dense(field, ambient_dim, len(free), sect)
 
 
 def derived(fx) -> Derived:

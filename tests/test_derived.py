@@ -37,6 +37,7 @@ BUILDERS = {
     "coefficient_spaces": (morita, ("x", "r")),
     "graded_morita_context": (morita, ("x", "r", "s", "wq")),
     "canonical_graded_module": (morita, ("x", "r")),
+    "subalgebra": (algebra, ("ambient", "basis")),
 }
 
 
@@ -142,14 +143,16 @@ def test_graded_morita_on_c3_builds_each_input_once(monkeypatch):
     run_suite(ms, "graded-morita", seed=0)
     counts = {name: (len(calls[name]), distinct(calls[name])) for name in (
         "connecting_spaces", "coefficient_spaces", "coinvariant_ring",
-        "graded_morita_context", "canonical_graded_module")}
+        "graded_morita_context", "canonical_graded_module", "subalgebra")}
     # connecting spaces of the family and of the identity-degree slice, each
     # strict and weak in one pass; strict and weak coefficients in one pass;
     # one graded context, since the weak inputs equal the strict ones here;
-    # coinvariants of the family and slice
+    # coinvariants of the family and slice; subalgebras for those two and
+    # the coefficient ring, none for the weak coinvariants, whose basis is
+    # the strict one here
     assert counts == {"connecting_spaces": (2, 2), "coefficient_spaces": (1, 1),
                       "coinvariant_ring": (2, 2), "graded_morita_context": (1, 1),
-                      "canonical_graded_module": (1, 1)}
+                      "canonical_graded_module": (1, 1), "subalgebra": (3, 3)}
 
 
 @pytest.mark.parametrize("name", FIXTURES)

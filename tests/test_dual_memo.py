@@ -18,7 +18,7 @@ from corings.algebra import (
 )
 from corings.comodules import coring_as_gcomodule
 from corings.fixtures import fixture_file_text
-from corings.linalg import Mat, inverse, kron_after
+from corings.linalg import Mat, QuotientSpace, inverse, kron_after
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
@@ -157,3 +157,30 @@ def test_a_rank_is_computed_once_per_matrix(monkeypatch):
     assert linalg.rank(m) == linalg.rank(m) == 1
     assert not linalg.is_invertible(m)
     assert calls == [m]
+
+
+def _held_matrices(obj):
+    """Every matrix in a memo key or value: tuples, quotient spaces (with
+    their derived relations, once built) and matrices."""
+    if isinstance(obj, Mat):
+        yield obj
+    elif isinstance(obj, QuotientSpace):
+        yield obj.proj
+        yield obj.sect
+        if "relations" in obj.__dict__:
+            yield obj.__dict__["relations"]
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_matrices(item)
+
+
+def test_memo_matrices_keep_no_dense_copy_after_the_comodules_suite():
+    # the memos live as long as the base algebra, and a dense copy of a wide
+    # triple quotient or contraction is almost all zeros
+    ms = _load("c3-qq")
+    run_suite(ms, "comodules", seed=0)
+    A = ms.coring.base
+    held = [m for memo in (A.quotients, A.duals) for item in memo.items()
+            for m in _held_matrices(item)]
+    assert len(held) > 100
+    assert [m for m in held if "data" in m.__dict__] == []

@@ -41,6 +41,7 @@ from corings.linalg import (
     tensor_slice_operator,
     tensor_vec,
     triple_balanced_quotient,
+    vec_rows,
     vstack,
 )
 from corings.morita import _ring_as_module, graded_hom
@@ -48,12 +49,19 @@ from corings.scalars import GF, QQ, DimensionMismatch, Field, FieldMismatch
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 from helpers import (
+    Dense,
+    dense_block_matrix,
+    dense_hstack,
     dense_inverse,
     dense_kernel,
+    dense_quotient,
     dense_quotient_by,
     dense_rref_pivots,
     dense_solve,
+    dense_tensor,
     dense_triple_quotient,
+    dense_vec_rows,
+    dense_vstack,
 )
 
 
@@ -398,14 +406,6 @@ def ref_rref(m: Mat) -> Mat:
     return Mat(F, m.rows, m.cols, tuple(x for row in rows for x in row))
 
 
-def ref_tensor(f: Mat, g: Mat) -> Mat:
-    F = f.field
-    return Mat(F, f.rows * g.rows, f.cols * g.cols, tuple(
-        F.mul(f.at(i, k), g.at(j, l))
-        for i in range(f.rows) for j in range(g.rows)
-        for k in range(f.cols) for l in range(g.cols)))
-
-
 def ref_tensor_slice(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     """Column (n, u) is the flattened P[:, n-th slice] @ S[u-th slice, :]."""
     F = P.field
@@ -448,9 +448,9 @@ def test_specialised_loops_match_the_plain_loops(field):
         results = [
             (a @ b, ref_matmul(a, b)),
             (Mat(field, n, 1, a.apply(v)), ref_matmul(a, Mat(field, k, 1, v))),
-            (tensor_k(a, b), ref_tensor(a, b)),
+            (tensor_k(a, b), dense_tensor(a, b).mat()),
             (Mat(field, 1, k * n, tensor_vec(field, v, a.col(0))),
-             ref_tensor(Mat(field, 1, k, v), Mat(field, 1, n, a.col(0)))),
+             dense_tensor(Mat(field, 1, k, v), Mat(field, 1, n, a.col(0))).mat()),
             (rref(vstack([a, a2, a + a2])), ref_rref(vstack([a, a2, a + a2]))),
             (a + a2, Mat(field, n, k, tuple(map(field.add, a.data, a2.data)))),
             (a - a2, Mat(field, n, k, tuple(map(field.sub, a.data, a2.data)))),
@@ -501,22 +501,6 @@ def test_tensor_slice_operator_matches_the_per_slice_products(field):
 
 # -- degree blocks and linear combinations --------------------------------------------
 
-def ref_block_matrix(field, row_dims, col_dims, blocks) -> Mat:
-    """Entry by entry: find the block of each position, read it or put zero."""
-    def locate(dims, idx):
-        for b, d in enumerate(dims):
-            if idx < d:
-                return b, idx
-            idx -= d
-    data = []
-    for i in range(sum(row_dims)):
-        bi, r = locate(row_dims, i)
-        for j in range(sum(col_dims)):
-            bj, c = locate(col_dims, j)
-            data.append(blocks[(bi, bj)].at(r, c) if (bi, bj) in blocks else field.zero)
-    return Mat(field, sum(row_dims), sum(col_dims), tuple(data))
-
-
 @pytest.mark.parametrize("field", [QQ, GF(101)])
 def test_block_matrix_matches_the_entrywise_reference(field):
     rng = random.Random(11)
@@ -527,7 +511,7 @@ def test_block_matrix_matches_the_entrywise_reference(field):
                   for i in range(len(row_dims)) for j in range(len(col_dims))
                   if rng.random() < 0.5}
         got = block_matrix(field, row_dims, col_dims, blocks)
-        assert got == ref_block_matrix(field, row_dims, col_dims, blocks)
+        assert got == dense_block_matrix(field, row_dims, col_dims, blocks).mat()
         assert_canonical(field, got.data)
 
 
@@ -825,25 +809,25 @@ def test_hom_system_rows_reach_the_eliminator_sparse(monkeypatch):
     r = dual_ring(fixture("sweedler").coring)
     rm = _ring_as_module(r)
     systems, eliminated, widths = [], [], []
-    real_kernel, real_eliminate, real_init = LinearSystem.kernel, linalg._eliminate, Mat.__post_init__
+    real_kernel, real_eliminate, real_of_rows = LinearSystem.kernel, linalg._eliminate, Mat._of_rows
 
     def eliminate(field, rows):
         eliminated.append([dict(row) for row in rows])
         return real_eliminate(field, rows)
 
-    def post_init(self):
-        widths.append((self.rows, self.cols))
-        real_init(self)
+    def of_rows(cls, field, rows, cols, entries):
+        widths.append((rows, cols))
+        return real_of_rows(field, rows, cols, entries)
 
     def kernel_of(self):
         systems.append(self)
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
-        monkeypatch.setattr(Mat, "__post_init__", post_init)
+        monkeypatch.setattr(Mat, "_of_rows", classmethod(of_rows))
         try:
             out = real_kernel(self)
         finally:
             monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
-            monkeypatch.setattr(Mat, "__post_init__", real_init)
+            monkeypatch.setattr(Mat, "_of_rows", real_of_rows)
         # the solution basis is the one matrix of the system's width built
         assert [shape for shape in widths if shape[1] == self.width] == [(out.rows, self.width)]
         widths.clear()
@@ -869,13 +853,15 @@ def identities(field, n: int) -> list:
 
 
 def assert_plain_result(got: Mat, want: Mat):
-    """got equals want, carries its row cache as a fresh scan and hashes as
-    the plain matrix of its data, which is the hash of the dense form."""
+    """got equals want, stores its rows as a fresh scan of its entries and
+    hashes as the plain matrix of its data, which is the hash of the
+    nonzero entries of each row as the scan reads them."""
     assert got == want
     assert_canonical(got.field, got.data)
     assert "_entries" in got.__dict__ and got._entries == fresh_scan(got)
     plain = Mat(got.field, got.rows, got.cols, got.data)
-    assert hash(got) == hash(plain) == hash((got.field, got.rows, got.cols, got.data))
+    scanned = tuple(map(tuple, fresh_scan(got)))
+    assert hash(got) == hash(plain) == hash((got.field, got.rows, got.cols, scanned))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
@@ -897,7 +883,7 @@ def test_identity_operands_give_the_plain_products(field):
         for f, g in cases:
             m = mixed_mat(field, r, f.rows * g.rows, rng)
             got = kron_after(m, f, g)
-            assert_plain_result(got, ref_matmul(m, ref_tensor(f, g)))
+            assert_plain_result(got, ref_matmul(m, dense_tensor(f, g).mat()))
             assert got == m @ tensor_k(f, g)
             seen.add((f._is_identity, g._is_identity))
     assert seen >= {(True, False), (False, True), (True, True)}
@@ -929,9 +915,9 @@ def test_a_second_hash_reads_no_entry():
 
     m = Mat(QQ, 2, 2, tuple(map(Counted, (1, 2, 0, 3))))
     first = hash(m)
-    assert sorted(hashed) == [0, 1, 2, 3]
+    assert sorted(hashed) == [1, 2, 3]
     assert hash(m) == first and {m: None}.keys() == {m}
-    assert len(hashed) == 4
+    assert len(hashed) == 3
     assert first == hash(Mat(QQ, 2, 2, (1, 2, 0, 3)))
 
 
@@ -947,3 +933,98 @@ def test_elimination_never_inverts_a_unit_pivot(monkeypatch):
     for name in FIXTURES:
         run_suite(main_structure(parse(fixture_file_text(name))), "all", seed=0)
     assert inverted and 1 not in inverted
+
+
+# -- sparse rows against the dense storage ----------------------------------------------
+
+def random_dense(field, rows, cols, rng) -> Dense:
+    """About half the entries zero; over QQ, fractions with mixed
+    denominators and integers."""
+    def entry():
+        if rng.random() < 0.5:
+            return field.zero
+        if field.p is not None:
+            return field.of(rng.randint(-9, 9))
+        return field.of(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7, 9))))
+    return Dense(field, rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def assert_stores(got: Mat, want: Dense):
+    """got is the matrix of want's entries: the same dense view, entry
+    reads, rows, equality and hash as the matrix built from want's data,
+    and as its rows it stores exactly the nonzero entries, ascending."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.data == want.data
+    assert_canonical(got.field, got.data)
+    assert got._entries == want.nonzero_rows()
+    plain = want.mat()
+    assert got == plain and hash(got) == hash(plain) and repr(got) == repr(plain)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2)])
+def test_row_storage_matches_the_dense_reference(field):
+    rng = random.Random(210)
+    shapes = set()
+    for _ in range(120):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        shapes.add((r == 0, c == 0))
+        a, a2 = random_dense(field, r, c, rng), random_dense(field, r, c, rng)
+        m, m2 = a.mat(), a2.mat()
+        # built from dense entries, from rows and from columns: one matrix
+        from_rows = Mat._of_rows(field, r, c, a.nonzero_rows())
+        from_cols = Mat._from_cols(field, [a.col(j) for j in range(c)], r)
+        listed = [Mat.from_rows(field, [a.row(i) for i in range(r)])] if r else []
+        for built in [m, from_rows, from_cols] + listed:
+            assert_stores(built, a)
+        assert [[m.at(i, j) for j in range(c)] for i in range(r)] == \
+            [[a.at(i, j) for j in range(c)] for i in range(r)]
+        assert [m.row(i) for i in range(r)] == [a.row(i) for i in range(r)]
+        assert [m.col(j) for j in range(c)] == [a.col(j) for j in range(c)]
+        assert m.is_zero() == a.is_zero() and Mat.zeros(field, r, c).is_zero()
+        s = rng.choice((0, 1, -2) + ((Fraction(3, 4), Fraction(-5, 6)) if field.p is None else ()))
+        assert_stores(m.transpose(), a.transpose())
+        assert_stores(m + m2, a + a2)
+        assert_stores(m - m2, a - a2)
+        assert_stores(m - m, a - a)
+        assert_stores(m.scale(s), a.scale(s))
+        flat = r * c
+        for rr in [d for d in range(1, flat + 1) if flat % d == 0] or [0]:
+            cc = flat // rr if rr else rng.randint(0, 3)
+            assert_stores(m.reshape(rr, cc), a.reshape(rr, cc))
+        assert_stores(m.reshape(1, flat), a.reshape(1, flat))
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        pieces = [random_dense(field, r, w, rng) for w in widths]
+        assert_stores(hstack([p.mat() for p in pieces]), dense_hstack(pieces))
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        pieces = [random_dense(field, h, c, rng) for h in heights]
+        assert_stores(vstack([p.mat() for p in pieces]), dense_vstack(pieces))
+        family = [random_dense(field, r, c, rng) for _ in range(rng.randint(0, 3))]
+        assert_stores(vec_rows(field, flat, [f.mat() for f in family]),
+                      dense_vec_rows(field, flat, family))
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        keys = [(i, j) for i in range(len(row_dims)) for j in range(len(col_dims))]
+        rng.shuffle(keys)  # blocks given in any order
+        blocks = {(i, j): random_dense(field, row_dims[i], col_dims[j], rng)
+                  for i, j in keys if rng.random() < 0.6}
+        assert_stores(block_matrix(field, row_dims, col_dims, {k: b.mat() for k, b in blocks.items()}),
+                      dense_block_matrix(field, row_dims, col_dims, blocks))
+        g = random_dense(field, rng.randint(0, 3), rng.randint(0, 3), rng)
+        assert_stores(tensor_k(m, g.mat()), dense_tensor(a, g))
+        stacked = vstack([m, m2, m + m2])
+        ref = dense_vstack([a, a2, a + a2])
+        assert_stores(row_space(stacked), ref.row_space())
+        assert_stores(kernel(stacked), ref.kernel())
+        q = quotient_by(field, c, stacked)
+        proj, sect = dense_quotient(field, c, ref)
+        assert_stores(q.proj, proj)
+        assert_stores(q.sect, sect)
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_dense_view_is_built_only_when_read():
+    m = quotient_by(QQ, 4, Mat.from_rows(QQ, [[1, 1, 0, 0]])).proj
+    for got in (m, m.transpose(), m @ m.transpose(), tensor_k(m, m), m.reshape(1, 12)):
+        assert "data" not in got.__dict__
+        assert got.data == tuple(x for i in range(got.rows) for x in got.row(i))
+        assert "data" in got.__dict__

@@ -41,14 +41,16 @@
   caches (`DERIVED_BUILDERS`): a call anywhere else builds again what the
   suites of one run share.  `dual_ring` is not among them: the dual of a
   coring morphism builds the dual ring of its domain, another coring.
-* Only `linalg.py` subscripts the `data` of a `Mat`: its row-major
-  storage is read elsewhere through `row`, `col`, `apply` and the other
-  `linalg` operations, so the layout of a matrix is known in one module.
-* Outside the class `Mat`, no code makes a matrix without
-  `Mat.__post_init__`: no `__new__` call on `Mat` (as in
-  `object.__new__(Mat)`) and no write of `field`, `rows`, `cols` or
-  `data` through a `__dict__`.  The tests that wrap `__post_init__` see
-  every matrix the library builds.
+* Only `linalg.py` reads the `data` of a `Mat`, its dense row-major view:
+  a matrix is read elsewhere through `row`, `col`, `reshape`, `apply` and
+  the other `linalg` operations, which work on its sparse rows, so no
+  dense copy is made unless one is needed, and the layout of a matrix is
+  known in one module.
+* Outside the class `Mat`, no code makes a matrix without `Mat._of_rows`:
+  no `__new__` call on `Mat` (as in `object.__new__(Mat)`) and no write of
+  `field`, `rows`, `cols`, the row storage `_entries` or `data` through a
+  `__dict__`.  The tests that wrap `_of_rows` see every matrix the
+  library builds.
 * No handler catches everything (a bare `except:`, or `Exception` or
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
@@ -389,7 +391,7 @@ def derived_rebuilds(path: Path) -> list:
                   if isinstance(node, ast.Call) and _called_name(node) in DERIVED_BUILDERS)
 
 
-MAT_FIELDS = {"field", "rows", "cols", "data"}
+MAT_FIELDS = {"field", "rows", "cols", "_entries", "data"}
 
 
 def _outside_mat(node):
@@ -409,10 +411,11 @@ def _is_mat_field(node) -> bool:
 
 
 def mat_bypasses(path: Path) -> list:
-    """Line of each way round `Mat.__post_init__` outside the class `Mat`:
-    a `__new__` call with `Mat` as an argument, and a write of a field of
-    `Mat` through a `__dict__` (an item assignment, or a call of `update`,
-    `setdefault` or `__setitem__` on it that names the field)."""
+    """Line of each way round `Mat._of_rows` outside the class `Mat`: a
+    `__new__` call with `Mat` as an argument, and a write of a field of
+    `Mat` or of its row storage through a `__dict__` (an item assignment,
+    or a call of `update`, `setdefault` or `__setitem__` on it that names
+    the field)."""
     lines = set()
     for node in _outside_mat(_tree(path)):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
@@ -432,11 +435,12 @@ def mat_bypasses(path: Path) -> list:
     return sorted(lines)
 
 
-def storage_subscripts(path: Path) -> list:
-    """Line of each subscript of a `data` attribute, as in `m.data[k]`."""
+def storage_reads(path: Path) -> list:
+    """Line of each read of a `data` attribute, as in `m.data` or
+    `m.data[k]`: the dense view of a `Mat`."""
     return sorted({node.lineno for node in ast.walk(_tree(path))
-                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-                   and node.value.attr == "data"})
+                   if isinstance(node, ast.Attribute) and node.attr == "data"
+                   and isinstance(node.ctx, ast.Load)})
 
 
 # uncached builder -> the memo wrapper in algebra.py that alone calls it
@@ -501,7 +505,7 @@ def test_no_hand_written_invertibility_test(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_only_linalg_reads_matrix_storage(path):
-    assert storage_subscripts(path) == []
+    assert storage_reads(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -617,8 +621,10 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "first = m.data[0]\n"
         "flat = tuple(x for f in fams for x in f.data)\n"
         "row = m.row(0)[1:]\n"
-        "meta = record['data'][0]\n")
-    assert storage_subscripts(storage) == [2, 3]
+        "meta = record['data'][0]\n"
+        "coords = coords_in_rowspace(basis, fmat.data)\n"
+        "vec = fmat.reshape(1, basis.cols)\n")
+    assert storage_reads(storage) == [2, 3, 4, 7]
     bypass = tmp_path / "bypass.py"
     bypass.write_text(
         "class Mat:\n"
@@ -632,8 +638,9 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "    m.__dict__.setdefault('rows', 1)\n"
         "    m.__dict__['_entries'] = []\n"
         "    m.__dict__.update(_entries=[], _is_identity=True)\n"
+        "    m.__dict__['_is_identity'] = True\n"
         "    return linalg.Mat.__new__(linalg.Mat), object.__new__(Other)\n")
-    assert mat_bypasses(bypass) == [5, 6, 7, 8, 9, 12]
+    assert mat_bypasses(bypass) == [5, 6, 7, 8, 9, 10, 11, 13]
 
 
 def test_the_optional_parameter_check_catches_what_it_looks_for(tmp_path):
