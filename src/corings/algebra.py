@@ -7,16 +7,17 @@ the other to None.  The tensor product over the algebra is realized as an
 explicit quotient of the tensor product over the base field, with the
 deterministic projection/section pair from `linalg.quotient_by`.
 
-Two memos on each algebra hold what its bimodules derive, keyed by content
-(dims and action tuples), so equal modules share one build however many
-objects carry them.  `Algebra.quotients` holds the tensor quotients
-(`cached_tensor`, `cached_triple`) and the direct sums;
-`Algebra.duals` holds the left duals, dual bases, collapse maps and
-contractions (`left_dual`, `find_dual_basis`, `collapse_right`/`left`,
-`contract_right`/`left`), each under a key tagged by its kind.  Both
-store only dims, tuples and matrices, never a `Bimodule` or the algebra,
-so neither makes a reference cycle; a hit wraps the stored parts around
-the module it was asked for.
+One memo on each algebra, `Algebra.memo`, holds what its bimodules derive,
+keyed by content (dims, action tuples, maps), so equal modules share one
+build however many objects carry them.  Every key starts with its kind:
+`tensor` and `tensor-space` (`cached_tensor`), `triple` (`cached_triple`),
+`sum` (`direct_sum_bimodule`), `lift` (`cached_lift`), `left_dual`,
+`dual_basis`, `collapse_right`/`collapse_left` and
+`contract_right`/`contract_left`.  `_memoised` is its one
+miss-build-store.  The memo stores only dims, tuples, matrices and
+quotient spaces, never a `Bimodule` or the algebra, so it makes no
+reference cycle; a hit wraps the stored parts around the module it was
+asked for.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from corings.linalg import (
     tensor_vec,
     triple_balanced_quotient,
     unit_vec,
+    unvec_rows,
     vec_rows,
     vstack,
 )
@@ -119,21 +121,9 @@ class Algebra:
         return unit_vec(self.field, self.dim, i)
 
     @cached_property
-    def quotients(self) -> dict:
-        """Memo of the tensor quotients over this algebra, filled by
-        `cached_tensor` (pairs, and their spaces alone under 4-entry keys)
-        and `cached_triple`, and of the direct sums
-        `direct_sum_bimodule` built.  Keys and values hold only dims,
-        `Mat`s and `QuotientSpace`s, never a `Bimodule` or the algebra
-        itself, so the memo makes no reference cycle."""
-        return {}
-
-    @cached_property
-    def duals(self) -> dict:
-        """Memo of the left duals, dual bases, collapse maps and contractions
-        of the bimodules over this algebra, under keys (kind, module dim,
-        the actions the kind reads[, functional]).  Values hold only
-        tuples and `Mat`s, as in `quotients`."""
+    def memo(self) -> dict:
+        """What the bimodules over this algebra derive, under keys (kind,
+        the content the kind reads), filled only through `_memoised`."""
         return {}
 
 
@@ -402,58 +392,82 @@ def _check_same_base(*mods: Bimodule) -> None:
         raise BaseMismatch("tensor factors over different base algebras")
 
 
+_MISSING = object()
+
+
+def _memoised(algebra: Algebra, key: tuple, build):
+    """The entry of `algebra.memo` under key, built by build() on a miss."""
+    memo = algebra.memo
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build()
+    return value
+
+
 def cached_tensor(m: Bimodule, n: Bimodule) -> TensorProduct:
     """`tensor_over_algebra(m, n)`, memoised by content on the base algebra;
     a hit wraps the stored quotient and outer actions around m and n.  The
     quotient space depends only on (m.dim, m.right, n.dim, n.left); it is
-    also stored under that 4-entry key, so a miss that shares it only
-    derives the outer actions.  When m is a sum recorded by
+    also stored under that `tensor-space` key, so a miss that shares it
+    only derives the outer actions.  When m is a sum recorded by
     `direct_sum_bimodule`, a miss is assembled from the summands' entries
     instead of eliminating over the sum."""
     _check_same_base(m, n)
-    memo = m.base.quotients
-    key = (m.dim, m.left, m.right, n.dim, n.left, n.right)
-    if key not in memo:
-        parts = _summands(m)
-        if parts is None:
-            space_key = (m.dim, m.right, n.dim, n.left)
-            space = memo.get(space_key)
-            t = tensor_over_algebra(m, n) if space is None else _tensor_on(m, n, space)
-            memo[space_key] = t.space
-            memo[key] = (t.space, t.module.left, t.module.right)
-            return t
-        ts = [cached_tensor(part, n) for part in parts]
-        memo[key] = (_block_quotient([t.space for t in ts]),
-                     _block_actions([t.module.left for t in ts]),
-                     _block_actions([t.module.right for t in ts]))
-    space, left, right = memo[key]
+    key = ("tensor", m.dim, m.left, m.right, n.dim, n.left, n.right)
+    space, left, right = _memoised(m.base, key, lambda: _tensor_entry(m, n))
     return TensorProduct(m, n, space, Bimodule(m.base, space.dim, left, right))
+
+
+def _tensor_entry(m: Bimodule, n: Bimodule) -> tuple:
+    """The `tensor` entry of m and n: (quotient space, left, right actions)."""
+    parts = _summands(m)
+    if parts is not None:
+        ts = [cached_tensor(part, n) for part in parts]
+        return (_block_quotient([t.space for t in ts]), _block_actions([t.module.left for t in ts]),
+                _block_actions([t.module.right for t in ts]))
+    key = ("tensor-space", m.dim, m.right, n.dim, n.left)
+    space = m.base.memo.get(key)
+    t = tensor_over_algebra(m, n) if space is None else _tensor_on(m, n, space)
+    _memoised(m.base, key, lambda: t.space)
+    return t.space, t.module.left, t.module.right
 
 
 def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
     """M (x)_A N (x)_A P by `triple_balanced_quotient`, memoised like
-    `cached_tensor` (its 7-entry keys never equal a 6-entry pair key)."""
+    `cached_tensor`."""
     _check_same_base(m, n, p)
-    memo = m.base.quotients
-    key = (m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left)
-    if key not in memo:
-        parts = _summands(m)
-        memo[key] = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
-                                             (m.right, n.left), (n.right, p.left)) \
-            if parts is None else _block_quotient([cached_triple(part, n, p) for part in parts])
-    return memo[key]
+    return _memoised(m.base, ("triple", m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left),
+                     lambda: _triple_entry(m, n, p))
+
+
+def _triple_entry(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
+    """The `triple` entry of m, n and p."""
+    parts = _summands(m)
+    if parts is None:
+        return triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
+                                        (m.right, n.left), (n.right, p.left))
+    return _block_quotient([cached_triple(part, n, p) for part in parts])
+
+
+def cached_lift(m: Bimodule, n: Bimodule, mat: Mat) -> Mat:
+    """mat, a map into M (x)_A N, lifted through the section of
+    `cached_tensor(m, n)` into M (x)_k N; memoised by what it reads, so a map
+    stored afresh is lifted afresh and equal maps share one lift."""
+    _check_same_base(m, n)
+    return _memoised(m.base, ("lift", m.dim, m.right, n.dim, n.left, mat),
+                     lambda: cached_tensor(m, n).space.sect @ mat)
 
 
 def direct_sum_bimodule(comps) -> tuple[Bimodule, list, list]:
     """Block direct sum of bimodules over a common base; returns the sum
     plus the per-block injection and projection matrices.
 
-    The sum is recorded in the memo of the base under its 3-entry key
-    (dim, left, right), which no pair or triple key has, as the nonzero
-    summands' dims and action tuples.  The balanced relations of a tensor product
-    whose left factor is the sum are block-diagonal in the packed layout,
-    and the reduced row echelon form is unique, so its quotient is the
-    block diagonal of the summands' quotients, basis included."""
+    The sum is recorded in the memo of the base under its `sum` key, as the
+    nonzero summands' dims and action tuples.  The balanced relations of a
+    tensor product whose left factor is the sum are block-diagonal in the
+    packed layout, and the reduced row echelon form is unique, so its
+    quotient is the block diagonal of the summands' quotients, basis
+    included."""
     base = comps[0].base
     F = base.field
     dims = [m.dim for m in comps]
@@ -463,15 +477,15 @@ def direct_sum_bimodule(comps) -> tuple[Bimodule, list, list]:
     right = _block_actions([m.right for m in comps])
     parts = [m for m in comps if m.dim]
     if len(parts) > 1:  # else the sum equals its one nonzero summand
-        base.quotients[(sum(dims), left, right)] = tuple(
-            (m.dim, m.left if left else None, m.right if right else None) for m in parts)
+        _memoised(base, ("sum", sum(dims), left, right), lambda: tuple(
+            (m.dim, m.left if left else None, m.right if right else None) for m in parts))
     return (Bimodule(base, sum(dims), left, right), injections,
             [inj.transpose() for inj in injections])
 
 
 def _summands(m: Bimodule) -> list | None:
     """The summands of m when `direct_sum_bimodule` recorded it, else None."""
-    record = m.base.quotients.get((m.dim, m.left, m.right))
+    record = m.base.memo.get(("sum", m.dim, m.left, m.right))
     return None if record is None else [Bimodule(m.base, *part) for part in record]
 
 
@@ -505,25 +519,13 @@ def _check_descends(q: QuotientSpace, projected, side: str) -> None:
 # -- collapse and contraction helpers ----------------------------------------------
 #
 # The public functions of this section and the next are memo wrappers over
-# `Algebra.duals`; the uncached builders `_collapse_right`, `_collapse_left`,
+# `Algebra.memo`; the uncached builders `_collapse_right`, `_collapse_left`,
 # `_left_dual` and `_dual_basis` are called only from their wrappers (a lint
 # rule keeps it so).
 
-_MISSING = object()
-
-
-def _memoised(m: Bimodule, key: tuple, build):
-    """The entry of `m.base.duals` under key, built by build() on a miss."""
-    memo = m.base.duals
-    value = memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = memo[key] = build()
-    return value
-
-
 def collapse_right(m: Bimodule) -> Mat:
     """M (x)_k A -> M, m (x) a -> m.a  (columns indexed m-major)."""
-    return _memoised(m, ("collapse_right", m.dim, m.right), lambda: _collapse_right(m))
+    return _memoised(m.base, ("collapse_right", m.dim, m.right), lambda: _collapse_right(m))
 
 
 def _collapse_right(m: Bimodule) -> Mat:
@@ -533,7 +535,7 @@ def _collapse_right(m: Bimodule) -> Mat:
 
 def collapse_left(m: Bimodule) -> Mat:
     """A (x)_k M -> M, a (x) m -> a.m  (columns indexed a-major)."""
-    return _memoised(m, ("collapse_left", m.dim, m.left), lambda: _collapse_left(m))
+    return _memoised(m.base, ("collapse_left", m.dim, m.left), lambda: _collapse_left(m))
 
 
 def _collapse_left(m: Bimodule) -> Mat:
@@ -543,32 +545,34 @@ def _collapse_left(m: Bimodule) -> Mat:
 
 def contract_right(m: Bimodule, functional: Mat) -> Mat:
     """M (x)_k C -> M, m (x) c -> m.functional(c), functional: C -> A."""
-    return _memoised(m, ("contract_right", m.dim, m.right, functional), lambda: kron_after(
+    return _memoised(m.base, ("contract_right", m.dim, m.right, functional), lambda: kron_after(
         collapse_right(m), Mat.identity(m.base.field, m.dim), functional))
 
 
 def contract_left(m: Bimodule, functional: Mat) -> Mat:
     """C (x)_k M -> M, c (x) m -> functional(c).m."""
-    return _memoised(m, ("contract_left", m.dim, m.left, functional), lambda: kron_after(
+    return _memoised(m.base, ("contract_left", m.dim, m.left, functional), lambda: kron_after(
         collapse_left(m), functional, Mat.identity(m.base.field, m.dim)))
 
 
 # -- left duals and dual bases -------------------------------------------------------
 
-def left_dual(m: Bimodule) -> tuple[Bimodule, tuple]:
+def left_dual(m: Bimodule) -> tuple[Bimodule, tuple, Mat]:
     """The left dual *M of left-linear functionals M -> A.
 
     Functionals f satisfy f(a.m) = a f(m); the basis is the kernel-solved
     constraint space.  The bimodule structure is (a.f.b)(c) = f(c.a) b.
-    Returns (dual module, tuple of functional matrices A.dim x M.dim).
+    Returns (dual module, tuple of functional matrices A.dim x M.dim, the
+    matrix whose row u is vec(functionals[u]), to solve for coordinates in).
     """
-    functionals, left, right = _memoised(m, ("left_dual", m.dim, m.left, m.right),
-                                         lambda: _left_dual(m))
-    return Bimodule(m.base, len(functionals), left, right), functionals
+    functionals, left, right, basis = _memoised(m.base, ("left_dual", m.dim, m.left, m.right),
+                                                lambda: _left_dual(m))
+    return Bimodule(m.base, len(functionals), left, right), functionals, basis
 
 
 def _left_dual(m: Bimodule) -> tuple:
-    """`left_dual` as (functionals, left action, right action) of the dual."""
+    """`left_dual` as (functionals, left action, right action of the dual,
+    basis)."""
     A = m.base
     F = A.field
     sys = LinearSystem(F, {"f": (A.dim, m.dim)})
@@ -576,8 +580,8 @@ def _left_dual(m: Bimodule) -> tuple:
     for t in range(A.dim):
         # f @ L_t - left_mult(e_t) @ f = 0
         sys.add((1, "f", ida, m.left[t]), (-1, "f", A.left_mats[t], idm))
-    functionals = tuple(f for f, in sys.basis())
-    basis = vec_rows(F, A.dim * m.dim, functionals)
+    basis = sys.kernel()  # f is the only unknown, so row u is vec(f_u)
+    functionals = unvec_rows(basis, A.dim, m.dim)
     dim = len(functionals)
 
     def func_coords(fmat: Mat):
@@ -595,7 +599,7 @@ def _left_dual(m: Bimodule) -> tuple:
         Mat.from_cols(F, [func_coords(A.right_mats[t] @ functionals[u]) for u in range(dim)])
         for t in range(A.dim)
     )
-    return functionals, left, right
+    return functionals, left, right, basis
 
 
 @dataclass(frozen=True)
@@ -609,7 +613,7 @@ class DualBasis:
 def find_dual_basis(m: Bimodule) -> DualBasis | None:
     """Dual basis of m as a left module, or None when m is not finitely
     generated projective.  Decided by solving sum_i f_i(-) . m_i = id."""
-    pairs = _memoised(m, ("dual_basis", m.dim, m.left),
+    pairs = _memoised(m.base, ("dual_basis", m.dim, m.left),
                       lambda: _dual_basis(m, left_dual(m)[1]))
     return None if pairs is None else DualBasis(m, pairs)
 
@@ -654,7 +658,7 @@ def left_module_predicates(m: Bimodule) -> ModulePredicates:
     """
     A = m.base
     F = A.field
-    _, functionals = left_dual(m)
+    _, functionals, _ = left_dual(m)
     projective = find_dual_basis(m) is not None
     trace_rows = []
     for f in functionals:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from corings.algebra import (
     Bimodule,
     TensorProduct,
+    cached_lift,
     cached_tensor,
     cached_triple,
     contract_right,
@@ -27,7 +28,6 @@ from corings.coring import (
     CofreeWitness,
     GroupCoring,
     MissingCofreeWitness,
-    cached_lift,
     coaction_failures,
 )
 from corings.linalg import (
@@ -65,14 +65,13 @@ class GComodule:
         self.coring = coring
         self.comps = tuple(comps)
         self.rho = dict(rho)
-        self._lifts = {}  # (a, b) -> (rho_{a,b}, its lift), see `coring.cached_lift`
 
     def tensor(self, a: int, b: int) -> TensorProduct:
         return cached_tensor(self.comps[a], self.coring.comps[b])
 
     def lift(self, a: int, b: int) -> Mat:
         """rho_{a,b} through the chosen section: M_{ab} -> M_a (x)_k C_b."""
-        return cached_lift(self._lifts, self.tensor, self.rho, a, b)
+        return cached_lift(self.comps[a], self.coring.comps[b], self.rho[(a, b)])
 
     def triple(self, a: int, b: int, c: int) -> QuotientSpace:
         return cached_triple(self.comps[a], self.coring.comps[b], self.coring.comps[c])
@@ -129,9 +128,7 @@ def _right_linear_failures(m: GComodule, a: int) -> list:
 def coring_as_gcomodule(c: GroupCoring) -> GComodule:
     """The coring over itself: components as right modules, coactions the
     comultiplications."""
-    comps = tuple(m.with_trivial_left() for m in c.comps)
-    gm = GComodule(c, comps, dict(c.delta))
-    return gm
+    return GComodule(c, tuple(m.with_trivial_left() for m in c.comps), c.delta)
 
 
 # -- the pack / replicate adjunction ---------------------------------------------------
@@ -310,18 +307,13 @@ def cofree_extend(n: Comodule, c: GroupCoring, w: CofreeWitness) -> GComodule:
     if n.coring.group.order != 1:
         raise ValueError("source must be a comodule over the degree-e slice")
     g = c.group
-    F = c.base.field
-    comps = tuple(n.space for _ in g.elements())
-    out = GComodule(c, comps, {})
-    e_t = n.tensor(0)
-    rho = {}
-    for a in g.elements():
-        for b in g.elements():
-            t = out.tensor(a, b)
-            rho[(a, b)] = kron_after(t.space.proj, Mat.identity(F, n.space.dim), w.gammas[b]) \
-                @ e_t.space.sect @ n.rho[0]
-    out.rho = rho
-    return out
+    ident = Mat.identity(c.base.field, n.space.dim)
+    lifted = n.tensor(0).space.sect @ n.rho[0]
+    # rho_{a,b} = (N (x) gamma_b) rho_e reads only b
+    per_b = [kron_after(cached_tensor(n.space, c.comps[b]).space.proj, ident, w.gammas[b]) @ lifted
+             for b in g.elements()]
+    return GComodule(c, tuple(n.space for _ in g.elements()),
+                     {(a, b): per_b[b] for a in g.elements() for b in g.elements()})
 
 
 def e_component(m: GComodule) -> Comodule:

@@ -5,7 +5,11 @@ A coring here is a family of bimodules C_a, one per group element, with
 comultiplications Delta[a,b]: C_{ab} -> C_a (x)_A C_b landing in the
 computed tensor quotients, and a counit C_e -> A.  All structure maps are
 stored as matrices in the deterministic quotient bases, so the axioms are
-literal matrix identities.  The coaction laws on one degree
+literal matrix identities.  A coring is built whole: its maps are
+computed before the constructor is called and never reassigned, and what
+is derived from it (the tensor quotients of its components, the lifts of
+its maps through the chosen section) lives in the memo of the base
+algebra, keyed by content.  The coaction laws on one degree
 (`coaction_failures`) serve the coring over itself and every comodule
 family, and `comultiplicative_failures` serves coring morphisms and cofree
 witnesses.
@@ -18,6 +22,7 @@ from corings.algebra import (
     Bimodule,
     BimoduleMap,
     TensorProduct,
+    cached_lift,
     cached_tensor,
     cached_triple,
     contract_left,
@@ -45,7 +50,6 @@ class GroupCoring:
         self.comps = tuple(comps)
         self.delta = dict(delta)   # (a, b) -> Mat: C_{ab} -> tensor(a,b).space.dim
         self.counit = counit       # base.dim x C_e.dim
-        self._lifts = {}           # (a, b) -> (Delta_{a,b}, its lift), see `cached_lift`
 
     # -- tensor quotients, memoised on the base algebra ----------------------
 
@@ -58,8 +62,9 @@ class GroupCoring:
     # -- composite comultiplications -----------------------------------------
 
     def delta_left_lift(self, a: int, b: int) -> Mat:
-        """C_{ab} -> C_a (x)_k C_b through the chosen section."""
-        return cached_lift(self._lifts, self.tensor, self.delta, a, b)
+        """C_{ab} -> C_a (x)_k C_b through the chosen section, memoised by
+        content (`algebra.cached_lift`)."""
+        return cached_lift(self.comps[a], self.comps[b], self.delta[(a, b)])
 
     def e_slice(self) -> "GroupCoring":
         """The degree-e part as a coring over the trivial group."""
@@ -93,17 +98,6 @@ def validate_group_coring(c: GroupCoring, check_components: bool = True) -> Chec
     rep.add("coring.counit", "counit laws on every component",
             not bad, f"failing indices: {bad}" if bad else "")
     return rep
-
-
-def cached_lift(cache: dict, tensor, maps, a: int, b: int) -> Mat:
-    """maps[(a, b)] lifted through the section of tensor(a, b).space, kept in
-    cache under (a, b) with the map it lifts, so a map stored afresh under
-    (a, b) is lifted afresh."""
-    mat = maps[(a, b)]
-    hit = cache.get((a, b))
-    if hit is None or hit[0] is not mat:
-        hit = cache[(a, b)] = (mat, tensor(a, b).space.sect @ mat)
-    return hit[1]
 
 
 def coaction_failures(m, c: GroupCoring, lift, a: int) -> tuple[list, bool]:
@@ -246,10 +240,9 @@ def check_cofree_counit_identities(c: GroupCoring, w: CofreeWitness) -> CheckRep
 def trivial_coring(a: Algebra, group: FiniteGroup) -> tuple[GroupCoring, CofreeWitness]:
     """Every component the regular bimodule, comultiplication a -> a (x) 1."""
     reg = Bimodule.regular(a)
-    one_comp = GroupCoring(TRIVIAL_GROUP, a, (reg,), {}, Mat.identity(a.field, a.dim))
-    t = one_comp.tensor(0, 0)
-    cols = [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)]
-    one_comp.delta[(0, 0)] = Mat.from_cols(a.field, cols)
+    t = cached_tensor(reg, reg)
+    delta = Mat.from_cols(a.field, [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)])
+    one_comp = GroupCoring(TRIVIAL_GROUP, a, (reg,), {(0, 0): delta}, Mat.identity(a.field, a.dim))
     return cofree_coring(one_comp, group)
 
 
@@ -287,25 +280,19 @@ def pack_graded_coring(c: GroupCoring) -> GradedCoring:
     g = c.group
     F = c.base.field
     total, inj, proj = direct_sum_bimodule(c.comps)
-    packed = GradedCoring(g, c.base, total, [m.dim for m in c.comps],
-                          Mat.zeros(F, 1, 1), Mat.zeros(F, 1, 1))
-    t_tot = packed.tensor()
+    t_tot = cached_tensor(total, total)
     delta = Mat.zeros(F, t_tot.space.dim, total.dim)
     for a in g.elements():
         for b in g.elements():
-            ab = g.mul(a, b)
-            t_ab = c.tensor(a, b)
-            incl = kron_after(t_tot.space.proj, inj[a], inj[b]) @ t_ab.space.sect
-            delta = delta + incl @ c.delta[(a, b)] @ proj[ab]
-    packed.delta = delta
-    packed.counit = c.counit @ proj[g.identity]
-    return packed
+            incl = kron_after(t_tot.space.proj, inj[a], inj[b]) @ c.tensor(a, b).space.sect
+            delta = delta + incl @ c.delta[(a, b)] @ proj[g.mul(a, b)]
+    return GradedCoring(g, c.base, total, [m.dim for m in c.comps], delta,
+                        c.counit @ proj[g.identity])
 
 
 def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
     """Slice a graded coring back into its group-indexed family."""
     g = p.group
-    F = p.base.field
     comps = []
     for a in g.elements():
         inj = p.block_injection(a)
@@ -313,15 +300,12 @@ def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
         left = tuple(proj @ L @ inj for L in p.total.left)
         right = tuple(proj @ R @ inj for R in p.total.right)
         comps.append(Bimodule(p.base, p.dims[a], left, right))
-    cor = GroupCoring(g, p.base, comps, {}, p.counit @ p.block_injection(g.identity))
-    t_tot = p.tensor()
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            t_ab = cor.tensor(a, b)
-            extract = kron_after(t_ab.space.proj, p.block_projection(a), p.block_projection(b)) @ t_tot.space.sect
-            cor.delta[(a, b)] = extract @ p.delta @ p.block_injection(ab)
-    return cor
+    lifted = p.tensor().space.sect @ p.delta
+    delta = {(a, b): kron_after(cached_tensor(comps[a], comps[b]).space.proj,
+                                p.block_projection(a), p.block_projection(b))
+             @ lifted @ p.block_injection(g.mul(a, b))
+             for a in g.elements() for b in g.elements()}
+    return GroupCoring(g, p.base, comps, delta, p.counit @ p.block_injection(g.identity))
 
 
 def group_corings_equal(c1: GroupCoring, c2: GroupCoring) -> bool:

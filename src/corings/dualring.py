@@ -46,7 +46,6 @@ from corings.linalg import (
     coords_in_rowspace,
     is_invertible,
     kron_after,
-    vec_rows,
 )
 from corings.report import CheckReport
 from corings.scalars import DimensionMismatch, Field
@@ -121,19 +120,11 @@ class GradedRing:
         self.group = coring.group
         self.base = coring.base
         g = self.group
-        comps = []
-        funcs = []
-        for a in g.elements():
-            dual, functionals = left_dual(coring.comps[g.inv(a)])
-            comps.append(dual)
-            funcs.append(functionals)
-        self.comps = tuple(comps)
-        self.functionals = tuple(funcs)
+        # per degree a: the left dual of C_{a^-1}, its functionals and the
+        # rows vec(f) to solve for their coordinates in
+        self.comps, self.functionals, self._func_bases = zip(
+            *(left_dual(coring.comps[g.inv(a)]) for a in g.elements()))
         F = self.base.field
-        self._func_bases = tuple(
-            vec_rows(F, self.base.dim * coring.comps[g.inv(a)].dim, fs)
-            for a, fs in zip(g.elements(), self.functionals)
-        )
         # legs[(a, b)]: per functional f of degree a, the first
         # comultiplication leg C_{(ab)^{-1}} -> C_{b^{-1}}, c -> c_(1) f(c_(2))
         self.legs = {}

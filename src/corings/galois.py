@@ -17,6 +17,7 @@ from corings.algebra import (
     Bimodule,
     ModulePredicates,
     algebra_map_failures,
+    cached_tensor,
     collapse_left,
     collapse_right,
     direct_sum_bimodule,
@@ -114,14 +115,12 @@ def validate_grouplike(x: GrouplikeFamily) -> CheckReport:
 
 def comodule_from_grouplike(x: GrouplikeFamily) -> Comodule:
     c = x.coring
-    g = c.group
     A = c.base
-    m = Comodule(c, Bimodule.right_regular(A), [None] * g.order)
+    space = Bimodule.right_regular(A)
     unit = Mat.col_vector(A.field, A.unit)
     # rho_a(b) = 1 (x) x_a.b
-    m.rho = tuple(kron_after(m.tensor(a).space.proj, unit, x.right_translates[a])
-                  for a in g.elements())
-    return m
+    return Comodule(c, space, [kron_after(cached_tensor(space, c.comps[a]).space.proj, unit,
+                                          x.right_translates[a]) for a in c.group.elements()])
 
 
 def grouplike_from_comodule(m: Comodule) -> GrouplikeFamily:
@@ -233,13 +232,12 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
     q = balanced_quotient(F, n.dim, A.dim, n.right, left_acts)
     right = tuple(kron_after(q.proj, Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
     space = Bimodule(A, q.dim, None, right)
-    m = Comodule(c, space, [None] * c.group.order)
     # column i: the class of n_i (x) 1
     base_cls = kron_after(q.proj, Mat.identity(F, n.dim), Mat.col_vector(F, A.unit))
     # rho_a(n_i (x) b) = (n_i (x) 1) (x) x_a.b
-    m.rho = tuple(kron_after(m.tensor(a).space.proj, base_cls, x.right_translates[a]) @ q.sect
-                  for a in c.group.elements())
-    return InducedComodule(m, q)
+    rho = [kron_after(cached_tensor(space, c.comps[a]).space.proj, base_cls,
+                      x.right_translates[a]) @ q.sect for a in c.group.elements()]
+    return InducedComodule(Comodule(c, space, rho), q)
 
 
 def induce_gcomodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> GComodule:
@@ -276,13 +274,12 @@ def sweedler_coring(b: RingMorphism, group) -> tuple[GroupCoring, CofreeWitness,
     left = tuple(kron_after(q.proj, L, ident) @ q.sect for L in A.left_mats)
     right = tuple(kron_after(q.proj, ident, R) @ q.sect for R in A.right_mats)
     d_e = Bimodule(A, q.dim, left, right)
-    slice_coring = GroupCoring(TRIVIAL_GROUP, A, (d_e,), {}, Mat.zeros(F, 1, 1))
     # column i * dim + j: the class of (e_i (x) 1) (x) (1 (x) e_j)
     unit = Mat.col_vector(F, A.unit)
-    split = kron_after(slice_coring.tensor(0, 0).space.proj,
+    split = kron_after(cached_tensor(d_e, d_e).space.proj,
                        kron_after(q.proj, ident, unit), kron_after(q.proj, unit, ident))
-    slice_coring.delta[(0, 0)] = split @ q.sect
-    slice_coring.counit = A.mul_mat @ q.sect
+    slice_coring = GroupCoring(TRIVIAL_GROUP, A, (d_e,), {(0, 0): split @ q.sect},
+                               A.mul_mat @ q.sect)
     dom, wit = cofree_coring(slice_coring, group)
     one_cls = q.project(tensor_vec(F, A.unit, A.unit))
     gl = GrouplikeFamily(dom, tuple(one_cls for _ in group.elements()))
@@ -523,12 +520,6 @@ def random_comodule(x: GrouplikeFamily, rng, t: CoinvariantRing) -> Comodule:
     uinv = inverse(u)
     space = Bimodule(c.base, ind.space.dim, None,
                      tuple(u @ R @ uinv for R in ind.space.right))
-    m = Comodule(c, space, [None] * c.group.order)
-    rho = []
-    for a in c.group.elements():
-        t_new = m.tensor(a)
-        t_old = ind.tensor(a)
-        idc = Mat.identity(F, c.comps[a].dim)
-        rho.append(kron_after(t_new.space.proj, u, idc) @ t_old.space.sect @ ind.rho[a] @ uinv)
-    m.rho = tuple(rho)
-    return m
+    return Comodule(c, space, [
+        kron_after(cached_tensor(space, c.comps[a]).space.proj, u, Mat.identity(F, c.comps[a].dim))
+        @ ind.tensor(a).space.sect @ ind.rho[a] @ uinv for a in c.group.elements()])

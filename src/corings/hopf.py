@@ -221,14 +221,15 @@ def coring_from_comodule_algebra(ca: ComoduleAlgebra) -> tuple[GroupCoring, Grou
         right = _twisted_right(a.dim, a.right_mats, hp, ca.rho[p])
         comps.append(Bimodule(a, a.dim * hp.dim, left, right))
     ida = Mat.identity(F, a.dim)
-    cor = GroupCoring(g, a, comps, {}, tensor_k(ida, h.counit))
     ones = [_one_tensor(a, hq.dim) for hq in h.comps]
+    delta = {}
     for p in g.elements():
         idp = Mat.identity(F, h.comps[p].dim)
         for q in g.elements():
             # H_pq -> H_p (x) A (x) H_q, h -> h_(1) (x) 1 (x) h_(2)
             split = tensor_k(idp, ones[q]) @ h.delta[(p, q)]
-            cor.delta[(p, q)] = kron_after(cor.tensor(p, q).space.proj, ida, split)
+            delta[(p, q)] = kron_after(cached_tensor(comps[p], comps[q]).space.proj, ida, split)
+    cor = GroupCoring(g, a, comps, delta, tensor_k(ida, h.counit))
     vectors = tuple(tensor_vec(F, a.unit, h.comps[p].unit) for p in g.elements())
     return cor, GrouplikeFamily(cor, vectors)
 

@@ -368,6 +368,12 @@ def vec_rows(field: Field, width: int, mats) -> Mat:
     return Mat._of_rows(field, len(rows), width, rows)
 
 
+def unvec_rows(m: Mat, rows: int, cols: int) -> tuple:
+    """The inverse of `vec_rows`: each row of m as the rows x cols matrix
+    whose vec it is."""
+    return tuple(_from_flat(m.field, rows, cols, entries) for entries in m._entries)
+
+
 def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
     """The matrix cut into row blocks of sizes row_dims and column blocks of
     sizes col_dims (each block after the ones before it), holding

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 
-from corings.algebra import Algebra, Bimodule, ModulePredicates, subalgebra
+from corings.algebra import Algebra, Bimodule, ModulePredicates, cached_tensor, subalgebra
 from corings.comodules import Comodule
 from corings.coring import CofreeWitness, GroupCoring, group_corings_equal
 from corings.dualring import GradedModule, GradedRing, cofree_dual_group_ring_iso, dual_ring
@@ -401,12 +401,12 @@ def _load_block(sf: StructureFile, kind: str, name: str, body, line: int) -> Non
                                            "algebra with both actions")
             lifts = _per_degree(m, "delta", 2, g.order, line, kind)
             counit = _matrix(entry("counit"), fld, base.dim, comps[0].dim, "counit")
-            cor = GroupCoring(g, base, comps, {}, counit)
+            delta = {}
             for (a, b), lift in lifts.items():
                 lift = _matrix(lift, fld, comps[a].dim * comps[b].dim, comps[g.mul(a, b)].dim,
                                f"delta {a} {b}")
-                cor.delta[(a, b)] = cor.tensor(a, b).space.proj @ lift
-            sf.corings[name] = cor
+                delta[(a, b)] = cached_tensor(comps[a], comps[b]).space.proj @ lift
+            sf.corings[name] = GroupCoring(g, base, comps, delta, counit)
     elif kind == "grouplike":
         cname = entry("coring")[1]
         cor = _lookup(sf.corings, entry("coring"), "coring")

@@ -145,7 +145,7 @@ def test_collapse_helpers_agree_with_actions():
 # -- left duals ---------------------------------------------------------------------
 
 def test_dual_of_regular_module_has_same_dimension():
-    dual, _ = left_dual(Bimodule.regular(QQ2))
+    dual, _, _ = left_dual(Bimodule.regular(QQ2))
     assert dual.dim == QQ2.dim
     assert validate_bimodule(dual).ok
 
@@ -158,15 +158,15 @@ def test_dual_is_additive_over_direct_sums():
     left = tuple(tensor_k(two, L) for L in a.left_mats)
     right = tuple(tensor_k(two, R) for R in a.right_mats)
     m2 = Bimodule(a, 2 * a.dim, left, right)
-    dual, _ = left_dual(m2)
-    dual1, _ = left_dual(Bimodule.regular(a))
+    dual, _, _ = left_dual(m2)
+    dual1, _, _ = left_dual(Bimodule.regular(a))
     assert dual.dim == 2 * dual1.dim
 
 
 def test_dual_of_outer_square_dimension_hand_count():
     # functionals f on A (x) A with f(e_a x) = e_a f(x): forces f(e_ij) in
     # the e_i component, one free scalar per basis vector: dim 4.
-    dual, _ = left_dual(outer_bimodule(QQ2))
+    dual, _, _ = left_dual(outer_bimodule(QQ2))
     assert dual.dim == 4
 
 
@@ -222,7 +222,7 @@ def test_dual_basis_exchange_identity_on_random_elements():
     rng = random.Random(6)
     m = Bimodule.regular(QQ2)
     db = find_dual_basis(m)
-    dual, functionals = left_dual(m)
+    dual, functionals, _ = left_dual(m)
     nd = len(functionals)
     basis_mat = Mat(QQ, nd, 2 * m.dim, tuple(x for fm in functionals for x in fm.data))
     t = tensor_over_algebra(dual, m)

@@ -1,6 +1,6 @@
-"""The per-algebra memo of left duals, dual bases, collapse maps and
-contractions (`Algebra.duals`), and the lifts and inverses their owners
-keep."""
+"""The left duals, dual bases, collapse maps and contractions in the
+per-algebra memo (`Algebra.memo`), the lifts it keeps, and the inverses a
+cofree witness keeps."""
 
 from pathlib import Path
 
@@ -24,6 +24,8 @@ from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
+DUAL_KINDS = ("left_dual", "dual_basis", "collapse_right", "collapse_left", "contract_right",
+              "contract_left")
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
@@ -33,7 +35,7 @@ def _load(name):
 
 
 def _fresh(A: Algebra, key: tuple):
-    """The value an uncached build gives for a memo key of `Algebra.duals`."""
+    """The value an uncached build gives for a `DUAL_KINDS` key of `Algebra.memo`."""
     kind, dim, *rest = key
     F = A.field
     if kind == "left_dual":
@@ -61,9 +63,10 @@ def test_dual_memo_entries_equal_fresh_builds(name, suite):
     run_suite(ms, suite, seed=0)
     A = ms.coring.base
     kinds = set()
-    for key, value in A.duals.items():
-        assert value == _fresh(A, key), key
-        kinds.add(key[0])
+    for key, value in A.memo.items():
+        if key[0] in DUAL_KINDS:
+            assert value == _fresh(A, key), key
+            kinds.add(key[0])
     assert {"left_dual", "collapse_right", "contract_right"} <= kinds
     if suite == "all":
         assert {"dual_basis", "collapse_left", "contract_left"} <= kinds
@@ -72,7 +75,7 @@ def test_dual_memo_entries_equal_fresh_builds(name, suite):
 def test_dual_memo_keeps_no_bimodule_or_algebra():
     ms = _load("regular")
     run_suite(ms, "all", seed=0)
-    memo = ms.coring.base.duals
+    memo = ms.coring.base.memo
 
     def leaves(x):
         if isinstance(x, tuple):
@@ -97,8 +100,8 @@ def test_equal_modules_share_one_build_and_get_their_own_wrappers(monkeypatch):
     a = product_field_algebra(QQ, 2)
     m1, m2 = Bimodule.regular(a), Bimodule.regular(a)
     assert m1 is not m2
-    d1, f1 = left_dual(m1)
-    d2, f2 = left_dual(m2)
+    d1, f1, _ = left_dual(m1)
+    d2, f2, _ = left_dual(m2)
     assert builds == [m1] and f2 is f1 and d2 == d1
     db = find_dual_basis(m2)
     assert db.module is m2 and find_dual_basis(m1).module is m1
@@ -107,6 +110,29 @@ def test_equal_modules_share_one_build_and_get_their_own_wrappers(monkeypatch):
     functional = f1[0]
     assert contract_right(m2, functional) is contract_right(m1, functional)
     assert contract_right(m1, functional.scale(2)) == contract_right(m1, functional).scale(2)
+
+
+def test_the_left_dual_solves_once_and_its_basis_is_the_functionals_vec(monkeypatch):
+    kernels = []
+    real = linalg.LinearSystem.kernel
+
+    def counted(sys):
+        kernels.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(linalg.LinearSystem, "kernel", counted)
+    ms = _load("regular")
+    ring = ms.derived.dual_ring
+    for a in ring.group.elements():
+        comp = ms.coring.comps[ring.group.inv(a)]
+        kernels.clear()
+        _, functionals, basis = left_dual(Bimodule(comp.base, comp.dim, comp.left, comp.right))
+        assert kernels == []  # a memo hit
+        assert ring._func_bases[a] is basis and ring.functionals[a] is functionals
+        assert basis == linalg.vec_rows(QQ, comp.base.dim * comp.dim, functionals)
+    m = Bimodule.regular(product_field_algebra(QQ, 3))
+    left_dual(m)
+    assert len(kernels) == 1
 
 
 def test_a_module_without_dual_basis_is_remembered_as_none(monkeypatch):
@@ -140,6 +166,10 @@ def test_each_lift_and_inverse_is_computed_once_and_follows_a_new_map():
     gm = coring_as_gcomodule(ms.coring)
     assert gm.lift(1, 1) is gm.lift(1, 1)
     assert gm.lift(1, 1) == gm.tensor(1, 1).space.sect @ gm.rho[(1, 1)]
+    # the coring over itself shares the lift of each pair with the coring
+    pairs = [(a, b) for a in c.group.elements() for b in c.group.elements()]
+    assert len(pairs) > 1
+    assert all(gm.lift(a, b) is c.delta_left_lift(a, b) for a, b in pairs)
     inv = w.gamma_inv(1)
     assert w.gamma_inv(1) is inv and inv == inverse(w.gammas[1])
 
@@ -180,7 +210,6 @@ def test_memo_matrices_keep_no_dense_copy_after_the_comodules_suite():
     ms = _load("c3-qq")
     run_suite(ms, "comodules", seed=0)
     A = ms.coring.base
-    held = [m for memo in (A.quotients, A.duals) for item in memo.items()
-            for m in _held_matrices(item)]
+    held = [m for item in A.memo.items() for m in _held_matrices(item)]
     assert len(held) > 100
     assert [m for m in held if "data" in m.__dict__] == []

@@ -41,6 +41,7 @@ from corings.linalg import (
     tensor_slice_operator,
     tensor_vec,
     triple_balanced_quotient,
+    unvec_rows,
     vec_rows,
     vstack,
 )
@@ -674,8 +675,8 @@ def test_every_triple_of_a_full_run_matches_the_dense_reference(monkeypatch, nam
     monkeypatch.setattr(algebra, "triple_balanced_quotient", recording)
     ms = load(name)
     run_suite(ms, "all", seed=0)
-    memo = ms.coring.base.quotients
-    triples = {key: q for key, q in memo.items() if len(key) == 7}
+    memo = ms.coring.base.memo
+    triples = {key[1:]: q for key, q in memo.items() if key[0] == "triple"}
     assert triples and built
     for args, q in built:
         assert same_quotient(q, dense_triple_quotient(*args))
@@ -1001,6 +1002,9 @@ def test_row_storage_matches_the_dense_reference(field):
         family = [random_dense(field, r, c, rng) for _ in range(rng.randint(0, 3))]
         assert_stores(vec_rows(field, flat, [f.mat() for f in family]),
                       dense_vec_rows(field, flat, family))
+        for got, f in zip(unvec_rows(dense_vec_rows(field, flat, family).mat(), r, c), family,
+                          strict=True):
+            assert_stores(got, f)
         row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
         col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
         keys = [(i, j) for i in range(len(row_dims)) for j in range(len(col_dims))]

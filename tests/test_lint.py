@@ -55,10 +55,15 @@
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
   misleading message.
-* The uncached builders of `Algebra.duals` (`UNCACHED`: the left dual, the
+* The uncached builders of `Algebra.memo` (`UNCACHED`: the left dual, the
   dual-basis solve and the two collapse maps) are called only from their
   memo wrappers in `algebra.py`: a call anywhere else builds again what the
   memo holds for every module equal in content.
+* Outside an `__init__`, no code assigns to a `delta`, `rho` or `counit`
+  attribute (`STRUCTURE_MAPS`) or to an item of one, or deletes one, or
+  changes one through a dict method: a coring, comodule or graded coring is
+  built whole, its maps computed before its constructor is called, so
+  nothing derived from a map (a lift, say) can outlive it.
 """
 
 import ast
@@ -466,6 +471,38 @@ def memo_bypasses(path: Path) -> list:
     return sorted(out)
 
 
+STRUCTURE_MAPS = {"delta", "rho", "counit"}
+DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_structure_map(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in STRUCTURE_MAPS
+
+
+def structure_map_writes(path: Path) -> list:
+    """Line of each write, outside a function named `__init__`, of a
+    `STRUCTURE_MAPS` attribute or of an item of one: an assignment (plain,
+    augmented, annotated or unpacking), a `del`, or a `DICT_WRITES` call
+    on it."""
+    lines = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if fn != "__init__":
+                writes = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+                if writes and (_is_structure_map(child) or (
+                        isinstance(child, ast.Subscript) and _is_structure_map(child.value))):
+                    lines.add(child.lineno)
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in DICT_WRITES and _is_structure_map(child.func.value)):
+                    lines.add(child.lineno)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else fn)
+
+    visit(_tree(path), None)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -527,6 +564,11 @@ def test_only_derived_builds_the_shared_objects(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_memo_wrappers_call_the_uncached_builders(path):
     assert memo_bypasses(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_structures_are_built_whole(path):
+    assert structure_map_writes(path) == []
 
 
 def test_every_function_is_referenced():
@@ -812,3 +854,33 @@ def test_the_memo_bypass_check_catches_what_it_looks_for(tmp_path):
         "def collapse(m):\n"
         "    return collapse_right(m), _collapse_leftover(m)\n")
     assert memo_bypasses(other) == [(2, "_left_dual")]
+
+
+def test_the_structure_map_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "class GroupCoring:\n"
+        "    def __init__(self, delta, counit):\n"
+        "        self.delta = dict(delta)\n"
+        "        self.counit = counit\n"
+        # the coring a structure file declared before its maps were
+        # computed ahead of the constructor
+        "def load(g, comps, lifts, counit):\n"
+        "    cor = GroupCoring({}, counit)\n"
+        "    for (a, b), lift in lifts.items():\n"
+        "        cor.delta[(a, b)] = cor.tensor(a, b).space.proj @ lift\n"
+        "    return cor\n"
+        "def induce(c, space, rho):\n"
+        "    m = Comodule(c, space, [None] * c.group.order)\n"
+        "    m.rho = tuple(rho)\n"
+        "    m.coring.counit += 1\n"
+        "    m.rho, other.x = rho, 2\n"
+        "    del m.rho[0]\n"
+        "    m.rho.update({(0, 0): rho})\n"
+        "    m.coring.delta.setdefault((0, 0), rho)\n"
+        "    delta = {}\n"
+        "    delta[(0, 0)] = rho\n"
+        "    counit: Mat = rho\n"
+        "    m.delta_left_lift = None\n"
+        "    return m.rho.get(0), delta, counit\n")
+    assert structure_map_writes(src) == [8, 12, 13, 14, 15, 16, 17]

@@ -1,4 +1,5 @@
-"""The per-algebra memo of tensor quotients (`Algebra.quotients`)."""
+"""The tensor quotients in the per-algebra memo (`Algebra.memo`), and the
+tags of its keys."""
 
 import gc
 import weakref
@@ -30,6 +31,9 @@ from corings.suites import run_suite
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
+# the first entry of every key of `Algebra.memo`
+KINDS = {"tensor", "tensor-space", "triple", "sum", "lift", "left_dual", "dual_basis",
+         "collapse_right", "collapse_left", "contract_right", "contract_left"}
 
 
 def _load(name):
@@ -46,7 +50,7 @@ def _checked(monkeypatch, hits):
     to versions that compare every hit with a fresh, uncached build."""
 
     def tensor(m, n):
-        hit = (m.dim, m.left, m.right, n.dim, n.left, n.right) in m.base.quotients
+        hit = ("tensor", m.dim, m.left, m.right, n.dim, n.left, n.right) in m.base.memo
         t = cached_tensor(m, n)
         if hit:
             fresh = tensor_over_algebra(m, n)
@@ -58,7 +62,7 @@ def _checked(monkeypatch, hits):
         return t
 
     def triple(m, n, p):
-        hit = (m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left) in m.base.quotients
+        hit = ("triple", m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left) in m.base.memo
         q = cached_triple(m, n, p)
         if hit:
             fresh = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
@@ -89,30 +93,39 @@ def test_memo_entries_equal_fresh_builds_after_all(name, suite):
     ms = _load(name)
     run_suite(ms, suite, seed=0)
     A = ms.coring.base
-    memo = A.quotients
+    memo = A.memo
     assert memo
-    sums = {key for key in memo if len(key) == 3}  # recorded by direct_sum_bimodule
-    filled = 0
+    # recorded by direct_sum_bimodule
+    sums = {key[1:] for key in memo if key[0] == "sum"}
+    filled = lifts = 0
     for key, value in list(memo.items()):
-        if len(key) == 3:
+        kind, *rest = key
+        assert kind in KINDS, key
+        if kind == "sum":
             total, _, _ = algebra.direct_sum_bimodule([Bimodule(A, *part) for part in value])
-            assert (total.dim, total.left, total.right) == key
-        elif len(key) == 6:
-            dm, ml, mr, dn, nl, nr = key
+            assert (total.dim, total.left, total.right) == tuple(rest)
+        elif kind == "tensor":
+            dm, ml, mr, dn, nl, nr = rest
             filled += (dm, ml, mr) in sums
             fresh = tensor_over_algebra(Bimodule(A, dm, ml, mr), Bimodule(A, dn, nl, nr))
             space, left, right = value
             assert _same_space(space, fresh.space)
             assert (left, right) == (fresh.module.left, fresh.module.right)
-        elif len(key) == 4:
-            dm, mr, dn, nl = key
+        elif kind == "tensor-space":
+            dm, mr, dn, nl = rest
             assert _same_space(value, balanced_quotient(A.field, dm, dn, mr, nl))
-        else:
-            d1, d2, d3, r1, l2, r2, l3 = key
+        elif kind == "triple":
+            d1, d2, d3, r1, l2, r2, l3 = rest
             filled += (d1, None, r1) in sums
             assert _same_space(value, triple_balanced_quotient(A.field, d1, d2, d3,
                                                                (r1, l2), (r2, l3)))
-    assert sums and filled
+        elif kind == "lift":
+            dm, mr, dn, nl, mat = rest
+            m, n = Bimodule(A, dm, None, mr), Bimodule(A, dn, nl, None)
+            assert value == cached_tensor(m, n).space.sect @ mat
+            assert value == balanced_quotient(A.field, dm, dn, mr, nl).sect @ mat
+            lifts += 1
+    assert sums and filled and lifts
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -152,7 +165,7 @@ def test_packing_runs_no_elimination_once_the_summands_are_in_the_memo(monkeypat
 def test_memo_keeps_no_bimodule_or_algebra():
     ms = _load("regular")
     run_suite(ms, "comodules", seed=0)
-    memo = ms.coring.base.quotients
+    memo = ms.coring.base.memo
 
     def leaves(x):
         if isinstance(x, tuple):
@@ -171,14 +184,14 @@ def test_two_parses_of_one_text_share_no_entries():
     ms2 = main_structure(parse(text))
     A1, A2 = ms1.coring.base, ms2.coring.base
     assert A1 == A2 and A1 is not A2
-    after_parse = dict(A2.quotients)
+    after_parse = dict(A2.memo)
     run_suite(ms1, "validate", seed=0)
-    assert len(A1.quotients) > len(after_parse)
-    assert A2.quotients == after_parse
+    assert len(A1.memo) > len(after_parse)
+    assert A2.memo == after_parse
     run_suite(ms2, "validate", seed=0)
-    assert A1.quotients is not A2.quotients
-    assert A1.quotients.keys() == A2.quotients.keys()
-    assert not {id(v) for v in A1.quotients.values()} & {id(v) for v in A2.quotients.values()}
+    assert A1.memo is not A2.memo
+    assert A1.memo.keys() == A2.memo.keys()
+    assert not {id(v) for v in A1.memo.values()} & {id(v) for v in A2.memo.values()}
 
 
 def test_factors_over_different_algebras_raise_base_mismatch():
@@ -190,7 +203,7 @@ def test_factors_over_different_algebras_raise_base_mismatch():
         cached_triple(r1, r1, r2)
     with pytest.raises(BaseMismatch):
         cached_triple(r2, r1, r1)
-    assert not a1.quotients and not a2.quotients
+    assert not a1.memo and not a2.memo
 
 
 def test_base_mismatch_is_checked_before_the_lookup():
@@ -212,7 +225,7 @@ def test_equal_algebras_share_tensor_results_but_not_memos():
     t2 = cached_tensor(Bimodule.regular(a1), Bimodule.regular(a1))
     assert t2.space is t1.space
     assert t2.module.base is a1
-    assert a1.quotients and not a2.quotients
+    assert a1.memo and not a2.memo
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -220,7 +233,7 @@ def test_dropped_structure_frees_its_algebra_without_the_collector(name):
     ms = _load(name)
     run_suite(ms, "comodules", seed=0)
     ref = weakref.ref(ms.coring.base)
-    assert ms.coring.base.quotients
+    assert ms.coring.base.memo
     gc.collect()
     gc.disable()
     try:
@@ -254,11 +267,11 @@ def test_a_sum_with_one_nonzero_summand_is_not_split():
     for parts in ([reg], [zero, reg], [reg, zero, zero]):
         total, _, _ = algebra.direct_sum_bimodule(parts)
         assert (total.dim, total.left, total.right) == (reg.dim, reg.left, reg.right)
-        assert not any(len(key) == 3 for key in a.quotients)
+        assert not any(key[0] == "sum" for key in a.memo)
         t = cached_tensor(total, reg)
         assert _same_space(t.space, tensor_over_algebra(reg, reg).space)
     total, _, _ = algebra.direct_sum_bimodule([reg, zero, reg])
-    assert a.quotients[(total.dim, total.left, total.right)] == ((2, reg.left, reg.right),) * 2
+    assert a.memo[("sum", total.dim, total.left, total.right)] == ((2, reg.left, reg.right),) * 2
 
 
 def test_sum_entries_follow_the_order_of_unequal_summands():
