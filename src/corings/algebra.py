@@ -209,6 +209,14 @@ def algebra_map_failures(f: Mat, src_mul: Mat, dst_mul: Mat) -> list:
     return [divmod(t, n) for t in differing_columns(f @ src_mul, kron_after(dst_mul, f, f))]
 
 
+def intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -> list:
+    """The k where f @ src_acts[k] differs from dst_acts acting by ring_map(e_k)
+    after f (ring_map = I: linearity over one ring), read off the columns
+    k * f.cols + c of f @ hstack(src_acts) and hstack(dst_acts) @ (ring_map (x) f)."""
+    return sorted({t // f.cols for t in differing_columns(
+        f @ hstack(src_acts), kron_after(hstack(dst_acts), ring_map, f))})
+
+
 # -- bimodules --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -324,13 +332,13 @@ class BimoduleMap:
 
 def validate_bimodule_map(f: BimoduleMap) -> CheckReport:
     rep = CheckReport()
-    A = f.src.base
+    ident = Mat.identity(f.src.base.field, f.src.base.dim)
     if f.src.left is not None and f.dst.left is not None:
-        bad = [i for i in range(A.dim) if f.mat @ f.src.left[i] != f.dst.left[i] @ f.mat]
+        bad = intertwining_failures(f.mat, f.src.left, f.dst.left, ident)
         rep.add("map.left-linear", "commutes with the left action",
                 not bad, f"failing basis indices: {bad}" if bad else "")
     if f.src.right is not None and f.dst.right is not None:
-        bad = [i for i in range(A.dim) if f.mat @ f.src.right[i] != f.dst.right[i] @ f.mat]
+        bad = intertwining_failures(f.mat, f.src.right, f.dst.right, ident)
         rep.add("map.right-linear", "commutes with the right action",
                 not bad, f"failing basis indices: {bad}" if bad else "")
     return rep

@@ -74,10 +74,13 @@ def cmd_fixtures(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    out_dir = Path(args.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{name}.coring"
-    out.write_text(text)
+    out = Path(args.dir) / f"{name}.coring"
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     print(out)
     return 0
 

@@ -10,7 +10,8 @@ cofree corings the family category collapses onto comodules over the
 degree-e slice, with explicit mutually inverse comparison maps.
 
 A family's laws are `coring.coaction_failures` on each degree; a plain
-comodule is checked as its replicate read at the identity tag.
+comodule is checked as its replicate read at the identity tag, and a
+family map against its law (`is_gcomodule_map`), never a solved system.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from corings.algebra import (
     cached_triple,
     contract_right,
     direct_sum_bimodule,
+    intertwining_failures,
 )
 from corings.coring import (
     CofreeWitness,
     GroupCoring,
     MissingCofreeWitness,
     coaction_failures,
+    comultiplicative_failures,
 )
 from corings.linalg import (
     LinearSystem,
@@ -41,6 +44,7 @@ from corings.linalg import (
     vstack,
 )
 from corings.report import CheckReport
+from corings.scalars import DimensionMismatch
 
 
 class Comodule:
@@ -114,13 +118,26 @@ def validate_g_comodule(m: GComodule) -> CheckReport:
 def _right_linear_failures(m: GComodule, a: int) -> list:
     """The pairs (b, j), b major, where rho[(a, b)]: M_{ab} -> M_a (x)_A C_b
     does not commute with the right action of base basis element j."""
-    g = m.coring.group
-    bad = []
-    for b in g.elements():
-        rho, right = m.rho[(a, b)], m.tensor(a, b).module.right
-        src = m.comps[g.mul(a, b)].right
-        bad += [(b, j) for j in range(m.coring.base.dim) if rho @ src[j] != right[j] @ rho]
-    return bad
+    c = m.coring
+    g = c.group
+    ident = Mat.identity(c.base.field, c.base.dim)
+    return [(b, j) for b in g.elements() for j in intertwining_failures(
+        m.rho[(a, b)], m.comps[g.mul(a, b)].right, m.tensor(a, b).module.right, ident)]
+
+
+def is_gcomodule_map(m: GComodule, n: GComodule, fams) -> bool:
+    """Whether the maps fams[a]: M_a -> N_a are right-linear and carry the
+    coactions of m to those of n (identity second legs)."""
+    c = m.coring
+    F = c.base.field
+    if [(f.rows, f.cols) for f in fams] != [(y.dim, x.dim) for x, y in zip(m.comps, n.comps)]:
+        raise DimensionMismatch("maps do not fit the degrees of the families")
+    ident = Mat.identity(F, c.base.dim)
+    if any(intertwining_failures(f, m.comps[a].right, n.comps[a].right, ident)
+           for a, f in enumerate(fams)):
+        return False
+    seconds = [Mat.identity(F, comp.dim) for comp in c.comps]
+    return not comultiplicative_failures(c.group, fams, seconds, m.lift, n, n.rho)
 
 
 # -- canonical objects ----------------------------------------------------------------
@@ -214,8 +231,7 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         packed, inj, _ = pack_gcomodule(gm)
         h_packed = [f for (f,) in comodule_homs(packed, n).basis()]
         repl = replicate_comodule(n)
-        family = gcomodule_homs(gm, repl)
-        h_family = family.basis()
+        h_family = gcomodule_homs(gm, repl).basis()
         rep.add(f"adjunction[{idx}].dim", "hom spaces have equal dimension",
                 len(h_packed) == len(h_family),
                 f"{len(h_packed)} vs {len(h_family)}")
@@ -230,7 +246,7 @@ def check_pack_replicate_adjunction(pairs) -> CheckReport:
         ok = all(tuple(psi(hstack(fams))) == tuple(fams) for fams in h_family)
         rep.add(f"adjunction[{idx}].section", "reverse hom transposition composes to the identity",
                 ok)
-        ok = all(family.is_solution(psi(f)) for f in h_packed)
+        ok = all(is_gcomodule_map(gm, repl, psi(f)) for f in h_packed)
         rep.add(f"adjunction[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         # triangle identities
@@ -260,8 +276,7 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
         F = c.base.field
         packed, inj, proj = pack_gcomodule(gm)
         repl = replicate_comodule(n)
-        rev_family = gcomodule_homs(repl, gm)   # replicate(N) -> family
-        h_rev_family = rev_family.basis()
+        h_rev_family = gcomodule_homs(repl, gm).basis()   # replicate(N) -> family
         h_rev_packed = [f for (f,) in comodule_homs(n, packed).basis()]   # N -> packed
 
         rep.add(f"frobenius[{idx}].dim", "reverse hom spaces have equal dimension",
@@ -276,7 +291,7 @@ def check_pack_replicate_frobenius(pairs) -> CheckReport:
         rep.add(f"frobenius[{idx}].retract", "hom transposition composes to the identity", ok)
         ok = all(vstack(cap_psi(f)) == f for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].section", "reverse transposition composes to the identity", ok)
-        ok = all(rev_family.is_solution(cap_psi(f)) for f in h_rev_packed)
+        ok = all(is_gcomodule_map(repl, gm, cap_psi(f)) for f in h_rev_packed)
         rep.add(f"frobenius[{idx}].well-defined", "transposed maps are morphisms", ok)
 
         nu = vstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
@@ -343,29 +358,22 @@ def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> Check
     maps are mutually inverse morphisms on each supplied family."""
     rep = CheckReport()
     g = c.group
+    e = g.identity
     F = c.base.field
     for idx, gm in enumerate(objects):
         ncom = e_component(gm)
         back = cofree_extend(ncom, c, w)
-        phis = []
-        psis = []
-        ok_inv = True
-        for a in g.elements():
-            func_a = c.counit @ w.gamma_inv(a)
-            phi_a = contract_right(gm.comps[g.identity], func_a) @ gm.lift(g.identity, a)
-            ainv = g.inv(a)
-            func_b = c.counit @ w.gamma_inv(ainv)
-            psi_a = contract_right(gm.comps[a], func_b) @ gm.lift(a, ainv)
-            phis.append(phi_a)
-            psis.append(psi_a)
-            if phi_a @ psi_a != Mat.identity(F, gm.comps[g.identity].dim):
-                ok_inv = False
-            if psi_a @ phi_a != Mat.identity(F, gm.comps[a].dim):
-                ok_inv = False
+        # phi_a: M_a -> M_e, psi_a: M_e -> M_a, second legs read by counit o gamma^-1
+        phis = tuple(contract_right(gm.comps[e], c.counit @ w.gamma_inv(a)) @ gm.lift(e, a)
+                     for a in g.elements())
+        psis = [contract_right(gm.comps[a], c.counit @ w.gamma_inv(g.inv(a))) @ gm.lift(a, g.inv(a))
+                for a in g.elements()]
+        ok_inv = all(phi @ psi == Mat.identity(F, psi.cols) and psi @ phi == Mat.identity(F, phi.cols)
+                     for phi, psi in zip(phis, psis))
         rep.add(f"cofree-equiv[{idx}].inverse", "comparison maps are mutually inverse", ok_inv)
         rep.add(f"cofree-equiv[{idx}].morphism",
                 "comparison maps form a family morphism",
-                gcomodule_homs(gm, back).is_solution(tuple(phis)))
+                is_gcomodule_map(gm, back, phis))
         rep.add(f"cofree-equiv[{idx}].restrict-extend",
                 "restriction of the extension is the original comodule",
                 comodules_equal(e_component(back), ncom))

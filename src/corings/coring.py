@@ -11,8 +11,8 @@ is derived from it (the tensor quotients of its components, the lifts of
 its maps through the chosen section) lives in the memo of the base
 algebra, keyed by content.  The coaction laws on one degree
 (`coaction_failures`) serve the coring over itself and every comodule
-family, and `comultiplicative_failures` serves coring morphisms and cofree
-witnesses.
+family, and `comultiplicative_failures` serves coring morphisms, cofree
+witnesses and maps of comodule families.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def validate_coring_morphism(f: GroupCoringMorphism) -> CheckReport:
     for a in g.elements():
         bm = BimoduleMap(f.src.comps[a], f.dst.comps[a], f.maps[a])
         rep.extend(validate_bimodule_map(bm), prefix=f"component[{a}].")
-    bad = comultiplicative_failures(f.maps, f.src, f.dst)
+    bad = comultiplicative_failures(g, f.maps, f.maps, f.src.delta_left_lift, f.dst, f.dst.delta)
     rep.add("morphism.comultiplicative", "compatibility with comultiplication",
             not bad, f"failing pairs: {bad}" if bad else "")
     e = g.identity
@@ -146,14 +146,15 @@ def validate_coring_morphism(f: GroupCoringMorphism) -> CheckReport:
     return rep
 
 
-def comultiplicative_failures(maps, src: GroupCoring, dst: GroupCoring) -> list:
-    """The pairs (a, b), a major, where the degreewise maps maps[a]: src C_a ->
-    dst C_a do not carry Delta_{a,b} to Delta_{a,b}: (f_a (x) f_b) Delta_{a,b}
-    against Delta_{a,b} f_{ab}."""
-    g = src.group
+def comultiplicative_failures(g: FiniteGroup, maps, seconds, lift, dst, dst_maps) -> list:
+    """The pairs (a, b), a major, where (f_a (x) seconds[b]) lift(a, b)
+    differs from dst_maps[(a, b)] f_{ab} in dst.tensor(a, b), for f_a =
+    maps[a] and lift the source's structure maps through the section: for
+    a coring morphism C -> D, seconds = maps, lift = C.delta_left_lift and
+    dst_maps = D.delta; for a family map M -> N, identities, M.lift, N.rho."""
     return [(a, b) for a in g.elements() for b in g.elements()
-            if kron_after(dst.tensor(a, b).space.proj, maps[a], maps[b]) @ src.delta_left_lift(a, b)
-            != dst.delta[(a, b)] @ maps[g.mul(a, b)]]
+            if kron_after(dst.tensor(a, b).space.proj, maps[a], seconds[b]) @ lift(a, b)
+            != dst_maps[(a, b)] @ maps[g.mul(a, b)]]
 
 
 # -- cofree corings -----------------------------------------------------------------
@@ -200,8 +201,9 @@ def verify_cofree(c: GroupCoring, w: CofreeWitness) -> CheckReport:
             not bad_iso, f"failing indices: {bad_iso}" if bad_iso else "")
     rep.add("cofree.identity-tag", "the identity-degree connecting map is the identity",
             w.gammas[e] == Mat.identity(c.base.field, c.comps[e].dim))
-    # the witness as a morphism from the cofree coring on the degree-e slice
-    bad = comultiplicative_failures(w.gammas, cofree_coring(c.e_slice(), g)[0], c)
+    # the witness as a morphism from the cofree coring on C_e: every Delta is Delta_{e,e}
+    bad = comultiplicative_failures(g, w.gammas, w.gammas, lambda a, b: c.delta_left_lift(e, e),
+                                    c, c.delta)
     rep.add("cofree.compatible", "connecting maps intertwine comultiplication",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep

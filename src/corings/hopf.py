@@ -24,6 +24,7 @@ from corings.algebra import (
     cached_tensor,
     collapse_right,
     field_algebra,
+    intertwining_failures,
     tensor_algebra,
     validate_algebra,
 )
@@ -287,12 +288,11 @@ def validate_relative_hopf_module(m: RelativeHopfModule) -> CheckReport:
     ca = m.ca
     h = ca.hopf
     rep.extend(_coaction_laws(h, m.space.dim, m.rho), prefix="relative.")
-    bad = []
-    for p in h.group.elements():
-        # rho(m.a) = m[0]a[0] (x) m[1]a[1]
-        twisted = _twisted_right(m.space.dim, m.space.right, h.comps[p], ca.rho[p])
-        bad += [(p, j) for j, (R, T) in enumerate(zip(m.space.right, twisted))
-                if m.rho[p] @ R != T @ m.rho[p]]
+    ident = Mat.identity(ca.algebra.field, ca.algebra.dim)
+    # rho(m.a) = m[0]a[0] (x) m[1]a[1]
+    bad = [(p, j) for p in h.group.elements() for j in intertwining_failures(
+        m.rho[p], m.space.right,
+        _twisted_right(m.space.dim, m.space.right, h.comps[p], ca.rho[p]), ident)]
     rep.add("relative.compatible", "coaction is compatible with the action",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep

@@ -911,7 +911,9 @@ class LinearSystem:
     one row per entry of the result.  Terms on the same unknown accumulate,
     terms on an empty unknown contribute nothing, and rows that come out
     zero are dropped; none of this moves a kernel basis, since the rref
-    depends only on the row span and the column order.
+    depends only on the row span and the column order.  A system only
+    solves: a given map is tested against the law it should satisfy, not
+    against a solved system.
     """
 
     def __init__(self, field: Field, shapes):
@@ -924,7 +926,6 @@ class LinearSystem:
             width += rows * cols
         self.width = width
         self.rows = []  # sparse: {column: nonzero value}
-        self._columns = None  # column -> [(row, value)], built by is_solution
 
     def add(self, *terms) -> None:
         """Add sum(sign * P @ (X_name tensor I_c) @ S) = 0; each term is
@@ -948,30 +949,11 @@ class LinearSystem:
             row = {j: x for j, x in zip(row, map(red, row.values())) if x}
             if row:
                 self.rows.append(row)
-        self._columns = None
 
     def kernel(self) -> Mat:
         """Basis of the solutions as rows over the whole column layout."""
         rows = [dict(row) for row in self.rows]
         return _null_basis(self.field, self.width, _eliminate(self.field, rows))
-
-    def is_solution(self, values) -> bool:
-        """Whether the unknowns, given as a tuple of matrices in declaration
-        order, satisfy every equation."""
-        if [(v.rows, v.cols) for v in values] != list(self.shapes.values()):
-            raise DimensionMismatch("values do not fit the shapes of the unknowns")
-        if self._columns is None:
-            self._columns = {}
-            for r, row in enumerate(self.rows):
-                for j, x in row.items():
-                    self._columns.setdefault(j, []).append((r, x))
-        acc = {}
-        for off, v in zip(self.offsets.values(), values):
-            for i, vrow in enumerate(v._entries):
-                for j, a in vrow:
-                    for r, x in self._columns.get(off + i * v.cols + j, ()):
-                        acc[r] = acc.get(r, 0) + x * a
-        return not any(map(self.field.reduce, acc.values()))
 
     def basis(self) -> list:
         """Basis of the solutions, each a tuple of unknown values in

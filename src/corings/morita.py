@@ -27,6 +27,7 @@ from corings.algebra import (
     algebra_map_failures,
     commuting_failures,
     differing_columns,
+    intertwining_failures,
     left_module_predicates,
     product_field_algebra,
     subalgebra,
@@ -114,8 +115,8 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
     packed = r.packed()
     chi = Mat.from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g.elements()
                             for f in r.functionals[a]])
-    bad = [j for j, right in enumerate(_packed_base_action(r, "right"))
-           if chi @ right != A.right_mats[j] @ chi]
+    bad = intertwining_failures(chi, _packed_base_action(r, "right"), A.right_mats,
+                                Mat.identity(F, A.dim))
     rep.add("character.right-linear", "the character is right-linear over the base",
             not bad, f"failing basis: {bad}" if bad else "")
     # column f * N + h: chi(chi(f) . h), through the packed left base action,
@@ -708,14 +709,6 @@ def _ring_as_module(r: GradedRing) -> GradedModule:
 
 # -- comparison isomorphisms for the standard context ---------------------------------------
 
-def _intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -> list:
-    """The k where f @ src_acts[k] differs from the action in dst_acts of
-    the image of e_k under ring_map, followed by f: column k * f.cols + c
-    of f @ hstack(src_acts) and of hstack(dst_acts) @ (ring_map (x) f)."""
-    return sorted({t // f.cols for t in differing_columns(
-        f @ hstack(src_acts), kron_after(hstack(dst_acts), ring_map, f))})
-
-
 def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckReport]:
     """Endomorphisms of the canonical graded module correspond to twisted
     coefficient families: read each endomorphism off its values at the
@@ -776,9 +769,9 @@ def check_standard_context_match(d: "Derived") -> CheckReport:
     rep.extend(xi_rep)
     psi, psi_rep = hom_to_shifted_iso(hom_bases, wq, r)
     rep.extend(psi_rep)
-    bad = [("left", k) for k in _intertwining_failures(
+    bad = [("left", k) for k in intertwining_failures(
         psi, std.ctx.q.left, gctx.ctx.q.left, Mat.identity(F, r.packed().algebra.dim))]
-    bad += [("right", k) for k in _intertwining_failures(
+    bad += [("right", k) for k in intertwining_failures(
         psi, std.ctx.q.right, gctx.ctx.q.right, xi)]
     rep.add("standard.hom-equivariant",
             "the hom comparison intertwines both module structures",
@@ -876,9 +869,9 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     # the tag swap on the base copies is the identity in these coordinates;
     # equivariance over both ring comparisons pins it down
     ident_p = Mat.identity(F, gctx.ctx.p.dim)
-    bad = [("left", k) for k in _intertwining_failures(
+    bad = [("left", k) for k in intertwining_failures(
         ident_p, ring_ctx_e.ctx.p.left, gctx.ctx.p.left, theta)]
-    bad += [("right", k) for k in _intertwining_failures(
+    bad += [("right", k) for k in intertwining_failures(
         ident_p, ring_ctx_e.ctx.p.right, gctx.ctx.p.right, phi47)]
     rep.add("ring-match.base-equivariant",
             "base copies carry the same actions through the ring comparisons",
@@ -896,9 +889,9 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     if not is_invertible(jg):
         return rep
     jg_inv = inverse(jg)
-    bad = [("left", k) for k in _intertwining_failures(
+    bad = [("left", k) for k in intertwining_failures(
         jg, ring_ctx_e.ctx.q.left, gctx.ctx.q.left, phi47)]
-    bad += [("right", k) for k in _intertwining_failures(
+    bad += [("right", k) for k in intertwining_failures(
         jg, ring_ctx_e.ctx.q.right, gctx.ctx.q.right, theta)]
     rep.add("ring-match.connecting-equivariant",
             "the connecting comparison intertwines both bimodule structures",

@@ -106,7 +106,8 @@ def _logical_lines(text: str):
 
 
 def _parse_value(text: str, line: int, fld: Field):
-    """Parse a nested bracket list of scalars."""
+    """Parse a nested bracket list of scalars, at most three brackets deep
+    (the deepest declared shapes: the `mul` cube, the action families)."""
     pos = 0
 
     def skip_ws():
@@ -114,12 +115,14 @@ def _parse_value(text: str, line: int, fld: Field):
         while pos < len(text) and text[pos] in " \t,":
             pos += 1
 
-    def parse_item():
+    def parse_item(depth: int):
         nonlocal pos
         skip_ws()
         if pos >= len(text):
             raise StructureError(line, "unexpected end of value")
         if text[pos] == "[":
+            if depth == 3:
+                raise StructureError(line, "value nested deeper than 3 brackets")
             pos += 1
             items = []
             while True:
@@ -129,7 +132,7 @@ def _parse_value(text: str, line: int, fld: Field):
                 if text[pos] == "]":
                     pos += 1
                     return items
-                items.append(parse_item())
+                items.append(parse_item(depth + 1))
         cstart = pos
         while pos < len(text) and text[pos] not in " \t,[]":
             pos += 1
@@ -139,7 +142,7 @@ def _parse_value(text: str, line: int, fld: Field):
         except (ValueError, ZeroDivisionError):
             raise StructureError(line, f"bad scalar {tok!r}") from None
 
-    out = parse_item()
+    out = parse_item(0)
     skip_ws()
     if pos != len(text):
         raise StructureError(line, f"trailing input {text[pos:]!r}")

@@ -18,7 +18,7 @@
   `morita.coefficient_ring`: it multiplies, shifts and repeats the
   coefficient families block by block instead of taking a subalgebra of
   the product of base copies.  `reference_intertwining_failures` is the
-  reference for `morita._intertwining_failures`: one linear combination of
+  reference for `algebra.intertwining_failures`: one linear combination of
   the target actions per basis element, the loop the context comparisons
   ran before they were one identity.
 * `reference_pack_gcomodule`, `reference_gcomodule_to_graded`,
@@ -30,10 +30,10 @@
   from the summands'; the others add up one dual-basis pair or one
   functional at a time.
 * `reference_is_gcomodule_hom` is the reference for
-  `LinearSystem.is_solution` on the system of `comodules.gcomodule_homs`:
-  it applies each candidate map through a pair projection, the morphism
-  test the adjunction, Frobenius and cofree batteries used before they
-  read the system they solve.
+  `comodules.is_gcomodule_map`: it checks right-linearity one base basis
+  element at a time and applies each candidate map through a pair
+  projection one degree pair at a time, instead of through
+  `algebra.intertwining_failures` and `coring.comultiplicative_failures`.
 * `dense_rref_rows` is the dense Gauss-Jordan elimination the library
   used before its sparse eliminator (`linalg._eliminate`): it takes the
   first row with an entry in each column as the pivot.  `dense_rref_pivots`,
@@ -759,7 +759,9 @@ def reference_pack_gcomodule(m: GComodule) -> Comodule:
 
 
 def reference_is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
-    """Whether the per-degree maps `fams` form a family morphism m -> n."""
+    """Whether the per-degree maps `fams` form a family morphism m -> n:
+    `comodules.is_gcomodule_map` as loops over basis elements and degree
+    pairs."""
     c = m.coring
     g = c.group
     for a in g.elements():
@@ -1028,7 +1030,7 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
 
 
 def reference_intertwining_failures(f: Mat, src_acts, dst_acts, ring_map: Mat) -> list:
-    """`morita._intertwining_failures` as the loop the context comparisons
+    """`algebra.intertwining_failures` as the loop the context comparisons
     ran: one linear combination of the target actions per basis element."""
     rows = cols = f.rows
     return [k for k in range(len(src_acts))

@@ -26,7 +26,7 @@ from corings.algebra import (
 )
 from corings.linalg import Mat
 from corings.scalars import QQ
-from helpers import check_dual_basis, induced_map
+from helpers import check_dual_basis, induced_map, reference_intertwining_failures
 
 
 QQ1 = field_algebra(QQ)
@@ -388,3 +388,25 @@ def test_equal_matrices_are_compared_without_a_scan(monkeypatch):
         assert algebra.differing_columns(a, b) == [t for t in range(m) if col(a, t) != col(b, t)]
         assert algebra._rows_differ(a, b) == [j for j in range(n) if row(a, j) != row(b, j)]
         assert (reads != []) == (a != b)
+
+
+def test_intertwining_failures_match_the_loop_reference():
+    # scalar actions on both sides commute with every f; random ones do not
+    rng = random.Random(5)
+
+    def rand(r, c):
+        return Mat.from_rows(QQ, [[rng.randint(-1, 1) for _ in range(c)] for _ in range(r)])
+
+    passing = failing = 0
+    for _ in range(30):
+        n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        f = rand(n, m)
+        scalars = [rng.randint(-2, 2) if rng.random() < 0.5 else None for _ in range(k)]
+        src = [Mat.identity(QQ, m).scale(c) if c is not None else rand(m, m) for c in scalars]
+        dst = [Mat.identity(QQ, n).scale(c) if c is not None else rand(n, n) for c in scalars]
+        for ring_map in (Mat.identity(QQ, k), rand(k, k)):
+            bad = algebra.intertwining_failures(f, src, dst, ring_map)
+            assert bad == reference_intertwining_failures(f, src, dst, ring_map)
+            passing += k - len(bad)
+            failing += len(bad)
+    assert passing and failing

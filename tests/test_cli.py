@@ -40,6 +40,17 @@ def test_fixtures_emit_unknown():
     assert "unknown fixture" in err
 
 
+@pytest.mark.parametrize("under", ("", "sub"), ids=("file", "under-a-file"))
+def test_fixtures_emit_to_an_unwritable_dir(under, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc, out, err = run_cli(["fixtures", "emit", "regular", "--dir", str(blocker / under)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert blocker.read_text() == ""
+
+
 def test_validate_suite_passes(fixture_dir):
     rc, out, _ = run_cli(["check", str(fixture_dir / "trivial.coring"), "--suite", "validate"])
     assert rc == 0

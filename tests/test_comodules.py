@@ -18,6 +18,7 @@ from corings.comodules import (
     e_component,
     gcomodule_homs,
     gcomodules_equal,
+    is_gcomodule_map,
     pack_gcomodule,
     replicate_comodule,
     validate_comodule,
@@ -34,7 +35,7 @@ from corings.galois import (
     free_right_module,
     random_comodule,
 )
-from corings.linalg import Mat
+from corings.linalg import LinearSystem, Mat
 from corings.scalars import QQ, DimensionMismatch
 from corings.structfile import main_structure, parse
 from helpers import derived, reference_is_gcomodule_hom, reference_pack_gcomodule
@@ -243,10 +244,10 @@ def _perturbed(fams, k: int) -> tuple:
 
 @pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
 def test_hom_system_check_matches_the_reference(name):
-    # the batteries test transposed maps against the solved hom system; on
-    # the pairs the comodules suite checks, in both directions, the system
-    # agrees with the map-by-map test on basis families, their sums and
-    # perturbations of both
+    # the batteries test transposed maps against the family-map law; on the
+    # pairs the comodules suite checks, in both directions, the law agrees
+    # with the map-by-map reference on the solved basis families, their sums
+    # and perturbations of both
     fx = fixture(name)
     acom = comodule_from_grouplike(fx.grouplike)
     cg = coring_as_gcomodule(fx.coring)
@@ -254,20 +255,43 @@ def test_hom_system_check_matches_the_reference(name):
     for gm, n in ((replicate_comodule(acom), acom), (cg, pack_gcomodule(cg)[0])):
         repl = replicate_comodule(n)
         for src, dst in ((gm, repl), (repl, gm)):
-            homs = gcomodule_homs(src, dst)
-            basis = homs.basis()
+            basis = gcomodule_homs(src, dst).basis()
             sums = [tuple(f + h for f, h in zip(p, q)) for p, q in zip(basis, basis[1:] + basis[:1])]
             for fams in basis + sums:
-                assert homs.is_solution(fams) and reference_is_gcomodule_hom(src, dst, fams)
+                assert is_gcomodule_map(src, dst, fams) and reference_is_gcomodule_hom(src, dst, fams)
             for k, fams in enumerate(basis + sums):
                 fams = _perturbed(fams, k)
-                verdict = homs.is_solution(fams)
+                verdict = is_gcomodule_map(src, dst, fams)
                 assert verdict == reference_is_gcomodule_hom(src, dst, fams)
                 verdicts.append(verdict)
             f = basis[0][0]
             wrong = (Mat.zeros(f.field, f.rows + 1, f.cols),) + basis[0][1:]
             with pytest.raises(DimensionMismatch):
-                homs.is_solution(wrong)
+                is_gcomodule_map(src, dst, wrong)
             with pytest.raises(DimensionMismatch):
-                homs.is_solution(basis[0][1:])
+                is_gcomodule_map(src, dst, basis[0][1:])
     assert False in verdicts
+
+
+@pytest.mark.parametrize("name", ("regular", "sweedler", "c3-qq"))
+def test_cofree_battery_solves_no_hom_system(monkeypatch, name):
+    # the comparison maps are checked against the family-map law: the
+    # battery builds no linear system, on the objects the comodules suite
+    # gives it
+    s = main_structure(parse(C3.read_bytes())) if name == "c3-qq" else fixture(name)
+    d = derived(s)
+    acom = comodule_from_grouplike(s.grouplike)
+    cg = coring_as_gcomodule(s.coring)
+    objs = [cg, replicate_comodule(acom), replicate_comodule(d.seeded_comodule(0))]
+    built = []
+    real = LinearSystem.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counted)
+    assert check_cofree_equivalence(s.coring, d.witness, objs).ok
+    assert built == []
+    gcomodule_homs(cg, cg)  # the wrapper sees the systems that are built
+    assert len(built) == 1

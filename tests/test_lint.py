@@ -64,6 +64,11 @@
   changes one through a dict method: a coring, comodule or graded coring is
   built whole, its maps computed before its constructor is called, so
   nothing derived from a map (a lift, say) can outlive it.
+* No comparison (`==` or `!=`) sets a product `f @ X` against a product
+  `Y @ f` with the same f, on either side: a map is checked against
+  actions through `algebra.intertwining_failures`, the one statement of
+  linearity over a ring map, which compares whole stacked products and
+  writes no such comparison itself.
 """
 
 import ast
@@ -503,6 +508,25 @@ def structure_map_writes(path: Path) -> list:
     return sorted(lines)
 
 
+def _is_product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+
+def hand_intertwining_tests(path: Path) -> list:
+    """Line of each `==`/`!=` between two products, `f @ X` and `Y @ f` in
+    either order, whose outer factors are the same expression."""
+    lines = set()
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Eq, ast.NotEq))):
+            lhs, rhs = node.left, node.comparators[0]
+            if _is_product(lhs) and _is_product(rhs) and (
+                    ast.dump(lhs.left) == ast.dump(rhs.right)
+                    or ast.dump(lhs.right) == ast.dump(rhs.left)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -569,6 +593,11 @@ def test_only_the_memo_wrappers_call_the_uncached_builders(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_structures_are_built_whole(path):
     assert structure_map_writes(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_intertwining_test(path):
+    assert hand_intertwining_tests(path) == []
 
 
 def test_every_function_is_referenced():
@@ -884,3 +913,21 @@ def test_the_structure_map_check_catches_what_it_looks_for(tmp_path):
         "    m.delta_left_lift = None\n"
         "    return m.rho.get(0), delta, counit\n")
     assert structure_map_writes(src) == [8, 12, 13, 14, 15, 16, 17]
+
+
+def test_the_intertwining_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the linearity loops before `algebra.intertwining_failures`
+        "bad = [i for i in range(n) if f.mat @ f.src.left[i] != f.dst.left[i] @ f.mat]\n"
+        "bad += [(b, j) for j in range(d) if rho @ src[j] != right[j] @ rho]\n"
+        "bad += [(p, j) for j, (R, T) in pairs if m.rho[p] @ R != T @ m.rho[p]]\n"
+        "ok = xs[i] @ f == f @ ys[i]\n"
+        "if chi @ right != A.right_mats[j] @ chi:\n"
+        "    pass\n"
+        "ok = phi @ psi == Mat.identity(F, n)\n"
+        "ok = f @ xs[i] != ys[i] @ g\n"
+        "ok = f @ x @ y == z\n"
+        "ok = f @ x < y @ f\n"
+        "bad = intertwining_failures(f, xs, ys, ident)\n")
+    assert hand_intertwining_tests(src) == [1, 2, 3, 4, 5]

@@ -458,7 +458,7 @@ def test_equivariance_rows_report_the_failures_of_the_loop_reference(monkeypatch
     # loop reference finds on the same maps
     d = derived_of(name)
     rng = random.Random(position)
-    real = morita._intertwining_failures
+    real = morita.intertwining_failures
     perturbed, calls = {}, []
 
     def perturbing(*args):
@@ -470,7 +470,7 @@ def test_equivariance_rows_report_the_failures_of_the_loop_reference(monkeypatch
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(morita, "_intertwining_failures", perturbing)
+    monkeypatch.setattr(morita, "intertwining_failures", perturbing)
     rep = check_standard_context_match(d)
     if d.witness is not None:
         rep.extend(check_group_ring_context_match(d))

@@ -300,6 +300,10 @@ ESCAPES = {
         "mul [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]", "mul 3"),
     "left-scalar": EXPLICIT_CORING.replace("left [[[1]]]", "left 1"),
     "unit-nested": EXPLICIT_CORING.replace("unit [1]", "unit [[1]]", 1),
+    "unit-nested-5000-deep": fixture_file_text("regular").replace(
+        "unit [1, 0]", "unit " + "[" * 5000 + "1" + "]" * 5000),
+    "mul-nested-4-deep": fixture_file_text("regular").replace(
+        "mul [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]", "mul [[[[1, 0], [0, 1]], [[0, 1], [1, 0]]]]"),
     "x-without-value": EXPLICIT_CORING.replace("x 1 [1]", "x 1"),
     "rho-without-value": RHO_TEXT.replace("rho 0 [[1]]", "rho 0"),
     "delta-without-value": EXPLICIT_CORING.replace("delta 1 1 [[1]]", "delta 1 1"),
