@@ -14,7 +14,7 @@ from pathlib import Path
 from corings.fixtures import FIXTURES, fixture_file_text
 from corings.report import CheckReport
 from corings.structfile import StructureError, main_structure, parse
-from corings.suites import SUITES, UnknownSuite, run_suite
+from corings.suites import SUITES, run_suite
 
 
 def _machine_report(rep: CheckReport, source: str, suite: str, seed: int) -> str:
@@ -48,11 +48,7 @@ def cmd_check(args) -> int:
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        rep = run_suite(ms, args.suite, args.seed)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = run_suite(ms, args.suite, args.seed)
     if args.format == "machine":
         sys.stdout.write(_machine_report(rep, args.file, args.suite, args.seed))
     else:
@@ -62,6 +58,9 @@ def cmd_check(args) -> int:
 
 def cmd_fixtures(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            print("error: 'fixtures list' takes no fixture name", file=sys.stderr)
+            return 2
         for name in sorted(FIXTURES):
             print(name)
         return 0

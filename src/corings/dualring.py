@@ -42,7 +42,6 @@ from corings.linalg import (
     LinearSystem,
     Mat,
     block_matrix,
-    combine,
     coords_in_rowspace,
     is_invertible,
     kron_after,
@@ -143,11 +142,6 @@ class GradedRing:
         self._packed = None
 
     # element handling ------------------------------------------------------
-
-    def functional_of(self, a: int, coords) -> Mat:
-        """The functional C_{a^{-1}} -> A with the given coordinates."""
-        return combine(self.base.field, self.base.dim, self.coring.comps[self.group.inv(a)].dim,
-                       self.functionals[a], coords)
 
     def coords(self, a: int, functional: Mat) -> tuple:
         out = coords_in_rowspace(self._func_bases[a], functional.reshape(1, self._func_bases[a].cols))

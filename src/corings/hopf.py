@@ -42,7 +42,6 @@ from corings.linalg import (
     row_space,
     tensor_k,
     tensor_vec,
-    unit_vec,
     vstack,
 )
 from corings.report import CheckReport
@@ -68,19 +67,6 @@ class HopfAlgebra:
     delta: Mat     # (dim*dim) x dim
     counit: Mat    # 1 x dim
     antipode: Mat  # dim x dim
-
-
-def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
-    """The group algebra with its standard Hopf structure: basis elements are
-    grouplike and the antipode inverts."""
-    n = g.order
-    basis = [unit_vec(field, n, i) for i in range(n)]
-    mul = tuple(tuple(basis[g.mul(i, j)] for j in range(n)) for i in range(n))
-    alg = Algebra(field, n, mul, basis[g.identity])
-    delta = Mat.from_cols(field, [tensor_vec(field, x, x) for x in basis])
-    counit = Mat.from_rows(field, [[field.one] * n])
-    antipode = Mat.from_cols(field, [basis[g.inv(i)] for i in range(n)])
-    return HopfAlgebra(alg, delta, counit, antipode)
 
 
 # -- group-indexed Hopf coalgebras -----------------------------------------------------

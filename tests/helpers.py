@@ -76,8 +76,9 @@
 * `coinvariants` solves the coinvariants of a single comodule.
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
-  graded-algebra and Hopf-algebra axioms, a Hopf family with a broken
-  antipode and the trivial Hopf family on the base field.
+  graded-algebra and Hopf-algebra axioms, the group algebra with its
+  standard Hopf structure, a Hopf family with a broken antipode and the
+  trivial Hopf family on the base field.
 """
 
 from __future__ import annotations
@@ -108,12 +109,7 @@ from corings.coring import CofreeWitness, GroupCoring, GroupCoringMorphism, triv
 from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
 from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
 from corings.groups import FiniteGroup
-from corings.hopf import (
-    HopfAlgebra,
-    HopfGCoalgebra,
-    cofree_hopf,
-    group_hopf_algebra,
-)
+from corings.hopf import HopfAlgebra, HopfGCoalgebra, cofree_hopf
 from corings.linalg import (
     Mat,
     QuotientSpace,
@@ -508,6 +504,19 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     rep.add("hopf.antipode", "antipode law",
             anti1 == unit_eps and anti2 == unit_eps)
     return rep
+
+
+def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
+    """The group algebra with its standard Hopf structure: basis elements are
+    grouplike and the antipode inverts."""
+    n = g.order
+    basis = [unit_vec(field, n, i) for i in range(n)]
+    mul = tuple(tuple(basis[g.mul(i, j)] for j in range(n)) for i in range(n))
+    alg = Algebra(field, n, mul, basis[g.identity])
+    delta = Mat.from_cols(field, [tensor_vec(field, x, x) for x in basis])
+    counit = Mat.from_rows(field, [[field.one] * n])
+    antipode = Mat.from_cols(field, [basis[g.inv(i)] for i in range(n)])
+    return HopfAlgebra(alg, delta, counit, antipode)
 
 
 @lru_cache(maxsize=None)

@@ -29,13 +29,13 @@ from corings.galois import (
     validate_ring_morphism,
 )
 from corings.groups import FiniteGroup
-from corings.hopf import group_hopf_algebra
 from corings.linalg import Mat, unit_vec
 from corings.morita import check_standard_context_match, grouplike_character
 from corings.scalars import GF, QQ
 from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
+    group_hopf_algebra,
     reference_grouplike_character,
     reference_multiplicative_failures,
     reference_validate_algebra,

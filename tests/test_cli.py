@@ -5,6 +5,7 @@ import contextlib
 
 import pytest
 
+from corings import fixtures
 from corings.cli import main
 from corings.suites import SUITES, UnknownSuite, run_suite
 from corings.structfile import main_structure, parse
@@ -34,10 +35,24 @@ def test_fixtures_list():
     assert out.split() == ["nongalois", "regular", "sweedler", "trivial"]
 
 
-def test_fixtures_emit_unknown():
-    rc, _, err = run_cli(["fixtures", "emit", "nope", "--dir", "/tmp"])
+def test_fixtures_list_takes_no_name():
+    rc, out, err = run_cli(["fixtures", "list", "extra"])
     assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ("nope", "../pyproject", "data/trivial", "trivial.coring", ""),
+                         ids=("nope", "parent-dir", "data-dir", "with-suffix", "empty"))
+def test_fixtures_emit_unknown(name, tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(fixtures, "files", lambda *args: opened.append(args))
+    rc, out, err = run_cli(["fixtures", "emit", name, "--dir", str(tmp_path)])
+    assert rc == 2
+    assert out == ""
     assert "unknown fixture" in err
+    assert opened == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("under", ("", "sub"), ids=("file", "under-a-file"))

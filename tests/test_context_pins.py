@@ -23,14 +23,13 @@ from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
-    group_hopf_algebra,
     regular_comodule_algebra,
 )
 from corings.linalg import Mat
 from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
-from helpers import triangular_family
+from helpers import group_hopf_algebra, triangular_family
 
 PINNED = {
     'trivial': {

@@ -25,7 +25,6 @@ from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
     coring_comodule_to_relative,
-    group_hopf_algebra,
     hopf_galois_check,
     hopf_galois_decomposition_check,
     invariant_subalgebra,
@@ -43,6 +42,7 @@ from corings.scalars import GF, QQ
 from helpers import (
     bad_antipode_hopf,
     derived,
+    group_hopf_algebra,
     reference_induced_delta,
     reference_induced_right,
     reference_smash_mul,

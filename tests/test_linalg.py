@@ -15,7 +15,6 @@ from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
-    group_hopf_algebra,
     regular_comodule_algebra,
 )
 from corings.linalg import (
@@ -63,6 +62,7 @@ from helpers import (
     dense_triple_quotient,
     dense_vec_rows,
     dense_vstack,
+    group_hopf_algebra,
 )
 
 

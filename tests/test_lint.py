@@ -69,9 +69,15 @@
   actions through `algebra.intertwining_failures`, the one statement of
   linearity over a ring map, which compares whole stacked products and
   writes no such comparison itself.
+* Outside `structfile.py`, no string literal, plain or a piece of an
+  f-string, starts with `begin ` and a block kind of the structure file
+  (`BLOCK_KINDS`, the kinds `structfile._load_block` reads): a structure
+  is defined by a data file, such as the fixtures in `data/`, and no
+  library code writes one.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -527,6 +533,22 @@ def hand_intertwining_tests(path: Path) -> list:
     return sorted(lines)
 
 
+# every block kind `structfile._load_block` compares `kind` with
+BLOCK_KINDS = frozenset(
+    node.comparators[0].value for node in ast.walk(_tree(SRC / "structfile.py"))
+    if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"
+    and isinstance(node.comparators[0], ast.Constant))
+BLOCK_OPENING = re.compile(r"begin (%s)(\s|$)" % "|".join(map(re.escape, sorted(BLOCK_KINDS))))
+
+
+def structure_file_literals(path: Path) -> list:
+    """Line of each string constant, plain or a piece of an f-string, that
+    starts with the opening `begin <kind>` of a structure-file block."""
+    return sorted({node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and BLOCK_OPENING.match(node.value)})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -598,6 +620,12 @@ def test_structures_are_built_whole(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_hand_written_intertwining_test(path):
     assert hand_intertwining_tests(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "structfile.py"],
+                         ids=lambda p: p.name)
+def test_no_structure_file_text_in_code(path):
+    assert structure_file_literals(path) == []
 
 
 def test_every_function_is_referenced():
@@ -931,3 +959,23 @@ def test_the_intertwining_check_catches_what_it_looks_for(tmp_path):
         "ok = f @ x < y @ f\n"
         "bad = intertwining_failures(f, xs, ys, ident)\n")
     assert hand_intertwining_tests(src) == [1, 2, 3, 4, 5]
+
+
+def test_the_structure_file_check_catches_what_it_looks_for(tmp_path):
+    assert {"group", "algebra", "hopfalgebra", "hopf", "coring", "main"} <= BLOCK_KINDS
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the fixture emitter before the fixtures were shipped as files
+        "def _emit_group(name, table):\n"
+        "    return [f'begin group {name}', f'  table {table}', 'end', '']\n"
+        "lines += ['begin hopf H', '  group G', '  cofree HE', 'end', '']\n"
+        "lines += ['begin main', '  coring C', 'end']\n"
+        "text = 'begin hopfalgebra HE\\n  algebra A\\nend\\n'\n"
+        "ok = text.startswith('begin comodule-algebra')\n"
+        "msg = f\"expected 'begin <kind> <name>', got {line!r}\"\n"
+        "tok = 'begin'\n"
+        "word = 'beginning group'\n"
+        "other = 'begin frobnicate X'\n"
+        "plural = 'begin groups'\n"
+        "indented = '  begin group G'\n")
+    assert structure_file_literals(src) == [2, 3, 4, 5, 6]

@@ -51,7 +51,6 @@ from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
-    group_hopf_algebra,
     smash_dual,
     trivial_comodule_algebra,
     validate_comodule_algebra,
@@ -67,7 +66,7 @@ from corings.morita import (
 )
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
-from helpers import derived
+from helpers import derived, group_hopf_algebra
 
 
 @lru_cache(maxsize=None)
