@@ -1,11 +1,13 @@
 """Finite-dimensional unital algebras, bimodules and their tensor calculus.
 
-An algebra is a structure-constant table c[i][j] = coordinates of e_i e_j
-plus the coordinates of its unit.  Bimodules carry one action matrix per
-algebra basis element on each side; a module that only has one side sets
-the other to None.  The tensor product over the algebra is realized as an
-explicit quotient of the tensor product over the base field, with the
-deterministic projection/section pair from `linalg.quotient_by`.
+An algebra is its multiplication matrix A (x)k A -> A, whose column
+i * dim + j holds the coordinates of e_i e_j, plus the coordinates of its
+unit; `Algebra.from_tables` is the one entry point that takes structure
+constants.  Bimodules carry one action matrix per algebra basis element on
+each side; a module that only has one side sets the other to None.  The
+tensor product over the algebra is realized as an explicit quotient of the
+tensor product over the base field, with the deterministic
+projection/section pair from `linalg.quotient_by`.
 
 One memo on each algebra, `Algebra.memo`, holds what its bimodules derive,
 keyed by content (dims, action tuples, maps), so equal modules share one
@@ -40,6 +42,7 @@ from corings.linalg import (
     rank,
     row_space,
     solve,
+    tensor_k,
     tensor_vec,
     triple_balanced_quotient,
     unit_vec,
@@ -61,43 +64,22 @@ class MissingDualBasis(ValueError):
 
 @dataclass(frozen=True)
 class Algebra:
-    """Unital associative algebra by structure constants over an exact field."""
+    """Unital associative algebra over an exact field, stored as its
+    multiplication matrix, so that the algebra laws are `kron_after`
+    identities."""
 
     field: Field
     dim: int
-    mul: tuple   # mul[i][j] = coordinate tuple of e_i * e_j
-    unit: tuple  # coordinates of 1
+    mul_mat: Mat  # dim x dim**2: column i * dim + j holds e_i e_j
+    unit: tuple   # coordinates of 1
 
     @classmethod
     def from_tables(cls, field: Field, mul, unit) -> "Algebra":
+        """The algebra with structure constants mul[i][j] = coordinates of
+        e_i e_j: the dense entry point, as `Mat(field, rows, cols, data)`."""
         dim = len(unit)
-        mul_t = tuple(
-            tuple(tuple(field.of(x) for x in mul[i][j]) for j in range(dim))
-            for i in range(dim)
-        )
-        return cls(field, dim, mul_t, tuple(field.of(x) for x in unit))
-
-    def multiply(self, x, y) -> tuple:
-        acc = [0] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = self.mul[i]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(row[j]):
-                    if c:
-                        acc[k] += ab * c
-        return tuple(map(self.field.reduce, acc))
-
-    @cached_property
-    def mul_mat(self) -> Mat:
-        """Multiplication as a matrix A (x)k A -> A: column i * dim + j holds
-        e_i e_j, so the algebra laws are `kron_after` identities."""
-        return Mat._from_cols(self.field, [self.mul[i][j] for i in range(self.dim)
-                                           for j in range(self.dim)], self.dim)
+        mul_mat = Mat.from_cols(field, [mul[i][j] for i in range(dim) for j in range(dim)])
+        return cls(field, dim, mul_mat, tuple(field.of(x) for x in unit))
 
     def left_mult(self, a) -> Mat:
         """Matrix of x -> a*x."""
@@ -140,12 +122,16 @@ def product_field_algebra(field: Field, n: int) -> Algebra:
 
 
 def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """A (x)k B with componentwise multiplication, in the basis e_i (x) f_j."""
-    F = a.field
-    mul = tuple(tuple(tensor_vec(F, a.mul[i][k], b.mul[j][l])
-                      for k in range(a.dim) for l in range(b.dim))
-                for i in range(a.dim) for j in range(b.dim))
-    return Algebra(F, a.dim * b.dim, mul, tensor_vec(F, a.unit, b.unit))
+    """A (x)k B with componentwise multiplication, in the basis e_i (x) f_j.
+    tensor_k(m_A, m_B) multiplies e_i (x) e_k (x) f_j (x) f_l; the swap of
+    the middle two factors brings (e_i (x) f_j) (x) (e_k (x) f_l) there."""
+    F, da, db = a.field, a.dim, b.dim
+    # column j * da + k of swap: f_j (x) e_k -> e_k (x) f_j
+    swap = Mat._from_cols(F, [unit_vec(F, da * db, k * db + j)
+                              for j in range(db) for k in range(da)], da * db)
+    mul = kron_after(tensor_k(a.mul_mat, b.mul_mat), Mat.identity(F, da),
+                     tensor_k(swap, Mat.identity(F, db)))
+    return Algebra(F, da * db, mul, tensor_vec(F, a.unit, b.unit))
 
 
 def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
@@ -155,7 +141,7 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     (ambient.dim x basis.rows).  Raises ValueError when the span is not
     closed under multiplication or misses the unit.
     """
-    n = basis.rows
+    F, n = ambient.field, basis.rows
     unit = coords_in_rowspace(basis, ambient.unit)
     if unit is None:
         raise ValueError("span does not contain the unit")
@@ -168,10 +154,7 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
             i, j = divmod(t, n)
             raise ValueError(f"span not closed under multiplication at ({i},{j})")
         coords.append(c)
-    mul = [coords[i * n:(i + 1) * n] for i in range(n)]
-    alg = Algebra.from_tables(ambient.field, mul, unit)
-    incl = basis.transpose()
-    return alg, incl
+    return Algebra(F, n, Mat._from_cols(F, coords, n), unit), basis.transpose()
 
 
 def validate_algebra(a: Algebra) -> CheckReport:

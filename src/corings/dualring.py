@@ -42,6 +42,7 @@ from corings.linalg import (
     LinearSystem,
     Mat,
     block_matrix,
+    combine,
     coords_in_rowspace,
     is_invertible,
     kron_after,
@@ -78,16 +79,18 @@ class GradedAlgebra:
         product of degrees a and b is the matrix product(a, b), of shape
         dims[ab] x (dims[a] * dims[b]) with column i * dims[b] + j holding
         e_i e_j, and whose unit is `unit` in the identity degree."""
-        g = group
-        dims = tuple(dims)
-        placed = {(a, b): block_matrix(field, dims, [dims[a] * dims[b]],
-                                       {(g.mul(a, b), 0): product(a, b)})
-                  for a in g.elements() for b in g.elements()}
-        mul = tuple(tuple(placed[(a, b)].col(i * dims[b] + j)
-                          for b in g.elements() for j in range(dims[b]))
-                    for a in g.elements() for i in range(dims[a]))
+        g, dims = group, tuple(dims)
+        n = sum(dims)
+        # the product of degrees a and b, placed in degree ab, read at the
+        # degree-a and degree-b coordinates of packed vectors
+        proj = [block_matrix(field, [d], dims, {(0, a): Mat.identity(field, d)})
+                for a, d in enumerate(dims)]
+        terms = [kron_after(block_matrix(field, dims, [dims[a] * dims[b]],
+                                         {(g.mul(a, b), 0): product(a, b)}), proj[a], proj[b])
+                 for a in g.elements() for b in g.elements()]
+        mul = combine(field, n, n * n, terms, [field.one] * len(terms))
         unit = block_matrix(field, dims, [1], {(g.identity, 0): Mat.col_vector(field, unit)})
-        return cls.build(g, Algebra(field, sum(dims), mul, unit.col(0)), dims)
+        return cls.build(g, Algebra(field, n, mul, unit.col(0)), dims)
 
     def inject(self, a: int, vec) -> tuple:
         """The packed vector of the degree-a coordinates vec."""
@@ -185,16 +188,12 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
     g = r.group
     F = r.base.field
     e = g.identity
-    unit = Mat.col_vector(F, r.unit_vec)
     ident = [Mat.identity(F, r.dim(a)) for a in g.elements()]
-    fails = [graded_action_failures(g, r.mul, r.mul, unit, a) for a in g.elements()]
-    bad = [(a, b, c) for a in g.elements() for b, c in fails[a][0]]
+    triples, degrees = graded_ring_failures(g, r.mul, Mat.col_vector(F, r.unit_vec))
     rep.add("dual-ring.associative", "product associativity on all degree triples",
-            not bad, f"failing triples: {bad[:5]}" if bad else "")
-    bad = [a for a in g.elements()
-           if not fails[a][1] or kron_after(r.mul[(e, a)], unit, ident[a]) != ident[a]]
+            not triples, f"failing triples: {triples[:5]}" if triples else "")
     rep.add("dual-ring.unit", "the counit is a two-sided unit",
-            not bad, f"failing degrees: {bad}" if bad else "")
+            not degrees, f"failing degrees: {degrees}" if degrees else "")
     bad = algebra_map_failures(r.base_map, r.base.mul_mat, r.mul[(e, e)])
     rep.add("dual-ring.base-map", "the base ring map is multiplicative",
             not bad, f"failing pairs: {bad}" if bad else "")
@@ -229,6 +228,20 @@ def graded_action_failures(g: FiniteGroup, act, mul, unit: Mat, a: int) -> tuple
            if kron_after(act[(g.mul(a, b), c)], act[(a, b)], Mat.identity(F, mul[(c, e)].rows))
            != kron_after(act[(a, g.mul(b, c))], ident, mul[(b, c)])]
     return bad, kron_after(act[(a, e)], ident, unit) == ident
+
+
+def graded_ring_failures(g: FiniteGroup, mul, unit: Mat) -> tuple[list, list]:
+    """The laws of the graded ring with product mul and unit column `unit`
+    (`graded_action_failures` of the ring over itself): the triples (a, b,
+    c), a major, where the product does not associate, and the degrees a
+    where the unit is not a two-sided unit on R_a."""
+    e = g.identity
+    fails = [graded_action_failures(g, mul, mul, unit, a) for a in g.elements()]
+    triples = [(a, b, c) for a in g.elements() for b, c in fails[a][0]]
+    ident = [Mat.identity(unit.field, mul[(a, e)].rows) for a in g.elements()]
+    degrees = [a for a in g.elements()
+               if not fails[a][1] or kron_after(mul[(e, a)], unit, ident[a]) != ident[a]]
+    return triples, degrees
 
 
 def graded_map_failures(g: FiniteGroup, maps, src_mul, dst_mul) -> list:

@@ -30,7 +30,7 @@ from corings.algebra import (
 )
 from corings.comodules import Comodule, validate_comodule
 from corings.coring import GroupCoring
-from corings.dualring import GradedRing, graded_action_failures, graded_map_failures
+from corings.dualring import GradedRing, graded_map_failures, graded_ring_failures
 from corings.galois import GrouplikeFamily
 from corings.groups import FiniteGroup
 from corings.linalg import (
@@ -367,7 +367,7 @@ class SmashProduct:
             pairing = kron_after(dual_delta, Mat.col_vector(F, hq.basis_vec(s)),
                                  Mat.identity(F, hp.dim))
             for t in range(hq.dim):
-                weight = Mat.from_rows(F, [hq.mul[s][t]])
+                weight = Mat.from_rows(F, [hq.mul_mat.col(s * hq.dim + t)])
                 terms.append(tensor_k(pairing,
                                       kron_after(mult_a, tensor_k(acted[t], weight), ida)))
         rows = self.dims[g.mul(p, q)]
@@ -376,18 +376,12 @@ class SmashProduct:
 
 def validate_smash_product(sp: SmashProduct) -> CheckReport:
     rep = CheckReport()
-    g = sp.group
-    F = sp.field
-    e = g.identity
-    unit = Mat.col_vector(F, sp.unit_vec)
-    ident = [Mat.identity(F, sp.dims[p]) for p in g.elements()]
-    fails = [graded_action_failures(g, sp.mul, sp.mul, unit, p) for p in g.elements()]
-    bad = [(p, q, r) for p in g.elements() for q, r in fails[p][0]]
+    unit = Mat.col_vector(sp.field, sp.unit_vec)
+    triples, degrees = graded_ring_failures(sp.group, sp.mul, unit)
     rep.add("smash.associative", "multiplication associativity",
-            not bad, f"failing triples: {bad[:5]}" if bad else "")
-    bad = [p for p in g.elements()
-           if not fails[p][1] or kron_after(sp.mul[(e, p)], unit, ident[p]) != ident[p]]
-    rep.add("smash.unit", "two-sided unit", not bad, f"failing degrees: {bad}" if bad else "")
+            not triples, f"failing triples: {triples[:5]}" if triples else "")
+    rep.add("smash.unit", "two-sided unit",
+            not degrees, f"failing degrees: {degrees}" if degrees else "")
     return rep
 
 

@@ -69,7 +69,7 @@ from corings.linalg import (
     rowspace_coords,
     tensor_k,
     tensor_vec,
-    unit_vec as _unit,
+    unit_vec,
     vstack,
 )
 from corings.report import CheckReport
@@ -396,13 +396,10 @@ def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
 # -- the classical context ---------------------------------------------------------------
 
 def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat,
-                   ) -> tuple[MoritaContext, Mat, CheckReport]:
+                   ) -> tuple[MoritaContext, CheckReport]:
     """The context (coinvariants `t`, packed dual ring, base, connecting
-    space with basis rows `w`), strict or weak as `t` and `w` are.
-
-    Returns the context, the connecting-space basis (rows in packed
-    dual-ring coordinates) and a report of the membership self-checks.
-    """
+    space with basis rows `w` in packed dual-ring coordinates), strict or
+    weak as `t` and `w` are, and a report of the membership self-checks."""
     rep = CheckReport()
     c = x.coring
     g = c.group
@@ -432,7 +429,7 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     # mu: Q (x) P -> R, the right action of the base on Q
     mu = Mat._from_cols(F, [base_action[j].apply(w.row(u)) for u in range(o_dim)
                             for j in range(A.dim)], packed.algebra.dim)
-    return MoritaContext(t.algebra, packed.algebra, p, q, tau, mu), w, rep
+    return MoritaContext(t.algebra, packed.algebra, p, q, tau, mu), rep
 
 
 # -- graded pieces -------------------------------------------------------------------------
@@ -487,10 +484,10 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily,
 
 
 def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing, wq: Mat,
-                          ) -> tuple[GradedMoritaContext, CoefficientRing, Mat, CheckReport]:
+                          ) -> tuple[GradedMoritaContext, CheckReport]:
     """The graded context (twisted coefficient ring `s`, dual ring, base
     copies, shifted connecting families with basis rows `wq`), strict or
-    weak as `s` and `wq` are."""
+    weak as `s` and `wq` are, and a report of its build self-checks."""
     rep = CheckReport()
     c = x.coring
     g = c.group
@@ -564,7 +561,7 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     nu = Mat._from_cols(F, nu_cols, packed.algebra.dim)
     ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, nu)
     gctx = GradedMoritaContext(ctx, g, gs, packed, (A.dim,) * n, (o_dim,) * n)
-    return gctx, s, wq, rep
+    return gctx, rep
 
 
 # -- graded hom and endomorphism rings ---------------------------------------------------
@@ -623,10 +620,9 @@ def graded_end(m: GradedModule) -> GradedEnd:
     coords = _family_coords(F, bases, "endomorphism")
     elems = [(sigma, fams) for sigma in g.elements() for fams in bases[sigma]]
     # product = composition: (s o t), degree sigma tau
-    mul = tuple(tuple(coords(tuple(sfam[g.mul(tau, a)] @ tfam[a] for a in g.elements()),
-                             g.mul(sigma, tau))
-                      for tau, tfam in elems)
-                for sigma, sfam in elems)
+    mul = Mat._from_cols(F, [coords(tuple(sfam[g.mul(tau, a)] @ tfam[a] for a in g.elements()),
+                                    g.mul(sigma, tau))
+                             for sigma, sfam in elems for tau, tfam in elems], len(elems))
     ident = tuple(Mat.identity(F, m.comps[a].dim) for a in g.elements())
     alg = Algebra(F, len(elems), mul, coords(ident, g.identity))
     return GradedEnd(m, bases, GradedAlgebra.build(g, alg, [len(b) for b in bases]), coords)
@@ -655,7 +651,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                    for sigma in g.elements() for fams in end.bases[sigma])
     p_right = tuple(block_matrix(F, m_dims, m_dims, {
         (g.mul(a, b), a): kron_after(m.act[(a, b)], Mat.identity(F, m_dims[a]),
-                                     Mat.col_vector(F, _unit(F, r.dim(b), u)))
+                                     Mat.col_vector(F, unit_vec(F, r.dim(b), u)))
         for a in g.elements()}) for b in g.elements() for u in range(r.dim(b)))
     p = RingBimodule(end.graded.algebra, packed.algebra, sum(m_dims), p_left, p_right)
     # Q: left R, right END, both through composition
@@ -663,7 +659,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
     for b in g.elements():
         for u in range(r.dim(b)):
             # (r . q)_a = left multiply the value: R_b x R_{sigma a} -> R_{b sigma a}
-            times = [fixing_left(r.mul[(b, d)], _unit(F, r.dim(b), u), d) for d in g.elements()]
+            times = [fixing_left(r.mul[(b, d)], unit_vec(F, r.dim(b), u), d) for d in g.elements()]
             q_left.append(Mat._from_cols(F, [
                 hom_coords(tuple(times[g.mul(sigma, a)] @ fams[a] for a in g.elements()),
                            g.mul(b, sigma))
@@ -683,7 +679,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
     phi_cols = []
     for a in g.elements():
         for i in range(m_dims[a]):
-            moving = [fixing_left(m.act[(a, d)], _unit(F, m_dims[a], i), d) for d in g.elements()]
+            moving = [fixing_left(m.act[(a, d)], unit_vec(F, m_dims[a], i), d) for d in g.elements()]
             for sigma in g.elements():
                 for fams in hom_bases[sigma]:
                     endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
@@ -747,7 +743,7 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckRep
         tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(r.base.unit))
         for sigma in g.elements() for fams in hom_bases[sigma]])
     rep.add("hom-iso.lands", "module-map families are connecting families", ok)
-    psi = Mat._from_cols(F, [tensor_vec(F, _unit(F, g.order, sigma), cc)
+    psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), cc)
                              for sigma, cc in zip(degrees, coords)])
     rep.add("hom-iso.bijective", "the comparison is bijective",
             is_invertible(psi), f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
@@ -763,7 +759,8 @@ def check_standard_context_match(d: "Derived") -> CheckReport:
     r = d.dual_ring
     F = r.base.field
     std, end, hom_bases = context_from_graded_module(d.canonical_module)
-    gctx, s, wq, build_rep = d.weak_graded_morita
+    gctx, build_rep = d.weak_graded_morita
+    s, wq = d.weak_coefficients, d.connecting_spaces[1]
     rep.extend(build_rep, prefix="weak.")
     xi, xi_rep = end_to_twisted_iso(end, s)
     rep.extend(xi_rep)
@@ -837,15 +834,15 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     g = c.group
     F = c.base.field
     r, t = d.dual_ring, d.coinvariants
-    gctx, s, wq, _ = d.graded_morita
-    ctx_e, w_e, _ = d.slice.morita
+    gctx, s, wq = d.graded_morita[0], d.coefficients, d.connecting_spaces[0]
+    ctx_e, w_e = d.slice.morita[0], d.slice.connecting_spaces[0]
     r_e = d.slice.dual_ring
     ring_ctx_e = group_ring_context(ctx_e, g)
     rep.extend(sig_rep)
     # the slice coinvariants must match the family coinvariants
     rep.add("ring-match.coinvariants",
             "slice coinvariants equal the family coinvariants",
-            ctx_e.ring1.dim == t.algebra.dim and ctx_e.ring1.mul == t.algebra.mul)
+            ctx_e.ring1.mul_mat == t.algebra.mul_mat)
     # Theta: T[G] -> G*S via diagonal families
     theta = Mat._from_cols(F, [s.twisted.inject(sigma, s.diag.col(i))
                                for sigma in g.elements() for i in range(t.algebra.dim)])
@@ -948,8 +945,7 @@ def galois_equivalence_battery(d: "Derived") -> CheckReport:
             "dual comparison graded ring iso + progenerator extension", True,
             f"value={s2} (dual_iso={dual_ok}, progenerator={preds_b.progenerator})")
     b_is_t = d.onto_coinvariants
-    s = d.graded_morita[1]
-    diag_bij = is_invertible(s.diag)
+    diag_bij = is_invertible(d.coefficients.diag)
     strict_verdict, strict_rep = d.graded_strict
     s3 = b_is_t and diag_bij and strict_verdict
     rep.add("battery.statement-3",

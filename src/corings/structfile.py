@@ -492,7 +492,8 @@ class Derived:
     strict and weak members.  A weak member is the strict object itself
     when every input its build reads equals the strict one (the builders
     are deterministic, so equal inputs give equal outputs), and is built
-    on its own otherwise.
+    on its own otherwise.  A context member is (context, build report); its
+    inputs are read off `connecting_spaces` and the coefficient rings.
     """
 
     def __init__(self, coring: GroupCoring, grouplike: GrouplikeFamily, base: RingMorphism,
@@ -594,7 +595,7 @@ class Derived:
 
     @cached_property
     def morita(self) -> tuple:
-        """`morita_context`: (context, connecting space, build report)."""
+        """`morita_context` on the strict spaces: (context, build report)."""
         return morita_context(self.grouplike, self.dual_ring, self.coinvariants,
                               self.connecting_spaces[0])
 
@@ -607,8 +608,8 @@ class Derived:
 
     @cached_property
     def graded_morita(self) -> tuple:
-        """`graded_morita_context`: (graded context, coefficient ring,
-        connecting space, build report)."""
+        """`graded_morita_context` on the strict coefficient ring and
+        connecting space: (graded context, build report)."""
         return graded_morita_context(self.grouplike, self.dual_ring, self.coefficients,
                                      self.connecting_spaces[0])
 

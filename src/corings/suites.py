@@ -187,13 +187,13 @@ def suite_morita(ms: MainStructure, seed: int) -> CheckReport:
     rep.add("morita.connecting-agree", "strict and weak connecting spaces coincide",
             row_space(o_strict) == row_space(o_weak),
             f"dims {o_strict.rows} vs {o_weak.rows}")
-    ctx, w, brep = d.morita
+    ctx, brep = d.morita
     rep.extend(brep, prefix="morita.")
     rep.extend(validate_morita_context(ctx), prefix="morita.")
-    ctx_w, w_w, _ = d.weak_morita
+    ctx_w, _ = d.weak_morita
     rep.add("morita.contexts-identified",
             "strict and weak contexts share maps on the common bases",
-            w == w_w and ctx.tau == ctx_w.tau and ctx.mu == ctx_w.mu)
+            o_strict == o_weak and ctx.tau == ctx_w.tau and ctx.mu == ctx_w.mu)
     strict_verdict, srep = is_strict(ctx)
     rep.add("morita.strictness", "strictness of the classical context computed", True,
             f"value={strict_verdict}")
@@ -215,7 +215,7 @@ def suite_graded_morita(ms: MainStructure, seed: int) -> CheckReport:
             row_space(s.basis) == row_space(s_w.basis),
             f"dims {s.basis.rows} vs {s_w.basis.rows}")
     rep.extend(check_shift_fixed_points(s), prefix="graded-morita.")
-    gctx, _, _, brep = d.graded_morita
+    gctx, brep = d.graded_morita
     rep.extend(brep, prefix="graded-morita.")
     rep.extend(validate_graded_morita_context(gctx), prefix="graded-morita.")
     strict_verdict, _ = d.graded_strict

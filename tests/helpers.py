@@ -47,7 +47,15 @@
   laws the library states as matrix identities over `Algebra.mul_mat`
   (`validate_algebra`, `validate_bimodule`, `validate_ring_morphism`,
   `algebra_map_failures` and `grouplike_character`): they multiply basis
-  vectors one pair or triple at a time with `Algebra.multiply`.
+  vectors one pair or triple at a time with `multiply`.
+* `cube` reads the structure constants mul[i][j] (the coordinates of
+  e_i e_j) off `Algebra.mul_mat`, the table an algebra stored before its
+  multiplication matrix was its storage; `multiply` is the product of two
+  vectors by an index loop over it.  `reference_tensor_algebra`,
+  `reference_subalgebra` and `reference_from_products` build the
+  structure constants of `algebra.tensor_algebra`, `algebra.subalgebra`
+  and `dualring.GradedAlgebra.from_products` entry by entry and pass them
+  to `Algebra.from_tables`.
 * `reference_coring_laws`, `reference_comultiplicative_row`,
   `reference_cofree_compatible_row`, `reference_validate_comodule`,
   `reference_validate_g_comodule`, `reference_graded_ring_laws`,
@@ -128,6 +136,70 @@ from corings.morita import CoefficientRing, MoritaContext, RingBimodule
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, Field
 from corings.structfile import Derived
+
+
+def cube(a: Algebra) -> tuple:
+    """The structure constants of a: cube(a)[i][j] is the coordinate tuple
+    of e_i e_j, column i * dim + j of `a.mul_mat`."""
+    return tuple(tuple(a.mul_mat.col(i * a.dim + j) for j in range(a.dim)) for i in range(a.dim))
+
+
+def multiply(a: Algebra, x, y) -> tuple:
+    """The product x y in a, summed over the structure constants cube(a)[i][j]
+    of the nonzero coordinate pairs, each read as its column of `a.mul_mat`."""
+    acc = [0] * a.dim
+    for i, s in enumerate(x):
+        if not s:
+            continue
+        for j, t in enumerate(y):
+            if not t:
+                continue
+            st = s * t
+            for k, c in enumerate(a.mul_mat.col(i * a.dim + j)):
+                if c:
+                    acc[k] += st * c
+    return tuple(map(a.field.reduce, acc))
+
+
+def reference_tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
+    """A (x)k B from structure constants: (e_i (x) f_j)(e_k (x) f_l) =
+    e_i e_k (x) f_j f_l, at index i * dim B + j."""
+    ca, cb, F = cube(a), cube(b), a.field
+    mul = [[tensor_vec(F, ca[i][k], cb[j][l]) for k in range(a.dim) for l in range(b.dim)]
+           for i in range(a.dim) for j in range(b.dim)]
+    return Algebra.from_tables(F, mul, tensor_vec(F, a.unit, b.unit))
+
+
+def reference_subalgebra(ambient: Algebra, basis: Mat) -> Algebra:
+    """The subalgebra on the rows of basis, one product of rows at a time
+    (the rows are assumed to span a subalgebra)."""
+    rows = [basis.row(i) for i in range(basis.rows)]
+
+    def coords(v) -> tuple:
+        (c,), ok = rowspace_coords(basis, [v])
+        assert ok
+        return c
+
+    mul = [[coords(multiply(ambient, u, v)) for v in rows] for u in rows]
+    return Algebra.from_tables(ambient.field, mul, coords(ambient.unit))
+
+
+def reference_from_products(field: Field, group: FiniteGroup, dims, product, unit) -> Algebra:
+    """The packed algebra of `GradedAlgebra.from_products`, entry by entry:
+    e_i of degree a times e_j of degree b is column i * dims[b] + j of
+    product(a, b), placed at the offset of degree ab."""
+    offsets = [sum(dims[:a]) for a in range(len(dims))]
+    n = sum(dims)
+
+    def placed(c: int, vec) -> tuple:
+        out = [field.zero] * n
+        out[offsets[c]:offsets[c] + dims[c]] = vec
+        return tuple(out)
+
+    mul = [[placed(group.mul(a, b), product(a, b).col(i * dims[b] + j))
+            for b in group.elements() for j in range(dims[b])]
+           for a in group.elements() for i in range(dims[a])]
+    return Algebra.from_tables(field, mul, placed(group.identity, unit))
 
 
 def dense_rref_rows(field: Field, rows: list) -> tuple[list, list]:
@@ -452,7 +524,7 @@ def validate_graded_algebra(ga: GradedAlgebra) -> CheckReport:
                 for j in range(ga.dims[b]):
                     x = A.basis_vec(ga.offsets[a] + i)
                     y = A.basis_vec(ga.offsets[b] + j)
-                    prod = A.multiply(x, y)
+                    prod = multiply(A, x, y)
                     for k, v in enumerate(prod):
                         if v and not (ga.offsets[ab] <= k < ga.offsets[ab] + ga.dims[ab]):
                             bad.append((a, b, i, j))
@@ -479,8 +551,8 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
         (i, j)
         for i in range(a.dim)
         for j in range(a.dim)
-        if h.delta.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
-        != aa.multiply(h.delta.col(i), h.delta.col(j))
+        if h.delta.apply(multiply(a, a.basis_vec(i), a.basis_vec(j)))
+        != multiply(aa, h.delta.col(i), h.delta.col(j))
     ]
     rep.add("hopf.delta-multiplicative", "comultiplication is an algebra map",
             not bad, f"failing pairs: {bad[:5]}" if bad else "")
@@ -490,7 +562,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
         (i, j)
         for i in range(a.dim)
         for j in range(a.dim)
-        if h.counit.apply(a.multiply(a.basis_vec(i), a.basis_vec(j)))
+        if h.counit.apply(multiply(a, a.basis_vec(i), a.basis_vec(j)))
         != (F.mul(h.counit.at(0, i), h.counit.at(0, j)),)
     ]
     rep.add("hopf.counit-multiplicative", "counit is an algebra map",
@@ -512,7 +584,7 @@ def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
     n = g.order
     basis = [unit_vec(field, n, i) for i in range(n)]
     mul = tuple(tuple(basis[g.mul(i, j)] for j in range(n)) for i in range(n))
-    alg = Algebra(field, n, mul, basis[g.identity])
+    alg = Algebra.from_tables(field, mul, basis[g.identity])
     delta = Mat.from_cols(field, [tensor_vec(field, x, x) for x in basis])
     counit = Mat.from_rows(field, [[field.one] * n])
     antipode = Mat.from_cols(field, [basis[g.inv(i)] for i in range(n)])
@@ -627,7 +699,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                                     acted[mi] = F.add(acted[mi], cval)
                             if not any(acted):
                                 continue
-                            coeff_a = a.multiply(tuple(acted), a.basis_vec(bj))
+                            coeff_a = multiply(a, tuple(acted), a.basis_vec(bj))
                             # product part: (delta_s* ? delta_hu*) on H_{(pq)^{-1}}:
                             # <prod, h> = <delta_s*, h(1,q^{-1})><delta_hu*, h(2,p^{-1})>
                             for w in range(hpq.dim):
@@ -659,13 +731,13 @@ def reference_validate_ring_bimodule(m: RingBimodule) -> CheckReport:
     bad = []
     for i in range(m.left_ring.dim):
         for j in range(m.left_ring.dim):
-            if act(m.left, m.left_ring.multiply(
-                    m.left_ring.basis_vec(i), m.left_ring.basis_vec(j))) != m.left[i] @ m.left[j]:
+            if act(m.left, multiply(
+                    m.left_ring, m.left_ring.basis_vec(i), m.left_ring.basis_vec(j))) != m.left[i] @ m.left[j]:
                 bad.append(("left", i, j))
     for i in range(m.right_ring.dim):
         for j in range(m.right_ring.dim):
-            if act(m.right, m.right_ring.multiply(
-                    m.right_ring.basis_vec(i), m.right_ring.basis_vec(j))) != m.right[j] @ m.right[i]:
+            if act(m.right, multiply(
+                    m.right_ring, m.right_ring.basis_vec(i), m.right_ring.basis_vec(j))) != m.right[j] @ m.right[i]:
                 bad.append(("right", i, j))
     rep.add("bimodule.actions", "actions respect ring multiplication",
             not bad, f"failing: {bad[:5]}" if bad else "")
@@ -890,8 +962,8 @@ def reference_validate_algebra(a: Algebra) -> CheckReport:
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                lhs = a.multiply(a.multiply(a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))
-                rhs = a.multiply(a.basis_vec(i), a.multiply(a.basis_vec(j), a.basis_vec(k)))
+                lhs = multiply(a, multiply(a, a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))
+                rhs = multiply(a, a.basis_vec(i), multiply(a, a.basis_vec(j), a.basis_vec(k)))
                 if lhs != rhs:
                     bad.append((i, j, k))
     rep.add("algebra.associativity", "associativity on basis triples",
@@ -899,7 +971,7 @@ def reference_validate_algebra(a: Algebra) -> CheckReport:
     bad = []
     for i in range(a.dim):
         e = a.basis_vec(i)
-        if a.multiply(a.unit, e) != e or a.multiply(e, a.unit) != e:
+        if multiply(a, a.unit, e) != e or multiply(a, e, a.unit) != e:
             bad.append(i)
     rep.add("algebra.unit", "two-sided unit on basis elements",
             not bad, f"failing indices: {bad}" if bad else "")
@@ -917,7 +989,7 @@ def reference_validate_bimodule(m: Bimodule) -> CheckReport:
         rep.add("bimodule.left.unital", "left action of the unit is the identity",
                 m.left_act(A.unit) == ident)
         bad = [(i, j) for i, j in pairs
-               if m.left_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
+               if m.left_act(multiply(A, A.basis_vec(i), A.basis_vec(j)))
                != m.left[i] @ m.left[j]]
         rep.add("bimodule.left.associative", "left action respects multiplication",
                 not bad, f"failing pairs: {bad}" if bad else "")
@@ -925,7 +997,7 @@ def reference_validate_bimodule(m: Bimodule) -> CheckReport:
         rep.add("bimodule.right.unital", "right action of the unit is the identity",
                 m.right_act(A.unit) == ident)
         bad = [(i, j) for i, j in pairs
-               if m.right_act(A.multiply(A.basis_vec(i), A.basis_vec(j)))
+               if m.right_act(multiply(A, A.basis_vec(i), A.basis_vec(j)))
                != m.right[j] @ m.right[i]]
         rep.add("bimodule.right.associative", "right action respects multiplication",
                 not bad, f"failing pairs: {bad}" if bad else "")
@@ -941,8 +1013,8 @@ def reference_multiplicative_failures(f: Mat, src: Algebra, dst: Algebra) -> lis
     the loop of `galois.validate_ring_morphism`, `morita.end_to_twisted_iso`
     and the theta and phi47 checks of `morita.check_group_ring_context_match`."""
     return [(i, j) for i in range(src.dim) for j in range(src.dim)
-            if f.apply(src.multiply(src.basis_vec(i), src.basis_vec(j)))
-            != dst.multiply(f.col(i), f.col(j))]
+            if f.apply(multiply(src, src.basis_vec(i), src.basis_vec(j)))
+            != multiply(dst, f.col(i), f.col(j))]
 
 
 def reference_validate_ring_morphism(b: RingMorphism) -> CheckReport:
@@ -1015,7 +1087,7 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
         return vec[a * A.dim:(a + 1) * A.dim]
 
     def product(u, v) -> tuple:
-        return tuple(e for a in range(n) for e in A.multiply(block(u, a), block(v, a)))
+        return tuple(e for a in range(n) for e in multiply(A, block(u, a), block(v, a)))
 
     def shifted(u, s: int) -> tuple:
         """The family whose block of degree a is the block of degree s a of u."""
@@ -1025,7 +1097,7 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
     mul = tuple(tuple(coords([product(basis.row(i), basis.row(j)) for j in range(w)],
                              "coefficient families are not closed under multiplication"))
                 for i in range(w))
-    s_alg = Algebra(F, w, mul, unit_coords)
+    s_alg = Algebra.from_tables(F, mul, unit_coords)
     sigma = tuple(Mat._from_cols(F, coords([shifted(basis.row(i), s) for i in range(w)],
                                            "coefficient families are not stable under the "
                                            "shift action"))

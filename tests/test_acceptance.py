@@ -130,7 +130,7 @@ def test_dual_ring_package():
     fx = fixture("trivial")
     r = dual_ring(fx.coring)
     gr = group_ring(fx.coring.base, fx.coring.group)
-    assert r.packed().algebra.mul == gr.algebra.mul
+    assert r.packed().algebra.mul_mat == gr.algebra.mul_mat
     _, rep = cofree_dual_group_ring_iso(fx.coring, witness_of("trivial"), r)
     assert rep.ok
     fx = fixture("sweedler")
@@ -179,7 +179,7 @@ def test_morita_spaces_and_contexts():
         assert check_shift_fixed_points(s_w).ok, name
     # strictness of the graded context
     for name, value in (("regular", True), ("nongalois", False)):
-        gctx, _, _, _ = derived(fixture(name)).graded_morita
+        gctx, _ = derived(fixture(name)).graded_morita
         verdict, _ = is_strict(gctx.ctx)
         assert verdict == value, name
     # evaluation squares of the standard context comparison

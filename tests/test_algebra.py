@@ -1,5 +1,6 @@
 """Algebras, bimodules, tensor-over-algebra quotients, duals, dual bases."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,15 +19,26 @@ from corings.algebra import (
     left_module_predicates,
     product_field_algebra,
     subalgebra,
+    tensor_algebra,
     tensor_over_algebra,
     validate_algebra,
     validate_bimodule,
     validate_bimodule_map,
     BaseMismatch,
 )
-from corings.linalg import Mat
-from corings.scalars import QQ
-from helpers import check_dual_basis, induced_map, reference_intertwining_failures
+from corings.dualring import GradedAlgebra
+from corings.groups import FiniteGroup
+from corings.linalg import Mat, inverse, random_invertible, tensor_k, tensor_vec
+from corings.scalars import GF, QQ
+from helpers import (
+    check_dual_basis,
+    induced_map,
+    multiply,
+    reference_from_products,
+    reference_intertwining_failures,
+    reference_subalgebra,
+    reference_tensor_algebra,
+)
 
 
 QQ1 = field_algebra(QQ)
@@ -51,6 +63,84 @@ def test_nonassociative_table_is_reported():
     assert not rep.ok
     fails = rep.failures()
     assert any("associativity" in it.law and "(0, 0, 0)" in it.witness for it in fails)
+
+
+def test_an_algebra_is_stored_as_its_multiplication_matrix():
+    assert [f.name for f in dataclasses.fields(Algebra)] == ["field", "dim", "mul_mat", "unit"]
+
+
+# -- the builders against structure-constant references ----------------------------
+#
+# Factors of unequal dimensions, both above one, tell the order (i, j, k, l)
+# of a product in A (x)k B from (i, k, j, l); equal ones do not.
+
+DIM_PAIRS = ((2, 3), (3, 2), (1, 3))
+FIELDS = (QQ, GF(7))
+UNITAL = {1: ([[[1]]], [1]),
+          2: ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0]),  # 1, x with x^2 = 0
+          3: ([[[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # e11, e12, e22 in 2x2 matrices
+               [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+               [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [1, 0, 1])}
+
+
+def random_algebra(field, dim: int, rng) -> Algebra:
+    """Random structure constants and unit, so that no entry of a product
+    is zero by a law."""
+    return Algebra.from_tables(
+        field, [[[field.random(rng) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)],
+        [field.random(rng) for _ in range(dim)])
+
+
+def random_unital(field, dim: int, rng) -> Algebra:
+    """The field, the dual numbers or the upper triangular 2x2 matrices (by
+    dim), in a random basis."""
+    a = Algebra.from_tables(field, *UNITAL[dim])
+    p = random_invertible(field, dim, rng)
+    p_inv = inverse(p)
+    return Algebra(field, dim, p_inv @ a.mul_mat @ tensor_k(p, p), p_inv.apply(a.unit))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("dims", DIM_PAIRS, ids=str)
+def test_tensor_algebra_matches_the_structure_constant_reference(field, dims):
+    rng = random.Random(repr(dims))
+    for make in (random_algebra, random_unital):
+        for _ in range(3):
+            a, b = (make(field, d, rng) for d in dims)
+            assert tensor_algebra(a, b) == reference_tensor_algebra(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("dims", DIM_PAIRS, ids=str)
+def test_subalgebra_matches_the_structure_constant_reference(field, dims):
+    rng = random.Random(repr(dims))
+    a, b = (random_unital(field, d, rng) for d in dims)
+    ambient = reference_tensor_algebra(a, b)
+    # A (x) 1 and 1 (x) B: in the basis of the factor, and in a random one
+    for factor, rows in ((a, [tensor_vec(field, a.basis_vec(i), b.unit) for i in range(a.dim)]),
+                         (b, [tensor_vec(field, a.unit, b.basis_vec(j)) for j in range(b.dim)])):
+        basis = Mat.from_rows(field, rows)
+        sub, incl = subalgebra(ambient, basis)
+        assert sub == factor == reference_subalgebra(ambient, basis)
+        assert incl == basis.transpose()
+        mixed = random_invertible(field, basis.rows, rng) @ basis
+        assert subalgebra(ambient, mixed)[0] == reference_subalgebra(ambient, mixed)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("dims", DIM_PAIRS, ids=str)
+def test_graded_products_match_the_structure_constant_reference(field, dims):
+    rng = random.Random(repr(dims))
+    for g, degree_dims in ((FiniteGroup.cyclic(2), dims), (FiniteGroup.cyclic(3), dims + (2,))):
+        products = {(x, y): Mat(field, degree_dims[g.mul(x, y)], degree_dims[x] * degree_dims[y],
+                                tuple(field.random(rng) for _ in range(
+                                    degree_dims[g.mul(x, y)] * degree_dims[x] * degree_dims[y])))
+                    for x in g.elements() for y in g.elements()}
+        unit = tuple(field.random(rng) for _ in range(degree_dims[g.identity]))
+        got = GradedAlgebra.from_products(field, g, degree_dims,
+                                          lambda x, y: products[(x, y)], unit)
+        assert got.algebra == reference_from_products(field, g, degree_dims,
+                                                       lambda x, y: products[(x, y)], unit)
 
 
 # -- bimodules ---------------------------------------------------------------------
@@ -87,7 +177,7 @@ def test_tensor_a_over_a_collapses_to_a():
     assert t.space.dim == QQ2.dim
     # class of a (x) b equals class of ab (x) 1
     a, b = (1, 2), (3, 5)
-    ab = QQ2.multiply(a, b)
+    ab = multiply(QQ2, a, b)
     assert t.pure(a, b) == t.pure(ab, QQ2.unit)
 
 
@@ -138,8 +228,8 @@ def test_collapse_helpers_agree_with_actions():
     for i in range(2):
         for j in range(2):
             v = tensor_vec(QQ, QQ2.basis_vec(i), QQ2.basis_vec(j))
-            assert cr.apply(v) == QQ2.multiply(QQ2.basis_vec(i), QQ2.basis_vec(j))
-            assert cl.apply(v) == QQ2.multiply(QQ2.basis_vec(i), QQ2.basis_vec(j))
+            assert cr.apply(v) == multiply(QQ2, QQ2.basis_vec(i), QQ2.basis_vec(j))
+            assert cl.apply(v) == multiply(QQ2, QQ2.basis_vec(i), QQ2.basis_vec(j))
 
 
 # -- left duals ---------------------------------------------------------------------
@@ -327,8 +417,8 @@ def test_quotient_actions_annihilate_relations():
 
 
 def test_multiply_and_collapse_agree_with_field_method_loops():
-    # multiply accumulates with plain operators and reduces once per entry;
-    # compare with Field.add/Field.mul on random structure constants
+    # the reference multiply accumulates with plain operators and reduces once
+    # per entry; compare with Field.add/Field.mul on random structure constants
     # (fractions over QQ, residues over GF(p)) and check canonical form
     from fractions import Fraction
 
@@ -354,8 +444,8 @@ def test_multiply_and_collapse_agree_with_field_method_loops():
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        ref[k] = F.add(ref[k], F.mul(F.mul(x[i], y[j]), a.mul[i][j][k]))
-            got = a.multiply(x, y)
+                        ref[k] = F.add(ref[k], F.mul(F.mul(x[i], y[j]), mul[i][j][k]))
+            got = multiply(a, x, y)
             assert got == tuple(ref)
             for v in got:
                 if F.p is None:

@@ -36,6 +36,7 @@ from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
     group_hopf_algebra,
+    multiply,
     reference_grouplike_character,
     reference_multiplicative_failures,
     reference_validate_algebra,
@@ -71,9 +72,7 @@ def triangular_algebra(field) -> Algebra:
 
 def algebra_of(mul: Mat) -> Algebra:
     """The algebra with multiplication matrix mul (its unit is not read)."""
-    n = mul.rows
-    return Algebra(mul.field, n, tuple(tuple(mul.col(i * n + j) for j in range(n))
-                                       for i in range(n)), (mul.field.zero,) * n)
+    return Algebra(mul.field, mul.rows, mul, (mul.field.zero,) * mul.rows)
 
 
 def bumped(m: Mat, rng) -> Mat:
@@ -83,11 +82,12 @@ def bumped(m: Mat, rng) -> Mat:
 
 
 def bumped_algebra(a: Algebra, rng) -> Algebra:
-    """a with one structure constant raised by one."""
+    """a with one structure constant raised by one: coordinate k of e_i e_j,
+    in column i * dim + j of its multiplication matrix."""
     i, j, k = (rng.randrange(a.dim) for _ in range(3))
-    row = list(a.mul[i])
-    row[j] = row[j][:k] + (a.field.reduce(row[j][k] + 1),) + row[j][k + 1:]
-    return Algebra(a.field, a.dim, a.mul[:i] + (tuple(row),) + a.mul[i + 1:], a.unit)
+    cols = [list(a.mul_mat.col(t)) for t in range(a.mul_mat.cols)]
+    cols[i * a.dim + j][k] = a.field.reduce(cols[i * a.dim + j][k] + 1)
+    return Algebra(a.field, a.dim, Mat._from_cols(a.field, cols, a.dim), a.unit)
 
 
 # -- the multiplication matrix ----------------------------------------------------------
@@ -98,11 +98,11 @@ def test_mul_mat_and_multiplication_maps_are_their_multiply_definitions(field):
     for a in (group_hopf_algebra(field, FiniteGroup.cyclic(3)).algebra,
               triangular_algebra(field), product_field_algebra(field, 2)):
         basis = [unit_vec(field, a.dim, i) for i in range(a.dim)]
-        assert a.mul_mat == Mat.from_cols(field, [a.multiply(x, y) for x in basis for y in basis])
+        assert a.mul_mat == Mat.from_cols(field, [multiply(a, x, y) for x in basis for y in basis])
         for _ in range(3):
             v = tuple(field.random(rng) for _ in range(a.dim))
-            assert a.left_mult(v) == Mat.from_cols(field, [a.multiply(v, y) for y in basis])
-            assert a.right_mult(v) == Mat.from_cols(field, [a.multiply(y, v) for y in basis])
+            assert a.left_mult(v) == Mat.from_cols(field, [multiply(a, v, y) for y in basis])
+            assert a.right_mult(v) == Mat.from_cols(field, [multiply(a, y, v) for y in basis])
         assert a.left_mats == tuple(a.left_mult(x) for x in basis)
         assert a.right_mats == tuple(a.right_mult(x) for x in basis)
 

@@ -29,7 +29,7 @@ from corings.linalg import Mat
 from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
-from helpers import group_hopf_algebra, triangular_family
+from helpers import cube, group_hopf_algebra, triangular_family
 
 PINNED = {
     'trivial': {
@@ -134,7 +134,7 @@ def _context(ctx) -> tuple:
 
 
 def _constants(alg) -> tuple:
-    return (alg.mul, alg.unit)
+    return (cube(alg), alg.unit)
 
 
 def pinned_objects(name: str) -> dict:

@@ -333,6 +333,10 @@ def test_weak_objects_are_built_separately_when_an_input_differs(monkeypatch, fo
     assert {name for name in weak if weak[name] is not strict[name]} == separate
     assert dict(calls) == {name: 1 + (name in separate) for name in weak}
     if forced == "connecting":
-        assert d.weak_morita[1] == d.connecting_spaces[1] != d.morita[1]
+        # the weak space is the strict one with rows times 2, and both
+        # pairings of the context are linear in it
+        ctx, ctx_w = d.morita[0], d.weak_morita[0]
+        assert d.connecting_spaces[1] != d.connecting_spaces[0]
+        assert (ctx_w.tau, ctx_w.mu) == (ctx.tau.scale(2), ctx.mu.scale(2))
     if forced == "coefficient":
         assert d.weak_coefficients.basis == d.coefficient_spaces[1]

@@ -76,7 +76,7 @@ def test_dual_of_trivial_coring_is_the_group_ring():
     assert validate_graded_ring(r).ok
     gr = group_ring(field_algebra(QQ), c.group)
     packed = r.packed()
-    assert packed.algebra.mul == gr.algebra.mul
+    assert packed.algebra.mul_mat == gr.algebra.mul_mat
     assert packed.algebra.unit == gr.algebra.unit
     assert validate_graded_algebra(packed).ok
 

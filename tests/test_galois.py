@@ -34,7 +34,7 @@ from corings.galois import (
     validate_grouplike,
     validate_ring_morphism,
 )
-from corings.linalg import Mat, rank, row_space
+from corings.linalg import Mat, rank, row_space, unit_vec
 from corings.scalars import QQ
 from helpers import coinvariants, derived
 
@@ -268,8 +268,6 @@ def test_induction_adjunction_hom_bijection():
     w = g_coinvariants(target, x)
     # module maps N -> coinvariants commuting with the right action of the base
     t = coinvariant_ring(x)
-    from corings.morita import _unit  # small helper: standard basis vector
-
     right_on_w = []
     dims = [mm.dim for mm in target.comps]
     offsets = [sum(dims[:i]) for i in range(len(dims))]
@@ -294,7 +292,7 @@ def test_induction_adjunction_hom_bijection():
         # f |-> (n |-> family of values at the class of n (x) 1)
         cols = []
         for k in range(n.dim):
-            cls = ind.space.project(tensor_vec(QQ, _unit(QQ, n.dim, k), fx.coring.base.unit))
+            cls = ind.space.project(tensor_vec(QQ, unit_vec(QQ, n.dim, k), fx.coring.base.unit))
             vec = []
             for a in g.elements():
                 vec.extend(fams[a].apply(cls))

@@ -41,8 +41,10 @@ from corings.linalg import Mat, row_space, tensor_vec
 from corings.scalars import GF, QQ
 from helpers import (
     bad_antipode_hopf,
+    cube,
     derived,
     group_hopf_algebra,
+    multiply,
     reference_induced_delta,
     reference_induced_right,
     reference_smash_mul,
@@ -231,7 +233,7 @@ def test_cofree_family_transports_the_antipode():
     h = cofree_hopf(ha, g2)
     for a in g2.elements():
         assert h.antipode[a] == ha.antipode
-        assert h.comps[a].mul == ha.algebra.mul
+        assert h.comps[a].mul_mat == ha.algebra.mul_mat
 
 
 def test_tensor_algebra_multiplies_componentwise():
@@ -240,13 +242,14 @@ def test_tensor_algebra_multiplies_componentwise():
     ab = tensor_algebra(a, b)
     assert validate_algebra(ab).ok
     assert ab.unit == tensor_vec(QQ, a.unit, b.unit)
+    mul_a, mul_b = cube(a), cube(b)
     for i in range(a.dim):
         for j in range(b.dim):
             for k in range(a.dim):
                 for l in range(b.dim):
-                    assert ab.multiply(tensor_vec(QQ, a.basis_vec(i), b.basis_vec(j)),
-                                       tensor_vec(QQ, a.basis_vec(k), b.basis_vec(l))) \
-                        == tensor_vec(QQ, a.mul[i][k], b.mul[j][l])
+                    assert multiply(ab, tensor_vec(QQ, a.basis_vec(i), b.basis_vec(j)),
+                                    tensor_vec(QQ, a.basis_vec(k), b.basis_vec(l))) \
+                        == tensor_vec(QQ, mul_a[i][k], mul_b[j][l])
 
 
 def _c3_comodule_algebras(field):

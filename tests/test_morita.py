@@ -99,8 +99,7 @@ def test_connecting_space_dimensions():
     fx = fixture("regular")
     r = dual_ring(fx.coring)
     assert connecting_spaces(fx.grouplike, r)[0].rows == 2
-    ctx_e, w_e, _ = derived(fx).slice.morita
-    assert w_e.rows == 2
+    assert derived(fx).slice.connecting_spaces[0].rows == 2
 
 
 def test_classical_context_validates_but_is_not_strict():
@@ -108,7 +107,7 @@ def test_classical_context_validates_but_is_not_strict():
     # group has more than one element: the second map lands in a subspace of
     # dimension at most dim(connecting) * dim(base)
     for name, tau_surj in (("trivial", True), ("regular", True), ("nongalois", True)):
-        ctx, w, brep = derived(fixture(name)).morita
+        ctx, brep = derived(fixture(name)).morita
         assert brep.ok, name
         assert validate_morita_context(ctx).ok, name
         verdict, rep = is_strict(ctx)
@@ -121,14 +120,14 @@ def test_classical_context_validates_but_is_not_strict():
 
 def test_slice_context_is_strict_on_galois_fixtures():
     for name in ("trivial", "regular", "sweedler"):
-        ctx_e, _, _ = derived(fixture(name)).slice.morita
+        ctx_e, _ = derived(fixture(name)).slice.morita
         assert validate_morita_context(ctx_e).ok, name
         verdict, _ = is_strict(ctx_e)
         assert verdict, name
 
 
 def test_slice_context_not_strict_on_nongalois():
-    ctx_e, _, _ = derived(fixture("nongalois")).slice.morita
+    ctx_e, _ = derived(fixture("nongalois")).slice.morita
     verdict, _ = is_strict(ctx_e)
     assert not verdict
 
@@ -165,7 +164,7 @@ def test_diagonal_map_is_iso_on_cofree_fixtures():
 def test_graded_context_strictness_matches_galois():
     expected = {"trivial": True, "regular": True, "nongalois": False, "sweedler": True}
     for name, value in expected.items():
-        gctx, s, wq, brep = derived(fixture(name)).graded_morita
+        gctx, brep = derived(fixture(name)).graded_morita
         assert brep.ok, name
         assert validate_graded_morita_context(gctx).ok, name
         verdict, _ = is_strict(gctx.ctx)
@@ -174,9 +173,8 @@ def test_graded_context_strictness_matches_galois():
 
 def test_weak_graded_context_equals_strict_one():
     d = derived(fixture("regular"))
-    g1, _, w1, _ = d.graded_morita
-    g2, _, w2, _ = d.weak_graded_morita
-    assert w1 == w2
+    (g1, _), (g2, _) = d.graded_morita, d.weak_graded_morita
+    assert d.connecting_spaces[0] == d.connecting_spaces[1]
     assert g1.ctx.tau == g2.ctx.tau and g1.ctx.mu == g2.ctx.mu
 
 
@@ -252,7 +250,7 @@ def test_graded_context_with_nontrivial_shifts():
     x = triangular_family()
     d = Derived(x.coring, x, inclusion_morphism(coinvariant_ring(x), x.coring.base))
     assert d.coefficients.algebra.dim == 3
-    gctx, _, _, brep = d.graded_morita
+    gctx, brep = d.graded_morita
     assert brep.ok
     assert validate_graded_morita_context(gctx).ok
     assert check_standard_context_match(d).ok

@@ -112,7 +112,7 @@ def test_trivial_order_three_comodules_and_dual():
     assert check_cofree_equivalence(fx.coring, wit, [cg]).ok
     r = dual_ring(fx.coring)
     assert validate_graded_ring(r).ok
-    assert r.packed().algebra.mul == group_ring(field_algebra(QQ), fx.coring.group).algebra.mul
+    assert r.packed().algebra.mul_mat == group_ring(field_algebra(QQ), fx.coring.group).algebra.mul_mat
     gm = gcomodule_to_graded(cg, r)
     assert gcomodules_equal(graded_to_gcomodule(gm, fx.coring), cg)
     replicated = gcomodule_to_graded(replicate_comodule(acom), r)
@@ -125,7 +125,7 @@ def test_trivial_order_three_contexts_and_batteries():
     fx = order_three_trivial()
     wit, _ = derived(fx).decomposition
     d = Derived(fx.coring, fx.grouplike, fx.base, wit)
-    gctx, _, _, brep = d.graded_morita
+    gctx, brep = d.graded_morita
     assert brep.ok
     assert is_strict(gctx.ctx)[0]
     assert check_standard_context_match(d).ok
@@ -163,7 +163,7 @@ def test_nongalois_order_three_batteries():
     pairs = [(replicate_comodule(acom), acom)]
     assert check_pack_replicate_adjunction(pairs).ok
     d = derived(fx)
-    gctx, _, _, brep = d.graded_morita
+    gctx, brep = d.graded_morita
     assert brep.ok
     assert not is_strict(gctx.ctx)[0]
     assert check_standard_context_match(d).ok

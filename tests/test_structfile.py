@@ -13,6 +13,7 @@ from corings.fixtures import fixture, fixture_file_text
 from corings.galois import validate_grouplike
 from corings.scalars import Field
 from corings.structfile import StructureError, main_structure, parse
+from helpers import cube
 
 # the rank-one coring over the rationals written out fully
 EXPLICIT_CORING = """field Q
@@ -117,7 +118,7 @@ end
     sf = parse(text)
     from fractions import Fraction
 
-    assert sf.algebras["A"].mul[0][0][0] == Fraction(1, 2)
+    assert cube(sf.algebras["A"])[0][0][0] == Fraction(1, 2)
 
 
 def test_prime_field_literals():
@@ -130,7 +131,7 @@ end
 """
     sf = parse(text)
     assert sf.field.p == 5
-    assert sf.algebras["A"].mul[0][0][0] == 2
+    assert cube(sf.algebras["A"])[0][0][0] == 2
 
 
 def test_bad_scalar_rejected():
