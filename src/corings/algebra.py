@@ -41,7 +41,9 @@ from corings.linalg import (
     kron_after,
     rank,
     row_space,
+    rowspace_coords,
     solve,
+    span_coords,
     tensor_k,
     tensor_vec,
     triple_balanced_quotient,
@@ -147,14 +149,11 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
         raise ValueError("span does not contain the unit")
     # column i * n + j: the product of basis rows i and j
     prods = kron_after(ambient.mul_mat, basis.transpose(), basis.transpose())
-    coords = []
-    for t in range(n * n):
-        c = coords_in_rowspace(basis, prods.col(t))
-        if c is None:
-            i, j = divmod(t, n)
-            raise ValueError(f"span not closed under multiplication at ({i},{j})")
-        coords.append(c)
-    return Algebra(F, n, Mat._from_cols(F, coords, n), unit), basis.transpose()
+    coords, outside = rowspace_coords(basis, prods.transpose())
+    if outside:
+        i, j = divmod(outside[0], n)
+        raise ValueError(f"span not closed under multiplication at ({i},{j})")
+    return Algebra(F, n, coords.transpose(), unit), basis.transpose()
 
 
 def validate_algebra(a: Algebra) -> CheckReport:
@@ -273,7 +272,9 @@ def flat_actions(field: Field, dim: int, mats) -> Mat:
     return vec_rows(field, dim * dim, mats)
 
 
-def _rows_differ(a: Mat, b: Mat) -> list:
+def differing_rows(a: Mat, b: Mat) -> list:
+    """The indices of the rows where a and b differ, in ascending order;
+    equal matrices are not scanned."""
     if a == b:
         return []
     return [j for j in range(a.rows) if a.row(j) != b.row(j)]
@@ -292,7 +293,7 @@ def action_failures(ring: Algebra, dim: int, mats, side: str) -> list:
     # row j, per i: vec of the action of e_i e_j (row j of left_mats[i]^T)
     # against vec(mats[i] @ mats[j]) or vec(mats[j] @ mats[i])
     return [(i, j) for i in range(ring.dim)
-            for j in _rows_differ(ring.left_mats[i].transpose() @ flat,
+            for j in differing_rows(ring.left_mats[i].transpose() @ flat,
                                   kron_after(flat, mats[i].transpose(), ident) if side == "left"
                                   else kron_after(flat, ident, mats[i]))]
 
@@ -302,7 +303,7 @@ def commuting_failures(field: Field, dim: int, left, right) -> list:
     flat, ident = flat_actions(field, dim, right), Mat.identity(field, dim)
     # row j, per i: vec(left[i] @ right[j]) against vec(right[j] @ left[i])
     return [(i, j) for i, L in enumerate(left)
-            for j in _rows_differ(kron_after(flat, L.transpose(), ident),
+            for j in differing_rows(kron_after(flat, L.transpose(), ident),
                                   kron_after(flat, ident, L))]
 
 
@@ -573,23 +574,17 @@ def _left_dual(m: Bimodule) -> tuple:
         sys.add((1, "f", ida, m.left[t]), (-1, "f", A.left_mats[t], idm))
     basis = sys.kernel()  # f is the only unknown, so row u is vec(f_u)
     functionals = unvec_rows(basis, A.dim, m.dim)
-    dim = len(functionals)
 
-    def func_coords(fmat: Mat):
-        return coords_in_rowspace(basis, fmat.reshape(1, basis.cols))
+    def acting(rows: Mat) -> Mat:
+        """Column u: the coordinates of the functional with vec in row u."""
+        return span_coords(basis, rows, "functional outside the solved dual basis").transpose()
 
     left = None
     if m.right is not None:
-        # (e_t . f)(c) = f(c . e_t): f -> f @ R_t
-        left = tuple(
-            Mat.from_cols(F, [func_coords(functionals[u] @ m.right[t]) for u in range(dim)])
-            for t in range(A.dim)
-        )
-    # (f . e_t)(c) = f(c) e_t: f -> right_mult(e_t) @ f
-    right = tuple(
-        Mat.from_cols(F, [func_coords(A.right_mats[t] @ functionals[u]) for u in range(dim)])
-        for t in range(A.dim)
-    )
+        # (e_t . f)(c) = f(c . e_t): vec(f @ R_t) = vec(f) (I (x) R_t)
+        left = tuple(acting(kron_after(basis, ida, right)) for right in m.right)
+    # (f . e_t)(c) = f(c) e_t: vec(right_mult(e_t) @ f) = vec(f) (right_mult(e_t)^T (x) I)
+    right = tuple(acting(kron_after(basis, mult.transpose(), idm)) for mult in A.right_mats)
     return functionals, left, right, basis
 
 

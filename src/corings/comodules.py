@@ -23,6 +23,8 @@ from corings.algebra import (
     cached_tensor,
     cached_triple,
     contract_right,
+    differing_columns,
+    differing_rows,
     direct_sum_bimodule,
     intertwining_failures,
 )
@@ -31,7 +33,6 @@ from corings.coring import (
     GroupCoring,
     MissingCofreeWitness,
     coaction_failures,
-    comultiplicative_failures,
 )
 from corings.linalg import (
     LinearSystem,
@@ -125,19 +126,38 @@ def _right_linear_failures(m: GComodule, a: int) -> list:
         m.rho[(a, b)], m.comps[g.mul(a, b)].right, m.tensor(a, b).module.right, ident)]
 
 
-def is_gcomodule_map(m: GComodule, n: GComodule, fams) -> bool:
-    """Whether the maps fams[a]: M_a -> N_a are right-linear and carry the
-    coactions of m to those of n (identity second legs)."""
+def is_gcomodule_map(m: GComodule, n: GComodule, families) -> list:
+    """The indices of the families, each a tuple of maps fams[a]: M_a -> N_a,
+    that are not maps of families m -> n: not right-linear, or not carrying
+    the coactions of m to those of n (identity second legs).
+
+    The laws are linear in the maps, so each is applied to all of them at
+    once, with the maps of degree a side by side, H_a = hstack(f_a^1, ...,
+    f_a^k): H_a (I_k (x) R^M_j) against R^N_j H_a, block i holding map i,
+    and kron_after(proj, H_a, I) read k rows to a row times the lift against
+    rho^N_{a,b} H_{ab} read the same way, row (r, i) holding map i."""
     c = m.coring
+    g = c.group
     F = c.base.field
-    if [(f.rows, f.cols) for f in fams] != [(y.dim, x.dim) for x, y in zip(m.comps, n.comps)]:
+    shapes, k = [(y.dim, x.dim) for x, y in zip(m.comps, n.comps)], len(families)
+    if any([(f.rows, f.cols) for f in fams] != shapes for fams in families):
         raise DimensionMismatch("maps do not fit the degrees of the families")
-    ident = Mat.identity(F, c.base.dim)
-    if any(intertwining_failures(f, m.comps[a].right, n.comps[a].right, ident)
-           for a, f in enumerate(fams)):
-        return False
-    seconds = [Mat.identity(F, comp.dim) for comp in c.comps]
-    return not comultiplicative_failures(c.group, fams, seconds, m.lift, n, n.rho)
+    if not k:
+        return []
+    side = [hstack([fams[a] for fams in families]) for a in g.elements()]
+    ident = Mat.identity(F, k)
+    bad = set()
+    for a in g.elements():
+        for rm, rn in zip(m.comps[a].right, n.comps[a].right):
+            bad.update(t // rm.cols for t in differing_columns(kron_after(side[a], ident, rm),
+                                                               rn @ side[a]))
+        for b in g.elements():
+            ab, cdim, proj = g.mul(a, b), c.comps[b].dim, n.tensor(a, b).space.proj
+            lhs = kron_after(proj, side[a], Mat.identity(F, cdim))
+            lhs = lhs.reshape(proj.rows * k, m.comps[a].dim * cdim)
+            rhs = (n.rho[(a, b)] @ side[ab]).reshape(proj.rows * k, m.comps[ab].dim)
+            bad.update(t % k for t in differing_rows(lhs @ m.lift(a, b), rhs))
+    return sorted(bad)
 
 
 # -- canonical objects ----------------------------------------------------------------
@@ -220,96 +240,74 @@ def gcomodule_homs(m: GComodule, n: GComodule) -> LinearSystem:
 
 # -- adjunction and Frobenius batteries ---------------------------------------------------
 
+# the row texts in which the two batteries differ: dim, section, triangle-left
+_TEXTS = {"adjunction": ("hom spaces have equal dimension",
+                         "reverse hom transposition composes to the identity",
+                         "counit after packed unit is the identity"),
+          "frobenius": ("reverse hom spaces have equal dimension",
+                        "reverse transposition composes to the identity",
+                        "packed counit after unit is the identity")}
+
+
 def check_pack_replicate_adjunction(pairs) -> CheckReport:
-    """For each (family, comodule) pair: the hom-space bijection in both
-    directions plus the triangle identities of the adjunction."""
-    rep = CheckReport()
-    for idx, (gm, n) in enumerate(pairs):
-        c = gm.coring
-        g = c.group
-        F = c.base.field
-        packed, inj, _ = pack_gcomodule(gm)
-        h_packed = [f for (f,) in comodule_homs(packed, n).basis()]
-        repl = replicate_comodule(n)
-        h_family = gcomodule_homs(gm, repl).basis()
-        rep.add(f"adjunction[{idx}].dim", "hom spaces have equal dimension",
-                len(h_packed) == len(h_family),
-                f"{len(h_packed)} vs {len(h_family)}")
-
-        def psi(f: Mat):
-            return tuple(f @ inj[a] for a in g.elements())
-
-        # the inverse transposition puts the family side by side
-        ok = all(hstack(psi(f)) == f for f in h_packed)
-        rep.add(f"adjunction[{idx}].retract", "hom transposition composes to the identity",
-                ok)
-        ok = all(tuple(psi(hstack(fams))) == tuple(fams) for fams in h_family)
-        rep.add(f"adjunction[{idx}].section", "reverse hom transposition composes to the identity",
-                ok)
-        ok = all(is_gcomodule_map(gm, repl, psi(f)) for f in h_packed)
-        rep.add(f"adjunction[{idx}].well-defined", "transposed maps are morphisms", ok)
-
-        # triangle identities
-        f1_eta = block_diagonal(inj)
-        eps_packed = hstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
-        rep.add(f"adjunction[{idx}].triangle-left",
-                "counit after packed unit is the identity",
-                eps_packed @ f1_eta == Mat.identity(F, packed.space.dim))
-        eta_repl_ok = True
-        for b in g.elements():
-            eta_b = block_matrix(F, [n.space.dim] * g.order, [n.space.dim],
-                                 {(b, 0): Mat.identity(F, n.space.dim)})
-            g1_eps_b = hstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
-            if g1_eps_b @ eta_b != Mat.identity(F, n.space.dim):
-                eta_repl_ok = False
-        rep.add(f"adjunction[{idx}].triangle-right",
-                "replicated counit after unit is the identity", eta_repl_ok)
-    return rep
+    """For each (family, comodule) pair: the hom-space bijection of pack left
+    adjoint to replicate, in both directions, and its triangle identities."""
+    return _adjunction_battery(pairs, "adjunction", True)
 
 
 def check_pack_replicate_frobenius(pairs) -> CheckReport:
     """The second adjunction (replicate left adjoint of pack) on hom bases."""
+    return _adjunction_battery(pairs, "frobenius", False)
+
+
+def _adjunction_battery(pairs, tag: str, pack_left: bool) -> CheckReport:
+    """The rows of one adjunction for each pair (family M, comodule N): maps
+    pack M -> N against M -> replicate N when pack is the left adjoint,
+    replicate N -> M against N -> pack M when it is the right one; a map out
+    of (into) the pack transposes to its column (row) blocks.  With pack on
+    the left, the unit eta_M is the block injections, the counit eps_N the
+    sum of the copies, and the triangles eps_{pack M} pack(eta_M) = id and
+    replicate(eps_N) eta_{replicate N} = id, whose rows also check eta_M and
+    eta_{replicate N} as maps; with replicate on the left all are transposed,
+    and the rows check zeta_M = eta_M^T and the unit replicate(nu_N)."""
+    dim_text, section_text, left_text = _TEXTS[tag]
     rep = CheckReport()
     for idx, (gm, n) in enumerate(pairs):
-        c = gm.coring
-        g = c.group
-        F = c.base.field
+        F, order = gm.coring.base.field, gm.coring.group.order
         packed, inj, proj = pack_gcomodule(gm)
         repl = replicate_comodule(n)
-        h_rev_family = gcomodule_homs(repl, gm).basis()   # replicate(N) -> family
-        h_rev_packed = [f for (f,) in comodule_homs(n, packed).basis()]   # N -> packed
+        copies, inj_n, _ = pack_gcomodule(repl)
+        eye_p, eye_n = Mat.identity(F, packed.space.dim), Mat.identity(F, n.space.dim)
+        if pack_left:
+            h_packed = [f for (f,) in comodule_homs(packed, n).basis()]
+            h_family = gcomodule_homs(gm, repl).basis()
+            join, legs, first = hstack, inj, tuple(inj_n)
+        else:
+            h_family = gcomodule_homs(repl, gm).basis()
+            h_packed = [f for (f,) in comodule_homs(n, packed).basis()]
+            join, legs, first = vstack, proj, (vstack([eye_n] * order),) * order
 
-        rep.add(f"frobenius[{idx}].dim", "reverse hom spaces have equal dimension",
-                len(h_rev_family) == len(h_rev_packed),
-                f"{len(h_rev_family)} vs {len(h_rev_packed)}")
+        def split(f: Mat) -> tuple:
+            return tuple(f @ i for i in inj) if pack_left else tuple(q @ f for q in proj)
 
-        def cap_psi(f: Mat):
-            return tuple(proj[a] @ f for a in g.elements())
+        def maps(other: GComodule, families) -> bool:  # gm -> other, or other -> gm
+            return not is_gcomodule_map(*((gm, other) if pack_left else (other, gm)), families)
 
-        # the inverse transposition stacks the family
-        ok = all(tuple(cap_psi(vstack(fams))) == tuple(fams) for fams in h_rev_family)
-        rep.add(f"frobenius[{idx}].retract", "hom transposition composes to the identity", ok)
-        ok = all(vstack(cap_psi(f)) == f for f in h_rev_packed)
-        rep.add(f"frobenius[{idx}].section", "reverse transposition composes to the identity", ok)
-        ok = all(is_gcomodule_map(repl, gm, cap_psi(f)) for f in h_rev_packed)
-        rep.add(f"frobenius[{idx}].well-defined", "transposed maps are morphisms", ok)
-
-        nu = vstack([Mat.identity(F, n.space.dim) for _ in g.elements()])
-        zeta = tuple(proj[a] for a in g.elements())
-        # pack(zeta) o nu_pack = id
-        pack_zeta = block_diagonal(zeta)
-        nu_pack = vstack([Mat.identity(F, packed.space.dim) for _ in g.elements()])
-        rep.add(f"frobenius[{idx}].triangle-left",
-                "packed counit after unit is the identity",
-                pack_zeta @ nu_pack == Mat.identity(F, packed.space.dim))
-        tri_ok = True
-        for b in g.elements():
-            zeta_repl_b = block_matrix(F, [n.space.dim], [n.space.dim] * g.order,
-                                       {(0, b): Mat.identity(F, n.space.dim)})
-            if zeta_repl_b @ nu != Mat.identity(F, n.space.dim):
-                tri_ok = False
-        rep.add(f"frobenius[{idx}].triangle-right",
-                "replicated counit after unit is the identity", tri_ok)
+        # (dimension, round trip) of each hom space, the left adjoint's first
+        sides = [(len(h_packed), all(join(split(f)) == f for f in h_packed)),
+                 (len(h_family), all(split(join(fams)) == tuple(fams) for fams in h_family))]
+        (left_dim, left_trip), (right_dim, right_trip) = sides if pack_left else sides[::-1]
+        rep.add(f"{tag}[{idx}].dim", dim_text, left_dim == right_dim, f"{left_dim} vs {right_dim}")
+        rep.add(f"{tag}[{idx}].retract", "hom transposition composes to the identity", left_trip)
+        rep.add(f"{tag}[{idx}].section", section_text, right_trip)
+        rep.add(f"{tag}[{idx}].well-defined", "transposed maps are morphisms",
+                maps(repl, [split(f) for f in h_packed]))
+        rep.add(f"{tag}[{idx}].triangle-left", left_text,
+                maps(replicate_comodule(packed), [tuple(legs)])
+                and hstack([eye_p] * order) @ block_diagonal(inj) == eye_p)
+        rep.add(f"{tag}[{idx}].triangle-right", "replicated counit after unit is the identity",
+                not is_gcomodule_map(repl, replicate_comodule(copies), [first])
+                and all(hstack([eye_n] * order) @ i == eye_n for i in inj_n))
     return rep
 
 
@@ -373,7 +371,7 @@ def check_cofree_equivalence(c: GroupCoring, w: CofreeWitness, objects) -> Check
         rep.add(f"cofree-equiv[{idx}].inverse", "comparison maps are mutually inverse", ok_inv)
         rep.add(f"cofree-equiv[{idx}].morphism",
                 "comparison maps form a family morphism",
-                is_gcomodule_map(gm, back, phis))
+                not is_gcomodule_map(gm, back, [phis]))
         rep.add(f"cofree-equiv[{idx}].restrict-extend",
                 "restriction of the extension is the original comodule",
                 comodules_equal(e_component(back), ncom))

@@ -11,8 +11,9 @@ is derived from it (the tensor quotients of its components, the lifts of
 its maps through the chosen section) lives in the memo of the base
 algebra, keyed by content.  The coaction laws on one degree
 (`coaction_failures`) serve the coring over itself and every comodule
-family, and `comultiplicative_failures` serves coring morphisms, cofree
-witnesses and maps of comodule families.
+family, and `comultiplicative_failures` serves coring morphisms and cofree
+witnesses; maps of comodule families have their law, applied to many maps
+at once, in `comodules.is_gcomodule_map`.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def comultiplicative_failures(g: FiniteGroup, maps, seconds, lift, dst, dst_maps
     differs from dst_maps[(a, b)] f_{ab} in dst.tensor(a, b), for f_a =
     maps[a] and lift the source's structure maps through the section: for
     a coring morphism C -> D, seconds = maps, lift = C.delta_left_lift and
-    dst_maps = D.delta; for a family map M -> N, identities, M.lift, N.rho."""
+    dst_maps = D.delta."""
     return [(a, b) for a in g.elements() for b in g.elements()
             if kron_after(dst.tensor(a, b).space.proj, maps[a], seconds[b]) @ lift(a, b)
             != dst_maps[(a, b)] @ maps[g.mul(a, b)]]

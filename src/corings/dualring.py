@@ -46,6 +46,10 @@ from corings.linalg import (
     coords_in_rowspace,
     is_invertible,
     kron_after,
+    regroup,
+    span_coords,
+    vec_rows,
+    vstack,
 )
 from corings.report import CheckReport
 from corings.scalars import DimensionMismatch, Field
@@ -137,20 +141,28 @@ class GradedRing:
                 self.mul[(a, b)] = self._build_mul(a, b)
         e = g.identity
         self.unit_vec = self.coords(e, coring.counit)
-        cols = []
-        for j in range(self.base.dim):
-            i_j = self.base.right_mats[j] @ coring.counit
-            cols.append(self.coords(e, i_j))
-        self.base_map = Mat.from_cols(F, cols)
+        # column j: the coordinates of i(e_j) = e_j . counit
+        self.base_map = self.coordinates(e, vec_rows(F, self._func_bases[e].cols, [
+            right @ coring.counit for right in self.base.right_mats])).transpose()
         self._packed = None
+        self._regrouped = {}
 
     # element handling ------------------------------------------------------
 
+    def coordinates(self, a: int, rows: Mat) -> Mat:
+        """The coordinates of degree-a functionals given as the rows vec(f),
+        one row each, in one solve."""
+        return span_coords(self._func_bases[a], rows, "functional outside the solved dual basis")
+
     def coords(self, a: int, functional: Mat) -> tuple:
-        out = coords_in_rowspace(self._func_bases[a], functional.reshape(1, self._func_bases[a].cols))
-        if out is None:
-            raise ValueError("functional outside the solved dual basis")
-        return out
+        return self.coordinates(a, functional.reshape(1, self._func_bases[a].cols)).row(0)
+
+    def precomposed(self, a: int, m: Mat) -> Mat:
+        """The rows vec(f o m) for the functionals f of degree a, from one
+        product with the functionals on top of each other (read off the rows
+        vec(f) of the solved basis)."""
+        stacked = self._func_bases[a].reshape(self.dim(a) * self.base.dim, m.rows)
+        return (stacked @ m).reshape(self.dim(a), self.base.dim * m.cols)
 
     def _first_legs(self, a: int, b: int) -> tuple:
         g = self.group
@@ -161,14 +173,25 @@ class GradedRing:
                      for f in self.functionals[a])
 
     def _build_mul(self, a: int, b: int) -> Mat:
-        """Column u * dim(b) + v: the coordinates of f_u f_v = f_v o leg_u."""
+        """Column u * dim(b) + v: the coordinates of f_u f_v = f_v o leg_u,
+        from one product per leg with the functionals of degree b stacked
+        and one solve for all of them."""
         ab = self.group.mul(a, b)
-        return Mat._from_cols(self.base.field, [self.coords(ab, gv @ leg)
-                                                for leg in self.legs[(a, b)]
-                                                for gv in self.functionals[b]])
+        # row u * dim(b) + v: vec(f_v o leg_u)
+        rows = [self.precomposed(b, leg) for leg in self.legs[(a, b)]]
+        rows = vstack(rows) if rows else Mat.zeros(self.base.field, 0, self._func_bases[ab].cols)
+        return self.coordinates(ab, rows).transpose()
 
     def dim(self, a: int) -> int:
         return self.comps[a].dim
+
+    def regrouped(self, b: int, d: int) -> Mat:
+        """`linalg.regroup` of the product R_b (x) R_d -> R_{bd}, kept on the
+        ring: its block u is the transpose of left multiplication by basis
+        element u of degree b."""
+        if (b, d) not in self._regrouped:
+            self._regrouped[(b, d)] = regroup(self.mul[(b, d)], self.dim(b), self.dim(d))
+        return self._regrouped[(b, d)]
 
     def packed(self) -> GradedAlgebra:
         if self._packed is None:
@@ -267,15 +290,9 @@ def dual_morphism(f: GroupCoringMorphism, r_dst: GradedRing) -> GradedRingMorphi
     ring of f.dst."""
     r_src = dual_ring(f.src)
     g = f.src.group
-    maps = []
-    for a in g.elements():
-        ainv = g.inv(a)
-        cols = []
-        for u in range(r_dst.dim(a)):
-            func = r_dst.functionals[a][u] @ f.maps[ainv]
-            cols.append(r_src.coords(a, func))
-        maps.append(Mat.from_cols(f.src.base.field, cols))
-    return GradedRingMorphism(r_dst, r_src, tuple(maps))
+    maps = tuple(r_src.coordinates(a, r_dst.precomposed(a, f.maps[g.inv(a)])).transpose()
+                 for a in g.elements())
+    return GradedRingMorphism(r_dst, r_src, maps)
 
 
 def validate_graded_ring_morphism(m: GradedRingMorphism) -> CheckReport:
@@ -303,6 +320,15 @@ class GradedModule:
         self.ring = ring
         self.comps = tuple(comps)
         self.act = dict(act)  # (a, b) -> Mat: M_a (x)k R_b -> M_{ab}
+        self._regrouped = {}
+
+    def regrouped(self, a: int, d: int) -> Mat:
+        """`linalg.regroup` of the action M_a (x) R_d -> M_{ad}, kept on the
+        module: its block i is the transpose of r -> m_i . r on R_d."""
+        if (a, d) not in self._regrouped:
+            self._regrouped[(a, d)] = regroup(self.act[(a, d)], self.comps[a].dim,
+                                              self.ring.dim(d))
+        return self._regrouped[(a, d)]
 
 
 def validate_graded_module(m: GradedModule) -> CheckReport:
@@ -411,7 +437,8 @@ def _dual_basis_tensors(c: GroupCoring, r: GradedRing) -> dict:
         if db is None:
             raise MissingDualBasis(f"component {b} has no dual basis")
         binv = g.inv(b)
-        funcs = Mat._from_cols(F, [r.coords(binv, f) for f, _ in db.pairs], r.dim(binv))
+        funcs = r.coordinates(binv, vec_rows(F, c.base.dim * c.comps[b].dim,
+                                             [f for f, _ in db.pairs])).transpose()
         vecs = Mat._from_cols(F, [v for _, v in db.pairs], c.comps[b].dim)
         out[b] = funcs @ vecs.transpose()
     return out
@@ -492,14 +519,8 @@ def cofree_dual_group_ring_iso(c: GroupCoring, w: CofreeWitness, r: GradedRing) 
     g = c.group
     F = c.base.field
     e = g.identity
-    sigmas = []
-    for a in g.elements():
-        ginv = w.gamma_inv(g.inv(a))
-        cols = []
-        for u in range(r.dim(e)):
-            func = r.functionals[e][u] @ ginv
-            cols.append(r.coords(a, func))
-        sigmas.append(Mat.from_cols(F, cols))
+    sigmas = [r.coordinates(a, r.precomposed(e, w.gamma_inv(g.inv(a)))).transpose()
+              for a in g.elements()]
     bad = [a for a in g.elements() if not is_invertible(sigmas[a])]
     rep.add("cofree-dual.bijective", "each degree map is bijective",
             not bad, f"failing degrees: {bad}" if bad else "")

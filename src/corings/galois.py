@@ -176,9 +176,9 @@ def span_action(w: Mat, acts) -> tuple[list, bool]:
     of those rows, and whether the span is closed under all of them."""
     mats, ok = [], True
     for act in acts:
-        coords, closed = rowspace_coords(w, [act.apply(w.row(i)) for i in range(w.rows)])
-        mats.append(Mat._from_cols(w.field, coords, w.rows))
-        ok = ok and closed
+        coords, outside = rowspace_coords(w, w @ act.transpose())
+        mats.append(coords.transpose())
+        ok = ok and not outside
     return mats, ok
 
 
@@ -413,11 +413,11 @@ def induction_unit(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> tuple[Ma
     fam = replicate_comodule(ind.comodule)
     w = g_coinvariants(fam, x)
     # n_i -> the class of n_i (x) 1 in every degree
-    cols, ok = rowspace_coords(w, [
+    coords, outside = rowspace_coords(w, Mat._from_cols(F, [
         ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit)) * g.order
-        for i in range(n.dim)])
-    mat = Mat._from_cols(F, cols, w.rows)
-    bij = ok and is_invertible(mat)
+        for i in range(n.dim)], w.cols).transpose())
+    mat = coords.transpose()
+    bij = not outside and is_invertible(mat)
     return mat, bij
 
 

@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import compress
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
 
@@ -163,6 +163,8 @@ class Mat:
         one-row reshape is vec(self)."""
         if rows * cols != self.rows * self.cols:
             raise DimensionMismatch(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        if (rows, cols) == (self.rows, self.cols):
+            return self
         width = self.cols
         return _from_flat(self.field, rows, cols,
                           ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row))
@@ -268,10 +270,11 @@ class Mat:
         return len(rref_pivots(self)[1])
 
     @cached_property
-    def _row_solver(self) -> "_RowSolver":
-        """The factorization `coords_in_rowspace` solves against, built on
-        first use; as a cached property it stays out of eq, hash and repr."""
-        return _RowSolver(self)
+    def _row_factor(self) -> "Mat":
+        """The factor `rowspace_coords` multiplies by (`_rowspace_factor`),
+        built on first use; as a cached property it stays out of eq, hash
+        and repr."""
+        return _rowspace_factor(self)
 
     def __repr__(self):
         fmt = self.field.format
@@ -372,6 +375,24 @@ def unvec_rows(m: Mat, rows: int, cols: int) -> tuple:
     """The inverse of `vec_rows`: each row of m as the rows x cols matrix
     whose vec it is."""
     return tuple(_from_flat(m.field, rows, cols, entries) for entries in m._entries)
+
+
+def regroup(m: Mat, s: int, d: int) -> Mat:
+    """For m: V (x) W -> U with dim V = s and dim W = d (column i * d + v
+    holds m(e_i (x) e_v)), the d x (s * dim U) matrix whose block i is the
+    transpose of T_i: w -> m(e_i (x) w).  Since vec(T X) = vec(X) (T^T (x) I),
+    row k of kron_after(vec_rows(Xs), regroup(m, s, d), I) holds vec(T_i X_k)
+    for every i, block after block."""
+    if m.cols != s * d:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} matrix is no map from a {s} (x) {d} space")
+    out, rows = m.rows, [[] for _ in range(d)]
+    for w, mrow in enumerate(m._entries):
+        for t, x in mrow:
+            i, v = divmod(t, d)
+            rows[v].append((i * out + w, x))
+    for row in rows:
+        row.sort()
+    return Mat._of_rows(m.field, d, s * out, rows)
 
 
 def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
@@ -585,82 +606,68 @@ def inverse(m: Mat) -> Mat:
     return _from_entries(F, [{j - n: x for j, x in row.items() if j >= n} for _, row in pivoted], n)
 
 
-class _RowSolver:
-    """The rows of a basis factored once for repeated coordinate solves.
+def _rowspace_factor(basis: Mat) -> Mat:
+    """The n x (n + k) factor K of the k x n basis: for a row v, v @ K holds
+    the residual of v off the span in its first n columns and the
+    coordinates of v in the rows of basis after them.
 
-    `indep` are the rows kept by ``solve(basis.transpose(), v)``: the pivots
-    of rref(basis^T), i.e. each row not in the span of the rows before it.
-    With [R | T] = rref([B | I]) for B the kept rows, R has an identity
-    block at its pivot columns and T @ B = R.  A vector v lies in the span
-    iff v = y @ R for y = v at those pivots, and then y @ T are its
-    coordinates in B.  Each row of [R | T] is kept as its pivot and the
-    nonzero entries of R off the pivots and of T, so a solve touches only
-    the entries a sparse v reaches.
-    """
+    The coordinates are those of ``solve(basis.transpose(), v)``: only the
+    rows of basis not in the span of the rows before it (the pivots of
+    rref(basis^T)) get one.  With [R | T] = rref([B | I]) for B those rows,
+    R has an identity block at its pivot columns and T @ B = R.  A vector v
+    lies in the span iff v = y @ R for y = v at those pivots, and then y @ T
+    are its coordinates in B.  So row p of K, for a pivot p, holds the
+    entries of R off the pivots and, at column n + i for the row i of basis
+    that B's row t is, entry t of T; row j for a column that is no pivot
+    holds -1 at j.  Then v @ K is v @ R - v off the pivots, followed by the
+    coordinates."""
+    F, n = basis.field, basis.cols
+    indep = [i for i, _ in _eliminate(F, [dict(col) for col in basis._columns])]
+    aug = [dict(basis._entries[i]) for i in indep]
+    for k, row in enumerate(aug, n):
+        row[k] = F.one
+    rows = [[(j, F.neg(F.one))] for j in range(n)]
+    for p, row in _eliminate(F, aug):
+        rows[p] = sorted((j if j < n else n + indep[j - n], x) for j, x in row.items() if j != p)
+    return Mat._of_rows(F, n, n + basis.rows, rows)
 
-    def __init__(self, basis: Mat):
-        F, n = basis.field, basis.cols
-        indep = [i for i, _ in _eliminate(F, [dict(col) for col in basis._columns])]
-        aug = [dict(basis._entries[i]) for i in indep]
-        for k, row in enumerate(aug, n):
-            row[k] = F.one
-        pivoted = _eliminate(F, aug)
-        pivots = self.pivots = {p for p, _ in pivoted}
-        self.field = F
-        self.size = basis.rows
-        self.indep = indep
-        self.rows = [(p, [(j, x) for j, x in row.items() if j < n and j not in pivots],
-                      [(k, x) for k, x in row.items() if k >= n]) for p, row in pivoted]
-        self.width = n
 
-    def solve(self, v: dict) -> tuple | None:
-        """The coordinates of the vector with the nonzero entries v
-        ({column: value}), or None outside the span."""
-        acc = {}
-        for p, off_pivot, trow in self.rows:
-            y = v.get(p)
-            if y:
-                for j, x in chain(off_pivot, trow):
-                    acc[j] = acc.get(j, 0) + y * x
-        red, n, pivots = self.field.reduce, self.width, self.pivots
-        # off the pivots, v must be y @ R
-        for j, x in v.items():
-            if j not in pivots and red(acc.get(j, 0) - x):
-                return None
-        for j, s in acc.items():
-            if j < n and j not in v and red(s):
-                return None
-        x = [self.field.zero] * self.size
-        for k, i in enumerate(self.indep, n):
-            if k in acc:
-                x[i] = red(acc[k])
-        return tuple(x)
+def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
+    """The coordinates of each row of `rows` in the rows of basis, as the
+    rows of one matrix, and the indices of the rows outside their span,
+    whose coordinates are zero.
+
+    Row by row this equals, value and canonical form, ``solve(basis.transpose(),
+    v)``: dependent rows of basis get coordinate zero.  The basis is
+    factored on the first call (`_rowspace_factor`), and each call is one
+    product with the factor."""
+    if rows.cols != basis.cols:
+        raise DimensionMismatch("vector length vs basis width")
+    n = basis.cols
+    coords, outside = [], []
+    for i, row in enumerate((rows @ basis._row_factor)._entries):
+        if row and row[0][0] < n:  # a nonzero residual
+            outside.append(i)
+            row = []
+        coords.append([(j - n, x) for j, x in row])
+    return Mat._of_rows(basis.field, rows.rows, basis.rows, coords), outside
 
 
 def coords_in_rowspace(basis: Mat, v) -> tuple | None:
-    """Coordinates of vector v in the span of basis rows, or None if outside.
-
-    Equal, value and canonical form, to ``solve(basis.transpose(), v)``:
-    dependent rows get coordinate zero.  The basis is factored on the first
-    call, and each further call reads the factor rows at the nonzero
-    entries of v, a tuple or a one-row matrix.
-    """
+    """Coordinates of vector v, a tuple or a one-row matrix, in the span of
+    basis rows, or None if outside: the one-row case of `rowspace_coords`."""
     n, v = _pairs(v)
-    if n != basis.cols:
-        raise DimensionMismatch("vector length vs basis width")
-    return basis._row_solver.solve(dict(v))
+    coords, outside = rowspace_coords(basis, Mat._of_rows(basis.field, 1, n, [v]))
+    return None if outside else coords.row(0)
 
 
-def rowspace_coords(basis: Mat, vecs) -> tuple[list, bool]:
-    """The coordinates of each vector in the rows of basis (zeros for one
-    outside their span) and whether every vector lies in the span."""
-    out, ok = [], True
-    for v in vecs:
-        coords = coords_in_rowspace(basis, v)
-        if coords is None:
-            ok, coords = False, (basis.field.zero,) * basis.rows
-        out.append(coords)
-    return out, ok
+def span_coords(basis: Mat, rows: Mat, error: str) -> Mat:
+    """`rowspace_coords` of rows that lie in the span of basis; raises
+    ValueError(error) when one does not."""
+    coords, outside = rowspace_coords(basis, rows)
+    if outside:
+        raise ValueError(error)
+    return coords
 
 
 # -- tensor product over the base field --------------------------------------

@@ -15,7 +15,6 @@ whose differing columns name the failing basis elements.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +57,6 @@ from corings.linalg import (
     balanced_quotient,
     block_matrix,
     combine,
-    coords_in_rowspace,
     hstack,
     inverse,
     is_invertible,
@@ -67,9 +65,12 @@ from corings.linalg import (
     rank,
     row_space,
     rowspace_coords,
+    span_coords,
     tensor_k,
     tensor_vec,
     unit_vec,
+    unvec_rows,
+    vec_rows,
     vstack,
 )
 from corings.report import CheckReport
@@ -94,7 +95,7 @@ def _evaluations(x: GrouplikeFamily, r: GradedRing, a: int) -> list:
     """For each basis functional f of degree a, the matrix of the action
     b -> f(x_{a^{-1}} . b) of f on the base."""
     translates = x.right_translates[x.coring.group.inv(a)]
-    return [f @ translates for f in r.functionals[a]]
+    return list(unvec_rows(r.precomposed(a, translates), r.base.dim, translates.cols))
 
 
 def _degrees(dims) -> list:
@@ -375,10 +376,9 @@ def coefficient_ring(x: GrouplikeFamily, basis: Mat, t: CoinvariantRing) -> Coef
     twisted = GradedAlgebra.from_products(
         F, g, [w] * n, lambda a, b: kron_after(s_alg.mul_mat, sigma[b], Mat.identity(F, w)),
         s_alg.unit)
-    diag, ok = rowspace_coords(basis, [t.basis.row(i) * n for i in range(t.basis.rows)])
-    if not ok:
-        raise ValueError("diagonal coinvariant family escapes the coefficient ring")
-    return CoefficientRing(basis, s_alg, tuple(sigma), twisted, Mat._from_cols(F, diag, w))
+    diag = span_coords(basis, hstack([t.basis] * n),
+                       "diagonal coinvariant family escapes the coefficient ring")
+    return CoefficientRing(basis, s_alg, tuple(sigma), twisted, diag.transpose())
 
 
 def check_shift_fixed_points(s: CoefficientRing) -> CheckReport:
@@ -423,9 +423,9 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     q = RingBimodule(packed.algebra, t.algebra, o_dim, tuple(q_left), tuple(q_right))
     # tau: P (x) Q -> T, the right action of Q on the base; column j * o_dim + u
     acted = kron_after(p.right_map, Mat.identity(F, A.dim), w.transpose())
-    tau_cols, ok_tau = rowspace_coords(t.basis, [acted.col(k) for k in range(acted.cols)])
-    rep.add("build.tau-lands", "the pairing lands in the coinvariants", ok_tau)
-    tau = Mat._from_cols(F, tau_cols, t.algebra.dim)
+    tau, outside = rowspace_coords(t.basis, acted.transpose())
+    rep.add("build.tau-lands", "the pairing lands in the coinvariants", not outside)
+    tau = tau.transpose()
     # mu: Q (x) P -> R, the right action of the base on Q
     mu = Mat._from_cols(F, [base_action[j].apply(w.row(u)) for u in range(o_dim)
                             for j in range(A.dim)], packed.algebra.dim)
@@ -541,12 +541,12 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     acts = {(u, d): combine(F, A.dim, A.dim, evals[d], packed.block(d, wq.row(u)))
             for u in range(o_dim) for d in g.elements()}
     keys = [(j, sigma, u) for j in range(A.dim) for sigma in g.elements() for u in range(o_dim)]
-    coords, ok_omega = rowspace_coords(s.basis, [
+    coords, outside = rowspace_coords(s.basis, Mat._from_cols(F, [
         tuple(v for b in g.elements() for v in acts[(u, g.mul(sigma, b))].col(j))
-        for j, sigma, u in keys])
+        for j, sigma, u in keys], s.basis.cols).transpose())
     rep.add("build.omega-lands", "the first connecting map lands in the coefficient ring",
-            ok_omega)
-    coords = dict(zip(keys, coords))
+            not outside)
+    coords = {key: coords.row(k) for k, key in enumerate(keys)}
     omega = Mat._from_cols(F, [gs.inject(g.mul(a, sigma), coords[(j, sigma, u)])
                                for a in g.elements() for j, sigma, u in keys],
                            gs.algebra.dim)
@@ -584,24 +584,35 @@ def graded_hom(m: GradedModule, n: GradedModule, sigma: int) -> list:
     return sys.basis()
 
 
-def _family_coords(F, bases, what: str):
-    """Coordinates of maps in the solved bases of all degrees, laid out
-    degree after degree; bases[sigma] lists the families of degree sigma.
-    Returns coords(fams, sigma) for a family of degree sigma."""
-    def flat(fams) -> Mat:  # the maps of a family, each row-major, one after another
-        return hstack([f.reshape(1, f.rows * f.cols) for f in fams])
+def _stacked(F, g, bases, dims, src_dims) -> tuple:
+    """The families of each degree sigma stacked: per sigma and source degree
+    a, the maps fams[a] (from degree a of src_dims to degree sigma a of dims)
+    one vec per row (`vec_rows`), and per sigma those blocks side by side,
+    the rows the coordinates of a family of degree sigma are solved in."""
+    per_source = [[vec_rows(F, dims[g.mul(sigma, a)] * src_dims[a],
+                            [fams[a] for fams in bases[sigma]]) for a in g.elements()]
+                  for sigma in g.elements()]
+    return per_source, [hstack(blocks) for blocks in per_source]
 
-    per_degree = [vstack([flat(fams) for fams in fams_list]) if fams_list else Mat.zeros(F, 0, 0)
-                  for fams_list in bases]
 
-    def coords(fams, sigma: int) -> tuple:
-        local = coords_in_rowspace(per_degree[sigma], flat(fams))
-        if local is None:
-            raise ValueError(f"{what} escaped its solved basis")
-        return tuple(x for d, basis in enumerate(per_degree)
-                     for x in (local if d == sigma else (F.zero,) * basis.rows))
+def _per_element(coords: Mat, k: int, size: int) -> tuple:
+    """For coordinates with rows (j, i), j < k major, i < size: per i, the
+    matrix whose column j is row (j, i)."""
+    h = coords.cols
+    return unvec_rows(coords.reshape(k, size * h).transpose().reshape(size, h * k), h, k)
 
-    return coords
+
+def _composites(g, stacked, dims, ends, sigma: int, tau: int, width: int) -> Mat:
+    """Rows (t, k), t major, of width `width`: the families (X_k[tau c] t_c)_c
+    of degree sigma tau, for the families X_k of degree sigma stacked in
+    `stacked` (maps into the degrees of dims) and the endomorphism families t
+    of degree tau in `ends`, each through vec(X t) = vec(X) (I (x) t)."""
+    F, k = stacked[sigma][0].field, stacked[sigma][0].rows
+    per_t = [hstack([kron_after(stacked[sigma][g.mul(tau, c)],
+                                Mat.identity(F, dims[g.mul(g.mul(sigma, tau), c)]), t[c])
+                     for c in g.elements()]) for t in ends[tau]]
+    # each k-row block is one row of vec_rows, read back as its k rows
+    return vec_rows(F, k * width, per_t).reshape(len(per_t) * k, width)
 
 
 @dataclass(frozen=True)
@@ -609,87 +620,119 @@ class GradedEnd:
     module: GradedModule
     bases: tuple     # per degree sigma: list of hom families
     graded: GradedAlgebra
-    coords: Callable  # coords(fams, sigma): coordinates in the graded algebra
 
 
 def graded_end(m: GradedModule) -> GradedEnd:
     r = m.ring
     g = r.group
     F = r.base.field
+    e = g.identity
     bases = tuple(graded_hom(m, m, sigma) for sigma in g.elements())
-    coords = _family_coords(F, bases, "endomorphism")
-    elems = [(sigma, fams) for sigma in g.elements() for fams in bases[sigma]]
-    # product = composition: (s o t), degree sigma tau
-    mul = Mat._from_cols(F, [coords(tuple(sfam[g.mul(tau, a)] @ tfam[a] for a in g.elements()),
-                                    g.mul(sigma, tau))
-                             for sigma, sfam in elems for tau, tfam in elems], len(elems))
-    ident = tuple(Mat.identity(F, m.comps[a].dim) for a in g.elements())
-    alg = Algebra(F, len(elems), mul, coords(ident, g.identity))
-    return GradedEnd(m, bases, GradedAlgebra.build(g, alg, [len(b) for b in bases]), coords)
+    dims, m_dims = [len(b) for b in bases], [mm.dim for mm in m.comps]
+    stacked, full = _stacked(F, g, bases, m_dims, m_dims)
+    # product = composition s t, of degree sigma tau: column block
+    # (sigma, s, tau) holds s t for the t of degree tau
+    keys = {key: k for k, key in enumerate((sigma, s, tau) for sigma in g.elements()
+                                           for s in range(dims[sigma]) for tau in g.elements())}
+    blocks = {}
+    for sigma in g.elements():
+        for tau in g.elements():
+            st = g.mul(sigma, tau)
+            composites = _composites(g, stacked, m_dims, bases, sigma, tau, full[st].cols)
+            coords = span_coords(full[st], composites, "endomorphism escaped its solved basis")
+            for s, block in enumerate(_per_element(coords, dims[tau], dims[sigma])):
+                blocks[(st, keys[(sigma, s, tau)])] = block
+    mul = block_matrix(F, dims, [dims[tau] for _, _, tau in keys], blocks)
+    ident = hstack([Mat.identity(F, d).reshape(1, d * d) for d in m_dims])
+    unit = span_coords(full[e], ident, "endomorphism escaped its solved basis").transpose()
+    alg = Algebra(F, sum(dims), mul, block_matrix(F, dims, [1], {(e, 0): unit}).col(0))
+    return GradedEnd(m, bases, GradedAlgebra.build(g, alg, dims))
 
 
 def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, GradedEnd, tuple]:
     """The standard context of a graded module: endomorphisms, the ring,
-    the module, and module maps into the ring."""
+    the module, and module maps into the ring.  The maps of each degree are
+    stacked (`vec_rows`), so each action or composition is one `kron_after`
+    per degree pair and each degree's coordinates one solve."""
     r = m.ring
     g = r.group
     F = r.base.field
     end = graded_end(m)
     packed = r.packed()
     hom_bases = tuple(graded_hom(m, _ring_as_module(r), sigma) for sigma in g.elements())
-    hdims = [len(b) for b in hom_bases]
-    hom_coords = _family_coords(F, hom_bases, "module map")
-    m_dims = [mm.dim for mm in m.comps]
+    hdims, edims = [len(b) for b in hom_bases], list(end.graded.dims)
+    m_dims, r_dims = [mm.dim for mm in m.comps], [r.dim(a) for a in g.elements()]
+    homs, hom_full = _stacked(F, g, hom_bases, r_dims, m_dims)
+    end_full = _stacked(F, g, end.bases, m_dims, m_dims)[1]
 
-    def fixing_left(act, e, d):
-        """The map R_d -> W, v -> act(e (x) v), for the action act: V (x) R_d -> W."""
-        return kron_after(act, Mat.col_vector(F, e), Mat.identity(F, r.dim(d)))
+    def acted(actor, dims, x: int, sigma: int, target: Mat, error: str) -> tuple:
+        """Per basis element i of degree x of the actor (the ring through its
+        product, the module through its action; degree dims `dims`), the
+        matrix whose column k holds the coordinates in target of the family
+        (T_i X_k[c])_c, T_i the action of i, for the hom families X_k of
+        degree sigma: one kron_after per degree pair through the regrouped
+        action, vec(T X) = vec(X) (T^T (x) I), and one solve."""
+        rows = hstack([kron_after(homs[sigma][c], actor.regrouped(x, g.mul(sigma, c)),
+                                  Mat.identity(F, m_dims[c]))
+                       .reshape(hdims[sigma] * dims[x], dims[g.mul(g.mul(x, sigma), c)] * m_dims[c])
+                       for c in g.elements()])
+        return _per_element(span_coords(target, rows, error), hdims[sigma], dims[x])
 
     # P: left END, right R
     p_left = tuple(block_matrix(F, m_dims, m_dims,
                                 {(g.mul(sigma, a), a): fams[a] for a in g.elements()})
                    for sigma in g.elements() for fams in end.bases[sigma])
-    p_right = tuple(block_matrix(F, m_dims, m_dims, {
-        (g.mul(a, b), a): kron_after(m.act[(a, b)], Mat.identity(F, m_dims[a]),
-                                     Mat.col_vector(F, unit_vec(F, r.dim(b), u)))
-        for a in g.elements()}) for b in g.elements() for u in range(r.dim(b)))
+    # the maps m -> m . e_u on M_a for every u at once: row u of the
+    # transposed reshape of the action is vec(m -> m . e_u)
+    rights = {(a, b): unvec_rows(m.act[(a, b)].reshape(m_dims[g.mul(a, b)] * m_dims[a], r_dims[b])
+                                 .transpose(), m_dims[g.mul(a, b)], m_dims[a])
+              for a in g.elements() for b in g.elements()}
+    p_right = tuple(block_matrix(F, m_dims, m_dims, {(g.mul(a, b), a): rights[(a, b)][u]
+                                                     for a in g.elements()})
+                    for b in g.elements() for u in range(r_dims[b]))
     p = RingBimodule(end.graded.algebra, packed.algebra, sum(m_dims), p_left, p_right)
     # Q: left R, right END, both through composition
     q_left = []
     for b in g.elements():
-        for u in range(r.dim(b)):
-            # (r . q)_a = left multiply the value: R_b x R_{sigma a} -> R_{b sigma a}
-            times = [fixing_left(r.mul[(b, d)], unit_vec(F, r.dim(b), u), d) for d in g.elements()]
-            q_left.append(Mat._from_cols(F, [
-                hom_coords(tuple(times[g.mul(sigma, a)] @ fams[a] for a in g.elements()),
-                           g.mul(b, sigma))
-                for sigma in g.elements() for fams in hom_bases[sigma]], sum(hdims)))
+        # (r . q)_a = left multiply the value: R_b x R_{sigma a} -> R_{b sigma a}
+        blocks = [acted(r, r_dims, b, sigma, hom_full[g.mul(b, sigma)],
+                        "module map escaped its solved basis")
+                  for sigma in g.elements()]
+        q_left += [block_matrix(F, hdims, hdims, {(g.mul(b, sigma), sigma): blocks[sigma][u]
+                                                  for sigma in g.elements()})
+                   for u in range(r_dims[b])]
     q_right = []
     for tau in g.elements():
-        for ti, tfam in enumerate(end.bases[tau]):
-            cols = []
-            for sigma in g.elements():
-                for fams in hom_bases[sigma]:
-                    comp = tuple(fams[g.mul(tau, a)] @ tfam[a] for a in g.elements())
-                    cols.append(hom_coords(comp, g.mul(sigma, tau)))
-            q_right.append(Mat._from_cols(F, cols, sum(hdims)))
+        # (q . t)_a = q_{tau a} t_a; row block t of the coordinates holds the
+        # q of degree sigma composed with t
+        blocks = []
+        for sigma in g.elements():
+            target = hom_full[g.mul(sigma, tau)]
+            composites = _composites(g, homs, r_dims, end.bases, sigma, tau, target.cols)
+            coords = span_coords(target, composites, "module map escaped its solved basis")
+            blocks.append(unvec_rows(coords.reshape(edims[tau], hdims[sigma] * target.rows),
+                                     hdims[sigma], target.rows))
+        q_right += [block_matrix(F, hdims, hdims, {(g.mul(sigma, tau), sigma):
+                                                   blocks[sigma][t].transpose()
+                                                   for sigma in g.elements()})
+                    for t in range(edims[tau])]
     q = RingBimodule(packed.algebra, end.graded.algebra, sum(hdims),
                      tuple(q_left), tuple(q_right))
-    # phi: P (x) Q -> END, phi(p (x) q)(p') = p . q(p')
-    phi_cols = []
-    for a in g.elements():
-        for i in range(m_dims[a]):
-            moving = [fixing_left(m.act[(a, d)], unit_vec(F, m_dims[a], i), d) for d in g.elements()]
-            for sigma in g.elements():
-                for fams in hom_bases[sigma]:
-                    endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
-                    phi_cols.append(end.coords(endo, g.mul(a, sigma)))
-    phi = Mat._from_cols(F, phi_cols, end.graded.algebra.dim)
-    # psi: Q (x) P -> R, psi(q (x) p) = q(p)
-    psi = Mat._from_cols(F, [packed.inject(g.mul(sigma, a), fams[a].col(i))
-                             for sigma in g.elements() for fams in hom_bases[sigma]
-                             for a in g.elements() for i in range(m_dims[a])],
-                         packed.algebra.dim)
+    # phi: P (x) Q -> END, phi(p (x) q)(p') = p . q(p'); column block
+    # (a, i, sigma) holds the q of degree sigma
+    keys = {key: k for k, key in enumerate((a, i, sigma) for a in g.elements()
+                                           for i in range(m_dims[a]) for sigma in g.elements())}
+    blocks = {(g.mul(a, sigma), keys[(a, i, sigma)]): block
+              for a in g.elements() for sigma in g.elements()
+              for i, block in enumerate(acted(m, m_dims, a, sigma, end_full[g.mul(a, sigma)],
+                                              "endomorphism escaped its solved basis"))}
+    phi = block_matrix(F, edims, [hdims[sigma] for _, _, sigma in keys], blocks)
+    # psi: Q (x) P -> R, psi(q (x) p) = q(p); column block (sigma, q, a)
+    # holds the map of degree a of q
+    keys = [(sigma, fams, a) for sigma in g.elements() for fams in hom_bases[sigma]
+            for a in g.elements()]
+    psi = block_matrix(F, r_dims, [m_dims[a] for _, _, a in keys],
+                       {(g.mul(sigma, a), k): fams[a] for k, (sigma, fams, a) in enumerate(keys)})
     ctx = MoritaContext(end.graded.algebra, packed.algebra, p, q, phi, psi)
     gctx = GradedMoritaContext(ctx, g, end.graded, packed,
                                tuple(m_dims), tuple(hdims))
@@ -715,11 +758,11 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
     A_unit = end.module.ring.base.unit
     gs = s.twisted
     degrees = [sigma for sigma in g.elements() for _ in end.bases[sigma]]
-    coords, ok = rowspace_coords(s.basis, [
+    coords, outside = rowspace_coords(s.basis, Mat._from_cols(F, [
         tuple(v for a in g.elements() for v in fams[a].apply(A_unit))
-        for sigma in g.elements() for fams in end.bases[sigma]])
-    rep.add("end-iso.lands", "endomorphism families are coefficient families", ok)
-    xi = Mat._from_cols(F, [gs.inject(sigma, cc) for sigma, cc in zip(degrees, coords)])
+        for sigma in g.elements() for fams in end.bases[sigma]], s.basis.cols).transpose())
+    rep.add("end-iso.lands", "endomorphism families are coefficient families", not outside)
+    xi = Mat._from_cols(F, [gs.inject(sigma, coords.row(k)) for k, sigma in enumerate(degrees)])
     rep.add("end-iso.bijective", "the comparison is bijective",
             is_invertible(xi), f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
     end_alg = end.graded.algebra
@@ -739,12 +782,12 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckRep
     F = r.base.field
     degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
     # the value of a map of degree sigma at the unit of degree sigma^{-1} a lies in R_a
-    coords, ok = rowspace_coords(wq, [
+    coords, outside = rowspace_coords(wq, Mat._from_cols(F, [
         tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(r.base.unit))
-        for sigma in g.elements() for fams in hom_bases[sigma]])
-    rep.add("hom-iso.lands", "module-map families are connecting families", ok)
-    psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), cc)
-                             for sigma, cc in zip(degrees, coords)])
+        for sigma in g.elements() for fams in hom_bases[sigma]], wq.cols).transpose())
+    rep.add("hom-iso.lands", "module-map families are connecting families", not outside)
+    psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), coords.row(k))
+                             for k, sigma in enumerate(degrees)])
     rep.add("hom-iso.bijective", "the comparison is bijective",
             is_invertible(psi), f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
     return psi, rep
@@ -874,12 +917,10 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             "base copies carry the same actions through the ring comparisons",
             not bad, f"failing: {bad[:5]}" if bad else "")
     # j: slice connecting space -> family connecting space through the shifts
-    coords, ok = rowspace_coords(wq, [
-        tuple(v for a in g.elements() for v in sigmas[a].apply(w_e.row(u)))
-        for u in range(w_e.rows)])
-    jg = tensor_k(Mat.identity(F, g.order), Mat._from_cols(F, coords))
+    coords, outside = rowspace_coords(wq, hstack([w_e @ sigma.transpose() for sigma in sigmas]))
+    jg = tensor_k(Mat.identity(F, g.order), coords.transpose())
     rep.add("ring-match.connecting-lands",
-            "shifted slice families are connecting families", ok)
+            "shifted slice families are connecting families", not outside)
     rep.add("ring-match.connecting-bijective",
             "the shifted comparison of connecting spaces is bijective",
             is_invertible(jg), f"{jg.cols} -> {jg.rows}")

@@ -67,6 +67,13 @@
   structure by a loop over degree pairs or triples, and the plain comodule
   and R-module keep laws of their own instead of being read as their
   replicates at the identity tag.
+* `reference_dual_mul` and `reference_standard_context` are the
+  references for `dualring.GradedRing._build_mul` and for
+  `morita.graded_end` and `morita.context_from_graded_module`: they apply
+  each basis map and solve each coordinate vector one at a time
+  (`coords_in_rowspace` per product, per family or per functional), the
+  loops the library ran before it stacked each degree's maps and solved
+  each degree's coordinates in one `rowspace_coords`.
 * `Dense` is a matrix kept as a plain row-major tuple, the storage `Mat`
   had before its sparse rows, with the operations `linalg` now writes on
   rows (`at`, `row`, `col`, `transpose`, `+`, `-`, `scale`, `is_zero`,
@@ -123,16 +130,17 @@ from corings.linalg import (
     QuotientSpace,
     block_matrix,
     combine,
+    coords_in_rowspace,
+    hstack,
     kernel,
     kron_after,
     quotient_by,
-    rowspace_coords,
     tensor_k,
     tensor_vec,
     unit_vec,
     vstack,
 )
-from corings.morita import CoefficientRing, MoritaContext, RingBimodule
+from corings.morita import CoefficientRing, MoritaContext, RingBimodule, graded_hom
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, Field
 from corings.structfile import Derived
@@ -176,8 +184,8 @@ def reference_subalgebra(ambient: Algebra, basis: Mat) -> Algebra:
     rows = [basis.row(i) for i in range(basis.rows)]
 
     def coords(v) -> tuple:
-        (c,), ok = rowspace_coords(basis, [v])
-        assert ok
+        c = coords_in_rowspace(basis, v)
+        assert c is not None
         return c
 
     mul = [[coords(multiply(ambient, u, v)) for v in rows] for u in rows]
@@ -1078,8 +1086,8 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
     w = basis.rows
 
     def coords(vecs, failure: str) -> list:
-        out, ok = rowspace_coords(basis, vecs)
-        if not ok:
+        out = [coords_in_rowspace(basis, v) for v in vecs]
+        if None in out:
             raise ValueError(failure)
         return out
 
@@ -1362,3 +1370,97 @@ def reference_validate_rmodule(m: RModule) -> CheckReport:
     rep.add("module.associative", "action associativity on degree pairs",
             not bad, f"failing pairs: {bad}" if bad else "")
     return rep
+
+
+# -- references for the stacked dual-ring product and the standard context ------
+
+def reference_dual_mul(r: GradedRing, a: int, b: int) -> Mat:
+    """`GradedRing._build_mul` one product and one solve per pair of
+    functionals: column u * dim(b) + v holds the coordinates of f_v o leg_u."""
+    ab = r.group.mul(a, b)
+    return Mat._from_cols(r.base.field, [r.coords(ab, gv @ leg) for leg in r.legs[(a, b)]
+                                         for gv in r.functionals[b]], r.dim(ab))
+
+
+def _reference_family_coords(F, bases, what: str):
+    """Coordinates of maps in the solved bases of all degrees, laid out
+    degree after degree; bases[sigma] lists the families of degree sigma.
+    Returns coords(fams, sigma) for a family of degree sigma."""
+    def flat(fams) -> Mat:  # the maps of a family, each row-major, one after another
+        return hstack([f.reshape(1, f.rows * f.cols) for f in fams])
+
+    per_degree = [vstack([flat(fams) for fams in fams_list]) if fams_list else Mat.zeros(F, 0, 0)
+                  for fams_list in bases]
+
+    def coords(fams, sigma: int) -> tuple:
+        local = coords_in_rowspace(per_degree[sigma], flat(fams))
+        if local is None:
+            raise ValueError(f"{what} escaped its solved basis")
+        return tuple(x for d, basis in enumerate(per_degree)
+                     for x in (local if d == sigma else (F.zero,) * basis.rows))
+
+    return coords
+
+
+def reference_standard_context(m: GradedModule) -> tuple:
+    """The endomorphism product of `morita.graded_end` and the bimodules and
+    pairings of `morita.context_from_graded_module`, column by column: each
+    composite or action is one product per basis family and degree, and
+    each family's coordinates one solve.  Returns (END product, p.left,
+    p.right, q.left, q.right, phi, psi)."""
+    r = m.ring
+    g = r.group
+    F = r.base.field
+    end_bases = tuple(graded_hom(m, m, sigma) for sigma in g.elements())
+    end_coords = _reference_family_coords(F, end_bases, "endomorphism")
+    elems = [(sigma, fams) for sigma in g.elements() for fams in end_bases[sigma]]
+    end_mul = Mat._from_cols(F, [end_coords(tuple(sfam[g.mul(tau, a)] @ tfam[a] for a in g.elements()),
+                                            g.mul(sigma, tau))
+                                 for sigma, sfam in elems for tau, tfam in elems], len(elems))
+    packed = r.packed()
+    ring_module = GradedModule(r, tuple(r.comps), dict(r.mul))
+    hom_bases = tuple(graded_hom(m, ring_module, sigma) for sigma in g.elements())
+    hdims = [len(b) for b in hom_bases]
+    hom_coords = _reference_family_coords(F, hom_bases, "module map")
+    m_dims = [mm.dim for mm in m.comps]
+
+    def fixing_left(act, e, d):
+        """The map R_d -> W, v -> act(e (x) v), for the action act: V (x) R_d -> W."""
+        return kron_after(act, Mat.col_vector(F, e), Mat.identity(F, r.dim(d)))
+
+    p_left = tuple(block_matrix(F, m_dims, m_dims,
+                                {(g.mul(sigma, a), a): fams[a] for a in g.elements()})
+                   for sigma in g.elements() for fams in end_bases[sigma])
+    p_right = tuple(block_matrix(F, m_dims, m_dims, {
+        (g.mul(a, b), a): kron_after(m.act[(a, b)], Mat.identity(F, m_dims[a]),
+                                     Mat.col_vector(F, unit_vec(F, r.dim(b), u)))
+        for a in g.elements()}) for b in g.elements() for u in range(r.dim(b)))
+    q_left = []
+    for b in g.elements():
+        for u in range(r.dim(b)):
+            times = [fixing_left(r.mul[(b, d)], unit_vec(F, r.dim(b), u), d) for d in g.elements()]
+            q_left.append(Mat._from_cols(F, [
+                hom_coords(tuple(times[g.mul(sigma, a)] @ fams[a] for a in g.elements()),
+                           g.mul(b, sigma))
+                for sigma in g.elements() for fams in hom_bases[sigma]], sum(hdims)))
+    q_right = []
+    for tau in g.elements():
+        for tfam in end_bases[tau]:
+            q_right.append(Mat._from_cols(F, [
+                hom_coords(tuple(fams[g.mul(tau, a)] @ tfam[a] for a in g.elements()),
+                           g.mul(sigma, tau))
+                for sigma in g.elements() for fams in hom_bases[sigma]], sum(hdims)))
+    phi_cols = []
+    for a in g.elements():
+        for i in range(m_dims[a]):
+            moving = [fixing_left(m.act[(a, d)], unit_vec(F, m_dims[a], i), d) for d in g.elements()]
+            for sigma in g.elements():
+                for fams in hom_bases[sigma]:
+                    endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
+                    phi_cols.append(end_coords(endo, g.mul(a, sigma)))
+    phi = Mat._from_cols(F, phi_cols, len(elems))
+    psi = Mat._from_cols(F, [packed.inject(g.mul(sigma, a), fams[a].col(i))
+                             for sigma in g.elements() for fams in hom_bases[sigma]
+                             for a in g.elements() for i in range(m_dims[a])],
+                         packed.algebra.dim)
+    return end_mul, p_left, p_right, tuple(q_left), tuple(q_right), phi, psi

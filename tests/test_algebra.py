@@ -473,10 +473,10 @@ def test_equal_matrices_are_compared_without_a_scan(monkeypatch):
         b = Mat.from_rows(QQ, [[rng.choice((x, x, x + 1)) for x in a.row(i)] for i in range(n)])
         reads.clear()
         assert algebra.differing_columns(a, Mat(QQ, n, m, a.data)) == []
-        assert algebra._rows_differ(a, Mat(QQ, n, m, a.data)) == []
+        assert algebra.differing_rows(a, Mat(QQ, n, m, a.data)) == []
         assert reads == []
         assert algebra.differing_columns(a, b) == [t for t in range(m) if col(a, t) != col(b, t)]
-        assert algebra._rows_differ(a, b) == [j for j in range(n) if row(a, j) != row(b, j)]
+        assert algebra.differing_rows(a, b) == [j for j in range(n) if row(a, j) != row(b, j)]
         assert (reads != []) == (a != b)
 
 

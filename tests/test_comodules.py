@@ -1,11 +1,14 @@
 """Comodule categories, the pack/replicate adjoint pair and the cofree
 equivalence."""
 
+import collections
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from corings import comodules
 from corings.comodules import (
     Comodule,
     check_cofree_equivalence,
@@ -38,6 +41,7 @@ from corings.galois import (
 from corings.linalg import LinearSystem, Mat
 from corings.scalars import QQ, DimensionMismatch
 from corings.structfile import main_structure, parse
+from corings.suites import run_suite
 from helpers import derived, reference_is_gcomodule_hom, reference_pack_gcomodule
 
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
@@ -244,10 +248,11 @@ def _perturbed(fams, k: int) -> tuple:
 
 @pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
 def test_hom_system_check_matches_the_reference(name):
-    # the batteries test transposed maps against the family-map law; on the
-    # pairs the comodules suite checks, in both directions, the law agrees
-    # with the map-by-map reference on the solved basis families, their sums
-    # and perturbations of both
+    # the batteries test transposed maps against the family-map law, all the
+    # maps of one pair and direction in one call; on the pairs the comodules
+    # suite checks, in both directions, the stacked law names exactly the
+    # families the map-by-map reference rejects, among the solved basis
+    # families, their sums and perturbations of both, alone and interleaved
     fx = fixture(name)
     acom = comodule_from_grouplike(fx.grouplike)
     cg = coring_as_gcomodule(fx.coring)
@@ -257,20 +262,84 @@ def test_hom_system_check_matches_the_reference(name):
         for src, dst in ((gm, repl), (repl, gm)):
             basis = gcomodule_homs(src, dst).basis()
             sums = [tuple(f + h for f, h in zip(p, q)) for p, q in zip(basis, basis[1:] + basis[:1])]
-            for fams in basis + sums:
-                assert is_gcomodule_map(src, dst, fams) and reference_is_gcomodule_hom(src, dst, fams)
-            for k, fams in enumerate(basis + sums):
-                fams = _perturbed(fams, k)
-                verdict = is_gcomodule_map(src, dst, fams)
-                assert verdict == reference_is_gcomodule_hom(src, dst, fams)
-                verdicts.append(verdict)
+            assert is_gcomodule_map(src, dst, basis + sums) == []
+            assert all(reference_is_gcomodule_hom(src, dst, fams) for fams in basis + sums)
+            for fams in basis:
+                assert is_gcomodule_map(src, dst, [fams]) == []
+            perturbed = [_perturbed(fams, k) for k, fams in enumerate(basis + sums)]
+            failing = [k for k, fams in enumerate(perturbed)
+                       if not reference_is_gcomodule_hom(src, dst, fams)]
+            assert is_gcomodule_map(src, dst, perturbed) == failing
+            for k, fams in enumerate(perturbed):
+                assert is_gcomodule_map(src, dst, [fams]) == ([0] if k in failing else [])
+            mixed = [fams for pair in zip(basis + sums, perturbed) for fams in pair]
+            assert is_gcomodule_map(src, dst, mixed) == [2 * k + 1 for k in failing]
+            verdicts += [k not in failing for k in range(len(perturbed))]
+            assert is_gcomodule_map(src, dst, []) == []
             f = basis[0][0]
             wrong = (Mat.zeros(f.field, f.rows + 1, f.cols),) + basis[0][1:]
             with pytest.raises(DimensionMismatch):
-                is_gcomodule_map(src, dst, wrong)
+                is_gcomodule_map(src, dst, basis + [wrong])
             with pytest.raises(DimensionMismatch):
-                is_gcomodule_map(src, dst, basis[0][1:])
+                is_gcomodule_map(src, dst, [basis[0][1:]])
     assert False in verdicts
+
+
+def test_each_battery_checks_a_pair_and_direction_in_one_call(monkeypatch):
+    # one --suite all pass over the four fixtures: per pair and direction,
+    # the adjunction and Frobenius batteries check all the transposed basis
+    # maps in one call of the family-map law (52 maps, which had a call
+    # each), then one map per triangle row; the cofree battery makes one
+    # call per object
+    sizes = collections.defaultdict(list)
+    real = comodules.is_gcomodule_map
+
+    def counting(m, n, families):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in ("_adjunction_battery", "check_cofree_equivalence"):
+            frame = frame.f_back
+        sizes[frame.f_code.co_name].append(len(families))
+        return real(m, n, families)
+
+    monkeypatch.setattr(comodules, "is_gcomodule_map", counting)
+    for name in ("trivial", "regular", "nongalois", "sweedler"):
+        assert run_suite(fixture(name), "all", 0).items
+    assert sorted(sizes) == ["_adjunction_battery", "check_cofree_equivalence"]
+    battery = sizes["_adjunction_battery"]
+    assert len(battery) == 3 * 16 and sum(battery[::3]) == 52
+    assert battery[1::3] == battery[2::3] == [1] * 16
+    assert sizes["check_cofree_equivalence"] == [1] * 9
+
+
+@pytest.mark.parametrize("battery", (check_pack_replicate_adjunction, check_pack_replicate_frobenius),
+                         ids=("adjunction", "frobenius"))
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
+def test_a_packed_coaction_that_drops_a_block_fails_a_triangle_row(monkeypatch, battery, name):
+    # the triangle rows check a unit or counit as a map of comodules: when
+    # the coaction at the identity that pack_gcomodule builds loses its block
+    # of the identity degree, a triangle row fails; on the true pack every
+    # triangle row passes
+    fx = fixture(name)
+    acom = comodule_from_grouplike(fx.grouplike)
+    cg = coring_as_gcomodule(fx.coring)
+    pairs = [(replicate_comodule(acom), acom), (cg, pack_gcomodule(cg)[0])]
+
+    def triangle_rows(rep) -> dict:
+        return {item.check_id: item.passed for item in rep.items if ".triangle-" in item.check_id}
+
+    assert all(triangle_rows(battery(pairs)).values())
+    real = comodules.pack_gcomodule
+
+    def dropping(m):
+        packed, inj, proj = real(m)
+        e = m.coring.group.identity
+        rho = list(packed.rho)
+        rho[e] = rho[e] - rho[e] @ inj[e] @ proj[e]
+        return Comodule(packed.coring, packed.space, rho), inj, proj
+
+    monkeypatch.setattr(comodules, "pack_gcomodule", dropping)
+    rows = triangle_rows(battery(pairs))
+    assert len(rows) == 4 and not all(rows.values())
 
 
 @pytest.mark.parametrize("name", ("regular", "sweedler", "c3-qq"))

@@ -50,6 +50,7 @@ from helpers import (
     derived,
     reference_comodule_to_module,
     reference_dual_basis_comultiplication,
+    reference_dual_mul,
     reference_gcomodule_to_graded,
     reference_graded_to_gcomodule,
     validate_graded_algebra,
@@ -247,6 +248,21 @@ def test_dual_ring_functors_equal_the_reference_loops(name):
     assert rmodules_equal(comodule_to_module(acom, r), reference_comodule_to_module(acom, r))
     assert check_dual_basis_comultiplication(c, r).ok
     assert reference_dual_basis_comultiplication(c, r) == []
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_dual_ring_product_matches_the_pairwise_reference(name):
+    # one product per leg and one solve per degree pair give the product of
+    # one product and one solve per pair of functionals, on the dual ring
+    # and on the dual of the degree-e slice; the base map, solved in one go,
+    # is the coordinates of e_j . counit
+    c = structure(name).coring
+    for ring in (dual_ring(c), dual_ring(c.e_slice())):
+        for a, b in ring.mul:
+            assert ring.mul[(a, b)] == reference_dual_mul(ring, a, b)
+        e = ring.group.identity
+        assert ring.base_map == Mat.from_cols(c.base.field, [
+            ring.coords(e, right @ ring.coring.counit) for right in c.base.right_mats])
 
 
 def _swap(field, m: int, n: int) -> Mat:

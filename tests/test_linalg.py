@@ -31,7 +31,9 @@ from corings.linalg import (
     kron_after,
     quotient_by,
     rank,
+    regroup,
     row_space,
+    rowspace_coords,
     rref,
     rref_pivots,
     sandwich_operator,
@@ -40,6 +42,7 @@ from corings.linalg import (
     tensor_slice_operator,
     tensor_vec,
     triple_balanced_quotient,
+    unit_vec,
     unvec_rows,
     vec_rows,
     vstack,
@@ -586,6 +589,75 @@ def test_coords_in_rowspace_gives_dependent_rows_zero():
     assert coords_in_rowspace(basis, (1, 3, 2)) == (0, 1, 0, 2)
     assert coords_in_rowspace(basis, (1, 3, 2)) == solve(basis.transpose(), (1, 3, 2))
     assert coords_in_rowspace(basis, (0, 0, 1)) is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1000003)])
+def test_rowspace_coords_matches_the_row_by_row_solves(field):
+    # one batched solve against coords_in_rowspace and the transposed solve,
+    # row by row, in value and canonical form: bases with dependent and zero
+    # rows, and among the rows solved for zero rows, rows in the span and
+    # rows outside it
+    rng = random.Random(21)
+    counts = {"zero": 0, "inside": 0, "outside": 0}
+    for _ in range(150):
+        basis = random_basis(field, rng)
+        vecs = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.2:
+                vecs.append((field.zero,) * basis.cols)
+            elif kind < 0.6:
+                coeffs = mixed_mat(field, 1, basis.rows, rng).data
+                vecs.append(tuple(basis.transpose().apply(coeffs)))
+            else:
+                vecs.append(mixed_mat(field, 1, basis.cols, rng).data)
+        rows = Mat(field, len(vecs), basis.cols, tuple(x for v in vecs for x in v))
+        coords, outside = rowspace_coords(basis, rows)
+        assert (coords.rows, coords.cols) == (len(vecs), basis.rows)
+        want = [solve(basis.transpose(), v) for v in vecs]
+        assert outside == [i for i, w in enumerate(want) if w is None]
+        for i, (v, w) in enumerate(zip(vecs, want)):
+            assert coords_in_rowspace(basis, v) == w
+            got = coords.row(i)
+            assert_canonical(field, got)
+            if w is None:
+                counts["outside"] += 1
+                assert got == (field.zero,) * basis.rows
+            else:
+                counts["zero" if not any(v) else "inside"] += 1
+                assert_canonical(field, w)
+                assert got == w
+    assert min(counts.values()) > 0
+
+
+def test_rowspace_coords_checks_its_operands():
+    basis = M([[1, 2, 0], [0, 0, 1]])
+    with pytest.raises(DimensionMismatch):
+        rowspace_coords(basis, M([[1, 2]]))
+    with pytest.raises(FieldMismatch):
+        rowspace_coords(basis, Mat(GF(7), 1, 3, (1, 2, 0)))
+    coords, outside = rowspace_coords(basis, Mat(QQ, 0, 3, ()))
+    assert (coords.rows, coords.cols, outside) == (0, 2, [])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_regroup_applies_every_basis_element_at_once(field):
+    # block i of regroup(m, s, d) is the transpose of w -> m(e_i (x) w), so
+    # one kron_after applies every e_i to every stacked matrix
+    rng = random.Random(17)
+    for _ in range(40):
+        s, d, out, k, c = (rng.randint(1, 4) for _ in range(5))
+        m = mixed_mat(field, out, s * d, rng)
+        blocks = [kron_after(m, Mat.col_vector(field, unit_vec(field, s, i)), Mat.identity(field, d))
+                  for i in range(s)]
+        grouped = regroup(m, s, d)
+        assert grouped == hstack([b.transpose() for b in blocks])
+        xs = [mixed_mat(field, d, c, rng) for _ in range(k)]
+        applied = kron_after(vec_rows(field, d * c, xs), grouped, Mat.identity(field, c))
+        assert applied.reshape(k * s, out * c) == vec_rows(field, out * c,
+                                                           [b @ x for x in xs for b in blocks])
+    with pytest.raises(DimensionMismatch):
+        regroup(Mat.zeros(field, 2, 5), 2, 3)
 
 
 # -- triple quotients against the dense reference ----------------------------------
