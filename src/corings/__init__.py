@@ -35,9 +35,6 @@ from corings.coring import (
     GroupCoring,
     GroupCoringMorphism,
     cofree_coring,
-    pack_graded_coring,
-    trivial_coring,
-    unpack_graded_coring,
     validate_coring_morphism,
     validate_group_coring,
     verify_cofree,
@@ -67,7 +64,6 @@ __all__ = [
     "is_bimodule_iso",
     "kernel",
     "left_dual",
-    "pack_graded_coring",
     "quotient_by",
     "rref",
     "sandwich_operator",
@@ -75,8 +71,6 @@ __all__ = [
     "tensor_k",
     "tensor_slice_operator",
     "tensor_over_algebra",
-    "trivial_coring",
-    "unpack_graded_coring",
     "validate_algebra",
     "validate_bimodule",
     "validate_coring_morphism",

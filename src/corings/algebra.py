@@ -35,11 +35,9 @@ from corings.linalg import (
     block_diagonal,
     block_matrix,
     combine,
-    coords_in_rowspace,
     hstack,
     is_invertible,
     kron_after,
-    rank,
     row_space,
     rowspace_coords,
     solve,
@@ -144,8 +142,8 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     closed under multiplication or misses the unit.
     """
     F, n = ambient.field, basis.rows
-    unit = coords_in_rowspace(basis, ambient.unit)
-    if unit is None:
+    unit, outside = rowspace_coords(basis, Mat.from_rows(F, [ambient.unit]))
+    if outside:
         raise ValueError("span does not contain the unit")
     # column i * n + j: the product of basis rows i and j
     prods = kron_after(ambient.mul_mat, basis.transpose(), basis.transpose())
@@ -153,7 +151,7 @@ def subalgebra(ambient: Algebra, basis: Mat) -> tuple[Algebra, Mat]:
     if outside:
         i, j = divmod(outside[0], n)
         raise ValueError(f"span not closed under multiplication at ({i},{j})")
-    return Algebra(F, n, coords.transpose(), unit), basis.transpose()
+    return Algebra(F, n, coords.transpose(), unit.row(0)), basis.transpose()
 
 
 def validate_algebra(a: Algebra) -> CheckReport:
@@ -646,30 +644,16 @@ def left_module_predicates(m: Bimodule) -> ModulePredicates:
     F = A.field
     _, functionals, _ = left_dual(m)
     projective = find_dual_basis(m) is not None
-    trace_rows = []
-    for f in functionals:
-        for j in range(m.dim):
-            v = f.col(j)
-            if any(v):
-                trace_rows.append(v)
-    if trace_rows:
-        span = Mat(F, len(trace_rows), A.dim, tuple(x for r in trace_rows for x in r))
-        # saturate to the two-sided ideal generated by the trace values
-        while True:
-            extra = []
-            sp = row_space(span)
-            for i in range(sp.rows):
-                v = sp.row(i)
-                for t in range(A.dim):
-                    for w in (A.left_mats[t].apply(v), A.right_mats[t].apply(v)):
-                        if coords_in_rowspace(sp, w) is None:
-                            extra.append(w)
-            if not extra:
-                span = sp
-                break
-            span = vstack([sp, Mat(F, len(extra), A.dim, tuple(x for r in extra for x in r))])
-        generator = rank(span) == A.dim
-    else:
-        generator = False
-    ff = projective and generator
-    return ModulePredicates(projective, generator, ff, projective and generator)
+    # the trace values f(e_j), one row each, and the two-sided ideal they
+    # generate: add the products e_t v and v e_t of the span's basis rows v
+    # until one solve finds them all inside the span
+    span = row_space(vstack([Mat.zeros(F, 0, A.dim)] + [f.transpose() for f in functionals]))
+    ident = Mat.identity(F, A.dim)
+    while True:
+        rows = span.transpose()
+        products = hstack([kron_after(A.mul_mat, ident, rows), kron_after(A.mul_mat, rows, ident)])
+        if not rowspace_coords(span, products.transpose())[1]:
+            break
+        span = row_space(vstack([span, products.transpose()]))
+    generator = 0 < span.rows == A.dim
+    return ModulePredicates(projective, generator, projective and generator, projective and generator)

@@ -249,18 +249,22 @@ _TEXTS = {"adjunction": ("hom spaces have equal dimension",
                         "packed counit after unit is the identity")}
 
 
-def check_pack_replicate_adjunction(pairs) -> CheckReport:
+def check_pack_replicate(pairs) -> CheckReport:
     """For each (family, comodule) pair: the hom-space bijection of pack left
-    adjoint to replicate, in both directions, and its triangle identities."""
-    return _adjunction_battery(pairs, "adjunction", True)
+    adjoint to replicate, in both directions, and its triangle identities
+    (the `adjunction` rows), then the same for replicate left adjoint to
+    pack (the `frobenius` rows).  Each pair's pack, replicate and pack of
+    the replicate are built once and serve both."""
+    built = []
+    for gm, n in pairs:
+        repl = replicate_comodule(n)
+        built.append((gm, n, pack_gcomodule(gm), repl, pack_gcomodule(repl)))
+    rep = _adjunction_battery(built, "adjunction", True)
+    rep.extend(_adjunction_battery(built, "frobenius", False))
+    return rep
 
 
-def check_pack_replicate_frobenius(pairs) -> CheckReport:
-    """The second adjunction (replicate left adjoint of pack) on hom bases."""
-    return _adjunction_battery(pairs, "frobenius", False)
-
-
-def _adjunction_battery(pairs, tag: str, pack_left: bool) -> CheckReport:
+def _adjunction_battery(built, tag: str, pack_left: bool) -> CheckReport:
     """The rows of one adjunction for each pair (family M, comodule N): maps
     pack M -> N against M -> replicate N when pack is the left adjoint,
     replicate N -> M against N -> pack M when it is the right one; a map out
@@ -269,14 +273,13 @@ def _adjunction_battery(pairs, tag: str, pack_left: bool) -> CheckReport:
     sum of the copies, and the triangles eps_{pack M} pack(eta_M) = id and
     replicate(eps_N) eta_{replicate N} = id, whose rows also check eta_M and
     eta_{replicate N} as maps; with replicate on the left all are transposed,
-    and the rows check zeta_M = eta_M^T and the unit replicate(nu_N)."""
+    and the rows check zeta_M = eta_M^T and the unit replicate(nu_N).
+    Each entry of built is (M, N, pack M, replicate N, pack replicate N),
+    a pack with its injections and projections."""
     dim_text, section_text, left_text = _TEXTS[tag]
     rep = CheckReport()
-    for idx, (gm, n) in enumerate(pairs):
+    for idx, (gm, n, (packed, inj, proj), repl, (copies, inj_n, _)) in enumerate(built):
         F, order = gm.coring.base.field, gm.coring.group.order
-        packed, inj, proj = pack_gcomodule(gm)
-        repl = replicate_comodule(n)
-        copies, inj_n, _ = pack_gcomodule(repl)
         eye_p, eye_n = Mat.identity(F, packed.space.dim), Mat.identity(F, n.space.dim)
         if pack_left:
             h_packed = [f for (f,) in comodule_homs(packed, n).basis()]

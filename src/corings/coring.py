@@ -1,5 +1,5 @@
-"""Group-indexed corings over an algebra: axioms, morphisms, cofree
-construction and the packed (graded) form for finite index groups.
+"""Group-indexed corings over an algebra: axioms, morphisms and the cofree
+construction for finite index groups.
 
 A coring here is a family of bimodules C_a, one per group element, with
 comultiplications Delta[a,b]: C_{ab} -> C_a (x)_A C_b landing in the
@@ -28,13 +28,12 @@ from corings.algebra import (
     cached_triple,
     contract_left,
     contract_right,
-    direct_sum_bimodule,
     is_bimodule_iso,
     validate_bimodule,
     validate_bimodule_map,
 )
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
-from corings.linalg import Mat, QuotientSpace, block_matrix, inverse, kron_after
+from corings.linalg import Mat, QuotientSpace, inverse, kron_after
 from corings.report import CheckReport
 
 
@@ -236,79 +235,6 @@ def check_cofree_counit_identities(c: GroupCoring, w: CofreeWitness) -> CheckRep
     rep.add("cofree.counit-second-leg", "counit contraction of the second leg",
             not bad2, f"failing pairs: {bad2}" if bad2 else "")
     return rep
-
-
-# -- trivial coring ------------------------------------------------------------------
-
-def trivial_coring(a: Algebra, group: FiniteGroup) -> tuple[GroupCoring, CofreeWitness]:
-    """Every component the regular bimodule, comultiplication a -> a (x) 1."""
-    reg = Bimodule.regular(a)
-    t = cached_tensor(reg, reg)
-    delta = Mat.from_cols(a.field, [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)])
-    one_comp = GroupCoring(TRIVIAL_GROUP, a, (reg,), {(0, 0): delta}, Mat.identity(a.field, a.dim))
-    return cofree_coring(one_comp, group)
-
-
-# -- packed (graded) form --------------------------------------------------------------
-
-class GradedCoring:
-    """A single coring whose underlying bimodule carries a group grading."""
-
-    def __init__(self, group: FiniteGroup, base: Algebra, total: Bimodule,
-                 dims, delta: Mat, counit: Mat):
-        self.group = group
-        self.base = base
-        self.total = total
-        self.dims = tuple(dims)
-        self.delta = delta
-        self.counit = counit
-
-    def tensor(self) -> TensorProduct:
-        return cached_tensor(self.total, self.total)
-
-    def as_group_coring(self) -> GroupCoring:
-        return GroupCoring(TRIVIAL_GROUP, self.base, (self.total,),
-                           {(0, 0): self.delta}, self.counit)
-
-    def block_injection(self, a: int) -> Mat:
-        F = self.base.field
-        return block_matrix(F, self.dims, [self.dims[a]], {(a, 0): Mat.identity(F, self.dims[a])})
-
-    def block_projection(self, a: int) -> Mat:
-        return self.block_injection(a).transpose()
-
-
-def pack_graded_coring(c: GroupCoring) -> GradedCoring:
-    """Assemble the block-diagonal coring with counit supported on degree e."""
-    g = c.group
-    F = c.base.field
-    total, inj, proj = direct_sum_bimodule(c.comps)
-    t_tot = cached_tensor(total, total)
-    delta = Mat.zeros(F, t_tot.space.dim, total.dim)
-    for a in g.elements():
-        for b in g.elements():
-            incl = kron_after(t_tot.space.proj, inj[a], inj[b]) @ c.tensor(a, b).space.sect
-            delta = delta + incl @ c.delta[(a, b)] @ proj[g.mul(a, b)]
-    return GradedCoring(g, c.base, total, [m.dim for m in c.comps], delta,
-                        c.counit @ proj[g.identity])
-
-
-def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
-    """Slice a graded coring back into its group-indexed family."""
-    g = p.group
-    comps = []
-    for a in g.elements():
-        inj = p.block_injection(a)
-        proj = p.block_projection(a)
-        left = tuple(proj @ L @ inj for L in p.total.left)
-        right = tuple(proj @ R @ inj for R in p.total.right)
-        comps.append(Bimodule(p.base, p.dims[a], left, right))
-    lifted = p.tensor().space.sect @ p.delta
-    delta = {(a, b): kron_after(cached_tensor(comps[a], comps[b]).space.proj,
-                                p.block_projection(a), p.block_projection(b))
-             @ lifted @ p.block_injection(g.mul(a, b))
-             for a in g.elements() for b in g.elements()}
-    return GroupCoring(g, p.base, comps, delta, p.counit @ p.block_injection(g.identity))
 
 
 def group_corings_equal(c1: GroupCoring, c2: GroupCoring) -> bool:

@@ -25,7 +25,10 @@ from corings.algebra import (
     algebra_map_failures,
     cached_tensor,
     cached_triple,
+    collapse_left,
+    collapse_right,
     contract_right,
+    differing_columns,
     direct_sum_bimodule,
     find_dual_basis,
     left_dual,
@@ -43,10 +46,10 @@ from corings.linalg import (
     Mat,
     block_matrix,
     combine,
-    coords_in_rowspace,
     is_invertible,
     kron_after,
     regroup,
+    rowspace_coords,
     span_coords,
     vec_rows,
     vstack,
@@ -140,7 +143,7 @@ class GradedRing:
                 self.legs[(a, b)] = self._first_legs(a, b)
                 self.mul[(a, b)] = self._build_mul(a, b)
         e = g.identity
-        self.unit_vec = self.coords(e, coring.counit)
+        self.unit_vec = self.coordinates(e, vec_rows(F, self._func_bases[e].cols, [coring.counit])).row(0)
         # column j: the coordinates of i(e_j) = e_j . counit
         self.base_map = self.coordinates(e, vec_rows(F, self._func_bases[e].cols, [
             right @ coring.counit for right in self.base.right_mats])).transpose()
@@ -153,9 +156,6 @@ class GradedRing:
         """The coordinates of degree-a functionals given as the rows vec(f),
         one row each, in one solve."""
         return span_coords(self._func_bases[a], rows, "functional outside the solved dual basis")
-
-    def coords(self, a: int, functional: Mat) -> tuple:
-        return self.coordinates(a, functional.reshape(1, self._func_bases[a].cols)).row(0)
 
     def precomposed(self, a: int, m: Mat) -> Mat:
         """The rows vec(f o m) for the functionals f of degree a, from one
@@ -224,13 +224,13 @@ def validate_graded_ring(r: GradedRing) -> CheckReport:
             r.base_map.apply(r.base.unit) == r.unit_vec)
     bad = []
     for a in g.elements():
-        for j in range(r.base.dim):
-            # a.f = i(a) # f and f.a = f # i(a)
-            iv = Mat._from_cols(F, [r.base_map.col(j)])
-            left_by = kron_after(r.mul[(e, a)], iv, ident[a])
-            right_by = kron_after(r.mul[(a, e)], ident[a], iv)
-            if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
-                bad.append((a, j))
+        # e_j.f = i(e_j) # f on A (x) R_a, column j * dim(a) + v, and
+        # f.e_j = f # i(e_j) on R_a (x) A, column v * dim(A) + j
+        left = {t // r.dim(a) for t in differing_columns(
+            kron_after(r.mul[(e, a)], r.base_map, ident[a]), collapse_left(r.comps[a]))}
+        right = {t % r.base.dim for t in differing_columns(
+            kron_after(r.mul[(a, e)], ident[a], r.base_map), collapse_right(r.comps[a]))}
+        bad += [(a, j) for j in sorted(left | right)]
     rep.add("dual-ring.bimodule-compat",
             "base actions agree with multiplication through the base map",
             not bad, f"failing: {bad[:5]}" if bad else "")
@@ -344,19 +344,22 @@ def validate_graded_module(m: GradedModule) -> CheckReport:
     bad = [(a, b, c) for a in g.elements() for b, c in fails[a][0]]
     rep.add("graded-module.associative", "action associativity on degree triples",
             not bad, f"failing triples: {bad[:5]}" if bad else "")
-    bad = []
+    n, bad = r.base.dim, []
     for a in g.elements():
         for b in g.elements():
-            ab = g.mul(a, b)
-            for j in range(r.base.dim):
-                balance_l = kron_after(m.act[(a, b)], m.comps[a].right[j], Mat.identity(F, r.dim(b)))
-                balance_r = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].left[j])
-                if balance_l != balance_r:
-                    bad.append((a, b, j, "balance"))
-                lin_l = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].right[j])
-                lin_r = m.comps[ab].right[j] @ m.act[(a, b)]
-                if lin_l != lin_r:
-                    bad.append((a, b, j, "linear"))
+            act, ident_a = m.act[(a, b)], Mat.identity(F, m.comps[a].dim)
+            # on M_a (x) A (x) R_b, column (i * n + j) * dim(b) + v:
+            # act(m_i . e_j (x) r_v) against act(m_i (x) e_j . r_v)
+            balance = {t // r.dim(b) % n for t in differing_columns(
+                kron_after(act, collapse_right(m.comps[a]), Mat.identity(F, r.dim(b))),
+                kron_after(act, ident_a, collapse_left(r.comps[b])))}
+            # on M_a (x) R_b (x) A, column (i * dim(b) + v) * n + j:
+            # act(m_i (x) r_v . e_j) against act(m_i (x) r_v) . e_j
+            linear = {t % n for t in differing_columns(
+                kron_after(act, ident_a, collapse_right(r.comps[b])),
+                kron_after(collapse_right(m.comps[g.mul(a, b)]), act, Mat.identity(F, n)))}
+            bad += [(a, b, j, kind) for j in range(n)
+                    for kind, failing in (("balance", balance), ("linear", linear)) if j in failing]
     rep.add("graded-module.balanced", "action is balanced and right-linear over the base",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -543,30 +546,19 @@ def check_component_bidual(c: GroupCoring, r: GradedRing) -> CheckReport:
     g = c.group
     F = c.base.field
     bad = []
+    ida = Mat.identity(F, c.base.dim)
     for a in g.elements():
-        ainv = g.inv(a)
-        comp = c.comps[ainv]
         # solve right-linear maps R_a -> A
-        n_r = r.dim(a)
-        sys = LinearSystem(F, {"h": (c.base.dim, n_r)})
-        idr = Mat.identity(F, n_r)
-        ida = Mat.identity(F, c.base.dim)
+        sys = LinearSystem(F, {"h": (c.base.dim, r.dim(a))})
         for j in range(c.base.dim):
-            sys.add((1, "h", ida, r.comps[a].right[j]), (-1, "h", c.base.right_mats[j], idr))
-        basis = sys.kernel()
-        # evaluation of each comp basis vector
-        coords = []
-        for i in range(comp.dim):
-            h_i = Mat.from_cols(F, [r.functionals[a][u].col(i) for u in range(n_r)])
-            cc = coords_in_rowspace(basis, h_i.reshape(1, basis.cols))
-            if cc is None:
-                bad.append(a)
-                break
-            coords.append(cc)
-        else:
-            mat = Mat.from_cols(F, coords)
-            if not is_invertible(mat):
-                bad.append(a)
+            sys.add((1, "h", ida, r.comps[a].right[j]),
+                    (-1, "h", c.base.right_mats[j], Mat.identity(F, r.dim(a))))
+        # row i: vec of the evaluation at basis vector i of C_{a^-1}, the
+        # map R_a -> A whose column u is f_u(c_i), read off the rows vec(f_u)
+        # (a row outside the span gets zero coordinates, so no bijection)
+        evaluations = regroup(r._func_bases[a], c.base.dim, c.comps[g.inv(a)].dim)
+        if not is_invertible(rowspace_coords(sys.kernel(), evaluations)[0]):
+            bad.append(a)
     rep.add("bidual.iso", "evaluation into the homogeneous bidual is bijective",
             not bad, f"failing degrees: {bad}" if bad else "")
     return rep

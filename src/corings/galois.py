@@ -55,6 +55,7 @@ from corings.linalg import (
     tensor_k,
     tensor_vec,
     unit_vec,
+    unvec_rows,
     vstack,
 )
 from corings.report import CheckReport
@@ -173,13 +174,13 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
 
 def span_action(w: Mat, acts) -> tuple[list, bool]:
     """Each matrix of acts on the span of the rows of w, in the coordinates
-    of those rows, and whether the span is closed under all of them."""
-    mats, ok = [], True
-    for act in acts:
-        coords, outside = rowspace_coords(w, w @ act.transpose())
-        mats.append(coords.transpose())
-        ok = ok and not outside
-    return mats, ok
+    of those rows, and whether the span is closed under all of them: the
+    images of the rows under every act, solved at once."""
+    acts = list(acts)
+    coords, outside = rowspace_coords(w, vstack([Mat.zeros(w.field, 0, w.cols)]
+                                                + [w @ act.transpose() for act in acts]))
+    blocks = unvec_rows(coords.reshape(len(acts), w.rows * w.rows), w.rows, w.rows)
+    return [block.transpose() for block in blocks], not outside
 
 
 # -- ring morphisms and induction -----------------------------------------------------

@@ -42,6 +42,7 @@ from corings.linalg import (
     row_space,
     tensor_k,
     tensor_vec,
+    vec_rows,
     vstack,
 )
 from corings.report import CheckReport
@@ -402,9 +403,10 @@ def smash_dual(ca: ComoduleAlgebra, r: GradedRing) -> tuple[SmashProduct, list, 
         hp = ca.hopf.comps[g.inv(p)]
         # e_u^* # a_i is the functional b (x) h -> <e_u^*, h> b a_i on
         # A (x) H_{p^{-1}}
-        lambdas.append(Mat.from_cols(F, [
-            r.coords(p, tensor_k(a.right_mats[i], Mat.from_rows(F, [hp.basis_vec(u)])))
-            for u in range(hp.dim) for i in range(a.dim)]))
+        rows = vec_rows(F, a.dim * a.dim * hp.dim, [
+            tensor_k(a.right_mats[i], Mat.from_rows(F, [hp.basis_vec(u)]))
+            for u in range(hp.dim) for i in range(a.dim)])
+        lambdas.append(r.coordinates(p, rows).transpose())
     bad = [p for p in g.elements() if not is_invertible(lambdas[p])]
     rep.add("smash-dual.bijective", "comparison maps are bijective per degree",
             not bad, f"failing degrees: {bad}" if bad else "")

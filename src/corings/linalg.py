@@ -571,26 +571,18 @@ def kernel(m: Mat) -> Mat:
 
 
 def solve(m: Mat, b) -> tuple | None:
-    """Some x with m @ x = b, or None when inconsistent.
-
-    Free variables are set to 0 under the rref pivot order, which makes the
-    answer deterministic.  b is a tuple or a one-row matrix.
-    """
+    """Some x with m @ x = b, or None when inconsistent: the coordinates of
+    b in the columns of m, the one-row case of `rowspace_coords` on
+    m.transpose().  Free variables are 0 under the rref pivot order, which
+    makes the answer deterministic.  b is a sequence or a one-row matrix,
+    its entries brought into the field."""
     nb, b = _pairs(b)
     if nb != m.rows:
         raise DimensionMismatch(f"rhs length {nb} vs {m.rows} rows")
-    F, n = m.field, m.cols
-    aug = [dict(row) for row in m._entries]
-    for i, y in b:
-        y = F.of(y)
-        if y:
-            aug[i][n] = y
-    x = [F.zero] * n
-    for pc, row in _eliminate(F, aug):
-        if pc == n:
-            return None  # pivot in the augmented column: inconsistent
-        x[pc] = row.get(n, F.zero)
-    return tuple(x)
+    F = m.field
+    b = [(i, y) for i, y in ((i, F.of(y)) for i, y in b) if y]
+    coords, outside = rowspace_coords(m.transpose(), Mat._of_rows(F, 1, nb, [b]))
+    return None if outside else coords.row(0)
 
 
 def inverse(m: Mat) -> Mat:
@@ -611,16 +603,15 @@ def _rowspace_factor(basis: Mat) -> Mat:
     the residual of v off the span in its first n columns and the
     coordinates of v in the rows of basis after them.
 
-    The coordinates are those of ``solve(basis.transpose(), v)``: only the
-    rows of basis not in the span of the rows before it (the pivots of
-    rref(basis^T)) get one.  With [R | T] = rref([B | I]) for B those rows,
-    R has an identity block at its pivot columns and T @ B = R.  A vector v
-    lies in the span iff v = y @ R for y = v at those pivots, and then y @ T
-    are its coordinates in B.  So row p of K, for a pivot p, holds the
-    entries of R off the pivots and, at column n + i for the row i of basis
-    that B's row t is, entry t of T; row j for a column that is no pivot
-    holds -1 at j.  Then v @ K is v @ R - v off the pivots, followed by the
-    coordinates."""
+    Only the rows of basis not in the span of the rows before it (the
+    pivots of rref(basis^T)) get a coordinate; the others get zero.  With
+    [R | T] = rref([B | I]) for B those rows, R has an identity block at
+    its pivot columns and T @ B = R.  A vector v lies in the span iff
+    v = y @ R for y = v at those pivots, and then y @ T are its coordinates
+    in B.  So row p of K, for a pivot p, holds the entries of R off the
+    pivots and, at column n + i for the row i of basis that B's row t is,
+    entry t of T; row j for a column that is no pivot holds -1 at j.  Then
+    v @ K is v @ R - v off the pivots, followed by the coordinates."""
     F, n = basis.field, basis.cols
     indep = [i for i, _ in _eliminate(F, [dict(col) for col in basis._columns])]
     aug = [dict(basis._entries[i]) for i in indep]
@@ -637,10 +628,10 @@ def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
     rows of one matrix, and the indices of the rows outside their span,
     whose coordinates are zero.
 
-    Row by row this equals, value and canonical form, ``solve(basis.transpose(),
-    v)``: dependent rows of basis get coordinate zero.  The basis is
-    factored on the first call (`_rowspace_factor`), and each call is one
-    product with the factor."""
+    This is the library's one coordinate solve: `solve` and `span_coords`
+    are its cases.  Dependent rows of basis get coordinate zero.  The basis
+    is factored on the first call (`_rowspace_factor`), and each call is
+    one product with the factor."""
     if rows.cols != basis.cols:
         raise DimensionMismatch("vector length vs basis width")
     n = basis.cols
@@ -651,14 +642,6 @@ def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
             row = []
         coords.append([(j - n, x) for j, x in row])
     return Mat._of_rows(basis.field, rows.rows, basis.rows, coords), outside
-
-
-def coords_in_rowspace(basis: Mat, v) -> tuple | None:
-    """Coordinates of vector v, a tuple or a one-row matrix, in the span of
-    basis rows, or None if outside: the one-row case of `rowspace_coords`."""
-    n, v = _pairs(v)
-    coords, outside = rowspace_coords(basis, Mat._of_rows(basis.field, 1, n, [v]))
-    return None if outside else coords.row(0)
 
 
 def span_coords(basis: Mat, rows: Mat, error: str) -> Mat:

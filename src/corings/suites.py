@@ -10,8 +10,7 @@ from __future__ import annotations
 from corings.algebra import Bimodule, validate_algebra, validate_bimodule
 from corings.comodules import (
     check_cofree_equivalence,
-    check_pack_replicate_adjunction,
-    check_pack_replicate_frobenius,
+    check_pack_replicate,
     coring_as_gcomodule,
     gcomodules_equal,
     pack_gcomodule,
@@ -106,8 +105,7 @@ def suite_comodules(ms: MainStructure, seed: int) -> CheckReport:
     rnd = d.seeded_comodule(seed)
     rep.extend(validate_comodule(rnd), prefix="comodules.random.")
     pairs = [(replicate_comodule(acom), acom), (cg, packed)]
-    rep.extend(check_pack_replicate_adjunction(pairs), prefix="comodules.")
-    rep.extend(check_pack_replicate_frobenius(pairs), prefix="comodules.")
+    rep.extend(check_pack_replicate(pairs), prefix="comodules.")
     wit = d.witness
     if wit is not None:
         rep.extend(verify_cofree(ms.coring, wit), prefix="comodules.")

@@ -71,9 +71,25 @@
   references for `dualring.GradedRing._build_mul` and for
   `morita.graded_end` and `morita.context_from_graded_module`: they apply
   each basis map and solve each coordinate vector one at a time
-  (`coords_in_rowspace` per product, per family or per functional), the
-  loops the library ran before it stacked each degree's maps and solved
-  each degree's coordinates in one `rowspace_coords`.
+  (`coords_in` or `dual_coords` per product, per family or per
+  functional), the loops the library ran before it stacked each degree's
+  maps and solved each degree's coordinates in one `rowspace_coords`.
+* `coords_in` and `dual_coords` are the one-vector coordinate solves of
+  the tests: one row of `linalg.rowspace_coords` and of
+  `GradedRing.coordinates`.  `reference_solve` is `linalg.solve` as it
+  was before it became the one-row case of `rowspace_coords`: an
+  elimination of its own with b as an augmented column.
+* `reference_graded_module_balance` and `reference_dual_ring_compat` are
+  the references for the balanced row of `dualring.validate_graded_module`
+  and the bimodule-compat row of `dualring.validate_graded_ring`: they
+  compare the two sides of each law one base basis element at a time,
+  where the library compares identities over the collapse maps, two per
+  degree pair or per degree.
+* `trivial_coring` (every component the regular bimodule), and
+  `GradedCoring` with `pack_graded_coring` and `unpack_graded_coring`,
+  the paper's packing of a group coring into one coring graded by the
+  group and back, are objects only the tests use: no report row checks
+  the packed coring.
 * `Dense` is a matrix kept as a plain row-major tuple, the storage `Mat`
   had before its sparse rows, with the operations `linalg` now writes on
   rows (`at`, `row`, `col`, `transpose`, `+`, `-`, `scale`, `is_zero`,
@@ -108,6 +124,7 @@ from corings.algebra import (
     DualBasis,
     MissingDualBasis,
     TensorProduct,
+    cached_tensor,
     cached_triple,
     contract_left,
     contract_right,
@@ -120,21 +137,23 @@ from corings.algebra import (
     validate_algebra,
 )
 from corings.comodules import Comodule, GComodule
-from corings.coring import CofreeWitness, GroupCoring, GroupCoringMorphism, trivial_coring
+from corings.coring import CofreeWitness, GroupCoring, GroupCoringMorphism, cofree_coring
 from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
 from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
-from corings.groups import FiniteGroup
+from corings.groups import TRIVIAL_GROUP, FiniteGroup
 from corings.hopf import HopfAlgebra, HopfGCoalgebra, cofree_hopf
 from corings.linalg import (
     Mat,
+    _eliminate,
+    _pairs,
     QuotientSpace,
     block_matrix,
     combine,
-    coords_in_rowspace,
     hstack,
     kernel,
     kron_after,
     quotient_by,
+    rowspace_coords,
     tensor_k,
     tensor_vec,
     unit_vec,
@@ -142,7 +161,7 @@ from corings.linalg import (
 )
 from corings.morita import CoefficientRing, MoritaContext, RingBimodule, graded_hom
 from corings.report import CheckReport
-from corings.scalars import GF, QQ, Field
+from corings.scalars import GF, QQ, DimensionMismatch, Field
 from corings.structfile import Derived
 
 
@@ -184,7 +203,7 @@ def reference_subalgebra(ambient: Algebra, basis: Mat) -> Algebra:
     rows = [basis.row(i) for i in range(basis.rows)]
 
     def coords(v) -> tuple:
-        c = coords_in_rowspace(basis, v)
+        c = coords_in(basis, v)
         assert c is not None
         return c
 
@@ -901,7 +920,7 @@ def _dual_basis_pairs(c: GroupCoring, r: GradedRing) -> dict:
         db = find_dual_basis(c.comps[b])
         if db is None:
             raise MissingDualBasis(f"component {b} has no dual basis")
-        out[b] = [(r.coords(g.inv(b), func), vec) for func, vec in db.pairs]
+        out[b] = [(dual_coords(r, g.inv(b), func), vec) for func, vec in db.pairs]
     return out
 
 
@@ -1086,7 +1105,7 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
     w = basis.rows
 
     def coords(vecs, failure: str) -> list:
-        out = [coords_in_rowspace(basis, v) for v in vecs]
+        out = [coords_in(basis, v) for v in vecs]
         if None in out:
             raise ValueError(failure)
         return out
@@ -1378,7 +1397,7 @@ def reference_dual_mul(r: GradedRing, a: int, b: int) -> Mat:
     """`GradedRing._build_mul` one product and one solve per pair of
     functionals: column u * dim(b) + v holds the coordinates of f_v o leg_u."""
     ab = r.group.mul(a, b)
-    return Mat._from_cols(r.base.field, [r.coords(ab, gv @ leg) for leg in r.legs[(a, b)]
+    return Mat._from_cols(r.base.field, [dual_coords(r, ab, gv @ leg) for leg in r.legs[(a, b)]
                                          for gv in r.functionals[b]], r.dim(ab))
 
 
@@ -1393,7 +1412,7 @@ def _reference_family_coords(F, bases, what: str):
                   for fams_list in bases]
 
     def coords(fams, sigma: int) -> tuple:
-        local = coords_in_rowspace(per_degree[sigma], flat(fams))
+        local = coords_in(per_degree[sigma], flat(fams))
         if local is None:
             raise ValueError(f"{what} escaped its solved basis")
         return tuple(x for d, basis in enumerate(per_degree)
@@ -1464,3 +1483,154 @@ def reference_standard_context(m: GradedModule) -> tuple:
                              for a in g.elements() for i in range(m_dims[a])],
                          packed.algebra.dim)
     return end_mul, p_left, p_right, tuple(q_left), tuple(q_right), phi, psi
+
+
+# -- one-row coordinate solves and the references for the retired solves --------
+
+def coords_in(basis: Mat, v) -> tuple | None:
+    """The coordinates of the vector v, a sequence or a one-row matrix, in
+    the rows of basis, or None outside their span: one row of
+    `rowspace_coords`."""
+    coords, outside = rowspace_coords(basis, v if isinstance(v, Mat) else Mat.from_rows(basis.field, [v]))
+    return None if outside else coords.row(0)
+
+
+def dual_coords(r: GradedRing, a: int, functional: Mat) -> tuple:
+    """The coordinates of one degree-a functional of the dual ring r."""
+    return r.coordinates(a, functional.reshape(1, functional.rows * functional.cols)).row(0)
+
+
+def reference_solve(m: Mat, b) -> tuple | None:
+    """`linalg.solve` by an elimination of its own: b joins the sparse rows
+    of m as an augmented column, and a pivot in that column means no
+    solution."""
+    nb, b = _pairs(b)
+    if nb != m.rows:
+        raise DimensionMismatch(f"rhs length {nb} vs {m.rows} rows")
+    F, n = m.field, m.cols
+    aug = [dict(row) for row in m._entries]
+    for i, y in b:
+        y = F.of(y)
+        if y:
+            aug[i][n] = y
+    x = [F.zero] * n
+    for pc, row in _eliminate(F, aug):
+        if pc == n:
+            return None
+        x[pc] = row.get(n, F.zero)
+    return tuple(x)
+
+
+def reference_dual_ring_compat(r: GradedRing) -> list:
+    """The failures of the bimodule-compat row of
+    `dualring.validate_graded_ring`, one base basis element j at a time:
+    (a, j) where e_j.f = i(e_j) # f or f.e_j = f # i(e_j) fails on R_a."""
+    g = r.group
+    F = r.base.field
+    e = g.identity
+    bad = []
+    for a in g.elements():
+        ident = Mat.identity(F, r.dim(a))
+        for j in range(r.base.dim):
+            iv = Mat._from_cols(F, [r.base_map.col(j)])
+            left_by = kron_after(r.mul[(e, a)], iv, ident)
+            right_by = kron_after(r.mul[(a, e)], ident, iv)
+            if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
+                bad.append((a, j))
+    return bad
+
+
+def reference_graded_module_balance(m: GradedModule) -> list:
+    """The balance and right-linearity failures of
+    `dualring.validate_graded_module`, one base basis element j at a time:
+    (a, b, j, "balance") where act_{a,b} (R_j (x) I) and act_{a,b} (I (x) L_j)
+    differ, and (a, b, j, "linear") where act_{a,b} (I (x) R_j) and
+    R_j act_{a,b} differ."""
+    r = m.ring
+    g = r.group
+    F = r.base.field
+    bad = []
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            for j in range(r.base.dim):
+                balance_l = kron_after(m.act[(a, b)], m.comps[a].right[j], Mat.identity(F, r.dim(b)))
+                balance_r = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].left[j])
+                if balance_l != balance_r:
+                    bad.append((a, b, j, "balance"))
+                lin_l = kron_after(m.act[(a, b)], Mat.identity(F, m.comps[a].dim), r.comps[b].right[j])
+                lin_r = m.comps[ab].right[j] @ m.act[(a, b)]
+                if lin_l != lin_r:
+                    bad.append((a, b, j, "linear"))
+    return bad
+
+
+# -- the trivial coring and the packed (graded) form ---------------------------------
+
+def trivial_coring(a: Algebra, group: FiniteGroup) -> tuple[GroupCoring, CofreeWitness]:
+    """Every component the regular bimodule, comultiplication a -> a (x) 1."""
+    reg = Bimodule.regular(a)
+    t = cached_tensor(reg, reg)
+    delta = Mat.from_cols(a.field, [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)])
+    one_comp = GroupCoring(TRIVIAL_GROUP, a, (reg,), {(0, 0): delta}, Mat.identity(a.field, a.dim))
+    return cofree_coring(one_comp, group)
+
+
+class GradedCoring:
+    """A single coring whose underlying bimodule carries a group grading."""
+
+    def __init__(self, group: FiniteGroup, base: Algebra, total: Bimodule,
+                 dims, delta: Mat, counit: Mat):
+        self.group = group
+        self.base = base
+        self.total = total
+        self.dims = tuple(dims)
+        self.delta = delta
+        self.counit = counit
+
+    def tensor(self) -> TensorProduct:
+        return cached_tensor(self.total, self.total)
+
+    def as_group_coring(self) -> GroupCoring:
+        return GroupCoring(TRIVIAL_GROUP, self.base, (self.total,),
+                           {(0, 0): self.delta}, self.counit)
+
+    def block_injection(self, a: int) -> Mat:
+        F = self.base.field
+        return block_matrix(F, self.dims, [self.dims[a]], {(a, 0): Mat.identity(F, self.dims[a])})
+
+    def block_projection(self, a: int) -> Mat:
+        return self.block_injection(a).transpose()
+
+
+def pack_graded_coring(c: GroupCoring) -> GradedCoring:
+    """Assemble the block-diagonal coring with counit supported on degree e."""
+    g = c.group
+    F = c.base.field
+    total, inj, proj = direct_sum_bimodule(c.comps)
+    t_tot = cached_tensor(total, total)
+    delta = Mat.zeros(F, t_tot.space.dim, total.dim)
+    for a in g.elements():
+        for b in g.elements():
+            incl = kron_after(t_tot.space.proj, inj[a], inj[b]) @ c.tensor(a, b).space.sect
+            delta = delta + incl @ c.delta[(a, b)] @ proj[g.mul(a, b)]
+    return GradedCoring(g, c.base, total, [m.dim for m in c.comps], delta,
+                        c.counit @ proj[g.identity])
+
+
+def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
+    """Slice a graded coring back into its group-indexed family."""
+    g = p.group
+    comps = []
+    for a in g.elements():
+        inj = p.block_injection(a)
+        proj = p.block_projection(a)
+        left = tuple(proj @ L @ inj for L in p.total.left)
+        right = tuple(proj @ R @ inj for R in p.total.right)
+        comps.append(Bimodule(p.base, p.dims[a], left, right))
+    lifted = p.tensor().space.sect @ p.delta
+    delta = {(a, b): kron_after(cached_tensor(comps[a], comps[b]).space.proj,
+                                p.block_projection(a), p.block_projection(b))
+             @ lifted @ p.block_injection(g.mul(a, b))
+             for a in g.elements() for b in g.elements()}
+    return GroupCoring(g, p.base, comps, delta, p.counit @ p.block_injection(g.identity))

@@ -104,17 +104,17 @@ def solver_outputs(name: str) -> dict:
     out["connecting_space"] = list(connecting_spaces(x, r))
     out["coefficient_space"] = list(coefficient_spaces(x, r))
     seen = []
-    original = dualring_mod.coords_in_rowspace
+    original = dualring_mod.rowspace_coords
 
-    def recording(basis, v):
-        seen.append(basis)
-        return original(basis, v)
+    def recording(basis, rows):  # the basis once per evaluation solved in it
+        seen.extend([basis] * rows.rows)
+        return original(basis, rows)
 
-    dualring_mod.coords_in_rowspace = recording
+    dualring_mod.rowspace_coords = recording
     try:
         assert check_component_bidual(c, r).ok
     finally:
-        dualring_mod.coords_in_rowspace = original
+        dualring_mod.rowspace_coords = original
     out["bidual"] = seen
     return out
 

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from corings import comodules
+from corings import comodules, dualring, suites
 from corings.comodules import (
     Comodule,
     check_cofree_equivalence,
-    check_pack_replicate_adjunction,
-    check_pack_replicate_frobenius,
+    check_pack_replicate,
     cofree_extend,
     comodules_equal,
     comodule_homs,
@@ -117,8 +116,7 @@ def test_adjunction_and_frobenius_on_fixture_pairs():
         cg = coring_as_gcomodule(fx.coring)
         packed, _, _ = pack_gcomodule(cg)
         pairs = [(replicate_comodule(acom), acom), (cg, packed)]
-        assert check_pack_replicate_adjunction(pairs).ok, name
-        assert check_pack_replicate_frobenius(pairs).ok, name
+        assert check_pack_replicate(pairs).ok, name
 
 
 def test_corrupted_coaction_is_detected():
@@ -132,7 +130,8 @@ def test_corrupted_coaction_is_detected():
     assert not validate_comodule(broken).ok
     cg = coring_as_gcomodule(fx.coring)
     packed, _, _ = pack_gcomodule(cg)
-    rep_ok = check_pack_replicate_adjunction([(cg, broken)]).ok
+    rep_ok = all(item.passed for item in check_pack_replicate([(cg, broken)]).items
+                 if item.check_id.startswith("adjunction["))
     hom_dim = len(comodule_homs(packed, broken).basis())
     hom_dim_good = len(comodule_homs(packed, acom).basis())
     # either the battery flags it or the corrupt hom space collapses
@@ -311,8 +310,28 @@ def test_each_battery_checks_a_pair_and_direction_in_one_call(monkeypatch):
     assert sizes["check_cofree_equivalence"] == [1] * 9
 
 
-@pytest.mark.parametrize("battery", (check_pack_replicate_adjunction, check_pack_replicate_frobenius),
-                         ids=("adjunction", "frobenius"))
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
+def test_both_batteries_share_each_pairs_packs(monkeypatch, name):
+    # the adjunction and Frobenius rows read the same pack of each pair's
+    # family and of its replicated comodule: with the suite's own pack of
+    # the coring family that is 5 packs under comodules (9 when each
+    # battery packed its pairs again) and 8 under all (12)
+    calls = []
+    real = comodules.pack_gcomodule
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (comodules, dualring, suites):
+        monkeypatch.setattr(module, "pack_gcomodule", counting)
+    for suite, count in (("comodules", 5), ("all", 8)):
+        calls.clear()
+        assert run_suite(fixture(name), suite, 0).items
+        assert len(calls) == count, suite
+
+
+@pytest.mark.parametrize("battery", ("adjunction", "frobenius"))
 @pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler"))
 def test_a_packed_coaction_that_drops_a_block_fails_a_triangle_row(monkeypatch, battery, name):
     # the triangle rows check a unit or counit as a map of comodules: when
@@ -325,9 +344,10 @@ def test_a_packed_coaction_that_drops_a_block_fails_a_triangle_row(monkeypatch, 
     pairs = [(replicate_comodule(acom), acom), (cg, pack_gcomodule(cg)[0])]
 
     def triangle_rows(rep) -> dict:
-        return {item.check_id: item.passed for item in rep.items if ".triangle-" in item.check_id}
+        return {item.check_id: item.passed for item in rep.items
+                if item.check_id.startswith(battery + "[") and ".triangle-" in item.check_id}
 
-    assert all(triangle_rows(battery(pairs)).values())
+    assert all(triangle_rows(check_pack_replicate(pairs)).values())
     real = comodules.pack_gcomodule
 
     def dropping(m):
@@ -338,7 +358,7 @@ def test_a_packed_coaction_that_drops_a_block_fails_a_triangle_row(monkeypatch, 
         return Comodule(packed.coring, packed.space, rho), inj, proj
 
     monkeypatch.setattr(comodules, "pack_gcomodule", dropping)
-    rows = triangle_rows(battery(pairs))
+    rows = triangle_rows(check_pack_replicate(pairs))
     assert len(rows) == 4 and not all(rows.values())
 
 

@@ -7,9 +7,6 @@ from corings.coring import (
     check_cofree_counit_identities,
     cofree_coring,
     group_corings_equal,
-    pack_graded_coring,
-    trivial_coring,
-    unpack_graded_coring,
     validate_coring_morphism,
     validate_group_coring,
     verify_cofree,
@@ -18,7 +15,7 @@ from corings.fixtures import fixture
 from corings.groups import FiniteGroup
 from corings.linalg import Mat
 from corings.scalars import QQ
-from helpers import is_coring_iso
+from helpers import is_coring_iso, pack_graded_coring, trivial_coring, unpack_graded_coring
 
 
 def test_trivial_coring_is_valid():

@@ -12,8 +12,9 @@ from corings.comodules import (
     pack_gcomodule,
     replicate_comodule,
 )
-from corings.coring import GroupCoringMorphism, trivial_coring
+from corings.coring import GroupCoringMorphism
 from corings.dualring import (
+    GradedModule,
     check_component_bidual,
     check_dual_basis_comultiplication,
     check_functor_square,
@@ -48,11 +49,15 @@ from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from helpers import (
     derived,
+    dual_coords,
     reference_comodule_to_module,
     reference_dual_basis_comultiplication,
     reference_dual_mul,
+    reference_dual_ring_compat,
+    reference_graded_module_balance,
     reference_gcomodule_to_graded,
     reference_graded_to_gcomodule,
+    trivial_coring,
     validate_graded_algebra,
 )
 
@@ -262,7 +267,53 @@ def test_dual_ring_product_matches_the_pairwise_reference(name):
             assert ring.mul[(a, b)] == reference_dual_mul(ring, a, b)
         e = ring.group.identity
         assert ring.base_map == Mat.from_cols(c.base.field, [
-            ring.coords(e, right @ ring.coring.counit) for right in c.base.right_mats])
+            dual_coords(ring, e, right @ ring.coring.counit) for right in c.base.right_mats])
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_graded_module_balance_matches_the_reference(name):
+    # the balanced row reads two identities per degree pair; the reference
+    # checks each base basis element on its own.  Same verdict and witness
+    # on the coring's graded module, the regraded base module, and the
+    # coring's module with entry (0, 1) of its first action raised by one,
+    # which fails unless the base is the ground field
+    s = structure(name)
+    r = dual_ring(s.coring)
+    F = r.base.field
+    gm = gcomodule_to_graded(coring_as_gcomodule(s.coring), r)
+    regraded = induce_grading(comodule_to_module(comodule_from_grouplike(s.grouplike), r))
+    act = gm.act[(0, 0)]
+    bump = [[(min(1, act.cols - 1), F.one)]] + [[] for _ in range(act.rows - 1)]
+    perturbed = GradedModule(r, gm.comps, {**gm.act, (0, 0): act + Mat._of_rows(F, act.rows, act.cols, bump)})
+    for m, fails in ((gm, False), (regraded, False), (perturbed, r.base.dim > 1)):
+        want = reference_graded_module_balance(m)
+        assert bool(want) == fails
+        row, = [item for item in validate_graded_module(m).items
+                if item.check_id == "graded-module.balanced"]
+        assert (row.passed, row.witness) == (not want, f"failing: {want[:5]}" if want else "")
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_dual_ring_compat_matches_the_reference(name):
+    # the bimodule-compat row reads two identities per degree; the
+    # reference checks each base basis element on its own.  Same verdict
+    # and witness on the dual ring, and with entry (0, 1) of its base map
+    # raised by one, which fails in every degree
+    r = dual_ring(structure(name).coring)
+    F = r.base.field
+
+    def compat_row() -> tuple:
+        row, = [item for item in validate_graded_ring(r).items
+                if item.check_id == "dual-ring.bimodule-compat"]
+        return row.passed, row.witness
+
+    assert compat_row() == (True, "") and reference_dual_ring_compat(r) == []
+    bm = r.base_map
+    bump = [[(min(1, bm.cols - 1), F.one)]] + [[] for _ in range(bm.rows - 1)]
+    r.base_map = bm + Mat._of_rows(F, bm.rows, bm.cols, bump)
+    want = reference_dual_ring_compat(r)
+    assert [a for a, _ in want] == list(r.group.elements())
+    assert compat_row() == (False, f"failing: {want[:5]}")
 
 
 def _swap(field, m: int, n: int) -> Mat:

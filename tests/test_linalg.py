@@ -24,7 +24,6 @@ from corings.linalg import (
     balanced_quotient,
     block_matrix,
     combine,
-    coords_in_rowspace,
     hstack,
     inverse,
     kernel,
@@ -53,6 +52,7 @@ from corings.structfile import main_structure, parse
 from corings.suites import run_suite
 from helpers import (
     Dense,
+    coords_in,
     dense_block_matrix,
     dense_hstack,
     dense_inverse,
@@ -66,6 +66,7 @@ from helpers import (
     dense_vec_rows,
     dense_vstack,
     group_hopf_algebra,
+    reference_solve,
 )
 
 
@@ -158,6 +159,16 @@ def test_solve_shape_check():
         solve(M([[1, 1]]), (1, 2))
 
 
+def test_solve_brings_the_right_hand_side_into_the_field():
+    f7 = GF(7)
+    assert solve(Mat.identity(f7, 2), (8, -1)) == (1, 6) == reference_solve(Mat.identity(f7, 2), (8, -1))
+    assert solve(Mat.identity(f7, 2), (7, 14)) == (0, 0)
+    got = solve(M([[2]]), (Fraction(4, 2),))
+    assert got == (1,) and type(got[0]) is int
+    assert solve(M([[2]]), ("1/2",)) == (Fraction(1, 4),)
+    assert solve(Mat.identity(f7, 1), ("9",)) == (2,)
+
+
 def test_inverse_roundtrip():
     m = M([[1, 2], [3, 5]])
     assert m @ inverse(m) == Mat.identity(QQ, 2)
@@ -246,8 +257,8 @@ def test_stacking():
 
 def test_coords_in_rowspace():
     basis = M([[1, 0, 1], [0, 1, 1]])
-    assert coords_in_rowspace(basis, (2, 3, 5)) == (2, 3)
-    assert coords_in_rowspace(basis, (0, 0, 1)) is None
+    assert coords_in(basis, (2, 3, 5)) == (2, 3)
+    assert coords_in(basis, (0, 0, 1)) is None
 
 
 def test_balanced_quotient_trivial_middle():
@@ -562,9 +573,9 @@ def test_coords_in_rowspace_matches_the_transposed_solve(field):
         coeffs = mixed_mat(field, 1, basis.rows, rng).data
         vecs.append(tuple(basis.transpose().apply(coeffs)))  # inside the span
         for v in vecs + vecs:  # each vector twice on one factored basis
-            got = coords_in_rowspace(basis, v)
-            want = solve(basis.transpose(), v)
-            assert got == want
+            got = coords_in(basis, v)
+            want = reference_solve(basis.transpose(), v)
+            assert got == want == solve(basis.transpose(), v)
             if got is None:
                 outside += 1
             else:
@@ -576,27 +587,35 @@ def test_coords_in_rowspace_matches_the_transposed_solve(field):
 
 
 def test_coords_in_rowspace_on_empty_bases():
-    assert coords_in_rowspace(Mat(QQ, 0, 3, ()), (0, 0, 0)) == ()
-    assert coords_in_rowspace(Mat(QQ, 0, 3, ()), (0, 1, 0)) is None
-    assert coords_in_rowspace(Mat(QQ, 2, 0, ()), ()) == (0, 0)
-    assert coords_in_rowspace(Mat(QQ, 0, 0, ()), ()) == ()
+    assert coords_in(Mat(QQ, 0, 3, ()), (0, 0, 0)) == ()
+    assert coords_in(Mat(QQ, 0, 3, ()), (0, 1, 0)) is None
+    assert coords_in(Mat(QQ, 2, 0, ()), ()) == (0, 0)
+    assert coords_in(Mat(QQ, 0, 0, ()), ()) == ()
     with pytest.raises(DimensionMismatch):
-        coords_in_rowspace(Mat(QQ, 2, 0, ()), (1,))
+        coords_in(Mat(QQ, 2, 0, ()), (1,))
+    # the same cases through solve, on the transposed bases
+    assert solve(Mat(QQ, 3, 0, ()), (0, 0, 0)) == ()
+    assert solve(Mat(QQ, 3, 0, ()), (0, 1, 0)) is None
+    assert solve(Mat(QQ, 0, 2, ()), ()) == (0, 0)
+    assert solve(Mat(QQ, 0, 0, ()), ()) == ()
+    with pytest.raises(DimensionMismatch):
+        solve(Mat(QQ, 0, 2, ()), (1,))
 
 
 def test_coords_in_rowspace_gives_dependent_rows_zero():
     basis = M([[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, Fraction(1, 2), 1]])
-    assert coords_in_rowspace(basis, (1, 3, 2)) == (0, 1, 0, 2)
-    assert coords_in_rowspace(basis, (1, 3, 2)) == solve(basis.transpose(), (1, 3, 2))
-    assert coords_in_rowspace(basis, (0, 0, 1)) is None
+    assert coords_in(basis, (1, 3, 2)) == (0, 1, 0, 2)
+    assert coords_in(basis, (1, 3, 2)) == reference_solve(basis.transpose(), (1, 3, 2))
+    assert solve(basis.transpose(), (1, 3, 2)) == (0, 1, 0, 2)
+    assert coords_in(basis, (0, 0, 1)) is None
 
 
 @pytest.mark.parametrize("field", [QQ, GF(1000003)])
 def test_rowspace_coords_matches_the_row_by_row_solves(field):
-    # one batched solve against coords_in_rowspace and the transposed solve,
-    # row by row, in value and canonical form: bases with dependent and zero
-    # rows, and among the rows solved for zero rows, rows in the span and
-    # rows outside it
+    # one batched solve against the transposed solve and its reference, an
+    # elimination with an augmented column, row by row, in value and
+    # canonical form: bases with dependent and zero rows, and among the rows
+    # solved for zero rows, rows in the span and rows outside it
     rng = random.Random(21)
     counts = {"zero": 0, "inside": 0, "outside": 0}
     for _ in range(150):
@@ -614,10 +633,10 @@ def test_rowspace_coords_matches_the_row_by_row_solves(field):
         rows = Mat(field, len(vecs), basis.cols, tuple(x for v in vecs for x in v))
         coords, outside = rowspace_coords(basis, rows)
         assert (coords.rows, coords.cols) == (len(vecs), basis.rows)
-        want = [solve(basis.transpose(), v) for v in vecs]
+        want = [reference_solve(basis.transpose(), v) for v in vecs]
         assert outside == [i for i, w in enumerate(want) if w is None]
         for i, (v, w) in enumerate(zip(vecs, want)):
-            assert coords_in_rowspace(basis, v) == w
+            assert solve(basis.transpose(), v) == w
             got = coords.row(i)
             assert_canonical(field, got)
             if w is None:
@@ -812,10 +831,10 @@ def test_sparse_elimination_matches_the_dense_reference(field):
         assert q.relations == Mat(field, len(pivots), m.cols, r.data[:len(pivots) * m.cols])
         x = mixed_mat(field, m.cols, 1, rng).data
         for b in (mixed_mat(field, m.rows, 1, rng).data, m.apply(x)):
-            assert solve(m, b) == dense_solve(m, b)
+            assert solve(m, b) == reference_solve(m, b) == dense_solve(m, b)
         t = m.transpose()
         for v in (mixed_mat(field, 1, m.cols, rng).data, t.apply(mixed_mat(field, 1, m.rows, rng).data)):
-            assert coords_in_rowspace(m, v) == dense_solve(t, v)
+            assert coords_in(m, v) == dense_solve(t, v)
         square = m @ t if rng.random() < 0.5 else mixed_mat(field, m.rows, m.rows, rng)
         try:
             want = dense_inverse(square)
