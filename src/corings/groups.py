@@ -17,23 +17,6 @@ class FiniteGroup:
         t = tuple(tuple(int(x) for x in row) for row in table)
         return cls(len(t), t)
 
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        return cls(n, tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
-
-    @classmethod
-    def symmetric3(cls) -> "FiniteGroup":
-        """S3 with elements enumerated as permutations of (0,1,2) in
-        lexicographic order of their one-line notation, identity first."""
-        from itertools import permutations
-
-        perms = sorted(permutations(range(3)))
-        idx = {p: i for i, p in enumerate(perms)}
-        table = tuple(
-            tuple(idx[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
-        )
-        return cls(6, table)
-
     @property
     def identity(self) -> int:
         return 0

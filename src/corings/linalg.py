@@ -16,9 +16,22 @@ the rows a `Mat` caches its columns (for `col` and `transpose`), its rank
 and whether it is an identity (`Mat.identity` sets the flag as it
 builds).  An identity operand costs nothing: `@` returns the other
 operand, and `kron_after` returns m when both factors are identities and
-otherwise makes one pass when one is.  Elimination runs on sparse rows
-only: one eliminator reduces `{column: value}` dicts in place and serves
-rref, kernels, solves, inverses, quotients and hom systems.
+otherwise makes one pass when one is.
+
+Over QQ the products multiply and add integers only, in the
+common-denominator form of a rational matrix (von zur Gathen and
+Gerhard, *Modern Computer Algebra*): a `Mat` caches D, the lcm of the
+denominators of its entries (1 over GF(p)), and, when D is not 1, its
+rows times D as ints.  The constructors that read every entry record D
+as they build, transposes, stacks and blocks of integral parts record
+D = 1 without reading an entry, and any other matrix is scanned on its
+first product.  `@` and `kron_after` sum the scaled rows and write each
+output entry once, in `_from_numerators`: the sum divided by the product
+of the denominators, an int when it divides and one `Fraction` in lowest
+terms otherwise.  Elimination runs
+on sparse rows only: one eliminator reduces `{column: value}` dicts in
+place and serves rref, kernels, solves, inverses, quotients and hom
+systems; it still works on `Fraction` entries.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -40,9 +53,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd, lcm
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
 
@@ -65,7 +80,7 @@ class Mat:
         of the loader and the tests.  Only the nonzero entries are kept."""
         if len(data) != rows * cols:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
-        return _from_flat(field, rows, cols, ((k, data[k]) for k in compress(range(len(data)), data)))
+        return _scanned(_from_flat(field, rows, cols, ((k, data[k]) for k in compress(range(len(data)), data))))
 
     @classmethod
     def _of_rows(cls, field: Field, rows: int, cols: int, entries: list) -> "Mat":
@@ -99,8 +114,8 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        return cls._of_rows(field, len(rows), ncols,
-                            [[(j, x) for j, x in enumerate(map(field.of, r)) if x] for r in rows])
+        return _scanned(cls._of_rows(field, len(rows), ncols,
+                                     [[(j, x) for j, x in enumerate(map(field.of, r)) if x] for r in rows]))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -110,7 +125,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls._of_rows(field, rows, cols, [[] for _ in range(rows)])
+        return _recorded(cls._of_rows(field, rows, cols, [[] for _ in range(rows)]), 1)
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Mat":
@@ -124,13 +139,16 @@ class Mat:
         cols = list(cols)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        out = [[] for _ in range(rows)]
+        out, d = [[] for _ in range(rows)], 1
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise DimensionMismatch(f"column of {len(col)} entries in a matrix of {rows} rows")
             for i in compress(range(rows), col):
-                out[i].append((j, col[i]))
-        return cls._of_rows(field, rows, len(cols), out)
+                x = col[i]
+                if type(x) is not int:
+                    d = lcm(d, x.denominator)
+                out[i].append((j, x))
+        return _recorded(cls._of_rows(field, rows, len(cols), out), d)
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
@@ -146,12 +164,6 @@ class Mat:
         return _densify(self.field, self.rows * cols,
                         ((i * cols + j, x) for i, row in enumerate(self._entries) for j, x in row))
 
-    def at(self, i: int, j: int):
-        for c, x in self._entries[i]:
-            if c == j:
-                return x
-        return self.field.zero
-
     def row(self, i: int) -> tuple:
         return _densify(self.field, self.cols, self._entries[i])
 
@@ -166,8 +178,9 @@ class Mat:
         if (rows, cols) == (self.rows, self.cols):
             return self
         width = self.cols
-        return _from_flat(self.field, rows, cols,
-                          ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row))
+        return _integral_if(_from_flat(self.field, rows, cols,
+                                       ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row)),
+                            (self,))
 
     # -- algebra -----------------------------------------------------------
 
@@ -198,26 +211,29 @@ class Mat:
         return Mat._of_rows(self.field, self.rows, self.cols,
                             [[(j, red(c * x)) for j, x in row] if c else [] for row in self._entries])
 
-    # The products below accumulate with plain `+` and `*` and bring each
-    # output entry to canonical form once, through `Field.reduce`.  A product
-    # with an identity returns the other operand.
+    # The products below accumulate ints over the scaled rows of their
+    # operands and make each output entry once, in `_from_numerators`: over
+    # QQ the sum divided by the product of the denominators, over GF(p) the
+    # sum mod p.  A product with an identity returns the other operand.
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        srows, orows, rows = self._entries, other._entries, []
         if self._is_identity:
             return other
         if other._is_identity:
             return self
+        da, db, rows = self._denominator, other._denominator, []
+        srows = self._entries if da == 1 else self._scaled_rows
+        orows = other._entries if db == 1 else other._scaled_rows
         for srow in srows:
             acc = {}
             for t, a in srow:
                 for j, b in orows[t]:
                     acc[j] = acc.get(j, 0) + a * b
             rows.append(acc)
-        return _from_entries(self.field, rows, other.cols)
+        return _from_numerators(self.field, rows, other.cols, da * db)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, given and returned as a tuple."""
@@ -233,7 +249,7 @@ class Mat:
         return tuple(map(self.field.reduce, out))
 
     def transpose(self) -> "Mat":
-        return Mat._of_rows(self.field, self.cols, self.rows, self._columns)
+        return _integral_if(Mat._of_rows(self.field, self.cols, self.rows, self._columns), (self,))
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -255,6 +271,24 @@ class Mat:
         other caches, outside eq, hash and repr."""
         one = self.field.one
         return self.rows == self.cols and all(row == [(i, one)] for i, row in enumerate(self._entries))
+
+    @cached_property
+    def _denominator(self) -> int:
+        """D, the lcm of the denominators of the entries: 1 over GF(p) and
+        for an integral matrix.  The constructors that read every entry
+        record it as they build, and the rearranging ones when their parts
+        are integral (`_integral_if`); any other matrix is scanned on its
+        first product.  Outside eq, hash and repr, like the other caches."""
+        return _lcm_denominator(self.field, self._entries)
+
+    @cached_property
+    def _scaled_rows(self) -> list:
+        """The rows times D as (column, int) pairs, built on the first
+        product of a matrix whose D is not 1, so that only a matrix with
+        fractions keeps a second copy of its rows."""
+        d = self._denominator
+        return [[(j, x * d if type(x) is int else d // x.denominator * x.numerator) for j, x in row]
+                for row in self._entries]
 
     @cached_property
     def _hash(self) -> int:
@@ -290,6 +324,43 @@ def _densify(field: Field, n: int, pairs) -> tuple:
     return tuple(out)
 
 
+def _lcm_denominator(field: Field, entries: list) -> int:
+    """The lcm of the denominators of the canonical values of the rows
+    entries: 1 over GF(p), where every value is an int."""
+    d = 1
+    if field.p is None:
+        for row in entries:
+            for _, x in row:
+                if type(x) is not int:
+                    d = lcm(d, x.denominator)
+    return d
+
+
+def _recorded(m: Mat, d: int) -> Mat:
+    """m with its `Mat._denominator` recorded as d by the constructor that
+    built it."""
+    m.__dict__["_denominator"] = d
+    return m
+
+
+def _scanned(m: Mat) -> Mat:
+    """m with its `Mat._denominator` recorded by a constructor that builds m
+    from entries it does not otherwise read: one scan of its rows."""
+    return _recorded(m, _lcm_denominator(m.field, m._entries))
+
+
+def _integral_if(m: Mat, parts) -> Mat:
+    """m, whose entries are entries of the matrices parts or products of
+    them, with D = 1 recorded when every part has D = 1 recorded; no entry
+    is read, and otherwise the first product scans m.  The constructors
+    that rearrange or select entries (transposes, reshapes, stacks, blocks,
+    Kronecker products, coordinates) call it."""
+    for part in parts:
+        if part.__dict__.get("_denominator") != 1:
+            return m
+    return _recorded(m, 1)
+
+
 def _from_flat(field: Field, rows: int, cols: int, pairs) -> Mat:
     """The rows x cols matrix whose row-major entries are the (index, value)
     pairs, given in ascending index order."""
@@ -305,16 +376,53 @@ def _from_flat(field: Field, rows: int, cols: int, pairs) -> Mat:
 def _from_entries(field: Field, rows, cols: int) -> Mat:
     """The matrix with len(rows) rows and cols columns whose row i holds the
     entries of the dict rows[i] ({column: value}, values as plain `+` and
-    `*` leave them); only those entries are brought to canonical form."""
-    red, entries = field.reduce, []
+    `*` leave them); only those entries are brought to canonical form, and
+    an int over QQ already is."""
+    red, entries, d = field.reduce, [], 1
+    modular = field.p is not None
     for row in rows:
         out = []
         for j in sorted(row):
-            v = red(row[j])
+            v = row[j]
+            if modular or type(v) is not int:
+                v = red(v)
+                if type(v) is not int:
+                    d = lcm(d, v.denominator)
             if v:
                 out.append((j, v))
         entries.append(out)
-    return Mat._of_rows(field, len(rows), cols, entries)
+    return _recorded(Mat._of_rows(field, len(rows), cols, entries), d)
+
+
+def _from_numerators(field: Field, rows, cols: int, d: int) -> Mat:
+    """The matrix with len(rows) rows and cols columns whose row i holds the
+    entries of the dict rows[i] ({column: int}) divided by d: over QQ an
+    int where d divides the entry and one `Fraction` in lowest terms where
+    it does not, over GF(p) (where d is 1) the entry mod p.  The lcm of the
+    denominators of the result, d over the gcd of d and every entry, is
+    recorded."""
+    if field.p is not None:
+        return _from_entries(field, rows, cols)
+    entries = []
+    if d == 1:  # the common case, with no test per entry (`_from_entries` makes two)
+        for row in rows:
+            out = []
+            for j in sorted(row):
+                v = row[j]
+                if v:
+                    out.append((j, v))
+            entries.append(out)
+        return _recorded(Mat._of_rows(field, len(rows), cols, entries), 1)
+    for row in rows:
+        out = []
+        for j in sorted(row):
+            v = row[j]
+            if v:
+                q, r = divmod(v, d)
+                out.append((j, Fraction(v, d) if r else q))
+        entries.append(out)
+    d //= gcd(d, *[v for row in rows for v in row.values()])
+    return _recorded(Mat._of_rows(field, len(rows), cols, entries), d)
 
 
 def _pairs(v) -> tuple[int, list]:
@@ -344,7 +452,7 @@ def hstack(mats) -> Mat:
         for row, mrow in zip(out, m._entries):
             row.extend([(width + j, x) for j, x in mrow])
         width += m.cols
-    return Mat._of_rows(F, rows, width, out)
+    return _integral_if(Mat._of_rows(F, rows, width, out), mats)
 
 
 def vstack(mats) -> Mat:
@@ -356,25 +464,26 @@ def vstack(mats) -> Mat:
             raise DimensionMismatch("vstack column mismatch")
         if m.field != F:
             raise FieldMismatch("vstack field mismatch")
-    return Mat._of_rows(F, sum(m.rows for m in mats), cols, [row for m in mats for row in m._entries])
+    return _integral_if(Mat._of_rows(F, sum(m.rows for m in mats), cols,
+                                     [row for m in mats for row in m._entries]), mats)
 
 
 def vec_rows(field: Field, width: int, mats) -> Mat:
     """The matrix whose row k is vec(mats[k]), the entries of mats[k]
     row-major; each has width entries, and the field and width give an
     empty list its shape."""
-    rows = []
+    mats, rows = list(mats), []
     for m in mats:
         if m.rows * m.cols != width:
             raise DimensionMismatch(f"{m.rows}x{m.cols} matrix in rows of width {width}")
         rows.append([(i * m.cols + j, x) for i, mrow in enumerate(m._entries) for j, x in mrow])
-    return Mat._of_rows(field, len(rows), width, rows)
+    return _integral_if(Mat._of_rows(field, len(rows), width, rows), mats)
 
 
 def unvec_rows(m: Mat, rows: int, cols: int) -> tuple:
     """The inverse of `vec_rows`: each row of m as the rows x cols matrix
     whose vec it is."""
-    return tuple(_from_flat(m.field, rows, cols, entries) for entries in m._entries)
+    return tuple(_integral_if(_from_flat(m.field, rows, cols, entries), (m,)) for entries in m._entries)
 
 
 def regroup(m: Mat, s: int, d: int) -> Mat:
@@ -392,7 +501,7 @@ def regroup(m: Mat, s: int, d: int) -> Mat:
             rows[v].append((i * out + w, x))
     for row in rows:
         row.sort()
-    return Mat._of_rows(m.field, d, s * out, rows)
+    return _integral_if(Mat._of_rows(m.field, d, s * out, rows), (m,))
 
 
 def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
@@ -412,7 +521,7 @@ def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
         off = col_offsets[j]
         for row, mrow in zip(out[row_offsets[i]:], m._entries):
             row.extend([(off + c, x) for c, x in mrow])
-    return Mat._of_rows(field, len(out), sum(col_dims), out)
+    return _integral_if(Mat._of_rows(field, len(out), sum(col_dims), out), blocks.values())
 
 
 def block_diagonal(blocks) -> Mat:
@@ -520,14 +629,16 @@ def _null_basis(field: Field, width: int, pivoted) -> Mat:
     pivots = {c for c, _ in pivoted}
     free = [c for c in range(width) if c not in pivots]
     index = {c: q for q, c in enumerate(free)}
-    rows, neg = [[(c, field.one)] for c in free], field.neg
+    rows, neg, d = [[(c, field.one)] for c in free], field.neg, 1
     for pc, row in pivoted:
         for c, x in row.items():
             if c != pc:
+                if type(x) is not int:
+                    d = lcm(d, x.denominator)
                 rows[index[c]].append((pc, neg(x)))
     for row in rows:
         row.sort()
-    return Mat._of_rows(field, len(free), width, rows)
+    return _recorded(Mat._of_rows(field, len(free), width, rows), d)
 
 
 def rref_pivots(m: Mat) -> tuple[Mat, tuple]:
@@ -558,7 +669,7 @@ def row_space(m: Mat) -> Mat:
     """
     r, pivots = rref_pivots(m)
     k = len(pivots)
-    return Mat._of_rows(m.field, k, m.cols, r._entries[:k])
+    return _integral_if(Mat._of_rows(m.field, k, m.cols, r._entries[:k]), (r,))
 
 
 def kernel(m: Mat) -> Mat:
@@ -620,7 +731,7 @@ def _rowspace_factor(basis: Mat) -> Mat:
     rows = [[(j, F.neg(F.one))] for j in range(n)]
     for p, row in _eliminate(F, aug):
         rows[p] = sorted((j if j < n else n + indep[j - n], x) for j, x in row.items() if j != p)
-    return Mat._of_rows(F, n, n + basis.rows, rows)
+    return _scanned(Mat._of_rows(F, n, n + basis.rows, rows))
 
 
 def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
@@ -635,13 +746,13 @@ def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
     if rows.cols != basis.cols:
         raise DimensionMismatch("vector length vs basis width")
     n = basis.cols
-    coords, outside = [], []
-    for i, row in enumerate((rows @ basis._row_factor)._entries):
+    coords, outside, product = [], [], rows @ basis._row_factor
+    for i, row in enumerate(product._entries):
         if row and row[0][0] < n:  # a nonzero residual
             outside.append(i)
             row = []
         coords.append([(j - n, x) for j, x in row])
-    return Mat._of_rows(basis.field, rows.rows, basis.rows, coords), outside
+    return _integral_if(Mat._of_rows(basis.field, rows.rows, basis.rows, coords), (product,)), outside
 
 
 def span_coords(basis: Mat, rows: Mat, error: str) -> Mat:
@@ -662,9 +773,9 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
         raise FieldMismatch("tensor over mismatched fields")
     F = f.field
     red, gc, grows = F.reduce, g.cols, g._entries
-    return Mat._of_rows(F, f.rows * g.rows, f.cols * gc,
-                        [[(k * gc + l, red(a * b)) for k, a in frow for l, b in grow]
-                         for frow in f._entries for grow in grows])
+    return _integral_if(Mat._of_rows(F, f.rows * g.rows, f.cols * gc,
+                                     [[(k * gc + l, red(a * b)) for k, a in frow for l, b in grow]
+                                      for frow in f._entries for grow in grows]), (f, g))
 
 
 def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
@@ -674,9 +785,10 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
     Column t = i * y.rows + j of m meets row i of x and row j of y: entry
     m[r, t] contributes m[r, t] * x[i, k] * y[j, l] to column k * y.cols + l
     of row r.  Each row of m is first summed against the rows of y, one
-    partial row per i, and those against the rows of x; only the touched
-    entries are reduced.  With identity factors this is m itself, and with
-    one identity factor each entry of m meets one row of the other factor.
+    partial row per i, and those against the rows of x, all on the scaled
+    rows (`Mat._scaled_rows`); only the touched entries are divided by
+    D_m * D_x * D_y.  With identity factors this is m itself, and with one
+    identity factor each entry of m meets one row of the other factor.
     """
     F = m.field
     if (x.field is not F and x.field != F) or (y.field is not F and y.field != F):
@@ -685,10 +797,13 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
         raise DimensionMismatch(f"cannot multiply {m.rows}x{m.cols} by "
                                 f"{x.rows * y.rows}x{x.cols * y.cols}")
     yr, yc = y.rows, y.cols
-    mrows, xrows, yrows, rows = m._entries, x._entries, y._entries, []
+    if y._is_identity and x._is_identity:
+        return m
+    dm, rows = m._denominator, []
+    mrows = m._entries if dm == 1 else m._scaled_rows
     if y._is_identity:
-        if x._is_identity:
-            return m
+        dx = x._denominator
+        xrows = x._entries if dx == 1 else x._scaled_rows
         for mrow in mrows:  # m[r, i * yr + j] * x[i, k] lands in column k * yr + j
             acc = {}
             for t, a in mrow:
@@ -697,7 +812,9 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
                     col = k * yr + j
                     acc[col] = acc.get(col, 0) + a * b
             rows.append(acc)
-        return _from_entries(F, rows, x.cols * yc)
+        return _from_numerators(F, rows, x.cols * yc, dm * dx)
+    dy = y._denominator
+    yrows = y._entries if dy == 1 else y._scaled_rows
     if x._is_identity:
         for mrow in mrows:  # m[r, i * yr + j] * y[j, l] lands in column i * yc + l
             acc = {}
@@ -707,7 +824,9 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
                 for l, b in yrows[j]:
                     acc[base + l] = acc.get(base + l, 0) + a * b
             rows.append(acc)
-        return _from_entries(F, rows, x.cols * yc)
+        return _from_numerators(F, rows, x.cols * yc, dm * dy)
+    dx = x._denominator
+    xrows = x._entries if dx == 1 else x._scaled_rows
     for mrow in mrows:
         partial = {}  # i -> {l: sum over j of m[r, i * yr + j] * y[j, l]}
         for t, a in mrow:
@@ -724,7 +843,7 @@ def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
                 for l, b in prow.items():
                     acc[base + l] = acc.get(base + l, 0) + a * b
         rows.append(acc)
-    return _from_entries(F, rows, x.cols * yc)
+    return _from_numerators(F, rows, x.cols * yc, dm * dx * dy)
 
 
 def tensor_vec(field: Field, u, v) -> tuple:
@@ -774,8 +893,8 @@ def _quotient_on(field: Field, ambient_dim: int, free, proj: Mat) -> QuotientSpa
     """The quotient whose basis is the classes of the ambient columns free
     (ascending), for a proj that is the identity on those columns."""
     index = {c: q for q, c in enumerate(free)}
-    sect = Mat._of_rows(field, ambient_dim, len(free),
-                        [[(index[c], field.one)] if c in index else [] for c in range(ambient_dim)])
+    sect = _recorded(Mat._of_rows(field, ambient_dim, len(free),
+                                  [[(index[c], field.one)] if c in index else [] for c in range(ambient_dim)]), 1)
     return QuotientSpace(field, ambient_dim, proj, sect, len(free))
 
 
@@ -949,10 +1068,12 @@ class LinearSystem:
         """Basis of the solutions, each a tuple of unknown values in
         declaration order."""
         layout = [(self.offsets[name], rows, cols) for name, (rows, cols) in self.shapes.items()]
-        return [tuple(_from_flat(self.field, rows, cols,
-                                 [(j - off, x) for j, x in krow if off <= j < off + rows * cols])
+        kernel = self.kernel()
+        return [tuple(_integral_if(_from_flat(self.field, rows, cols,
+                                              [(j - off, x) for j, x in krow if off <= j < off + rows * cols]),
+                                   (kernel,))
                       for off, rows, cols in layout)
-                for krow in self.kernel()._entries]
+                for krow in kernel._entries]
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:

@@ -10,10 +10,11 @@ Every field element is stored in one canonical form:
 
 `Field.reduce` maps any int or Fraction that plain `+`, `-` and `*` give
 on canonical elements back to canonical form; every `Field` operation
-returns canonical values, and the hot loops of `corings.linalg`
-accumulate with plain operators and call `reduce` once per entry.  An
-int and a Fraction of equal value compare and hash equal, so the choice
-of form never shows in equality, hashing or `Field.format`.
+returns canonical values.  The elimination and sums of `corings.linalg`
+accumulate with plain operators and bring each entry they write to
+canonical form once; its products accumulate ints over rows scaled by a
+common denominator and make at most one Fraction per output entry.  An int and a Fraction of equal value compare and hash equal, so
+the choice of form never shows in equality, hashing or `Field.format`.
 """
 
 from __future__ import annotations
@@ -141,9 +142,6 @@ class Field:
         if self.p is not None:
             return pow(a, self.p - 2, self.p)
         return _rational(1 / Fraction(a))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def random(self, rng):
         """Small deterministic scalar from a seeded rng: an integer in [-3, 3]."""

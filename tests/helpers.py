@@ -92,7 +92,7 @@
   the packed coring.
 * `Dense` is a matrix kept as a plain row-major tuple, the storage `Mat`
   had before its sparse rows, with the operations `linalg` now writes on
-  rows (`at`, `row`, `col`, `transpose`, `+`, `-`, `scale`, `is_zero`,
+  rows (`row`, `col`, `transpose`, `+`, `-`, `scale`, `is_zero`,
   `reshape`, `row_space`, `kernel`) as slices and index loops over that
   tuple; `dense_hstack`, `dense_vstack`, `dense_vec_rows`,
   `dense_block_matrix`, `dense_tensor` and `dense_quotient` are the
@@ -105,6 +105,12 @@
   that are not their own inverses and that does not commute with the base,
   so the shifts of the graded Morita contexts are not the identity.
 * `coinvariants` solves the coinvariants of a single comodule.
+* `cyclic_group`, `symmetric3`, `field_div` and `entry` are the cyclic
+  groups, the symmetric group S3, division in a field and the entry (i, j)
+  of a matrix, which only the tests build or read.
+* `over_prime_field` rewrites a structure file over QQ as the same file
+  over GF(p): the oracle that compares the reports of the two fields runs
+  the unchanged modular code against the rationals.
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
   graded-algebra and Hopf-algebra axioms, the group algebra with its
@@ -114,8 +120,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from corings.algebra import (
     Algebra,
@@ -163,6 +171,59 @@ from corings.morita import CoefficientRing, MoritaContext, RingBimodule, graded_
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, DimensionMismatch, Field
 from corings.structfile import Derived
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """The cyclic group of order n, the residues mod n under addition."""
+    return FiniteGroup(n, tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
+
+
+def symmetric3() -> FiniteGroup:
+    """S3 with elements enumerated as permutations of (0,1,2) in
+    lexicographic order of their one-line notation, identity first."""
+    perms = sorted(permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    table = tuple(
+        tuple(idx[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
+    )
+    return FiniteGroup(6, table)
+
+
+def field_div(field: Field, a, b):
+    """a / b in field."""
+    return field.mul(a, field.inv(b))
+
+
+def entry(m, i: int, j: int):
+    """Entry (i, j) of a `Mat` or a `Dense`, read off its row i."""
+    return m.row(i)[j]
+
+
+# an integer or a/b scalar token of a structure file, not part of a name
+_SCALAR = re.compile(r"(?<![\w./-])(-?\d+)(?:/(-?\d+))?(?![\w./])")
+
+
+def over_prime_field(text: str, p: int) -> str:
+    """The structure file text, declared over QQ, declared over GF(p)
+    instead, with each scalar a/b written as a * b^-1 mod p and each
+    integer, negative ones included, as its residue in [0, p).  Indices,
+    dimensions and degrees are integers in [0, p) and stay as they are;
+    comments are kept.  Raises ValueError when p divides a denominator."""
+    lines = text.split("\n")
+    if "field Q" not in lines:
+        raise ValueError("the text is not declared over QQ")
+
+    def residue(match):
+        a, b = int(match[1]), int(match[2] or 1)
+        if b % p == 0:
+            raise ValueError(f"{p} divides the denominator of {match[0]}")
+        return str(a * pow(b, -1, p) % p)
+
+    for k, line in enumerate(lines):
+        code, hash_, comment = line.partition("#")
+        lines[k] = _SCALAR.sub(residue, code) + hash_ + comment
+    lines[lines.index("field Q")] = f"field Fp {p}"
+    return "\n".join(lines)
 
 
 def cube(a: Algebra) -> tuple:
@@ -269,8 +330,8 @@ def dense_kernel(m: Mat) -> Mat:
         v = [F.zero] * m.cols
         v[c] = F.one
         for i, pc in enumerate(pivots):
-            if r.at(i, c):
-                v[pc] = F.neg(r.at(i, c))
+            if entry(r, i, c):
+                v[pc] = F.neg(entry(r, i, c))
         rows.append(v)
     return Mat(F, len(rows), m.cols, tuple(x for row in rows for x in row))
 
@@ -322,9 +383,6 @@ class Dense:
         """The nonzero (column, value) pairs of each row, ascending: what a
         `Mat` of these entries stores."""
         return [[(j, x) for j, x in enumerate(self.row(i)) if x] for i in range(self.rows)]
-
-    def at(self, i: int, j: int):
-        return self.data[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols:(i + 1) * self.cols]
@@ -402,14 +460,14 @@ def dense_block_matrix(field: Field, row_dims, col_dims, blocks) -> Dense:
         bi, r = locate(row_dims, i)
         for j in range(sum(col_dims)):
             bj, c = locate(col_dims, j)
-            data.append(blocks[(bi, bj)].at(r, c) if (bi, bj) in blocks else field.zero)
+            data.append(entry(blocks[(bi, bj)], r, c) if (bi, bj) in blocks else field.zero)
     return Dense(field, sum(row_dims), sum(col_dims), tuple(data))
 
 
 def dense_tensor(f: Dense, g: Dense) -> Dense:
     F = f.field
     return Dense(F, f.rows * g.rows, f.cols * g.cols, tuple(
-        F.mul(f.at(i, k), g.at(j, l))
+        F.mul(entry(f, i, k), entry(g, j, l))
         for i in range(f.rows) for j in range(g.rows)
         for k in range(f.cols) for l in range(g.cols)))
 
@@ -439,7 +497,7 @@ def triangular_family() -> GrouplikeFamily:
     t2 = Algebra.from_tables(F, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
                                  [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
                                  [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [1, 0, 1])
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     coring, _ = trivial_coring(t2, g)
     return GrouplikeFamily(coring, tuple((1, 0, pow(2, a, 7)) for a in g.elements()))
 
@@ -590,7 +648,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
         for i in range(a.dim)
         for j in range(a.dim)
         if h.counit.apply(multiply(a, a.basis_vec(i), a.basis_vec(j)))
-        != (F.mul(h.counit.at(0, i), h.counit.at(0, j)),)
+        != (F.mul(entry(h.counit, 0, i), entry(h.counit, 0, j)),)
     ]
     rep.add("hopf.counit-multiplicative", "counit is an algebra map",
             not bad and h.counit.apply(a.unit) == (F.one,),
@@ -598,7 +656,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     mm = a.mul_mat
     anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
     anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
-    unit_eps = Mat.from_cols(F, [tuple(F.mul(h.counit.at(0, i), u) for u in a.unit)
+    unit_eps = Mat.from_cols(F, [tuple(F.mul(entry(h.counit, 0, i), u) for u in a.unit)
                                  for i in range(a.dim)])
     rep.add("hopf.antipode", "antipode law",
             anti1 == unit_eps and anti2 == unit_eps)
@@ -622,10 +680,10 @@ def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
 def bad_antipode_hopf() -> HopfGCoalgebra:
     """Cofree family on the order-three group algebra with the antipode
     replaced by the identity: every axiom holds except the antipode law."""
-    c3 = FiniteGroup.cyclic(3)
+    c3 = cyclic_group(3)
     ha = group_hopf_algebra(QQ, c3)
     broken = HopfAlgebra(ha.algebra, ha.delta, ha.counit, Mat.identity(QQ, 3))
-    return cofree_hopf(broken, FiniteGroup.cyclic(2))
+    return cofree_hopf(broken, cyclic_group(2))
 
 
 def trivial_hopf(field: Field, group: FiniteGroup) -> HopfGCoalgebra:
@@ -714,7 +772,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                     # Sweedler parts of delta_v^*: <k(1)*, x><k(2)*, y> = <k*, xy>
                     for s in range(hq.dim):
                         for t_ in range(hq.dim):
-                            coeff_split = mm_q.at(kv, s * hq.dim + t_)
+                            coeff_split = entry(mm_q, kv, s * hq.dim + t_)
                             if not coeff_split:
                                 continue
                             # action part: k(2)* . e_ai = <delta_t*, a[1,q^{-1}]> a[0]
@@ -730,7 +788,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                             # product part: (delta_s* ? delta_hu*) on H_{(pq)^{-1}}:
                             # <prod, h> = <delta_s*, h(1,q^{-1})><delta_hu*, h(2,p^{-1})>
                             for w in range(hpq.dim):
-                                pair_val = dd.at(s * hp.dim + hu, w)
+                                pair_val = entry(dd, s * hp.dim + hu, w)
                                 if pair_val:
                                     for z, av in enumerate(coeff_a):
                                         if av:

@@ -27,12 +27,12 @@ from corings.algebra import (
     BaseMismatch,
 )
 from corings.dualring import GradedAlgebra
-from corings.groups import FiniteGroup
 from corings.linalg import Mat, inverse, random_invertible, tensor_k, tensor_vec
 from corings.scalars import GF, QQ
 from helpers import (
     check_dual_basis,
     coords_in,
+    cyclic_group,
     induced_map,
     multiply,
     reference_from_products,
@@ -132,7 +132,7 @@ def test_subalgebra_matches_the_structure_constant_reference(field, dims):
 @pytest.mark.parametrize("dims", DIM_PAIRS, ids=str)
 def test_graded_products_match_the_structure_constant_reference(field, dims):
     rng = random.Random(repr(dims))
-    for g, degree_dims in ((FiniteGroup.cyclic(2), dims), (FiniteGroup.cyclic(3), dims + (2,))):
+    for g, degree_dims in ((cyclic_group(2), dims), (cyclic_group(3), dims + (2,))):
         products = {(x, y): Mat(field, degree_dims[g.mul(x, y)], degree_dims[x] * degree_dims[y],
                                 tuple(field.random(rng) for _ in range(
                                     degree_dims[g.mul(x, y)] * degree_dims[x] * degree_dims[y])))

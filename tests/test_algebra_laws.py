@@ -28,13 +28,13 @@ from corings.galois import (
     inclusion_morphism,
     validate_ring_morphism,
 )
-from corings.groups import FiniteGroup
 from corings.linalg import Mat, unit_vec
 from corings.morita import check_standard_context_match, grouplike_character
 from corings.scalars import GF, QQ
 from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
+    cyclic_group,
     group_hopf_algebra,
     multiply,
     reference_grouplike_character,
@@ -95,7 +95,7 @@ def bumped_algebra(a: Algebra, rng) -> Algebra:
 @pytest.mark.parametrize("field", (QQ, GF(101)), ids=repr)
 def test_mul_mat_and_multiplication_maps_are_their_multiply_definitions(field):
     rng = random.Random(14)
-    for a in (group_hopf_algebra(field, FiniteGroup.cyclic(3)).algebra,
+    for a in (group_hopf_algebra(field, cyclic_group(3)).algebra,
               triangular_algebra(field), product_field_algebra(field, 2)):
         basis = [unit_vec(field, a.dim, i) for i in range(a.dim)]
         assert a.mul_mat == Mat.from_cols(field, [multiply(a, x, y) for x in basis for y in basis])

@@ -10,6 +10,8 @@ from corings.cli import main
 from corings.suites import SUITES, UnknownSuite, run_suite
 from corings.structfile import main_structure, parse
 from corings.fixtures import fixture_file_text
+from corings.scalars import GF, QQ
+from helpers import over_prime_field
 
 
 def run_cli(args):
@@ -136,18 +138,47 @@ def _item_verdicts(report: str) -> list:
 
 @pytest.mark.parametrize("name", ["trivial", "regular", "nongalois", "sweedler"])
 def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path):
-    # The fixtures have integer entries, so over GF(1000003) every check must
-    # come out as over QQ; a difference points at one field's arithmetic.
+    # The answers are ranks and verdicts of linear systems with integer
+    # data, the same over QQ and over GF(p) for all but finitely many p.
+    # GF(p) runs the modular arithmetic, so the whole machine report over
+    # GF(1000003) (witnesses and verdict included, the source line apart)
+    # is an oracle for the code that only the rationals run: the integer
+    # product kernels and the canonical int-or-Fraction form.
     text = fixture_file_text(name)
-    assert "\nfield Q\n" in text
-    runs = []
-    for field_line in ("field Q", "field Fp 1000003"):
-        path = tmp_path / f"{name}-{field_line.split()[-1]}.coring"
-        path.write_text(text.replace("\nfield Q\n", f"\n{field_line}\n"))
-        rc, out, _ = run_cli(["check", str(path), "--suite", "all", "--format", "machine"])
-        runs.append((rc, _item_verdicts(out)))
-    assert runs[0][1], "no items reported"
-    assert runs[0] == runs[1]
+    reports = []
+    for field, source in ((QQ, text), (GF(1000003), over_prime_field(text, 1000003))):
+        path = tmp_path / f"{name}-{field}.coring"
+        path.write_text(source)
+        rc, out, _ = run_cli(["check", str(path), "--suite", "all", "--seed", "0",
+                              "--format", "machine"])
+        reports.append((rc, [line for line in out.splitlines() if not line.startswith("source ")]))
+    assert _item_verdicts("\n".join(reports[0][1])), "no items reported"
+    assert reports[0] == reports[1]
+
+
+def test_the_prime_field_rewrite_reduces_every_scalar():
+    text = ("# k[C_3] over QQ, entries -1 and 1/2\n"
+            "field Q\n"
+            "begin algebra A2\n"
+            "  dim 2\n"
+            "  unit [1/2, -1]\n"
+            "  mul [[[-3/4, 0], [2, -7]], [[1, 6/-4], [0, 10]]]\n"
+            "end\n")
+    assert over_prime_field(text, 7) == (
+        "# k[C_3] over QQ, entries -1 and 1/2\n"
+        "field Fp 7\n"
+        "begin algebra A2\n"
+        "  dim 2\n"
+        "  unit [4, 6]\n"
+        "  mul [[[1, 0], [2, 0]], [[1, 2], [0, 3]]]\n"
+        "end\n")
+    # the first denominator p divides is named; a comment is not read
+    with pytest.raises(ValueError, match="2 divides the denominator of 1/2"):
+        over_prime_field(text, 2)
+    with pytest.raises(ValueError, match="2 divides the denominator of 6/-4"):
+        over_prime_field(text.replace("[1/2,", "[1,").replace("-3/4", "-3"), 2)
+    with pytest.raises(ValueError, match="not declared over QQ"):
+        over_prime_field(over_prime_field(text, 7), 5)
 
 
 def test_zero_dimensional_connecting_space_gives_a_verdict(tmp_path):

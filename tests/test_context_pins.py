@@ -19,7 +19,6 @@ from corings.algebra import field_algebra
 from corings.dualring import group_ring
 from corings.fixtures import fixture
 from corings.galois import RingMorphism
-from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
@@ -29,7 +28,7 @@ from corings.linalg import Mat
 from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
-from helpers import cube, group_hopf_algebra, triangular_family
+from helpers import cube, cyclic_group, group_hopf_algebra, triangular_family
 
 PINNED = {
     'trivial': {
@@ -114,7 +113,7 @@ def _fixture(name: str) -> MainStructure:
         return MainStructure(x.coring, x, b, None, None)
     if name != "regular3":
         return fixture(name)
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     ha = group_hopf_algebra(QQ, g)
     coring, x = coring_from_comodule_algebra(regular_comodule_algebra(cofree_hopf(ha, g), ha))
     b = RingMorphism(field_algebra(QQ), ha.algebra, Mat.from_cols(QQ, [ha.algebra.unit]))

@@ -12,20 +12,25 @@ from corings.coring import (
     verify_cofree,
 )
 from corings.fixtures import fixture
-from corings.groups import FiniteGroup
 from corings.linalg import Mat
 from corings.scalars import QQ
-from helpers import is_coring_iso, pack_graded_coring, trivial_coring, unpack_graded_coring
+from helpers import (
+    cyclic_group,
+    is_coring_iso,
+    pack_graded_coring,
+    trivial_coring,
+    unpack_graded_coring,
+)
 
 
 def test_trivial_coring_is_valid():
-    c, wit = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, wit = trivial_coring(field_algebra(QQ), cyclic_group(2))
     assert validate_group_coring(c).ok
     assert verify_cofree(c, wit).ok
 
 
 def test_trivial_coring_over_product_algebra():
-    c, _ = trivial_coring(product_field_algebra(QQ, 2), FiniteGroup.cyclic(2))
+    c, _ = trivial_coring(product_field_algebra(QQ, 2), cyclic_group(2))
     assert validate_group_coring(c).ok
 
 
@@ -35,7 +40,7 @@ def test_fixture_corings_validate():
 
 
 def test_doubled_counit_fails_everywhere():
-    c, _ = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, _ = trivial_coring(field_algebra(QQ), cyclic_group(2))
     c.counit = c.counit.scale(2)
     rep = validate_group_coring(c)
     fails = [it for it in rep.items if not it.passed]
@@ -61,7 +66,7 @@ def test_cofree_requires_single_component():
 
     fx = fixture("sweedler")
     with pytest.raises(ValueError):
-        cofree_coring(fx.coring, FiniteGroup.cyclic(2))
+        cofree_coring(fx.coring, cyclic_group(2))
 
 
 def test_witness_with_zeroed_map_fails_iso():
@@ -110,7 +115,7 @@ def test_pack_unpack_roundtrip():
 
 
 def test_packed_trivial_coring_has_total_dim_two():
-    c, _ = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, _ = trivial_coring(field_algebra(QQ), cyclic_group(2))
     packed = pack_graded_coring(c)
     assert packed.total.dim == 2
 
@@ -127,7 +132,7 @@ def test_packed_counit_kills_nonidentity_degrees():
 
 
 def test_packed_coring_satisfies_single_coring_axioms():
-    c, _ = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, _ = trivial_coring(field_algebra(QQ), cyclic_group(2))
     packed = pack_graded_coring(c)
     assert validate_group_coring(packed.as_group_coring()).ok
 
@@ -140,7 +145,7 @@ def test_prime_field_trivial_coring():
     from corings.structfile import Derived
 
     f5 = GF(5)
-    c, wit = trivial_coring(field_algebra(f5), FiniteGroup.cyclic(2))
+    c, wit = trivial_coring(field_algebra(f5), cyclic_group(2))
     assert validate_group_coring(c).ok
     x = GrouplikeFamily(c, ((f5.one,), (f5.one,)))
     b = RingMorphism(c.base, c.base, Mat.identity(f5, 1))

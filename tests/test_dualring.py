@@ -43,11 +43,11 @@ from corings.galois import (
     inclusion_morphism,
     random_comodule,
 )
-from corings.groups import FiniteGroup
 from corings.linalg import Mat, unit_vec
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from helpers import (
+    cyclic_group,
     derived,
     dual_coords,
     reference_comodule_to_module,
@@ -77,7 +77,7 @@ def witness_of(name):
 
 
 def test_dual_of_trivial_coring_is_the_group_ring():
-    c, _ = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, _ = trivial_coring(field_algebra(QQ), cyclic_group(2))
     r = dual_ring(c)
     assert validate_graded_ring(r).ok
     gr = group_ring(field_algebra(QQ), c.group)
@@ -214,7 +214,7 @@ def test_pack_equals_forget_on_the_nose():
 
 
 def test_cofree_dual_iso_identity_on_trivial():
-    c, wit = trivial_coring(field_algebra(QQ), FiniteGroup.cyclic(2))
+    c, wit = trivial_coring(field_algebra(QQ), cyclic_group(2))
     r = dual_ring(c)
     sigmas, rep = cofree_dual_group_ring_iso(c, wit, r)
     assert rep.ok

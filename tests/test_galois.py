@@ -36,7 +36,7 @@ from corings.galois import (
 )
 from corings.linalg import Mat, rank, row_space, unit_vec
 from corings.scalars import QQ
-from helpers import coinvariants, coords_in, derived, trivial_coring
+from helpers import coinvariants, coords_in, cyclic_group, derived, trivial_coring
 
 
 def test_grouplike_families_validate():
@@ -330,10 +330,9 @@ def test_induction_adjunction_hom_bijection():
 def test_trivial_coring_coinvariants_are_everything():
     # with every family member the unit, all of the base commutes
     from corings.algebra import product_field_algebra
-    from corings.groups import FiniteGroup
 
     a = product_field_algebra(QQ, 2)
-    cor, _ = trivial_coring(a, FiniteGroup.cyclic(2))
+    cor, _ = trivial_coring(a, cyclic_group(2))
     x = GrouplikeFamily(cor, (a.unit, a.unit))
     t = coinvariant_ring(x)
     assert t.basis.rows == a.dim
@@ -344,13 +343,12 @@ def test_sweedler_square_over_the_full_base_collapses():
     # the canonical comparison to the trivial coring is an isomorphism
     from corings.algebra import product_field_algebra
     from corings.galois import sweedler_coring
-    from corings.groups import FiniteGroup
 
     a = product_field_algebra(QQ, 2)
     b = RingMorphism(a, a, Mat.identity(QQ, 2))
-    dom, wit, q, gl = sweedler_coring(b, FiniteGroup.cyclic(2))
+    dom, wit, q, gl = sweedler_coring(b, cyclic_group(2))
     assert q.dim == a.dim
-    cor, _ = trivial_coring(a, FiniteGroup.cyclic(2))
+    cor, _ = trivial_coring(a, cyclic_group(2))
     x = GrouplikeFamily(cor, (a.unit, a.unit))
     can = canonical_morphism(x, b)
     for m in can.morphism.maps:

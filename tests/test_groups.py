@@ -1,14 +1,15 @@
 """Finite group tables and their validator."""
 
 from corings.groups import FiniteGroup, validate_group
+from helpers import cyclic_group, symmetric3
 
 
 def test_cyclic_two_is_valid():
-    assert validate_group(FiniteGroup.cyclic(2)).ok
+    assert validate_group(cyclic_group(2)).ok
 
 
 def test_symmetric_three_is_valid():
-    g = FiniteGroup.symmetric3()
+    g = symmetric3()
     assert g.order == 6
     assert validate_group(g).ok
     # identity-first enumeration
@@ -17,7 +18,7 @@ def test_symmetric_three_is_valid():
 
 def test_broken_associativity_is_reported():
     # start from C3 and corrupt one entry
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     table = [list(r) for r in g.table]
     table[1][1] = 1  # 1*1 should be 2
     bad = FiniteGroup.from_table(table)
@@ -35,5 +36,5 @@ def test_missing_inverse_is_reported():
 
 
 def test_inverses():
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     assert [g.inv(a) for a in g.elements()] == [0, 2, 1]

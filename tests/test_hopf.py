@@ -18,7 +18,6 @@ from corings.galois import (
     structure_theorem_battery,
     validate_grouplike,
 )
-from corings.groups import FiniteGroup
 from corings.hopf import (
     RelativeHopfModule,
     SmashProduct,
@@ -42,6 +41,7 @@ from corings.scalars import GF, QQ
 from helpers import (
     bad_antipode_hopf,
     cube,
+    cyclic_group,
     derived,
     group_hopf_algebra,
     multiply,
@@ -55,17 +55,17 @@ from helpers import (
 
 def test_group_hopf_algebras_validate():
     for n in (2, 3):
-        assert validate_hopf_algebra(group_hopf_algebra(QQ, FiniteGroup.cyclic(n))).ok
+        assert validate_hopf_algebra(group_hopf_algebra(QQ, cyclic_group(n))).ok
 
 
 def test_trivial_hopf_family_validates():
-    assert validate_hopf_g_coalgebra(trivial_hopf(QQ, FiniteGroup.cyclic(2))).ok
+    assert validate_hopf_g_coalgebra(trivial_hopf(QQ, cyclic_group(2))).ok
 
 
 def test_cofree_families_validate():
-    g2 = FiniteGroup.cyclic(2)
+    g2 = cyclic_group(2)
     for n in (2, 3):
-        ha = group_hopf_algebra(QQ, FiniteGroup.cyclic(n))
+        ha = group_hopf_algebra(QQ, cyclic_group(n))
         assert validate_hopf_g_coalgebra(cofree_hopf(ha, g2)).ok
 
 
@@ -78,7 +78,7 @@ def test_bad_antipode_fails_exactly_the_antipode_law():
 def test_identity_antipode_is_fine_on_order_two():
     # on the order-two group algebra the inversion IS the identity, so the
     # corrupted witness needs order three to bite
-    g2 = FiniteGroup.cyclic(2)
+    g2 = cyclic_group(2)
     ha = group_hopf_algebra(QQ, g2)
     from corings.hopf import HopfAlgebra
 
@@ -103,7 +103,7 @@ def test_induced_coring_and_grouplike_validate():
 
 def test_trivial_inputs_give_rank_one_coring():
     a = field_algebra(QQ)
-    ca = trivial_comodule_algebra(a, trivial_hopf(QQ, FiniteGroup.cyclic(2)))
+    ca = trivial_comodule_algebra(a, trivial_hopf(QQ, cyclic_group(2)))
     cor, x = coring_from_comodule_algebra(ca)
     assert [m.dim for m in cor.comps] == [1, 1]
 
@@ -217,8 +217,8 @@ def test_smash_dual_on_nongalois_fixture():
 
 
 def test_smash_associativity_on_order_three_components():
-    g2 = FiniteGroup.cyclic(2)
-    ha = group_hopf_algebra(QQ, FiniteGroup.cyclic(3))
+    g2 = cyclic_group(2)
+    ha = group_hopf_algebra(QQ, cyclic_group(3))
     h = cofree_hopf(ha, g2)
     ca = trivial_comodule_algebra(field_algebra(QQ), h)
     sp, _, rep = smash_dual(ca, dual_ring(coring_from_comodule_algebra(ca)[0]))
@@ -228,8 +228,8 @@ def test_smash_associativity_on_order_three_components():
 
 def test_cofree_family_transports_the_antipode():
     # tagged copies share the base antipode matrix on every degree
-    g2 = FiniteGroup.cyclic(2)
-    ha = group_hopf_algebra(QQ, FiniteGroup.cyclic(3))
+    g2 = cyclic_group(2)
+    ha = group_hopf_algebra(QQ, cyclic_group(3))
     h = cofree_hopf(ha, g2)
     for a in g2.elements():
         assert h.antipode[a] == ha.antipode
@@ -237,7 +237,7 @@ def test_cofree_family_transports_the_antipode():
 
 
 def test_tensor_algebra_multiplies_componentwise():
-    a = group_hopf_algebra(QQ, FiniteGroup.cyclic(3)).algebra
+    a = group_hopf_algebra(QQ, cyclic_group(3)).algebra
     b = fixture("regular").comodule_algebra.algebra
     ab = tensor_algebra(a, b)
     assert validate_algebra(ab).ok
@@ -256,10 +256,10 @@ def _c3_comodule_algebras(field):
     """Comodule algebras over cofree families of the order-three group
     algebra, indexed by groups of order two and three: the algebra itself
     with the regular and with the trivial coaction, and the ground field."""
-    ha = group_hopf_algebra(field, FiniteGroup.cyclic(3))
+    ha = group_hopf_algebra(field, cyclic_group(3))
     out = []
     for n in (2, 3):
-        h = cofree_hopf(ha, FiniteGroup.cyclic(n))
+        h = cofree_hopf(ha, cyclic_group(n))
         out += [regular_comodule_algebra(h, ha), trivial_comodule_algebra(ha.algebra, h),
                 trivial_comodule_algebra(field_algebra(field), h)]
     return out

@@ -1,6 +1,7 @@
 """Exact linear algebra core: frozen examples plus seeded property checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +12,6 @@ from corings import algebra, linalg
 from corings.algebra import Bimodule, product_field_algebra, validate_bimodule
 from corings.dualring import dual_ring
 from corings.fixtures import fixture, fixture_file_text
-from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
@@ -53,6 +53,7 @@ from corings.suites import run_suite
 from helpers import (
     Dense,
     coords_in,
+    cyclic_group,
     dense_block_matrix,
     dense_hstack,
     dense_inverse,
@@ -65,6 +66,7 @@ from helpers import (
     dense_triple_quotient,
     dense_vec_rows,
     dense_vstack,
+    entry,
     group_hopf_algebra,
     reference_solve,
 )
@@ -374,7 +376,7 @@ def ref_matmul(a: Mat, b: Mat) -> Mat:
         for j in range(b.cols):
             s = F.zero
             for t in range(a.cols):
-                s = F.add(s, F.mul(a.at(i, t), b.at(t, j)))
+                s = F.add(s, F.mul(entry(a, i, t), entry(b, t, j)))
             data.append(s)
     return Mat(F, a.rows, b.cols, tuple(data))
 
@@ -758,7 +760,7 @@ def test_every_triple_of_a_full_run_matches_the_dense_reference(monkeypatch, nam
 @lru_cache(maxsize=None)
 def c3_components() -> tuple:
     """The three 9-dimensional components of the coring of regular k[C_3]."""
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     ha = group_hopf_algebra(QQ, g)
     cor, _ = coring_from_comodule_algebra(regular_comodule_algebra(cofree_hopf(ha, g), ha))
     return cor.comps
@@ -853,7 +855,7 @@ def test_sparse_elimination_matches_the_dense_reference(field):
 
 
 def fresh_scan(m: Mat) -> list:
-    return [[(j, m.at(i, j)) for j in range(m.cols) if m.at(i, j)] for i in range(m.rows)]
+    return [[(j, entry(m, i, j)) for j in range(m.cols) if entry(m, i, j)] for i in range(m.rows)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
@@ -1045,8 +1047,8 @@ def test_row_storage_matches_the_dense_reference(field):
         listed = [Mat.from_rows(field, [a.row(i) for i in range(r)])] if r else []
         for built in [m, from_rows, from_cols] + listed:
             assert_stores(built, a)
-        assert [[m.at(i, j) for j in range(c)] for i in range(r)] == \
-            [[a.at(i, j) for j in range(c)] for i in range(r)]
+        assert [[entry(m, i, j) for j in range(c)] for i in range(r)] == \
+            [[entry(a, i, j) for j in range(c)] for i in range(r)]
         assert [m.row(i) for i in range(r)] == [a.row(i) for i in range(r)]
         assert [m.col(j) for j in range(c)] == [a.col(j) for j in range(c)]
         assert m.is_zero() == a.is_zero() and Mat.zeros(field, r, c).is_zero()
@@ -1100,3 +1102,127 @@ def test_dense_view_is_built_only_when_read():
         assert "data" not in got.__dict__
         assert got.data == tuple(x for i in range(got.rows) for x in got.row(i))
         assert "data" in got.__dict__
+
+
+# -- products over QQ in integers: one denominator per matrix --------------------------
+
+def scanned_denominator(m: Mat) -> int:
+    """The lcm of the denominators of the entries of m, read off its rows."""
+    return math.lcm(*(Fraction(x).denominator for i in range(m.rows) for x in m.row(i)))
+
+
+def assert_scaled(m: Mat):
+    """The recorded or scanned denominator D of m is the lcm of the
+    denominators of its entries, and the scaled rows of a matrix with
+    D > 1 are its rows times D as ints."""
+    d = m._denominator
+    assert d == scanned_denominator(m)
+    if d > 1:
+        rows = m._scaled_rows
+        assert rows == [[(j, x * d) for j, x in row] for row in fresh_scan(m)]
+        assert all(type(x) is int for row in rows for _, x in row)
+
+
+def fractional_mat(rows, cols, rng, recorded=True):
+    """A sparse QQ matrix with zero rows, integers and fractions of mixed
+    and negative denominators; built through `Mat(...)`, which records its
+    denominator, or straight from its rows, which leaves it to the first
+    product to scan them."""
+    def entry_():
+        if rng.random() < 0.4:
+            return 0
+        if rng.random() < 0.3:
+            return rng.randint(-3, 3)
+        return QQ.of(Fraction(rng.randint(-9, 9), rng.choice((-6, -4, -3, -2, 2, 3, 4, 5, 7))))
+    data = [entry_() if rng.random() < 0.8 else 0 for _ in range(rows * cols)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            data[i * cols:(i + 1) * cols] = [0] * cols
+    m = Mat(QQ, rows, cols, tuple(data))
+    return m if recorded else Mat._of_rows(QQ, rows, cols, [list(row) for row in m._entries])
+
+
+def test_integer_products_match_the_dense_references_over_the_rationals():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(150):
+        n, k, w = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = (fractional_mat(n, k, rng, rng.random() < 0.5),
+                fractional_mat(k, w, rng, rng.random() < 0.5))
+        got = a @ b
+        assert_plain_result(got, ref_matmul(a, b))
+        for m in (a, b, got):
+            assert_scaled(m)
+        seen.add(got._denominator > 1)
+        xr, xc, yr, yc, r = (rng.randint(0, 3) for _ in range(5))
+        x, y = fractional_mat(xr, xc, rng, rng.random() < 0.5), fractional_mat(yr, yc, rng)
+        factors = [(x, y), (Mat.identity(QQ, xr), y), (x, Mat.identity(QQ, yr)),
+                   (Mat.identity(QQ, xr), Mat.identity(QQ, yr))]
+        for f, g in factors:
+            m = fractional_mat(r, f.rows * g.rows, rng, rng.random() < 0.5)
+            got = kron_after(m, f, g)
+            assert_plain_result(got, ref_matmul(m, dense_tensor(f, g).mat()))
+            assert_scaled(got)
+    assert seen == {False, True}
+
+
+def test_recorded_denominators_are_a_fresh_scan():
+    rng = random.Random(29)
+    for _ in range(60):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = fractional_mat(n, k, rng), fractional_mat(n, k, rng)
+        v = Mat(QQ, k, 1, tuple(fractional_mat(1, k, rng).data))
+        built = [a, a + b, a - b, combine(QQ, n, k, [a, b], [Fraction(1, 3), -2]), rref(a),
+                 a.reshape(1, n * k), a.transpose(), vstack([a, b]), hstack([a, b]),
+                 vec_rows(QQ, n * k, [a, b]), tensor_k(a, b), Mat.from_cols(QQ, [a.col(j) for j in range(k)]),
+                 Mat.col_vector(QQ, v.data), Mat.from_rows(QQ, [a.row(i) for i in range(n)])]
+        if n == k and rank(a) == n:
+            built.append(inverse(a))
+        for m in built:
+            assert_scaled(m)
+        # an integral matrix built by rearranging integral parts keeps its
+        # rows as its scaled rows without reading an entry
+        ints = [Mat(QQ, n, k, tuple(rng.randint(-2, 2) for _ in range(n * k))) for _ in range(2)]
+        for m in (ints[0].transpose(), vstack(ints), hstack(ints), tensor_k(*ints),
+                  block_matrix(QQ, [n, n], [k], {(0, 0): ints[0], (1, 0): ints[1]})):
+            assert m.__dict__["_denominator"] == 1
+
+
+def test_prime_field_products_are_unchanged():
+    F = GF(1000003)
+    rng = random.Random(30)
+    for _ in range(80):
+        n, k, w = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = mixed_mat(F, n, k, rng), mixed_mat(F, k, w, rng)
+        assert_plain_result(a @ b, ref_matmul(a, b))
+        assert a._denominator == (a @ b).__dict__["_denominator"] == 1
+        xr, xc, yr, yc, r = (rng.randint(0, 3) for _ in range(5))
+        x, y = mixed_mat(F, xr, xc, rng), mixed_mat(F, yr, yc, rng)
+        for f, g in ((x, y), (Mat.identity(F, xr), y), (x, Mat.identity(F, yr))):
+            m = mixed_mat(F, r, f.rows * g.rows, rng)
+            assert_plain_result(kron_after(m, f, g), ref_matmul(m, dense_tensor(f, g).mat()))
+
+
+def test_products_of_fractional_matrices_multiply_and_add_no_fraction(monkeypatch):
+    rng = random.Random(31)
+    a, b = fractional_mat(4, 5, rng), fractional_mat(5, 3, rng, recorded=False)
+    x, y = fractional_mat(2, 3, rng, recorded=False), fractional_mat(2, 2, rng)
+    m = fractional_mat(3, 4, rng)
+    want = ref_matmul(a, b), ref_matmul(m, dense_tensor(x, y).mat())
+    called = []
+
+    def spy(name):
+        real = getattr(Fraction, name)
+
+        def wrapped(self, other):
+            called.append(name)
+            return real(self, other)
+        return wrapped
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, spy(name))
+    got = a @ b, kron_after(m, x, y)
+    monkeypatch.undo()
+    assert called == []
+    assert got == want
+    assert any(type(v) is Fraction for v in got[0].data + got[1].data)

@@ -11,7 +11,11 @@
   re-exports it, only if it is in `EXPORTED_UNCALLED`: API the README
   documents, and the names `bench/spans.py` traces.  The exported names
   no library code calls are exactly those of the set, so that a new one
-  shows up in review as an edit to it.
+  shows up in review as an edit to it.  A method (any function defined
+  in a class body, apart from a dunder) needs a reference outside its own
+  definition: an attribute of any object or a name, since the class of
+  `obj` in `obj.method` is not known statically; a method only the tests
+  call is deleted or moved to the tests like a function.
 * No function body imports from `corings`: every library import sits at
   module level, where the import graph can be read at a glance.
 * Every parameter with a default, of a function or a method, is passed,
@@ -78,6 +82,10 @@
   (`BLOCK_KINDS`, the kinds `structfile._load_block` reads): a structure
   is defined by a data file, such as the fixtures in `data/`, and no
   library code writes one.
+* Only `scalars.py` and `linalg.py` name `Fraction` (`FRACTION_HOMES`):
+  rationals are made by the field and by the matrix layer, whose products
+  work on integers and write at most one `Fraction` per output entry, and
+  by no other module.
 """
 
 import ast
@@ -229,6 +237,45 @@ def unreferenced_functions(paths, exported_uncalled=EXPORTED_UNCALLED) -> list:
     return sorted((path.name, node.name) for path, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and not node.name.startswith("__") and node.name not in referenced)
+
+
+def _method_references(tree: ast.Module) -> dict:
+    """name -> list of the sets of ids of the methods (functions defined in
+    a class body) that enclose each attribute or name reference to it."""
+    methods = _methods(tree)
+    out = {}
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                out.setdefault(child.attr, []).append(enclosing)
+            elif isinstance(child, ast.Name):
+                out.setdefault(child.id, []).append(enclosing)
+            visit(child, enclosing | {id(child)} if id(child) in methods else enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def unreferenced_methods(paths) -> list:
+    """(module, class.method) of each method, dunders apart, with no
+    attribute or name reference in paths outside its own definition."""
+    trees = {path: _tree(path) for path in paths}
+    references = {}
+    for tree in trees.values():
+        for name, where in _method_references(tree).items():
+            references.setdefault(name, []).extend(where)
+    out = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                        and all(id(fn) in enclosing for enclosing in references.get(fn.name, []))):
+                    out.append((path.name, f"{cls.name}.{fn.name}"))
+    return sorted(out)
 
 
 def exported_uncalled(paths) -> set:
@@ -478,6 +525,18 @@ def mat_bypasses(path: Path) -> list:
     return sorted(lines)
 
 
+FRACTION_HOMES = ("linalg.py", "scalars.py")
+
+
+def fraction_names(path: Path) -> list:
+    """Line of each name, attribute or import that names `Fraction`."""
+    return sorted({node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Name) and node.id == "Fraction"
+                   or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                   or isinstance(node, (ast.Import, ast.ImportFrom))
+                   and any(alias.name.split(".")[-1] == "Fraction" for alias in node.names)})
+
+
 def storage_reads(path: Path) -> list:
     """Line of each read of a `data` attribute, as in `m.data` or
     `m.data[k]`: the dense view of a `Mat`."""
@@ -657,6 +716,16 @@ def test_no_structure_file_text_in_code(path):
 
 def test_every_function_is_referenced():
     assert unreferenced_functions(MODULES) == []
+
+
+def test_every_method_is_referenced():
+    assert unreferenced_methods(MODULES) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FRACTION_HOMES],
+                         ids=lambda p: p.name)
+def test_only_the_arithmetic_homes_name_fraction(path):
+    assert fraction_names(path) == []
 
 
 def test_the_uncalled_exports_are_the_pinned_ones():
@@ -1049,3 +1118,60 @@ def test_the_structure_file_check_catches_what_it_looks_for(tmp_path):
         "plural = 'begin groups'\n"
         "indented = '  begin group G'\n")
     assert structure_file_literals(src) == [2, 3, 4, 5, 6]
+
+
+def test_the_method_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the group constructors and the field division that only the
+        # tests called before they moved to the tests
+        "class Group:\n"
+        "    @classmethod\n"
+        "    def cyclic(cls, n):\n"
+        "        return cls(n)\n"
+        "    def op(self, a, b):\n"
+        "        return self.op(a, b) if a else b\n"
+        "    def inv(self, a):\n"
+        "        return a\n"
+        "    def __len__(self):\n"
+        "        return 1\n"
+        "    def _cached(self):\n"
+        "        return 2\n"
+        "class Field:\n"
+        "    def div(self, a, b):\n"
+        "        return self.mul(a, self.inv(b))\n"
+        "    def mul(self, a, b):\n"
+        "        return a * b\n"
+        "    def sub(self, a, b):\n"
+        "        return a - b\n"
+        "    def neg(self, a):\n"
+        "        def inner():\n"
+        "            return self.neg\n"
+        "        return inner\n"
+        # a string names no method
+        "HOOK = getattr(Field, 'sub')\n")
+    other = tmp_path / "other.py"
+    other.write_text("def run(g):\n"
+                     "    return g._cached, g.inv(1)\n")
+    # Group.mul and Group.inv are referenced through Field.div, whatever
+    # the class of self there
+    assert unreferenced_methods([src]) == [
+        ("sample.py", "Field.div"), ("sample.py", "Field.neg"), ("sample.py", "Field.sub"),
+        ("sample.py", "Group._cached"), ("sample.py", "Group.cyclic"), ("sample.py", "Group.op")]
+    assert unreferenced_methods([src, other]) == [
+        ("sample.py", "Field.div"), ("sample.py", "Field.neg"), ("sample.py", "Field.sub"),
+        ("sample.py", "Group.cyclic"), ("sample.py", "Group.op")]
+
+
+def test_the_fraction_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "from fractions import Fraction as F\n"
+        "x = Fraction(1, 2)\n"
+        "y = fractions.Fraction(3)\n"
+        "z = isinstance(x, F)\n"
+        "w = x.denominator\n"
+        "text = 'Fraction'\n")
+    assert fraction_names(src) == [1, 3, 4, 5]

@@ -43,6 +43,7 @@ from corings.scalars import QQ
 from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
+    cyclic_group,
     derived,
     reference_coefficient_ring,
     reference_intertwining_failures,
@@ -266,9 +267,7 @@ def test_group_ring_extension_of_standard_context_is_strict():
     p = RingBimodule(b, b, 1, (one,), (one,))
     ctx = MoritaContext(b, b, p, p, one, one)
     assert validate_morita_context(ctx).ok
-    from corings.groups import FiniteGroup
-
-    gctx = group_ring_context(ctx, FiniteGroup.cyclic(2))
+    gctx = group_ring_context(ctx, cyclic_group(2))
     assert validate_graded_morita_context(gctx).ok
     verdict, _ = is_strict(gctx.ctx)
     assert verdict
@@ -278,9 +277,7 @@ def test_zero_context_extends_to_zero_context():
     b = field_algebra(QQ)
     p = RingBimodule(b, b, 0, (Mat.zeros(QQ, 0, 0),), (Mat.zeros(QQ, 0, 0),))
     ctx = MoritaContext(b, b, p, p, Mat.zeros(QQ, 1, 0), Mat.zeros(QQ, 1, 0))
-    from corings.groups import FiniteGroup
-
-    gctx = group_ring_context(ctx, FiniteGroup.cyclic(2))
+    gctx = group_ring_context(ctx, cyclic_group(2))
     assert gctx.ctx.p.dim == 0 and gctx.ctx.q.dim == 0
 
 

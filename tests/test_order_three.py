@@ -43,7 +43,6 @@ from corings.galois import (
     structure_theorem_battery,
     validate_grouplike,
 )
-from corings.groups import FiniteGroup
 from corings.hopf import (
     cofree_hopf,
     coring_from_comodule_algebra,
@@ -63,6 +62,7 @@ from corings.morita import (
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
 from helpers import (
+    cyclic_group,
     derived,
     group_hopf_algebra,
     pack_graded_coring,
@@ -73,7 +73,7 @@ from helpers import (
 
 @lru_cache(maxsize=None)
 def order_three_trivial():
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     cor, wit = trivial_coring(field_algebra(QQ), g)
     x = GrouplikeFamily(cor, tuple((QQ.one,) for _ in g.elements()))
     b = RingMorphism(field_algebra(QQ), field_algebra(QQ), Mat.identity(QQ, 1))
@@ -82,7 +82,7 @@ def order_three_trivial():
 
 @lru_cache(maxsize=None)
 def order_three_nongalois():
-    g = FiniteGroup.cyclic(3)
+    g = cyclic_group(3)
     h = cofree_hopf(group_hopf_algebra(QQ, g), g)
     a = field_algebra(QQ)
     ca = trivial_comodule_algebra(a, h)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corings.scalars import GF, QQ
+from helpers import field_div
 
 SAMPLES = (0, 1, -1, 2, -3, 7, Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2),
            Fraction(4, 2), Fraction(-6, 3), Fraction(5, 7))
@@ -45,7 +46,7 @@ def test_every_operation_is_canonical(a, b):
     assert_canonical(QQ.mul(x, y), fa * fb)
     assert_canonical(QQ.neg(x), -fa)
     if fb:
-        assert_canonical(QQ.div(x, y), fa / fb)
+        assert_canonical(field_div(QQ, x, y), fa / fb)
         assert_canonical(QQ.inv(y), 1 / fb)
 
 
@@ -62,7 +63,7 @@ def test_random_operation_sequence_agrees_with_fractions():
         op = rng.choice(("add", "sub", "mul", "neg", "div"))
         if op == "div" and not fy:
             continue
-        z = QQ.neg(x) if op == "neg" else getattr(QQ, op)(x, y)
+        z = QQ.neg(x) if op == "neg" else field_div(QQ, x, y) if op == "div" else getattr(QQ, op)(x, y)
         fz = {"add": fx + fy, "sub": fx - fy, "mul": fx * fy, "neg": -fx,
               "div": fx / fy if fy else None}[op]
         assert_canonical(z, fz)
@@ -102,6 +103,6 @@ def test_prime_field_matches_modular_arithmetic(p):
         assert F.format(x) == str(a % p)
         if y:
             assert F.mul(F.inv(y), y) == 1
-            assert F.div(x, y) == x * pow(y, p - 2, p) % p
+            assert field_div(F, x, y) == x * pow(y, p - 2, p) % p
     with pytest.raises(ValueError):
         F.of(Fraction(1, 2))
