@@ -644,16 +644,9 @@ def left_module_predicates(m: Bimodule) -> ModulePredicates:
     F = A.field
     _, functionals, _ = left_dual(m)
     projective = find_dual_basis(m) is not None
-    # the trace values f(e_j), one row each, and the two-sided ideal they
-    # generate: add the products e_t v and v e_t of the span's basis rows v
-    # until one solve finds them all inside the span
+    # the span of the trace values f(e_j), one row each, is already the
+    # trace ideal on an associative base: e_t f(m) = f(e_t m), and f(m) e_t
+    # is the value at m of the left-linear functional f.e_t
     span = row_space(vstack([Mat.zeros(F, 0, A.dim)] + [f.transpose() for f in functionals]))
-    ident = Mat.identity(F, A.dim)
-    while True:
-        rows = span.transpose()
-        products = hstack([kron_after(A.mul_mat, ident, rows), kron_after(A.mul_mat, rows, ident)])
-        if not rowspace_coords(span, products.transpose())[1]:
-            break
-        span = row_space(vstack([span, products.transpose()]))
     generator = 0 < span.rows == A.dim
     return ModulePredicates(projective, generator, projective and generator, projective and generator)

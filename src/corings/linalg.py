@@ -21,14 +21,14 @@ otherwise makes one pass when one is.
 Over QQ the products multiply and add integers only, in the
 common-denominator form of a rational matrix (von zur Gathen and
 Gerhard, *Modern Computer Algebra*): a `Mat` caches D, the lcm of the
-denominators of its entries (1 over GF(p)), and, when D is not 1, its
-rows times D as ints.  The constructors that read every entry record D
-as they build, transposes, stacks and blocks of integral parts record
-D = 1 without reading an entry, and any other matrix is scanned on its
-first product.  `@` and `kron_after` sum the scaled rows and write each
-output entry once, in `_from_numerators`: the sum divided by the product
-of the denominators, an int when it divides and one `Fraction` in lowest
-terms otherwise.  Elimination runs
+denominators of its entries, and, when D is not 1, its rows times D as
+ints.  `Mat._denominator` reads D off the rows on the first product,
+and over GF(p) it is 1 without a scan.  No constructor records D but
+`_from_numerators`, which knows as it builds an integral product over QQ,
+the common case, that its D is 1.  `@` and `kron_after` sum the
+scaled rows and write each output entry once, in `_from_numerators`: the
+sum divided by the product of the denominators, an int when it divides
+and one `Fraction` in lowest terms otherwise.  Elimination runs
 on sparse rows only: one eliminator reduces `{column: value}` dicts in
 place and serves rref, kernels, solves, inverses, quotients and hom
 systems; it still works on `Fraction` entries.
@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
 
@@ -80,7 +80,7 @@ class Mat:
         of the loader and the tests.  Only the nonzero entries are kept."""
         if len(data) != rows * cols:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
-        return _scanned(_from_flat(field, rows, cols, ((k, data[k]) for k in compress(range(len(data)), data))))
+        return _from_flat(field, rows, cols, ((k, data[k]) for k in compress(range(len(data)), data)))
 
     @classmethod
     def _of_rows(cls, field: Field, rows: int, cols: int, entries: list) -> "Mat":
@@ -114,8 +114,8 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        return _scanned(cls._of_rows(field, len(rows), ncols,
-                                     [[(j, x) for j, x in enumerate(map(field.of, r)) if x] for r in rows]))
+        return cls._of_rows(field, len(rows), ncols,
+                            [[(j, x) for j, x in enumerate(map(field.of, r)) if x] for r in rows])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -125,7 +125,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return _recorded(cls._of_rows(field, rows, cols, [[] for _ in range(rows)]), 1)
+        return cls._of_rows(field, rows, cols, [[] for _ in range(rows)])
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Mat":
@@ -139,16 +139,13 @@ class Mat:
         cols = list(cols)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        out, d = [[] for _ in range(rows)], 1
+        out = [[] for _ in range(rows)]
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise DimensionMismatch(f"column of {len(col)} entries in a matrix of {rows} rows")
             for i in compress(range(rows), col):
-                x = col[i]
-                if type(x) is not int:
-                    d = lcm(d, x.denominator)
-                out[i].append((j, x))
-        return _recorded(cls._of_rows(field, rows, len(cols), out), d)
+                out[i].append((j, col[i]))
+        return cls._of_rows(field, rows, len(cols), out)
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
@@ -178,9 +175,8 @@ class Mat:
         if (rows, cols) == (self.rows, self.cols):
             return self
         width = self.cols
-        return _integral_if(_from_flat(self.field, rows, cols,
-                                       ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row)),
-                            (self,))
+        return _from_flat(self.field, rows, cols,
+                          ((i * width + j, x) for i, row in enumerate(self._entries) for j, x in row))
 
     # -- algebra -----------------------------------------------------------
 
@@ -249,7 +245,7 @@ class Mat:
         return tuple(map(self.field.reduce, out))
 
     def transpose(self) -> "Mat":
-        return _integral_if(Mat._of_rows(self.field, self.cols, self.rows, self._columns), (self,))
+        return Mat._of_rows(self.field, self.cols, self.rows, self._columns)
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -274,12 +270,18 @@ class Mat:
 
     @cached_property
     def _denominator(self) -> int:
-        """D, the lcm of the denominators of the entries: 1 over GF(p) and
-        for an integral matrix.  The constructors that read every entry
-        record it as they build, and the rearranging ones when their parts
-        are integral (`_integral_if`); any other matrix is scanned on its
-        first product.  Outside eq, hash and repr, like the other caches."""
-        return _lcm_denominator(self.field, self._entries)
+        """D, the lcm of the denominators of the entries, read off the rows
+        on the first product: 1 for an integral matrix, and over GF(p),
+        where every value is an int, without a scan.  Only an integral
+        product over QQ has it recorded (`_from_numerators`).  Outside eq,
+        hash and repr, like the other caches."""
+        d = 1
+        if self.field.p is None:
+            for row in self._entries:
+                for _, x in row:
+                    if type(x) is not int:
+                        d = lcm(d, x.denominator)
+        return d
 
     @cached_property
     def _scaled_rows(self) -> list:
@@ -324,43 +326,6 @@ def _densify(field: Field, n: int, pairs) -> tuple:
     return tuple(out)
 
 
-def _lcm_denominator(field: Field, entries: list) -> int:
-    """The lcm of the denominators of the canonical values of the rows
-    entries: 1 over GF(p), where every value is an int."""
-    d = 1
-    if field.p is None:
-        for row in entries:
-            for _, x in row:
-                if type(x) is not int:
-                    d = lcm(d, x.denominator)
-    return d
-
-
-def _recorded(m: Mat, d: int) -> Mat:
-    """m with its `Mat._denominator` recorded as d by the constructor that
-    built it."""
-    m.__dict__["_denominator"] = d
-    return m
-
-
-def _scanned(m: Mat) -> Mat:
-    """m with its `Mat._denominator` recorded by a constructor that builds m
-    from entries it does not otherwise read: one scan of its rows."""
-    return _recorded(m, _lcm_denominator(m.field, m._entries))
-
-
-def _integral_if(m: Mat, parts) -> Mat:
-    """m, whose entries are entries of the matrices parts or products of
-    them, with D = 1 recorded when every part has D = 1 recorded; no entry
-    is read, and otherwise the first product scans m.  The constructors
-    that rearrange or select entries (transposes, reshapes, stacks, blocks,
-    Kronecker products, coordinates) call it."""
-    for part in parts:
-        if part.__dict__.get("_denominator") != 1:
-            return m
-    return _recorded(m, 1)
-
-
 def _from_flat(field: Field, rows: int, cols: int, pairs) -> Mat:
     """The rows x cols matrix whose row-major entries are the (index, value)
     pairs, given in ascending index order."""
@@ -378,7 +343,7 @@ def _from_entries(field: Field, rows, cols: int) -> Mat:
     entries of the dict rows[i] ({column: value}, values as plain `+` and
     `*` leave them); only those entries are brought to canonical form, and
     an int over QQ already is."""
-    red, entries, d = field.reduce, [], 1
+    red, entries = field.reduce, []
     modular = field.p is not None
     for row in rows:
         out = []
@@ -386,21 +351,18 @@ def _from_entries(field: Field, rows, cols: int) -> Mat:
             v = row[j]
             if modular or type(v) is not int:
                 v = red(v)
-                if type(v) is not int:
-                    d = lcm(d, v.denominator)
             if v:
                 out.append((j, v))
         entries.append(out)
-    return _recorded(Mat._of_rows(field, len(rows), cols, entries), d)
+    return Mat._of_rows(field, len(rows), cols, entries)
 
 
 def _from_numerators(field: Field, rows, cols: int, d: int) -> Mat:
     """The matrix with len(rows) rows and cols columns whose row i holds the
     entries of the dict rows[i] ({column: int}) divided by d: over QQ an
     int where d divides the entry and one `Fraction` in lowest terms where
-    it does not, over GF(p) (where d is 1) the entry mod p.  The lcm of the
-    denominators of the result, d over the gcd of d and every entry, is
-    recorded."""
+    it does not, over GF(p) (where d is 1) the entry mod p.  An integral
+    product (d = 1 over QQ) has its `Mat._denominator` recorded as 1."""
     if field.p is not None:
         return _from_entries(field, rows, cols)
     entries = []
@@ -412,7 +374,9 @@ def _from_numerators(field: Field, rows, cols: int, d: int) -> Mat:
                 if v:
                     out.append((j, v))
             entries.append(out)
-        return _recorded(Mat._of_rows(field, len(rows), cols, entries), 1)
+        m = Mat._of_rows(field, len(rows), cols, entries)
+        m.__dict__["_denominator"] = 1
+        return m
     for row in rows:
         out = []
         for j in sorted(row):
@@ -421,8 +385,7 @@ def _from_numerators(field: Field, rows, cols: int, d: int) -> Mat:
                 q, r = divmod(v, d)
                 out.append((j, Fraction(v, d) if r else q))
         entries.append(out)
-    d //= gcd(d, *[v for row in rows for v in row.values()])
-    return _recorded(Mat._of_rows(field, len(rows), cols, entries), d)
+    return Mat._of_rows(field, len(rows), cols, entries)
 
 
 def _pairs(v) -> tuple[int, list]:
@@ -452,7 +415,7 @@ def hstack(mats) -> Mat:
         for row, mrow in zip(out, m._entries):
             row.extend([(width + j, x) for j, x in mrow])
         width += m.cols
-    return _integral_if(Mat._of_rows(F, rows, width, out), mats)
+    return Mat._of_rows(F, rows, width, out)
 
 
 def vstack(mats) -> Mat:
@@ -464,8 +427,7 @@ def vstack(mats) -> Mat:
             raise DimensionMismatch("vstack column mismatch")
         if m.field != F:
             raise FieldMismatch("vstack field mismatch")
-    return _integral_if(Mat._of_rows(F, sum(m.rows for m in mats), cols,
-                                     [row for m in mats for row in m._entries]), mats)
+    return Mat._of_rows(F, sum(m.rows for m in mats), cols, [row for m in mats for row in m._entries])
 
 
 def vec_rows(field: Field, width: int, mats) -> Mat:
@@ -477,13 +439,13 @@ def vec_rows(field: Field, width: int, mats) -> Mat:
         if m.rows * m.cols != width:
             raise DimensionMismatch(f"{m.rows}x{m.cols} matrix in rows of width {width}")
         rows.append([(i * m.cols + j, x) for i, mrow in enumerate(m._entries) for j, x in mrow])
-    return _integral_if(Mat._of_rows(field, len(rows), width, rows), mats)
+    return Mat._of_rows(field, len(rows), width, rows)
 
 
 def unvec_rows(m: Mat, rows: int, cols: int) -> tuple:
     """The inverse of `vec_rows`: each row of m as the rows x cols matrix
     whose vec it is."""
-    return tuple(_integral_if(_from_flat(m.field, rows, cols, entries), (m,)) for entries in m._entries)
+    return tuple(_from_flat(m.field, rows, cols, entries) for entries in m._entries)
 
 
 def regroup(m: Mat, s: int, d: int) -> Mat:
@@ -501,7 +463,7 @@ def regroup(m: Mat, s: int, d: int) -> Mat:
             rows[v].append((i * out + w, x))
     for row in rows:
         row.sort()
-    return _integral_if(Mat._of_rows(m.field, d, s * out, rows), (m,))
+    return Mat._of_rows(m.field, d, s * out, rows)
 
 
 def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
@@ -521,7 +483,7 @@ def block_matrix(field: Field, row_dims, col_dims, blocks) -> Mat:
         off = col_offsets[j]
         for row, mrow in zip(out[row_offsets[i]:], m._entries):
             row.extend([(off + c, x) for c, x in mrow])
-    return _integral_if(Mat._of_rows(field, len(out), sum(col_dims), out), blocks.values())
+    return Mat._of_rows(field, len(out), sum(col_dims), out)
 
 
 def block_diagonal(blocks) -> Mat:
@@ -629,16 +591,14 @@ def _null_basis(field: Field, width: int, pivoted) -> Mat:
     pivots = {c for c, _ in pivoted}
     free = [c for c in range(width) if c not in pivots]
     index = {c: q for q, c in enumerate(free)}
-    rows, neg, d = [[(c, field.one)] for c in free], field.neg, 1
+    rows, neg = [[(c, field.one)] for c in free], field.neg
     for pc, row in pivoted:
         for c, x in row.items():
             if c != pc:
-                if type(x) is not int:
-                    d = lcm(d, x.denominator)
                 rows[index[c]].append((pc, neg(x)))
     for row in rows:
         row.sort()
-    return _recorded(Mat._of_rows(field, len(free), width, rows), d)
+    return Mat._of_rows(field, len(free), width, rows)
 
 
 def rref_pivots(m: Mat) -> tuple[Mat, tuple]:
@@ -669,7 +629,7 @@ def row_space(m: Mat) -> Mat:
     """
     r, pivots = rref_pivots(m)
     k = len(pivots)
-    return _integral_if(Mat._of_rows(m.field, k, m.cols, r._entries[:k]), (r,))
+    return Mat._of_rows(m.field, k, m.cols, r._entries[:k])
 
 
 def kernel(m: Mat) -> Mat:
@@ -731,7 +691,7 @@ def _rowspace_factor(basis: Mat) -> Mat:
     rows = [[(j, F.neg(F.one))] for j in range(n)]
     for p, row in _eliminate(F, aug):
         rows[p] = sorted((j if j < n else n + indep[j - n], x) for j, x in row.items() if j != p)
-    return _scanned(Mat._of_rows(F, n, n + basis.rows, rows))
+    return Mat._of_rows(F, n, n + basis.rows, rows)
 
 
 def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
@@ -752,7 +712,7 @@ def rowspace_coords(basis: Mat, rows: Mat) -> tuple[Mat, list]:
             outside.append(i)
             row = []
         coords.append([(j - n, x) for j, x in row])
-    return _integral_if(Mat._of_rows(basis.field, rows.rows, basis.rows, coords), (product,)), outside
+    return Mat._of_rows(basis.field, rows.rows, basis.rows, coords), outside
 
 
 def span_coords(basis: Mat, rows: Mat, error: str) -> Mat:
@@ -773,9 +733,9 @@ def tensor_k(f: Mat, g: Mat) -> Mat:
         raise FieldMismatch("tensor over mismatched fields")
     F = f.field
     red, gc, grows = F.reduce, g.cols, g._entries
-    return _integral_if(Mat._of_rows(F, f.rows * g.rows, f.cols * gc,
-                                     [[(k * gc + l, red(a * b)) for k, a in frow for l, b in grow]
-                                      for frow in f._entries for grow in grows]), (f, g))
+    return Mat._of_rows(F, f.rows * g.rows, f.cols * gc,
+                        [[(k * gc + l, red(a * b)) for k, a in frow for l, b in grow]
+                         for frow in f._entries for grow in grows])
 
 
 def kron_after(m: Mat, x: Mat, y: Mat) -> Mat:
@@ -893,8 +853,8 @@ def _quotient_on(field: Field, ambient_dim: int, free, proj: Mat) -> QuotientSpa
     """The quotient whose basis is the classes of the ambient columns free
     (ascending), for a proj that is the identity on those columns."""
     index = {c: q for q, c in enumerate(free)}
-    sect = _recorded(Mat._of_rows(field, ambient_dim, len(free),
-                                  [[(index[c], field.one)] if c in index else [] for c in range(ambient_dim)]), 1)
+    sect = Mat._of_rows(field, ambient_dim, len(free),
+                        [[(index[c], field.one)] if c in index else [] for c in range(ambient_dim)])
     return QuotientSpace(field, ambient_dim, proj, sect, len(free))
 
 
@@ -1069,9 +1029,8 @@ class LinearSystem:
         declaration order."""
         layout = [(self.offsets[name], rows, cols) for name, (rows, cols) in self.shapes.items()]
         kernel = self.kernel()
-        return [tuple(_integral_if(_from_flat(self.field, rows, cols,
-                                              [(j - off, x) for j, x in krow if off <= j < off + rows * cols]),
-                                   (kernel,))
+        return [tuple(_from_flat(self.field, rows, cols,
+                                 [(j - off, x) for j, x in krow if off <= j < off + rows * cols])
                       for off, rows, cols in layout)
                 for krow in kernel._entries]
 

@@ -124,15 +124,6 @@ class Field:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else _rational(a + b)
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else _rational(a - b)
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else _rational(a * b)
-
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
 

@@ -178,11 +178,6 @@ def parse(text: str) -> StructureFile:
     lines = list(_logical_lines(text))
     if not lines:
         raise StructureError(0, "missing field declaration")
-    pos = 0
-
-    def peek():
-        return lines[pos] if pos < len(lines) else None
-
     ln, first = lines[0]
     toks = first.split()
     if toks[0] != "field":

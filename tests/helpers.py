@@ -105,9 +105,15 @@
   that are not their own inverses and that does not commute with the base,
   so the shifts of the graded Morita contexts are not the identity.
 * `coinvariants` solves the coinvariants of a single comodule.
-* `cyclic_group`, `symmetric3`, `field_div` and `entry` are the cyclic
-  groups, the symmetric group S3, division in a field and the entry (i, j)
-  of a matrix, which only the tests build or read.
+* `reference_trace_generator` is the reference for the generator verdict
+  of `algebra.left_module_predicates`: it grows the span of the trace
+  values by products with the base until one solve finds them all inside,
+  the saturation the library ran before it read the trace ideal off the
+  span of the values at once.
+* `cyclic_group`, `symmetric3`, `field_add`, `field_sub`, `field_mul`,
+  `field_div` and `entry` are the cyclic groups, the symmetric group S3,
+  the arithmetic of a field and the entry (i, j) of a matrix, which only
+  the tests build or read.
 * `over_prime_field` rewrites a structure file over QQ as the same file
   over GF(p): the oracle that compares the reports of the two fields runs
   the unchanged modular code against the rationals.
@@ -140,6 +146,7 @@ from corings.algebra import (
     field_algebra,
     find_dual_basis,
     is_bimodule_iso,
+    left_dual,
     tensor_algebra,
     tensor_over_algebra,
     validate_algebra,
@@ -161,6 +168,7 @@ from corings.linalg import (
     kernel,
     kron_after,
     quotient_by,
+    row_space,
     rowspace_coords,
     tensor_k,
     tensor_vec,
@@ -189,9 +197,24 @@ def symmetric3() -> FiniteGroup:
     return FiniteGroup(6, table)
 
 
+def field_add(field: Field, a, b):
+    """a + b in field."""
+    return field.reduce(a + b)
+
+
+def field_sub(field: Field, a, b):
+    """a - b in field."""
+    return field.reduce(a - b)
+
+
+def field_mul(field: Field, a, b):
+    """a * b in field."""
+    return field.reduce(a * b)
+
+
 def field_div(field: Field, a, b):
     """a / b in field."""
-    return field.mul(a, field.inv(b))
+    return field_mul(field, a, field.inv(b))
 
 
 def entry(m, i: int, j: int):
@@ -395,14 +418,16 @@ class Dense:
                      tuple(x for j in range(self.cols) for x in self.col(j)))
 
     def __add__(self, other: "Dense") -> "Dense":
-        return Dense(self.field, self.rows, self.cols, tuple(map(self.field.add, self.data, other.data)))
+        return Dense(self.field, self.rows, self.cols,
+                     tuple(field_add(self.field, x, y) for x, y in zip(self.data, other.data)))
 
     def __sub__(self, other: "Dense") -> "Dense":
-        return Dense(self.field, self.rows, self.cols, tuple(map(self.field.sub, self.data, other.data)))
+        return Dense(self.field, self.rows, self.cols,
+                     tuple(field_sub(self.field, x, y) for x, y in zip(self.data, other.data)))
 
     def scale(self, c) -> "Dense":
         F = self.field
-        return Dense(F, self.rows, self.cols, tuple(F.mul(F.of(c), x) for x in self.data))
+        return Dense(F, self.rows, self.cols, tuple(field_mul(F, F.of(c), x) for x in self.data))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.data)
@@ -467,7 +492,7 @@ def dense_block_matrix(field: Field, row_dims, col_dims, blocks) -> Dense:
 def dense_tensor(f: Dense, g: Dense) -> Dense:
     F = f.field
     return Dense(F, f.rows * g.rows, f.cols * g.cols, tuple(
-        F.mul(entry(f, i, k), entry(g, j, l))
+        field_mul(F, entry(f, i, k), entry(g, j, l))
         for i in range(f.rows) for j in range(g.rows)
         for k in range(f.cols) for l in range(g.cols)))
 
@@ -531,10 +556,10 @@ def dense_triple_quotient(field: Field, d1: int, d2: int, d3: int,
                 base = [F.zero] * (d1 * d2)
                 for a, x in enumerate(mcol):
                     if x:
-                        base[a * d2 + k] = F.add(base[a * d2 + k], x)
+                        base[a * d2 + k] = field_add(F, base[a * d2 + k], x)
                 for b, y in enumerate(ncol):
                     if y:
-                        base[i * d2 + b] = F.sub(base[i * d2 + b], y)
+                        base[i * d2 + b] = field_sub(F, base[i * d2 + b], y)
                 if any(base):
                     for w in range(d3):
                         row = [F.zero] * total
@@ -551,10 +576,10 @@ def dense_triple_quotient(field: Field, d1: int, d2: int, d3: int,
                 base = [F.zero] * (d2 * d3)
                 for a, x in enumerate(mcol):
                     if x:
-                        base[a * d3 + w] = F.add(base[a * d3 + w], x)
+                        base[a * d3 + w] = field_add(F, base[a * d3 + w], x)
                 for b, y in enumerate(ncol):
                     if y:
-                        base[k * d3 + b] = F.sub(base[k * d3 + b], y)
+                        base[k * d3 + b] = field_sub(F, base[k * d3 + b], y)
                 if any(base):
                     for u in range(d1):
                         row = [F.zero] * total
@@ -584,7 +609,7 @@ def check_dual_basis(db: DualBasis) -> bool:
         for f, vec in db.pairs:
             a = f.apply(e)
             img = m.left_act(a).apply(vec)
-            acc = [F.add(x, y) for x, y in zip(acc, img)]
+            acc = [field_add(F, x, y) for x, y in zip(acc, img)]
         if tuple(acc) != e:
             return False
     return True
@@ -648,7 +673,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
         for i in range(a.dim)
         for j in range(a.dim)
         if h.counit.apply(multiply(a, a.basis_vec(i), a.basis_vec(j)))
-        != (F.mul(entry(h.counit, 0, i), entry(h.counit, 0, j)),)
+        != (field_mul(F, entry(h.counit, 0, i), entry(h.counit, 0, j)),)
     ]
     rep.add("hopf.counit-multiplicative", "counit is an algebra map",
             not bad and h.counit.apply(a.unit) == (F.one,),
@@ -656,7 +681,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     mm = a.mul_mat
     anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
     anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
-    unit_eps = Mat.from_cols(F, [tuple(F.mul(entry(h.counit, 0, i), u) for u in a.unit)
+    unit_eps = Mat.from_cols(F, [tuple(field_mul(F, entry(h.counit, 0, i), u) for u in a.unit)
                                  for i in range(a.dim)])
     rep.add("hopf.antipode", "antipode law",
             anti1 == unit_eps and anti2 == unit_eps)
@@ -740,7 +765,7 @@ def reference_induced_delta(ca, cor, p: int, q: int) -> Mat:
                             if unit_c:
                                 second[k * hq_dim + v] = unit_c
                         pure = tensor_vec(F, tuple(first), tuple(second))
-                        vec = [F.add(xx, yy) for xx, yy in zip(vec, pure)]
+                        vec = [field_add(F, xx, yy) for xx, yy in zip(vec, pure)]
             cols.append(t.space.project(vec))
     return Mat.from_cols(F, cols)
 
@@ -781,7 +806,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                             for mi in range(a.dim):
                                 cval = acol[mi * hq.dim + t_]
                                 if cval:
-                                    acted[mi] = F.add(acted[mi], cval)
+                                    acted[mi] = field_add(F, acted[mi], cval)
                             if not any(acted):
                                 continue
                             coeff_a = multiply(a, tuple(acted), a.basis_vec(bj))
@@ -793,9 +818,9 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                                     for z, av in enumerate(coeff_a):
                                         if av:
                                             idx = w * a.dim + z
-                                            out[idx] = F.add(
+                                            out[idx] = field_add(F, 
                                                 out[idx],
-                                                F.mul(coeff_split, F.mul(pair_val, av)))
+                                                field_mul(F, coeff_split, field_mul(F, pair_val, av)))
                     cols.append(tuple(out))
     return Mat.from_cols(F, cols)
 
@@ -1002,7 +1027,7 @@ def reference_graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
                     mi = m.act[(ab, binv)].apply(
                         tensor_vec(F, unit_vec(F, m.comps[ab].dim, i), fcoords))
                     pure = tensor_vec(F, mi, cu)
-                    vec = [F.add(x, y) for x, y in zip(vec, pure)]
+                    vec = [field_add(F, x, y) for x, y in zip(vec, pure)]
                 cols.append(t.space.project(vec))
             rho[(a, b)] = Mat.from_cols(F, cols)
     out.rho = rho
@@ -1025,14 +1050,14 @@ def reference_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> list
             lhs = [F.zero] * tq3.ambient_dim
             for fcoords, vec in dbs[bc]:
                 pure = tensor_vec(F, fcoords, lift.apply(vec))
-                lhs = [F.add(x, y) for x, y in zip(lhs, pure)]
+                lhs = [field_add(F, x, y) for x, y in zip(lhs, pure)]
             rhs = [F.zero] * tq3.ambient_dim
             for fu, cu in dbs[b]:
                 for gv, dv in dbs[cdeg]:
                     # product f^(c) # f^(b) in degree (bc)^{-1}
                     prod = r.mul[(g.inv(cdeg), g.inv(b))].apply(tensor_vec(F, gv, fu))
                     pure = tensor_vec(F, prod, tensor_vec(F, cu, dv))
-                    rhs = [F.add(x, y) for x, y in zip(rhs, pure)]
+                    rhs = [field_add(F, x, y) for x, y in zip(rhs, pure)]
             if tq3.project(lhs) != tq3.project(rhs):
                 bad.append((b, cdeg))
     return bad
@@ -1692,3 +1717,22 @@ def unpack_graded_coring(p: GradedCoring) -> GroupCoring:
              @ lifted @ p.block_injection(g.mul(a, b))
              for a in g.elements() for b in g.elements()}
     return GroupCoring(g, p.base, comps, delta, p.counit @ p.block_injection(g.identity))
+
+
+def reference_trace_generator(m: Bimodule) -> bool:
+    """Whether the trace ideal of the left module m, the two-sided ideal
+    the trace values f(e_j) generate, is the whole base: the span of the
+    values, grown by the products e_t v and v e_t of its basis rows v until
+    one solve finds them all inside the span."""
+    A = m.base
+    F = A.field
+    _, functionals, _ = left_dual(m)
+    span = row_space(vstack([Mat.zeros(F, 0, A.dim)] + [f.transpose() for f in functionals]))
+    ident = Mat.identity(F, A.dim)
+    while True:
+        rows = span.transpose()
+        products = hstack([kron_after(A.mul_mat, ident, rows), kron_after(A.mul_mat, rows, ident)])
+        if not rowspace_coords(span, products.transpose())[1]:
+            break
+        span = row_space(vstack([span, products.transpose()]))
+    return 0 < span.rows == A.dim

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,23 +28,29 @@ from corings.algebra import (
     BaseMismatch,
 )
 from corings.dualring import GradedAlgebra
-from corings.linalg import Mat, inverse, random_invertible, tensor_k, tensor_vec
+from corings.fixtures import FIXTURES, fixture
+from corings.linalg import Mat, inverse, random_invertible, row_space, span_coords, tensor_k, tensor_vec
 from corings.scalars import GF, QQ
+from corings.structfile import main_structure, parse
 from helpers import (
     check_dual_basis,
     coords_in,
     cyclic_group,
+    field_add,
+    field_mul,
     induced_map,
     multiply,
     reference_from_products,
     reference_intertwining_failures,
     reference_subalgebra,
     reference_tensor_algebra,
+    reference_trace_generator,
 )
 
 
 QQ1 = field_algebra(QQ)
 QQ2 = product_field_algebra(QQ, 2)
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 # -- algebra validation ----------------------------------------------------------
@@ -327,9 +334,9 @@ def test_dual_basis_exchange_identity_on_random_elements():
         for u in range(nd):
             for c in range(m.dim):
                 if coeffs[u * m.dim + c]:
-                    pure = tensor_vec(QQ, tuple(QQ.mul(coeffs[u * m.dim + c], x)
+                    pure = tensor_vec(QQ, tuple(field_mul(QQ, coeffs[u * m.dim + c], x)
                                                 for x in unit_vec(nd, u)), unit_vec(m.dim, c))
-                    vec = [QQ.add(a, b) for a, b in zip(vec, pure)]
+                    vec = [field_add(QQ, a, b) for a, b in zip(vec, pure)]
         cls = t.space.project(vec)
 
         def evaluate(x):  # phi(x) = sum_(u,c) coeff f_u(x).e_c
@@ -339,15 +346,15 @@ def test_dual_basis_exchange_identity_on_random_elements():
                 for c in range(m.dim):
                     coeff = coeffs[u * m.dim + c]
                     if coeff:
-                        img = m.left_act(tuple(QQ.mul(coeff, y) for y in a)).apply(unit_vec(m.dim, c))
-                        acc = [QQ.add(p, q) for p, q in zip(acc, img)]
+                        img = m.left_act(tuple(field_mul(QQ, coeff, y) for y in a)).apply(unit_vec(m.dim, c))
+                        acc = [field_add(QQ, p, q) for p, q in zip(acc, img)]
             return tuple(acc)
 
         vec2 = [QQ.zero] * t.space.ambient_dim
         for f, mvec in db.pairs:
             fc = coords_in(basis_mat, f.data)
             pure = tensor_vec(QQ, fc, evaluate(mvec))
-            vec2 = [QQ.add(a, b) for a, b in zip(vec2, pure)]
+            vec2 = [field_add(QQ, a, b) for a, b in zip(vec2, pure)]
         assert t.space.project(vec2) == cls
 
 
@@ -404,6 +411,37 @@ def test_predicates_proper_summand():
     assert p.flat_projective and not p.generator
 
 
+def left_ideal(a: Algebra, v) -> Bimodule:
+    """The left ideal A v as a left module over a."""
+    basis = row_space(a.right_mult(v).transpose())
+    left = tuple(span_coords(basis, (L @ basis.transpose()).transpose(), "no left ideal").transpose()
+                 for L in a.left_mats)
+    return Bimodule(a, basis.rows, left, None)
+
+
+def test_the_trace_values_span_the_trace_ideal():
+    # the generator verdict, read off the span of the trace values, is the
+    # one the saturation of that span under products with the base gives
+    modules = []
+    for fx in [fixture(name) for name in FIXTURES] + [main_structure(parse(C3.read_text()))]:
+        c, b = fx.coring, fx.base
+        modules += [Bimodule(c.base, c.comps[g].dim, c.comps[g].left, None) for g in c.group.elements()]
+        modules.append(Bimodule(b.src, b.dst.dim,
+                                tuple(b.dst.left_mult(b.mat.col(i)) for i in range(b.src.dim)), None))
+    rng = random.Random(37)
+    for field in FIELDS:
+        for dim in UNITAL:
+            for a in (random_unital(field, dim, rng),
+                      tensor_algebra(product_field_algebra(field, 2), random_unital(field, dim, rng))):
+                modules.append(Bimodule.regular(a))
+                vectors = [a.basis_vec(i) for i in range(a.dim)] + [
+                    tuple(field.random(rng) for _ in range(a.dim)) for _ in range(3)]
+                modules += [left_ideal(a, v) for v in vectors]
+    verdicts = [left_module_predicates(m).generator for m in modules]
+    assert verdicts == [reference_trace_generator(m) for m in modules]
+    assert set(verdicts) == {False, True}
+
+
 def test_quotient_actions_annihilate_relations():
     # inherited actions on a tensor quotient kill the relation subspace
     reg = Bimodule.regular(QQ2)
@@ -445,7 +483,7 @@ def test_multiply_and_collapse_agree_with_field_method_loops():
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        ref[k] = F.add(ref[k], F.mul(F.mul(x[i], y[j]), mul[i][j][k]))
+                        ref[k] = field_add(F, ref[k], field_mul(F, field_mul(F, x[i], y[j]), mul[i][j][k]))
             got = multiply(a, x, y)
             assert got == tuple(ref)
             for v in got:

@@ -67,6 +67,9 @@ from helpers import (
     dense_vec_rows,
     dense_vstack,
     entry,
+    field_add,
+    field_mul,
+    field_sub,
     group_hopf_algebra,
     reference_solve,
 )
@@ -376,7 +379,7 @@ def ref_matmul(a: Mat, b: Mat) -> Mat:
         for j in range(b.cols):
             s = F.zero
             for t in range(a.cols):
-                s = F.add(s, F.mul(entry(a, i, t), entry(b, t, j)))
+                s = field_add(F, s, field_mul(F, entry(a, i, t), entry(b, t, j)))
             data.append(s)
     return Mat(F, a.rows, b.cols, tuple(data))
 
@@ -391,11 +394,11 @@ def ref_rref(m: Mat) -> Mat:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r] = [field_mul(F, inv, x) for x in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [field_sub(F, x, field_mul(F, f, y)) for x, y in zip(rows[i], rows[r])]
         r += 1
     return Mat(F, m.rows, m.cols, tuple(x for row in rows for x in row))
 
@@ -446,9 +449,9 @@ def test_specialised_loops_match_the_plain_loops(field):
             (Mat(field, 1, k * n, tensor_vec(field, v, a.col(0))),
              dense_tensor(Mat(field, 1, k, v), Mat(field, 1, n, a.col(0))).mat()),
             (rref(vstack([a, a2, a + a2])), ref_rref(vstack([a, a2, a + a2]))),
-            (a + a2, Mat(field, n, k, tuple(map(field.add, a.data, a2.data)))),
-            (a - a2, Mat(field, n, k, tuple(map(field.sub, a.data, a2.data)))),
-            (a.scale(s), Mat(field, n, k, tuple(field.mul(s, x) for x in a.data))),
+            (a + a2, Mat(field, n, k, tuple(field_add(field, x, y) for x, y in zip(a.data, a2.data)))),
+            (a - a2, Mat(field, n, k, tuple(field_sub(field, x, y) for x, y in zip(a.data, a2.data)))),
+            (a.scale(s), Mat(field, n, k, tuple(field_mul(field, s, x) for x in a.data))),
             (a.transpose(), Mat.from_rows(field, [a.col(j) for j in range(k)])),
         ]
         c, fn, fm = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
@@ -530,7 +533,7 @@ def test_combine_matches_the_field_reference_loop(field):
         coeffs = mixed_mat(field, 1, k, rng).data
         want = [field.zero] * (rows * cols)
         for m, c in zip(mats, coeffs):
-            want = [field.add(x, field.mul(c, y)) for x, y in zip(want, m.data)]
+            want = [field_add(field, x, field_mul(field, c, y)) for x, y in zip(want, m.data)]
         got = combine(field, rows, cols, mats, coeffs)
         assert got == Mat(field, rows, cols, tuple(want))
         assert_canonical(field, got.data)
@@ -557,7 +560,7 @@ def random_basis(field, rng):
         elif kind < 0.4:
             a, b = rng.choice(data), rng.choice(data)
             c = mixed_mat(field, 1, 1, rng).data[0]
-            row = tuple(field.add(x, field.mul(c, y)) for x, y in zip(a, b))
+            row = tuple(field_add(field, x, field_mul(field, c, y)) for x, y in zip(a, b))
         else:
             row = mixed_mat(field, 1, cols, rng).data
         data.append(row)
@@ -1112,9 +1115,9 @@ def scanned_denominator(m: Mat) -> int:
 
 
 def assert_scaled(m: Mat):
-    """The recorded or scanned denominator D of m is the lcm of the
-    denominators of its entries, and the scaled rows of a matrix with
-    D > 1 are its rows times D as ints."""
+    """The denominator D of m is the lcm of the denominators of its
+    entries, and the scaled rows of a matrix with D > 1 are its rows times
+    D as ints."""
     d = m._denominator
     assert d == scanned_denominator(m)
     if d > 1:
@@ -1123,11 +1126,9 @@ def assert_scaled(m: Mat):
         assert all(type(x) is int for row in rows for _, x in row)
 
 
-def fractional_mat(rows, cols, rng, recorded=True):
+def fractional_mat(rows, cols, rng):
     """A sparse QQ matrix with zero rows, integers and fractions of mixed
-    and negative denominators; built through `Mat(...)`, which records its
-    denominator, or straight from its rows, which leaves it to the first
-    product to scan them."""
+    and negative denominators."""
     def entry_():
         if rng.random() < 0.4:
             return 0
@@ -1138,8 +1139,7 @@ def fractional_mat(rows, cols, rng, recorded=True):
     for i in range(rows):
         if rng.random() < 0.15:
             data[i * cols:(i + 1) * cols] = [0] * cols
-    m = Mat(QQ, rows, cols, tuple(data))
-    return m if recorded else Mat._of_rows(QQ, rows, cols, [list(row) for row in m._entries])
+    return Mat(QQ, rows, cols, tuple(data))
 
 
 def test_integer_products_match_the_dense_references_over_the_rationals():
@@ -1147,26 +1147,25 @@ def test_integer_products_match_the_dense_references_over_the_rationals():
     seen = set()
     for _ in range(150):
         n, k, w = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
-        a, b = (fractional_mat(n, k, rng, rng.random() < 0.5),
-                fractional_mat(k, w, rng, rng.random() < 0.5))
+        a, b = fractional_mat(n, k, rng), fractional_mat(k, w, rng)
         got = a @ b
         assert_plain_result(got, ref_matmul(a, b))
         for m in (a, b, got):
             assert_scaled(m)
         seen.add(got._denominator > 1)
         xr, xc, yr, yc, r = (rng.randint(0, 3) for _ in range(5))
-        x, y = fractional_mat(xr, xc, rng, rng.random() < 0.5), fractional_mat(yr, yc, rng)
+        x, y = fractional_mat(xr, xc, rng), fractional_mat(yr, yc, rng)
         factors = [(x, y), (Mat.identity(QQ, xr), y), (x, Mat.identity(QQ, yr)),
                    (Mat.identity(QQ, xr), Mat.identity(QQ, yr))]
         for f, g in factors:
-            m = fractional_mat(r, f.rows * g.rows, rng, rng.random() < 0.5)
+            m = fractional_mat(r, f.rows * g.rows, rng)
             got = kron_after(m, f, g)
             assert_plain_result(got, ref_matmul(m, dense_tensor(f, g).mat()))
             assert_scaled(got)
     assert seen == {False, True}
 
 
-def test_recorded_denominators_are_a_fresh_scan():
+def test_denominators_are_read_off_the_rows():
     rng = random.Random(29)
     for _ in range(60):
         n, k = rng.randint(0, 4), rng.randint(0, 4)
@@ -1180,12 +1179,33 @@ def test_recorded_denominators_are_a_fresh_scan():
             built.append(inverse(a))
         for m in built:
             assert_scaled(m)
-        # an integral matrix built by rearranging integral parts keeps its
-        # rows as its scaled rows without reading an entry
-        ints = [Mat(QQ, n, k, tuple(rng.randint(-2, 2) for _ in range(n * k))) for _ in range(2)]
-        for m in (ints[0].transpose(), vstack(ints), hstack(ints), tensor_k(*ints),
-                  block_matrix(QQ, [n, n], [k], {(0, 0): ints[0], (1, 0): ints[1]})):
-            assert m.__dict__["_denominator"] == 1
+
+
+def test_only_an_integral_product_over_the_rationals_records_its_denominator():
+    rng = random.Random(32)
+    F = GF(1000003)
+    for _ in range(40):
+        n, k, w = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = fractional_mat(n, k, rng), fractional_mat(k, w, rng)
+        # even entries, so that no product returns an identity's other operand
+        ints = [Mat(QQ, r, c, tuple(2 * rng.randint(-2, 2) for _ in range(r * c)))
+                for r, c in ((n, k), (k, w))]
+        mods = mixed_mat(F, n, k, rng), mixed_mat(F, k, w, rng)
+        x, y = Mat(QQ, 2, 3, (Fraction(1, 2), 0, 1, 0, Fraction(-2, 3), 0)), Mat(QQ, 2, 2, (1, 2, 0, -1))
+        m = Mat(QQ, n, 4, tuple(rng.randint(-2, 2) for _ in range(n * 4)))
+        unread = [a, b, *ints, *mods, a + a, a.transpose(), vstack(ints[:1] * 2),
+                  hstack([a, a]), tensor_k(*ints), rref(a), kernel(a), ints[0].reshape(1, n * k),
+                  block_matrix(QQ, [n], [k], {(0, 0): ints[0]}), Mat.zeros(QQ, n, k),
+                  quotient_by(QQ, k, ints[0]).proj]
+        assert [got for got in unread if "_denominator" in got.__dict__] == []
+        # a product reads the denominators of its operands, and records its
+        # own only when it is integral and over QQ
+        products = [mods[0] @ mods[1], kron_after(m, x, y)]
+        assert [got for got in products if "_denominator" in got.__dict__] == []
+        integral = ints[0] @ ints[1], kron_after(m, Mat(QQ, 2, 2, (0, 1, 1, 3)), y)
+        assert all(got.__dict__["_denominator"] == 1 for got in integral)
+        for got in unread + products + list(integral):
+            assert_scaled(got)
 
 
 def test_prime_field_products_are_unchanged():
@@ -1195,7 +1215,7 @@ def test_prime_field_products_are_unchanged():
         n, k, w = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
         a, b = mixed_mat(F, n, k, rng), mixed_mat(F, k, w, rng)
         assert_plain_result(a @ b, ref_matmul(a, b))
-        assert a._denominator == (a @ b).__dict__["_denominator"] == 1
+        assert a._denominator == (a @ b)._denominator == 1
         xr, xc, yr, yc, r = (rng.randint(0, 3) for _ in range(5))
         x, y = mixed_mat(F, xr, xc, rng), mixed_mat(F, yr, yc, rng)
         for f, g in ((x, y), (Mat.identity(F, xr), y), (x, Mat.identity(F, yr))):
@@ -1205,8 +1225,8 @@ def test_prime_field_products_are_unchanged():
 
 def test_products_of_fractional_matrices_multiply_and_add_no_fraction(monkeypatch):
     rng = random.Random(31)
-    a, b = fractional_mat(4, 5, rng), fractional_mat(5, 3, rng, recorded=False)
-    x, y = fractional_mat(2, 3, rng, recorded=False), fractional_mat(2, 2, rng)
+    a, b = fractional_mat(4, 5, rng), fractional_mat(5, 3, rng)
+    x, y = fractional_mat(2, 3, rng), fractional_mat(2, 2, rng)
     m = fractional_mat(3, 4, rng)
     want = ref_matmul(a, b), ref_matmul(m, dense_tensor(x, y).mat())
     called = []

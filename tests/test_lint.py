@@ -86,6 +86,15 @@
   rationals are made by the field and by the matrix layer, whose products
   work on integers and write at most one `Fraction` per output entry, and
   by no other module.
+* Every function defined in the body of another function is named by the
+  enclosing function outside its own definition: a nested helper nothing
+  calls is dead code, whatever state it closes over.
+* A cache of `Mat` (a cached property of the class) is written through a
+  `__dict__` by one function only, its recorder in `CACHE_RECORDERS`:
+  `_from_numerators` records the denominator of an integral product over
+  QQ and `Mat.identity` the identity flag.  Every other matrix computes
+  its caches on first read, so which constructor knows a cache is decided
+  in one place.
 """
 
 import ast
@@ -635,6 +644,94 @@ def structure_file_literals(path: Path) -> list:
                    and BLOCK_OPENING.match(node.value)})
 
 
+def _walk_skipping(node, skip):
+    """The nodes under node, skipping the subtree of skip."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if child is not skip:
+            yield from _walk_skipping(child, skip)
+
+
+def _nested_defs(fn):
+    """The functions defined in the body of fn, not inside another function
+    or a class there."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, ast.ClassDef):
+            todo += ast.iter_child_nodes(node)
+
+
+def unreferenced_nested_functions(path: Path) -> list:
+    """(line, name) of each function defined in the body of another
+    function that the enclosing function names nowhere outside the nested
+    definition itself."""
+    out = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for nested in _nested_defs(fn):
+                if not any(isinstance(n, ast.Name) and n.id == nested.name
+                           for n in _walk_skipping(fn, nested)):
+                    out.append((nested.lineno, nested.name))
+    return sorted(out)
+
+
+# each cache of `Mat` that is written through a `__dict__` -> the one
+# function of linalg.py that writes it
+CACHE_RECORDERS = {"_denominator": "_from_numerators", "_is_identity": "identity"}
+
+
+def mat_caches(path: Path) -> set:
+    """The names of the cached properties of the classes `Mat` of path."""
+    return {node.name for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef) and cls.name == "Mat"
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and any(getattr(d, "id", None) == "cached_property" for d in node.decorator_list)}
+
+
+def cache_writes(path: Path, caches) -> list:
+    """(line, function, cache) of each write of one of caches through a
+    `__dict__`: an item assignment, or a `DICT_WRITES` call on it that names
+    the cache as a keyword, as its first argument or as a key of a dict
+    argument.  function is the innermost function around the write, None at
+    module level."""
+    out = []
+
+    def names_cache(node):
+        return isinstance(node, ast.Constant) and node.value in caches
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            keys = []
+            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store)
+                    and _dict_of(child.value)):
+                keys = [child.slice]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in DICT_WRITES and _dict_of(child.func.value)):
+                keys = [ast.Constant(kw.arg) for kw in child.keywords] + child.args[:1] + [
+                    key for arg in child.args if isinstance(arg, ast.Dict) for key in arg.keys]
+            out.extend((child.lineno, fn, key.value) for key in keys if names_cache(key))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else fn)
+
+    visit(_tree(path), None)
+    return sorted(out, key=lambda w: w[0])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_nested_function_is_referenced(path):
+    assert unreferenced_nested_functions(path) == []
+
+
+def test_each_matrix_cache_has_one_recorder():
+    caches = mat_caches(SRC / "linalg.py")
+    assert set(CACHE_RECORDERS) <= caches
+    writes = [(path.name, fn, cache) for path in MODULES for _, fn, cache in cache_writes(path, caches)]
+    assert sorted(writes, key=str) == sorted((("linalg.py", fn, cache) for cache, fn in CACHE_RECORDERS.items()),
+                                             key=str)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -1161,6 +1258,74 @@ def test_the_method_check_catches_what_it_looks_for(tmp_path):
     assert unreferenced_methods([src, other]) == [
         ("sample.py", "Field.div"), ("sample.py", "Field.neg"), ("sample.py", "Field.sub"),
         ("sample.py", "Group.cyclic"), ("sample.py", "Group.op")]
+
+
+def test_the_nested_function_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the structure-file parser with the lookahead it never called
+        "def parse(lines):\n"
+        "    pos = 0\n"
+        "    def peek():\n"
+        "        return lines[pos] if pos < len(lines) else None\n"
+        "    def skip():\n"
+        "        nonlocal pos\n"
+        "        pos += 1\n"
+        "    def item(depth):\n"
+        "        skip()\n"
+        "        return item(depth + 1) if depth else pos\n"
+        "    def walk(n):\n"
+        "        return walk(n - 1) if n else 0\n"
+        "    def outer():\n"
+        "        def inner():\n"
+        "            return 1\n"
+        "        return 2\n"
+        "    class K:\n"
+        "        def method(self):\n"
+        "            return 3\n"
+        "    return item(0), outer, K\n"
+        "def top():\n"
+        "    return 4\n")
+    assert unreferenced_nested_functions(src) == [(3, "peek"), (11, "walk"), (14, "inner")]
+
+
+def test_the_cache_recorder_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "class Mat:\n"
+        "    @cached_property\n"
+        "    def _denominator(self):\n"
+        "        return 1\n"
+        "    @cached_property\n"
+        "    def _is_identity(self):\n"
+        "        return False\n"
+        "    @property\n"
+        "    def shape(self):\n"
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def identity(cls, n):\n"
+        "        m = cls._of_rows(n)\n"
+        "        m.__dict__['_is_identity'] = True\n"
+        "        return m\n"
+        # the denominator recording of the constructors before the first
+        # product alone read it off the rows
+        "def _recorded(m, d):\n"
+        "    m.__dict__['_denominator'] = d\n"
+        "    return m\n"
+        "def _integral_if(m, parts):\n"
+        "    if all(p.__dict__.get('_denominator') == 1 for p in parts):\n"
+        "        m.__dict__.update(_denominator=1)\n"
+        "    m.__dict__.update({'_is_identity': False, 'shape': 0})\n"
+        "    m.__dict__.setdefault('_denominator', 1)\n"
+        "    m.__dict__['shape'] = 1\n"
+        "    return m\n"
+        "m.__dict__['_denominator'] = 2\n")
+    caches = mat_caches(src)
+    assert caches == {"_denominator", "_is_identity"}
+    assert cache_writes(src, caches) == [
+        (14, "identity", "_is_identity"), (17, "_recorded", "_denominator"),
+        (21, "_integral_if", "_denominator"), (22, "_integral_if", "_is_identity"),
+        (23, "_integral_if", "_denominator"), (26, None, "_denominator")]
 
 
 def test_the_fraction_check_catches_what_it_looks_for(tmp_path):

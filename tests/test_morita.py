@@ -45,6 +45,7 @@ from corings.suites import run_suite
 from helpers import (
     cyclic_group,
     derived,
+    field_add,
     reference_coefficient_ring,
     reference_intertwining_failures,
     reference_standard_context,
@@ -368,7 +369,7 @@ def bumped(m: Mat, rng) -> Mat:
     """m with one entry, drawn by rng, raised by one."""
     F = m.field
     k = rng.randrange(len(m.data))
-    return Mat(F, m.rows, m.cols, m.data[:k] + (F.add(m.data[k], F.one),) + m.data[k + 1:])
+    return Mat(F, m.rows, m.cols, m.data[:k] + (field_add(F, m.data[k], F.one),) + m.data[k + 1:])
 
 
 def mutations(ctx: MoritaContext, rng) -> list:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corings.scalars import GF, QQ
-from helpers import field_div
+from helpers import field_add, field_div, field_mul, field_sub
 
 SAMPLES = (0, 1, -1, 2, -3, 7, Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2),
            Fraction(4, 2), Fraction(-6, 3), Fraction(5, 7))
@@ -41,9 +41,9 @@ def test_coercion_is_canonical(a):
 def test_every_operation_is_canonical(a, b):
     x, y = QQ.of(a), QQ.of(b)
     fa, fb = Fraction(a), Fraction(b)
-    assert_canonical(QQ.add(x, y), fa + fb)
-    assert_canonical(QQ.sub(x, y), fa - fb)
-    assert_canonical(QQ.mul(x, y), fa * fb)
+    assert_canonical(field_add(QQ, x, y), fa + fb)
+    assert_canonical(field_sub(QQ, x, y), fa - fb)
+    assert_canonical(field_mul(QQ, x, y), fa * fb)
     assert_canonical(QQ.neg(x), -fa)
     if fb:
         assert_canonical(field_div(QQ, x, y), fa / fb)
@@ -63,7 +63,8 @@ def test_random_operation_sequence_agrees_with_fractions():
         op = rng.choice(("add", "sub", "mul", "neg", "div"))
         if op == "div" and not fy:
             continue
-        z = QQ.neg(x) if op == "neg" else field_div(QQ, x, y) if op == "div" else getattr(QQ, op)(x, y)
+        z = QQ.neg(x) if op == "neg" else {"add": field_add, "sub": field_sub, "mul": field_mul,
+                                           "div": field_div}[op](QQ, x, y)
         fz = {"add": fx + fy, "sub": fx - fy, "mul": fx * fy, "neg": -fx,
               "div": fx / fy if fy else None}[op]
         assert_canonical(z, fz)
@@ -96,13 +97,13 @@ def test_prime_field_matches_modular_arithmetic(p):
         assert (x, y) == (a % p, b % p)
         assert F.of(Fraction(a)) == x and F.parse(str(a)) == x
         assert F.reduce(a) == x
-        assert F.add(x, y) == (a + b) % p
-        assert F.sub(x, y) == (a - b) % p
-        assert F.mul(x, y) == (a * b) % p
+        assert field_add(F, x, y) == (a + b) % p
+        assert field_sub(F, x, y) == (a - b) % p
+        assert field_mul(F, x, y) == (a * b) % p
         assert F.neg(x) == (-a) % p
         assert F.format(x) == str(a % p)
         if y:
-            assert F.mul(F.inv(y), y) == 1
+            assert field_mul(F, F.inv(y), y) == 1
             assert field_div(F, x, y) == x * pow(y, p - 2, p) % p
     with pytest.raises(ValueError):
         F.of(Fraction(1, 2))
