@@ -52,6 +52,7 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,6 +61,8 @@ from itertools import compress
 from math import lcm
 
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
+
+_IDENTITIES: dict = {}  # (field.p, n) -> the last n x n identity built, see `Mat.identity`
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -90,7 +93,8 @@ class Mat:
         if len(entries) != rows:
             raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows} rows, got {len(entries)}")
         m = object.__new__(cls)
-        m.__dict__.update(field=field, rows=rows, cols=cols, _entries=entries)
+        d = m.__dict__
+        d["field"], d["rows"], d["cols"], d["_entries"] = field, rows, cols, entries
         return m
 
     def __eq__(self, other):
@@ -119,8 +123,14 @@ class Mat:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        m = cls._of_rows(field, n, n, [[(i, field.one)] for i in range(n)])
-        m.__dict__["_is_identity"] = True
+        """The n x n identity, shared by every call with the same field
+        object until a call with another one replaces it: no matrix changes
+        its rows, and an identity that holds its operands' field object
+        passes the `is` test of `_check_field`."""
+        m = _IDENTITIES.get((field.p, n))
+        if m is None or m.field is not field:
+            m = _IDENTITIES[field.p, n] = cls._of_rows(field, n, n, [[(i, field.one)] for i in range(n)])
+            m.__dict__["_is_identity"] = True
         return m
 
     @classmethod
@@ -889,6 +899,9 @@ def balanced_quotient(field: Field, dim_m: int, dim_n: int,
     right_acts[t] is the matrix of the right action of the t-th middle basis
     element on the left factor, left_acts[t] the left action on the right
     factor.  Relation generators over basis triples suffice by bilinearity.
+    Unlike `LinearSystem`, repeated relations are not looked for: relation
+    rows are short, and hashing each one costs more than the eliminator
+    spends clearing the repeats.
     """
     red = field.reduce
     rows = []
@@ -948,19 +961,21 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     """
     if P.cols != fn * c or S.rows != fm * c:
         raise DimensionMismatch("tensor slice operator shape mismatch")
-    rows = [{} for _ in range(P.rows * S.cols)]
-    _add_term(rows, 1, 0, P, S, c, fm)
-    return _from_entries(P.field, rows, fn * fm)
+    acc = defaultdict(dict)
+    _add_term(acc, 1, 0, P, S, c, fm)
+    return _from_entries(P.field, [acc.get(i, {}) for i in range(P.rows * S.cols)], fn * fm)
 
 
-def _add_term(rows: list, sign, off: int, P: Mat, S: Mat, c: int, fm: int) -> None:
+def _add_term(rows: defaultdict, sign, off: int, P: Mat, S: Mat, c: int, fm: int) -> None:
     """Add sign * P @ (X tensor I_c) @ S, for X with fm columns whose
-    row-major entries sit at the columns from off on, to the dict rows
-    ({column: value}; row (p, s) at index p * S.cols + s), from the
-    nonzero entries of P and S.  Values are left as plain `+` and `*`
-    give them."""
+    row-major entries sit at the columns from off on, to rows, a
+    `defaultdict(dict)` from the index p * S.cols + s of row (p, s) to
+    its {column: value} dict, from the nonzero entries of P and S.  A row
+    is made when a term first writes to it.  Values are left as plain
+    `+` and `*` give them."""
     srows, width = S._entries, S.cols
-    for base, prow in zip(range(0, len(rows), width or 1), P._entries):
+    for p, prow in enumerate(P._entries):
+        base = p * width
         for t, a in prow:
             n, k = divmod(t, c)
             a = sign * a
@@ -978,11 +993,11 @@ class LinearSystem:
     flattened row-major.  An equation is a sum of signed terms
     sign * P @ (X tensor I_c) @ S (c = 1 meaning P @ X @ S) and stands for
     one row per entry of the result.  Terms on the same unknown accumulate,
-    terms on an empty unknown contribute nothing, and rows that come out
-    zero are dropped; none of this moves a kernel basis, since the rref
-    depends only on the row span and the column order.  A system only
-    solves: a given map is tested against the law it should satisfy, not
-    against a solved system.
+    terms on an empty unknown contribute nothing, and a row that comes out
+    zero or repeats an earlier row of the system is not kept; none of this
+    moves a kernel basis, since the rref depends only on the row span and
+    the column order.  A system only solves: a given map is tested against
+    the law it should satisfy, not against a solved system.
     """
 
     def __init__(self, field: Field, shapes):
@@ -994,13 +1009,15 @@ class LinearSystem:
             self.offsets[name] = width
             width += rows * cols
         self.width = width
-        self.rows = []  # sparse: {column: nonzero value}
+        self.rows = []  # sparse: {column: nonzero value}, each kept once
+        self._kept = {frozenset()}  # the items of each row kept, and of the zero row
 
     def add(self, *terms) -> None:
         """Add sum(sign * P @ (X_name tensor I_c) @ S) = 0; each term is
-        (sign, name, P, S) or (sign, name, P, S, c)."""
+        (sign, name, P, S) or (sign, name, P, S, c).  The rows the terms
+        touch are kept in ascending index order."""
         F = self.field
-        acc = None
+        acc, size = defaultdict(dict), None
         for sign, name, P, S, *c in terms:
             fn, fm = self.shapes[name]
             if fn * fm == 0:
@@ -1008,15 +1025,22 @@ class LinearSystem:
             c = c[0] if c else 1
             if P.cols != fn * c or S.rows != fm * c:
                 raise DimensionMismatch(f"term on {name} does not fit its {fn}x{fm} shape")
-            if acc is None:
-                acc = [{} for _ in range(P.rows * S.cols)]
-            elif len(acc) != P.rows * S.cols:
+            if size is None:
+                size = P.rows * S.cols
+            elif size != P.rows * S.cols:
                 raise DimensionMismatch("terms of one equation differ in shape")
             _add_term(acc, F.of(sign), self.offsets[name], P, S, c, fm)
-        red = F.reduce
-        for row in acc or ():
-            row = {j: x for j, x in zip(row, map(red, row.values())) if x}
-            if row:
+        red, kept = F.reduce, self._kept
+        modular = F.p is not None
+        for i in sorted(acc):
+            row = acc[i]
+            if modular:
+                row = {j: x for j, x in zip(row, map(red, row.values())) if x}
+            else:  # an int over QQ is in canonical form already
+                row = {j: x if type(x) is int else red(x) for j, x in row.items() if x}
+            key = frozenset(row.items())
+            if key not in kept:
+                kept.add(key)
                 self.rows.append(row)
 
     def kernel(self) -> Mat:

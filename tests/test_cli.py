@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from corings.structfile import main_structure, parse
 from corings.fixtures import fixture_file_text
 from corings.scalars import GF, QQ
 from helpers import over_prime_field
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 def run_cli(args):
@@ -144,16 +147,30 @@ def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path
     # GF(1000003) (witnesses and verdict included, the source line apart)
     # is an oracle for the code that only the rationals run: the integer
     # product kernels and the canonical int-or-Fraction form.
-    text = fixture_file_text(name)
+    qq, gf = _reports_over_qq_and_a_large_prime(fixture_file_text(name), "all", tmp_path)
+    assert _item_verdicts("\n".join(qq[1])), "no items reported"
+    assert qq == gf
+
+
+def test_the_graded_morita_suite_on_c3_is_the_same_over_a_large_prime_field(tmp_path):
+    # The hom and constraint systems of this suite keep each row once, and
+    # over QQ only their non-int values are brought to canonical form.
+    qq, gf = _reports_over_qq_and_a_large_prime(C3.read_text(), "graded-morita", tmp_path)
+    assert _item_verdicts("\n".join(qq[1])), "no items reported"
+    assert qq == gf
+
+
+def _reports_over_qq_and_a_large_prime(text: str, suite: str, tmp_path) -> list:
+    """(exit code, machine report lines apart from `source`) of `--suite
+    suite --seed 0` on the structure file text over QQ and over GF(1000003)."""
     reports = []
     for field, source in ((QQ, text), (GF(1000003), over_prime_field(text, 1000003))):
-        path = tmp_path / f"{name}-{field}.coring"
+        path = tmp_path / f"{suite}-{field}.coring"
         path.write_text(source)
-        rc, out, _ = run_cli(["check", str(path), "--suite", "all", "--seed", "0",
+        rc, out, _ = run_cli(["check", str(path), "--suite", suite, "--seed", "0",
                               "--format", "machine"])
         reports.append((rc, [line for line in out.splitlines() if not line.startswith("source ")]))
-    assert _item_verdicts("\n".join(reports[0][1])), "no items reported"
-    assert reports[0] == reports[1]
+    return reports
 
 
 def test_the_prime_field_rewrite_reduces_every_scalar():

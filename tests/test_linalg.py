@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,8 @@ from helpers import (
     group_hopf_algebra,
     reference_solve,
 )
+
+C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
 
 def M(rows, field=QQ):
@@ -289,8 +292,9 @@ def system_matrix(sys: LinearSystem) -> Mat:
 
 
 def dense_rows(m: Mat) -> Mat:
-    """m without its zero rows, the form the builder stores."""
-    rows = [m.row(i) for i in range(m.rows) if any(m.row(i))]
+    """The distinct nonzero rows of m in first-occurrence order, the form
+    the builder stores."""
+    rows = list(dict.fromkeys(m.row(i) for i in range(m.rows) if any(m.row(i))))
     return Mat(m.field, len(rows), m.cols, tuple(x for r in rows for x in r))
 
 
@@ -347,8 +351,116 @@ def test_dropped_zero_rows_leave_the_kernel():
     sys = LinearSystem(QQ, {"x": (2, 1)})
     sys.add((1, "x", P, S))
     ref = sandwich_operator(P, S, 2, 1)
-    assert ref.rows == 6 and len(sys.rows) == 4
+    # two zero rows, and each nonzero row twice
+    assert ref.rows == 6 and len(sys.rows) == 2
+    assert system_matrix(sys) == dense_rows(ref)
     assert sys.kernel() == kernel(ref)
+
+
+def test_only_the_rows_a_term_touches_are_made(monkeypatch):
+    made, real_add_term = [], linalg._add_term
+
+    def add_term(rows, *args):
+        real_add_term(rows, *args)
+        made.append(sorted(rows))
+
+    monkeypatch.setattr(linalg, "_add_term", add_term)
+    # rows (p, s) at 2p + s; the zero row p = 1 of P is never touched
+    sys = LinearSystem(QQ, {"x": (2, 1)})
+    sys.add((1, "x", M([[1, 0], [0, 0], [2, 0]]), M([[1, 1]])))
+    assert made == [[0, 1, 4, 5]]
+
+
+def equation_operator(field, shapes: dict, terms) -> Mat:
+    """The dense rows of one equation over the unknowns of shapes, one
+    reference operator per term, summed on each unknown."""
+    ops = {}
+    for sign, name, P, S, c in terms:
+        fn, fm = shapes[name]
+        op = tensor_slice_operator(P, S, c, fn, fm).scale(sign)
+        ops[name] = ops[name] + op if name in ops else op
+    height = next(iter(ops.values())).rows
+    return hstack([ops.get(name, Mat.zeros(field, height, fn * fm)) for name, (fn, fm) in shapes.items()])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_repeated_equations_are_kept_once(field):
+    rng = random.Random(31)
+    repeats = 0
+    for _ in range(40):
+        fn, fm, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+        shapes = {"x": (fn, fm), "y": (fn, fm)}
+        P = mixed_mat(field, rng.randint(1, 3), fn * c, rng)
+        S = mixed_mat(field, fm * c, rng.randint(1, 3), rng)
+        Q = mixed_mat(field, P.rows, fn * c, rng)
+        # a term whose rows repeat: P and S stacked twice
+        twice = ((1, "x", vstack([P, P]), hstack([S, S]), c),)
+        pair = ((1, "x", P, S, c), (field.of(-2), "y", Q, S, c))
+        sys = LinearSystem(field, shapes)
+        for terms in (twice, pair, twice, pair):
+            sys.add(*terms)
+        ref = vstack([equation_operator(field, shapes, terms) for terms in (twice, pair, twice, pair)])
+        assert system_matrix(sys) == dense_rows(ref)
+        assert len({frozenset(row.items()) for row in sys.rows}) == len(sys.rows)
+        assert_canonical(field, [x for row in sys.rows for x in row.values()])
+        assert sys.kernel() == kernel(ref) == dense_kernel(ref)
+        repeats += ref.rows - len(sys.rows)
+    assert repeats > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_repeated_generators_leave_the_balanced_quotient(field):
+    rng = random.Random(32)
+    for _ in range(40):
+        dm, dn, t = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        right = [mixed_mat(field, dm, dm, rng) for _ in range(t)]
+        left = [mixed_mat(field, dn, dn, rng) for _ in range(t)]
+        q = balanced_quotient(field, dm, dn, right, left)
+        # every generator again, and a middle element acting by zero
+        q2 = balanced_quotient(field, dm, dn, right + right + [Mat.zeros(field, dm, dm)],
+                               left + left + [Mat.zeros(field, dn, dn)])
+        assert same_quotient(q2, q)
+
+
+def test_no_repeated_system_row_reaches_the_eliminator_on_c3(monkeypatch):
+    in_kernel, rows_eliminated = [], []
+    real_eliminate, real_kernel = linalg._eliminate, LinearSystem.kernel
+
+    def eliminate(field, rows):
+        if in_kernel:
+            assert len({frozenset(row.items()) for row in rows}) == len(rows)
+            rows_eliminated.append(len(rows))
+        return real_eliminate(field, rows)
+
+    def kernel(self):
+        in_kernel.append(self)
+        try:
+            return real_kernel(self)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(LinearSystem, "kernel", kernel)
+    run_suite(main_structure(parse(C3.read_bytes())), "graded-morita", 0)
+    # 1518 distinct rows of 6630 stored with their repeats
+    assert 0 < sum(rows_eliminated) <= 1518
+
+
+def test_identities_are_shared_and_keep_their_rows():
+    for field in (QQ, GF(101)):
+        for n in range(4):
+            assert Mat.identity(field, n) is Mat.identity(field, n)
+            # an equal field object gets an identity that holds it
+            other = Field(field.p)
+            assert Mat.identity(other, n).field is other
+            assert Mat.identity(other, n) == Mat.identity(field, n)
+    for name in ("trivial", "regular", "nongalois", "sweedler"):
+        run_suite(fixture(name), "all", 0)
+    assert max(n for _, n in linalg._IDENTITIES) > 3
+    for (p, n), m in linalg._IDENTITIES.items():
+        assert (m.field.p, m.rows, m.cols) == (p, n, n)
+        assert m._entries == [[(i, 1)] for i in range(n)]
+        assert m._is_identity
 
 
 def test_empty_system_gives_the_identity_basis():
