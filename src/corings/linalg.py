@@ -31,7 +31,11 @@ sum divided by the product of the denominators, an int when it divides
 and one `Fraction` in lowest terms otherwise.  Elimination runs
 on sparse rows only: one eliminator reduces `{column: value}` dicts in
 place and serves rref, kernels, solves, inverses, quotients and hom
-systems; it still works on `Fraction` entries.
+systems; it still works on `Fraction` entries.  A hom system
+(`LinearSystem`) stores no one-entry row: it keeps the column such a row
+sets to 0 in a set of ints, forms later equations without the zeroed
+columns, hands the eliminator its other rows without them and adds the
+zeroed columns back as pivots before it reads off the kernel.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -962,17 +966,18 @@ def tensor_slice_operator(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     if P.cols != fn * c or S.rows != fm * c:
         raise DimensionMismatch("tensor slice operator shape mismatch")
     acc = defaultdict(dict)
-    _add_term(acc, 1, 0, P, S, c, fm)
+    _add_term(acc, 1, 0, P, S, c, fm, frozenset())
     return _from_entries(P.field, [acc.get(i, {}) for i in range(P.rows * S.cols)], fn * fm)
 
 
-def _add_term(rows: defaultdict, sign, off: int, P: Mat, S: Mat, c: int, fm: int) -> None:
+def _add_term(rows: defaultdict, sign, off: int, P: Mat, S: Mat, c: int, fm: int,
+              zeroed) -> None:
     """Add sign * P @ (X tensor I_c) @ S, for X with fm columns whose
     row-major entries sit at the columns from off on, to rows, a
     `defaultdict(dict)` from the index p * S.cols + s of row (p, s) to
-    its {column: value} dict, from the nonzero entries of P and S.  A row
-    is made when a term first writes to it.  Values are left as plain
-    `+` and `*` give them."""
+    its {column: value} dict, from the nonzero entries of P and S.  The
+    columns in zeroed are skipped.  A row is made when a term first
+    writes to it.  Values are left as plain `+` and `*` give them."""
     srows, width = S._entries, S.cols
     for p, prow in enumerate(P._entries):
         base = p * width
@@ -981,6 +986,8 @@ def _add_term(rows: defaultdict, sign, off: int, P: Mat, S: Mat, c: int, fm: int
             a = sign * a
             for m in range(fm):
                 col = off + n * fm + m
+                if col in zeroed:
+                    continue
                 for s, b in srows[m * c + k]:
                     row = rows[base + s]
                     row[col] = row.get(col, 0) + a * b
@@ -994,9 +1001,15 @@ class LinearSystem:
     sign * P @ (X tensor I_c) @ S (c = 1 meaning P @ X @ S) and stands for
     one row per entry of the result.  Terms on the same unknown accumulate,
     terms on an empty unknown contribute nothing, and a row that comes out
-    zero or repeats an earlier row of the system is not kept; none of this
-    moves a kernel basis, since the rref depends only on the row span and
-    the column order.  A system only solves: a given map is tested against
+    zero or repeats an earlier row of the system is not kept.  A row with
+    one entry says that its column is 0: the column joins the set
+    `zeroed` instead of being stored, and later equations are formed
+    without it (the singleton step of structured Gaussian elimination,
+    LaMacchia and Odlyzko, CRYPTO '90).  `kernel` reduces the kept rows
+    without the zeroed columns and then makes each zeroed column a pivot.
+    None of this moves a kernel basis: every e_c of a zeroed column lies
+    in the row span, and the rref depends only on the row span and the
+    column order.  A system only solves: a given map is tested against
     the law it should satisfy, not against a solved system.
     """
 
@@ -1009,14 +1022,16 @@ class LinearSystem:
             self.offsets[name] = width
             width += rows * cols
         self.width = width
-        self.rows = []  # sparse: {column: nonzero value}, each kept once
+        self.rows = []  # sparse: {column: nonzero value}, each kept once, two entries or more
+        self.zeroed = set()  # the columns of the one-entry rows
         self._kept = {frozenset()}  # the items of each row kept, and of the zero row
 
     def add(self, *terms) -> None:
         """Add sum(sign * P @ (X_name tensor I_c) @ S) = 0; each term is
-        (sign, name, P, S) or (sign, name, P, S, c).  The rows the terms
-        touch are kept in ascending index order."""
-        F = self.field
+        (sign, name, P, S) or (sign, name, P, S, c).  The terms skip the
+        columns already zeroed, and the rows they touch are kept in
+        ascending index order."""
+        F, zeroed = self.field, self.zeroed
         acc, size = defaultdict(dict), None
         for sign, name, P, S, *c in terms:
             fn, fm = self.shapes[name]
@@ -1029,7 +1044,7 @@ class LinearSystem:
                 size = P.rows * S.cols
             elif size != P.rows * S.cols:
                 raise DimensionMismatch("terms of one equation differ in shape")
-            _add_term(acc, F.of(sign), self.offsets[name], P, S, c, fm)
+            _add_term(acc, F.of(sign), self.offsets[name], P, S, c, fm, zeroed)
         red, kept = F.reduce, self._kept
         modular = F.p is not None
         for i in sorted(acc):
@@ -1038,6 +1053,9 @@ class LinearSystem:
                 row = {j: x for j, x in zip(row, map(red, row.values())) if x}
             else:  # an int over QQ is in canonical form already
                 row = {j: x if type(x) is int else red(x) for j, x in row.items() if x}
+            if len(row) == 1:
+                zeroed.update(row)
+                continue
             key = frozenset(row.items())
             if key not in kept:
                 kept.add(key)
@@ -1045,8 +1063,11 @@ class LinearSystem:
 
     def kernel(self) -> Mat:
         """Basis of the solutions as rows over the whole column layout."""
-        rows = [dict(row) for row in self.rows]
-        return _null_basis(self.field, self.width, _eliminate(self.field, rows))
+        zeroed = self.zeroed
+        rows = [{j: x for j, x in row.items() if j not in zeroed} for row in self.rows]
+        pivoted = _eliminate(self.field, rows)
+        pivoted.extend((c, {c: 1}) for c in zeroed)
+        return _null_basis(self.field, self.width, pivoted)
 
     def basis(self) -> list:
         """Basis of the solutions, each a tuple of unknown values in

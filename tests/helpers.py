@@ -117,6 +117,10 @@
 * `over_prime_field` rewrites a structure file over QQ as the same file
   over GF(p): the oracle that compares the reports of the two fields runs
   the unchanged modular code against the rationals.
+* `regular_cyclic_text(n)` is the structure file of the regular comodule
+  algebra k[C_n] over QQ, the ladder of sizes above the fixtures:
+  `bench/inputs/c3-qq.coring` is its n = 3 case, and `over_prime_field`
+  gives its twins over GF(p).
 * The other functions are checks and objects only the tests use: the
   dual-basis identity, tensor quotient maps, coring isomorphisms, the
   graded-algebra and Hopf-algebra axioms, the group algebra with its
@@ -247,6 +251,47 @@ def over_prime_field(text: str, p: int) -> str:
         lines[k] = _SCALAR.sub(residue, code) + hash_ + comment
     lines[lines.index("field Q")] = f"field Fp {p}"
     return "\n".join(lines)
+
+
+def regular_cyclic_text(n: int) -> str:
+    """The structure file of the regular comodule algebra k[C_n] over QQ:
+    the group algebra A of C_n coacted on by the cofree Hopf family of its
+    function algebra, with its coring, canonical grouplike and base k."""
+    unit = [1] + [0] * (n - 1)
+
+    def e(k):
+        return [int(j == k % n) for j in range(n)]
+
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[e(i + j) for j in range(n)] for i in range(n)]
+    delta = [[int(i == j == k) for k in range(n)] for i in range(n) for j in range(n)]
+    antipode = [e(-i) for i in range(n)]
+    return "\n".join([
+        f"# regular comodule algebra k[C_{n}] over QQ",
+        "field Q",
+        "",
+        "begin group G", f"  table {table}", "end",
+        "",
+        "begin algebra A", f"  dim {n}", f"  unit {unit}", f"  mul {mul}", "end",
+        "",
+        "begin algebra B", "  dim 1", "  unit [1]", "  mul [[[1]]]", "end",
+        "",
+        "begin hopfalgebra HE", "  algebra A", f"  delta {delta}", f"  counit {[[1] * n]}",
+        f"  antipode {antipode}", "end",
+        "",
+        "begin hopf H", "  group G", "  cofree HE", "end",
+        "",
+        "begin comodule-algebra CA", "  algebra A", "  hopf H", "  regular", "end",
+        "",
+        "begin coring C", "  from-comodule-algebra CA", "end",
+        "",
+        "begin grouplike X", "  coring C", "  canonical", "end",
+        "",
+        "begin morphism IB", "  src B", "  dst A", f"  mat {[[x] for x in unit]}", "end",
+        "",
+        "begin main", "  coring C", "  grouplike X", "  base IB", "  comodule-algebra CA", "end",
+        "",
+    ])
 
 
 def cube(a: Algebra) -> tuple:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corings import comodules, dualring, suites
+from corings import comodules, dualring, linalg, suites
 from corings.comodules import (
     Comodule,
     check_cofree_equivalence,
@@ -384,3 +384,40 @@ def test_cofree_battery_solves_no_hom_system(monkeypatch, name):
     assert built == []
     gcomodule_homs(cg, cg)  # the wrapper sees the systems that are built
     assert len(built) == 1
+
+
+def test_coaction_law_terms_skip_the_columns_right_linearity_zeroed(monkeypatch):
+    s = fixture("sweedler")
+    systems, active = [], []
+    real_homs, real_add_term = comodules.comodule_homs, linalg._add_term
+
+    def homs(m, n):
+        active.append([])
+        try:
+            return real_homs(m, n)
+        finally:
+            systems.append(active.pop())
+
+    def add_term(rows, sign, off, P, S, c, fm, zeroed):
+        if active:
+            whole, kept = collections.defaultdict(dict), collections.defaultdict(dict)
+            real_add_term(whole, sign, off, P, S, c, fm, frozenset())
+            real_add_term(kept, sign, off, P, S, c, fm, zeroed)
+            active[-1].append((set(zeroed), whole, kept))
+        real_add_term(rows, sign, off, P, S, c, fm, zeroed)
+
+    monkeypatch.setattr(comodules, "comodule_homs", homs)
+    monkeypatch.setattr(linalg, "_add_term", add_term)
+    run_suite(s, "comodules", 0)
+    assert systems
+    skipped = 0
+    for terms in systems:
+        # two right-linearity terms per base basis element, then the coaction law
+        law = terms[2 * s.coring.base.dim:]
+        by_right_linearity = law[0][0]
+        for zeroed, whole, kept in law:
+            assert by_right_linearity <= zeroed
+            left = {i: {j: x for j, x in row.items() if j not in zeroed} for i, row in whole.items()}
+            assert kept == {i: row for i, row in left.items() if row}
+            skipped += sum(j in by_right_linearity for row in whole.values() for j in row)
+    assert skipped > 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corings import algebra, linalg
+from corings import algebra, linalg, morita
 from corings.algebra import Bimodule, product_field_algebra, validate_bimodule
 from corings.dualring import dual_ring
 from corings.fixtures import fixture, fixture_file_text
@@ -283,19 +283,38 @@ def random_mat(field, rows, cols, rng):
 
 
 def system_matrix(sys: LinearSystem) -> Mat:
-    """The accumulated rows of a system as a dense matrix."""
+    """The equations a system holds as a dense matrix: its kept rows, then
+    the unit row e_c of each zeroed column c in ascending order."""
     F = sys.field
+    rows = sys.rows + [{c: F.one} for c in sorted(sys.zeroed)]
     data = []
-    for row in sys.rows:
+    for row in rows:
         data.extend(row.get(j, F.zero) for j in range(sys.width))
-    return Mat(F, len(sys.rows), sys.width, tuple(data))
+    return Mat(F, len(rows), sys.width, tuple(data))
 
 
-def dense_rows(m: Mat) -> Mat:
-    """The distinct nonzero rows of m in first-occurrence order, the form
-    the builder stores."""
-    rows = list(dict.fromkeys(m.row(i) for i in range(m.rows) if any(m.row(i))))
-    return Mat(m.field, len(rows), m.cols, tuple(x for r in rows for x in r))
+def stored(equations) -> tuple[list, set]:
+    """The kept rows and the zeroed columns of a system to which the dense
+    equations (one matrix over the system's columns each) were added in
+    order: each row without the columns zeroed before its equation, its
+    column zeroed when one entry is left, and otherwise kept unless it is
+    zero or repeats a kept row."""
+    rows, zeroed = [], set()
+    for eq in equations:
+        new = set()
+        for i in range(eq.rows):
+            row = {j: x for j, x in enumerate(eq.row(i)) if x and j not in zeroed}
+            if len(row) == 1:
+                new |= row.keys()
+            elif row and row not in rows:
+                rows.append(row)
+        zeroed |= new
+    return rows, zeroed
+
+
+def one_entry_columns(m: Mat) -> set:
+    return {j for i in range(m.rows) for j, x in enumerate(m.row(i))
+            if x and sum(map(bool, m.row(i))) == 1}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
@@ -311,7 +330,8 @@ def test_one_term_system_is_the_reference_operator(field):
             ref = sandwich_operator(P, S, fn, fm)
         else:
             ref = tensor_slice_operator(P, S, c, fn, fm)
-        assert system_matrix(sys) == dense_rows(ref)
+        assert (sys.rows, sys.zeroed) == stored([ref])
+        assert sys.zeroed == one_entry_columns(ref)
         assert sys.kernel() == kernel(ref)
 
 
@@ -324,7 +344,7 @@ def test_unknowns_sit_at_their_offsets(field):
     sys.add((1, "a", P1, S1), (-1, "b", P2, S2))
     op1 = sandwich_operator(P1, S1, 2, 3)
     op2 = sandwich_operator(P2, S2, 1, 2).scale(-1)
-    assert system_matrix(sys) == dense_rows(hstack([op1, op2]))
+    assert (sys.rows, sys.zeroed) == stored([hstack([op1, op2])])
     for a, b in sys.basis():
         assert (a.rows, a.cols, b.rows, b.cols) == (2, 3, 1, 2)
         assert P1 @ a @ S1 == P2 @ b @ S2
@@ -338,11 +358,11 @@ def test_terms_on_one_unknown_sum(field):
     sys = LinearSystem(field, {"x": (2, 2)})
     sys.add((1, "x", P1, S1), (-1, "x", P2, S2))
     ref = sandwich_operator(P1, S1, 2, 2) - sandwich_operator(P2, S2, 2, 2)
-    assert system_matrix(sys) == dense_rows(ref)
+    assert (sys.rows, sys.zeroed) == stored([ref])
     # terms that cancel leave no equation at all
     sys = LinearSystem(field, {"x": (2, 2)})
     sys.add((1, "x", P1, S1), (-1, "x", P1, S1))
-    assert sys.rows == []
+    assert (sys.rows, sys.zeroed) == ([], set())
 
 
 def test_dropped_zero_rows_leave_the_kernel():
@@ -351,9 +371,9 @@ def test_dropped_zero_rows_leave_the_kernel():
     sys = LinearSystem(QQ, {"x": (2, 1)})
     sys.add((1, "x", P, S))
     ref = sandwich_operator(P, S, 2, 1)
-    # two zero rows, and each nonzero row twice
-    assert ref.rows == 6 and len(sys.rows) == 2
-    assert system_matrix(sys) == dense_rows(ref)
+    # two zero rows, and each nonzero row twice, with one entry at column 0
+    assert ref.rows == 6 and (sys.rows, sys.zeroed) == ([], {0})
+    assert (sys.rows, sys.zeroed) == stored([ref])
     assert sys.kernel() == kernel(ref)
 
 
@@ -399,12 +419,14 @@ def test_repeated_equations_are_kept_once(field):
         sys = LinearSystem(field, shapes)
         for terms in (twice, pair, twice, pair):
             sys.add(*terms)
-        ref = vstack([equation_operator(field, shapes, terms) for terms in (twice, pair, twice, pair)])
-        assert system_matrix(sys) == dense_rows(ref)
+        equations = [equation_operator(field, shapes, terms) for terms in (twice, pair, twice, pair)]
+        ref = vstack(equations)
+        assert (sys.rows, sys.zeroed) == stored(equations)
         assert len({frozenset(row.items()) for row in sys.rows}) == len(sys.rows)
         assert_canonical(field, [x for row in sys.rows for x in row.values()])
         assert sys.kernel() == kernel(ref) == dense_kernel(ref)
-        repeats += ref.rows - len(sys.rows)
+        long_rows = [r for r in map(ref.row, range(ref.rows)) if sum(map(bool, r)) > 1]
+        repeats += len(long_rows) - len(set(long_rows))
     assert repeats > 0
 
 
@@ -442,8 +464,142 @@ def test_no_repeated_system_row_reaches_the_eliminator_on_c3(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
     monkeypatch.setattr(LinearSystem, "kernel", kernel)
     run_suite(main_structure(parse(C3.read_bytes())), "graded-morita", 0)
-    # 1518 distinct rows of 6630 stored with their repeats
-    assert 0 < sum(rows_eliminated) <= 1518
+    # 1518 distinct rows of 6630 stored with their repeats, less the 552
+    # one-entry rows, which are kept as zeroed columns
+    assert 0 < sum(rows_eliminated) <= 1518 - 552
+
+
+def test_graded_hom_eliminates_no_one_entry_row_and_no_zeroed_column_on_c3(monkeypatch):
+    systems, eliminated = [], []
+    real_graded_hom, real_kernel, real_eliminate = morita.graded_hom, LinearSystem.kernel, linalg._eliminate
+
+    def graded_hom(m, n, sigma):
+        monkeypatch.setattr(LinearSystem, "kernel", kernel)
+        try:
+            return real_graded_hom(m, n, sigma)
+        finally:
+            monkeypatch.setattr(LinearSystem, "kernel", real_kernel)
+
+    def kernel(self):
+        systems.append(self)
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        try:
+            return real_kernel(self)
+        finally:
+            monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+
+    def eliminate(field, rows):
+        eliminated.append((systems[-1], [dict(row) for row in rows]))
+        return real_eliminate(field, rows)
+
+    monkeypatch.setattr(morita, "graded_hom", graded_hom)
+    run_suite(main_structure(parse(C3.read_bytes())), "graded-morita", 0)
+    assert len(eliminated) == len(systems) > 0
+    for sys, rows in eliminated:
+        assert all(len(row) > 1 and sys.zeroed.isdisjoint(row) for row in rows)
+    # one-entry rows zero columns in every degree-sigma hom system
+    assert all(sys.zeroed for sys in systems)
+
+
+def scalar(field, x: Fraction):
+    """x in field: x itself over QQ, its numerator over its denominator mod p."""
+    return field.of(x) if field.p is None else x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+
+def rows_terms(field, R: Mat, shapes: dict) -> tuple:
+    """Terms whose equation rows are the rows of R, over unknowns of shapes
+    (1, w) laid side by side: one term x @ I @ R_x^T per unknown x, R_x
+    the columns of R at x."""
+    terms, off = [], 0
+    for name, (_, w) in shapes.items():
+        part = Mat.from_rows(field, [R.row(i)[off:off + w] for i in range(R.rows)])
+        terms.append((1, name, Mat.identity(field, 1), part.transpose()))
+        off += w
+    return tuple(terms)
+
+
+def assert_solves_like_the_dense_reference(sys: LinearSystem, equations: list):
+    F = sys.field
+    assert (sys.rows, sys.zeroed) == stored(equations)
+    ref = vstack(equations)
+    want = dense_kernel(ref)
+    assert sys.kernel() == want == kernel(ref)
+    assert row_space(system_matrix(sys)) == row_space(ref)
+    layout, off = [], 0
+    for fn, fm in sys.shapes.values():
+        layout.append((off, fn, fm))
+        off += fn * fm
+    assert sys.basis() == [tuple(Mat(F, fn, fm, want.row(i)[o:o + fn * fm]) for o, fn, fm in layout)
+                           for i in range(want.rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_zeroed_columns_solve_like_the_dense_reference(field):
+    def R(*rows):
+        return Mat.from_rows(field, [[scalar(field, Fraction(x)) for x in row] for row in rows])
+
+    shapes = {"x": (1, 3), "y": (1, 3)}
+    sys, equations = LinearSystem(field, shapes), []
+
+    def add(eq):
+        sys.add(*rows_terms(field, eq, shapes))
+        equations.append(eq)
+        assert_solves_like_the_dense_reference(sys, equations)
+
+    # two kept rows with fractions; column 4 zeroed twice in one equation,
+    # after the first kept row already holds it
+    add(R(["1/2", "-2/3", 0, 0, "3/5", 0],
+          [0, "3/4", 0, 5, 0, "1/2"],
+          [0, 0, 0, 0, "7/3", 0],
+          [0, 0, 0, 0, -2, 0]))
+    assert sys.zeroed == {4} and 4 in sys.rows[0]
+    # an equation on zeroed columns only leaves the system as it was
+    before = ([dict(row) for row in sys.rows], set(sys.zeroed))
+    add(R([0, 0, 0, 0, 1, 0], [0, 0, 0, 0, "-5/2", 0]))
+    assert (sys.rows, sys.zeroed) == before
+    # a new column zeroed, and a row that has one entry left once the
+    # zeroed column 4 is skipped
+    add(R([0, 0, "4/3", 0, 0, 0], [1, 0, 0, 0, 6, 0]))
+    assert sys.zeroed == {0, 2, 4} and len(sys.rows) == 2
+    assert sys.kernel().rows == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_random_zeroed_columns_solve_like_the_dense_reference(field):
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(60):
+        shapes = {"x": (1, rng.randint(1, 4)), "y": (1, rng.randint(0, 3))}
+        width = sum(w for _, w in shapes.values())
+        sys, equations = LinearSystem(field, shapes), []
+        for _ in range(rng.randint(1, 4)):
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.5:
+                    row = [field.zero] * width
+                    row[rng.randrange(width)] = mixed_mat(field, 1, 1, rng).row(0)[0] or field.one
+                else:
+                    row = list(mixed_mat(field, 1, width, rng).row(0))
+                rows.append(row)
+                if rng.random() < 0.2:
+                    rows.append(row)
+            eq = Mat.from_rows(field, rows)
+            zeroed = set(sys.zeroed)
+            sys.add(*rows_terms(field, eq, shapes))
+            equations.append(eq)
+            assert_solves_like_the_dense_reference(sys, equations)
+            one_entry = [next(j for j, x in enumerate(r) if x) for r in rows if sum(map(bool, r)) == 1]
+            if len(one_entry) > len(set(one_entry)) or set(one_entry) & zeroed:
+                seen.add("zeroed twice")
+            if any(sys.zeroed.intersection(row) for row in sys.rows):
+                seen.add("zeroed after a kept row holds it")
+            if all(j in zeroed for r in rows for j, x in enumerate(r) if x) and zeroed:
+                seen.add("every entry zeroed")
+            if field.p is None and any(type(x) is Fraction and not sys.zeroed.isdisjoint(row)
+                                       for row in sys.rows for x in row.values()):
+                seen.add("fractions meet a zeroed column")
+    fractions = {"fractions meet a zeroed column"} if field.p is None else set()
+    assert seen == {"zeroed twice", "zeroed after a kept row holds it", "every entry zeroed"} | fractions
 
 
 def test_identities_are_shared_and_keep_their_rows():
@@ -1024,7 +1180,8 @@ def test_hom_system_rows_reach_the_eliminator_sparse(monkeypatch):
     graded_hom(rm, rm, 0)
     sys, = systems
     assert len(sys.rows) > sys.width > 0
-    assert eliminated == [sys.rows]
+    # the kept rows without the zeroed columns
+    assert eliminated == [[{j: x for j, x in row.items() if j not in sys.zeroed} for row in sys.rows]]
 
 
 # -- identity operands, identity row caches and hashes --------------------------------
