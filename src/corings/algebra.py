@@ -36,6 +36,7 @@ from corings.linalg import (
     block_matrix,
     combine,
     hstack,
+    interleave,
     is_invertible,
     kron_after,
     row_space,
@@ -47,11 +48,10 @@ from corings.linalg import (
     triple_balanced_quotient,
     unit_vec,
     unvec_rows,
-    vec_rows,
     vstack,
 )
 from corings.report import CheckReport
-from corings.scalars import DimensionMismatch, Field
+from corings.scalars import Field
 
 
 class BaseMismatch(ValueError):
@@ -78,7 +78,8 @@ class Algebra:
         """The algebra with structure constants mul[i][j] = coordinates of
         e_i e_j: the dense entry point, as `Mat(field, rows, cols, data)`."""
         dim = len(unit)
-        mul_mat = Mat.from_cols(field, [mul[i][j] for i in range(dim) for j in range(dim)])
+        mul_mat = Mat._from_cols(field, [[field.of(x) for x in mul[i][j]]
+                                         for i in range(dim) for j in range(dim)], dim)
         return cls(field, dim, mul_mat, tuple(field.of(x) for x in unit))
 
     def left_mult(self, a) -> Mat:
@@ -237,72 +238,60 @@ class Bimodule:
 def validate_bimodule(m: Bimodule) -> CheckReport:
     rep = CheckReport()
     A = m.base
-    if m.left is not None:
-        rep.add("bimodule.left.unital", "left action of the unit is the identity",
-                acts_unitally(A, m.dim, m.left))
-        bad = action_failures(A, m.dim, m.left, "left")
-        rep.add("bimodule.left.associative", "left action respects multiplication",
-                not bad, f"failing pairs: {bad}" if bad else "")
-    if m.right is not None:
-        rep.add("bimodule.right.unital", "right action of the unit is the identity",
-                acts_unitally(A, m.dim, m.right))
-        bad = action_failures(A, m.dim, m.right, "right")
-        rep.add("bimodule.right.associative", "right action respects multiplication",
-                not bad, f"failing pairs: {bad}" if bad else "")
+    for side, mats, collapse in (("left", m.left, collapse_left), ("right", m.right, collapse_right)):
+        if mats is not None:
+            act = collapse(m)
+            rep.add(f"bimodule.{side}.unital", f"{side} action of the unit is the identity",
+                    acts_unitally(A, act, side))
+            bad = action_failures(A, act, side)
+            rep.add(f"bimodule.{side}.associative", f"{side} action respects multiplication",
+                    not bad, f"failing pairs: {bad}" if bad else "")
     if m.left is not None and m.right is not None:
-        bad = commuting_failures(A.field, m.dim, m.left, m.right)
+        bad = commuting_failures(collapse_left(m), collapse_right(m), A.dim, A.dim)
         rep.add("bimodule.commuting", "left and right actions commute",
                 not bad, f"failing pairs: {bad}" if bad else "")
     return rep
 
 
 # -- action laws ------------------------------------------------------------------
+#
+# Each side of a module has one flattened action map: the left one
+# A (x) M -> M, column i * dim + k holding e_i . m_k (`hstack` of the
+# action matrices, `collapse_left`), and the right one M (x) A -> M, column
+# k * A.dim + j holding m_k . e_j (`linalg.interleave`, `collapse_right`).
+# Each law is an identity of `kron_after` composites of these maps, read off
+# its differing columns.
 
-def flat_actions(field: Field, dim: int, mats) -> Mat:
-    """The matrix whose row k holds the entries of the dim x dim matrix
-    mats[k], row-major, vec(mats[k]); its product with a coefficient row is
-    the vectorized linear combination, and vec(X @ M @ Y) = vec(M) @
-    (X^T (x) Y) turns products into `kron_after`.  The field is given so
-    that an empty family has one."""
-    for mat in mats:
-        if (mat.rows, mat.cols) != (dim, dim):
-            raise DimensionMismatch(f"{mat.rows}x{mat.cols} action on a module of dimension {dim}")
-    return vec_rows(field, dim * dim, mats)
-
-
-def differing_rows(a: Mat, b: Mat) -> list:
-    """The indices of the rows where a and b differ, in ascending order;
-    equal matrices are not scanned."""
-    if a == b:
-        return []
-    return [j for j in range(a.rows) if a.row(j) != b.row(j)]
+def acts_unitally(ring: Algebra, act: Mat, side: str) -> bool:
+    """Whether the unit of ring acts as the identity through the flattened
+    action act of side "left" or "right"."""
+    unit, ident = Mat.col_vector(ring.field, ring.unit), Mat.identity(ring.field, act.rows)
+    return (kron_after(act, unit, ident) if side == "left" else kron_after(act, ident, unit)) == ident
 
 
-def acts_unitally(ring: Algebra, dim: int, mats) -> bool:
-    """Whether the unit of ring acts through mats as the identity."""
-    return combine(ring.field, dim, dim, mats, ring.unit) == Mat.identity(ring.field, dim)
+def action_failures(ring: Algebra, act: Mat, side: str) -> list:
+    """The pairs (i, j), i major, where e_i e_j does not act as e_i after e_j
+    (side "left") or as e_j after e_i (side "right"), for the flattened
+    action act of that side."""
+    F, d, n = ring.field, ring.dim, act.rows
+    if side == "left":
+        # column (i * d + j) * n + k: e_i . (e_j . m_k) against (e_i e_j) . m_k
+        return sorted({divmod(t // n, d) for t in differing_columns(
+            kron_after(act, Mat.identity(F, d), act), kron_after(act, ring.mul_mat, Mat.identity(F, n)))})
+    # column (k * d + i) * d + j: (m_k . e_i) . e_j against m_k . (e_i e_j)
+    return sorted({(t // d % d, t % d) for t in differing_columns(
+        kron_after(act, act, Mat.identity(F, d)), kron_after(act, Mat.identity(F, n), ring.mul_mat))})
 
 
-def action_failures(ring: Algebra, dim: int, mats, side: str) -> list:
-    """The pairs (i, j), i major, where e_i e_j does not act through mats as
-    mats[i] @ mats[j] (side "left") or mats[j] @ mats[i] (side "right")."""
-    F = ring.field
-    flat, ident = flat_actions(F, dim, mats), Mat.identity(F, dim)
-    # row j, per i: vec of the action of e_i e_j (row j of left_mats[i]^T)
-    # against vec(mats[i] @ mats[j]) or vec(mats[j] @ mats[i])
-    return [(i, j) for i in range(ring.dim)
-            for j in differing_rows(ring.left_mats[i].transpose() @ flat,
-                                  kron_after(flat, mats[i].transpose(), ident) if side == "left"
-                                  else kron_after(flat, ident, mats[i]))]
-
-
-def commuting_failures(field: Field, dim: int, left, right) -> list:
-    """The pairs (i, j) where left[i] and right[j] do not commute."""
-    flat, ident = flat_actions(field, dim, right), Mat.identity(field, dim)
-    # row j, per i: vec(left[i] @ right[j]) against vec(right[j] @ left[i])
-    return [(i, j) for i, L in enumerate(left)
-            for j in differing_rows(kron_after(flat, L.transpose(), ident),
-                                  kron_after(flat, ident, L))]
+def commuting_failures(left: Mat, right: Mat, left_dim: int, right_dim: int) -> list:
+    """The pairs (i, j) where e_i . (m . f_j) and (e_i . m) . f_j differ, for
+    the flattened left and right actions of rings of dimensions left_dim
+    and right_dim."""
+    F, n = left.field, left.rows
+    # column (i * n + k) * right_dim + j, read at e_i, m_k, f_j
+    return sorted({(t // (n * right_dim), t % right_dim) for t in differing_columns(
+        kron_after(left, Mat.identity(F, left_dim), right),
+        kron_after(right, left, Mat.identity(F, right_dim)))})
 
 
 @dataclass(frozen=True)
@@ -509,28 +498,18 @@ def _check_descends(q: QuotientSpace, projected, side: str) -> None:
 # -- collapse and contraction helpers ----------------------------------------------
 #
 # The public functions of this section and the next are memo wrappers over
-# `Algebra.memo`; the uncached builders `_collapse_right`, `_collapse_left`,
-# `_left_dual` and `_dual_basis` are called only from their wrappers (a lint
-# rule keeps it so).
+# `Algebra.memo`; the uncached builders `_left_dual` and `_dual_basis` are
+# called only from their wrappers (a lint rule keeps it so).
 
 def collapse_right(m: Bimodule) -> Mat:
     """M (x)_k A -> M, m (x) a -> m.a  (columns indexed m-major)."""
-    return _memoised(m.base, ("collapse_right", m.dim, m.right), lambda: _collapse_right(m))
-
-
-def _collapse_right(m: Bimodule) -> Mat:
-    return Mat._from_cols(m.base.field, [m.right[k].col(i) for i in range(m.dim)
-                                         for k in range(m.base.dim)])
+    return _memoised(m.base, ("collapse_right", m.dim, m.right),
+                     lambda: interleave(m.base.field, m.dim, m.right))
 
 
 def collapse_left(m: Bimodule) -> Mat:
     """A (x)_k M -> M, a (x) m -> a.m  (columns indexed a-major)."""
-    return _memoised(m.base, ("collapse_left", m.dim, m.left), lambda: _collapse_left(m))
-
-
-def _collapse_left(m: Bimodule) -> Mat:
-    return Mat._from_cols(m.base.field, [m.left[k].col(i) for k in range(m.base.dim)
-                                         for i in range(m.dim)])
+    return _memoised(m.base, ("collapse_left", m.dim, m.left), lambda: hstack(m.left))
 
 
 def contract_right(m: Bimodule, functional: Mat) -> Mat:

@@ -12,6 +12,8 @@ degree-e slice, with explicit mutually inverse comparison maps.
 A family's laws are `coring.coaction_failures` on each degree; a plain
 comodule is checked as its replicate read at the identity tag, and a
 family map against its law (`is_gcomodule_map`), never a solved system.
+That law is stated for many maps at once, in column blocks, one per map,
+of `kron_after` composites, so no map is reshaped into rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from corings.algebra import (
     cached_triple,
     contract_right,
     differing_columns,
-    differing_rows,
     direct_sum_bimodule,
     intertwining_failures,
 )
@@ -133,9 +134,9 @@ def is_gcomodule_map(m: GComodule, n: GComodule, families) -> list:
 
     The laws are linear in the maps, so each is applied to all of them at
     once, with the maps of degree a side by side, H_a = hstack(f_a^1, ...,
-    f_a^k): H_a (I_k (x) R^M_j) against R^N_j H_a, block i holding map i,
-    and kron_after(proj, H_a, I) read k rows to a row times the lift against
-    rho^N_{a,b} H_{ab} read the same way, row (r, i) holding map i."""
+    f_a^k), and column block i of each side holding map i: H_a (I_k (x)
+    R^M_j) against R^N_j H_a, and proj (H_a (x) I) (I_k (x) lift) against
+    rho^N_{a,b} H_{ab}."""
     c = m.coring
     g = c.group
     F = c.base.field
@@ -152,11 +153,10 @@ def is_gcomodule_map(m: GComodule, n: GComodule, families) -> list:
             bad.update(t // rm.cols for t in differing_columns(kron_after(side[a], ident, rm),
                                                                rn @ side[a]))
         for b in g.elements():
-            ab, cdim, proj = g.mul(a, b), c.comps[b].dim, n.tensor(a, b).space.proj
-            lhs = kron_after(proj, side[a], Mat.identity(F, cdim))
-            lhs = lhs.reshape(proj.rows * k, m.comps[a].dim * cdim)
-            rhs = (n.rho[(a, b)] @ side[ab]).reshape(proj.rows * k, m.comps[ab].dim)
-            bad.update(t % k for t in differing_rows(lhs @ m.lift(a, b), rhs))
+            ab, proj = g.mul(a, b), n.tensor(a, b).space.proj
+            lhs = kron_after(kron_after(proj, side[a], Mat.identity(F, c.comps[b].dim)),
+                             ident, m.lift(a, b))
+            bad.update(t // m.comps[ab].dim for t in differing_columns(lhs, n.rho[(a, b)] @ side[ab]))
     return sorted(bad)
 
 

@@ -13,7 +13,8 @@ algebra, keyed by content.  The coaction laws on one degree
 (`coaction_failures`) serve the coring over itself and every comodule
 family, and `comultiplicative_failures` serves coring morphisms and cofree
 witnesses; maps of comodule families have their law, applied to many maps
-at once, in `comodules.is_gcomodule_map`.
+at once in column blocks of `kron_after` composites, in
+`comodules.is_gcomodule_map`.
 """
 
 from __future__ import annotations

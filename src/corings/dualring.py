@@ -46,6 +46,7 @@ from corings.linalg import (
     Mat,
     block_matrix,
     combine,
+    interleave,
     is_invertible,
     kron_after,
     regroup,
@@ -411,8 +412,7 @@ def _dual_action(t: TensorProduct, rho: Mat, r: GradedRing, b: int) -> Mat:
     i * dim(b) + u holds the contraction of rho(e_i) by functional u."""
     F = r.base.field
     # the evaluation C_{b^{-1}} (x)k R_b -> A, c (x) f -> f(c)
-    pairing = Mat._from_cols(F, [f.col(j) for j in range(t.right.dim) for f in r.functionals[b]],
-                             r.base.dim)
+    pairing = interleave(F, r.base.dim, r.functionals[b])
     ident = Mat.identity(F, r.dim(b))
     return kron_after(contract_right(t.left, pairing), t.space.sect @ rho, ident)
 

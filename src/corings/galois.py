@@ -437,14 +437,9 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
         return [], False
     left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
     qq = balanced_quotient(F, w.rows, A.dim, right, left_acts)
-    mats = []
-    for a in g.elements():
-        cols = []
-        for u in range(w.rows):
-            blk = proj[a].apply(w.row(u))
-            for j in range(A.dim):
-                cols.append(m.comps[a].right[j].apply(blk))
-        mats.append(Mat.from_cols(F, cols) @ qq.sect)
+    # degree a: column u * A.dim + j holds the degree-a block of w_u acted on by e_j
+    mats = [kron_after(collapse_right(m.comps[a]), proj[a] @ w.transpose(), Mat.identity(F, A.dim))
+            @ qq.sect for a in g.elements()]
     return mats, all(is_invertible(eps_a) for eps_a in mats)
 
 

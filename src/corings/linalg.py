@@ -9,14 +9,18 @@ built on first read.  Every matrix passes through one constructor,
 Kronecker products, sums, transposes, stacks, blocks and reshapes read
 the nonzero entries and bring only the entries they touch to canonical
 form (compressed sparse rows, as in Davis, *Direct Methods for Sparse
-Linear Systems*, SIAM 2006, ch. 2).  Equality compares the rows, and the
-hash, computed once, is read off them, so a matrix built from dense
-entries equals and hashes like the same matrix built from rows.  Beside
-the rows a `Mat` caches its columns (for `col` and `transpose`), its rank
-and whether it is an identity (`Mat.identity` sets the flag as it
-builds).  An identity operand costs nothing: `@` returns the other
-operand, and `kron_after` returns m when both factors are identities and
-otherwise makes one pass when one is.
+Linear Systems*, SIAM 2006, ch. 2).  The flattened actions of a module
+are laid out here: `hstack` of the left action matrices and `interleave`
+of the right ones.  No constructor reads a row count off a list of
+columns: `_from_cols` is given it, so a matrix with no columns keeps its
+rows.  Equality compares the rows, and the hash, computed once, is read
+off them, so a matrix built from dense entries equals and hashes like
+the same matrix built from rows.  Beside the rows a `Mat` caches its
+columns (for `col` and `transpose`), its rank and whether it is an
+identity (`Mat.identity` sets the flag as it builds).  An identity
+operand costs nothing: `@` returns the other operand, and `kron_after`
+returns m when both factors are identities and otherwise makes one pass
+when one is.
 
 Over QQ the products multiply and add integers only, in the
 common-denominator form of a rational matrix (von zur Gathen and
@@ -142,17 +146,12 @@ class Mat:
         return cls._of_rows(field, rows, cols, [[] for _ in range(rows)])
 
     @classmethod
-    def from_cols(cls, field: Field, cols) -> "Mat":
-        return cls._from_cols(field, [[field.of(x) for x in c] for c in cols])
-
-    @classmethod
-    def _from_cols(cls, field: Field, cols, rows: int | None = None) -> "Mat":
-        """from_cols for entries that are already field elements: no
-        coercion through `Field.of`.  Without `rows`, the row count is the
-        length of the first column, and 0 when there are no columns."""
+    def _from_cols(cls, field: Field, cols, rows: int) -> "Mat":
+        """The rows x len(cols) matrix with the given columns, whose entries
+        are already field elements (no coercion through `Field.of`).  The
+        row count is given, never read off a column, so that an empty list
+        of columns has its shape."""
         cols = list(cols)
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
         out = [[] for _ in range(rows)]
         for j, col in enumerate(cols):
             if len(col) != rows:
@@ -163,7 +162,8 @@ class Mat:
 
     @classmethod
     def col_vector(cls, field: Field, v) -> "Mat":
-        return cls._from_cols(field, [[field.of(x) for x in v]])
+        v = [field.of(x) for x in v]
+        return cls._from_cols(field, [v], len(v))
 
     # -- access ------------------------------------------------------------
 
@@ -442,6 +442,24 @@ def vstack(mats) -> Mat:
         if m.field != F:
             raise FieldMismatch("vstack field mismatch")
     return Mat._of_rows(F, sum(m.rows for m in mats), cols, [row for m in mats for row in m._entries])
+
+
+def interleave(field: Field, rows: int, mats) -> Mat:
+    """The matrix whose column k * len(mats) + j is column k of mats[j]: for
+    the right action matrices mats[j] of a basis e_j, the flattened action
+    M (x) A -> M, m_k (x) e_j -> m_k . e_j, as `hstack(mats)` is the left
+    one.  Every mats[j] has `rows` rows and the same columns; rows gives an
+    empty family its shape."""
+    mats = list(mats)
+    width = mats[0].cols if mats else 0
+    for m in mats:
+        if (m.rows, m.cols) != (rows, width):
+            raise DimensionMismatch(f"{m.rows}x{m.cols} matrix in a family of {rows}x{width}")
+        if m.field != field:
+            raise FieldMismatch(f"matrix over {m.field} in a family over {field}")
+    # the columns, in the new order, are the rows of the transpose
+    return Mat._of_rows(field, width * len(mats), rows,
+                        [m._columns[k] for k in range(width) for m in mats]).transpose()
 
 
 def vec_rows(field: Field, width: int, mats) -> Mat:

@@ -7,10 +7,13 @@ Solution-space objects (the connecting module, the coefficient families)
 are kernels of explicitly assembled linear systems; memberships are then
 rechecked independently when structures act on them.
 
-The context laws and comparisons are matrix identities: each bimodule
-flattens its actions into `RingBimodule.left_map` and `right_map`, and each
-law or intertwining condition is an equation of `kron_after` composites
-whose differing columns name the failing basis elements.
+The context laws and comparisons are matrix identities: each bimodule has
+one flattened action map per side, `RingBimodule.left_map` (`hstack` of the
+left actions) and `right_map` (`linalg.interleave` of the right ones), and
+each bimodule law, context law or intertwining condition is an equation of
+`kron_after` composites whose differing columns name the failing basis
+elements.  A pairing that applies every action to every vector of a basis
+W, as mu does, is one `kron_after(right_map, W^T, I)`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from corings.linalg import (
     block_matrix,
     combine,
     hstack,
+    interleave,
     inverse,
     is_invertible,
     kernel,
@@ -114,8 +118,8 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
     A = c.base
     F = A.field
     packed = r.packed()
-    chi = Mat.from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g.elements()
-                            for f in r.functionals[a]])
+    chi = Mat._from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g.elements()
+                             for f in r.functionals[a]], A.dim)
     bad = intertwining_failures(chi, _packed_base_action(r, "right"), A.right_mats,
                                 Mat.identity(F, A.dim))
     rep.add("character.right-linear", "the character is right-linear over the base",
@@ -154,22 +158,21 @@ class RingBimodule:
     @cached_property
     def right_map(self) -> Mat:
         """The right action M (x) S -> M: column k * S.dim + j holds m_k . e_j."""
-        return Mat._from_cols(self.left_ring.field, [act.col(k) for k in range(self.dim)
-                                                     for act in self.right], self.dim)
+        return interleave(self.left_ring.field, self.dim, self.right)
 
 
 def validate_ring_bimodule(m: RingBimodule) -> CheckReport:
     rep = CheckReport()
     rep.add("bimodule.left-unital", "left unit acts as the identity",
-            acts_unitally(m.left_ring, m.dim, m.left))
+            acts_unitally(m.left_ring, m.left_map, "left"))
     rep.add("bimodule.right-unital", "right unit acts as the identity",
-            acts_unitally(m.right_ring, m.dim, m.right))
-    bad = [(side, i, j) for side, ring, mats in (("left", m.left_ring, m.left),
-                                                 ("right", m.right_ring, m.right))
-           for i, j in action_failures(ring, m.dim, mats, side)]
+            acts_unitally(m.right_ring, m.right_map, "right"))
+    bad = [(side, i, j) for side, ring, act in (("left", m.left_ring, m.left_map),
+                                                ("right", m.right_ring, m.right_map))
+           for i, j in action_failures(ring, act, side)]
     rep.add("bimodule.actions", "actions respect ring multiplication",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    bad = commuting_failures(m.left_ring.field, m.dim, m.left, m.right)
+    bad = commuting_failures(m.left_map, m.right_map, m.left_ring.dim, m.right_ring.dim)
     rep.add("bimodule.commuting", "left and right actions commute",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -426,9 +429,9 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     tau, outside = rowspace_coords(t.basis, acted.transpose())
     rep.add("build.tau-lands", "the pairing lands in the coinvariants", not outside)
     tau = tau.transpose()
-    # mu: Q (x) P -> R, the right action of the base on Q
-    mu = Mat._from_cols(F, [base_action[j].apply(w.row(u)) for u in range(o_dim)
-                            for j in range(A.dim)], packed.algebra.dim)
+    # mu: Q (x) P -> R, the right action of the base on Q; column u * A.dim + j
+    mu = kron_after(interleave(F, packed.algebra.dim, base_action), w.transpose(),
+                    Mat.identity(F, A.dim))
     return MoritaContext(t.algebra, packed.algebra, p, q, tau, mu), rep
 
 
@@ -474,9 +477,7 @@ def check_canonical_graded_action(m: GradedModule, x: GrouplikeFamily,
     rep = CheckReport()
     g = x.coring.group
     A = x.coring.base
-    direct = {b: Mat._from_cols(A.field, [ev.col(i) for i in range(A.dim)
-                                          for ev in _evaluations(x, r, b)])
-              for b in g.elements()}
+    direct = {b: interleave(A.field, A.dim, _evaluations(x, r, b)) for b in g.elements()}
     bad = [(a, b) for a in g.elements() for b in g.elements() if direct[b] != m.act[(a, b)]]
     rep.add("canonical.action", "dualized action equals the direct evaluation formula",
             not bad, f"failing pairs: {bad}" if bad else "")
@@ -762,7 +763,8 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
         tuple(v for a in g.elements() for v in fams[a].apply(A_unit))
         for sigma in g.elements() for fams in end.bases[sigma]], s.basis.cols).transpose())
     rep.add("end-iso.lands", "endomorphism families are coefficient families", not outside)
-    xi = Mat._from_cols(F, [gs.inject(sigma, coords.row(k)) for k, sigma in enumerate(degrees)])
+    xi = Mat._from_cols(F, [gs.inject(sigma, coords.row(k)) for k, sigma in enumerate(degrees)],
+                        gs.algebra.dim)
     rep.add("end-iso.bijective", "the comparison is bijective",
             is_invertible(xi), f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
     end_alg = end.graded.algebra
@@ -787,7 +789,7 @@ def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckRep
         for sigma in g.elements() for fams in hom_bases[sigma]], wq.cols).transpose())
     rep.add("hom-iso.lands", "module-map families are connecting families", not outside)
     psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), coords.row(k))
-                             for k, sigma in enumerate(degrees)])
+                             for k, sigma in enumerate(degrees)], g.order * wq.rows)
     rep.add("hom-iso.bijective", "the comparison is bijective",
             is_invertible(psi), f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
     return psi, rep
@@ -858,10 +860,10 @@ def group_ring_context(ctx_e: MoritaContext, g) -> GradedMoritaContext:
     pd, qd = ctx_e.p.dim, ctx_e.q.dim
     tau = Mat._from_cols(F, [ring1.inject(g.mul(sigma, rho), ctx_e.tau.col(i * qd + j))
                              for sigma in g.elements() for i in range(pd)
-                             for rho in g.elements() for j in range(qd)])
+                             for rho in g.elements() for j in range(qd)], ring1.algebra.dim)
     mu = Mat._from_cols(F, [ring2.inject(g.mul(sigma, rho), ctx_e.mu.col(j * pd + i))
                             for sigma in g.elements() for j in range(qd)
-                            for rho in g.elements() for i in range(pd)])
+                            for rho in g.elements() for i in range(pd)], ring2.algebra.dim)
     ctx = MoritaContext(ring1.algebra, ring2.algebra, p, q, tau, mu)
     return GradedMoritaContext(ctx, g, ring1, ring2, (pd,) * n, (qd,) * n)
 
@@ -888,7 +890,8 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             ctx_e.ring1.mul_mat == t.algebra.mul_mat)
     # Theta: T[G] -> G*S via diagonal families
     theta = Mat._from_cols(F, [s.twisted.inject(sigma, s.diag.col(i))
-                               for sigma in g.elements() for i in range(t.algebra.dim)])
+                               for sigma in g.elements() for i in range(t.algebra.dim)],
+                          s.twisted.algebra.dim)
     rep.add("ring-match.theta-bijective", "diagonal comparison is bijective",
             is_invertible(theta), f"{theta.cols} -> {theta.rows}")
     tg = ring_ctx_e.ring1.algebra
@@ -899,7 +902,8 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     # phi47 packed: R_e[G] -> packed R through the shifts
     packed = r.packed()
     phi47 = Mat._from_cols(F, [packed.inject(rho, sigmas[rho].col(u))
-                               for rho in g.elements() for u in range(r_e.dim(0))])
+                               for rho in g.elements() for u in range(r_e.dim(0))],
+                          packed.algebra.dim)
     reg = ring_ctx_e.ring2.algebra
     bad = algebra_map_failures(phi47, reg.mul_mat, packed.algebra.mul_mat)
     rep.add("ring-match.shift-multiplicative",

@@ -113,7 +113,10 @@
 * `cyclic_group`, `symmetric3`, `field_add`, `field_sub`, `field_mul`,
   `field_div` and `entry` are the cyclic groups, the symmetric group S3,
   the arithmetic of a field and the entry (i, j) of a matrix, which only
-  the tests build or read.
+  the tests build or read.  `from_cols` is the matrix of a list of
+  columns of any scalars, its row count read off the first column: the
+  dense entry point the tests write matrices through, which the library,
+  where every constructor is given its row count, no longer has.
 * `over_prime_field` rewrites a structure file over QQ as the same file
   over GF(p): the oracle that compares the reports of the two fields runs
   the unchanged modular code against the rationals.
@@ -224,6 +227,14 @@ def field_div(field: Field, a, b):
 def entry(m, i: int, j: int):
     """Entry (i, j) of a `Mat` or a `Dense`, read off its row i."""
     return m.row(i)[j]
+
+
+def from_cols(field: Field, cols) -> Mat:
+    """The matrix with the given columns, each entry coerced through
+    `Field.of`, with as many rows as the first column has entries (none
+    when there is no column)."""
+    cols = [[field.of(x) for x in c] for c in cols]
+    return Mat._from_cols(field, cols, len(cols[0]) if cols else 0)
 
 
 # an integer or a/b scalar token of a structure file, not part of a name
@@ -430,7 +441,7 @@ def dense_quotient_by(field: Field, ambient_dim: int, relations: Mat) -> Quotien
     basis of the relations and sect their unit vectors."""
     _, pivots = dense_rref_pivots(relations)
     free = [c for c in range(ambient_dim) if c not in pivots]
-    sect = Mat.from_cols(field, [unit_vec(field, ambient_dim, c) for c in free]) if free \
+    sect = from_cols(field, [unit_vec(field, ambient_dim, c) for c in free]) if free \
         else Mat(field, ambient_dim, 0, ())
     return QuotientSpace(field, ambient_dim, dense_kernel(relations), sect, len(free))
 
@@ -726,7 +737,7 @@ def validate_hopf_algebra(h: HopfAlgebra) -> CheckReport:
     mm = a.mul_mat
     anti1 = mm @ tensor_k(h.antipode, ident) @ h.delta
     anti2 = mm @ tensor_k(ident, h.antipode) @ h.delta
-    unit_eps = Mat.from_cols(F, [tuple(field_mul(F, entry(h.counit, 0, i), u) for u in a.unit)
+    unit_eps = from_cols(F, [tuple(field_mul(F, entry(h.counit, 0, i), u) for u in a.unit)
                                  for i in range(a.dim)])
     rep.add("hopf.antipode", "antipode law",
             anti1 == unit_eps and anti2 == unit_eps)
@@ -740,9 +751,9 @@ def group_hopf_algebra(field: Field, g: FiniteGroup) -> HopfAlgebra:
     basis = [unit_vec(field, n, i) for i in range(n)]
     mul = tuple(tuple(basis[g.mul(i, j)] for j in range(n)) for i in range(n))
     alg = Algebra.from_tables(field, mul, basis[g.identity])
-    delta = Mat.from_cols(field, [tensor_vec(field, x, x) for x in basis])
+    delta = from_cols(field, [tensor_vec(field, x, x) for x in basis])
     counit = Mat.from_rows(field, [[field.one] * n])
-    antipode = Mat.from_cols(field, [basis[g.inv(i)] for i in range(n)])
+    antipode = from_cols(field, [basis[g.inv(i)] for i in range(n)])
     return HopfAlgebra(alg, delta, counit, antipode)
 
 
@@ -812,7 +823,7 @@ def reference_induced_delta(ca, cor, p: int, q: int) -> Mat:
                         pure = tensor_vec(F, tuple(first), tuple(second))
                         vec = [field_add(F, xx, yy) for xx, yy in zip(vec, pure)]
             cols.append(t.space.project(vec))
-    return Mat.from_cols(F, cols)
+    return from_cols(F, cols)
 
 
 def reference_smash_mul(sp, p: int, q: int) -> Mat:
@@ -867,7 +878,7 @@ def reference_smash_mul(sp, p: int, q: int) -> Mat:
                                                 out[idx],
                                                 field_mul(F, coeff_split, field_mul(F, pair_val, av)))
                     cols.append(tuple(out))
-    return Mat.from_cols(F, cols)
+    return from_cols(F, cols)
 
 
 def reference_validate_ring_bimodule(m: RingBimodule) -> CheckReport:
@@ -1018,7 +1029,7 @@ def reference_is_gcomodule_hom(m: GComodule, n: GComodule, fams) -> bool:
 def _interleaved_contractions(target, t: TensorProduct, rho: Mat, functionals) -> Mat:
     """Column i * len(functionals) + u: rho(e_i) contracted by functional u."""
     mats = [contract_right(target, f) @ t.space.sect @ rho for f in functionals]
-    return Mat.from_cols(target.base.field, [mat.col(i) for i in range(rho.cols) for mat in mats])
+    return from_cols(target.base.field, [mat.col(i) for i in range(rho.cols) for mat in mats])
 
 
 def reference_gcomodule_to_graded(m: GComodule, r: GradedRing) -> GradedModule:
@@ -1074,7 +1085,7 @@ def reference_graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
                     pure = tensor_vec(F, mi, cu)
                     vec = [field_add(F, x, y) for x, y in zip(vec, pure)]
                 cols.append(t.space.project(vec))
-            rho[(a, b)] = Mat.from_cols(F, cols)
+            rho[(a, b)] = from_cols(F, cols)
     out.rho = rho
     return out
 
@@ -1190,7 +1201,7 @@ def reference_grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Ma
     A = x.coring.base
     F = A.field
     packed = r.packed()
-    chi = Mat.from_cols(F, [r.functionals[a][u].apply(x.vec(g.inv(a)))
+    chi = from_cols(F, [r.functionals[a][u].apply(x.vec(g.inv(a)))
                             for a in g.elements() for u in range(r.dim(a))])
     bad = [j for j in range(A.dim)
            if chi @ block_matrix(F, packed.dims, packed.dims,
@@ -1255,13 +1266,13 @@ def reference_coefficient_ring(x: GrouplikeFamily, basis: Mat,
     s_alg = Algebra.from_tables(F, mul, unit_coords)
     sigma = tuple(Mat._from_cols(F, coords([shifted(basis.row(i), s) for i in range(w)],
                                            "coefficient families are not stable under the "
-                                           "shift action"))
+                                           "shift action"), w)
                   for s in g.elements())
     twisted = GradedAlgebra.from_products(
         F, g, [w] * n, lambda a, b: kron_after(s_alg.mul_mat, sigma[b], Mat.identity(F, w)),
         unit_coords)
     diag = Mat._from_cols(F, coords([t.basis.row(i) * n for i in range(t.basis.rows)],
-                                    "diagonal coinvariant family escapes the coefficient ring"))
+                                    "diagonal coinvariant family escapes the coefficient ring"), w)
     return CoefficientRing(basis, s_alg, sigma, twisted, diag)
 
 
@@ -1660,7 +1671,7 @@ def reference_dual_ring_compat(r: GradedRing) -> list:
     for a in g.elements():
         ident = Mat.identity(F, r.dim(a))
         for j in range(r.base.dim):
-            iv = Mat._from_cols(F, [r.base_map.col(j)])
+            iv = Mat._from_cols(F, [r.base_map.col(j)], r.base_map.rows)
             left_by = kron_after(r.mul[(e, a)], iv, ident)
             right_by = kron_after(r.mul[(a, e)], ident, iv)
             if left_by != r.comps[a].left[j] or right_by != r.comps[a].right[j]:
@@ -1699,7 +1710,7 @@ def trivial_coring(a: Algebra, group: FiniteGroup) -> tuple[GroupCoring, CofreeW
     """Every component the regular bimodule, comultiplication a -> a (x) 1."""
     reg = Bimodule.regular(a)
     t = cached_tensor(reg, reg)
-    delta = Mat.from_cols(a.field, [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)])
+    delta = from_cols(a.field, [t.pure(a.basis_vec(i), a.unit) for i in range(a.dim)])
     one_comp = GroupCoring(TRIVIAL_GROUP, a, (reg,), {(0, 0): delta}, Mat.identity(a.field, a.dim))
     return cofree_coring(one_comp, group)
 

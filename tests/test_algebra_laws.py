@@ -28,13 +28,14 @@ from corings.galois import (
     inclusion_morphism,
     validate_ring_morphism,
 )
-from corings.linalg import Mat, unit_vec
+from corings.linalg import Mat, inverse, random_invertible, unit_vec
 from corings.morita import check_standard_context_match, grouplike_character
 from corings.scalars import GF, QQ
 from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
 from helpers import (
     cyclic_group,
+    from_cols,
     group_hopf_algebra,
     multiply,
     reference_grouplike_character,
@@ -98,11 +99,11 @@ def test_mul_mat_and_multiplication_maps_are_their_multiply_definitions(field):
     for a in (group_hopf_algebra(field, cyclic_group(3)).algebra,
               triangular_algebra(field), product_field_algebra(field, 2)):
         basis = [unit_vec(field, a.dim, i) for i in range(a.dim)]
-        assert a.mul_mat == Mat.from_cols(field, [multiply(a, x, y) for x in basis for y in basis])
+        assert a.mul_mat == from_cols(field, [multiply(a, x, y) for x in basis for y in basis])
         for _ in range(3):
             v = tuple(field.random(rng) for _ in range(a.dim))
-            assert a.left_mult(v) == Mat.from_cols(field, [multiply(a, v, y) for y in basis])
-            assert a.right_mult(v) == Mat.from_cols(field, [multiply(a, y, v) for y in basis])
+            assert a.left_mult(v) == from_cols(field, [multiply(a, v, y) for y in basis])
+            assert a.right_mult(v) == from_cols(field, [multiply(a, y, v) for y in basis])
         assert a.left_mats == tuple(a.left_mult(x) for x in basis)
         assert a.right_mats == tuple(a.right_mult(x) for x in basis)
 
@@ -133,20 +134,36 @@ def test_algebra_laws_report_the_failures_of_the_loop_references(name):
     rng = random.Random(14)
     coring, x, b = structure(name)
     r = dual_ring(coring)
-    failed = set()
+    failed, rows = set(), set()
 
     def compare(kind, got, ref):
         assert got.items == ref.items
         if not got.ok:
             failed.add(kind)
+        rows.update(it.check_id for it in got.items if not it.passed)
 
     for a in algebras(name):
         for _ in range(3):
             broken = bumped_algebra(a, rng)
             compare("algebra", validate_algebra(broken), reference_validate_algebra(broken))
+    zero = Mat.zeros(coring.base.field, 0, 0)
+    zero_module = Bimodule(coring.base, 0, (zero,) * coring.base.dim, (zero,) * coring.base.dim)
+    compare("zero module", validate_bimodule(zero_module), reference_validate_bimodule(zero_module))
     for comp in coring.comps:
         for _ in range(3):
             m = Bimodule(bumped_algebra(comp.base, rng), comp.dim, comp.left, comp.right)
+            compare("bimodule", validate_bimodule(m), reference_validate_bimodule(m))
+        if not comp.dim:
+            continue
+        # a bumped left action; left actions conjugated by an invertible
+        # matrix, which stay an action of the base and need not commute
+        # with the right ones
+        k = rng.randrange(len(comp.left))
+        u = random_invertible(comp.base.field, comp.dim, rng)
+        uinv = inverse(u)
+        for left in (comp.left[:k] + (bumped(comp.left[k], rng),) + comp.left[k + 1:],
+                     tuple(u @ L @ uinv for L in comp.left)):
+            m = Bimodule(comp.base, comp.dim, left, comp.right)
             compare("bimodule", validate_bimodule(m), reference_validate_bimodule(m))
     for _ in range(3):
         for m in (RingMorphism(b.src, b.dst, bumped(b.mat, rng)),
@@ -163,6 +180,9 @@ def test_algebra_laws_report_the_failures_of_the_loop_references(name):
         assert chi == ref_chi
         compare("character", rep, ref_rep)
     assert failed == {"algebra", "bimodule", "morphism", "character"}
+    assert "bimodule.left.associative" in rows
+    # a one-dimensional base acts by scalars, conjugated or not
+    assert "bimodule.commuting" in rows or coring.base.dim == 1
 
 
 # -- the comparison maps of the graded Morita checks ----------------------------------------

@@ -12,7 +12,7 @@ from corings.suites import SUITES, UnknownSuite, run_suite
 from corings.structfile import main_structure, parse
 from corings.fixtures import fixture_file_text
 from corings.scalars import GF, QQ
-from helpers import over_prime_field
+from helpers import over_prime_field, regular_cyclic_text
 
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
 
@@ -139,7 +139,7 @@ def _item_verdicts(report: str) -> list:
             if line.startswith("item\t")]
 
 
-@pytest.mark.parametrize("name", ["trivial", "regular", "nongalois", "sweedler"])
+@pytest.mark.parametrize("name", ["trivial", "regular", "nongalois", "sweedler", "c2"])
 def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path):
     # The answers are ranks and verdicts of linear systems with integer
     # data, the same over QQ and over GF(p) for all but finitely many p.
@@ -147,7 +147,9 @@ def test_rationals_and_a_large_prime_field_give_the_same_verdicts(name, tmp_path
     # GF(1000003) (witnesses and verdict included, the source line apart)
     # is an oracle for the code that only the rationals run: the integer
     # product kernels and the canonical int-or-Fraction form.
-    qq, gf = _reports_over_qq_and_a_large_prime(fixture_file_text(name), "all", tmp_path)
+    # c2 is the regular comodule algebra k[C_2], a base of dimension two
+    text = regular_cyclic_text(2) if name == "c2" else fixture_file_text(name)
+    qq, gf = _reports_over_qq_and_a_large_prime(text, "all", tmp_path)
     assert _item_verdicts("\n".join(qq[1])), "no items reported"
     assert qq == gf
 

@@ -26,7 +26,7 @@ from corings.comodules import (
     validate_comodule,
     validate_g_comodule,
 )
-from corings.fixtures import fixture
+from corings.fixtures import fixture, fixture_file_text
 from corings.galois import (
     RANDOM_COMODULE_RANK,
     coinvariant_ring,
@@ -282,6 +282,30 @@ def test_hom_system_check_matches_the_reference(name):
             with pytest.raises(DimensionMismatch):
                 is_gcomodule_map(src, dst, [basis[0][1:]])
     assert False in verdicts
+
+
+def test_the_family_map_law_reshapes_no_map(monkeypatch):
+    # the coaction law keeps map i in column block i of both sides, so no
+    # map is read into rows through `Mat.reshape` during --suite comodules
+    calls = collections.Counter()
+    real_law, real_reshape = comodules.is_gcomodule_map, Mat.reshape
+
+    def law(m, n, families):
+        calls["law"] += 1
+        return real_law(m, n, families)
+
+    def reshape(self, rows, cols):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not real_law.__code__:
+            frame = frame.f_back
+        calls["reshape in the law"] += frame is not None
+        return real_reshape(self, rows, cols)
+
+    monkeypatch.setattr(comodules, "is_gcomodule_map", law)
+    monkeypatch.setattr(Mat, "reshape", reshape)
+    for name in ("trivial", "regular", "nongalois", "sweedler"):
+        assert run_suite(main_structure(parse(fixture_file_text(name))), "comodules", 0).items
+    assert calls["law"] and calls["reshape in the law"] == 0
 
 
 def test_each_battery_checks_a_pair_and_direction_in_one_call(monkeypatch):

@@ -28,7 +28,7 @@ from corings.linalg import Mat
 from corings.morita import context_from_graded_module, group_ring_context
 from corings.scalars import QQ
 from corings.structfile import Derived, MainStructure
-from helpers import cube, cyclic_group, group_hopf_algebra, triangular_family
+from helpers import cube, cyclic_group, from_cols, group_hopf_algebra, triangular_family
 
 PINNED = {
     'trivial': {
@@ -109,14 +109,14 @@ def _fixture(name: str) -> MainStructure:
     if name == "triangular":
         x = triangular_family()
         a = x.coring.base
-        b = RingMorphism(field_algebra(a.field), a, Mat.from_cols(a.field, [a.unit]))
+        b = RingMorphism(field_algebra(a.field), a, from_cols(a.field, [a.unit]))
         return MainStructure(x.coring, x, b, None, None)
     if name != "regular3":
         return fixture(name)
     g = cyclic_group(3)
     ha = group_hopf_algebra(QQ, g)
     coring, x = coring_from_comodule_algebra(regular_comodule_algebra(cofree_hopf(ha, g), ha))
-    b = RingMorphism(field_algebra(QQ), ha.algebra, Mat.from_cols(QQ, [ha.algebra.unit]))
+    b = RingMorphism(field_algebra(QQ), ha.algebra, from_cols(QQ, [ha.algebra.unit]))
     return MainStructure(coring, x, b, None, None)
 
 

@@ -22,7 +22,7 @@ from corings.linalg import Mat
 from corings.morita import CoefficientRing
 from corings.structfile import Derived, main_structure, parse
 from corings.suites import run_suite
-from helpers import triangular_family
+from helpers import from_cols, triangular_family
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
@@ -276,7 +276,7 @@ def _derived(name: str) -> Derived:
     x = triangular_family()
     a = x.coring.base
     return Derived(x.coring, x, RingMorphism(field_algebra(a.field), a,
-                                             Mat.from_cols(a.field, [a.unit])))
+                                             from_cols(a.field, [a.unit])))
 
 
 def _count_weak_builds(monkeypatch) -> dict:

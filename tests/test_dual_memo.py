@@ -18,7 +18,7 @@ from corings.algebra import (
 )
 from corings.comodules import coring_as_gcomodule
 from corings.fixtures import fixture_file_text
-from corings.linalg import Mat, QuotientSpace, inverse, kron_after
+from corings.linalg import Mat, QuotientSpace, hstack, interleave, inverse, kron_after
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
@@ -44,16 +44,14 @@ def _fresh(A: Algebra, key: tuple):
         m = Bimodule(A, dim, rest[0], None)
         return algebra._dual_basis(m, algebra._left_dual(m)[0])
     if kind == "collapse_right":
-        return algebra._collapse_right(Bimodule(A, dim, None, rest[0]))
+        return interleave(F, dim, rest[0])
     if kind == "collapse_left":
-        return algebra._collapse_left(Bimodule(A, dim, rest[0], None))
+        return hstack(rest[0])
     acts, functional = rest
     if kind == "contract_right":
-        return kron_after(algebra._collapse_right(Bimodule(A, dim, None, acts)),
-                          Mat.identity(F, dim), functional)
+        return kron_after(interleave(F, dim, acts), Mat.identity(F, dim), functional)
     assert kind == "contract_left", kind
-    return kron_after(algebra._collapse_left(Bimodule(A, dim, acts, None)),
-                      functional, Mat.identity(F, dim))
+    return kron_after(hstack(acts), functional, Mat.identity(F, dim))
 
 
 @pytest.mark.parametrize("name, suite", [(name, "all") for name in FIXTURES]

@@ -50,6 +50,7 @@ from helpers import (
     cyclic_group,
     derived,
     dual_coords,
+    from_cols,
     reference_comodule_to_module,
     reference_dual_basis_comultiplication,
     reference_dual_mul,
@@ -266,7 +267,7 @@ def test_dual_ring_product_matches_the_pairwise_reference(name):
         for a, b in ring.mul:
             assert ring.mul[(a, b)] == reference_dual_mul(ring, a, b)
         e = ring.group.identity
-        assert ring.base_map == Mat.from_cols(c.base.field, [
+        assert ring.base_map == from_cols(c.base.field, [
             dual_coords(ring, e, right @ ring.coring.counit) for right in c.base.right_mats])
 
 
@@ -318,7 +319,7 @@ def test_dual_ring_compat_matches_the_reference(name):
 
 def _swap(field, m: int, n: int) -> Mat:
     """The flip k^m (x) k^n -> k^n (x) k^m."""
-    return Mat.from_cols(field, [unit_vec(field, m * n, j * m + i)
+    return from_cols(field, [unit_vec(field, m * n, j * m + i)
                                  for i in range(m) for j in range(n)])
 
 

@@ -12,7 +12,7 @@ from corings.comodules import (
     replicate_comodule,
     validate_comodule,
 )
-from corings.fixtures import fixture
+from corings.fixtures import fixture, fixture_file_text
 from corings.galois import (
     GrouplikeFamily,
     ImageNotInCoinvariants,
@@ -36,7 +36,10 @@ from corings.galois import (
 )
 from corings.linalg import Mat, rank, row_space, unit_vec
 from corings.scalars import QQ
-from helpers import coinvariants, coords_in, cyclic_group, derived, field_add, field_mul, trivial_coring
+from corings.structfile import main_structure, parse
+from corings.suites import run_suite
+from helpers import (coinvariants, coords_in, cyclic_group, derived, field_add, field_mul, from_cols,
+                     trivial_coring)
 
 
 def test_grouplike_families_validate():
@@ -110,7 +113,7 @@ def test_induction_needs_image_in_coinvariants():
     # send the base generator to a non-coinvariant element
     bad_col = [0] * a.dim
     bad_col[1] = 1
-    bad = RingMorphism(field_algebra(QQ), a, Mat.from_cols(QQ, [bad_col]))
+    bad = RingMorphism(field_algebra(QQ), a, from_cols(QQ, [bad_col]))
     with pytest.raises(ImageNotInCoinvariants):
         induce_comodule(free_right_module(bad.src, 1), bad, fx.grouplike)
 
@@ -250,6 +253,34 @@ def test_unit_counit_direction_implications():
             assert galois_verdict, name
 
 
+# `nongalois` with a coproduct whose coring over itself has no nonzero
+# family coinvariants
+NONGALOIS_SIX = fixture_file_text("nongalois").replace(
+    "  delta [[1, 0], [0, 0], [0, 0], [0, 1]]", "  delta [[1, 0], [0, 0], [6, 0], [0, 1]]")
+
+
+def test_counits_on_zero_dimensional_coinvariants_have_the_shape_of_their_degree():
+    d = main_structure(parse(NONGALOIS_SIX)).derived
+    gm = coring_as_gcomodule(d.coring)
+    assert g_coinvariants(gm, d.grouplike).rows == 0
+    mats, ok = induction_counits(gm, d.base, d.grouplike)
+    # the induced family on 0 is 0, which is not the coring: each counit is
+    # a comp.dim x 0 map, and none is bijective
+    assert [(m.rows, m.cols) for m in mats] == [(comp.dim, 0) for comp in gm.comps]
+    assert all(comp.dim for comp in gm.comps) and not ok
+
+
+def test_zero_dimensional_coinvariants_fail_the_counit_side_of_the_structure_theorem():
+    items = {it.check_id: it for it in run_suite(main_structure(parse(NONGALOIS_SIX)),
+                                                 "structure-theorem", 0).items}
+    side2 = items["structure-theorem.structure.side2"].witness
+    assert side2.startswith("value=False") and side2.endswith(
+        "counits=False); counit comparison fails on family object 0")
+    agreement = items["structure-theorem.structure.agreement"]
+    assert agreement.passed
+    assert agreement.witness == "side1=False, side2=False"
+
+
 def test_induction_adjunction_hom_bijection():
     # morphisms from an induced family correspond to module maps into the
     # family coinvariants: transpose both ways on solved bases
@@ -280,7 +311,7 @@ def test_induction_adjunction_hom_bijection():
                 blk = w.row(u)[offsets[a]: offsets[a] + dims[a]]
                 moved.extend(target.comps[a].right_act(img).apply(blk))
             cols.append(coords_in(w, tuple(moved)))
-        right_on_w.append(Mat.from_cols(QQ, cols))
+        right_on_w.append(from_cols(QQ, cols))
     rows = []
     for i in range(b.src.dim):
         rows.append(sandwich_operator(Mat.identity(QQ, w.rows), n.right[i], w.rows, n.dim)
@@ -297,7 +328,7 @@ def test_induction_adjunction_hom_bijection():
             for a in g.elements():
                 vec.extend(fams[a].apply(cls))
             cols.append(coords_in(w, tuple(vec)))
-        return Mat.from_cols(QQ, cols)
+        return from_cols(QQ, cols)
 
     def transpose_up(gmat):
         # g |-> the family (class of n (x) a |-> g(n)_a . a)
@@ -313,7 +344,7 @@ def test_induction_adjunction_hom_bijection():
                         blk_val = [field_add(QQ, p, field_mul(QQ, c, q)) for p, q in zip(blk_val, piece)]
                 for j in range(fx.coring.base.dim):
                     cols.append(target.comps[a].right[j].apply(blk_val))
-            k_level = Mat.from_cols(QQ, cols)
+            k_level = from_cols(QQ, cols)
             fams.append(k_level @ ind.space.sect)
         return tuple(fams)
 

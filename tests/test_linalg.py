@@ -26,6 +26,7 @@ from corings.linalg import (
     block_matrix,
     combine,
     hstack,
+    interleave,
     inverse,
     kernel,
     kron_after,
@@ -71,6 +72,7 @@ from helpers import (
     field_add,
     field_mul,
     field_sub,
+    from_cols,
     group_hopf_algebra,
     reference_solve,
 )
@@ -676,11 +678,11 @@ def ref_tensor_slice(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
     F = P.field
     cols = []
     for n in range(fn):
-        pslice = Mat.from_cols(F, [P.col(n * c + k) for k in range(c)])
+        pslice = from_cols(F, [P.col(n * c + k) for k in range(c)])
         for u in range(fm):
             sslice = Mat(F, c, S.cols, S.data[u * c * S.cols:(u * c + c) * S.cols])
             cols.append(ref_matmul(pslice, sslice).data)
-    return Mat.from_cols(F, cols)
+    return from_cols(F, cols)
 
 
 def mixed_mat(field, rows, cols, rng):
@@ -950,6 +952,32 @@ def test_regroup_applies_every_basis_element_at_once(field):
                                                            [b @ x for x in xs for b in blocks])
     with pytest.raises(DimensionMismatch):
         regroup(Mat.zeros(field, 2, 5), 2, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_interleave_is_the_flattened_right_action(field):
+    # column k * n + j of interleave(field, rows, mats) is column k of
+    # mats[j], so that it applied to e_k (x) e_j is mats[j] applied to e_k;
+    # empty families and matrices keep their shapes
+    rng = random.Random(18)
+    for _ in range(60):
+        rows, cols, n = (rng.randint(0, 3) for _ in range(3))
+        mats = [mixed_mat(field, rows, cols, rng) for _ in range(n)]
+        got = interleave(field, rows, mats)
+        want = Mat(field, rows, cols * n, tuple(entry(mats[t % n], i, t // n)
+                                                for i in range(rows) for t in range(cols * n)))
+        assert got == want and (got.rows, got.cols) == (rows, cols * n)
+        assert_canonical(field, [x for row in got._entries for _, x in row])
+        for k in range(cols):
+            for j in range(n):
+                e = Mat.col_vector(field, unit_vec(field, cols * n, k * n + j))
+                assert got @ e == mats[j] @ Mat.col_vector(field, unit_vec(field, cols, k))
+    with pytest.raises(DimensionMismatch):
+        interleave(field, 2, [Mat.zeros(field, 2, 2), Mat.zeros(field, 2, 3)])
+    with pytest.raises(DimensionMismatch):
+        interleave(field, 3, [Mat.zeros(field, 2, 2)])
+    with pytest.raises(FieldMismatch):
+        interleave(field, 1, [Mat.zeros(GF(7), 1, 1)])
 
 
 # -- triple quotients against the dense reference ----------------------------------
@@ -1315,9 +1343,9 @@ def test_row_storage_matches_the_dense_reference(field):
         m, m2 = a.mat(), a2.mat()
         # built from dense entries, from rows and from columns: one matrix
         from_rows = Mat._of_rows(field, r, c, a.nonzero_rows())
-        from_cols = Mat._from_cols(field, [a.col(j) for j in range(c)], r)
+        by_cols = Mat._from_cols(field, [a.col(j) for j in range(c)], r)
         listed = [Mat.from_rows(field, [a.row(i) for i in range(r)])] if r else []
-        for built in [m, from_rows, from_cols] + listed:
+        for built in [m, from_rows, by_cols] + listed:
             assert_stores(built, a)
         assert [[entry(m, i, j) for j in range(c)] for i in range(r)] == \
             [[entry(a, i, j) for j in range(c)] for i in range(r)]
@@ -1442,7 +1470,8 @@ def test_denominators_are_read_off_the_rows():
         v = Mat(QQ, k, 1, tuple(fractional_mat(1, k, rng).data))
         built = [a, a + b, a - b, combine(QQ, n, k, [a, b], [Fraction(1, 3), -2]), rref(a),
                  a.reshape(1, n * k), a.transpose(), vstack([a, b]), hstack([a, b]),
-                 vec_rows(QQ, n * k, [a, b]), tensor_k(a, b), Mat.from_cols(QQ, [a.col(j) for j in range(k)]),
+                 vec_rows(QQ, n * k, [a, b]), tensor_k(a, b), interleave(QQ, n, [a, b]),
+                 Mat._from_cols(QQ, [a.col(j) for j in range(k)], n),
                  Mat.col_vector(QQ, v.data), Mat.from_rows(QQ, [a.row(i) for i in range(n)])]
         if n == k and rank(a) == n:
             built.append(inverse(a))

@@ -63,10 +63,15 @@
   `BaseException`, alone or in a tuple): a handler names the errors it
   expects, so a bug in the library surfaces as a traceback instead of a
   misleading message.
-* The uncached builders of `Algebra.memo` (`UNCACHED`: the left dual, the
-  dual-basis solve and the two collapse maps) are called only from their
-  memo wrappers in `algebra.py`: a call anywhere else builds again what the
-  memo holds for every module equal in content.
+* The uncached builders of `Algebra.memo` (`UNCACHED`: the left dual and
+  the dual-basis solve) are called only from their memo wrappers in
+  `algebra.py`: a call anywhere else builds again what the memo holds for
+  every module equal in content.
+* Outside `linalg.py`, no comprehension builds an action layout by hand:
+  no element `m.col(k)` whose object reads the variable of one `for`
+  clause and whose argument reads that of another, as in `[m.col(k) for k
+  in range(n) for m in mats]`.  The flattened right action of a family is
+  `linalg.interleave`, and the left one `hstack`.
 * Outside an `__init__`, no code assigns to a `delta`, `rho` or `counit`
   attribute (`STRUCTURE_MAPS`) or to an item of one, or deletes one, or
   changes one through a dict method: a coring or comodule is built whole,
@@ -319,7 +324,6 @@ def _optional_parameters(fn, is_method: bool) -> list:
 OPTIONS = {
     ("cli.py", "main", "argv"),
     ("coring.py", "validate_group_coring", "check_components"),
-    ("linalg.py", "_from_cols", "rows"),
     ("report.py", "add", "witness"),
     ("report.py", "extend", "prefix"),
     ("structfile.py", "__init__", "comodule_algebra"),
@@ -555,8 +559,7 @@ def storage_reads(path: Path) -> list:
 
 
 # uncached builder -> the memo wrapper in algebra.py that alone calls it
-UNCACHED = {"_left_dual": "left_dual", "_dual_basis": "find_dual_basis",
-            "_collapse_right": "collapse_right", "_collapse_left": "collapse_left"}
+UNCACHED = {"_left_dual": "left_dual", "_dual_basis": "find_dual_basis"}
 
 
 def memo_bypasses(path: Path) -> list:
@@ -574,6 +577,27 @@ def memo_bypasses(path: Path) -> list:
             visit(child, child.name if is_def else fn)
 
     visit(_tree(path), None)
+    return sorted(out)
+
+
+def _names_in(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def hand_action_layouts(path: Path) -> list:
+    """Line of each comprehension with two or more `for` clauses whose
+    element is a `.col(...)` call with the variable of one clause in its
+    argument and the variable of another in its object."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)) and len(node.generators) > 1
+                and isinstance(node.elt, ast.Call) and isinstance(node.elt.func, ast.Attribute)
+                and node.elt.func.attr == "col"):
+            targets = [_names_in(gen.target) for gen in node.generators]
+            arg = set().union(*map(_names_in, node.elt.args))
+            obj = _names_in(node.elt.func.value)
+            if any(arg & t and obj & u for t in targets for u in targets if t is not u):
+                out.add(node.lineno)
     return sorted(out)
 
 
@@ -793,6 +817,12 @@ def test_only_derived_builds_the_shared_objects(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_memo_wrappers_call_the_uncached_builders(path):
     assert memo_bypasses(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_hand_built_action_layout(path):
+    assert hand_action_layouts(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -1134,19 +1164,39 @@ def test_the_memo_bypass_check_catches_what_it_looks_for(tmp_path):
         "    return _dual_basis(m, functionals) is not None\n"
         "def collapse_right(m):\n"
         "    def inner():\n"
-        "        return _collapse_right(m)\n"
-        "    return _collapse_left(m), inner\n"
-        "CONST = _collapse_right(None)\n")
+        "        return _left_dual(m)\n"
+        "    return _dual_basis(m, None), inner\n"
+        "CONST = _left_dual(None)\n")
     assert memo_bypasses(home) == [(6, "_left_dual"), (7, "_dual_basis"),
-                                   (10, "_collapse_right"), (11, "_collapse_left"),
-                                   (12, "_collapse_right")]
+                                   (10, "_left_dual"), (11, "_dual_basis"),
+                                   (12, "_left_dual")]
     other = tmp_path / "dualring.py"
     other.write_text(
         "def left_dual(m):\n"
         "    return algebra._left_dual(m)\n"
         "def collapse(m):\n"
-        "    return collapse_right(m), _collapse_leftover(m)\n")
+        "    return collapse_right(m), _left_dualities(m)\n")
     assert memo_bypasses(other) == [(2, "_left_dual")]
+
+
+def test_the_action_layout_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the right-action layouts built before `linalg.interleave`
+        "flat = Mat._from_cols(F, [m.right[k].col(i) for i in range(m.dim)\n"
+        "                          for k in range(m.base.dim)])\n"
+        "right = Mat._from_cols(F, [act.col(k) for k in range(self.dim) for act in self.right], n)\n"
+        "direct = {b: Mat._from_cols(F, [ev.col(i) for i in range(d) for ev in evs[b]]) for b in g}\n"
+        "pairing = list(f.col(j) for j in range(n) for f in r.functionals[b])\n"
+        "cols = {m.col(k) for m in mats for k in range(n)}\n"
+        "left = hstack(m.left)\n"
+        "right = interleave(F, n, m.right)\n"
+        "one = [P.col(n * c + k) for k in range(c)]\n"
+        "same = [m.col(k) for k in range(n) for m in [base]]\n"
+        "entries = tuple(v for b in g for v in acts[b].col(j))\n"
+        "tau = [inject(s, ctx.tau.col(i * q + j)) for s in g for i in range(p) for j in range(q)]\n"
+        "fixed = [base.col(k) for k in range(n) for _ in mats]\n")
+    assert hand_action_layouts(src) == [1, 3, 4, 5, 6, 10]
 
 
 def test_the_structure_map_check_catches_what_it_looks_for(tmp_path):

@@ -14,7 +14,7 @@ from corings.algebra import field_algebra
 from corings.dualring import GradedRing, dual_ring
 from corings.fixtures import fixture, fixture_file_text
 from corings.galois import coinvariant_ring, inclusion_morphism
-from corings.linalg import Mat, rank, row_space, tensor_vec
+from corings.linalg import Mat, inverse, random_invertible, rank, row_space, tensor_vec
 from corings.morita import (
     MoritaContext,
     RingBimodule,
@@ -35,6 +35,7 @@ from corings.morita import (
     is_strict,
     validate_graded_morita_context,
     validate_morita_context,
+    validate_ring_bimodule,
     weak_coinvariant_ring,
     HypothesisFailed,
     _ring_as_module,
@@ -46,10 +47,12 @@ from helpers import (
     cyclic_group,
     derived,
     field_add,
+    from_cols,
     reference_coefficient_ring,
     reference_intertwining_failures,
     reference_standard_context,
     reference_validate_morita_context,
+    reference_validate_ring_bimodule,
     triangular_family,
     validate_graded_algebra,
 )
@@ -313,9 +316,9 @@ def test_battery_hypothesis_check():
     # the rank-one module with the nilpotent acting by zero on both sides
     comp = Bimodule(kx, 1, (Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)),
                     (Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)))
-    cor = GroupCoring(TRIVIAL_GROUP, kx, (comp,), {}, Mat.from_cols(QQ, [kx.unit]))
+    cor = GroupCoring(TRIVIAL_GROUP, kx, (comp,), {}, from_cols(QQ, [kx.unit]))
     t = cor.tensor(0, 0)
-    cor.delta[(0, 0)] = Mat.from_cols(QQ, [t.pure((QQ.one,), (QQ.one,))])
+    cor.delta[(0, 0)] = from_cols(QQ, [t.pure((QQ.one,), (QQ.one,))])
     x = GrouplikeFamily(cor, ((QQ.one,),))
     b = RingMorphism(kx, kx, Mat.identity(QQ, 2))
     with pytest.raises(HypothesisFailed):
@@ -412,6 +415,46 @@ def test_batched_morita_laws_report_the_failures_of_the_loop_reference(name):
             got = validate_morita_context(broken).items
             assert got == reference_validate_morita_context(broken).items
             assert not all(it.passed for it in got)
+
+
+def conjugated(mats, rng) -> tuple:
+    """mats conjugated by one random invertible matrix: an action of the
+    same ring, which need not commute with the actions of another."""
+    u = random_invertible(mats[0].field, mats[0].rows, rng)
+    uinv = inverse(u)
+    return tuple(u @ m @ uinv for m in mats)
+
+
+@pytest.mark.parametrize("name", ("trivial", "regular", "nongalois", "sweedler", "c3"))
+def test_ring_bimodule_laws_report_the_failures_of_the_loop_reference(name):
+    # a bumped left action fails the left action law; conjugated left
+    # actions stay an action and may stop commuting with the right ones
+    rng = random.Random(12)
+    contexts = contexts_of_a_full_run(name)
+    failing = set()
+    for ctx in (contexts[0], contexts[2]) if name == "c3" else contexts:
+        for m in (ctx.p, ctx.q):
+            if not m.dim:
+                continue
+            k = rng.randrange(len(m.left))
+            for left in (m.left[:k] + (bumped(m.left[k], rng),) + m.left[k + 1:],
+                         conjugated(m.left, rng)):
+                broken = dataclasses.replace(m, left=left)
+                got = validate_ring_bimodule(broken).items
+                assert got == reference_validate_ring_bimodule(broken).items
+                failing.update((it.check_id, it.witness.startswith("failing: [('left'"))
+                               for it in got if not it.passed)
+    assert ("bimodule.actions", True) in failing
+    assert ("bimodule.commuting", False) in failing
+
+
+def test_the_ring_bimodule_laws_hold_on_the_zero_module():
+    ctx = contexts_of_a_full_run("regular")[0]
+    zero = Mat.zeros(QQ, 0, 0)
+    m = RingBimodule(ctx.ring1, ctx.ring2, 0, (zero,) * ctx.ring1.dim, (zero,) * ctx.ring2.dim)
+    assert (m.left_map.rows, m.left_map.cols, m.right_map.rows, m.right_map.cols) == (0, 0, 0, 0)
+    got = validate_ring_bimodule(m)
+    assert got.ok and got.items == reference_validate_ring_bimodule(m).items
 
 
 # -- the coefficient ring and the context comparisons against their references --------------
