@@ -35,6 +35,8 @@ from corings.linalg import (
     block_diagonal,
     block_matrix,
     combine,
+    deinterleave,
+    hsplit,
     hstack,
     interleave,
     is_invertible,
@@ -82,23 +84,27 @@ class Algebra:
                                          for i in range(dim) for j in range(dim)], dim)
         return cls(field, dim, mul_mat, tuple(field.of(x) for x in unit))
 
-    def left_mult(self, a) -> Mat:
-        """Matrix of x -> a*x."""
-        return kron_after(self.mul_mat, Mat.col_vector(self.field, a),
-                          Mat.identity(self.field, self.dim))
+    def left_mults(self, m: Mat) -> tuple:
+        """The matrices of x -> a*x for the columns a of m, from one product:
+        block k of kron_after(mul_mat, m, I) holds (m e_k) e_j at column j."""
+        return hsplit(kron_after(self.mul_mat, m, Mat.identity(self.field, self.dim)), m.cols)
 
-    def right_mult(self, a) -> Mat:
-        """Matrix of x -> x*a."""
-        return kron_after(self.mul_mat, Mat.identity(self.field, self.dim),
-                          Mat.col_vector(self.field, a))
+    def right_mults(self, m: Mat) -> tuple:
+        """The matrices of x -> x*a for the columns a of m, from one product:
+        column k * m.cols + l of kron_after(mul_mat, I, m) holds e_k (m e_l)."""
+        return deinterleave(kron_after(self.mul_mat, Mat.identity(self.field, self.dim), m), m.cols)
 
     @cached_property
     def left_mats(self) -> tuple:
-        return tuple(self.left_mult(self.basis_vec(i)) for i in range(self.dim))
+        """The left multiplications by the basis elements, read off `mul_mat`,
+        which is their `hstack`."""
+        return hsplit(self.mul_mat, self.dim)
 
     @cached_property
     def right_mats(self) -> tuple:
-        return tuple(self.right_mult(self.basis_vec(i)) for i in range(self.dim))
+        """The right multiplications by the basis elements, read off
+        `mul_mat`, which is their `interleave`."""
+        return deinterleave(self.mul_mat, self.dim)
 
     def basis_vec(self, i: int) -> tuple:
         return unit_vec(self.field, self.dim, i)

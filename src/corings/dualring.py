@@ -159,11 +159,10 @@ class GradedRing:
         return span_coords(self._func_bases[a], rows, "functional outside the solved dual basis")
 
     def precomposed(self, a: int, m: Mat) -> Mat:
-        """The rows vec(f o m) for the functionals f of degree a, from one
-        product with the functionals on top of each other (read off the rows
-        vec(f) of the solved basis)."""
-        stacked = self._func_bases[a].reshape(self.dim(a) * self.base.dim, m.rows)
-        return (stacked @ m).reshape(self.dim(a), self.base.dim * m.cols)
+        """The rows vec(f o m) for the functionals f of degree a, in one
+        pass over the rows vec(f) of the solved basis: vec(X Y) =
+        vec(X) (I (x) Y) for the row-major vec."""
+        return kron_after(self._func_bases[a], Mat.identity(self.base.field, self.base.dim), m)
 
     def _first_legs(self, a: int, b: int) -> tuple:
         g = self.group

@@ -229,8 +229,7 @@ def induce_comodule(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> Induced
     c = x.coring
     A = c.base
     F = A.field
-    left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-    q = balanced_quotient(F, n.dim, A.dim, n.right, left_acts)
+    q = balanced_quotient(F, n.dim, A.dim, n.right, A.left_mults(b.mat))
     right = tuple(kron_after(q.proj, Mat.identity(F, n.dim), R) @ q.sect for R in A.right_mats)
     space = Bimodule(A, q.dim, None, right)
     # column i: the class of n_i (x) 1
@@ -268,9 +267,7 @@ def sweedler_coring(b: RingMorphism, group) -> tuple[GroupCoring, CofreeWitness,
     the source, with the class of 1 (x) 1 as its canonical grouplike family."""
     A = b.dst
     F = A.field
-    right_acts = [A.right_mult(b.mat.col(i)) for i in range(b.src.dim)]
-    left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-    q = balanced_quotient(F, A.dim, A.dim, right_acts, left_acts)
+    q = balanced_quotient(F, A.dim, A.dim, A.right_mults(b.mat), A.left_mults(b.mat))
     ident = Mat.identity(F, A.dim)
     left = tuple(kron_after(q.proj, L, ident) @ q.sect for L in A.left_mats)
     right = tuple(kron_after(q.proj, ident, R) @ q.sect for R in A.right_mats)
@@ -397,8 +394,7 @@ def check_coinvariants_cofree(x: GrouplikeFamily, w: CofreeWitness,
 
 def predicates_of_extension(b: RingMorphism) -> ModulePredicates:
     """Predicates of the target as a left module over the source."""
-    left = tuple(b.dst.left_mult(b.mat.col(i)) for i in range(b.src.dim))
-    module = Bimodule(b.src, b.dst.dim, left, None)
+    module = Bimodule(b.src, b.dst.dim, b.dst.left_mults(b.mat), None)
     return left_module_predicates(module)
 
 
@@ -435,8 +431,7 @@ def induction_counits(m: GComodule, b: RingMorphism, x: GrouplikeFamily) -> tupl
     right, ok = span_action(w, [total.right_act(b.mat.col(i)) for i in range(b.src.dim)])
     if not ok:
         return [], False
-    left_acts = [A.left_mult(b.mat.col(i)) for i in range(b.src.dim)]
-    qq = balanced_quotient(F, w.rows, A.dim, right, left_acts)
+    qq = balanced_quotient(F, w.rows, A.dim, right, A.left_mults(b.mat))
     # degree a: column u * A.dim + j holds the degree-a block of w_u acted on by e_j
     mats = [kron_after(collapse_right(m.comps[a]), proj[a] @ w.transpose(), Mat.identity(F, A.dim))
             @ qq.sect for a in g.elements()]

@@ -11,13 +11,17 @@ the nonzero entries and bring only the entries they touch to canonical
 form (compressed sparse rows, as in Davis, *Direct Methods for Sparse
 Linear Systems*, SIAM 2006, ch. 2).  The flattened actions of a module
 are laid out here: `hstack` of the left action matrices and `interleave`
-of the right ones.  No constructor reads a row count off a list of
+of the right ones, which `hsplit` and `deinterleave` undo in one pass
+over the rows (an algebra's multiplication matrix is both flattened
+regular actions, so its action matrices are read off it).  No
+constructor reads a row count off a list of
 columns: `_from_cols` is given it, so a matrix with no columns keeps its
 rows.  Equality compares the rows, and the hash, computed once, is read
 off them, so a matrix built from dense entries equals and hashes like
 the same matrix built from rows.  Beside the rows a `Mat` caches its
 columns (for `col` and `transpose`), its rank and whether it is an
-identity (`Mat.identity` sets the flag as it builds).  An identity
+identity (`Mat.identity` sets the flag as it builds), each computed on
+first read by this module's lock-free `cached_property`.  An identity
 operand costs nothing: `@` returns the other operand, and `kron_after`
 returns m when both factors are identities and otherwise makes one pass
 when one is.
@@ -37,9 +41,12 @@ on sparse rows only: one eliminator reduces `{column: value}` dicts in
 place and serves rref, kernels, solves, inverses, quotients and hom
 systems; it still works on `Fraction` entries.  A hom system
 (`LinearSystem`) stores no one-entry row: it keeps the column such a row
-sets to 0 in a set of ints, forms later equations without the zeroed
-columns, hands the eliminator its other rows without them and adds the
-zeroed columns back as pivots before it reads off the kernel.
+sets to 0 in a set of ints and forms later equations without the zeroed
+columns.  `balanced_quotient` does the same with its one-sided relations
+of one entry, and keeps each longer one-sided relation once.  Both hand
+the eliminator their other rows without the zeroed columns and add
+those back as pivots (`_eliminate_zeroed`), before the kernel or the
+quotient is read off.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -63,7 +70,6 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import lcm
@@ -71,6 +77,31 @@ from math import lcm
 from corings.scalars import DimensionMismatch, Field, FieldMismatch
 
 _IDENTITIES: dict = {}  # (field.p, n) -> the last n x n identity built, see `Mat.identity`
+
+
+class cached_property:
+    """An attribute computed on its first read: the function's value is
+    written into the instance `__dict__`, where every later read finds it
+    without calling the descriptor.  Unlike `functools.cached_property`,
+    whose first read takes a lock in CPython 3.11, it holds no lock; the
+    library computes on one thread.  Every cache of `Mat` and
+    `QuotientSpace` is one."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner):
+        if obj is None:  # read on the class
+            return self
+        try:
+            d = obj.__dict__
+        except AttributeError:
+            raise TypeError(f"{owner.__name__} instances have no __dict__ "
+                            f"to cache {self.name} in") from None
+        value = d[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -382,6 +413,9 @@ def _from_numerators(field: Field, rows, cols: int, d: int) -> Mat:
     entries = []
     if d == 1:  # the common case, with no test per entry (`_from_entries` makes two)
         for row in rows:
+            if len(row) < 2:  # most product rows: nothing to sort
+                entries.append([*row.items()] if any(row.values()) else [])
+                continue
             out = []
             for j in sorted(row):
                 v = row[j]
@@ -460,6 +494,36 @@ def interleave(field: Field, rows: int, mats) -> Mat:
     # the columns, in the new order, are the rows of the transpose
     return Mat._of_rows(field, width * len(mats), rows,
                         [m._columns[k] for k in range(width) for m in mats]).transpose()
+
+
+def hsplit(m: Mat, n: int) -> tuple:
+    """The inverse of `hstack` for n parts of equal width: the n matrices
+    whose column j is column k * width + j of m for part k.  The left
+    action matrices of an algebra are `hsplit(mul_mat, dim)`."""
+    width = m.cols // n if n else 0
+    if n * width != m.cols:
+        raise DimensionMismatch(f"cannot split {m.cols} columns into {n} equal parts")
+    parts = [[[] for _ in range(m.rows)] for _ in range(n)]
+    for i, row in enumerate(m._entries):
+        for t, x in row:
+            k, j = divmod(t, width)
+            parts[k][i].append((j, x))
+    return tuple(Mat._of_rows(m.field, m.rows, width, rows) for rows in parts)
+
+
+def deinterleave(m: Mat, n: int) -> tuple:
+    """The inverse of `interleave`: the n matrices whose column k is column
+    k * n + j of m for matrix j.  The right action matrices of an algebra
+    are `deinterleave(mul_mat, dim)`."""
+    width = m.cols // n if n else 0
+    if n * width != m.cols:
+        raise DimensionMismatch(f"cannot deinterleave {m.cols} columns into {n} matrices")
+    parts = [[[] for _ in range(m.rows)] for _ in range(n)]
+    for i, row in enumerate(m._entries):
+        for t, x in row:
+            k, j = divmod(t, n)
+            parts[j][i].append((k, x))
+    return tuple(Mat._of_rows(m.field, m.rows, width, rows) for rows in parts)
 
 
 def vec_rows(field: Field, width: int, mats) -> Mat:
@@ -614,6 +678,19 @@ def _subtract(red, row: dict, f, tail) -> None:
             row[j] = v
         else:
             row.pop(j, None)
+
+
+def _eliminate_zeroed(field: Field, rows: list, zeroed) -> list:
+    """`_eliminate` of the rows together with the unit rows e_c of the
+    columns c in zeroed, without writing the unit rows: the rows are
+    copied without the zeroed columns and reduced, and each zeroed column
+    joins them as the pivot of {c: 1}.  The pivots come in no fixed
+    order.  This is the rref of the whole span, since each e_c lies in it
+    and the rref depends only on the span and the column order."""
+    rows = [{j: x for j, x in row.items() if j not in zeroed} for row in rows]
+    pivoted = _eliminate(field, rows)
+    pivoted.extend((c, {c: field.one}) for c in zeroed)
+    return pivoted
 
 
 def _null_basis(field: Field, width: int, pivoted) -> Mat:
@@ -900,15 +977,15 @@ def quotient_by(field: Field, ambient_dim: int, relations: Mat | None) -> Quotie
         return _quotient(field, ambient_dim, [])
     if relations.cols != ambient_dim:
         raise DimensionMismatch("relation width vs ambient dimension")
-    return _quotient(field, ambient_dim, [dict(row) for row in relations._entries])
+    return _quotient(field, ambient_dim, _eliminate(field, [dict(row) for row in relations._entries]))
 
 
-def _quotient(field: Field, ambient_dim: int, rows: list) -> QuotientSpace:
-    """`quotient_by` for relations given as sparse rows {column: nonzero
-    value}, which are reduced in place.  The projection sends e_c for a
-    free column c to its class and a pivot column to minus the reduced
-    relation's entries on the free columns: the rows of `_null_basis`."""
-    pivoted = _eliminate(field, rows)
+def _quotient(field: Field, ambient_dim: int, pivoted) -> QuotientSpace:
+    """The quotient by the span of the reduced rows pivoted, (pivot column,
+    row) pairs in any order as `_eliminate` and `_eliminate_zeroed` return
+    them.  The projection sends e_c for a free column c to its class and a
+    pivot column to minus the reduced relation's entries on the free
+    columns: the rows of `_null_basis`."""
     pivots = {c for c, _ in pivoted}
     free = [c for c in range(ambient_dim) if c not in pivots]
     return _quotient_on(field, ambient_dim, free, _null_basis(field, ambient_dim, pivoted))
@@ -921,21 +998,50 @@ def balanced_quotient(field: Field, dim_m: int, dim_n: int,
     right_acts[t] is the matrix of the right action of the t-th middle basis
     element on the left factor, left_acts[t] the left action on the right
     factor.  Relation generators over basis triples suffice by bilinearity.
-    Unlike `LinearSystem`, repeated relations are not looked for: relation
-    rows are short, and hashing each one costs more than the eliminator
-    spends clearing the repeats.
+    The generator of (t, i, k) reads column i of right_acts[t] and column k
+    of left_acts[t].  When one of the two is empty the relation is
+    one-sided, the other column placed at i or at k: one with a single
+    entry zeroes its column (a set of ints, as in `LinearSystem`), and one
+    with more is kept once, under the key (side, place, column content),
+    whose content is built once per action column.  Two-sided relations
+    are kept as they come: they are short, and hashing each one costs
+    more than the eliminator spends on the repeats.  The kept rows are
+    reduced without the zeroed columns, which then join as pivots
+    (`_eliminate_zeroed`), so no relation row with one entry reaches the
+    eliminator and the quotient is the one of every relation.
     """
     red = field.reduce
-    rows = []
+    rows, zeroed, kept = [], set(), set()
     for R, L in zip(right_acts, left_acts):
-        ncols = L._columns
+        ncols, nkeys = L._columns, None
         for i, mcol in enumerate(R._columns):
+            if not mcol:  # m_i . u = 0: the relations m_i (x) (u . n_k)
+                nkeys = nkeys or [tuple(ncol) for ncol in ncols]
+                base = i * dim_n
+                for ncol, nkey in zip(ncols, nkeys):
+                    if len(ncol) == 1:
+                        zeroed.add(base + ncol[0][0])
+                    elif ncol and (0, i, nkey) not in kept:
+                        kept.add((0, i, nkey))
+                        rows.append({base + b: y for b, y in ncol})
+                continue
+            mkey = None
             for k, ncol in enumerate(ncols):
-                row = {a * dim_n + k: x for a, x in mcol}
-                _subtract(red, row, 1, [(i * dim_n + b, y) for b, y in ncol])
-                if row:
-                    rows.append(row)
-    return _quotient(field, dim_m * dim_n, rows)
+                if ncol:
+                    row = {a * dim_n + k: x for a, x in mcol}
+                    _subtract(red, row, 1, [(i * dim_n + b, y) for b, y in ncol])
+                    if len(row) > 1:
+                        rows.append(row)
+                    else:  # the two sides cancel but at one column, or at all
+                        zeroed.update(row)
+                elif len(mcol) == 1:  # u . n_k = 0: the relation (m_i . u) (x) n_k
+                    zeroed.add(mcol[0][0] * dim_n + k)
+                else:  # the same, with more entries
+                    mkey = mkey or tuple(mcol)
+                    if (1, k, mkey) not in kept:
+                        kept.add((1, k, mkey))
+                        rows.append({a * dim_n + k: x for a, x in mcol})
+    return _quotient(field, dim_m * dim_n, _eliminate_zeroed(field, rows, zeroed))
 
 
 def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
@@ -1081,11 +1187,7 @@ class LinearSystem:
 
     def kernel(self) -> Mat:
         """Basis of the solutions as rows over the whole column layout."""
-        zeroed = self.zeroed
-        rows = [{j: x for j, x in row.items() if j not in zeroed} for row in self.rows]
-        pivoted = _eliminate(self.field, rows)
-        pivoted.extend((c, {c: 1}) for c in zeroed)
-        return _null_basis(self.field, self.width, pivoted)
+        return _null_basis(self.field, self.width, _eliminate_zeroed(self.field, self.rows, self.zeroed))
 
     def basis(self) -> list:
         """Basis of the solutions, each a tuple of unknown values in

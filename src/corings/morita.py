@@ -411,7 +411,7 @@ def morita_context(x: GrouplikeFamily, r: GradedRing, t: CoinvariantRing, w: Mat
     packed = r.packed()
     o_dim = w.rows
     # P = base as (T, R)-bimodule
-    p_left = tuple(A.left_mult(t.inclusion.col(i)) for i in range(t.algebra.dim))
+    p_left = A.left_mults(t.inclusion)
     p_right = tuple(m for a in g.elements() for m in _evaluations(x, r, a))
     p = RingBimodule(t.algebra, packed.algebra, A.dim, p_left, p_right)
     # Q = connecting space as (R, T)-bimodule
@@ -501,13 +501,12 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     gs = s.twisted
     a_dims, o_dims = [A.dim] * n, [o_dim] * n
     # P = graded copies of the base, (G*S, R)-bimodule
-    p_left = []
-    for tt in g.elements():
-        for wi in range(sdim):
-            fam = Mat(F, n, A.dim, s.basis.row(wi))
-            p_left.append(block_matrix(F, a_dims, a_dims,
-                                       {(g.mul(tt, a), a): A.left_mult(fam.row(a))
-                                        for a in g.elements()}))
+    # the left multiplication by the degree-a entry of coefficient family wi
+    # is mults[wi * n + a]
+    mults = A.left_mults(s.basis.reshape(sdim * n, A.dim).transpose())
+    p_left = [block_matrix(F, a_dims, a_dims,
+                           {(g.mul(tt, a), a): mults[wi * n + a] for a in g.elements()})
+              for tt in g.elements() for wi in range(sdim)]
     evals = {b: _evaluations(x, r, b) for b in g.elements()}
     p_right = [block_matrix(F, a_dims, a_dims, {(g.mul(a, b), a): ev for a in g.elements()})
                for b in g.elements() for ev in evals[b]]

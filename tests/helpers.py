@@ -67,6 +67,15 @@
   structure by a loop over degree pairs or triples, and the plain comodule
   and R-module keep laws of their own instead of being read as their
   replicates at the identity tag.
+* `left_mult` and `right_mult` are the multiplications by one element,
+  one `kron_after` each, the references for `Algebra.left_mults`,
+  `Algebra.right_mults` and the action matrices `left_mats` and
+  `right_mats`, which are read off one product or off `mul_mat` itself.
+  `reference_precomposed` is `GradedRing.precomposed` as it was before it
+  was one `kron_after`: the functionals stacked by a reshape, one
+  product and a reshape back.  `reference_balanced_quotient` is
+  `linalg.balanced_quotient` writing every relation row, one-entry and
+  repeated rows included, and eliminating them in one `quotient_by`.
 * `reference_dual_mul` and `reference_standard_context` are the
   references for `dualring.GradedRing._build_mul` and for
   `morita.graded_end` and `morita.context_from_graded_module`: they apply
@@ -113,10 +122,12 @@
 * `cyclic_group`, `symmetric3`, `field_add`, `field_sub`, `field_mul`,
   `field_div` and `entry` are the cyclic groups, the symmetric group S3,
   the arithmetic of a field and the entry (i, j) of a matrix, which only
-  the tests build or read.  `from_cols` is the matrix of a list of
-  columns of any scalars, its row count read off the first column: the
-  dense entry point the tests write matrices through, which the library,
-  where every constructor is given its row count, no longer has.
+  the tests build or read.  `mixed_mat` is a seeded random sparse
+  matrix of small integers and, over QQ, fractions.  `from_cols` is the
+  matrix of a list of columns of any scalars, its row count read off the
+  first column: the dense entry point the tests write matrices through,
+  which the library, where every constructor is given its row count, no
+  longer has.
 * `over_prime_field` rewrites a structure file over QQ as the same file
   over GF(p): the oracle that compares the reports of the two fields runs
   the unchanged modular code against the rationals.
@@ -135,6 +146,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -237,6 +249,17 @@ def from_cols(field: Field, cols) -> Mat:
     return Mat._from_cols(field, cols, len(cols[0]) if cols else 0)
 
 
+def mixed_mat(field: Field, rows: int, cols: int, rng) -> Mat:
+    """Sparse entries with small integers and, over QQ, proper fractions."""
+    def entry():
+        if rng.random() < 0.5:
+            return field.zero
+        if field.p is None and rng.random() < 0.3:
+            return field.of(Fraction(rng.randint(-4, 4), rng.randint(2, 4)))
+        return field.of(rng.randint(-3, 3))
+    return Mat(field, rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
 # an integer or a/b scalar token of a structure file, not part of a name
 _SCALAR = re.compile(r"(?<![\w./-])(-?\d+)(?:/(-?\d+))?(?![\w./])")
 
@@ -326,6 +349,18 @@ def multiply(a: Algebra, x, y) -> tuple:
                 if c:
                     acc[k] += st * c
     return tuple(map(a.field.reduce, acc))
+
+
+def left_mult(a: Algebra, x) -> Mat:
+    """The matrix of y -> x y, from one `kron_after` over `a.mul_mat` for
+    the one element x."""
+    return kron_after(a.mul_mat, Mat.col_vector(a.field, x), Mat.identity(a.field, a.dim))
+
+
+def right_mult(a: Algebra, x) -> Mat:
+    """The matrix of y -> y x, from one `kron_after` over `a.mul_mat` for
+    the one element x."""
+    return kron_after(a.mul_mat, Mat.identity(a.field, a.dim), Mat.col_vector(a.field, x))
 
 
 def reference_tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -1538,6 +1573,33 @@ def reference_dual_mul(r: GradedRing, a: int, b: int) -> Mat:
     ab = r.group.mul(a, b)
     return Mat._from_cols(r.base.field, [dual_coords(r, ab, gv @ leg) for leg in r.legs[(a, b)]
                                          for gv in r.functionals[b]], r.dim(ab))
+
+
+def reference_precomposed(r: GradedRing, a: int, m: Mat) -> Mat:
+    """`GradedRing.precomposed` by reshapes: the functionals of degree a
+    stacked on top of each other, one product with m, and the rows vec(f o m)
+    read back."""
+    stacked = r._func_bases[a].reshape(r.dim(a) * r.base.dim, m.rows)
+    return (stacked @ m).reshape(r.dim(a), r.base.dim * m.cols)
+
+
+def reference_balanced_quotient(field: Field, dim_m: int, dim_n: int,
+                                right_acts, left_acts) -> QuotientSpace:
+    """`linalg.balanced_quotient` by writing every relation row
+    (m_i . u_t) (x) n_k - m_i (x) (u_t . n_k), one-entry and repeated rows
+    included, and eliminating them all in one `quotient_by`."""
+    width, rows = dim_m * dim_n, []
+    for R, L in zip(right_acts, left_acts):
+        for i in range(dim_m):
+            mcol = R.col(i)
+            for k in range(dim_n):
+                row = [field.zero] * width
+                for a, x in enumerate(mcol):
+                    row[a * dim_n + k] = x
+                for b, y in enumerate(L.col(k)):
+                    row[i * dim_n + b] = field_sub(field, row[i * dim_n + b], y)
+                rows.append(row)
+    return quotient_by(field, width, Mat(field, len(rows), width, [x for row in rows for x in row]))
 
 
 def _reference_family_coords(F, bases, what: str):

@@ -39,12 +39,14 @@ from helpers import (
     field_add,
     field_mul,
     induced_map,
+    left_mult,
     multiply,
     reference_from_products,
     reference_intertwining_failures,
     reference_subalgebra,
     reference_tensor_algebra,
     reference_trace_generator,
+    right_mult,
 )
 
 
@@ -221,8 +223,8 @@ def test_induced_map_functorial_on_random_samples():
     for _ in range(10):
         def rvec():
             return tuple(QQ.of(rng.randrange(-2, 3)) for _ in range(2))
-        f, f2 = QQ2.left_mult(rvec()), QQ2.left_mult(rvec())
-        g, g2 = QQ2.right_mult(rvec()), QQ2.right_mult(rvec())
+        f, f2 = left_mult(QQ2, rvec()), left_mult(QQ2, rvec())
+        g, g2 = right_mult(QQ2, rvec()), right_mult(QQ2, rvec())
         lhs = induced_map(t, t, f, g) @ induced_map(t, t, f2, g2)
         rhs = induced_map(t, t, f @ f2, g @ g2)
         assert lhs == rhs
@@ -413,7 +415,7 @@ def test_predicates_proper_summand():
 
 def left_ideal(a: Algebra, v) -> Bimodule:
     """The left ideal A v as a left module over a."""
-    basis = row_space(a.right_mult(v).transpose())
+    basis = row_space(right_mult(a, v).transpose())
     left = tuple(span_coords(basis, (L @ basis.transpose()).transpose(), "no left ideal").transpose()
                  for L in a.left_mats)
     return Bimodule(a, basis.rows, left, None)
@@ -427,7 +429,7 @@ def test_the_trace_values_span_the_trace_ideal():
         c, b = fx.coring, fx.base
         modules += [Bimodule(c.base, c.comps[g].dim, c.comps[g].left, None) for g in c.group.elements()]
         modules.append(Bimodule(b.src, b.dst.dim,
-                                tuple(b.dst.left_mult(b.mat.col(i)) for i in range(b.src.dim)), None))
+                                tuple(left_mult(b.dst, b.mat.col(i)) for i in range(b.src.dim)), None))
     rng = random.Random(37)
     for field in FIELDS:
         for dim in UNITAL:

@@ -37,12 +37,15 @@ from helpers import (
     cyclic_group,
     from_cols,
     group_hopf_algebra,
+    left_mult,
+    mixed_mat,
     multiply,
     reference_grouplike_character,
     reference_multiplicative_failures,
     reference_validate_algebra,
     reference_validate_bimodule,
     reference_validate_ring_morphism,
+    right_mult,
     triangular_family,
 )
 
@@ -102,10 +105,28 @@ def test_mul_mat_and_multiplication_maps_are_their_multiply_definitions(field):
         assert a.mul_mat == from_cols(field, [multiply(a, x, y) for x in basis for y in basis])
         for _ in range(3):
             v = tuple(field.random(rng) for _ in range(a.dim))
-            assert a.left_mult(v) == from_cols(field, [multiply(a, v, y) for y in basis])
-            assert a.right_mult(v) == from_cols(field, [multiply(a, y, v) for y in basis])
-        assert a.left_mats == tuple(a.left_mult(x) for x in basis)
-        assert a.right_mats == tuple(a.right_mult(x) for x in basis)
+            assert left_mult(a, v) == from_cols(field, [multiply(a, v, y) for y in basis])
+            assert right_mult(a, v) == from_cols(field, [multiply(a, y, v) for y in basis])
+        assert a.left_mats == tuple(left_mult(a, x) for x in basis)
+        assert a.right_mats == tuple(right_mult(a, x) for x in basis)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=repr)
+def test_multiplications_by_a_family_are_the_per_element_products(field):
+    # left_mults and right_mults read one kron_after over mul_mat; the
+    # references make one per element.  Families of none to six columns,
+    # over QQ with mixed denominators
+    rng = random.Random(36)
+    for a in (group_hopf_algebra(field, cyclic_group(3)).algebra,
+              triangular_algebra(field), product_field_algebra(field, 2)):
+        basis = [unit_vec(field, a.dim, i) for i in range(a.dim)]
+        for k in range(7):
+            m = mixed_mat(field, a.dim, k, rng)
+            assert a.left_mults(m) == tuple(left_mult(a, m.col(j)) for j in range(k))
+            assert a.right_mults(m) == tuple(right_mult(a, m.col(j)) for j in range(k))
+        ident = Mat.identity(field, a.dim)
+        assert a.left_mults(ident) == a.left_mats == tuple(left_mult(a, x) for x in basis)
+        assert a.right_mults(ident) == a.right_mats == tuple(right_mult(a, x) for x in basis)
 
 
 # -- the laws against their loop references ------------------------------------------------

@@ -35,7 +35,7 @@ from corings.dualring import (
     validate_graded_module,
     validate_rmodule,
 )
-from corings.fixtures import fixture
+from corings.fixtures import fixture, fixture_file_text
 from corings.galois import (
     canonical_morphism,
     coinvariant_ring,
@@ -51,6 +51,8 @@ from helpers import (
     derived,
     dual_coords,
     from_cols,
+    mixed_mat,
+    over_prime_field,
     reference_comodule_to_module,
     reference_dual_basis_comultiplication,
     reference_dual_mul,
@@ -58,6 +60,7 @@ from helpers import (
     reference_graded_module_balance,
     reference_gcomodule_to_graded,
     reference_graded_to_gcomodule,
+    reference_precomposed,
     trivial_coring,
     validate_graded_algebra,
 )
@@ -269,6 +272,34 @@ def test_dual_ring_product_matches_the_pairwise_reference(name):
         e = ring.group.identity
         assert ring.base_map == from_cols(c.base.field, [
             dual_coords(ring, e, right @ ring.coring.counit) for right in c.base.right_mats])
+
+
+@pytest.mark.parametrize("p", (None, 101), ids=("QQ", "GF(101)"))
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_precomposed_is_the_reshape_reference_without_a_reshape(name, p, monkeypatch):
+    # one kron_after pass over the rows vec(f), on random maps (mixed
+    # denominators over QQ, none to fourteen columns) and on the first legs
+    # the product precomposes with
+    text = C3.read_text() if name == "c3-qq" else fixture_file_text(name)
+    r = dual_ring(main_structure(parse(text if p is None else over_prime_field(text, p))).coring)
+    F, g, rng = r.base.field, r.group, random.Random(35)
+    reshaped, real = [], Mat.reshape
+
+    def reshape(self, rows, cols):
+        reshaped.append((rows, cols))
+        return real(self, rows, cols)
+
+    for a in g.elements():
+        rows = r.coring.comps[g.inv(a)].dim
+        maps = [mixed_mat(F, rows, cols, rng) for cols in (0, 1, rows, rows + 5)]
+        maps += [leg for b in g.elements() for leg in r.legs[(b, a)]]
+        for m in maps:
+            monkeypatch.setattr(Mat, "reshape", reshape)
+            got = r.precomposed(a, m)
+            monkeypatch.setattr(Mat, "reshape", real)
+            assert got == reference_precomposed(r, a, m)
+            assert (got.rows, got.cols) == (r.dim(a), r.base.dim * m.cols)
+    assert reshaped == []
 
 
 @pytest.mark.parametrize("name", STRUCTURES)

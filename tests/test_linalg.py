@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corings import algebra, linalg, morita
+from corings import algebra, galois, linalg, morita
 from corings.algebra import Bimodule, product_field_algebra, validate_bimodule
 from corings.dualring import dual_ring
 from corings.fixtures import fixture, fixture_file_text
@@ -25,6 +25,8 @@ from corings.linalg import (
     balanced_quotient,
     block_matrix,
     combine,
+    deinterleave,
+    hsplit,
     hstack,
     interleave,
     inverse,
@@ -74,6 +76,8 @@ from helpers import (
     field_sub,
     from_cols,
     group_hopf_algebra,
+    mixed_mat,
+    reference_balanced_quotient,
     reference_solve,
 )
 
@@ -446,6 +450,93 @@ def test_repeated_generators_leave_the_balanced_quotient(field):
         assert same_quotient(q2, q)
 
 
+def action_mat(field, n, rng, pool):
+    """An n x n action matrix whose columns are empty, one-entry, mixed (see
+    `mixed_mat`) or a repeat of a column in pool, which collects them."""
+    cols = []
+    for _ in range(n):
+        kind = rng.choice(("empty", "one", "mixed", "repeat"))
+        if kind == "repeat" and pool:
+            col = rng.choice(pool)
+        elif kind == "empty":
+            col = [field.zero] * n
+        elif kind == "one":
+            col = [field.zero] * n
+            col[rng.randrange(n)] = field.of(rng.choice((1, -1, 2, 5)))
+        else:
+            col = list(mixed_mat(field, n, 1, rng).col(0))
+        pool.append(col)
+        cols.append(col)
+    return Mat._from_cols(field, cols, n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_balanced_quotient_matches_the_reference_loop(field, monkeypatch):
+    eliminated = []
+    real = linalg._eliminate_zeroed
+
+    def eliminate_zeroed(field, rows, zeroed):
+        eliminated.append(([dict(row) for row in rows], set(zeroed)))
+        return real(field, rows, zeroed)
+
+    monkeypatch.setattr(linalg, "_eliminate_zeroed", eliminate_zeroed)
+    one, two = field.one, field.of(2)
+    # column 0 of R is empty and column 0 of L has one entry, at 1, so
+    # column 0 * 2 + 1 is zeroed; the two-sided relation of (i, k) = (1, 1)
+    # holds it, from the entry of R at (0, 1)
+    R = Mat.from_rows(field, [[0, one], [0, two]])
+    L = Mat.from_rows(field, [[0, two], [one, one]])
+    cases = [(2, 2, [R], [L])]
+    rng = random.Random(33)
+    for _ in range(60):
+        dm, dn, t = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        mpool, npool = [], []
+        cases.append((dm, dn, [action_mat(field, dm, rng, mpool) for _ in range(t)],
+                      [action_mat(field, dn, rng, npool) for _ in range(t)]))
+    for dm, dn, right, left in cases:
+        q = balanced_quotient(field, dm, dn, right, left)
+        assert q == reference_balanced_quotient(field, dm, dn, right, left)
+        assert_canonical(field, [x for m in (q.proj, q.sect) for row in m._entries for _, x in row])
+    assert len(eliminated) == len(cases)
+    rows, zeroed = eliminated[0]
+    assert zeroed == {1} and any(1 in row for row in rows)
+    assert all(len(row) > 1 for rows, _ in eliminated for row in rows)
+    assert sum(bool(zeroed) for _, zeroed in eliminated) > 20
+
+
+def test_no_one_entry_or_repeated_relation_row_reaches_the_eliminator(monkeypatch):
+    in_quotient, rows_eliminated = [], []
+    real_quotient, real_eliminate = linalg.balanced_quotient, linalg._eliminate
+
+    def eliminate(field, rows):
+        if in_quotient:
+            rows_eliminated.append([dict(row) for row in rows if row])
+        return real_eliminate(field, rows)
+
+    def quotient(*args):
+        in_quotient.append(args)
+        try:
+            return real_quotient(*args)
+        finally:
+            in_quotient.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    for module in (linalg, algebra, galois, morita):
+        monkeypatch.setattr(module, "balanced_quotient", quotient)
+    run_suite(main_structure(parse(C3.read_bytes())), "graded-morita", 0)
+    # the relation rows of c3 were 1728, 972 of them one-entry and 864 repeats
+    assert 0 < sum(map(len, rows_eliminated)) <= 756
+    for rows in rows_eliminated:
+        assert all(len(row) > 1 for row in rows)
+        assert len({frozenset(row.items()) for row in rows}) == len(rows)
+    rows_eliminated.clear()
+    for name in FIXTURES:
+        run_suite(load(name), "all", 0)
+    # 680 rows, 304 of them one-entry; sweedler repeats four two-sided ones
+    assert 0 < sum(map(len, rows_eliminated)) <= 372
+    assert all(len(row) > 1 for rows in rows_eliminated for row in rows)
+
+
 def test_no_repeated_system_row_reaches_the_eliminator_on_c3(monkeypatch):
     in_kernel, rows_eliminated = [], []
     real_eliminate, real_kernel = linalg._eliminate, LinearSystem.kernel
@@ -683,17 +774,6 @@ def ref_tensor_slice(P: Mat, S: Mat, c: int, fn: int, fm: int) -> Mat:
             sslice = Mat(F, c, S.cols, S.data[u * c * S.cols:(u * c + c) * S.cols])
             cols.append(ref_matmul(pslice, sslice).data)
     return from_cols(F, cols)
-
-
-def mixed_mat(field, rows, cols, rng):
-    """Sparse entries with small integers and, over QQ, proper fractions."""
-    def entry():
-        if rng.random() < 0.5:
-            return field.zero
-        if field.p is None and rng.random() < 0.3:
-            return field.of(Fraction(rng.randint(-4, 4), rng.randint(2, 4)))
-        return field.of(rng.randint(-3, 3))
-    return Mat(field, rows, cols, tuple(entry() for _ in range(rows * cols)))
 
 
 def assert_canonical(field, values):
@@ -980,6 +1060,66 @@ def test_interleave_is_the_flattened_right_action(field):
         interleave(field, 1, [Mat.zeros(GF(7), 1, 1)])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_hsplit_and_deinterleave_invert_hstack_and_interleave(field):
+    rng = random.Random(34)
+    for _ in range(60):
+        rows, width, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 4)
+        m = mixed_mat(field, rows, width * n, rng)
+        parts = hsplit(m, n)
+        assert len(parts) == n and all((p.rows, p.cols) == (rows, width) for p in parts)
+        assert hstack(parts) == m
+        assert parts == tuple(Mat(field, rows, width, tuple(entry(m, i, k * width + j)
+                                                             for i in range(rows) for j in range(width)))
+                              for k in range(n))
+        mats = deinterleave(m, n)
+        assert len(mats) == n and all((p.rows, p.cols) == (rows, width) for p in mats)
+        assert interleave(field, rows, mats) == m
+        assert mats == tuple(Mat(field, rows, width, tuple(entry(m, i, k * n + j)
+                                                            for i in range(rows) for k in range(width)))
+                             for j in range(n))
+    for split in (hsplit, deinterleave):
+        assert split(Mat.zeros(field, 2, 0), 0) == ()
+        with pytest.raises(DimensionMismatch):
+            split(Mat.zeros(field, 2, 5), 2)
+        with pytest.raises(DimensionMismatch):
+            split(Mat.zeros(field, 2, 3), 0)
+
+
+def test_cached_properties_compute_once_into_the_instance_dict():
+    calls = []
+
+    class Box:
+        @linalg.cached_property
+        def value(self):
+            """The value."""
+            calls.append(self)
+            return 7
+
+    class Slotted:
+        __slots__ = ()
+        value = linalg.cached_property(lambda self: 7)
+
+    box = Box()
+    assert isinstance(Box.value, linalg.cached_property) and Box.value.__doc__ == "The value."
+    assert "value" not in box.__dict__
+    assert (box.value, box.value, calls, box.__dict__["value"]) == (7, 7, [box], 7)
+    with pytest.raises(TypeError, match="Slotted"):
+        Slotted().value
+    m = Mat.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    assert isinstance(Mat.__dict__["_denominator"], linalg.cached_property)
+    assert "_denominator" not in m.__dict__
+    assert m._denominator == 2 and m.__dict__["_denominator"] == 2
+
+
+def test_short_product_rows_keep_their_values_and_order():
+    rows = [{}, {3: 0}, {2: 5}, {4: -1, 0: 0, 1: 7}, {1: 0, 0: 0}]
+    m = linalg._from_numerators(QQ, rows, 5, 1)
+    assert m._entries == [[], [], [(2, 5)], [(1, 7), (4, -1)], []]
+    assert m == linalg._from_entries(QQ, rows, 5) and m.__dict__["_denominator"] == 1
+
+
+# -- triple quotients against the dense reference ----------------------------------
 # -- triple quotients against the dense reference ----------------------------------
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
