@@ -87,7 +87,8 @@ class Algebra:
     def left_mults(self, m: Mat) -> tuple:
         """The matrices of x -> a*x for the columns a of m, from one product:
         block k of kron_after(mul_mat, m, I) holds (m e_k) e_j at column j."""
-        return hsplit(kron_after(self.mul_mat, m, Mat.identity(self.field, self.dim)), m.cols)
+        return hsplit(kron_after(self.mul_mat, m, Mat.identity(self.field, self.dim)),
+                      [self.dim] * m.cols)
 
     def right_mults(self, m: Mat) -> tuple:
         """The matrices of x -> x*a for the columns a of m, from one product:
@@ -98,7 +99,7 @@ class Algebra:
     def left_mats(self) -> tuple:
         """The left multiplications by the basis elements, read off `mul_mat`,
         which is their `hstack`."""
-        return hsplit(self.mul_mat, self.dim)
+        return hsplit(self.mul_mat, [self.dim] * self.dim)
 
     @cached_property
     def right_mats(self) -> tuple:

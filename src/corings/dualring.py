@@ -11,6 +11,11 @@ Graded rings and graded modules share one statement of their laws per
 degree (`graded_action_failures`), and graded ring maps one statement of
 multiplicativity (`graded_map_failures`); a module over the packed ring
 is checked as its regrading read at the identity tag.
+
+A packed graded ring (`GradedAlgebra`) is a plain algebra and the number
+of its basis elements in each degree, nothing more: its degree blocks, as
+every block layout of the library, are placed by `linalg.block_matrix`
+and read by `linalg.hsplit`.
 """
 
 from __future__ import annotations
@@ -56,29 +61,21 @@ from corings.linalg import (
     vstack,
 )
 from corings.report import CheckReport
-from corings.scalars import DimensionMismatch, Field
+from corings.scalars import Field
 
 
 # -- graded algebras (packed graded rings over the ground field) -----------------
 
 @dataclass(frozen=True)
 class GradedAlgebra:
-    """A plain algebra together with a block grading by group degree.
-
-    This is the one owner of the packed layout: the basis elements of
-    degree a sit at `offsets[a]`, ..., `offsets[a] + dims[a] - 1`, degree
-    after degree."""
+    """A plain algebra together with a block grading by group degree: the
+    dims[a] basis elements of degree a come after those of the degrees
+    before a.  The blocks are placed with `linalg.block_matrix` and read
+    with `linalg.hsplit`, as every degree-block layout is."""
 
     group: FiniteGroup
     algebra: Algebra
     dims: tuple
-    offsets: tuple
-
-    @classmethod
-    def build(cls, group: FiniteGroup, algebra: Algebra, dims) -> "GradedAlgebra":
-        dims = tuple(dims)
-        offsets = tuple(sum(dims[:i]) for i in range(len(dims)))
-        return cls(group, algebra, dims, offsets)
 
     @classmethod
     def from_products(cls, field: Field, group: FiniteGroup, dims, product,
@@ -98,20 +95,7 @@ class GradedAlgebra:
                  for a in g.elements() for b in g.elements()]
         mul = combine(field, n, n * n, terms, [field.one] * len(terms))
         unit = block_matrix(field, dims, [1], {(g.identity, 0): Mat.col_vector(field, unit)})
-        return cls.build(g, Algebra(field, n, mul, unit.col(0)), dims)
-
-    def inject(self, a: int, vec) -> tuple:
-        """The packed vector of the degree-a coordinates vec."""
-        vec = tuple(vec)
-        if len(vec) != self.dims[a]:
-            raise DimensionMismatch(f"degree {a} has {self.dims[a]} coordinates, got {len(vec)}")
-        zero = self.algebra.field.zero
-        after = self.algebra.dim - self.offsets[a] - len(vec)
-        return (zero,) * self.offsets[a] + vec + (zero,) * after
-
-    def block(self, a: int, total_vec) -> tuple:
-        """The degree-a coordinates of a packed vector."""
-        return tuple(total_vec[self.offsets[a]: self.offsets[a] + self.dims[a]])
+        return cls(g, Algebra(field, n, mul, unit.col(0)), dims)
 
 
 def group_ring(base: Algebra, group: FiniteGroup) -> GradedAlgebra:

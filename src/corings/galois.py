@@ -43,6 +43,7 @@ from corings.linalg import (
     Mat,
     QuotientSpace,
     balanced_quotient,
+    hsplit,
     hstack,
     inverse,
     is_invertible,
@@ -54,8 +55,6 @@ from corings.linalg import (
     rowspace_coords,
     tensor_k,
     tensor_vec,
-    unit_vec,
-    unvec_rows,
     vstack,
 )
 from corings.report import CheckReport
@@ -172,15 +171,15 @@ def g_coinvariants(m: GComodule, x: GrouplikeFamily) -> Mat:
     return sys.kernel()
 
 
-def span_action(w: Mat, acts) -> tuple[list, bool]:
+def span_action(w: Mat, acts) -> tuple[tuple, bool]:
     """Each matrix of acts on the span of the rows of w, in the coordinates
     of those rows, and whether the span is closed under all of them: the
-    images of the rows under every act, solved at once."""
+    images of the rows under every act, solved at once, the coordinates of
+    the images under act k in column block k of their transpose."""
     acts = list(acts)
     coords, outside = rowspace_coords(w, vstack([Mat.zeros(w.field, 0, w.cols)]
                                                 + [w @ act.transpose() for act in acts]))
-    blocks = unvec_rows(coords.reshape(len(acts), w.rows * w.rows), w.rows, w.rows)
-    return [block.transpose() for block in blocks], not outside
+    return hsplit(coords.transpose(), [w.rows] * len(acts)), not outside
 
 
 # -- ring morphisms and induction -----------------------------------------------------
@@ -410,9 +409,8 @@ def induction_unit(n: Bimodule, b: RingMorphism, x: GrouplikeFamily) -> tuple[Ma
     fam = replicate_comodule(ind.comodule)
     w = g_coinvariants(fam, x)
     # n_i -> the class of n_i (x) 1 in every degree
-    coords, outside = rowspace_coords(w, Mat._from_cols(F, [
-        ind.space.project(tensor_vec(F, unit_vec(F, n.dim, i), c.base.unit)) * g.order
-        for i in range(n.dim)], w.cols).transpose())
+    classes = kron_after(ind.space.proj, Mat.identity(F, n.dim), Mat.col_vector(F, c.base.unit))
+    coords, outside = rowspace_coords(w, hstack([classes.transpose()] * g.order))
     mat = coords.transpose()
     bij = not outside and is_invertible(mat)
     return mat, bij

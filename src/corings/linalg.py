@@ -9,14 +9,15 @@ built on first read.  Every matrix passes through one constructor,
 Kronecker products, sums, transposes, stacks, blocks and reshapes read
 the nonzero entries and bring only the entries they touch to canonical
 form (compressed sparse rows, as in Davis, *Direct Methods for Sparse
-Linear Systems*, SIAM 2006, ch. 2).  The flattened actions of a module
-are laid out here: `hstack` of the left action matrices and `interleave`
-of the right ones, which `hsplit` and `deinterleave` undo in one pass
-over the rows (an algebra's multiplication matrix is both flattened
-regular actions, so its action matrices are read off it).  No
-constructor reads a row count off a list of
-columns: `_from_cols` is given it, so a matrix with no columns keeps its
-rows.  Equality compares the rows, and the hash, computed once, is read
+Linear Systems*, SIAM 2006, ch. 2).  This module is the one owner of
+block layouts: `block_matrix` and `block_diagonal` place blocks, `hstack`
+lays out the left action matrices of a module and `interleave` the right
+ones, and `hsplit` (for any list of widths) and `deinterleave` read the
+blocks back in one pass over the rows (an algebra's multiplication
+matrix is both flattened regular actions, so its action matrices are
+read off it).  No constructor reads a row count off a list of columns:
+`_from_cols` is given it, so a matrix with no columns keeps its rows.
+Equality compares the rows, and the hash, computed once, is read
 off them, so a matrix built from dense entries equals and hashes like
 the same matrix built from rows.  Beside the rows a `Mat` caches its
 columns (for `col` and `transpose`), its rank and whether it is an
@@ -496,19 +497,21 @@ def interleave(field: Field, rows: int, mats) -> Mat:
                         [m._columns[k] for k in range(width) for m in mats]).transpose()
 
 
-def hsplit(m: Mat, n: int) -> tuple:
-    """The inverse of `hstack` for n parts of equal width: the n matrices
-    whose column j is column k * width + j of m for part k.  The left
-    action matrices of an algebra are `hsplit(mul_mat, dim)`."""
-    width = m.cols // n if n else 0
-    if n * width != m.cols:
-        raise DimensionMismatch(f"cannot split {m.cols} columns into {n} equal parts")
-    parts = [[[] for _ in range(m.rows)] for _ in range(n)]
+def hsplit(m: Mat, widths) -> tuple:
+    """The inverse of `hstack`: the matrices of the given widths whose
+    columns are those of m, part after part.  The left action matrices of
+    an algebra are `hsplit(mul_mat, [dim] * dim)`."""
+    widths = list(widths)
+    if sum(widths) != m.cols:
+        raise DimensionMismatch(f"cannot split {m.cols} columns into parts of widths {widths}")
+    # the part of each column of m, and its column there
+    part = [k for k, w in enumerate(widths) for _ in range(w)]
+    local = [j for w in widths for j in range(w)]
+    parts = [[[] for _ in range(m.rows)] for _ in widths]
     for i, row in enumerate(m._entries):
         for t, x in row:
-            k, j = divmod(t, width)
-            parts[k][i].append((j, x))
-    return tuple(Mat._of_rows(m.field, m.rows, width, rows) for rows in parts)
+            parts[part[t]][i].append((local[t], x))
+    return tuple(Mat._of_rows(m.field, m.rows, w, rows) for w, rows in zip(widths, parts))
 
 
 def deinterleave(m: Mat, n: int) -> tuple:

@@ -14,6 +14,11 @@ each bimodule law, context law or intertwining condition is an equation of
 `kron_after` composites whose differing columns name the failing basis
 elements.  A pairing that applies every action to every vector of a basis
 W, as mu does, is one `kron_after(right_map, W^T, I)`.
+
+Every graded map is made of whole matrices: its degree blocks are placed
+with `linalg.block_matrix`, `block_diagonal` or `hstack`, and the blocks
+of a product or of a coordinate solve are read back with `linalg.hsplit`
+and `deinterleave`, so no map is built one column at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from corings.algebra import (
     action_failures,
     acts_unitally,
     algebra_map_failures,
+    collapse_right,
     commuting_failures,
     differing_columns,
     intertwining_failures,
@@ -58,8 +64,11 @@ from corings.linalg import (
     LinearSystem,
     Mat,
     balanced_quotient,
+    block_diagonal,
     block_matrix,
     combine,
+    deinterleave,
+    hsplit,
     hstack,
     interleave,
     inverse,
@@ -71,8 +80,6 @@ from corings.linalg import (
     rowspace_coords,
     span_coords,
     tensor_k,
-    tensor_vec,
-    unit_vec,
     unvec_rows,
     vec_rows,
     vstack,
@@ -118,8 +125,10 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
     A = c.base
     F = A.field
     packed = r.packed()
-    chi = Mat._from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g.elements()
-                             for f in r.functionals[a]], A.dim)
+    # block a: column u holds f_u(x_{a^{-1}}) for the functional f_u of degree a
+    blocks = [r.precomposed(a, Mat.col_vector(F, x.vec(g.inv(a)))).transpose()
+              for a in g.elements()]
+    chi = hstack(blocks)
     bad = intertwining_failures(chi, _packed_base_action(r, "right"), A.right_mats,
                                 Mat.identity(F, A.dim))
     rep.add("character.right-linear", "the character is right-linear over the base",
@@ -134,9 +143,8 @@ def grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Mat, CheckRe
                                       chi @ packed.algebra.mul_mat)]
     rep.add("character.associative", "character of a scaled factor equals character of the product",
             not bad, f"failing: {bad[:5]}" if bad else "")
-    e = g.identity
     rep.add("character.unit", "character of the unit is one",
-            chi.apply(packed.inject(e, r.unit_vec)) == A.unit)
+            blocks[g.identity].apply(r.unit_vec) == A.unit)
     return chi, rep
 
 
@@ -519,46 +527,47 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     q_left = [block_matrix(F, o_dims, o_dims, {(g.mul(b, a), a): small for a in g.elements()})
               for b, small in zip(_degrees(packed.dims), left_small)]
 
-    # right action of the twisted ring through shifted coefficient families;
-    # the block leaving degree a depends only on the shift (a tt)^{-1}
-    def shifted_action(shift: int, wi: int) -> Mat:
-        fam = Mat(F, n, A.dim, s.basis.transpose().apply(s.sigma[shift].col(wi)))
-        return block_matrix(F, packed.dims, packed.dims,
-                            {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
-
-    shifts = [(shift, wi) for shift in g.elements() for wi in range(sdim)]
-    smalls, ok_right = span_action(wq, [shifted_action(*key) for key in shifts])
-    right_small = dict(zip(shifts, smalls))
+    # right action of the twisted ring through shifted coefficient families:
+    # column shift * sdim + wi of `shifted` is family wi shifted by shift, and
+    # acts[d][shift * sdim + wi] its right action on degree d
+    shifted = hstack(s.sigma)
+    acts = [deinterleave(kron_after(collapse_right(r.comps[d]), Mat.identity(F, r.dim(d)),
+                                    basis.transpose() @ shifted), n * sdim)
+            for d, basis in zip(g.elements(), hsplit(s.basis, a_dims))]
+    right_small, ok_right = span_action(wq, [block_diagonal(blocks) for blocks in zip(*acts)])
     rep.add("build.q-right-closure",
             "coefficient families act on the connecting families", ok_right)
+    # the block leaving degree a depends only on the shift (a tt)^{-1}
     q_right = [block_matrix(F, o_dims, o_dims,
-                            {(g.mul(a, tt), a): right_small[(g.inv(g.mul(a, tt)), wi)]
+                            {(g.mul(a, tt), a): right_small[g.inv(g.mul(a, tt)) * sdim + wi]
                              for a in g.elements()})
                for tt in g.elements() for wi in range(sdim)]
     q = RingBimodule(packed.algebra, gs.algebra, n * o_dim, tuple(q_left), tuple(q_right))
     # omega: P (x) QG -> G*S; the family it reads off does not depend on the
-    # degree of the P factor
-    acts = {(u, d): combine(F, A.dim, A.dim, evals[d], packed.block(d, wq.row(u)))
-            for u in range(o_dim) for d in g.elements()}
-    keys = [(j, sigma, u) for j in range(A.dim) for sigma in g.elements() for u in range(o_dim)]
-    coords, outside = rowspace_coords(s.basis, Mat._from_cols(F, [
-        tuple(v for b in g.elements() for v in acts[(u, g.mul(sigma, b))].col(j))
-        for j, sigma, u in keys], s.basis.cols).transpose())
+    # degree of the P factor.  Row u of wq_d[d] @ precomposed is vec of the
+    # action of family member u in degree d on the base, b -> sum_v
+    # wq[u, (d, v)] f_v(x_{d^{-1}} . b), and vals[d][j] holds its columns j
+    wq_d = hsplit(wq, packed.dims)
+    vals = [deinterleave(wq_d[d] @ r.precomposed(d, x.right_translates[g.inv(d)]), A.dim)
+            for d in g.elements()]
+    coords, outside = rowspace_coords(s.basis, vstack([
+        hstack([vals[g.mul(sigma, b)][j] for b in g.elements()])
+        for j in range(A.dim) for sigma in g.elements()]))
     rep.add("build.omega-lands", "the first connecting map lands in the coefficient ring",
             not outside)
-    coords = {key: coords.row(k) for k, key in enumerate(keys)}
-    omega = Mat._from_cols(F, [gs.inject(g.mul(a, sigma), coords[(j, sigma, u)])
-                               for a in g.elements() for j, sigma, u in keys],
-                           gs.algebra.dim)
-    # nu: QG (x) P -> R
-    nu_cols = []
-    for sigma in g.elements():
-        for u in range(o_dim):
-            for a in g.elements():
-                sa = g.mul(sigma, a)
-                block = packed.block(sa, wq.row(u))
-                nu_cols.extend(packed.inject(sa, right.apply(block)) for right in r.comps[sa].right)
-    nu = Mat._from_cols(F, nu_cols, packed.algebra.dim)
+    # part j * n + sigma: the families read off at (j, sigma), one column per u
+    parts = hsplit(coords.transpose(), [o_dim] * (A.dim * n))
+    omega = block_matrix(F, gs.dims, [o_dim] * (n * A.dim * n),
+                         {(g.mul(a, sigma), (a * A.dim + j) * n + sigma): parts[j * n + sigma]
+                          for a in g.elements() for j in range(A.dim) for sigma in g.elements()})
+    # nu: QG (x) P -> R; rights[d][u] holds the right base actions on row u
+    # of wq in degree d, one column per base basis element
+    rights = [hsplit(kron_after(collapse_right(r.comps[d]), wq_d[d].transpose(),
+                                Mat.identity(F, A.dim)), [A.dim] * o_dim)
+              for d in g.elements()]
+    nu = block_matrix(F, packed.dims, [A.dim] * (n * o_dim * n),
+                      {(g.mul(sigma, a), (sigma * o_dim + u) * n + a): rights[g.mul(sigma, a)][u]
+                       for sigma in g.elements() for u in range(o_dim) for a in g.elements()})
     ctx = MoritaContext(gs.algebra, packed.algebra, p, q, omega, nu)
     gctx = GradedMoritaContext(ctx, g, gs, packed, (A.dim,) * n, (o_dim,) * n)
     return gctx, rep
@@ -595,30 +604,23 @@ def _stacked(F, g, bases, dims, src_dims) -> tuple:
     return per_source, [hstack(blocks) for blocks in per_source]
 
 
-def _per_element(coords: Mat, k: int, size: int) -> tuple:
-    """For coordinates with rows (j, i), j < k major, i < size: per i, the
-    matrix whose column j is row (j, i)."""
-    h = coords.cols
-    return unvec_rows(coords.reshape(k, size * h).transpose().reshape(size, h * k), h, k)
-
-
 def _composites(g, stacked, dims, ends, sigma: int, tau: int, width: int) -> Mat:
     """Rows (t, k), t major, of width `width`: the families (X_k[tau c] t_c)_c
     of degree sigma tau, for the families X_k of degree sigma stacked in
     `stacked` (maps into the degrees of dims) and the endomorphism families t
     of degree tau in `ends`, each through vec(X t) = vec(X) (I (x) t)."""
-    F, k = stacked[sigma][0].field, stacked[sigma][0].rows
+    F = stacked[sigma][0].field
     per_t = [hstack([kron_after(stacked[sigma][g.mul(tau, c)],
                                 Mat.identity(F, dims[g.mul(g.mul(sigma, tau), c)]), t[c])
                      for c in g.elements()]) for t in ends[tau]]
-    # each k-row block is one row of vec_rows, read back as its k rows
-    return vec_rows(F, k * width, per_t).reshape(len(per_t) * k, width)
+    return vstack([Mat.zeros(F, 0, width)] + per_t)
 
 
 @dataclass(frozen=True)
 class GradedEnd:
     module: GradedModule
     bases: tuple     # per degree sigma: list of hom families
+    stacked: list    # per degree sigma and source degree a: `_stacked` of the bases
     graded: GradedAlgebra
 
 
@@ -640,20 +642,22 @@ def graded_end(m: GradedModule) -> GradedEnd:
             st = g.mul(sigma, tau)
             composites = _composites(g, stacked, m_dims, bases, sigma, tau, full[st].cols)
             coords = span_coords(full[st], composites, "endomorphism escaped its solved basis")
-            for s, block in enumerate(_per_element(coords, dims[tau], dims[sigma])):
+            # column t of block s: the coordinates of s t
+            for s, block in enumerate(deinterleave(coords.transpose(), dims[sigma])):
                 blocks[(st, keys[(sigma, s, tau)])] = block
     mul = block_matrix(F, dims, [dims[tau] for _, _, tau in keys], blocks)
-    ident = hstack([Mat.identity(F, d).reshape(1, d * d) for d in m_dims])
+    ident = hstack([vec_rows(F, d * d, [Mat.identity(F, d)]) for d in m_dims])
     unit = span_coords(full[e], ident, "endomorphism escaped its solved basis").transpose()
     alg = Algebra(F, sum(dims), mul, block_matrix(F, dims, [1], {(e, 0): unit}).col(0))
-    return GradedEnd(m, bases, GradedAlgebra.build(g, alg, dims))
+    return GradedEnd(m, bases, stacked, GradedAlgebra(g, alg, tuple(dims)))
 
 
-def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, GradedEnd, tuple]:
+def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, GradedEnd, list]:
     """The standard context of a graded module: endomorphisms, the ring,
-    the module, and module maps into the ring.  The maps of each degree are
-    stacked (`vec_rows`), so each action or composition is one `kron_after`
-    per degree pair and each degree's coordinates one solve."""
+    the module, and module maps into the ring; returned with the
+    endomorphisms and the module maps of each degree stacked (`_stacked`),
+    so that each action or composition is one `kron_after` per degree pair
+    and each degree's coordinates one solve."""
     r = m.ring
     g = r.group
     F = r.base.field
@@ -663,7 +667,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
     hdims, edims = [len(b) for b in hom_bases], list(end.graded.dims)
     m_dims, r_dims = [mm.dim for mm in m.comps], [r.dim(a) for a in g.elements()]
     homs, hom_full = _stacked(F, g, hom_bases, r_dims, m_dims)
-    end_full = _stacked(F, g, end.bases, m_dims, m_dims)[1]
+    end_full = [hstack(blocks) for blocks in end.stacked]
 
     def acted(actor, dims, x: int, sigma: int, target: Mat, error: str) -> tuple:
         """Per basis element i of degree x of the actor (the ring through its
@@ -676,16 +680,14 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                                   Mat.identity(F, m_dims[c]))
                        .reshape(hdims[sigma] * dims[x], dims[g.mul(g.mul(x, sigma), c)] * m_dims[c])
                        for c in g.elements()])
-        return _per_element(span_coords(target, rows, error), hdims[sigma], dims[x])
+        return deinterleave(span_coords(target, rows, error).transpose(), dims[x])
 
     # P: left END, right R
     p_left = tuple(block_matrix(F, m_dims, m_dims,
                                 {(g.mul(sigma, a), a): fams[a] for a in g.elements()})
                    for sigma in g.elements() for fams in end.bases[sigma])
-    # the maps m -> m . e_u on M_a for every u at once: row u of the
-    # transposed reshape of the action is vec(m -> m . e_u)
-    rights = {(a, b): unvec_rows(m.act[(a, b)].reshape(m_dims[g.mul(a, b)] * m_dims[a], r_dims[b])
-                                 .transpose(), m_dims[g.mul(a, b)], m_dims[a])
+    # the maps m -> m . e_u on M_a for every u at once, read off the action
+    rights = {(a, b): deinterleave(m.act[(a, b)], r_dims[b])
               for a in g.elements() for b in g.elements()}
     p_right = tuple(block_matrix(F, m_dims, m_dims, {(g.mul(a, b), a): rights[(a, b)][u]
                                                      for a in g.elements()})
@@ -703,17 +705,16 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
                    for u in range(r_dims[b])]
     q_right = []
     for tau in g.elements():
-        # (q . t)_a = q_{tau a} t_a; row block t of the coordinates holds the
-        # q of degree sigma composed with t
+        # (q . t)_a = q_{tau a} t_a; column block t of the transposed
+        # coordinates holds the q of degree sigma composed with t
         blocks = []
         for sigma in g.elements():
             target = hom_full[g.mul(sigma, tau)]
             composites = _composites(g, homs, r_dims, end.bases, sigma, tau, target.cols)
             coords = span_coords(target, composites, "module map escaped its solved basis")
-            blocks.append(unvec_rows(coords.reshape(edims[tau], hdims[sigma] * target.rows),
-                                     hdims[sigma], target.rows))
+            blocks.append(hsplit(coords.transpose(), [hdims[sigma]] * edims[tau]))
         q_right += [block_matrix(F, hdims, hdims, {(g.mul(sigma, tau), sigma):
-                                                   blocks[sigma][t].transpose()
+                                                   blocks[sigma][t]
                                                    for sigma in g.elements()})
                     for t in range(edims[tau])]
     q = RingBimodule(packed.algebra, end.graded.algebra, sum(hdims),
@@ -736,7 +737,7 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
     ctx = MoritaContext(end.graded.algebra, packed.algebra, p, q, phi, psi)
     gctx = GradedMoritaContext(ctx, g, end.graded, packed,
                                tuple(m_dims), tuple(hdims))
-    return gctx, end, hom_bases
+    return gctx, end, homs
 
 
 def _ring_as_module(r: GradedRing) -> GradedModule:
@@ -748,6 +749,15 @@ def _ring_as_module(r: GradedRing) -> GradedModule:
 
 # -- comparison isomorphisms for the standard context ---------------------------------------
 
+def _block_coords(basis: Mat, rows) -> tuple[Mat, bool]:
+    """The block-diagonal matrix whose block sigma holds, one column per row
+    of rows[sigma], its coordinates in the rows of basis, one solve per
+    degree, and whether every row lies in their span."""
+    solved = [rowspace_coords(basis, block) for block in rows]
+    return (block_diagonal([coords.transpose() for coords, _ in solved]),
+            not any(outside for _, outside in solved))
+
+
 def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckReport]:
     """Endomorphisms of the canonical graded module correspond to twisted
     coefficient families: read each endomorphism off its values at the
@@ -755,15 +765,15 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
     rep = CheckReport()
     g = end.graded.group
     F = end.graded.algebra.field
-    A_unit = end.module.ring.base.unit
     gs = s.twisted
-    degrees = [sigma for sigma in g.elements() for _ in end.bases[sigma]]
-    coords, outside = rowspace_coords(s.basis, Mat._from_cols(F, [
-        tuple(v for a in g.elements() for v in fams[a].apply(A_unit))
-        for sigma in g.elements() for fams in end.bases[sigma]], s.basis.cols).transpose())
-    rep.add("end-iso.lands", "endomorphism families are coefficient families", not outside)
-    xi = Mat._from_cols(F, [gs.inject(sigma, coords.row(k)) for k, sigma in enumerate(degrees)],
-                        gs.algebra.dim)
+    m_dims = [mm.dim for mm in end.module.comps]
+    unit = Mat.col_vector(F, end.module.ring.base.unit)
+    # block a of a row: the value of the family at the unit of degree a,
+    # through vec(X u) = vec(X) (I (x) u)
+    xi, lands = _block_coords(s.basis, [
+        hstack([kron_after(end.stacked[sigma][a], Mat.identity(F, m_dims[g.mul(sigma, a)]), unit)
+                for a in g.elements()]) for sigma in g.elements()])
+    rep.add("end-iso.lands", "endomorphism families are coefficient families", lands)
     rep.add("end-iso.bijective", "the comparison is bijective",
             is_invertible(xi), f"{xi.cols} -> {xi.rows}, rank {rank(xi)}")
     end_alg = end.graded.algebra
@@ -775,20 +785,20 @@ def end_to_twisted_iso(end: GradedEnd, s: CoefficientRing) -> tuple[Mat, CheckRe
     return xi, rep
 
 
-def hom_to_shifted_iso(hom_bases, wq: Mat, r: GradedRing) -> tuple[Mat, CheckReport]:
-    """Module maps from the canonical graded module into the ring correspond
-    to shifted connecting families: read each map off the block units."""
+def hom_to_shifted_iso(homs, wq: Mat, r: GradedRing) -> tuple[Mat, CheckReport]:
+    """Module maps from the canonical graded module into the ring, stacked
+    as `context_from_graded_module` returns them, correspond to shifted
+    connecting families: read each map off the block units."""
     rep = CheckReport()
     g = r.group
     F = r.base.field
-    degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
-    # the value of a map of degree sigma at the unit of degree sigma^{-1} a lies in R_a
-    coords, outside = rowspace_coords(wq, Mat._from_cols(F, [
-        tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(r.base.unit))
-        for sigma in g.elements() for fams in hom_bases[sigma]], wq.cols).transpose())
-    rep.add("hom-iso.lands", "module-map families are connecting families", not outside)
-    psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), coords.row(k))
-                             for k, sigma in enumerate(degrees)], g.order * wq.rows)
+    unit = Mat.col_vector(F, r.base.unit)
+    # block a of a row: the value of a map of degree sigma at the unit of
+    # degree sigma^{-1} a, which lies in R_a
+    psi, lands = _block_coords(wq, [
+        hstack([kron_after(homs[sigma][g.mul(g.inv(sigma), a)], Mat.identity(F, r.dim(a)), unit)
+                for a in g.elements()]) for sigma in g.elements()])
+    rep.add("hom-iso.lands", "module-map families are connecting families", lands)
     rep.add("hom-iso.bijective", "the comparison is bijective",
             is_invertible(psi), f"{psi.cols} -> {psi.rows}, rank {rank(psi)}")
     return psi, rep
@@ -802,13 +812,13 @@ def check_standard_context_match(d: "Derived") -> CheckReport:
     rep = CheckReport()
     r = d.dual_ring
     F = r.base.field
-    std, end, hom_bases = context_from_graded_module(d.canonical_module)
+    std, end, homs = context_from_graded_module(d.canonical_module)
     gctx, build_rep = d.weak_graded_morita
     s, wq = d.weak_coefficients, d.connecting_spaces[1]
     rep.extend(build_rep, prefix="weak.")
     xi, xi_rep = end_to_twisted_iso(end, s)
     rep.extend(xi_rep)
-    psi, psi_rep = hom_to_shifted_iso(hom_bases, wq, r)
+    psi, psi_rep = hom_to_shifted_iso(homs, wq, r)
     rep.extend(psi_rep)
     bad = [("left", k) for k in intertwining_failures(
         psi, std.ctx.q.left, gctx.ctx.q.left, Mat.identity(F, r.packed().algebra.dim))]
@@ -856,14 +866,21 @@ def group_ring_context(ctx_e: MoritaContext, g) -> GradedMoritaContext:
     q = RingBimodule(ring2.algebra, ring1.algebra, n * ctx_e.q.dim,
                      spread(ctx_e.q.left, ctx_e.q.dim, g.mul),
                      spread(ctx_e.q.right, ctx_e.q.dim, on_right))
+
+    def spread_pairing(pair: Mat, ring: GradedAlgebra, left: int, right: int) -> Mat:
+        """The pairing of the degree sigma copy of basis element i of the
+        left module with the degree rho copy of the right module, in degree
+        sigma rho: part i of the pair at column block (sigma, i, rho)."""
+        parts = hsplit(pair, [right] * left)
+        return block_matrix(F, ring.dims, [right] * (n * left * n),
+                            {(g.mul(sigma, rho), (sigma * left + i) * n + rho): part
+                             for sigma in g.elements() for i, part in enumerate(parts)
+                             for rho in g.elements()})
+
     pd, qd = ctx_e.p.dim, ctx_e.q.dim
-    tau = Mat._from_cols(F, [ring1.inject(g.mul(sigma, rho), ctx_e.tau.col(i * qd + j))
-                             for sigma in g.elements() for i in range(pd)
-                             for rho in g.elements() for j in range(qd)], ring1.algebra.dim)
-    mu = Mat._from_cols(F, [ring2.inject(g.mul(sigma, rho), ctx_e.mu.col(j * pd + i))
-                            for sigma in g.elements() for j in range(qd)
-                            for rho in g.elements() for i in range(pd)], ring2.algebra.dim)
-    ctx = MoritaContext(ring1.algebra, ring2.algebra, p, q, tau, mu)
+    ctx = MoritaContext(ring1.algebra, ring2.algebra, p, q,
+                        spread_pairing(ctx_e.tau, ring1, pd, qd),
+                        spread_pairing(ctx_e.mu, ring2, qd, pd))
     return GradedMoritaContext(ctx, g, ring1, ring2, (pd,) * n, (qd,) * n)
 
 
@@ -880,7 +897,6 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
     r, t = d.dual_ring, d.coinvariants
     gctx, s, wq = d.graded_morita[0], d.coefficients, d.connecting_spaces[0]
     ctx_e, w_e = d.slice.morita[0], d.slice.connecting_spaces[0]
-    r_e = d.slice.dual_ring
     ring_ctx_e = group_ring_context(ctx_e, g)
     rep.extend(sig_rep)
     # the slice coinvariants must match the family coinvariants
@@ -888,9 +904,7 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             "slice coinvariants equal the family coinvariants",
             ctx_e.ring1.mul_mat == t.algebra.mul_mat)
     # Theta: T[G] -> G*S via diagonal families
-    theta = Mat._from_cols(F, [s.twisted.inject(sigma, s.diag.col(i))
-                               for sigma in g.elements() for i in range(t.algebra.dim)],
-                          s.twisted.algebra.dim)
+    theta = block_diagonal([s.diag] * g.order)
     rep.add("ring-match.theta-bijective", "diagonal comparison is bijective",
             is_invertible(theta), f"{theta.cols} -> {theta.rows}")
     tg = ring_ctx_e.ring1.algebra
@@ -900,9 +914,7 @@ def check_group_ring_context_match(d: "Derived") -> CheckReport:
             f"failing pairs: {bad[:5]}" if bad else "")
     # phi47 packed: R_e[G] -> packed R through the shifts
     packed = r.packed()
-    phi47 = Mat._from_cols(F, [packed.inject(rho, sigmas[rho].col(u))
-                               for rho in g.elements() for u in range(r_e.dim(0))],
-                          packed.algebra.dim)
+    phi47 = block_diagonal(sigmas)
     reg = ring_ctx_e.ring2.algebra
     bad = algebra_map_failures(phi47, reg.mul_mat, packed.algebra.mul_mat)
     rep.add("ring-match.shift-multiplicative",

@@ -83,6 +83,21 @@
   (`coords_in` or `dual_coords` per product, per family or per
   functional), the loops the library ran before it stacked each degree's
   maps and solved each degree's coordinates in one `rowspace_coords`.
+* `inject` and `block` place and read the degree-a coordinates of a
+  packed vector in the layout of dims, the vector blocks that
+  `dualring.GradedAlgebra` kept before `linalg.block_matrix` and
+  `linalg.hsplit` owned every block layout.  `reference_graded_pairings`,
+  `reference_unit_comparisons`, `reference_group_ring_pairings` and
+  `reference_ring_comparisons` are the references for the right action of
+  the twisted ring and the pairings omega and nu of
+  `morita.graded_morita_context`, xi of `end_to_twisted_iso` and psi of
+  `hom_to_shifted_iso`, tau and mu of `group_ring_context`, and theta and
+  phi47 of `check_group_ring_context_match`: they build each map column by
+  column, one `inject` per column, where the library places whole blocks.
+  `reference_span_action` and `reference_per_element` read the blocks of
+  `galois.span_action` and the per-element coordinates of
+  `morita.graded_end` back through reshape round trips, where the library
+  reads them with `hsplit` and `deinterleave`.
 * `coords_in` and `dual_coords` are the one-vector coordinate solves of
   the tests: one row of `linalg.rowspace_coords` and of
   `GradedRing.coordinates`.  `reference_solve` is `linalg.solve` as it
@@ -172,7 +187,7 @@ from corings.algebra import (
 )
 from corings.comodules import Comodule, GComodule
 from corings.coring import CofreeWitness, GroupCoring, GroupCoringMorphism, cofree_coring
-from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule
+from corings.dualring import GradedAlgebra, GradedModule, GradedRing, RModule, group_ring
 from corings.galois import CoinvariantRing, GrouplikeFamily, RingMorphism
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
 from corings.hopf import HopfAlgebra, HopfGCoalgebra, cofree_hopf
@@ -192,9 +207,10 @@ from corings.linalg import (
     tensor_k,
     tensor_vec,
     unit_vec,
+    unvec_rows,
     vstack,
 )
-from corings.morita import CoefficientRing, MoritaContext, RingBimodule, graded_hom
+from corings.morita import CoefficientRing, MoritaContext, RingBimodule, _evaluations, graded_hom
 from corings.report import CheckReport
 from corings.scalars import GF, QQ, DimensionMismatch, Field
 from corings.structfile import Derived
@@ -247,6 +263,22 @@ def from_cols(field: Field, cols) -> Mat:
     when there is no column)."""
     cols = [[field.of(x) for x in c] for c in cols]
     return Mat._from_cols(field, cols, len(cols[0]) if cols else 0)
+
+
+def inject(dims, a: int, vec) -> tuple:
+    """The packed vector of the degree-a coordinates vec, in the layout with
+    dims[a] coordinates of degree a, degree after degree (zero is 0 in
+    every field)."""
+    vec = tuple(vec)
+    if len(vec) != dims[a]:
+        raise DimensionMismatch(f"degree {a} has {dims[a]} coordinates, got {len(vec)}")
+    return (0,) * sum(dims[:a]) + vec + (0,) * sum(dims[a + 1:])
+
+
+def block(dims, a: int, vec) -> tuple:
+    """The degree-a coordinates of a packed vector in the layout of dims."""
+    start = sum(dims[:a])
+    return tuple(vec[start:start + dims[a]])
 
 
 def mixed_mat(field: Field, rows: int, cols: int, rng) -> Mat:
@@ -390,18 +422,10 @@ def reference_from_products(field: Field, group: FiniteGroup, dims, product, uni
     """The packed algebra of `GradedAlgebra.from_products`, entry by entry:
     e_i of degree a times e_j of degree b is column i * dims[b] + j of
     product(a, b), placed at the offset of degree ab."""
-    offsets = [sum(dims[:a]) for a in range(len(dims))]
-    n = sum(dims)
-
-    def placed(c: int, vec) -> tuple:
-        out = [field.zero] * n
-        out[offsets[c]:offsets[c] + dims[c]] = vec
-        return tuple(out)
-
-    mul = [[placed(group.mul(a, b), product(a, b).col(i * dims[b] + j))
+    mul = [[inject(dims, group.mul(a, b), product(a, b).col(i * dims[b] + j))
             for b in group.elements() for j in range(dims[b])]
            for a in group.elements() for i in range(dims[a])]
-    return Algebra.from_tables(field, mul, placed(group.identity, unit))
+    return Algebra.from_tables(field, mul, inject(dims, group.identity, unit))
 
 
 def dense_rref_rows(field: Field, rows: list) -> tuple[list, list]:
@@ -723,13 +747,11 @@ def validate_graded_algebra(ga: GradedAlgebra) -> CheckReport:
             ab = g.mul(a, b)
             for i in range(ga.dims[a]):
                 for j in range(ga.dims[b]):
-                    x = A.basis_vec(ga.offsets[a] + i)
-                    y = A.basis_vec(ga.offsets[b] + j)
+                    x = inject(ga.dims, a, unit_vec(A.field, ga.dims[a], i))
+                    y = inject(ga.dims, b, unit_vec(A.field, ga.dims[b], j))
                     prod = multiply(A, x, y)
-                    for k, v in enumerate(prod):
-                        if v and not (ga.offsets[ab] <= k < ga.offsets[ab] + ga.dims[ab]):
-                            bad.append((a, b, i, j))
-                            break
+                    if inject(ga.dims, ab, block(ga.dims, ab, prod)) != prod:
+                        bad.append((a, b, i, j))
     rep.add("grading.multiplicative", "homogeneous products land in the product degree",
             not bad, f"failing: {bad[:5]}" if bad else "")
     return rep
@@ -1247,21 +1269,21 @@ def reference_grouplike_character(x: GrouplikeFamily, r: GradedRing) -> tuple[Ma
     bad = []
     for a in g.elements():
         for u in range(r.dim(a)):
-            fa = packed.inject(a, unit_vec(F, r.dim(a), u))
+            fa = inject(packed.dims, a, unit_vec(F, r.dim(a), u))
             chifa = chi.apply(fa)
             for b in g.elements():
                 for v in range(r.dim(b)):
-                    lhs = chi.apply(packed.inject(
-                        b, r.comps[b].left_act(chifa).apply(unit_vec(F, r.dim(b), v))))
+                    lhs = chi.apply(inject(
+                        packed.dims, b, r.comps[b].left_act(chifa).apply(unit_vec(F, r.dim(b), v))))
                     prod = r.mul[(a, b)].apply(
                         tensor_vec(F, unit_vec(F, r.dim(a), u), unit_vec(F, r.dim(b), v)))
-                    rhs = chi.apply(packed.inject(g.mul(a, b), prod))
+                    rhs = chi.apply(inject(packed.dims, g.mul(a, b), prod))
                     if lhs != rhs:
                         bad.append((a, u, b, v))
     rep.add("character.associative", "character of a scaled factor equals character of the product",
             not bad, f"failing: {bad[:5]}" if bad else "")
     rep.add("character.unit", "character of the unit is one",
-            chi.apply(packed.inject(g.identity, r.unit_vec)) == A.unit)
+            chi.apply(inject(packed.dims, g.identity, r.unit_vec)) == A.unit)
     return chi, rep
 
 
@@ -1679,11 +1701,144 @@ def reference_standard_context(m: GradedModule) -> tuple:
                     endo = tuple(moving[g.mul(sigma, b)] @ fams[b] for b in g.elements())
                     phi_cols.append(end_coords(endo, g.mul(a, sigma)))
     phi = Mat._from_cols(F, phi_cols, len(elems))
-    psi = Mat._from_cols(F, [packed.inject(g.mul(sigma, a), fams[a].col(i))
+    psi = Mat._from_cols(F, [inject(packed.dims, g.mul(sigma, a), fams[a].col(i))
                              for sigma in g.elements() for fams in hom_bases[sigma]
                              for a in g.elements() for i in range(m_dims[a])],
                          packed.algebra.dim)
     return end_mul, p_left, p_right, tuple(q_left), tuple(q_right), phi, psi
+
+
+# -- the column forms of the block placements -------------------------------------
+
+def reference_span_action(w: Mat, acts) -> tuple[list, bool]:
+    """`galois.span_action` reading its blocks back through a reshape
+    round trip: the coordinates reshaped to one row per act, each row
+    unvectorized and transposed."""
+    acts = list(acts)
+    coords, outside = rowspace_coords(w, vstack([Mat.zeros(w.field, 0, w.cols)]
+                                                + [w @ act.transpose() for act in acts]))
+    blocks = unvec_rows(coords.reshape(len(acts), w.rows * w.rows), w.rows, w.rows)
+    return [blk.transpose() for blk in blocks], not outside
+
+
+def reference_per_element(coords: Mat, k: int, size: int) -> tuple:
+    """For coordinates with rows (j, i), j < k major, i < size: per i, the
+    matrix whose column j is row (j, i), by two reshapes and a transpose:
+    the form of `linalg.deinterleave(coords.transpose(), size)` that
+    `morita` read its per-element blocks with."""
+    h = coords.cols
+    return unvec_rows(coords.reshape(k, size * h).transpose().reshape(size, h * k), h, k)
+
+
+def reference_graded_pairings(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
+                              wq: Mat) -> tuple:
+    """The right action of the twisted ring on the connecting families and
+    the pairings omega and nu of `morita.graded_morita_context`, column by
+    column: each shifted family's action combined from its coordinates,
+    each action read one column at a time and each coordinate vector placed
+    with `inject`.  Returns (q.right, omega, nu)."""
+    c = x.coring
+    g = c.group
+    A = c.base
+    F = A.field
+    n = g.order
+    o_dim = wq.rows
+    packed = r.packed()
+    sdim = s.algebra.dim
+    gs = s.twisted
+    o_dims = [o_dim] * n
+
+    def shifted_action(shift: int, wi: int) -> Mat:
+        fam = Mat(F, n, A.dim, s.basis.transpose().apply(s.sigma[shift].col(wi)))
+        return block_matrix(F, packed.dims, packed.dims,
+                            {(d, d): r.comps[d].right_act(fam.row(d)) for d in g.elements()})
+
+    shifts = [(shift, wi) for shift in g.elements() for wi in range(sdim)]
+    smalls, _ = reference_span_action(wq, [shifted_action(*key) for key in shifts])
+    right_small = dict(zip(shifts, smalls))
+    q_right = tuple(block_matrix(F, o_dims, o_dims,
+                                 {(g.mul(a, tt), a): right_small[(g.inv(g.mul(a, tt)), wi)]
+                                  for a in g.elements()})
+                    for tt in g.elements() for wi in range(sdim))
+    evals = {b: _evaluations(x, r, b) for b in g.elements()}
+    acts = {(u, d): combine(F, A.dim, A.dim, evals[d], block(packed.dims, d, wq.row(u)))
+            for u in range(o_dim) for d in g.elements()}
+    keys = [(j, sigma, u) for j in range(A.dim) for sigma in g.elements() for u in range(o_dim)]
+    coords, _ = rowspace_coords(s.basis, Mat._from_cols(F, [
+        tuple(v for b in g.elements() for v in acts[(u, g.mul(sigma, b))].col(j))
+        for j, sigma, u in keys], s.basis.cols).transpose())
+    coords = {key: coords.row(k) for k, key in enumerate(keys)}
+    omega = Mat._from_cols(F, [inject(gs.dims, g.mul(a, sigma), coords[(j, sigma, u)])
+                               for a in g.elements() for j, sigma, u in keys],
+                           gs.algebra.dim)
+    nu_cols = []
+    for sigma in g.elements():
+        for u in range(o_dim):
+            for a in g.elements():
+                sa = g.mul(sigma, a)
+                vec = block(packed.dims, sa, wq.row(u))
+                nu_cols.extend(inject(packed.dims, sa, right.apply(vec)) for right in r.comps[sa].right)
+    return q_right, omega, Mat._from_cols(F, nu_cols, packed.algebra.dim)
+
+
+def reference_unit_comparisons(end_bases, hom_bases, s: CoefficientRing, wq: Mat,
+                               r: GradedRing) -> tuple:
+    """xi of `morita.end_to_twisted_iso` and psi of `morita.hom_to_shifted_iso`
+    for the endomorphism and module-map families end_bases and hom_bases,
+    column by column: each family applied to the base unit one map at a
+    time, and each coordinate vector placed with `inject` or a tensor with
+    a unit vector.  Returns (xi, psi)."""
+    g = r.group
+    F = r.base.field
+    unit = r.base.unit
+    gs = s.twisted
+    degrees = [sigma for sigma in g.elements() for _ in end_bases[sigma]]
+    coords, _ = rowspace_coords(s.basis, Mat._from_cols(F, [
+        tuple(v for a in g.elements() for v in fams[a].apply(unit))
+        for sigma in g.elements() for fams in end_bases[sigma]], s.basis.cols).transpose())
+    xi = Mat._from_cols(F, [inject(gs.dims, sigma, coords.row(k)) for k, sigma in enumerate(degrees)],
+                        gs.algebra.dim)
+    degrees = [sigma for sigma in g.elements() for _ in hom_bases[sigma]]
+    coords, _ = rowspace_coords(wq, Mat._from_cols(F, [
+        tuple(v for a in g.elements() for v in fams[g.mul(g.inv(sigma), a)].apply(unit))
+        for sigma in g.elements() for fams in hom_bases[sigma]], wq.cols).transpose())
+    psi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, g.order, sigma), coords.row(k))
+                             for k, sigma in enumerate(degrees)], g.order * wq.rows)
+    return xi, psi
+
+
+def reference_group_ring_pairings(ctx_e: MoritaContext, g: FiniteGroup) -> tuple:
+    """tau and mu of `morita.group_ring_context`, column by column: each
+    column of the slice pairing placed with `inject` in the degree of its
+    pair.  Returns (tau, mu)."""
+    F = ctx_e.ring1.field
+    ring1, ring2 = group_ring(ctx_e.ring1, g), group_ring(ctx_e.ring2, g)
+    pd, qd = ctx_e.p.dim, ctx_e.q.dim
+    tau = Mat._from_cols(F, [inject(ring1.dims, g.mul(sigma, rho), ctx_e.tau.col(i * qd + j))
+                             for sigma in g.elements() for i in range(pd)
+                             for rho in g.elements() for j in range(qd)], ring1.algebra.dim)
+    mu = Mat._from_cols(F, [inject(ring2.dims, g.mul(sigma, rho), ctx_e.mu.col(j * pd + i))
+                            for sigma in g.elements() for j in range(qd)
+                            for rho in g.elements() for i in range(pd)], ring2.algebra.dim)
+    return tau, mu
+
+
+def reference_ring_comparisons(d: Derived) -> tuple:
+    """theta and phi47 of `morita.check_group_ring_context_match` on the
+    derived objects d, column by column: each column of the diagonal
+    families and of the degree shifts placed with `inject`.  Returns
+    (theta, phi47)."""
+    g = d.coring.group
+    F = d.coring.base.field
+    s, packed = d.coefficients, d.dual_ring.packed()
+    sigmas, _ = d.cofree_dual
+    theta = Mat._from_cols(F, [inject(s.twisted.dims, sigma, s.diag.col(i))
+                               for sigma in g.elements() for i in range(d.coinvariants.algebra.dim)],
+                           s.twisted.algebra.dim)
+    phi47 = Mat._from_cols(F, [inject(packed.dims, rho, sigmas[rho].col(u))
+                               for rho in g.elements() for u in range(d.slice.dual_ring.dim(0))],
+                           packed.algebra.dim)
+    return theta, phi47
 
 
 # -- one-row coordinate solves and the references for the retired solves --------

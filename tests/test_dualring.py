@@ -1,5 +1,6 @@
 """The dual graded ring, its functors and the cofree group-ring form."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from corings.comodules import (
 )
 from corings.coring import GroupCoringMorphism
 from corings.dualring import (
+    GradedAlgebra,
     GradedModule,
     check_component_bidual,
     check_dual_basis_comultiplication,
@@ -89,6 +91,15 @@ def test_dual_of_trivial_coring_is_the_group_ring():
     assert packed.algebra.mul_mat == gr.algebra.mul_mat
     assert packed.algebra.unit == gr.algebra.unit
     assert validate_graded_algebra(packed).ok
+
+
+def test_a_graded_algebra_is_an_algebra_and_its_degree_dims():
+    # its degree blocks are placed and read by `linalg` alone, so the
+    # packed dual ring keeps no layout of its own
+    assert [f.name for f in dataclasses.fields(GradedAlgebra)] == ["group", "algebra", "dims"]
+    assert not any(hasattr(GradedAlgebra, name) for name in ("inject", "block", "offsets", "build"))
+    packed = dual_ring(fixture("regular").coring).packed()
+    assert packed.dims == (4, 4) and packed.algebra.dim == 8
 
 
 def test_dual_dimensions_of_twisted_fixture():

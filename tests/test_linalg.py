@@ -78,6 +78,7 @@ from helpers import (
     group_hopf_algebra,
     mixed_mat,
     reference_balanced_quotient,
+    reference_per_element,
     reference_solve,
 )
 
@@ -1066,7 +1067,7 @@ def test_hsplit_and_deinterleave_invert_hstack_and_interleave(field):
     for _ in range(60):
         rows, width, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 4)
         m = mixed_mat(field, rows, width * n, rng)
-        parts = hsplit(m, n)
+        parts = hsplit(m, [width] * n)
         assert len(parts) == n and all((p.rows, p.cols) == (rows, width) for p in parts)
         assert hstack(parts) == m
         assert parts == tuple(Mat(field, rows, width, tuple(entry(m, i, k * width + j)
@@ -1078,12 +1079,50 @@ def test_hsplit_and_deinterleave_invert_hstack_and_interleave(field):
         assert mats == tuple(Mat(field, rows, width, tuple(entry(m, i, k * n + j)
                                                             for i in range(rows) for k in range(width)))
                              for j in range(n))
-    for split in (hsplit, deinterleave):
-        assert split(Mat.zeros(field, 2, 0), 0) == ()
+    assert hsplit(Mat.zeros(field, 2, 0), []) == ()
+    assert deinterleave(Mat.zeros(field, 2, 0), 0) == ()
+    with pytest.raises(DimensionMismatch):
+        hsplit(Mat.zeros(field, 2, 5), [2, 2])
+    with pytest.raises(DimensionMismatch):
+        deinterleave(Mat.zeros(field, 2, 5), 2)
+    with pytest.raises(DimensionMismatch):
+        hsplit(Mat.zeros(field, 2, 3), [])
+    with pytest.raises(DimensionMismatch):
+        deinterleave(Mat.zeros(field, 2, 3), 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_hsplit_inverts_hstack_for_any_widths(field):
+    # unequal widths, zero widths among them, and rows with mixed
+    # denominators over QQ
+    rng = random.Random(35)
+    for _ in range(60):
+        rows = rng.randint(0, 4)
+        widths = [rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(rng.randint(1, 5))]
+        m = mixed_mat(field, rows, sum(widths), rng)
+        parts = hsplit(m, widths)
+        assert [(p.rows, p.cols) for p in parts] == [(rows, w) for w in widths]
+        assert hstack(parts) == m
+        start = 0
+        for p, w in zip(parts, widths):
+            assert p == Mat(field, rows, w, tuple(entry(m, i, start + j)
+                                                  for i in range(rows) for j in range(w)))
+            start += w
+    m = mixed_mat(field, 3, 4, rng)
+    for widths in ([1, 2], [2, 3], [0], [4, 1], [5]):
         with pytest.raises(DimensionMismatch):
-            split(Mat.zeros(field, 2, 5), 2)
-        with pytest.raises(DimensionMismatch):
-            split(Mat.zeros(field, 2, 3), 0)
+            hsplit(m, widths)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_deinterleave_reads_the_per_element_blocks_of_the_reshape_reference(field):
+    # the per-element blocks of coordinates with rows (j, i), j < k major,
+    # are the deinterleaved transpose, with no reshape round trip
+    rng = random.Random(36)
+    for _ in range(40):
+        k, size, h = rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 3)
+        coords = mixed_mat(field, k * size, h, rng)
+        assert deinterleave(coords.transpose(), size) == reference_per_element(coords, k, size)
 
 
 def test_cached_properties_compute_once_into_the_instance_dict():

@@ -100,6 +100,12 @@
   QQ and `Mat.identity` the identity flag.  Every other matrix computes
   its caches on first read, so which constructor knows a cache is decided
   in one place.
+* Outside `linalg.py`, no `Mat._from_cols` call builds its columns out of
+  another matrix or a block of a vector (`BLOCK_READS`: a `.col`, `.row`,
+  `.apply` or `.project` call, or `inject`, anywhere in its column
+  expression): a map made of whole blocks of other maps is placed with
+  `linalg.block_matrix`, `block_diagonal` or `hstack` and read with
+  `hsplit` or `deinterleave`, the one owner of block layouts.
 """
 
 import ast
@@ -601,6 +607,22 @@ def hand_action_layouts(path: Path) -> list:
     return sorted(out)
 
 
+BLOCK_READS = {"col", "row", "apply", "project", "inject"}
+
+
+def column_block_reads(path: Path) -> list:
+    """Line of each `_from_cols` call whose column argument calls a method
+    or function of `BLOCK_READS`."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_from_cols" and len(node.args) > 1
+                and any(isinstance(call, ast.Call) and _called_name(call) in BLOCK_READS
+                        for call in ast.walk(node.args[1]))):
+            out.append(node.lineno)
+    return sorted(out)
+
+
 STRUCTURE_MAPS = {"delta", "rho", "counit"}
 DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
@@ -823,6 +845,12 @@ def test_only_the_memo_wrappers_call_the_uncached_builders(path):
                          ids=lambda p: p.name)
 def test_no_hand_built_action_layout(path):
     assert hand_action_layouts(path) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_matrix_built_from_the_blocks_of_another(path):
+    assert column_block_reads(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -1197,6 +1225,28 @@ def test_the_action_layout_check_catches_what_it_looks_for(tmp_path):
         "tau = [inject(s, ctx.tau.col(i * q + j)) for s in g for i in range(p) for j in range(q)]\n"
         "fixed = [base.col(k) for k in range(n) for _ in mats]\n")
     assert hand_action_layouts(src) == [1, 3, 4, 5, 6, 10]
+
+
+def test_the_column_block_check_catches_what_it_looks_for(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        # the graded maps the Morita and Galois layers built column by
+        # column before they placed whole blocks
+        "chi = Mat._from_cols(F, [f.apply(x.vec(g.inv(a))) for a in g for f in fs[a]], A.dim)\n"
+        "omega = Mat._from_cols(F, [gs.inject(g.mul(a, s), coords[key]) for a in g\n"
+        "                           for key in keys], gs.algebra.dim)\n"
+        "xi = Mat._from_cols(F, [tensor_vec(F, unit_vec(F, n, s), coords.row(k))\n"
+        "                        for k, s in enumerate(degrees)], n * w)\n"
+        "tau = Mat._from_cols(F, [inject(dims, s, ctx.tau.col(i)) for s in g for i in ix], d)\n"
+        "unit = Mat._from_cols(F, [space.project(tensor_vec(F, e, u)) * k for e in es], w)\n"
+        "nu = Mat._from_cols(F, nu_cols, d)\n"
+        # columns that read no other matrix or vector block
+        "mul = Mat._from_cols(F, [[F.of(x) for x in mul[i][j]] for i in r for j in r], dim)\n"
+        "swap = Mat._from_cols(F, [unit_vec(F, n, k) for k in range(n)], n)\n"
+        "vecs = Mat._from_cols(F, [v for _, v in db.pairs], c.comps[b].dim)\n"
+        "rows = Mat._from_rows(F, [m.row(i) for i in range(n)])\n"
+        "cols = from_cols(F, [m.col(j) for j in range(n)])\n")
+    assert column_block_reads(src) == [1, 2, 4, 6, 7]
 
 
 def test_the_structure_map_check_catches_what_it_looks_for(tmp_path):

@@ -1,14 +1,16 @@
 """Classical and graded Morita contexts, comparison isomorphisms and the
 battery of equivalent Galois characterizations."""
 
+import collections
 import dataclasses
 import random
+import sys
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from corings import morita
+from corings import galois, morita
 
 from corings.algebra import field_algebra
 from corings.dualring import GradedRing, dual_ring
@@ -27,11 +29,13 @@ from corings.morita import (
     coefficient_spaces,
     connecting_spaces,
     context_from_graded_module,
+    end_to_twisted_iso,
     galois_equivalence_battery,
     graded_end,
     graded_hom,
     group_ring_context,
     grouplike_character,
+    hom_to_shifted_iso,
     is_strict,
     validate_graded_morita_context,
     validate_morita_context,
@@ -48,9 +52,17 @@ from helpers import (
     derived,
     field_add,
     from_cols,
+    inject,
+    over_prime_field,
     reference_coefficient_ring,
+    reference_graded_pairings,
+    reference_group_ring_pairings,
+    reference_grouplike_character,
     reference_intertwining_failures,
+    reference_ring_comparisons,
+    reference_span_action,
     reference_standard_context,
+    reference_unit_comparisons,
     reference_validate_morita_context,
     reference_validate_ring_bimodule,
     triangular_family,
@@ -83,7 +95,7 @@ def test_character_unit_value():
     r = dual_ring(fx.coring)
     chi, _ = grouplike_character(fx.grouplike, r)
     packed = r.packed()
-    unit_packed = packed.inject(0, r.unit_vec)
+    unit_packed = inject(packed.dims, 0, r.unit_vec)
     assert chi.apply(unit_packed) == fx.coring.base.unit
 
 
@@ -464,7 +476,12 @@ STRUCTURES = ("trivial", "regular", "nongalois", "sweedler", "c3", "triangular")
 
 def derived_of(name: str) -> Derived:
     """The derived objects of a fixture, of regular k[C_3] over QQ, or of
-    the triangular family over the inclusion of its coinvariants."""
+    the triangular family over the inclusion of its coinvariants; with the
+    suffix "-gf101", of the structure file of the fixture or of k[C_3]
+    rewritten over GF(101)."""
+    if name.endswith("-gf101"):
+        text = C3.read_text() if name == "c3-gf101" else fixture_file_text(name[:-len("-gf101")])
+        return main_structure(parse(over_prime_field(text, 101))).derived
     if name == "c3":
         return main_structure(parse(C3.read_text())).derived
     if name == "triangular":
@@ -496,6 +513,81 @@ def test_stacked_context_matches_the_column_reference(name):
         ctx = gctx.ctx
         assert ((end.graded.algebra.mul_mat, ctx.p.left, ctx.p.right, ctx.q.left, ctx.q.right,
                  ctx.tau, ctx.mu) == reference_standard_context(m))
+
+
+BLOCK_STRUCTURES = STRUCTURES + tuple(f"{name}-gf101" for name in
+                                      ("trivial", "regular", "nongalois", "sweedler", "c3"))
+
+
+@pytest.mark.parametrize("name", BLOCK_STRUCTURES)
+def test_block_placements_match_the_column_references(monkeypatch, name):
+    # every graded map the Morita layer places as whole blocks, and every
+    # block it reads with `hsplit`, equals the map built column by column
+    # with one `inject` per column and read through reshapes
+    d = derived_of(name)
+    x, r, g = d.grouplike, d.dual_ring, d.coring.group
+    assert grouplike_character(x, r)[0] == reference_grouplike_character(x, r)[0]
+    left = r.packed().algebra.left_mats
+    for w in d.connecting_spaces:
+        smalls, closed = reference_span_action(w, left)
+        assert galois.span_action(w, left) == (tuple(smalls), closed)
+    for (gctx, _), s, wq in ((d.graded_morita, d.coefficients, d.connecting_spaces[0]),
+                             (d.weak_graded_morita, d.weak_coefficients, d.connecting_spaces[1])):
+        assert (gctx.ctx.q.right, gctx.ctx.tau, gctx.ctx.mu) == reference_graded_pairings(x, r, s, wq)
+    m = d.canonical_module
+    _, end, homs = context_from_graded_module(m)
+    hom_bases = tuple(graded_hom(m, _ring_as_module(r), sigma) for sigma in g.elements())
+    s, wq = d.weak_coefficients, d.connecting_spaces[1]
+    assert ((end_to_twisted_iso(end, s)[0], hom_to_shifted_iso(homs, wq, r)[0])
+            == reference_unit_comparisons(end.bases, hom_bases, s, wq, r))
+    if d.witness is None:
+        return
+    ctx_e = d.slice.morita[0]
+    ctx = group_ring_context(ctx_e, g).ctx
+    assert (ctx.tau, ctx.mu) == reference_group_ring_pairings(ctx_e, g)
+    # theta and phi47 are the maps of the two ring-map rows, in that order
+    maps, real = [], morita.algebra_map_failures
+
+    def recording(f, src_mul, dst_mul):
+        maps.append(f)
+        return real(f, src_mul, dst_mul)
+
+    monkeypatch.setattr(morita, "algebra_map_failures", recording)
+    check_group_ring_context_match(d)
+    assert tuple(maps) == reference_ring_comparisons(d)
+
+
+def test_the_graded_morita_pass_reads_no_block_through_a_reshape(monkeypatch):
+    # one --suite graded-morita pass on regular k[C_3] over QQ: `span_action`,
+    # `graded_end` with `_composites`, and the bimodule blocks of the
+    # standard context read their blocks with `hsplit` and `deinterleave`,
+    # so no `Mat.reshape` is called from their bodies
+    watched = {fn.__code__: fn.__name__ for fn in (galois.span_action, morita.graded_end,
+                                                     morita._composites,
+                                                     morita.context_from_graded_module)}
+    calls, reshapes = collections.Counter(), collections.Counter()
+    real_reshape = Mat.reshape
+
+    def reshape(self, rows, cols):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        reshapes[watched.get(frame.f_code, "elsewhere")] += 1
+        return real_reshape(self, rows, cols)
+
+    def counted(fn):
+        def wrapped(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapped
+
+    for module, name in ((morita, "span_action"), (morita, "graded_end"), (morita, "_composites"),
+                         (morita, "context_from_graded_module")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(Mat, "reshape", reshape)
+    run_suite(main_structure(parse(C3.read_text())), "graded-morita", 0)
+    assert set(calls) == set(watched.values())
+    assert set(reshapes) <= {"elsewhere"}
 
 
 def test_graded_morita_pass_builds_the_context_and_the_product_in_few_products(monkeypatch):
