@@ -16,6 +16,7 @@ from corings.linalg import (
     solve,
     tensor_k,
     tensor_slice_operator,
+    triple_balanced_quotient,
 )
 from corings.algebra import (
     Algebra,
@@ -71,6 +72,7 @@ __all__ = [
     "tensor_k",
     "tensor_slice_operator",
     "tensor_over_algebra",
+    "triple_balanced_quotient",
     "validate_algebra",
     "validate_bimodule",
     "validate_coring_morphism",

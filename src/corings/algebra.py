@@ -12,14 +12,14 @@ projection/section pair from `linalg.quotient_by`.
 One memo on each algebra, `Algebra.memo`, holds what its bimodules derive,
 keyed by content (dims, action tuples, maps), so equal modules share one
 build however many objects carry them.  Every key starts with its kind:
-`tensor` and `tensor-space` (`cached_tensor`), `triple` (`cached_triple`),
+`tensor` and `tensor-space` (`cached_tensor`), `triple` (`cached_triple`,
+a projection through two `tensor` entries: no triple quotient is built),
 `sum` (`direct_sum_bimodule`), `lift` (`cached_lift`), `left_dual`,
-`dual_basis`, `collapse_right`/`collapse_left` and
-`contract_right`/`contract_left`.  `_memoised` is its one
-miss-build-store.  The memo stores only dims, tuples, matrices and
-quotient spaces, never a `Bimodule` or the algebra, so it makes no
-reference cycle; a hit wraps the stored parts around the module it was
-asked for.
+`dual_basis`, `collapse_right`/`collapse_left` and `contract_right`/
+`contract_left`.  `_memoised` is its one miss-build-store.  The memo
+stores only dims, tuples, matrices and quotient spaces, never a
+`Bimodule` or the algebra, so it makes no reference cycle; a hit wraps
+the stored parts around the module it was asked for.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from corings.linalg import (
     span_coords,
     tensor_k,
     tensor_vec,
-    triple_balanced_quotient,
     unit_vec,
     unvec_rows,
     vstack,
@@ -418,21 +417,22 @@ def _tensor_entry(m: Bimodule, n: Bimodule) -> tuple:
     return t.space, t.module.left, t.module.right
 
 
-def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
-    """M (x)_A N (x)_A P by `triple_balanced_quotient`, memoised like
-    `cached_tensor`."""
+def cached_triple(m: Bimodule, n: Bimodule, p: Bimodule) -> Mat:
+    """The projection of M (x)_k N (x)_k P onto (M (x)_A N) (x)_A P through
+    the `cached_tensor` entries of M (x)_A N and of its module with p, with
+    no elimination of its own; memoised like `cached_tensor`.  The tensor
+    module of a recorded sum m is recorded as the sum of the summands'."""
     _check_same_base(m, n, p)
-    return _memoised(m.base, ("triple", m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left),
-                     lambda: _triple_entry(m, n, p))
 
+    def build():
+        inner = cached_tensor(m, n)
+        parts = _summands(m)
+        if parts is not None:
+            direct_sum_bimodule([cached_tensor(part, n).module for part in parts])
+        outer = cached_tensor(inner.module, p)
+        return kron_after(outer.space.proj, inner.space.proj, Mat.identity(m.base.field, p.dim))
 
-def _triple_entry(m: Bimodule, n: Bimodule, p: Bimodule) -> QuotientSpace:
-    """The `triple` entry of m, n and p."""
-    parts = _summands(m)
-    if parts is None:
-        return triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
-                                        (m.right, n.left), (n.right, p.left))
-    return _block_quotient([cached_triple(part, n, p) for part in parts])
+    return _memoised(m.base, ("triple", m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left), build)
 
 
 def cached_lift(m: Bimodule, n: Bimodule, mat: Mat) -> Mat:

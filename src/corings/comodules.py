@@ -38,7 +38,6 @@ from corings.coring import (
 from corings.linalg import (
     LinearSystem,
     Mat,
-    QuotientSpace,
     block_diagonal,
     block_matrix,
     hstack,
@@ -60,7 +59,7 @@ class Comodule:
     def tensor(self, a: int) -> TensorProduct:
         return cached_tensor(self.space, self.coring.comps[a])
 
-    def triple(self, a: int, b: int) -> QuotientSpace:
+    def triple(self, a: int, b: int) -> Mat:
         return cached_triple(self.space, self.coring.comps[a], self.coring.comps[b])
 
 
@@ -79,7 +78,7 @@ class GComodule:
         """rho_{a,b} through the chosen section: M_{ab} -> M_a (x)_k C_b."""
         return cached_lift(self.comps[a], self.coring.comps[b], self.rho[(a, b)])
 
-    def triple(self, a: int, b: int, c: int) -> QuotientSpace:
+    def triple(self, a: int, b: int, c: int) -> Mat:
         return cached_triple(self.comps[a], self.coring.comps[b], self.coring.comps[c])
 
 

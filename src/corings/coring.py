@@ -34,7 +34,7 @@ from corings.algebra import (
     validate_bimodule_map,
 )
 from corings.groups import TRIVIAL_GROUP, FiniteGroup
-from corings.linalg import Mat, QuotientSpace, inverse, kron_after
+from corings.linalg import Mat, inverse, kron_after
 from corings.report import CheckReport
 
 
@@ -57,7 +57,7 @@ class GroupCoring:
     def tensor(self, a: int, b: int) -> TensorProduct:
         return cached_tensor(self.comps[a], self.comps[b])
 
-    def triple(self, a: int, b: int, c: int) -> QuotientSpace:
+    def triple(self, a: int, b: int, c: int) -> Mat:
         return cached_triple(self.comps[a], self.comps[b], self.comps[c])
 
     # -- composite comultiplications -----------------------------------------
@@ -105,10 +105,10 @@ def coaction_failures(m, c: GroupCoring, lift, a: int) -> tuple[list, bool]:
     """The coaction laws on M_a of a coaction rho[(x, y)]: M_{xy} -> M_x (x)_A C_y
     over c, given as its lifts lift(x, y): M_{xy} -> M_x (x)_k C_y: the pairs
     (b, d), b major, where (rho_{a,b} (x) C_d) rho_{ab,d} and (M_a (x)
-    Delta_{b,d}) rho_{a,bd} differ in the triple quotient, and whether (M_a
-    (x) counit) rho_{a,e} is the identity.  m is a `comodules.GComodule`
-    over c with lift = m.lift, or c itself with lift = c.delta_left_lift;
-    the triple quotients are its `triple`."""
+    Delta_{b,d}) rho_{a,bd} differ in (M_a (x)_A C_b) (x)_A C_d, read through
+    its projection m.triple, and whether (M_a (x) counit) rho_{a,e} is the
+    identity.  m is a `comodules.GComodule` over c with lift = m.lift, or c
+    itself with lift = c.delta_left_lift."""
     g = c.group
     F = c.base.field
     ident = Mat.identity(F, m.comps[a].dim)
@@ -116,7 +116,7 @@ def coaction_failures(m, c: GroupCoring, lift, a: int) -> tuple[list, bool]:
     for b in g.elements():
         first = lift(a, b)
         for d in g.elements():
-            proj = m.triple(a, b, d).proj
+            proj = m.triple(a, b, d)
             if (kron_after(proj, first, Mat.identity(F, c.comps[d].dim)) @ lift(g.mul(a, b), d)
                     != kron_after(proj, ident, c.delta_left_lift(b, d)) @ lift(a, g.mul(b, d))):
                 bad.append((b, d))

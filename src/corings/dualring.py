@@ -57,6 +57,7 @@ from corings.linalg import (
     regroup,
     rowspace_coords,
     span_coords,
+    tensor_k,
     vec_rows,
     vstack,
 )
@@ -412,9 +413,9 @@ def gcomodule_to_graded(m: GComodule, r: GradedRing) -> GradedModule:
 
 
 def _dual_basis_tensors(c: GroupCoring, r: GradedRing) -> dict:
-    """Per degree b, the dual basis of C_b as the dim(R_{b^{-1}}) x dim(C_b)
-    matrix sum_s f_s c_s^T, with f_s in dual-ring coordinates: its entries,
-    row by row, are the tensor D_b = sum_s f_s (x) c_s."""
+    """Per degree b, the dual basis of C_b as the tensor D_b = sum_s f_s (x)
+    c_s in R_{b^{-1}} (x)_k C_b, with f_s in dual-ring coordinates: the
+    column vec(sum_s f_s c_s^T)."""
     g = c.group
     F = c.base.field
     out = {}
@@ -426,7 +427,7 @@ def _dual_basis_tensors(c: GroupCoring, r: GradedRing) -> dict:
         funcs = r.coordinates(binv, vec_rows(F, c.base.dim * c.comps[b].dim,
                                              [f for f, _ in db.pairs])).transpose()
         vecs = Mat._from_cols(F, [v for _, v in db.pairs], c.comps[b].dim)
-        out[b] = funcs @ vecs.transpose()
+        out[b] = vec_rows(F, r.dim(binv) * c.comps[b].dim, [funcs @ vecs.transpose()]).transpose()
     return out
 
 
@@ -440,12 +441,10 @@ def graded_to_gcomodule(m: GradedModule, c: GroupCoring) -> GComodule:
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            d_b = tensors[b]
             # m (x) D_b -> (m.f_s) (x) c_s, then onto the quotient
             proj = cached_tensor(m.comps[a], c.comps[b]).space.proj
             acted = kron_after(proj, m.act[(ab, g.inv(b))], Mat.identity(F, c.comps[b].dim))
-            rho[(a, b)] = kron_after(acted, Mat.identity(F, m.comps[ab].dim),
-                                     d_b.reshape(d_b.rows * d_b.cols, 1))
+            rho[(a, b)] = kron_after(acted, Mat.identity(F, m.comps[ab].dim), tensors[b])
     return GComodule(c, m.comps, rho)
 
 
@@ -549,8 +548,10 @@ def check_component_bidual(c: GroupCoring, r: GradedRing) -> CheckReport:
 
 def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> CheckReport:
     """Comultiplied dual bases match the product of dual bases: for each
-    degree pair, the image of the dual basis of the product component under
-    comultiplication equals the product-functional expansion."""
+    degree pair (b, c), P (I (x) Delta) D_bc = P (T (x) I) D_c by
+    vec(A X B) = (A (x) B^T) vec(X), for P the projection onto
+    R_{(bc)^{-1}} (x)_A C_b (x)_A C_c, D_x the dual basis tensor of C_x and
+    T: g -> (mul (x) I)(g (x) D_b) the product of the dual-ring legs."""
     rep = CheckReport()
     g = c.group
     F = c.base.field
@@ -558,19 +559,13 @@ def check_dual_basis_comultiplication(c: GroupCoring, r: GradedRing) -> CheckRep
     bad = []
     for b in g.elements():
         for cdeg in g.elements():
-            bc = g.mul(b, cdeg)
-            binv, cinv = g.inv(b), g.inv(cdeg)
-            tq3 = cached_triple(r.comps[g.inv(bc)], c.comps[b], c.comps[cdeg])
-            # sum_s f_s (x) Delta(c_s) over the dual basis of C_bc
-            lhs = tensors[bc] @ c.delta_left_lift(b, cdeg).transpose()
-            # g_v (x) D_b (x) d_v over the dual basis of C_c, then the
-            # product g_v # f_u of the two dual-ring legs
-            d_b = tensors[b]
-            spread = kron_after(tensors[cdeg], d_b.reshape(1, d_b.rows * d_b.cols),
-                                Mat.identity(F, c.comps[cdeg].dim))
-            rhs = r.mul[(cinv, binv)] @ spread.reshape(r.dim(cinv) * r.dim(binv), lhs.cols)
-            flat = lhs.rows * lhs.cols
-            if tq3.project(lhs.reshape(1, flat)) != tq3.project(rhs.reshape(1, flat)):
+            bc, cinv = g.mul(b, cdeg), g.inv(cdeg)
+            proj = cached_triple(r.comps[g.inv(bc)], c.comps[b], c.comps[cdeg])
+            legs = kron_after(tensor_k(r.mul[(cinv, g.inv(b))], Mat.identity(F, c.comps[b].dim)),
+                              Mat.identity(F, r.dim(cinv)), tensors[b])
+            if (kron_after(proj, Mat.identity(F, r.dim(g.inv(bc))), c.delta_left_lift(b, cdeg))
+                    @ tensors[bc] != kron_after(proj, legs, Mat.identity(F, c.comps[cdeg].dim))
+                    @ tensors[cdeg]):
                 bad.append((b, cdeg))
     rep.add("dual-basis.comultiplication",
             "dual bases are compatible with comultiplication",

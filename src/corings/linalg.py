@@ -1049,15 +1049,15 @@ def balanced_quotient(field: Field, dim_m: int, dim_n: int,
 
 def triple_balanced_quotient(field: Field, d1: int, d2: int, d3: int,
                              acts12, acts23) -> QuotientSpace:
-    """Quotient of k^(d1*d2*d3) by middle relations at both junctions.
-
-    acts12 = (right action mats on factor 1, left action mats on factor 2),
-    acts23 = (right action mats on factor 2, left action mats on factor 3).
-    It is built as (M (x)_A N) (x)_A P from two balanced quotients, and
-    equals the quotient by the relations of both junctions, basis included,
-    whenever the right actions on factor 2 descend to M (x)_A N, as they do
-    for a bimodule.
-    """
+    """Quotient of k^(d1*d2*d3) by middle relations at both junctions, with
+    the canonical non-pivot basis: the tests' reference, called by no
+    library code, which compares in (M (x)_A N) (x)_A P through the
+    projection `algebra.cached_triple` with the same kernel.  acts12 =
+    (right action mats on factor 1, left action mats on factor 2), acts23
+    = (right action mats on factor 2, left action mats on factor 3).  Built
+    from two balanced quotients, it equals the quotient by the relations of
+    both junctions, basis included, whenever the right actions on factor 2
+    descend to M (x)_A N, as they do for a bimodule."""
     F = field
     total = d1 * d2 * d3
     q12 = balanced_quotient(F, d1, d2, *acts12)

@@ -515,9 +515,10 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
     p_left = [block_matrix(F, a_dims, a_dims,
                            {(g.mul(tt, a), a): mults[wi * n + a] for a in g.elements()})
               for tt in g.elements() for wi in range(sdim)]
-    evals = {b: _evaluations(x, r, b) for b in g.elements()}
+    # the `_evaluations` of each degree as rows; omega reads them too
+    translated = [r.precomposed(b, x.right_translates[g.inv(b)]) for b in g.elements()]
     p_right = [block_matrix(F, a_dims, a_dims, {(g.mul(a, b), a): ev for a in g.elements()})
-               for b in g.elements() for ev in evals[b]]
+               for b in g.elements() for ev in unvec_rows(translated[b], A.dim, A.dim)]
     p = RingBimodule(gs.algebra, packed.algebra, n * A.dim, tuple(p_left), tuple(p_right))
     # QG = graded copies of the connecting space, (R, G*S)-bimodule
     # left action of the dual ring through the shifted product
@@ -544,12 +545,11 @@ def graded_morita_context(x: GrouplikeFamily, r: GradedRing, s: CoefficientRing,
                for tt in g.elements() for wi in range(sdim)]
     q = RingBimodule(packed.algebra, gs.algebra, n * o_dim, tuple(q_left), tuple(q_right))
     # omega: P (x) QG -> G*S; the family it reads off does not depend on the
-    # degree of the P factor.  Row u of wq_d[d] @ precomposed is vec of the
+    # degree of the P factor.  Row u of wq_d[d] @ translated[d] is vec of the
     # action of family member u in degree d on the base, b -> sum_v
     # wq[u, (d, v)] f_v(x_{d^{-1}} . b), and vals[d][j] holds its columns j
     wq_d = hsplit(wq, packed.dims)
-    vals = [deinterleave(wq_d[d] @ r.precomposed(d, x.right_translates[g.inv(d)]), A.dim)
-            for d in g.elements()]
+    vals = [deinterleave(wq_d[d] @ translated[d], A.dim) for d in g.elements()]
     coords, outside = rowspace_coords(s.basis, vstack([
         hstack([vals[g.mul(sigma, b)][j] for b in g.elements()])
         for j in range(A.dim) for sigma in g.elements()]))
@@ -675,12 +675,14 @@ def context_from_graded_module(m: GradedModule) -> tuple[GradedMoritaContext, Gr
         matrix whose column k holds the coordinates in target of the family
         (T_i X_k[c])_c, T_i the action of i, for the hom families X_k of
         degree sigma: one kron_after per degree pair through the regrouped
-        action, vec(T X) = vec(X) (T^T (x) I), and one solve."""
-        rows = hstack([kron_after(homs[sigma][c], actor.regrouped(x, g.mul(sigma, c)),
-                                  Mat.identity(F, m_dims[c]))
-                       .reshape(hdims[sigma] * dims[x], dims[g.mul(g.mul(x, sigma), c)] * m_dims[c])
-                       for c in g.elements()])
-        return deinterleave(span_coords(target, rows, error).transpose(), dims[x])
+        action, vec(T X) = vec(X) (T^T (x) I), read block i by block i with
+        `hsplit`, and one solve of the blocks stacked i-major."""
+        products = [hsplit(kron_after(homs[sigma][c], actor.regrouped(x, g.mul(sigma, c)),
+                                      Mat.identity(F, m_dims[c])),
+                           [dims[g.mul(g.mul(x, sigma), c)] * m_dims[c]] * dims[x])
+                    for c in g.elements()]
+        rows = vstack([Mat.zeros(F, 0, target.cols)] + [hstack(row) for row in zip(*products)])
+        return hsplit(span_coords(target, rows, error).transpose(), [hdims[sigma]] * dims[x])
 
     # P: left END, right R
     p_left = tuple(block_matrix(F, m_dims, m_dims,

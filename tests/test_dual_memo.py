@@ -204,7 +204,7 @@ def _held_matrices(obj):
 
 def test_memo_matrices_keep_no_dense_copy_after_the_comodules_suite():
     # the memos live as long as the base algebra, and a dense copy of a wide
-    # triple quotient or contraction is almost all zeros
+    # triple projection or contraction is almost all zeros
     ms = _load("c3-qq")
     run_suite(ms, "comodules", seed=0)
     A = ms.coring.base

@@ -2,10 +2,12 @@
 
 import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from corings import dualring, suites
 from corings.algebra import field_algebra
 from corings.comodules import (
     coring_as_gcomodule,
@@ -48,6 +50,7 @@ from corings.galois import (
 from corings.linalg import Mat, unit_vec
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
+from corings.suites import run_suite
 from helpers import (
     cyclic_group,
     derived,
@@ -380,3 +383,29 @@ def test_dual_basis_comultiplication_detects_the_opposite_product(name, detected
     rep = check_dual_basis_comultiplication(c, r)
     assert rep.ok is not detected
     assert (reference_dual_basis_comultiplication(c, r) != []) is detected
+
+
+@pytest.mark.parametrize("name", ["trivial", "regular", "nongalois", "sweedler"])
+def test_the_dual_basis_comultiplication_check_calls_no_reshape(monkeypatch, name):
+    # each degree pair is one kron_after identity on the columns vec(D_x)
+    # of the dual basis tensors, so no `Mat.reshape` is called from the body
+    code = dualring.check_dual_basis_comultiplication.__code__
+    calls, inside = [], []
+    real_reshape, real_check = Mat.reshape, dualring.check_dual_basis_comultiplication
+
+    def reshape(self, rows, cols):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        inside.append(frame.f_code is code)
+        return real_reshape(self, rows, cols)
+
+    def counted(c, r):
+        calls.append(name)
+        return real_check(c, r)
+
+    monkeypatch.setattr(suites, "check_dual_basis_comultiplication", counted)
+    monkeypatch.setattr(Mat, "reshape", reshape)
+    run_suite(main_structure(parse(fixture_file_text(name))), "dual-ring", 0)
+    assert calls == [name]
+    assert not any(inside)

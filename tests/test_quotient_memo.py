@@ -2,6 +2,7 @@
 tags of its keys."""
 
 import gc
+import sys
 import weakref
 from pathlib import Path
 
@@ -24,10 +25,11 @@ from corings.comodules import (
     validate_g_comodule,
 )
 from corings.fixtures import fixture_file_text
-from corings.linalg import Mat, balanced_quotient, triple_balanced_quotient
+from corings.linalg import Mat, balanced_quotient, kron_after, row_space, triple_balanced_quotient
 from corings.scalars import QQ
 from corings.structfile import main_structure, parse
 from corings.suites import run_suite
+from helpers import dense_triple_quotient
 
 FIXTURES = ("trivial", "regular", "nongalois", "sweedler")
 C3 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "c3-qq.coring"
@@ -43,6 +45,21 @@ def _load(name):
 
 def _same_space(q1, q2):
     return (q1.dim, q1.relations, q1.proj, q1.sect) == (q2.dim, q2.relations, q2.proj, q2.sect)
+
+
+def _fresh_triple(m, n, p):
+    """The projection of `cached_triple(m, n, p)` from uncached builds: the
+    outer tensor of the inner pair's module with p, after the inner pair."""
+    inner = tensor_over_algebra(m, n)
+    outer = tensor_over_algebra(inner.module, p)
+    return kron_after(outer.space.proj, inner.space.proj, Mat.identity(m.base.field, p.dim))
+
+
+def _kernel_of_the_triple_quotient(proj, field, d1, d2, d3, acts12, acts23):
+    """Whether proj, onto a space of the quotient's dimension, has the
+    kernel of the quotient by the relations of both junctions."""
+    q = dense_triple_quotient(field, d1, d2, d3, acts12, acts23)
+    return (proj.rows, proj.cols) == (q.dim, q.ambient_dim) and row_space(proj) == row_space(q.proj)
 
 
 def _checked(monkeypatch, hits):
@@ -63,13 +80,14 @@ def _checked(monkeypatch, hits):
 
     def triple(m, n, p):
         hit = ("triple", m.dim, n.dim, p.dim, m.right, n.left, n.right, p.left) in m.base.memo
-        q = cached_triple(m, n, p)
+        proj = cached_triple(m, n, p)
         if hit:
+            assert proj == _fresh_triple(m, n, p)
             fresh = triple_balanced_quotient(m.base.field, m.dim, n.dim, p.dim,
                                              (m.right, n.left), (n.right, p.left))
-            assert _same_space(q, fresh)
+            assert row_space(proj) == row_space(fresh.proj)
             hits["triple"] += 1
-        return q
+        return proj
 
     for mod in (coring, comodules, dualring):
         for name, checked in (("cached_tensor", tensor), ("cached_triple", triple)):
@@ -117,8 +135,7 @@ def test_memo_entries_equal_fresh_builds_after_all(name, suite):
         elif kind == "triple":
             d1, d2, d3, r1, l2, r2, l3 = rest
             filled += (d1, None, r1) in sums
-            assert _same_space(value, triple_balanced_quotient(A.field, d1, d2, d3,
-                                                               (r1, l2), (r2, l3)))
+            assert _kernel_of_the_triple_quotient(value, A.field, d1, d2, d3, (r1, l2), (r2, l3))
         elif kind == "lift":
             dm, mr, dn, nl, mat = rest
             m, n = Bimodule(A, dm, None, mr), Bimodule(A, dn, nl, None)
@@ -126,6 +143,27 @@ def test_memo_entries_equal_fresh_builds_after_all(name, suite):
             assert value == balanced_quotient(A.field, dm, dn, mr, nl).sect @ mat
             lifts += 1
     assert sums and filled and lifts
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("c3-qq",))
+def test_no_suite_builds_the_triple_quotient(monkeypatch, name):
+    # every triple comparison goes through the two pair quotients of
+    # `cached_triple`; `triple_balanced_quotient` is the tests' reference
+    calls = []
+    real = linalg.triple_balanced_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("corings") and \
+                getattr(module, "triple_balanced_quotient", None) is real:
+            monkeypatch.setattr(module, "triple_balanced_quotient", counted)
+    ms = _load(name)
+    run_suite(ms, "all", seed=0)
+    assert any(key[0] == "triple" for key in ms.coring.base.memo)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -285,6 +323,7 @@ def test_sum_entries_follow_the_order_of_unequal_summands():
         t, fresh = cached_tensor(total, reg), tensor_over_algebra(total, reg)
         assert _same_space(t.space, fresh.space)
         assert (t.module.left, t.module.right) == (fresh.module.left, fresh.module.right)
-        assert _same_space(cached_triple(total, reg, simple),
-                           triple_balanced_quotient(QQ, total.dim, 2, 1, (total.right, reg.left),
-                                                    (reg.right, simple.left)))
+        proj = cached_triple(total, reg, simple)
+        assert proj == _fresh_triple(total, reg, simple)
+        assert _kernel_of_the_triple_quotient(proj, QQ, total.dim, 2, 1, (total.right, reg.left),
+                                              (reg.right, simple.left))
